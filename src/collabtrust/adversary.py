@@ -103,14 +103,6 @@ class AdversaryProfile:
                 f"flip probability must be in [0, 1], got {self.flip_probability}"
             )
 
-    @property
-    def is_fully_honest(self) -> bool:
-        return (
-            self.fault is FaultKind.HONEST
-            and self.reporting is ReportingKind.HONEST
-            and self.initiator_policy is InitiatorKind.HONEST
-        )
-
 
 HONEST_PROFILE = AdversaryProfile()
 

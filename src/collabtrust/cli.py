@@ -13,24 +13,21 @@ import sys
 
 from .errors import ProtocolViolation, ScenarioError
 from .report import build_aggregate, build_report, emit_report
-from .scenario import Scenario, scenario_from_dict
+from .scenario import Scenario, read_scenario_doc, scenario_from_dict
 from .simnet import run_simulation
 from .verdict import decision_table, default_quorum
 
 
-def _read_scenario_doc(path: str) -> dict:
+class OutputError(Exception):
+    """An output file (--out or --trace) could not be written."""
+
+
+def _write_file(path: str, data: bytes) -> None:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"syntax error: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ScenarioError("top level: expected a JSON object")
-    return doc
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_output(data: bytes, out: str | None) -> None:
@@ -38,8 +35,7 @@ def _write_output(data: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        _write_file(out, data)
 
 
 def _run_repetitions(scenario: Scenario, base_seed: int, want_trace: bool):
@@ -53,7 +49,7 @@ def _run_repetitions(scenario: Scenario, base_seed: int, want_trace: bool):
 
 
 def _cmd_run(args) -> int:
-    scenario = scenario_from_dict(_read_scenario_doc(args.scenario))
+    scenario = scenario_from_dict(read_scenario_doc(args.scenario))
     base_seed = scenario.seed if args.seed is None else args.seed
     results = _run_repetitions(scenario, base_seed, want_trace=args.trace is not None)
     reports = [build_report(res, scenario) for res in results]
@@ -64,8 +60,7 @@ def _cmd_run(args) -> int:
                 lines.append(f"REP {rep} seed={res.seed}")
             assert res.trace is not None
             lines.extend(res.trace)
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_file(args.trace, ("\n".join(lines) + "\n").encode("utf-8"))
     if len(reports) == 1:
         payload = emit_report(reports[0], args.format)
     else:
@@ -111,7 +106,7 @@ _SWEEP_COLUMNS = (
 
 
 def _cmd_sweep(args) -> int:
-    base_doc = _read_scenario_doc(args.scenario)
+    base_doc = read_scenario_doc(args.scenario)
     values = [_parse_sweep_value(tok) for tok in args.values.split(",")]
     rows = []
     for value in values:
@@ -210,6 +205,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_oracle_verdict_table(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except ProtocolViolation as exc:
         print(f"protocol violation: {exc}", file=sys.stderr)

@@ -4,7 +4,8 @@ Energy is charged in abstract integer units and is exact: a device's total
 is always e_op * ops + e_tx * sent + e_rx * received. Transmissions are
 charged even when the channel drops the message (the radio still spent the
 energy); receptions are charged for every delivery that reaches a device,
-including ones the protocol then discards as late.
+including ones the protocol then discards as late. The event loop and the
+protocol charge a device by incrementing its `DeviceUsage` counters directly.
 """
 
 from __future__ import annotations
@@ -29,22 +30,6 @@ class EnergyModel:
             raise ContractError("energy costs must be non-negative")
 
 
-@dataclass(frozen=True)
-class Execution:
-    device: int
-    op_count: int
-
-
-@dataclass(frozen=True)
-class Send:
-    device: int
-
-
-@dataclass(frozen=True)
-class Delivery:
-    device: int
-
-
 @dataclass
 class DeviceUsage:
     ops: int = 0
@@ -66,19 +51,6 @@ class EnergyLedger:
 
     def total_energy(self) -> int:
         return sum(self.energy(d) for d in self.usage)
-
-
-def account(ledger: EnergyLedger, event: Execution | Send | Delivery) -> EnergyLedger:
-    """Fold one billable event into the ledger (mutates and returns it)."""
-    if isinstance(event, Execution):
-        ledger.usage[event.device].ops += event.op_count
-    elif isinstance(event, Send):
-        ledger.usage[event.device].sent += 1
-    elif isinstance(event, Delivery):
-        ledger.usage[event.device].received += 1
-    else:
-        raise ContractError(f"unknown energy event {event!r}")
-    return ledger
 
 
 @dataclass

@@ -27,7 +27,7 @@ from .adversary import (
     distort_opinion,
 )
 from .errors import ProtocolViolation
-from .metrics import EnergyLedger, Execution, TrafficCounters, account
+from .metrics import EnergyLedger, TrafficCounters
 from .routines import OperandVector, RoutineSpec, execute, generate_operands
 from .rng import SplitMix64
 from .verdict import SuspicionLedger, Tally, Verdict, compute_verdict
@@ -166,7 +166,7 @@ def _accept_challenge(state: DeviceState, ch: Challenge) -> list[tuple[int, Mess
     honest = execute(spec, ch.ops)
     out = apply_fault(state.profile, spec, ch.ops, honest)
     if state.energy is not None:
-        account(state.energy, Execution(device=state.id, op_count=out.op_count))
+        state.energy.usage[state.id].ops += out.op_count
     state.challenge = ch
     state.reference = out.value
     state.phase = Phase.AWAIT_RESPONSE
@@ -280,7 +280,7 @@ def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
         state.counters.late += 1
         return None
     if (
-        rep.reporter not in state.group.members
+        rep.reporter not in state.group.member_set
         or rep.reporter == rep.checkee
         or rep.checkee != state.checkee
         or rep.reporter == state.id

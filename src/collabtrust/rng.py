@@ -49,8 +49,11 @@ class SplitMix64:
         self._state = seed & MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN_GAMMA) & MASK64
-        return mix64(self._state)
+        # mix64 inlined: this is the simulator's most frequent call.
+        z = self._state = (self._state + GOLDEN_GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+        return z ^ (z >> 31)
 
     def next_bits(self, width: int) -> int:
         """One draw masked to the low `width` bits."""

@@ -94,6 +94,11 @@ class Scenario:
                         f"adversaries: device {device} targets {target}, "
                         f"outside population [0, {self.population})"
                     )
+        routine_ids = set()
+        for spec in self.routines:
+            if spec.id in routine_ids:
+                raise ScenarioError(f"routines: duplicate id {spec.id}")
+            routine_ids.add(spec.id)
         table = self.routine_table()
         min_arity = min(spec.arity for spec in table)
         min_width = min(spec.width for spec in table)
@@ -377,19 +382,30 @@ def scenario_from_dict(doc: dict) -> Scenario:
     )
 
 
-def parse_scenario(document: str) -> Scenario:
-    """Parse a JSON scenario document; all errors are load-time ScenarioErrors."""
+def _parse_json(document: str):
     try:
-        doc = json.loads(document)
+        return json.loads(document)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"syntax error: {exc}") from None
-    return scenario_from_dict(doc)
 
 
-def load_scenario(path: str) -> Scenario:
+def parse_scenario(document: str) -> Scenario:
+    """Parse a JSON scenario document; all errors are load-time ScenarioErrors."""
+    return scenario_from_dict(_parse_json(document))
+
+
+def read_scenario_doc(path: str) -> dict:
+    """Read a scenario file into its JSON object, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
-    return parse_scenario(text)
+    doc = _parse_json(text)
+    if not isinstance(doc, dict):
+        raise ScenarioError("top level: expected a JSON object")
+    return doc
+
+
+def load_scenario(path: str) -> Scenario:
+    return scenario_from_dict(read_scenario_doc(path))

@@ -11,19 +11,14 @@ device (reporting noise). Varying one knob never reshuffles the others.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ContractError, GroupFormationError
-from .metrics import (
-    Delivery,
-    EnergyLedger,
-    Send,
-    TrafficCounters,
-    account,
-)
+from .metrics import EnergyLedger, TrafficCounters
 from .protocol import (
     Challenge,
+    ComparisonReport,
     DeviceState,
     Message,
     Response,
@@ -57,8 +52,7 @@ class RoundDeadline:
     round: int
 
 
-@dataclass(frozen=True)
-class Deliver:
+class Deliver(NamedTuple):
     msg: Message
     frm: int
     to: int
@@ -131,9 +125,12 @@ class GroupConfig:
     members: tuple[int, ...]
     quorum: int
     round_deadline: int
+    # Derived from members, for O(1) membership tests on the delivery path.
+    member_set: frozenset[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.members)) != len(self.members):
+        object.__setattr__(self, "member_set", frozenset(self.members))
+        if len(self.member_set) != len(self.members):
             raise ContractError("group members must be distinct")
         if len(self.members) < 3:
             raise ContractError(f"group needs at least 3 members, got {len(self.members)}")
@@ -163,7 +160,7 @@ def send(
     if model.drop_prob > 0.0 and rng.next_float() < model.drop_prob:
         return None
     latency = model.latency_min + rng.below(model.latency_max - model.latency_min + 1)
-    return now + latency, Deliver(msg=msg, frm=frm, to=to)
+    return now + latency, Deliver(msg, frm, to)
 
 
 def form_group(
@@ -202,23 +199,16 @@ class RunResult:
     rounds_total: int
 
 
-def _message_round(msg: Message) -> int:
-    # Challenge ids equal the round number, so every message kind carries it.
-    if isinstance(msg, Challenge):
-        return msg.round
-    return msg.challenge_id
-
-
 def _trace_deliver(t: int, seq: int, ev: Deliver, late: bool) -> str:
     msg = ev.msg
     suffix = " late=1" if late else ""
-    if isinstance(msg, Challenge):
+    if type(msg) is Challenge:
         ops = ",".join(str(v) for v in msg.ops.values)
         return (
             f"{t} {seq} CHALLENGE {ev.frm} {ev.to} round={msg.round} checkee={msg.checkee}"
             f" spec={msg.spec_id} ops={ops} cid={msg.challenge_id}{suffix}"
         )
-    if isinstance(msg, Response):
+    if type(msg) is Response:
         return f"{t} {seq} RESPONSE {ev.frm} {ev.to} cid={msg.challenge_id} output={msg.output}{suffix}"
     return (
         f"{t} {seq} REPORT {ev.frm} {ev.to} cid={msg.challenge_id} checkee={msg.checkee}"
@@ -275,10 +265,11 @@ class Simulation:
         halt_reason: str | None = None
         network = sc.network
 
-        def dispatch_sends(frm: int, outgoing: Iterable[tuple[int, Message]], now: int) -> None:
+        def dispatch_sends(frm: int, outgoing: list[tuple[int, Message]], now: int) -> None:
+            # Transmissions are charged even when the channel drops them.
+            counters.sent += len(outgoing)
+            energy.usage[frm].sent += len(outgoing)
             for to, msg in outgoing:
-                counters.sent += 1
-                account(energy, Send(frm))
                 routed = send(msg, frm, to, network, rng_net, now)
                 if routed is None:
                     counters.dropped += 1
@@ -302,13 +293,14 @@ class Simulation:
                 break
             t, seq, ev = item
 
-            if isinstance(ev, Deliver):
-                to = ev.to
-                account(energy, Delivery(to))
+            if type(ev) is Deliver:
+                msg, _, to = ev
+                energy.usage[to].received += 1
+                # Every message kind carries challenge_id, which equals the round.
                 late = (
                     group is None
-                    or _message_round(ev.msg) != current_round
-                    or to not in group.members
+                    or msg.challenge_id != current_round
+                    or to not in group.member_set
                 )
                 if trace is not None:
                     trace.append(_trace_deliver(t, seq, ev, late))
@@ -317,18 +309,18 @@ class Simulation:
                     continue
                 counters.delivered += 1
                 state = states[to]
-                msg = ev.msg
-                if isinstance(msg, Challenge):
-                    dispatch_sends(to, handle_check_request(state, msg), t)
-                elif isinstance(msg, Response):
-                    dispatch_sends(to, handle_response(state, msg), t)
-                else:
+                kind = type(msg)
+                if kind is ComparisonReport:
                     maybe = handle_report(state, msg)
                     if maybe is not None:
                         record_verdict(to, maybe, t, seq)
+                elif kind is Challenge:
+                    dispatch_sends(to, handle_check_request(state, msg), t)
+                else:
+                    dispatch_sends(to, handle_response(state, msg), t)
                 continue
 
-            if isinstance(ev, RoundStart):
+            if type(ev) is RoundStart:
                 r = ev.round
                 needs_group = (
                     group is None

@@ -85,6 +85,25 @@ def test_missing_scenario_file_exits_1(capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "report.json"
+    assert run_cli("run", "--scenario", HONEST, "--out", str(target)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):
+    target = tmp_path / "no-such-dir" / "trace.txt"
+    code = run_cli(
+        "run", "--scenario", HONEST, "--trace", str(target), "--out", str(tmp_path / "r.json")
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"output error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_invalid_scenario_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"group_size": 10, "population": 5}')

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
 from collabtrust.adversary import AdversaryProfile, FaultKind, ReportingKind
-from collabtrust.errors import ContractError
 from collabtrust.metrics import (
-    Delivery,
     EnergyLedger,
     EnergyModel,
-    Execution,
-    Send,
-    account,
     detection_stats,
     lossless_messages_per_round,
 )
@@ -23,20 +16,16 @@ from collabtrust.verdict import Outcome, Tally, Verdict, default_quorum
 UNIT = EnergyModel(e_op=1, e_tx=2, e_rx=1)
 
 
-def test_account_prices_each_event_kind():
-    ledger = EnergyLedger(UNIT, range(2))
-    account(ledger, Execution(device=0, op_count=3))
-    account(ledger, Send(device=0))
-    account(ledger, Delivery(device=1))
-    assert ledger.energy(0) == 3 * 1 + 2
-    assert ledger.energy(1) == 1
-    assert ledger.total_energy() == 6
-
-
-def test_account_rejects_unknown_events():
-    ledger = EnergyLedger(UNIT, range(1))
-    with pytest.raises(ContractError):
-        account(ledger, "not-an-event")
+def test_ledger_prices_each_usage_kind():
+    # energy = e_op * ops + e_tx * sent + e_rx * received, with distinct
+    # prices so each counter's weight shows.
+    ledger = EnergyLedger(EnergyModel(e_op=1, e_tx=2, e_rx=5), range(2))
+    ledger.usage[0].ops += 3
+    ledger.usage[0].sent += 1
+    ledger.usage[1].received += 1
+    assert ledger.energy(0) == 3 * 1 + 1 * 2
+    assert ledger.energy(1) == 1 * 5
+    assert ledger.total_energy() == 10
 
 
 def test_zero_cost_model():

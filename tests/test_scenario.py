@@ -122,6 +122,12 @@ def test_duplicate_adversary_device():
         parse_scenario(doc)
 
 
+def test_duplicate_routine_id():
+    doc = '{"routines": [{"id": 7, "kind": "ADD"}, {"id": 7, "kind": "MUL"}]}'
+    with pytest.raises(ScenarioError, match="routines: duplicate id 7"):
+        parse_scenario(doc)
+
+
 def test_adversary_device_outside_population():
     with pytest.raises(ScenarioError, match="population"):
         parse_scenario('{"adversaries": [{"device": 9}]}')
