@@ -30,6 +30,7 @@ import hashlib
 import json
 import pathlib
 import sys
+import tempfile
 
 import pytest
 
@@ -123,8 +124,6 @@ def test_outputs_match_golden_digests(name, seed, tmp_path):
 
 
 def _write_table() -> None:
-    import tempfile
-
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
