@@ -97,17 +97,32 @@ def detection_stats(
     corrupt device is the first round an honest device flagged it; a false
     positive is any FLAGGED verdict whose checkee has a honest fault model.
     """
-    stats = DetectionStats()
+    honest = AdversaryProfile()
+    trusted = inconclusive = 0
+    flagged = []
+    # Outcomes are told apart by identity: hashing an Enum member runs
+    # Python code, and runs log hundreds of verdicts per repetition.
     for issuer, v in verdicts:
-        stats.outcome_counts[v.outcome] = stats.outcome_counts.get(v.outcome, 0) + 1
-        if v.outcome is Outcome.INCONCLUSIVE:
-            stats.inconclusive += 1
-        if v.outcome is not Outcome.FLAGGED:
-            continue
-        checkee_fault = profiles.get(v.checkee, AdversaryProfile()).fault
-        if checkee_fault is FaultKind.HONEST:
+        outcome = v.outcome
+        if outcome is Outcome.TRUSTED:
+            trusted += 1
+        elif outcome is Outcome.INCONCLUSIVE:
+            inconclusive += 1
+        else:
+            flagged.append((issuer, v))
+    counts = (
+        (Outcome.TRUSTED, trusted),
+        (Outcome.FLAGGED, len(flagged)),
+        (Outcome.INCONCLUSIVE, inconclusive),
+    )
+    stats = DetectionStats(
+        inconclusive=inconclusive,
+        outcome_counts={outcome: n for outcome, n in counts if n},
+    )
+    for issuer, v in flagged:
+        if profiles.get(v.checkee, honest).fault is FaultKind.HONEST:
             stats.false_positives += 1
-        elif is_stat_honest(profiles.get(issuer, AdversaryProfile())):
+        elif is_stat_honest(profiles.get(issuer, honest)):
             prior = stats.detections.get(v.checkee)
             if prior is None or v.round < prior:
                 stats.detections[v.checkee] = v.round

@@ -182,25 +182,18 @@ def _accept_challenge(state: DeviceState, ch: Challenge) -> list[tuple[int, Mess
     return []
 
 
-def on_round_start(
-    state: DeviceState, round_no: int, shared_seed: int
-) -> list[tuple[int, Message]]:
-    """Initiator duty: build and unicast the round's challenge.
+def make_challenge(state: DeviceState, round_no: int, shared_seed: int) -> Challenge:
+    """The round's challenge as built by its initiator `state`.
 
     The routine rotates through the catalog; operands come from the shared
     seed, then pass through the initiator's evasion policy if it is corrupt.
     """
-    if state.group is None or state.round != round_no or state.phase is not Phase.IDLE:
-        raise ProtocolViolation(
-            f"device {state.id}: round start in phase {state.phase} round {state.round}"
-        )
-    if round_initiator(state.group, round_no) != state.id:
-        raise ProtocolViolation(f"device {state.id} is not round {round_no}'s initiator")
+    assert state.group is not None
     checkee = round_checkee(state.group, round_no)
     spec = state.routine_order[round_no % len(state.routine_order)]
     ops = generate_operands(shared_seed, round_no, checkee, spec)
     ops = choose_adversarial_operands(state.profile, ops, state.colluder_trojans, checkee)
-    ch = Challenge(
+    return Challenge(
         round=round_no,
         initiator=state.id,
         checkee=checkee,
@@ -208,6 +201,19 @@ def on_round_start(
         ops=ops,
         challenge_id=round_no,
     )
+
+
+def on_round_start(
+    state: DeviceState, round_no: int, shared_seed: int
+) -> list[tuple[int, Message]]:
+    """Initiator duty: build the round's challenge and unicast it to the group."""
+    if state.group is None or state.round != round_no or state.phase is not Phase.IDLE:
+        raise ProtocolViolation(
+            f"device {state.id}: round start in phase {state.phase} round {state.round}"
+        )
+    if round_initiator(state.group, round_no) != state.id:
+        raise ProtocolViolation(f"device {state.id} is not round {round_no}'s initiator")
+    ch = make_challenge(state, round_no, shared_seed)
     outgoing: list[tuple[int, Message]] = [(peer, ch) for peer in state._peers()]
     # The initiator is a checker too; it processes the challenge locally
     # (never emitting a Response, since initiator != checkee).

@@ -32,7 +32,11 @@ def mix_words(*words: int) -> int:
     """
     h = 0
     for w in words:
-        h = mix64((h + GOLDEN_GAMMA + (w & MASK64)) & MASK64)
+        # mix64 inlined: every challenge derives its operand stream here.
+        z = (h + GOLDEN_GAMMA + (w & MASK64)) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+        h = z ^ (z >> 31)
     return h
 
 

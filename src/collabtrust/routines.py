@@ -143,6 +143,7 @@ def generate_operands(seed: int, round_no: int, checkee: int, spec: RoutineSpec)
     party knowing the shared seed reproduces the exact vector, and distinct
     rounds/checkees/routines get independent-looking draws.
     """
-    stream = SplitMix64(seed ^ mix_words(round_no, checkee, spec.id))
-    values = tuple(stream.next_bits(spec.width) for _ in range(spec.arity))
+    draw = SplitMix64(seed ^ mix_words(round_no, checkee, spec.id)).next_u64
+    mask = (1 << spec.width) - 1
+    values = tuple([draw() & mask for _ in range(spec.arity)])
     return OperandVector(values=values, width=spec.width)

@@ -6,6 +6,12 @@ platform-independent order. All randomness comes from named SplitMix64
 streams derived from the scenario seed: the network stream (loss and
 latency), the grouping stream (ad-hoc membership draws), and one stream per
 device (reporting noise). Varying one knob never reshuffles the others.
+
+Untraced runs whose outcome cannot depend on timing (no loss, and
+3 * latency_max below the round deadline) skip the event queue: a
+tally-level kernel computes each round's verdict directly and charges the
+lossless closed-form message counts. Its reports are byte-identical to the
+engine's; traces always come from the engine.
 """
 
 from __future__ import annotations
@@ -14,8 +20,9 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import ContractError, GroupFormationError
-from .metrics import EnergyLedger, TrafficCounters
+from .adversary import Opinion, apply_fault, distort_opinion
+from .errors import ContractError, GroupFormationError, ProtocolViolation
+from .metrics import EnergyLedger, TrafficCounters, lossless_messages_per_round
 from .protocol import (
     Challenge,
     ComparisonReport,
@@ -26,13 +33,15 @@ from .protocol import (
     handle_check_request,
     handle_report,
     handle_response,
+    make_challenge,
     on_round_start,
     on_timeout,
     round_checkee,
     round_initiator,
 )
 from .rng import MASK64, SplitMix64, mix_words
-from .verdict import Outcome, SuspicionLedger, Verdict, update_suspicion
+from .routines import execute
+from .verdict import Outcome, SuspicionLedger, Tally, Verdict, compute_verdict, update_suspicion
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -40,6 +49,7 @@ if TYPE_CHECKING:
 # Stream-name tags for deriving independent substreams from one seed.
 NETWORK_STREAM = 0x6E657477  # "netw"
 GROUPING_STREAM = 0x67727570  # "grup"
+REPORT_STREAM = 0x72707274  # "rprt"
 
 
 @dataclass(frozen=True)
@@ -216,6 +226,117 @@ def _trace_deliver(t: int, seq: int, ev: Deliver, late: bool) -> str:
     )
 
 
+def report_stream(seed: int, device: int) -> SplitMix64:
+    """Device `device`'s reporting-noise stream for the run at `seed`.
+
+    Hashing (seed, tag, device) keeps the streams of distinct devices and of
+    consecutive repetition seeds independent; XOR-ing seed and device would
+    make device d at seed s replay device d' at seed s^d^d'.
+    """
+    return SplitMix64(mix_words(seed, REPORT_STREAM, device))
+
+
+def latency_free(scenario: "Scenario", collect_trace: bool) -> bool:
+    """Whether no report or verdict of the run can depend on message timing.
+
+    Without loss every message is delivered, and with 3 * latency_max below
+    the round deadline the challenge -> response -> report chain of each
+    round lands before its deadline. Such runs take the tally-level kernel
+    unless a trace is wanted; every other run takes the event engine.
+    """
+    net = scenario.network
+    return (
+        not collect_trace
+        and net.drop_prob == 0.0
+        and 3 * net.latency_max < scenario.round_deadline
+    )
+
+
+def _next_group(
+    group: GroupConfig | None,
+    r: int,
+    sc: "Scenario",
+    suspicion: SuspicionLedger,
+    rng_group: SplitMix64,
+) -> GroupConfig:
+    """Round r's group: redrawn on the regroup period or after an exclusion.
+
+    Raises GroupFormationError when too few devices remain eligible.
+    """
+    if (
+        group is not None
+        and r % sc.regroup_period != 0
+        and group.member_set.isdisjoint(suspicion.excluded_at)
+    ):
+        return group
+    eligible = suspicion.eligible(range(sc.population))
+    return form_group(eligible, sc.group_size, rng_group, sc.quorum, sc.round_deadline)
+
+
+def _tally_round(
+    states: dict[int, DeviceState],
+    group: GroupConfig,
+    r: int,
+    seed: int,
+    energy: EnergyLedger,
+    counters: TrafficCounters,
+) -> Verdict:
+    """One latency-free round at tally level: the verdict every member reaches.
+
+    Every member executes the challenge through its fault model and every
+    checker reports on the checkee's output, exactly as in the event engine;
+    only the unicasts are charged by their lossless closed form.
+    """
+    members = group.members
+    n = len(members)
+    initiator = round_initiator(group, r)
+    ch = make_challenge(states[initiator], r, seed)
+    spec = states[initiator].routines[ch.spec_id]
+    honest = execute(spec, ch.ops)
+    usage = energy.usage
+    outputs = {}
+    for m in members:
+        out = apply_fault(states[m].profile, spec, ch.ops, honest)
+        u = usage[m]
+        u.ops += out.op_count
+        # n-1 responses or reports out; every member receives n-1 of them,
+        # and all but the initiator one challenge.
+        u.sent += n - 1
+        u.received += n - 1 if m == initiator else n
+        outputs[m] = out.value
+    usage[initiator].sent += n - 1  # the challenge unicasts
+    messages = lossless_messages_per_round(n)
+    counters.sent += messages
+    counters.delivered += messages
+
+    checkee = ch.checkee
+    answer = outputs[checkee]
+    agree = 0
+    for m in members:
+        if m != checkee:
+            state = states[m]
+            truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
+            if distort_opinion(state.profile, truth, checkee, state.rng) is Opinion.AGREE:
+                agree += 1
+    tally = Tally(agree=agree, disagree=n - 1 - agree, missing=0, n_checkers=n - 1)
+    return Verdict(
+        checkee=checkee, round=r, outcome=compute_verdict(tally, group.quorum), tally=tally
+    )
+
+
+def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> None:
+    """Message conservation and the transmit ledger, checked at the end of a run."""
+    c = counters
+    accounted = c.delivered + c.dropped + c.late + c.in_flight
+    if c.sent != accounted:
+        raise ProtocolViolation(
+            f"message conservation: sent {c.sent} != delivered+dropped+late+in_flight {accounted}"
+        )
+    charged = sum(u.sent for u in energy.usage.values())
+    if charged != c.sent:
+        raise ProtocolViolation(f"energy ledger: devices charged {charged} sends, counters say {c.sent}")
+
+
 class Simulation:
     """One deterministic run of a validated scenario."""
 
@@ -227,10 +348,6 @@ class Simulation:
     def run(self) -> RunResult:
         sc = self.scenario
         seed = self.seed
-        net_seed = sc.network.seed if sc.network.seed is not None else mix_words(seed, NETWORK_STREAM)
-        rng_net = SplitMix64(net_seed)
-        rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
-
         suspicion = SuspicionLedger(flag_threshold=sc.flag_threshold)
         energy = EnergyLedger(sc.energy, range(sc.population))
         counters = TrafficCounters()
@@ -241,7 +358,7 @@ class Simulation:
                 device_id=d,
                 profile=profiles[d],
                 routine_order=routine_order,
-                rng=SplitMix64(seed ^ d),
+                rng=report_stream(seed, d),
                 suspicion=suspicion,
                 counters=counters,
                 energy=energy,
@@ -249,7 +366,55 @@ class Simulation:
             )
             for d in range(sc.population)
         }
+        rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
+        path = self._run_tally if latency_free(sc, self.collect_trace) else self._run_events
+        rounds_executed, halt_reason, trace, verdicts = path(
+            states, rng_group, suspicion, energy, counters
+        )
+        _check_run_identities(counters, energy)
+        return RunResult(
+            seed=seed,
+            rounds_executed=rounds_executed,
+            halt_reason=halt_reason,
+            trace=trace,
+            verdicts=verdicts,
+            counters=counters,
+            energy=energy,
+            suspicion=suspicion,
+            rounds_total=sc.rounds,
+        )
 
+    def _run_tally(self, states, rng_group, suspicion, energy, counters):
+        """Latency-free runs: one tally per round, no events, no network draws."""
+        sc = self.scenario
+        verdicts: list[tuple[int, Verdict]] = []
+        group: GroupConfig | None = None
+        rounds_executed = 0
+        halt_reason: str | None = None
+        for r in range(sc.rounds):
+            try:
+                new_group = _next_group(group, r, sc, suspicion, rng_group)
+            except GroupFormationError as exc:
+                halt_reason = str(exc)
+                break
+            if new_group is not group:
+                group = new_group
+                for m in group.members:
+                    states[m].group = group
+            rounds_executed = r + 1
+            v = _tally_round(states, group, r, self.seed, energy, counters)
+            verdicts += [(m, v) for m in group.members]
+            if v.outcome is Outcome.FLAGGED:
+                update_suspicion(suspicion, v)
+        return rounds_executed, halt_reason, None, verdicts
+
+    def _run_events(self, states, rng_group, suspicion, energy, counters):
+        """Every unicast through the event queue, with loss, latency and trace."""
+        sc = self.scenario
+        seed = self.seed
+        net_seed = sc.network.seed if sc.network.seed is not None else mix_words(seed, NETWORK_STREAM)
+        rng_net = SplitMix64(net_seed)
+        routine_order = states[0].routine_order
         queue = EventQueue()
         deadline = sc.round_deadline
         for r in range(sc.rounds):
@@ -322,22 +487,15 @@ class Simulation:
 
             if type(ev) is RoundStart:
                 r = ev.round
-                needs_group = (
-                    group is None
-                    or (r % sc.regroup_period == 0)
-                    or any(suspicion.is_excluded(m) for m in group.members)
-                )
-                if needs_group:
-                    eligible = suspicion.eligible(range(sc.population))
-                    try:
-                        group = form_group(
-                            eligible, sc.group_size, rng_group, sc.quorum, deadline
-                        )
-                    except GroupFormationError as exc:
-                        halt_reason = str(exc)
-                        if trace is not None:
-                            trace.append(f"{t} {seq} HALT - - reason={halt_reason!r}")
-                        break
+                try:
+                    new_group = _next_group(group, r, sc, suspicion, rng_group)
+                except GroupFormationError as exc:
+                    halt_reason = str(exc)
+                    if trace is not None:
+                        trace.append(f"{t} {seq} HALT - - reason={halt_reason!r}")
+                    break
+                if new_group is not group:
+                    group = new_group
                     for m in group.members:
                         states[m].group = group
                 current_round = r
@@ -377,17 +535,7 @@ class Simulation:
                 break
 
         counters.in_flight = queue.pending_deliveries()
-        return RunResult(
-            seed=seed,
-            rounds_executed=rounds_executed,
-            halt_reason=halt_reason,
-            trace=trace,
-            verdicts=verdicts,
-            counters=counters,
-            energy=energy,
-            suspicion=suspicion,
-            rounds_total=sc.rounds,
-        )
+        return rounds_executed, halt_reason, trace, verdicts
 
 
 def run_simulation(

@@ -178,12 +178,26 @@ def test_acceptance_4_evasion_corollary():
         assert detected == 0
 
 
+def _engine_and_kernel(sc: Scenario):
+    """Both paths of one lossless run: the event engine (traced) and the tally kernel.
+
+    The closed forms are asserted on the engine, which routes every unicast;
+    the kernel charges them by formula, so it must agree with the engine.
+    """
+    engine = run_simulation(sc, collect_trace=True)
+    kernel = run_simulation(sc, collect_trace=False)
+    assert kernel.counters == engine.counters
+    assert kernel.energy.usage == engine.energy.usage
+    assert kernel.energy.total_energy() == engine.energy.total_energy()
+    return engine, kernel
+
+
 def test_acceptance_5_message_and_energy_conservation():
     with criterion(5, "lossless round: 24 messages / 77 units; closed form for N in 3..7"):
-        res = run_simulation(Scenario(seed=1, rounds=1), collect_trace=False)
-        assert res.counters.sent == 24
-        assert res.counters.delivered == 24
-        assert res.energy.total_energy() == 77
+        for res in _engine_and_kernel(Scenario(seed=1, rounds=1)):
+            assert res.counters.sent == 24
+            assert res.counters.delivered == 24
+            assert res.energy.total_energy() == 77
         for n in range(3, 8):
             sc = Scenario(
                 seed=1,
@@ -192,13 +206,13 @@ def test_acceptance_5_message_and_energy_conservation():
                 rounds=1,
                 quorum=default_quorum(n - 1),
             )
-            r = run_simulation(sc, collect_trace=False)
-            messages = lossless_messages_per_round(n)
-            assert r.counters.sent == messages, n
-            # atomic routine in round 0: n executions at unit op cost
-            assert r.energy.total_energy() == n + 3 * messages, n
-            ledger_sum = sum(r.energy.energy(d) for d in range(n))
-            assert ledger_sum == r.energy.total_energy()
+            for r in _engine_and_kernel(sc):
+                messages = lossless_messages_per_round(n)
+                assert r.counters.sent == messages, n
+                # atomic routine in round 0: n executions at unit op cost
+                assert r.energy.total_energy() == n + 3 * messages, n
+                ledger_sum = sum(r.energy.energy(d) for d in range(n))
+                assert ledger_sum == r.energy.total_energy()
 
 
 def test_acceptance_6_loss_safety():

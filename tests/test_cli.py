@@ -5,8 +5,12 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
+
 import collabtrust.cli as cli
+import collabtrust.simnet as simnet
 from collabtrust.errors import ProtocolViolation
+from collabtrust.metrics import EnergyLedger, TrafficCounters
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 HONEST = str(SCENARIO_DIR / "five_device_honest.json")
@@ -118,6 +122,36 @@ def test_protocol_violation_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_simulation", boom)
     assert run_cli("run", "--scenario", HONEST) == 2
     assert "protocol violation" in capsys.readouterr().err
+
+
+def _one_dropped() -> TrafficCounters:
+    return TrafficCounters(dropped=1)
+
+
+def _device_0_sent_once(model, devices) -> EnergyLedger:
+    ledger = EnergyLedger(model, devices)
+    ledger.usage[0].sent = 1
+    return ledger
+
+
+# The honest scenario is lossless, so it takes the tally kernel untraced and
+# the event engine traced; the end-of-run check guards both.
+@pytest.mark.parametrize("traced", (False, True), ids=("kernel", "engine"))
+@pytest.mark.parametrize(
+    "name,factory,message",
+    (
+        ("TrafficCounters", _one_dropped, "message conservation"),
+        ("EnergyLedger", _device_0_sent_once, "energy ledger"),
+    ),
+    ids=("conservation", "ledger"),
+)
+def test_broken_run_identity_exits_2(monkeypatch, tmp_path, capsys, traced, name, factory, message):
+    monkeypatch.setattr(simnet, name, factory)
+    trace = ("--trace", str(tmp_path / "trace.txt")) if traced else ()
+    assert run_cli("run", "--scenario", HONEST, "--out", str(tmp_path / "r.json"), *trace) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"protocol violation: {message}")
+    assert err.count("\n") == 1
 
 
 def test_oracle_verdict_table_rows(capsys):

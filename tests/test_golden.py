@@ -14,11 +14,14 @@ shipped `scenarios/*.json` plus two inline documents for paths the shipped
   EVADE initiator, so the aggregate report and the `REP` trace headers are
   covered.
 
+The JSON and CSV reports are also produced without `--trace` and must hash
+the same: untraced lossless runs take the tally-level kernel instead of the
+event engine, and its reports are byte-identical.
+
 A digest may change only on purpose, and the change is recorded in
-CHANGES.md. One such change is already planned: making the per-device
-reporting-noise streams independent (ROADMAP item 2, stream independence)
-changes what a RANDOM reporter draws, so it moves the digests of
-`repetitions_random_evade` on purpose.
+CHANGES.md. The last such change made the per-device reporting-noise streams
+independent, which changed what the RANDOM reporter of
+`repetitions_random_evade` draws and so its trace digests.
 
 Regenerate the table after an intended output change with
 `PYTHONPATH=src python tests/test_golden.py`.
@@ -102,6 +105,17 @@ def _digests(scenario: pathlib.Path, seed: int, workdir: pathlib.Path) -> dict[s
     return {"trace": out["trace"], "json": out["json"], "csv": out["csv"]}
 
 
+def _untraced_digests(scenario: pathlib.Path, seed: int, workdir: pathlib.Path) -> dict[str, str]:
+    out = {}
+    for fmt in ("json", "csv"):
+        report = workdir / f"untraced.{fmt}"
+        argv = ["run", "--scenario", str(scenario), "--seed", str(seed),
+                "--format", fmt, "--out", str(report)]
+        assert cli.main(argv) == 0
+        out[fmt] = _sha256(report)
+    return out
+
+
 def _case_id(name: str, seed: int) -> str:
     return f"{name}/seed={seed}"
 
@@ -121,6 +135,13 @@ def test_outputs_match_golden_digests(name, seed, tmp_path):
     table = json.loads(TABLE.read_text(encoding="utf-8"))
     scenario = _scenario_paths(tmp_path)[name]
     assert _digests(scenario, seed, tmp_path) == table[_case_id(name, seed)]
+
+
+@pytest.mark.parametrize("name,seed", _cases(), ids=[_case_id(n, s) for n, s in _cases()])
+def test_untraced_reports_match_golden_digests(name, seed, tmp_path):
+    golden = json.loads(TABLE.read_text(encoding="utf-8"))[_case_id(name, seed)]
+    scenario = _scenario_paths(tmp_path)[name]
+    assert _untraced_digests(scenario, seed, tmp_path) == {"json": golden["json"], "csv": golden["csv"]}
 
 
 def _write_table() -> None:

@@ -1,0 +1,154 @@
+"""The tally-level round kernel against the event engine.
+
+Untraced runs with no loss and 3 * latency_max below the round deadline take
+the kernel; traced runs always take the event engine. A Hypothesis
+differential test generates lossless scenarios at the edge of that regime
+and checks that both paths produce the same report bytes and the same
+(issuer, verdict) pairs. Verdict order legitimately differs: the engine
+records verdicts as tallies complete, the kernel member by member.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import collabtrust.simnet as simnet
+from collabtrust.adversary import AdversaryProfile, Opinion, ReportingKind, distort_opinion
+from collabtrust.report import build_report, emit_report
+from collabtrust.scenario import Scenario, scenario_from_dict
+from collabtrust.simnet import NetworkModel, latency_free, report_stream, run_simulation
+
+MASKS = (0, 1, 3, 0x0F, 0x81)
+
+
+@st.composite
+def adversary_docs(draw, device: int, population: int) -> dict:
+    others = [d for d in range(population) if d != device]
+    doc: dict = {"device": device}
+    fault = draw(st.sampled_from(("HONEST", "ALWAYS_WRONG", "TROJAN")))
+    doc["fault"] = fault
+    if fault == "TROJAN":
+        mask = draw(st.sampled_from(MASKS))
+        doc["trigger"] = {
+            "index": draw(st.integers(0, 1)),
+            "mask": mask,
+            "match": draw(st.integers(0, 255)) & mask,
+        }
+        payload = draw(st.sampled_from(("XOR", "CONST", "COMPLEMENT")))
+        doc["payload"] = {"kind": payload}
+        if payload != "COMPLEMENT":
+            doc["payload"]["value"] = draw(st.integers(0, 255))
+    reporting = draw(st.sampled_from(("HONEST", "FRAME", "SHIELD", "RANDOM")))
+    doc["reporting"] = reporting
+    if reporting == "RANDOM":
+        doc["p"] = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+    policy = draw(st.sampled_from(("HONEST", "EVADE")))
+    doc["initiator_policy"] = policy
+    if reporting in ("FRAME", "SHIELD") or policy == "EVADE":
+        doc["targets"] = draw(st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True))
+    return doc
+
+
+@st.composite
+def lossless_scenarios(draw) -> Scenario:
+    group_size = draw(st.integers(3, 9))
+    population = group_size + draw(st.integers(0, 3))
+    latency_max = draw(st.integers(0, 4))
+    corrupt = draw(st.lists(st.integers(0, population - 1), max_size=4, unique=True))
+    doc = {
+        "population": population,
+        "group_size": group_size,
+        "rounds": draw(st.integers(1, 30)),
+        "regroup_period": draw(st.integers(1, 8)),
+        "quorum": draw(st.integers(1, group_size - 1)),
+        "flag_threshold": draw(st.integers(1, 3)),
+        "round_deadline": 3 * latency_max + draw(st.integers(1, 3)),
+        "network": {
+            "latency_min": draw(st.integers(0, latency_max)),
+            "latency_max": latency_max,
+            "drop_prob": 0.0,
+        },
+        "adversaries": [draw(adversary_docs(d, population)) for d in corrupt],
+    }
+    return scenario_from_dict(doc)
+
+
+def _reports(sc: Scenario, res) -> tuple[bytes, bytes]:
+    report = build_report(res, sc)
+    return emit_report(report, "json"), emit_report(report, "csv")
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(sc=lossless_scenarios(), seed=st.integers(0, 2**64 - 1))
+def test_kernel_matches_engine(sc, seed):
+    assert latency_free(sc, collect_trace=False)
+    engine = run_simulation(sc, seed=seed, collect_trace=True)
+    kernel = run_simulation(sc, seed=seed, collect_trace=False)
+    assert kernel.trace is None
+    assert _reports(sc, kernel) == _reports(sc, engine)
+    assert Counter(kernel.verdicts) == Counter(engine.verdicts)
+    assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
+
+
+class _CountingQueue(simnet.EventQueue):
+    built = 0
+
+    def __init__(self):
+        super().__init__()
+        _CountingQueue.built += 1
+
+
+def _engine_runs(monkeypatch, sc: Scenario, collect_trace: bool) -> int:
+    _CountingQueue.built = 0
+    monkeypatch.setattr(simnet, "EventQueue", _CountingQueue)
+    run_simulation(sc, seed=3, collect_trace=collect_trace)
+    return _CountingQueue.built
+
+
+def test_only_latency_free_untraced_runs_take_the_kernel(monkeypatch):
+    inside = Scenario(rounds=5, round_deadline=10, network=NetworkModel(latency_max=3))
+    assert _engine_runs(monkeypatch, inside, collect_trace=False) == 0
+    assert _engine_runs(monkeypatch, inside, collect_trace=True) == 1
+    lossy = Scenario(rounds=5, network=NetworkModel(drop_prob=0.1))
+    tight = Scenario(rounds=5, round_deadline=9, network=NetworkModel(latency_max=3))
+    for sc in (lossy, tight):
+        assert not latency_free(sc, collect_trace=False)
+        assert _engine_runs(monkeypatch, sc, collect_trace=False) == 1
+
+
+def test_report_streams_independent_across_devices_and_seeds():
+    # With seed ^ device, device 1 at seed 0 replayed device 0 at seed 1.
+    random = AdversaryProfile(reporting=ReportingKind.RANDOM, flip_probability=0.5)
+    a, b = report_stream(0, 1), report_stream(1, 0)
+    flips_a = [distort_opinion(random, Opinion.AGREE, 2, a) for _ in range(48)]
+    flips_b = [distort_opinion(random, Opinion.AGREE, 2, b) for _ in range(48)]
+    assert flips_a != flips_b
+
+
+def test_random_reporter_flip_rate_end_to_end():
+    # All hardware is honest, so every DISAGREE in a tally is a flip by the
+    # one RANDOM reporter, which checks in 4 of every 5 rounds.
+    p = 0.3
+    sc = Scenario(
+        rounds=50,
+        adversaries=((1, AdversaryProfile(reporting=ReportingKind.RANDOM, flip_probability=p)),),
+    )
+    chances = flips = 0
+    for rep in range(40):
+        res = run_simulation(sc, seed=1000 + rep, collect_trace=False)
+        per_round = {v.round: v for issuer, v in res.verdicts}
+        for v in per_round.values():
+            if v.checkee != 1:
+                chances += 1
+                flips += v.tally.disagree
+    sigma = (p * (1 - p) / chances) ** 0.5
+    assert abs(flips / chances - p) <= 3 * sigma, (flips, chances)

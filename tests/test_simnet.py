@@ -173,8 +173,10 @@ def test_lossless_verdicts_identical_across_devices_each_round():
         Scenario(rounds=10),
         Scenario(rounds=10, adversaries=((1, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),), population=8),
     )
+    # Asserted on the event engine (traced), where each device tallies the
+    # reports it received; the untraced tally kernel must match it.
     for sc in scenarios:
-        res = run_simulation(sc, seed=12, collect_trace=False)
+        res = run_simulation(sc, seed=12, collect_trace=True)
         by_round: dict[int, set] = {}
         issuers: dict[int, int] = {}
         for _, v in res.verdicts:
@@ -183,6 +185,10 @@ def test_lossless_verdicts_identical_across_devices_each_round():
         for round_no, distinct in by_round.items():
             assert len(distinct) == 1, (round_no, distinct)
             assert issuers[round_no] == sc.group_size  # one verdict per device
+        kernel = run_simulation(sc, seed=12, collect_trace=False)
+        assert kernel.counters == res.counters
+        assert kernel.energy.usage == res.energy.usage
+        assert sorted(kernel.verdicts, key=repr) == sorted(res.verdicts, key=repr)
 
 
 def test_lossless_framing_minority_causes_no_false_positives():
