@@ -1,0 +1,8 @@
+"""`python -m collabtrust`: the same commands as the `collabtrust` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

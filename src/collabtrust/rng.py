@@ -7,6 +7,8 @@ own `random` module is deliberately not used anywhere in the package.
 
 from __future__ import annotations
 
+import math
+
 MASK64 = (1 << 64) - 1
 
 # Weyl-sequence increment ("golden gamma") from the reference SplitMix64.
@@ -79,6 +81,43 @@ class SplitMix64:
             v = self.next_u64()
             if v < limit:
                 return v % n
+
+    def fates(self, count: int, drop_prob: float, lo: int, span: int) -> list[int | None]:
+        """`count` unicast fates: None if dropped, else a latency in [lo, lo + span).
+
+        Per message this draws exactly what `next_float() < drop_prob` (skipped
+        when drop_prob is 0) and then, unless dropped, `lo + below(span)`
+        would draw, so batching a fan-out changes no drawn word.
+        """
+        if span <= 0:
+            raise ValueError(f"fates() needs span >= 1, got {span}")
+        # x * 2**-53 < p  <=>  x < ceil(p * 2**53) for an integer x; scaling
+        # by a power of two is exact.
+        threshold = math.ceil(drop_prob * 2.0**53)
+        limit = (1 << 64) - ((1 << 64) % span)
+        s = self._state
+        out: list[int | None] = []
+        for _ in range(count):
+            if threshold:
+                z = s = (s + GOLDEN_GAMMA) & MASK64
+                z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
+                z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+                if (z ^ (z >> 31)) >> 11 < threshold:
+                    out.append(None)
+                    continue
+            if span == 1:
+                out.append(lo)
+                continue
+            while True:
+                z = s = (s + GOLDEN_GAMMA) & MASK64
+                z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
+                z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+                z ^= z >> 31
+                if z < limit:
+                    out.append(lo + z % span)
+                    break
+        self._state = s
+        return out
 
     def shuffle_prefix(self, items: list, k: int) -> None:
         """Fisher-Yates the first `k` positions of `items` in place."""

@@ -1,14 +1,15 @@
 """Deterministic discrete-event engine: lossy delivery, round timers, groups.
 
-Virtual time is integer ticks; events are totally ordered by (time, seq)
-where seq is the scheduling order, so equal-time events resolve in a fixed,
+Virtual time is integer ticks; events are totally ordered by (time, seq):
+round r's timers hold seqs 2r and 2r + 1, and messages number from
+2 * rounds in send order, so equal-time events resolve in a fixed,
 platform-independent order. All randomness comes from named SplitMix64
 streams derived from the scenario seed: the network stream (loss and
 latency), the grouping stream (ad-hoc membership draws), and one stream per
 device (reporting noise). Varying one knob never reshuffles the others.
 
 Untraced runs whose outcome cannot depend on timing (no loss, and
-3 * latency_max below the round deadline) skip the event queue: a
+3 * latency_max below the round deadline) skip the event engine: a
 tally-level kernel computes each round's verdict directly and charges the
 lossless closed-form message counts. Its reports are byte-identical to the
 engine's; traces always come from the engine.
@@ -16,9 +17,9 @@ engine's; traces always come from the engine.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from heapq import heappop, heappush
+from typing import TYPE_CHECKING
 
 from .adversary import Opinion, apply_fault, distort_opinion
 from .errors import ContractError, GroupFormationError, ProtocolViolation
@@ -50,66 +51,6 @@ if TYPE_CHECKING:
 NETWORK_STREAM = 0x6E657477  # "netw"
 GROUPING_STREAM = 0x67727570  # "grup"
 REPORT_STREAM = 0x72707274  # "rprt"
-
-
-@dataclass(frozen=True)
-class RoundStart:
-    round: int
-
-
-@dataclass(frozen=True)
-class RoundDeadline:
-    round: int
-
-
-class Deliver(NamedTuple):
-    msg: Message
-    frm: int
-    to: int
-
-
-Payload = RoundStart | RoundDeadline | Deliver
-
-
-class EventQueue:
-    """Min-heap of (time, seq, payload); seq breaks ties in scheduling order."""
-
-    def __init__(self):
-        self._heap: list[tuple[int, int, Payload]] = []
-        self._next_seq = 0
-
-    def schedule(self, time: int, payload: Payload) -> int:
-        if time < 0:
-            raise ContractError(f"cannot schedule at negative time {time}")
-        seq = self._next_seq
-        self._next_seq += 1
-        heapq.heappush(self._heap, (time, seq, payload))
-        return seq
-
-    def pop(self) -> tuple[int, int, Payload] | None:
-        """Next event, or None once the simulation is complete."""
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def pending_deliveries(self) -> int:
-        return sum(1 for _, _, p in self._heap if isinstance(p, Deliver))
-
-    def purge_deliveries(self, involved: set[int]) -> int:
-        """Drop queued deliveries touching any of the given devices."""
-        keep = [
-            e
-            for e in self._heap
-            if not (isinstance(e[2], Deliver) and (e[2].frm in involved or e[2].to in involved))
-        ]
-        removed = len(self._heap) - len(keep)
-        if removed:
-            heapq.heapify(keep)
-            self._heap = keep
-        return removed
 
 
 @dataclass(frozen=True)
@@ -152,27 +93,6 @@ class GroupConfig:
             raise ContractError("round deadline must be at least 1 tick")
 
 
-def send(
-    msg: Message,
-    frm: int,
-    to: int,
-    model: NetworkModel,
-    rng: SplitMix64,
-    now: int,
-) -> tuple[int, Deliver] | None:
-    """One unicast: None if the channel drops it, else (delivery time, event).
-
-    The drop decision is drawn first (skipped entirely when drop_prob is 0);
-    dropped messages consume no latency draw.
-    """
-    if frm == to:
-        raise ContractError(f"device {frm} cannot send to itself")
-    if model.drop_prob > 0.0 and rng.next_float() < model.drop_prob:
-        return None
-    latency = model.latency_min + rng.below(model.latency_max - model.latency_min + 1)
-    return now + latency, Deliver(msg, frm, to)
-
-
 def form_group(
     eligible: list[int],
     size: int,
@@ -209,19 +129,18 @@ class RunResult:
     rounds_total: int
 
 
-def _trace_deliver(t: int, seq: int, ev: Deliver, late: bool) -> str:
-    msg = ev.msg
+def _trace_deliver(t: int, seq: int, msg: Message, frm: int, to: int, late: bool) -> str:
     suffix = " late=1" if late else ""
     if type(msg) is Challenge:
         ops = ",".join(str(v) for v in msg.ops.values)
         return (
-            f"{t} {seq} CHALLENGE {ev.frm} {ev.to} round={msg.round} checkee={msg.checkee}"
+            f"{t} {seq} CHALLENGE {frm} {to} round={msg.round} checkee={msg.checkee}"
             f" spec={msg.spec_id} ops={ops} cid={msg.challenge_id}{suffix}"
         )
     if type(msg) is Response:
-        return f"{t} {seq} RESPONSE {ev.frm} {ev.to} cid={msg.challenge_id} output={msg.output}{suffix}"
+        return f"{t} {seq} RESPONSE {frm} {to} cid={msg.challenge_id} output={msg.output}{suffix}"
     return (
-        f"{t} {seq} REPORT {ev.frm} {ev.to} cid={msg.challenge_id} checkee={msg.checkee}"
+        f"{t} {seq} REPORT {frm} {to} cid={msg.challenge_id} checkee={msg.checkee}"
         f" opinion={msg.opinion.value}{suffix}"
     )
 
@@ -409,17 +328,30 @@ class Simulation:
         return rounds_executed, halt_reason, None, verdicts
 
     def _run_events(self, states, rng_group, suspicion, energy, counters):
-        """Every unicast through the event queue, with loss, latency and trace."""
+        """Every unicast through per-tick delivery buckets, with loss, latency and trace.
+
+        Events run in (tick, seq) order. Round timers are computed, not
+        queued: round r starts at r * deadline with seq 2r and ends at
+        (r + 1) * deadline with seq 2r + 1, so at any tick the timers fire
+        before its deliveries, which number from 2 * rounds in send order.
+        Each tick's deliveries sit in one list in seq order; a heap holds
+        only the ticks that have one.
+        """
         sc = self.scenario
         seed = self.seed
-        net_seed = sc.network.seed if sc.network.seed is not None else mix_words(seed, NETWORK_STREAM)
-        rng_net = SplitMix64(net_seed)
+        network = sc.network
+        net_seed = network.seed if network.seed is not None else mix_words(seed, NETWORK_STREAM)
+        fates = SplitMix64(net_seed).fates
+        drop_prob = network.drop_prob
+        lo = network.latency_min
+        span = network.latency_max - lo + 1
         routine_order = states[0].routine_order
-        queue = EventQueue()
         deadline = sc.round_deadline
-        for r in range(sc.rounds):
-            queue.schedule(r * deadline, RoundStart(r))
-            queue.schedule((r + 1) * deadline, RoundDeadline(r))
+        last_round = sc.rounds - 1
+        usage = energy.usage
+        buckets: dict[int, list[tuple[int, Message, int, int]]] = {}
+        ticks: list[int] = []
+        next_seq = 2 * sc.rounds
 
         trace: list[str] | None = [] if self.collect_trace else None
         verdicts: list[tuple[int, Verdict]] = []
@@ -428,18 +360,28 @@ class Simulation:
         current_round = -1
         rounds_executed = 0
         halt_reason: str | None = None
-        network = sc.network
 
         def dispatch_sends(frm: int, outgoing: list[tuple[int, Message]], now: int) -> None:
+            nonlocal next_seq
             # Transmissions are charged even when the channel drops them.
-            counters.sent += len(outgoing)
-            energy.usage[frm].sent += len(outgoing)
-            for to, msg in outgoing:
-                routed = send(msg, frm, to, network, rng_net, now)
-                if routed is None:
+            n = len(outgoing)
+            counters.sent += n
+            usage[frm].sent += n
+            seq = next_seq
+            for (to, msg), latency in zip(outgoing, fates(n, drop_prob, lo, span)):
+                if to == frm:
+                    raise ContractError(f"device {frm} cannot send to itself")
+                if latency is None:
                     counters.dropped += 1
-                else:
-                    queue.schedule(routed[0], routed[1])
+                    continue
+                at = now + latency
+                bucket = buckets.get(at)
+                if bucket is None:
+                    bucket = buckets[at] = []
+                    heappush(ticks, at)
+                bucket.append((seq, msg, frm, to))
+                seq += 1
+            next_seq = seq
 
         def record_verdict(issuer: int, v: Verdict, t: int, seq: int) -> None:
             verdicts.append((issuer, v))
@@ -452,41 +394,39 @@ class Simulation:
                     f" missing={ta.missing}"
                 )
 
+        timer = 0  # seq of the next round timer
         while True:
-            item = queue.pop()
-            if item is None:
-                break
-            t, seq, ev = item
-
-            if type(ev) is Deliver:
-                msg, _, to = ev
-                energy.usage[to].received += 1
-                # Every message kind carries challenge_id, which equals the round.
-                late = (
-                    group is None
-                    or msg.challenge_id != current_round
-                    or to not in group.member_set
-                )
-                if trace is not None:
-                    trace.append(_trace_deliver(t, seq, ev, late))
-                if late:
-                    counters.late += 1
-                    continue
-                counters.delivered += 1
-                state = states[to]
-                kind = type(msg)
-                if kind is ComparisonReport:
-                    maybe = handle_report(state, msg)
-                    if maybe is not None:
-                        record_verdict(to, maybe, t, seq)
-                elif kind is Challenge:
-                    dispatch_sends(to, handle_check_request(state, msg), t)
-                else:
-                    dispatch_sends(to, handle_response(state, msg), t)
+            timer_at = ((timer + 1) >> 1) * deadline
+            if ticks and ticks[0] < timer_at:
+                t = heappop(ticks)
+                # A zero-latency send appends to this very bucket; the loop
+                # reaches it, since list iteration runs to the current end.
+                for seq, msg, frm, to in buckets[t]:
+                    usage[to].received += 1
+                    # Every message kind carries challenge_id, which equals the round.
+                    late = msg.challenge_id != current_round or to not in group.member_set
+                    if trace is not None:
+                        trace.append(_trace_deliver(t, seq, msg, frm, to, late))
+                    if late:
+                        counters.late += 1
+                        continue
+                    counters.delivered += 1
+                    state = states[to]
+                    kind = type(msg)
+                    if kind is ComparisonReport:
+                        maybe = handle_report(state, msg)
+                        if maybe is not None:
+                            record_verdict(to, maybe, t, seq)
+                    elif kind is Challenge:
+                        dispatch_sends(to, handle_check_request(state, msg), t)
+                    else:
+                        dispatch_sends(to, handle_response(state, msg), t)
+                del buckets[t]
                 continue
 
-            if type(ev) is RoundStart:
-                r = ev.round
+            t, seq, r = timer_at, timer, timer >> 1
+            timer += 1
+            if not seq & 1:  # round r starts
                 try:
                     new_group = _next_group(group, r, sc, suspicion, rng_group)
                 except GroupFormationError as exc:
@@ -515,26 +455,28 @@ class Simulation:
                 rounds_executed = r + 1
                 continue
 
-            # RoundDeadline
-            r = ev.round
-            if group is not None and r == current_round:
-                for m in group.members:
-                    state = states[m]
-                    if not state.verdict_emitted:
-                        record_verdict(m, on_timeout(state, r), t, seq)
-                flagged = [v for v in round_verdicts if v.outcome is Outcome.FLAGGED]
-                if flagged:
-                    # One suspicion update per round: any device's FLAGGED
-                    # verdict marks the round against the checkee.
-                    update_suspicion(suspicion, flagged[0])
-                    if suspicion.is_excluded(flagged[0].checkee):
-                        counters.late += queue.purge_deliveries({flagged[0].checkee})
-                if trace is not None:
-                    trace.append(f"{t} {seq} ROUND_DEADLINE - - round={r}")
-            if r == sc.rounds - 1:
+            # Round r's deadline.
+            for m in group.members:
+                state = states[m]
+                if not state.verdict_emitted:
+                    record_verdict(m, on_timeout(state, r), t, seq)
+            flagged = [v for v in round_verdicts if v.outcome is Outcome.FLAGGED]
+            if flagged:
+                # One suspicion update per round: any device's FLAGGED
+                # verdict marks the round against the checkee.
+                update_suspicion(suspicion, flagged[0])
+                checkee = flagged[0].checkee
+                if suspicion.is_excluded(checkee):
+                    for at, bucket in buckets.items():
+                        keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]
+                        counters.late += len(bucket) - len(keep)
+                        buckets[at] = keep
+            if trace is not None:
+                trace.append(f"{t} {seq} ROUND_DEADLINE - - round={r}")
+            if r == last_round:
                 break
 
-        counters.in_flight = queue.pending_deliveries()
+        counters.in_flight = sum(len(b) for b in buckets.values())
         return rounds_executed, halt_reason, trace, verdicts
 
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -12,7 +15,8 @@ import collabtrust.simnet as simnet
 from collabtrust.errors import ProtocolViolation
 from collabtrust.metrics import EnergyLedger, TrafficCounters
 
-SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 HONEST = str(SCENARIO_DIR / "five_device_honest.json")
 
 
@@ -48,6 +52,24 @@ def test_run_twice_byte_identical(tmp_path):
         traces.append(trace.read_bytes())
     assert outs[0] == outs[1]
     assert traces[0] == traces[1]
+
+
+def test_python_m_collabtrust_matches_cli_main(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    trace = tmp_path / "module.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "collabtrust", "run", "--scenario", HONEST, "--seed", "7",
+         "--out", str(tmp_path / "module.json"), "--trace", str(trace)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli("run", "--scenario", HONEST, "--seed", "7",
+                   "--out", str(tmp_path / "main.json"), "--trace", str(tmp_path / "main.txt")) == 0
+    assert (tmp_path / "module.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+    assert trace.read_bytes() == (tmp_path / "main.txt").read_bytes()
+    bad = subprocess.run([sys.executable, "-m", "collabtrust", "run", "--scenario", "missing.json"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == 1 and len(bad.stderr.strip().splitlines()) == 1
 
 
 def test_changing_seed_changes_trace(tmp_path):

@@ -13,6 +13,10 @@ shipped `scenarios/*.json` plus two inline documents for paths the shipped
 - `repetitions_random_evade`: three repetitions with a RANDOM reporter and an
   EVADE initiator, so the aggregate report and the `REP` trace headers are
   covered.
+- `same_tick_halt`: zero-latency sends and a deadline of 2 * latency_max, so
+  many events share a tick (a round's deadline, the next round's start and
+  deliveries all land together), plus two faulty devices whose exclusion
+  halts the run with deliveries still in flight.
 
 The JSON and CSV reports are also produced without `--trace` and must hash
 the same: untraced lossless runs take the tally-level kernel instead of the
@@ -71,6 +75,18 @@ INLINE_SCENARIOS = {
                 "trigger": {"index": 0, "mask": 3, "match": 1},
                 "payload": {"kind": "XOR", "value": 1},
             },
+        ],
+    },
+    "same_tick_halt": {
+        "population": 6,
+        "group_size": 5,
+        "rounds": 40,
+        "round_deadline": 6,
+        "flag_threshold": 1,
+        "network": {"latency_min": 0, "latency_max": 3, "drop_prob": 0.1},
+        "adversaries": [
+            {"device": 2, "fault": "ALWAYS_WRONG"},
+            {"device": 4, "fault": "ALWAYS_WRONG"},
         ],
     },
 }

@@ -99,19 +99,21 @@ def test_kernel_matches_engine(sc, seed):
     assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
 
 
-class _CountingQueue(simnet.EventQueue):
-    built = 0
-
-    def __init__(self):
-        super().__init__()
-        _CountingQueue.built += 1
-
-
 def _engine_runs(monkeypatch, sc: Scenario, collect_trace: bool) -> int:
-    _CountingQueue.built = 0
-    monkeypatch.setattr(simnet, "EventQueue", _CountingQueue)
+    """How many times one run enters the event engine (asserting it took one path)."""
+    calls = Counter()
+    for name in ("_run_events", "_run_tally"):
+        path = getattr(simnet.Simulation, name)
+
+        def counted(self, *args, _path=path, _name=name):
+            calls[_name] += 1
+            return _path(self, *args)
+
+        monkeypatch.setattr(simnet.Simulation, name, counted)
     run_simulation(sc, seed=3, collect_trace=collect_trace)
-    return _CountingQueue.built
+    monkeypatch.undo()
+    assert calls["_run_events"] + calls["_run_tally"] == 1
+    return calls["_run_events"]
 
 
 def test_only_latency_free_untraced_runs_take_the_kernel(monkeypatch):

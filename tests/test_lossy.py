@@ -1,0 +1,85 @@
+"""Hypothesis properties of the event engine over lossy, tight-deadline runs.
+
+These runs never take the tally kernel: every one has loss, and many have a
+deadline the challenge -> response -> report chain can overrun, so reports go
+missing, arrive late or are still in flight when the run ends. Scenarios
+reuse the adversary strategy of `test_kernel.py`.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from collabtrust.report import build_report, emit_report
+from collabtrust.scenario import Scenario, scenario_from_dict
+from collabtrust.simnet import latency_free, run_simulation
+from collabtrust.verdict import Outcome
+from test_kernel import adversary_docs
+
+DELIVERY_KINDS = ("CHALLENGE", "RESPONSE", "REPORT")
+
+SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def lossy_scenarios(draw, honest: bool = False) -> Scenario:
+    group_size = draw(st.integers(3, 7))
+    population = group_size + draw(st.integers(0, 3))
+    latency_max = draw(st.integers(1, 4))
+    corrupt = [] if honest else draw(st.lists(st.integers(0, population - 1), max_size=3, unique=True))
+    doc = {
+        "population": population,
+        "group_size": group_size,
+        "rounds": draw(st.integers(1, 20)),
+        "regroup_period": draw(st.integers(1, 8)),
+        "quorum": draw(st.integers(1, group_size - 1)),
+        "flag_threshold": draw(st.integers(1, 3)),
+        "round_deadline": draw(st.integers(latency_max + 1, 3 * latency_max)),
+        "network": {
+            "latency_min": draw(st.integers(0, latency_max)),
+            "latency_max": latency_max,
+            "drop_prob": draw(st.sampled_from((0.05, 0.2, 0.5, 1.0))),
+        },
+        "adversaries": [draw(adversary_docs(d, population)) for d in corrupt],
+    }
+    return scenario_from_dict(doc)
+
+
+def _check_conservation(res) -> None:
+    c = res.counters
+    assert c.sent == c.delivered + c.dropped + c.late + c.in_flight
+    usage = res.energy.usage.values()
+    assert sum(u.sent for u in usage) == c.sent
+    lines = [line.split() for line in res.trace]
+    deliveries = [f for f in lines if f[2] in DELIVERY_KINDS]
+    # Every popped delivery is received; purged ones are late but never popped.
+    assert sum(u.received for u in usage) == len(deliveries)
+    assert c.delivered == sum(1 for f in deliveries if f[-1] != "late=1")
+    assert c.late >= len(deliveries) - c.delivered
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(honest=True), seed=st.integers(0, 2**64 - 1))
+def test_lossy_honest_runs_flag_no_one(sc, seed):
+    assert not latency_free(sc, collect_trace=False)
+    res = run_simulation(sc, seed=seed)
+    assert all(v.outcome is not Outcome.FLAGGED for _, v in res.verdicts)
+    assert res.halt_reason is None and res.rounds_executed == sc.rounds
+    _check_conservation(res)
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+def test_lossy_traced_runs_conserve_and_repeat(sc, seed):
+    first = run_simulation(sc, seed=seed)
+    second = run_simulation(sc, seed=seed)
+    _check_conservation(first)
+    assert "\n".join(first.trace).encode() == "\n".join(second.trace).encode()
+    assert emit_report(build_report(first, sc), "json") == emit_report(build_report(second, sc), "json")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import collabtrust.simnet as simnet
 from collabtrust.adversary import AdversaryProfile, FaultKind, ReportingKind
 from collabtrust.errors import ContractError, GroupFormationError
 from collabtrust.metrics import detection_stats
@@ -11,43 +12,8 @@ from collabtrust.protocol import Challenge
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import OperandVector
 from collabtrust.scenario import Scenario
-from collabtrust.simnet import (
-    Deliver,
-    EventQueue,
-    GroupConfig,
-    NetworkModel,
-    RoundDeadline,
-    RoundStart,
-    form_group,
-    run_simulation,
-    send,
-)
+from collabtrust.simnet import GroupConfig, NetworkModel, form_group, run_simulation
 from collabtrust.verdict import Outcome
-
-
-def test_queue_orders_by_time():
-    q = EventQueue()
-    q.schedule(2, RoundStart(2))
-    q.schedule(1, RoundStart(1))
-    assert q.pop()[2] == RoundStart(1)
-    assert q.pop()[2] == RoundStart(2)
-
-
-def test_queue_breaks_ties_by_scheduling_order():
-    q = EventQueue()
-    q.schedule(1, RoundStart(10))
-    q.schedule(1, RoundDeadline(11))
-    q.schedule(1, RoundStart(12))
-    popped = [q.pop()[2] for _ in range(3)]
-    assert popped == [RoundStart(10), RoundDeadline(11), RoundStart(12)]
-
-
-def test_queue_empty_pop_signals_completion():
-    q = EventQueue()
-    assert q.pop() is None
-    q.schedule(0, RoundStart(0))
-    q.pop()
-    assert q.pop() is None
 
 
 def _msg():
@@ -61,37 +27,108 @@ def _msg():
     )
 
 
+# The engine draws each fan-out's unicast fates in one batch: a latency in
+# ticks, or None for a dropped message.
 def test_send_lossless_delivers_within_latency_bounds():
-    model = NetworkModel(latency_min=1, latency_max=3, drop_prob=0.0)
-    rng = SplitMix64(1)
-    for now in (0, 10, 99):
-        for _ in range(200):
-            routed = send(_msg(), 0, 1, model, rng, now)
-            assert routed is not None
-            t, ev = routed
-            assert now + 1 <= t <= now + 3
-            assert isinstance(ev, Deliver) and ev.to == 1 and ev.frm == 0
+    latencies = SplitMix64(1).fates(600, 0.0, 1, 3)
+    assert len(latencies) == 600 and None not in latencies
+    assert set(latencies) == {1, 2, 3}
 
 
 def test_send_certain_loss_never_delivers():
-    model = NetworkModel(drop_prob=1.0)
-    rng = SplitMix64(2)
-    assert all(send(_msg(), 0, 1, model, rng, 0) is None for _ in range(200))
+    assert SplitMix64(2).fates(200, 1.0, 1, 3) == [None] * 200
 
 
 def test_send_loss_rate_within_3_sigma():
     p = 0.2
-    model = NetworkModel(drop_prob=p)
-    rng = SplitMix64(3)
     n = 100_000
-    lost = sum(1 for _ in range(n) if send(_msg(), 0, 1, model, rng, 0) is None)
+    lost = SplitMix64(3).fates(n, p, 1, 3).count(None)
     sigma = (p * (1 - p) / n) ** 0.5
     assert abs(lost / n - p) <= 3 * sigma
 
 
-def test_send_to_self_is_contract_error():
-    with pytest.raises(ContractError):
-        send(_msg(), 1, 1, NetworkModel(), SplitMix64(0), 0)
+# Span 1 draws no latency word, drop 0 no float, and span 2**63 + 1 rejects
+# about half of its latency words.
+@pytest.mark.parametrize("span", (1, 3, 4, 7, 2**63 + 1))
+@pytest.mark.parametrize("drop_prob", (0.0, 0.3, 1.0))
+def test_fates_draw_what_next_float_and_below_draw(drop_prob, span):
+    batched, reference = SplitMix64(99), SplitMix64(99)
+    expected = []
+    for _ in range(300):
+        if drop_prob > 0.0 and reference.next_float() < drop_prob:
+            expected.append(None)
+        else:
+            expected.append(2 + reference.below(span))
+    assert batched.fates(300, drop_prob, 2, span) == expected
+    assert batched.next_u64() == reference.next_u64()
+
+
+def test_send_to_self_is_contract_error(monkeypatch):
+    monkeypatch.setattr(simnet, "on_round_start", lambda state, r, seed: [(state.id, _msg())])
+    with pytest.raises(ContractError, match="cannot send to itself"):
+        run_simulation(Scenario(rounds=1), seed=0, collect_trace=True)
+
+
+# Zero-latency sends and a deadline of 2 * latency_max put round timers and
+# deliveries on the same ticks.
+SHARED_TICKS = Scenario(
+    population=6,
+    group_size=5,
+    rounds=20,
+    round_deadline=6,
+    network=NetworkModel(latency_min=0, latency_max=3, drop_prob=0.1),
+)
+TIMERS = ("ROUND_START", "ROUND_DEADLINE", "HALT")
+
+
+def _events(trace):
+    """(time, seq, kind, round) of each trace line but the verdicts."""
+    out = []
+    for line in trace:
+        t, seq, kind, *rest = line.split()
+        if kind != "VERDICT":
+            rnd = int(rest[2].split("=")[1]) if kind in ("ROUND_START", "ROUND_DEADLINE") else None
+            out.append((int(t), int(seq), kind, rnd))
+    return out
+
+
+def test_queue_orders_by_time():
+    times = [e[0] for e in _events(run_simulation(SHARED_TICKS, seed=5).trace)]
+    assert times == sorted(times)
+
+
+def test_queue_breaks_ties_by_scheduling_order():
+    first = 2 * SHARED_TICKS.rounds
+    events = _events(run_simulation(SHARED_TICKS, seed=5).trace)
+    shared = 0
+    for tick in sorted({e[0] for e in events}):
+        at = [e for e in events if e[0] == tick]
+        is_timer = [kind in TIMERS for _, _, kind, _ in at]
+        assert is_timer == sorted(is_timer, reverse=True), at
+        shared += is_timer[0] and not is_timer[-1]
+        for _, seq, kind, rnd in at:
+            if kind == "ROUND_START":
+                assert (tick, seq) == (rnd * 6, 2 * rnd)
+            elif kind == "ROUND_DEADLINE":
+                assert (tick, seq) == ((rnd + 1) * 6, 2 * rnd + 1)
+        deliveries = [seq for _, seq, kind, _ in at if kind not in TIMERS]
+        assert deliveries == sorted(deliveries) and all(s >= first for s in deliveries)
+    assert shared > 0
+
+
+def test_engine_counts_unreached_deliveries_in_flight():
+    # All honest, so nothing is purged: every undropped send either shows up
+    # as a delivery line or is still in flight when the last deadline fires.
+    sc = Scenario(
+        rounds=20, round_deadline=6, network=NetworkModel(latency_min=1, latency_max=5, drop_prob=0.2)
+    )
+    res = run_simulation(sc, seed=1)
+    c = res.counters
+    first = 2 * sc.rounds
+    delivered = {e[1] for e in _events(res.trace) if e[2] not in TIMERS}
+    assert delivered <= set(range(first, first + c.sent - c.dropped))
+    assert c.in_flight == c.sent - c.dropped - len(delivered) > 0
+    assert res.trace[-1].endswith(f"ROUND_DEADLINE - - round={sc.rounds - 1}")
 
 
 def test_network_model_validation():
