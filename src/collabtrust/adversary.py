@@ -104,9 +104,6 @@ class AdversaryProfile:
             )
 
 
-HONEST_PROFILE = AdversaryProfile()
-
-
 def apply_fault(
     profile: AdversaryProfile,
     spec: RoutineSpec,

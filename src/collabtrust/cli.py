@@ -64,7 +64,7 @@ def _cmd_run(args) -> int:
     if len(reports) == 1:
         payload = emit_report(reports[0], args.format)
     else:
-        payload = emit_report(build_aggregate(reports, base_seed), args.format)
+        payload = emit_report(build_aggregate(reports), args.format)
     _write_output(payload, args.out)
     return 0
 
@@ -116,7 +116,7 @@ def _cmd_sweep(args) -> int:
         seed = scenario.seed if args.seed is None else args.seed
         results = _run_repetitions(scenario, seed, want_trace=False)
         reports = [build_report(res, scenario) for res in results]
-        agg = build_aggregate(reports, seed)
+        agg = build_aggregate(reports)
         rows.append(
             {
                 "param": args.param,

@@ -4,8 +4,9 @@ Energy is charged in abstract integer units and is exact: a device's total
 is always e_op * ops + e_tx * sent + e_rx * received. Transmissions are
 charged even when the channel drops the message (the radio still spent the
 energy); receptions are charged for every delivery that reaches a device,
-including ones the protocol then discards as late. The event loop and the
-protocol charge a device by incrementing its `DeviceUsage` counters directly.
+including late ones, which the event loop never hands to the protocol. The
+event loop and the protocol charge a device by incrementing its
+`DeviceUsage` counters directly.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class TrafficCounters:
     delivered: int = 0
     dropped: int = 0
     late: int = 0
-    stray: int = 0
     in_flight: int = 0
 
 
@@ -83,7 +83,6 @@ def is_stat_honest(profile: AdversaryProfile) -> bool:
 class DetectionStats:
     detections: dict[int, int] = field(default_factory=dict)  # corrupt device -> first flagged round
     false_positives: int = 0
-    inconclusive: int = 0
     outcome_counts: dict[Outcome, int] = field(default_factory=dict)
 
 
@@ -115,10 +114,7 @@ def detection_stats(
         (Outcome.FLAGGED, len(flagged)),
         (Outcome.INCONCLUSIVE, inconclusive),
     )
-    stats = DetectionStats(
-        inconclusive=inconclusive,
-        outcome_counts={outcome: n for outcome, n in counts if n},
-    )
+    stats = DetectionStats(outcome_counts={outcome: n for outcome, n in counts if n})
     for issuer, v in flagged:
         if profiles.get(v.checkee, honest).fault is FaultKind.HONEST:
             stats.false_positives += 1

@@ -8,14 +8,17 @@ locally computed reference and broadcasts an AGREE/DISAGREE report; every
 device (checkee included) tallies reports and concludes a verdict, either
 when the tally is complete or at the round deadline.
 
-Handlers are pure transitions (state, message) -> (state, outgoing messages);
-the event loop owns delivery, loss and timing.
+Handlers are plain transitions (state, message) -> (state, outgoing messages).
+The event loop alone decides each message's fate: it drops, delays and
+counts as late every off-round or non-member delivery, so handlers see only
+on-round messages between current group members, each exactly once. The one
+ordering they handle is a response that overtakes its challenge: it is
+parked until the challenge arrives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING
 
 from .adversary import (
@@ -27,19 +30,13 @@ from .adversary import (
     distort_opinion,
 )
 from .errors import ProtocolViolation
-from .metrics import EnergyLedger, TrafficCounters
+from .metrics import DeviceUsage
 from .routines import OperandVector, RoutineSpec, execute, generate_operands
 from .rng import SplitMix64
-from .verdict import SuspicionLedger, Tally, Verdict, compute_verdict
+from .verdict import Tally, Verdict, compute_verdict
 
 if TYPE_CHECKING:
     from .simnet import GroupConfig
-
-
-class Phase(Enum):
-    IDLE = "IDLE"
-    AWAIT_RESPONSE = "AWAIT_RESPONSE"
-    AWAIT_REPORTS = "AWAIT_REPORTS"
 
 
 @dataclass(frozen=True)
@@ -80,11 +77,8 @@ class DeviceState:
         "routines",
         "colluder_trojans",
         "rng",
-        "suspicion",
-        "energy",
-        "counters",
+        "usage",
         "group",
-        "phase",
         "round",
         "checkee",
         "challenge",
@@ -100,9 +94,7 @@ class DeviceState:
         profile: AdversaryProfile,
         routine_order: list[RoutineSpec],
         rng: SplitMix64,
-        suspicion: SuspicionLedger,
-        counters: TrafficCounters,
-        energy: EnergyLedger | None = None,
+        usage: DeviceUsage,
         colluder_trojans: dict[int, TrojanModel] | None = None,
     ):
         self.id = device_id
@@ -111,11 +103,8 @@ class DeviceState:
         self.routines = {spec.id: spec for spec in routine_order}
         self.colluder_trojans = colluder_trojans or {}
         self.rng = rng
-        self.suspicion = suspicion
-        self.energy = energy
-        self.counters = counters
+        self.usage = usage
         self.group: GroupConfig | None = None
-        self.phase = Phase.IDLE
         self.round: int | None = None
         self.checkee: int | None = None
         self.challenge: Challenge | None = None
@@ -153,33 +142,11 @@ def begin_round(state: DeviceState, round_no: int) -> None:
     assert state.group is not None
     state.round = round_no
     state.checkee = round_checkee(state.group, round_no)
-    state.phase = Phase.IDLE
     state.challenge = None
     state.reference = None
     state.pending_response = None
     state.opinions = {}
     state.verdict_emitted = False
-
-
-def _accept_challenge(state: DeviceState, ch: Challenge) -> list[tuple[int, Message]]:
-    spec = state.routines[ch.spec_id]
-    honest = execute(spec, ch.ops)
-    out = apply_fault(state.profile, spec, ch.ops, honest)
-    if state.energy is not None:
-        state.energy.usage[state.id].ops += out.op_count
-    state.challenge = ch
-    state.reference = out.value
-    state.phase = Phase.AWAIT_RESPONSE
-    if state.id == ch.checkee:
-        # The checkee's "reference" is the output it must defend.
-        state.phase = Phase.AWAIT_REPORTS
-        response = Response(challenge_id=ch.challenge_id, responder=state.id, output=out.value)
-        return [(peer, response) for peer in state._peers()]
-    if state.pending_response is not None:
-        # The checkee's answer overtook our challenge; compare it now.
-        parked, state.pending_response = state.pending_response, None
-        return handle_response(state, parked)
-    return []
 
 
 def make_challenge(state: DeviceState, round_no: int, shared_seed: int) -> Challenge:
@@ -207,9 +174,9 @@ def on_round_start(
     state: DeviceState, round_no: int, shared_seed: int
 ) -> list[tuple[int, Message]]:
     """Initiator duty: build the round's challenge and unicast it to the group."""
-    if state.group is None or state.round != round_no or state.phase is not Phase.IDLE:
+    if state.group is None or state.round != round_no or state.challenge is not None:
         raise ProtocolViolation(
-            f"device {state.id}: round start in phase {state.phase} round {state.round}"
+            f"device {state.id}: round {round_no} start out of turn (device round {state.round})"
         )
     if round_initiator(state.group, round_no) != state.id:
         raise ProtocolViolation(f"device {state.id} is not round {round_no}'s initiator")
@@ -217,7 +184,7 @@ def on_round_start(
     outgoing: list[tuple[int, Message]] = [(peer, ch) for peer in state._peers()]
     # The initiator is a checker too; it processes the challenge locally
     # (never emitting a Response, since initiator != checkee).
-    outgoing.extend(_accept_challenge(state, ch))
+    outgoing.extend(handle_check_request(state, ch))
     return outgoing
 
 
@@ -228,12 +195,20 @@ def handle_check_request(state: DeviceState, ch: Challenge) -> list[tuple[int, M
     keep their output as the private comparison reference (or, if the
     response already arrived, compare and report immediately).
     """
-    if ch.round != state.round:
-        state.counters.late += 1
-        return []
-    if state.challenge is not None and state.challenge.challenge_id == ch.challenge_id:
-        return []  # duplicate
-    return _accept_challenge(state, ch)
+    spec = state.routines[ch.spec_id]
+    out = apply_fault(state.profile, spec, ch.ops, execute(spec, ch.ops))
+    state.usage.ops += out.op_count
+    state.challenge = ch
+    state.reference = out.value
+    if state.id == ch.checkee:
+        # The checkee's "reference" is the output it must defend.
+        response = Response(challenge_id=ch.challenge_id, responder=state.id, output=out.value)
+        return [(peer, response) for peer in state._peers()]
+    if state.pending_response is not None:
+        # The checkee's answer overtook our challenge; compare it now.
+        parked, state.pending_response = state.pending_response, None
+        return handle_response(state, parked)
+    return []
 
 
 def handle_response(state: DeviceState, r: Response) -> list[tuple[int, ComparisonReport]]:
@@ -241,37 +216,19 @@ def handle_response(state: DeviceState, r: Response) -> list[tuple[int, Comparis
 
     A response that beats this checker's own challenge copy through the
     network is parked and replayed once the challenge arrives, so random
-    latencies never turn a valid answer into a stray.
+    latencies never cost a checker its opinion.
     """
     if state.challenge is None:
-        if (
-            r.challenge_id == state.round
-            and r.responder == state.checkee
-            and state.id != state.checkee
-        ):
-            state.pending_response = r
-            return []
-        state.counters.stray += 1
+        state.pending_response = r
         return []
-    ch = state.challenge
-    if r.challenge_id != ch.challenge_id or r.responder != ch.checkee:
-        state.counters.stray += 1
-        return []
-    if state.id == ch.checkee:
-        state.counters.stray += 1
-        return []
-    if state.id in state.opinions:
-        return []  # duplicate response; report already sent
-    assert state.reference is not None
     true_opinion = Opinion.AGREE if r.output == state.reference else Opinion.DISAGREE
-    opinion = distort_opinion(state.profile, true_opinion, ch.checkee, state.rng)
+    opinion = distort_opinion(state.profile, true_opinion, state.checkee, state.rng)
     # Own opinion enters the local tally exactly once, as broadcast.
     # If every other report already arrived, the verdict waits for the
     # round deadline rather than being returned from this handler.
     state.opinions[state.id] = opinion
-    state.phase = Phase.AWAIT_REPORTS
     report = ComparisonReport(
-        challenge_id=r.challenge_id, reporter=state.id, checkee=ch.checkee, opinion=opinion
+        challenge_id=r.challenge_id, reporter=state.id, checkee=state.checkee, opinion=opinion
     )
     return [(peer, report) for peer in state._peers()]
 
@@ -280,23 +237,11 @@ def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
     """Tally a peer's opinion; conclude once every expected opinion is in.
 
     Devices that missed the challenge still tally: the round's checkee is
-    known from the schedule, so reports are verifiable without it.
+    known from the schedule, and the event loop hands over only this
+    round's reports from the other checkers.
     """
-    if state.group is None or rep.challenge_id != state.round:
-        state.counters.late += 1
-        return None
-    if (
-        rep.reporter not in state.group.member_set
-        or rep.reporter == rep.checkee
-        or rep.checkee != state.checkee
-        or rep.reporter == state.id
-    ):
-        state.counters.stray += 1
-        return None
-    if rep.reporter in state.opinions:
-        return None  # duplicate
     state.opinions[rep.reporter] = rep.opinion
-    if state.verdict_emitted or len(state.opinions) < state.n_checkers:
+    if len(state.opinions) < state.n_checkers:
         return None
     return _conclude(state)
 
@@ -322,5 +267,4 @@ def _conclude(state: DeviceState) -> Verdict:
     )
     outcome = compute_verdict(tally, state.group.quorum)
     state.verdict_emitted = True
-    state.phase = Phase.IDLE
     return Verdict(checkee=state.checkee, round=state.round, outcome=outcome, tally=tally)

@@ -73,7 +73,7 @@ def build_report(result: RunResult, scenario: Scenario) -> SimReport:
             "delivered": c.delivered,
             "dropped": c.dropped,
             "late": c.late,
-            "stray": c.stray,
+            "stray": 0,  # strays are counted as late; the key keeps the format stable
             "in_flight": c.in_flight,
         },
         verdicts={o.value: stats.outcome_counts.get(o, 0) for o in OUTCOME_ORDER},
@@ -105,7 +105,8 @@ class AggregateReport:
     total_energy: int
 
 
-def build_aggregate(reports: list[SimReport], base_seed: int) -> AggregateReport:
+def build_aggregate(reports: list[SimReport]) -> AggregateReport:
+    """Sum repeated runs; the seed shown is the first repetition's."""
     if not reports:
         raise ContractError("aggregate needs at least one report")
     n_devices = len(reports[0].devices)
@@ -150,7 +151,7 @@ def build_aggregate(reports: list[SimReport], base_seed: int) -> AggregateReport
         for d in range(n_devices)
     )
     return AggregateReport(
-        seed=base_seed,
+        seed=reports[0].seed,
         repetitions=len(reports),
         rounds_executed=rounds,
         devices=devices,

@@ -126,7 +126,6 @@ class RunResult:
     counters: TrafficCounters
     energy: EnergyLedger
     suspicion: SuspicionLedger
-    rounds_total: int
 
 
 def _trace_deliver(t: int, seq: int, msg: Message, frm: int, to: int, late: bool) -> str:
@@ -278,9 +277,7 @@ class Simulation:
                 profile=profiles[d],
                 routine_order=routine_order,
                 rng=report_stream(seed, d),
-                suspicion=suspicion,
-                counters=counters,
-                energy=energy,
+                usage=energy.usage[d],
                 colluder_trojans=sc.colluder_trojans(d),
             )
             for d in range(sc.population)
@@ -300,7 +297,6 @@ class Simulation:
             counters=counters,
             energy=energy,
             suspicion=suspicion,
-            rounds_total=sc.rounds,
         )
 
     def _run_tally(self, states, rng_group, suspicion, energy, counters):

@@ -265,6 +265,22 @@ def test_repetition_trace_sections_are_separated(tmp_path):
     assert seps == ["REP 0 seed=5", "REP 1 seed=6"]
 
 
+def test_negative_seed_prints_masked_in_single_and_aggregate_reports(tmp_path):
+    # Run seeds are 64-bit: -1 names the same run as 2**64 - 1, whichever
+    # report or trace shows it.
+    seeds = []
+    for repetitions in (1, 2):
+        path = tmp_path / f"reps{repetitions}.json"
+        path.write_text(json.dumps({"rounds": 2, "repetitions": repetitions}))
+        out = tmp_path / f"r{repetitions}.json"
+        trace = tmp_path / f"t{repetitions}.txt"
+        assert run_cli("run", "--scenario", str(path), "--seed", "-1",
+                       "--out", str(out), "--trace", str(trace)) == 0
+        seeds.append(json.loads(out.read_text())["seed"])
+    assert seeds == [2**64 - 1, 2**64 - 1]
+    assert trace.read_text().startswith(f"REP 0 seed={2**64 - 1}\n")
+
+
 def test_aggregate_csv_blanks_single_run_columns(tmp_path):
     doc = {"rounds": 5, "repetitions": 2, "seed": 1}
     path = tmp_path / "reps.json"

@@ -8,9 +8,13 @@ reuse the adversary strategy of `test_kernel.py`.
 
 from __future__ import annotations
 
+from collections import Counter
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import collabtrust.simnet as simnet
 from collabtrust.report import build_report, emit_report
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
@@ -29,11 +33,21 @@ SETTINGS = settings(
 
 
 @st.composite
-def lossy_scenarios(draw, honest: bool = False) -> Scenario:
+def lossy_scenarios(draw, honest: bool = False, minority: bool = False) -> Scenario:
+    """Lossy scenarios. With `minority`, the whole population holds exactly
+    floor((group_size - 1) / 2) adversaries: the most that cannot outvote
+    the honest checkers of any group."""
     group_size = draw(st.integers(3, 7))
     population = group_size + draw(st.integers(0, 3))
     latency_max = draw(st.integers(1, 4))
-    corrupt = [] if honest else draw(st.lists(st.integers(0, population - 1), max_size=3, unique=True))
+    devices = st.integers(0, population - 1)
+    if honest:
+        corrupt = []
+    elif minority:
+        k = (group_size - 1) // 2
+        corrupt = draw(st.lists(devices, min_size=k, max_size=k, unique=True))
+    else:
+        corrupt = draw(st.lists(devices, max_size=3, unique=True))
     doc = {
         "population": population,
         "group_size": group_size,
@@ -83,3 +97,52 @@ def test_lossy_traced_runs_conserve_and_repeat(sc, seed):
     _check_conservation(first)
     assert "\n".join(first.trace).encode() == "\n".join(second.trace).encode()
     assert emit_report(build_report(first, sc), "json") == emit_report(build_report(second, sc), "json")
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(minority=True), seed=st.integers(0, 2**64 - 1))
+def test_lossy_minority_of_adversaries_frames_no_one(sc, seed):
+    # Framing needs floor((N-1)/2) + 1 DISAGREE votes; loss and lateness
+    # only remove votes, so a minority can never flag an honest device.
+    res = run_simulation(sc, seed=seed, collect_trace=False)
+    assert build_report(res, sc).false_positives == 0
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
+    """The event loop owns message fate: whatever reaches a handler is for the
+    current round, between current group members, and not a duplicate."""
+    calls: Counter = Counter()
+
+    def on_challenge(state, ch):
+        assert ch.round == state.round and state.challenge is None
+        assert state.id in state.group.member_set and state.id != ch.initiator
+        calls["challenge"] += 1
+        return challenge_handler(state, ch)
+
+    def on_response(state, r):
+        assert r.challenge_id == state.round
+        assert r.responder == state.checkee != state.id
+        assert state.id not in state.opinions
+        calls["response"] += 1
+        return response_handler(state, r)
+
+    def on_report(state, rep):
+        assert rep.challenge_id == state.round and rep.checkee == state.checkee
+        assert rep.reporter in state.group.member_set
+        assert rep.reporter not in (state.checkee, state.id)
+        assert rep.reporter not in state.opinions
+        calls["report"] += 1
+        return report_handler(state, rep)
+
+    challenge_handler = simnet.handle_check_request
+    response_handler = simnet.handle_response
+    report_handler = simnet.handle_report
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "handle_check_request", on_challenge)
+        mp.setattr(simnet, "handle_response", on_response)
+        mp.setattr(simnet, "handle_report", on_report)
+        res = run_simulation(sc, seed=seed, collect_trace=False)
+    # Every delivered message reached exactly one handler.
+    assert sum(calls.values()) == res.counters.delivered

@@ -112,7 +112,7 @@ def test_detection_stats_all_honest_run():
     stats = detection_stats(res.verdicts, sc.profile_map())
     assert stats.detections == {}
     assert stats.false_positives == 0
-    assert stats.inconclusive == 0
+    assert stats.outcome_counts.get(Outcome.INCONCLUSIVE, 0) == 0
     assert stats.outcome_counts[Outcome.TRUSTED] == 25
 
 

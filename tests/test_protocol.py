@@ -13,12 +13,11 @@ from collabtrust.adversary import (
     TrojanModel,
 )
 from collabtrust.errors import ProtocolViolation
-from collabtrust.metrics import TrafficCounters
+from collabtrust.metrics import DeviceUsage
 from collabtrust.protocol import (
     Challenge,
     ComparisonReport,
     DeviceState,
-    Phase,
     Response,
     begin_round,
     handle_check_request,
@@ -30,30 +29,28 @@ from collabtrust.protocol import (
     round_initiator,
 )
 from collabtrust.rng import SplitMix64
-from collabtrust.routines import OperandVector, routine_catalog
+from collabtrust.routines import OperandVector, execute, routine_catalog
 from collabtrust.simnet import GroupConfig
-from collabtrust.verdict import Outcome, SuspicionLedger
+from collabtrust.verdict import Outcome
 
 GROUP = GroupConfig(members=(0, 1, 2, 3, 4), quorum=3, round_deadline=10)
 
 
-def make_device(device_id, profile=None, group=GROUP, counters=None):
+def make_device(device_id, profile=None, group=GROUP):
     state = DeviceState(
         device_id=device_id,
         profile=profile or AdversaryProfile(),
         routine_order=routine_catalog(),
         rng=SplitMix64(100 + device_id),
-        suspicion=SuspicionLedger(),
-        counters=counters or TrafficCounters(),
+        usage=DeviceUsage(),
     )
     state.group = group
     return state
 
 
-def make_bench(round_no=0, profiles=None, counters=None):
+def make_bench(round_no=0, profiles=None):
     profiles = profiles or {}
-    counters = counters or TrafficCounters()
-    states = {d: make_device(d, profiles.get(d), counters=counters) for d in GROUP.members}
+    states = {d: make_device(d, profiles.get(d)) for d in GROUP.members}
     for state in states.values():
         begin_round(state, round_no)
     return states
@@ -89,8 +86,9 @@ def test_on_round_start_emits_group_minus_one_challenges():
     ch = challenges[0][1]
     assert ch.checkee == 0 and ch.initiator == 1 and ch.challenge_id == 0
     # the initiator processed its own copy and is now a waiting checker
-    assert states[1].reference is not None
-    assert states[1].phase is Phase.AWAIT_RESPONSE
+    assert states[1].challenge == ch
+    assert states[1].reference == execute(states[1].routines[ch.spec_id], ch.ops).value
+    assert states[1].opinions == {}
 
 
 def test_on_round_start_wrong_device_is_fatal():
@@ -113,7 +111,9 @@ def test_honest_checkee_broadcasts_its_output():
     assert all(isinstance(m, Response) for _, m in outgoing)
     assert all(m.output == 44 for _, m in outgoing)
     assert sorted(to for to, _ in outgoing) == [1, 2, 3, 4]
-    assert states[0].phase is Phase.AWAIT_REPORTS
+    # the checkee defends its own output and never holds an opinion of its own
+    assert states[0].reference == 44
+    assert states[0].opinions == {}
 
 
 def test_trojaned_checkee_answers_with_payload():
@@ -131,21 +131,8 @@ def test_checker_caches_reference_and_stays_silent():
     outgoing = handle_check_request(states[2], challenge_for(ops=(200, 100)))
     assert outgoing == []
     assert states[2].reference == 44
-    assert states[2].phase is Phase.AWAIT_RESPONSE
-
-
-def test_stale_challenge_counted_late():
-    counters = TrafficCounters()
-    states = make_bench(round_no=3, counters=counters)
-    assert handle_check_request(states[3], challenge_for(round_no=2)) == []
-    assert counters.late == 1
-
-
-def test_duplicate_challenge_ignored():
-    states = make_bench(round_no=0)
-    ch = challenge_for()
-    handle_check_request(states[2], ch)
-    assert handle_check_request(states[2], ch) == []
+    assert states[2].opinions == {}
+    assert states[2].pending_response is None
 
 
 def test_matching_response_yields_agree_broadcast():
@@ -155,7 +142,7 @@ def test_matching_response_yields_agree_broadcast():
     assert len(outgoing) == 4
     assert all(m.opinion is Opinion.AGREE for _, m in outgoing)
     assert states[2].opinions == {2: Opinion.AGREE}
-    assert states[2].phase is Phase.AWAIT_REPORTS
+    assert not states[2].verdict_emitted
 
 
 def test_mismatching_response_yields_disagree():
@@ -178,29 +165,12 @@ def test_early_response_is_parked_until_challenge_arrives():
     states = make_bench(round_no=0)
     early = Response(challenge_id=0, responder=0, output=44)
     assert handle_response(states[2], early) == []
-    assert states[2].counters.stray == 0
+    assert states[2].pending_response == early
+    assert states[2].opinions == {}
     outgoing = handle_check_request(states[2], challenge_for(ops=(200, 100)))
     reports = [m for _, m in outgoing if isinstance(m, ComparisonReport)]
     assert len(reports) == 4
     assert all(m.opinion is Opinion.AGREE for m in reports)
-
-
-def test_alien_response_is_stray():
-    counters = TrafficCounters()
-    states = make_bench(round_no=0, counters=counters)
-    handle_check_request(states[2], challenge_for())
-    # wrong responder: not the scheduled checkee
-    assert handle_response(states[2], Response(challenge_id=0, responder=3, output=44)) == []
-    assert counters.stray == 1
-
-
-def test_duplicate_response_ignored_after_reporting():
-    states = make_bench(round_no=0)
-    handle_check_request(states[2], challenge_for())
-    r = Response(challenge_id=0, responder=0, output=44)
-    assert len(handle_response(states[2], r)) == 4
-    assert handle_response(states[2], r) == []
-    assert list(states[2].opinions) == [2]
 
 
 def fill_reports(state, opinions):
@@ -223,7 +193,7 @@ def test_unanimous_agreement_concludes_trusted():
     assert v.outcome is Outcome.TRUSTED
     assert v.checkee == 0 and v.round == 0
     assert v.tally.agree == 4 and v.tally.missing == 0
-    assert states[0].phase is Phase.IDLE
+    assert states[0].verdict_emitted
 
 
 def test_unanimous_disagreement_concludes_flagged():
@@ -239,30 +209,6 @@ def test_checker_tally_includes_own_opinion():
     v = fill_reports(states[2], [(r, Opinion.AGREE) for r in (1, 3, 4)])
     assert v is not None and v.outcome is Outcome.TRUSTED
     assert v.tally.agree == 4  # three peers plus itself
-
-
-def test_duplicate_report_ignored():
-    states = make_bench(round_no=0)
-    rep = ComparisonReport(challenge_id=0, reporter=1, checkee=0, opinion=Opinion.AGREE)
-    assert handle_report(states[0], rep) is None
-    assert handle_report(states[0], rep) is None
-    assert len(states[0].opinions) == 1
-
-
-def test_report_from_outside_group_is_stray():
-    counters = TrafficCounters()
-    states = make_bench(round_no=0, counters=counters)
-    rep = ComparisonReport(challenge_id=0, reporter=9, checkee=0, opinion=Opinion.AGREE)
-    assert handle_report(states[0], rep) is None
-    assert counters.stray == 1
-
-
-def test_report_for_wrong_checkee_is_stray():
-    counters = TrafficCounters()
-    states = make_bench(round_no=0, counters=counters)
-    rep = ComparisonReport(challenge_id=0, reporter=1, checkee=3, opinion=Opinion.AGREE)
-    assert handle_report(states[0], rep) is None
-    assert counters.stray == 1
 
 
 def test_below_quorum_waits_for_timeout():
@@ -292,18 +238,6 @@ def test_timeout_after_verdict_is_a_violation():
         on_timeout(states[0], 0)
 
 
-def test_phase_sequence_for_checker():
-    states = make_bench(round_no=0)
-    state = states[3]
-    assert state.phase is Phase.IDLE
-    handle_check_request(state, challenge_for(ops=(200, 100)))
-    assert state.phase is Phase.AWAIT_RESPONSE
-    handle_response(state, Response(challenge_id=0, responder=0, output=44))
-    assert state.phase is Phase.AWAIT_REPORTS
-    fill_reports(state, [(r, Opinion.AGREE) for r in (1, 2, 4)])
-    assert state.phase is Phase.IDLE
-
-
 def test_begin_round_resets_state():
     states = make_bench(round_no=0)
     handle_check_request(states[2], challenge_for())
@@ -311,7 +245,8 @@ def test_begin_round_resets_state():
     assert states[2].challenge is None
     assert states[2].opinions == {}
     assert states[2].checkee == 1
-    assert states[2].phase is Phase.IDLE
+    assert states[2].reference is None
+    assert not states[2].verdict_emitted
 
 
 def test_checker_without_challenge_still_tallies_peer_reports():
@@ -323,4 +258,4 @@ def test_checker_without_challenge_still_tallies_peer_reports():
     v = on_timeout(state, 0)
     assert v.outcome is Outcome.TRUSTED
     assert v.tally.agree == 3 and v.tally.missing == 1
-    assert state.counters.stray == 0
+    assert state.challenge is None

@@ -84,7 +84,8 @@ def test_aggregate_sums_and_detection_counts():
         build_report(run_simulation(sc, seed=100 + k, collect_trace=False), sc)
         for k in range(3)
     ]
-    agg = build_aggregate(reports, base_seed=100)
+    agg = build_aggregate(reports)
+    assert agg.seed == 100
     assert agg.repetitions == 3
     assert agg.rounds_executed == sum(r.rounds_executed for r in reports)
     assert agg.total_energy == sum(r.total_energy for r in reports)
@@ -96,4 +97,4 @@ def test_aggregate_sums_and_detection_counts():
 
 def test_aggregate_requires_input():
     with pytest.raises(ContractError):
-        build_aggregate([], base_seed=0)
+        build_aggregate([])
