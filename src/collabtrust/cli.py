@@ -12,7 +12,7 @@ import json
 import sys
 
 from .errors import ProtocolViolation, ScenarioError
-from .report import build_aggregate, build_report, emit_report
+from .report import SimReport, build_aggregate, build_report, emit_report
 from .scenario import Scenario, read_scenario_doc, scenario_from_dict
 from .simnet import run_simulation
 from .verdict import decision_table, default_quorum
@@ -38,29 +38,44 @@ def _write_output(data: bytes, out: str | None) -> None:
         _write_file(out, data)
 
 
-def _run_repetitions(scenario: Scenario, base_seed: int, want_trace: bool):
-    """One RunResult per repetition; repetition k runs with seed base+k."""
-    results = []
-    for rep in range(scenario.repetitions):
-        results.append(
-            run_simulation(scenario, seed=base_seed + rep, collect_trace=want_trace)
-        )
-    return results
+def _run_repetitions(
+    scenario: Scenario, base_seed: int, trace: list[str] | None = None
+) -> list[SimReport]:
+    """One report per repetition; repetition k runs with seed base+k.
+
+    With `trace` given, runs are traced and their lines appended there, each
+    repetition under a `REP k seed=S` header when there are several.
+    """
+    return [
+        _run_repetition(scenario, rep, base_seed + rep, trace)
+        for rep in range(scenario.repetitions)
+    ]
+
+
+def _run_repetition(
+    scenario: Scenario, rep: int, seed: int, trace: list[str] | None
+) -> SimReport:
+    """Run one repetition and reduce it to its report as soon as it ends.
+
+    Only the report (and the trace lines) outlive the call, so memory does
+    not grow with every earlier repetition's verdict log.
+    """
+    res = run_simulation(scenario, seed=seed, collect_trace=trace is not None)
+    if trace is not None:
+        if scenario.repetitions > 1:
+            trace.append(f"REP {rep} seed={res.seed}")
+        assert res.trace is not None
+        trace.extend(res.trace)
+    return build_report(res, scenario)
 
 
 def _cmd_run(args) -> int:
     scenario = scenario_from_dict(read_scenario_doc(args.scenario))
     base_seed = scenario.seed if args.seed is None else args.seed
-    results = _run_repetitions(scenario, base_seed, want_trace=args.trace is not None)
-    reports = [build_report(res, scenario) for res in results]
-    if args.trace is not None:
-        lines: list[str] = []
-        for rep, res in enumerate(results):
-            if scenario.repetitions > 1:
-                lines.append(f"REP {rep} seed={res.seed}")
-            assert res.trace is not None
-            lines.extend(res.trace)
-        _write_file(args.trace, ("\n".join(lines) + "\n").encode("utf-8"))
+    trace: list[str] | None = None if args.trace is None else []
+    reports = _run_repetitions(scenario, base_seed, trace)
+    if trace is not None:
+        _write_file(args.trace, ("\n".join(trace) + "\n").encode("utf-8"))
     if len(reports) == 1:
         payload = emit_report(reports[0], args.format)
     else:
@@ -114,9 +129,7 @@ def _cmd_sweep(args) -> int:
         _set_path(doc, args.param, value)
         scenario = scenario_from_dict(doc)
         seed = scenario.seed if args.seed is None else args.seed
-        results = _run_repetitions(scenario, seed, want_trace=False)
-        reports = [build_report(res, scenario) for res in results]
-        agg = build_aggregate(reports)
+        agg = build_aggregate(_run_repetitions(scenario, seed))
         rows.append(
             {
                 "param": args.param,

@@ -14,15 +14,16 @@ MASK64 = (1 << 64) - 1
 # Weyl-sequence increment ("golden gamma") from the reference SplitMix64.
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
-_MIX_MUL_1 = 0xBF58476D1CE4E5B9
-_MIX_MUL_2 = 0x94D049BB133111EB
+# Finalizer multipliers; routines.generate_operands inlines the draw too.
+MIX_MUL_1 = 0xBF58476D1CE4E5B9
+MIX_MUL_2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """SplitMix64 output finalizer: avalanche a 64-bit word."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+    z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
     return z ^ (z >> 31)
 
 
@@ -36,8 +37,8 @@ def mix_words(*words: int) -> int:
     for w in words:
         # mix64 inlined: every challenge derives its operand stream here.
         z = (h + GOLDEN_GAMMA + (w & MASK64)) & MASK64
-        z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+        z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
         h = z ^ (z >> 31)
     return h
 
@@ -57,8 +58,8 @@ class SplitMix64:
     def next_u64(self) -> int:
         # mix64 inlined: this is the simulator's most frequent call.
         z = self._state = (self._state + GOLDEN_GAMMA) & MASK64
-        z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
-        z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+        z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
         return z ^ (z >> 31)
 
     def next_bits(self, width: int) -> int:
@@ -100,8 +101,8 @@ class SplitMix64:
         for _ in range(count):
             if threshold:
                 z = s = (s + GOLDEN_GAMMA) & MASK64
-                z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
-                z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+                z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
                 if (z ^ (z >> 31)) >> 11 < threshold:
                     out.append(None)
                     continue
@@ -110,8 +111,8 @@ class SplitMix64:
                 continue
             while True:
                 z = s = (s + GOLDEN_GAMMA) & MASK64
-                z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
-                z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
+                z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
+                z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
                 z ^= z >> 31
                 if z < limit:
                     out.append(lo + z % span)

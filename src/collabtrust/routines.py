@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ContractError
-from .rng import SplitMix64, mix_words
+from .rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, mix_words
 
 
 class Kind(Enum):
@@ -141,9 +141,23 @@ def generate_operands(seed: int, round_no: int, checkee: int, spec: RoutineSpec)
 
     The stream seed is `seed XOR mix(round, checkee, routine id)`, so any
     party knowing the shared seed reproduces the exact vector, and distinct
-    rounds/checkees/routines get independent-looking draws.
+    rounds/checkees/routines get independent-looking draws. Each operand is
+    the next SplitMix64 word of that stream masked to the routine's width.
     """
-    draw = SplitMix64(seed ^ mix_words(round_no, checkee, spec.id)).next_u64
-    mask = (1 << spec.width) - 1
-    values = tuple([draw() & mask for _ in range(spec.arity)])
-    return OperandVector(values=values, width=spec.width)
+    # SplitMix64.next_u64 inlined, with no generator object: every challenge
+    # of every run draws here.
+    s = seed ^ mix_words(round_no, checkee, spec.id)
+    width = spec.width
+    mask = (1 << width) - 1
+    values = []
+    for _ in range(spec.arity):
+        s = (s + GOLDEN_GAMMA) & MASK64
+        z = ((s ^ (s >> 30)) * MIX_MUL_1) & MASK64
+        z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
+        values.append((z ^ (z >> 31)) & mask)
+    # Every value is masked to a width validated when the spec was built, so
+    # OperandVector's per-value range check cannot fail here and is skipped.
+    ops = object.__new__(OperandVector)
+    object.__setattr__(ops, "values", tuple(values))
+    object.__setattr__(ops, "width", width)
+    return ops

@@ -186,7 +186,9 @@ _PAYLOAD_KEYS = {"kind", "value"}
 def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
-            raise ScenarioError(f"{path}{key}: unknown key")
+            # repr() keeps a key with a line break or control character on one line.
+            name = key if isinstance(key, str) and key.isprintable() else repr(key)
+            raise ScenarioError(f"{path}{name}: unknown key")
 
 
 def _get_int(obj: dict, key: str, default: int, path: str) -> int:
@@ -200,7 +202,10 @@ def _get_number(obj: dict, key: str, default: float, path: str) -> float:
     value = obj.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{path}{key}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{path}{key}: number out of range") from None
 
 
 def _enum(cls, value, path: str):
@@ -387,6 +392,10 @@ def _parse_json(document: str):
         return json.loads(document)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"syntax error: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # An integer past the interpreter's digit limit, or nesting past its
+        # recursion limit.
+        raise ScenarioError(f"unreadable document: {exc}") from None
 
 
 def parse_scenario(document: str) -> Scenario:

@@ -10,9 +10,14 @@ device (reporting noise). Varying one knob never reshuffles the others.
 
 Untraced runs whose outcome cannot depend on timing (no loss, and
 3 * latency_max below the round deadline) skip the event engine: a
-tally-level kernel computes each round's verdict directly and charges the
-lossless closed-form message counts. Its reports are byte-identical to the
-engine's; traces always come from the engine.
+tally-level kernel computes each round's verdict directly. It finds the
+special devices (a fault, a non-HONEST reporting policy or an EVADE
+initiator) once per run; plain members take the honest output and their
+AGREE votes come as one count, so only special members go through
+apply_fault and distort_opinion. Messages and energy follow the lossless
+closed form, charged once per group epoch (plus the initiator's share per
+round). Its reports are byte-identical to the engine's; traces always come
+from the engine.
 """
 
 from __future__ import annotations
@@ -21,9 +26,18 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING
 
-from .adversary import Opinion, apply_fault, distort_opinion
+from .adversary import (
+    AdversaryProfile,
+    FaultKind,
+    InitiatorKind,
+    Opinion,
+    ReportingKind,
+    apply_fault,
+    choose_adversarial_operands,
+    distort_opinion,
+)
 from .errors import ContractError, GroupFormationError, ProtocolViolation
-from .metrics import EnergyLedger, TrafficCounters, lossless_messages_per_round
+from .metrics import DeviceUsage, EnergyLedger, TrafficCounters, lossless_messages_per_round
 from .protocol import (
     Challenge,
     ComparisonReport,
@@ -34,14 +48,13 @@ from .protocol import (
     handle_check_request,
     handle_report,
     handle_response,
-    make_challenge,
     on_round_start,
     on_timeout,
     round_checkee,
     round_initiator,
 )
 from .rng import MASK64, SplitMix64, mix_words
-from .routines import execute
+from .routines import RoutineSpec, execute, generate_operands
 from .verdict import Outcome, SuspicionLedger, Tally, Verdict, compute_verdict, update_suspicion
 
 if TYPE_CHECKING:
@@ -191,55 +204,81 @@ def _next_group(
     return form_group(eligible, sc.group_size, rng_group, sc.quorum, sc.round_deadline)
 
 
+def _is_special(profile: AdversaryProfile) -> bool:
+    """Whether a device can make a round differ from an all-honest one.
+
+    A fault changes its outputs, a reporting policy its opinions, and an
+    EVADE initiator the operands. Every other device computes the honest
+    output and reports the plain comparison.
+    """
+    return (
+        profile.fault is not FaultKind.HONEST
+        or profile.reporting is not ReportingKind.HONEST
+        or profile.initiator_policy is InitiatorKind.EVADE
+    )
+
+
 def _tally_round(
-    states: dict[int, DeviceState],
     group: GroupConfig,
+    specials: dict[int, DeviceState],
+    n_plain: int,
     r: int,
+    spec: RoutineSpec,
     seed: int,
-    energy: EnergyLedger,
-    counters: TrafficCounters,
+    usage: dict[int, DeviceUsage],
 ) -> Verdict:
     """One latency-free round at tally level: the verdict every member reaches.
 
-    Every member executes the challenge through its fault model and every
-    checker reports on the checkee's output, exactly as in the event engine;
-    only the unicasts are charged by their lossless closed form.
+    `specials` holds the group's special members in group order and n_plain
+    counts the rest. Plain members yield the honest output, so only special
+    ones go through apply_fault and distort_opinion (each RANDOM reporter on
+    its own stream, as in the event engine), and the plain checkers' AGREE
+    votes come as one count. Of the unicasts only the initiator's own share
+    is charged here; the rest is charged per group epoch.
     """
     members = group.members
     n = len(members)
+    checkee = round_checkee(group, r)
     initiator = round_initiator(group, r)
-    ch = make_challenge(states[initiator], r, seed)
-    spec = states[initiator].routines[ch.spec_id]
-    honest = execute(spec, ch.ops)
-    usage = energy.usage
-    outputs = {}
-    for m in members:
-        out = apply_fault(states[m].profile, spec, ch.ops, honest)
-        u = usage[m]
-        u.ops += out.op_count
-        # n-1 responses or reports out; every member receives n-1 of them,
-        # and all but the initiator one challenge.
-        u.sent += n - 1
-        u.received += n - 1 if m == initiator else n
-        outputs[m] = out.value
-    usage[initiator].sent += n - 1  # the challenge unicasts
-    messages = lossless_messages_per_round(n)
-    counters.sent += messages
-    counters.delivered += messages
-
-    checkee = ch.checkee
-    answer = outputs[checkee]
-    agree = 0
-    for m in members:
+    ops = generate_operands(seed, r, checkee, spec)
+    evader = specials.get(initiator)
+    if evader is not None:
+        ops = choose_adversarial_operands(evader.profile, ops, evader.colluder_trojans, checkee)
+    honest = execute(spec, ops)
+    outputs = {m: apply_fault(s.profile, spec, ops, honest).value for m, s in specials.items()}
+    answer = outputs.get(checkee, honest.value)
+    plain_checkers = n_plain - 1 if checkee not in outputs else n_plain
+    agree = plain_checkers if answer == honest.value else 0
+    for m, s in specials.items():
         if m != checkee:
-            state = states[m]
             truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
-            if distort_opinion(state.profile, truth, checkee, state.rng) is Opinion.AGREE:
+            if distort_opinion(s.profile, truth, checkee, s.rng) is Opinion.AGREE:
                 agree += 1
+    # _charge_epoch charges every member one received challenge per round;
+    # the initiator instead sends the n-1 challenges and receives none.
+    u = usage[initiator]
+    u.sent += n - 1
+    u.received -= 1
     tally = Tally(agree=agree, disagree=n - 1 - agree, missing=0, n_checkers=n - 1)
     return Verdict(
         checkee=checkee, round=r, outcome=compute_verdict(tally, group.quorum), tally=tally
     )
+
+
+def _charge_epoch(
+    usage: dict[int, DeviceUsage], members: tuple[int, ...], rounds: int, ops: int
+) -> None:
+    """Charge `rounds` lossless rounds of one group to each of its members.
+
+    Per round a member sends n-1 responses or reports and receives n-1 of
+    them plus one challenge; `ops` is the routines' summed op_count.
+    """
+    n = len(members)
+    for m in members:
+        u = usage[m]
+        u.ops += ops
+        u.sent += rounds * (n - 1)
+        u.received += rounds * n
 
 
 def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> None:
@@ -300,10 +339,21 @@ class Simulation:
         )
 
     def _run_tally(self, states, rng_group, suspicion, energy, counters):
-        """Latency-free runs: one tally per round, no events, no network draws."""
+        """Latency-free runs: one tally per round, no events, no network draws.
+
+        The routine table and the special devices are found once per run,
+        the group's special members once per group, and energy is charged
+        once per group epoch (when the group changes and when the run ends).
+        """
         sc = self.scenario
+        seed = self.seed
+        usage = energy.usage
+        routines = [(spec, spec.op_count) for spec in states[0].routine_order]
+        special = {d for d, state in states.items() if _is_special(state.profile)}
         verdicts: list[tuple[int, Verdict]] = []
         group: GroupConfig | None = None
+        specials: dict[int, DeviceState] = {}
+        n_plain = epoch_rounds = epoch_ops = 0
         rounds_executed = 0
         halt_reason: str | None = None
         for r in range(sc.rounds):
@@ -313,14 +363,25 @@ class Simulation:
                 halt_reason = str(exc)
                 break
             if new_group is not group:
+                if group is not None:
+                    _charge_epoch(usage, group.members, epoch_rounds, epoch_ops)
                 group = new_group
-                for m in group.members:
-                    states[m].group = group
+                specials = {m: states[m] for m in group.members if m in special}
+                n_plain = len(group.members) - len(specials)
+                epoch_rounds = epoch_ops = 0
             rounds_executed = r + 1
-            v = _tally_round(states, group, r, self.seed, energy, counters)
+            spec, op_count = routines[r % len(routines)]
+            epoch_rounds += 1
+            epoch_ops += op_count
+            v = _tally_round(group, specials, n_plain, r, spec, seed, usage)
             verdicts += [(m, v) for m in group.members]
             if v.outcome is Outcome.FLAGGED:
                 update_suspicion(suspicion, v)
+        if group is not None:
+            _charge_epoch(usage, group.members, epoch_rounds, epoch_ops)
+        messages = lossless_messages_per_round(sc.group_size) * rounds_executed
+        counters.sent += messages
+        counters.delivered += messages
         return rounds_executed, halt_reason, None, verdicts
 
     def _run_events(self, states, rng_group, suspicion, energy, counters):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -292,3 +294,28 @@ def test_aggregate_csv_blanks_single_run_columns(tmp_path):
     for line in lines[1:6]:
         cells = line.split(",")
         assert cells[5] == "" and cells[6] == ""  # excluded/detection rounds
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_no_run_result_outlives_its_repetition(monkeypatch, tmp_path, command):
+    # Each repetition is reduced to its report as soon as it ends: when the
+    # next run starts, no earlier RunResult (and its verdict log) is alive.
+    scenario = tmp_path / "reps.json"
+    scenario.write_text(json.dumps({"rounds": 3, "repetitions": 4}))
+    alive: list[weakref.ref] = []
+    real_run = cli.run_simulation
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        assert [ref() for ref in alive] == [None] * len(alive)
+        res = real_run(*args, **kwargs)
+        alive.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(cli, "run_simulation", tracked)
+    if command == "run":
+        argv = ["run", "--scenario", str(scenario), "--trace", str(tmp_path / "t.txt")]
+    else:
+        argv = ["sweep", "--scenario", str(scenario), "--param", "seed", "--values", "1,2"]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
+    assert len(alive) == (4 if command == "run" else 8)

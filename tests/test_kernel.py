@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import collabtrust.simnet as simnet
@@ -39,8 +39,12 @@ def adversary_docs(draw, device: int, population: int) -> dict:
         }
         payload = draw(st.sampled_from(("XOR", "CONST", "COMPLEMENT")))
         doc["payload"] = {"kind": payload}
-        if payload != "COMPLEMENT":
+        if payload == "XOR":
             doc["payload"]["value"] = draw(st.integers(0, 255))
+        elif payload == "CONST":
+            # 0 and 1 are every CMP routine's outputs: a fired Trojan that
+            # writes the honest output must not count as a disagreement.
+            doc["payload"]["value"] = draw(st.sampled_from((0, 1)) | st.integers(0, 255))
     reporting = draw(st.sampled_from(("HONEST", "FRAME", "SHIELD", "RANDOM")))
     doc["reporting"] = reporting
     if reporting == "RANDOM":
@@ -52,11 +56,30 @@ def adversary_docs(draw, device: int, population: int) -> dict:
     return doc
 
 
+ATOMIC = ("ADD", "MUL", "CMP")
+
+
+@st.composite
+def routine_docs(draw, routine_id: int) -> dict:
+    """A routine of any width; composites take up to 4 operands."""
+    doc = {"id": routine_id, "width": draw(st.sampled_from((8, 16, 32)))}
+    if draw(st.booleans()):
+        doc["kind"] = draw(st.sampled_from(ATOMIC))
+    else:
+        doc["kind"] = "COMPOSITE"
+        doc["steps"] = draw(st.lists(st.sampled_from(ATOMIC), min_size=1, max_size=3))
+    return doc
+
+
 @st.composite
 def lossless_scenarios(draw) -> Scenario:
     group_size = draw(st.integers(3, 9))
     population = group_size + draw(st.integers(0, 3))
     latency_max = draw(st.integers(0, 4))
+    # Overrides of the built-in ids 0..4 and additions past them. Trigger
+    # masks and payloads fit in 8 bits and every routine takes at least two
+    # operands, so any table passes the load-time trigger checks.
+    routine_ids = draw(st.lists(st.integers(0, 7), max_size=5, unique=True))
     corrupt = draw(st.lists(st.integers(0, population - 1), max_size=4, unique=True))
     doc = {
         "population": population,
@@ -71,6 +94,7 @@ def lossless_scenarios(draw) -> Scenario:
             "latency_max": latency_max,
             "drop_prob": 0.0,
         },
+        "routines": [draw(routine_docs(i)) for i in routine_ids],
         "adversaries": [draw(adversary_docs(d, population)) for d in corrupt],
     }
     return scenario_from_dict(doc)
@@ -81,14 +105,61 @@ def _reports(sc: Scenario, res) -> tuple[bytes, bytes]:
     return emit_report(report, "json"), emit_report(report, "csv")
 
 
+# A Trojan that always fires and writes 1 into CMP routines of every width:
+# rounds where 1 is also the honest output must tally as agreement. It is
+# excluded on its second flag, and the regroups of the 6 devices left have
+# no special member.
+CONST_TROJAN = scenario_from_dict(
+    {
+        "population": 7,
+        "group_size": 5,
+        "rounds": 40,
+        "flag_threshold": 2,
+        "routines": [
+            {"id": i, "kind": "CMP", "width": w} for i, w in enumerate((8, 16, 32, 8, 16))
+        ],
+        "adversaries": [
+            {
+                "device": 1,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 0, "match": 0},
+                "payload": {"kind": "CONST", "value": 1},
+            }
+        ],
+    }
+)
+
+
+# Device 2's only deviation is its EVADE initiator policy: whenever it
+# initiates a round that checks its Trojan colluder, it rewrites the operands
+# so the trigger (firing on every other challenge) stays quiet.
+PURE_EVADER = scenario_from_dict(
+    {
+        "rounds": 40,
+        "flag_threshold": 40,
+        "adversaries": [
+            {
+                "device": 1,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 1, "match": 1},
+                "payload": {"kind": "COMPLEMENT"},
+            },
+            {"device": 2, "initiator_policy": "EVADE", "targets": [1]},
+        ],
+    }
+)
+
+
 @settings(
-    max_examples=60,
+    max_examples=100,
     deadline=None,
     derandomize=True,
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(sc=lossless_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=CONST_TROJAN, seed=0)
+@example(sc=PURE_EVADER, seed=0)
 def test_kernel_matches_engine(sc, seed):
     assert latency_free(sc, collect_trace=False)
     engine = run_simulation(sc, seed=seed, collect_trace=True)

@@ -5,10 +5,14 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collabtrust.errors import ContractError
-from collabtrust.rng import SplitMix64
+from collabtrust.rng import SplitMix64, mix_words
 from collabtrust.routines import (
+    ATOMIC_KINDS,
+    VALID_WIDTHS,
     Kind,
     OperandVector,
     RoutineSpec,
@@ -157,6 +161,34 @@ def test_generate_operands_deterministic_and_masked():
     assert generate_operands(99, 5, 2, spec) != a
     assert generate_operands(99, 4, 3, spec) != a
     assert generate_operands(99, 4, 2, routine_catalog()[1]) != a
+
+
+@st.composite
+def routine_specs(draw) -> RoutineSpec:
+    width = draw(st.sampled_from(VALID_WIDTHS))
+    spec_id = draw(st.integers(0, 2**16))
+    if draw(st.booleans()):
+        return RoutineSpec(id=spec_id, kind=draw(st.sampled_from(ATOMIC_KINDS)), width=width)
+    steps = draw(st.lists(st.sampled_from(ATOMIC_KINDS), min_size=1, max_size=4))
+    return compose(steps, width=width, spec_id=spec_id)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    round_no=st.integers(0, 2**32),
+    checkee=st.integers(0, 2**16),
+    spec=routine_specs(),
+)
+def test_operands_match_reference_stream(seed, round_no, checkee, spec):
+    # The reference: a SplitMix64 generator seeded with seed ^ mix(round,
+    # checkee, id), one word per operand, masked to the routine's width.
+    rng = SplitMix64(seed ^ mix_words(round_no, checkee, spec.id))
+    mask = (1 << spec.width) - 1
+    expected = OperandVector(
+        values=tuple(rng.next_u64() & mask for _ in range(spec.arity)), width=spec.width
+    )
+    assert generate_operands(seed, round_no, checkee, spec) == expected
 
 
 def _birthday_mean_sd(n: int, m: int) -> tuple[float, float]:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import pathlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collabtrust.adversary import FaultKind, InitiatorKind, ReportingKind
 from collabtrust.errors import ScenarioError
 from collabtrust.routines import Kind
-from collabtrust.scenario import Scenario, load_scenario, parse_scenario
+from collabtrust.scenario import Scenario, load_scenario, parse_scenario, scenario_from_dict
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -199,3 +201,130 @@ def test_reporting_without_targets_rejected():
     # honest reporting needs none
     sc = parse_scenario('{"adversaries": [{"device": 1, "reporting": "HONEST"}]}')
     assert dict(sc.adversaries)[1].reporting is ReportingKind.HONEST
+
+
+# Scenario-loader fuzz: valid documents with a few slots replaced by any
+# JSON value, removed, or joined by a stray key, so most of them get past
+# the top-level checks into the nested adversaries and routines.
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.integers(),
+    st.sampled_from((2**64 - 1, 2**70, -(2**70), 10**400)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from((0.5, float("nan"), float("inf"), -float("inf"))),
+    st.text(max_size=6),
+    st.sampled_from(("HONEST", "TROJAN", "CONST", "RANDOM", "EVADE", "CMP", "COMPOSITE")),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _valid_adversary(draw, device: int, population: int) -> dict:
+    fault = draw(st.sampled_from(("HONEST", "ALWAYS_WRONG", "TROJAN")))
+    doc: dict = {"device": device, "fault": fault}
+    if fault == "TROJAN":
+        doc["trigger"] = {"index": draw(st.integers(0, 1)), "mask": 15, "match": draw(st.integers(0, 15))}
+        doc["payload"] = {"kind": draw(st.sampled_from(("XOR", "CONST"))), "value": 1}
+    doc["reporting"] = draw(st.sampled_from(("HONEST", "FRAME", "SHIELD", "RANDOM")))
+    if doc["reporting"] == "RANDOM":
+        doc["p"] = draw(st.sampled_from((0.0, 0.3, 1.0)))
+    doc["initiator_policy"] = draw(st.sampled_from(("HONEST", "EVADE")))
+    doc["targets"] = [(device + 1) % population]
+    return doc
+
+
+@st.composite
+def _valid_scenario_doc(draw) -> dict:
+    group_size = draw(st.integers(3, 6))
+    population = group_size + draw(st.integers(0, 2))
+    devices = draw(st.lists(st.integers(0, population - 1), max_size=3, unique=True))
+    steps = st.lists(st.sampled_from(("ADD", "MUL", "CMP")), min_size=1, max_size=3)
+    return {
+        "population": population,
+        "group_size": group_size,
+        "rounds": draw(st.integers(1, 9)),
+        "seed": draw(st.integers(0, 2**64 - 1)),
+        "quorum": draw(st.integers(1, group_size - 1)),
+        "round_deadline": 10,
+        "network": {"latency_min": 1, "latency_max": 3, "drop_prob": 0.1, "seed": None},
+        "energy": {"e_op": 1, "e_tx": 2, "e_rx": 1},
+        "routines": [
+            {
+                "id": 5,
+                "kind": "COMPOSITE",
+                "width": draw(st.sampled_from((8, 16, 32))),
+                "steps": draw(steps),
+            }
+        ],
+        "adversaries": [draw(_valid_adversary(d, population)) for d in devices],
+    }
+
+
+def _slots(node, out: list) -> list:
+    """Every (container, key-or-index) pair of a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return out
+    for key, child in items:
+        out.append((node, key))
+        _slots(child, out)
+    return out
+
+
+@st.composite
+def _fuzzed_scenario_docs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(_json_values)
+    doc = draw(_valid_scenario_doc())
+    for _ in range(draw(st.integers(1, 3))):
+        container, key = draw(st.sampled_from(_slots(doc, [])))
+        action = draw(st.sampled_from(("replace", "replace", "remove", "stray")))
+        if action == "replace":
+            container[key] = draw(_json_values)
+        elif action == "remove":
+            del container[key]
+        elif isinstance(container, dict):
+            container[draw(st.text(max_size=6))] = draw(_json_values)
+        if not _slots(doc, []):
+            break
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(doc=_fuzzed_scenario_docs())
+@example(doc={"network": {"drop_prob": 10**400}})
+@example(doc={"\n": None})
+@example(doc={"adversaries": [{"device": 0, "trigger\r\n": {}}]})
+@example(doc={"network": {"drop_prob": float("nan")}})
+@example(doc={"adversaries": [{"device": 0, "reporting": "RANDOM", "p": 10**400}]})
+@example(doc={"adversaries": [{"device": 0, "reporting": "RANDOM", "p": float("inf")}]})
+@example(doc={"population": 2**70, "group_size": 2**70, "seed": 2**70, "quorum": 1})
+@example(doc={"routines": [{"id": 2**70, "kind": "COMPOSITE", "steps": [["ADD"], {}]}]})
+@example(doc={"adversaries": [{"device": 1, "fault": "TROJAN", "trigger": {"mask": 2**70}}]})
+def test_any_json_value_loads_or_raises_scenario_error(doc):
+    try:
+        sc = scenario_from_dict(doc)
+    except ScenarioError as exc:
+        assert "\n" not in str(exc)
+    else:
+        assert isinstance(sc, Scenario)
+
+
+@pytest.mark.parametrize(
+    "document",
+    ['{"seed": ' + "1" * 5000 + "}", "[" * 100_000 + "]" * 100_000],
+    ids=["integer-past-digit-limit", "nesting-past-recursion-limit"],
+)
+def test_unreadable_documents_raise_scenario_error(document):
+    with pytest.raises(ScenarioError, match="unreadable document"):
+        parse_scenario(document)
