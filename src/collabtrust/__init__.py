@@ -23,7 +23,7 @@ from .adversary import (
 )
 from .errors import ContractError, GroupFormationError, ProtocolViolation, ScenarioError
 from .metrics import EnergyModel, detection_stats, lossless_messages_per_round
-from .report import build_aggregate, build_report, emit_report
+from .report import Report, build_report, emit_report, merge
 from .routines import (
     Kind,
     OperandVector,

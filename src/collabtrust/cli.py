@@ -10,9 +10,10 @@ import argparse
 import copy
 import json
 import sys
+from typing import TextIO
 
 from .errors import ProtocolViolation, ScenarioError
-from .report import SimReport, build_aggregate, build_report, emit_report
+from .report import Report, build_report, emit_report, merge
 from .scenario import Scenario, read_scenario_doc, scenario_from_dict
 from .simnet import run_simulation
 from .verdict import decision_table, default_quorum
@@ -38,49 +39,41 @@ def _write_output(data: bytes, out: str | None) -> None:
         _write_file(out, data)
 
 
-def _run_repetitions(
-    scenario: Scenario, base_seed: int, trace: list[str] | None = None
-) -> list[SimReport]:
-    """One report per repetition; repetition k runs with seed base+k.
+def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = None) -> Report:
+    """Run every repetition (repetition k with seed base+k) into one merged report.
 
-    With `trace` given, runs are traced and their lines appended there, each
-    repetition under a `REP k seed=S` header when there are several.
+    Each run is reduced to its report and merged as soon as it ends, so
+    memory does not grow with `repetitions`. With `trace` given, runs are
+    traced and each one's lines are written there as it ends, under a
+    `REP k seed=S` header when there are several.
     """
-    return [
-        _run_repetition(scenario, rep, base_seed + rep, trace)
-        for rep in range(scenario.repetitions)
-    ]
-
-
-def _run_repetition(
-    scenario: Scenario, rep: int, seed: int, trace: list[str] | None
-) -> SimReport:
-    """Run one repetition and reduce it to its report as soon as it ends.
-
-    Only the report (and the trace lines) outlive the call, so memory does
-    not grow with every earlier repetition's verdict log.
-    """
-    res = run_simulation(scenario, seed=seed, collect_trace=trace is not None)
-    if trace is not None:
-        if scenario.repetitions > 1:
-            trace.append(f"REP {rep} seed={res.seed}")
-        assert res.trace is not None
-        trace.extend(res.trace)
-    return build_report(res, scenario)
+    total: Report | None = None
+    for rep in range(scenario.repetitions):
+        res = run_simulation(scenario, seed=base_seed + rep, collect_trace=trace is not None)
+        if trace is not None:
+            if scenario.repetitions > 1:
+                trace.write(f"REP {rep} seed={res.seed}\n")
+            trace.write("\n".join(res.trace) + "\n")
+            trace.flush()
+        report = build_report(res, scenario)
+        total = report if total is None else merge(total, report)
+        del res, report  # neither outlives its repetition
+    return total
 
 
 def _cmd_run(args) -> int:
     scenario = scenario_from_dict(read_scenario_doc(args.scenario))
     base_seed = scenario.seed if args.seed is None else args.seed
-    trace: list[str] | None = None if args.trace is None else []
-    reports = _run_repetitions(scenario, base_seed, trace)
-    if trace is not None:
-        _write_file(args.trace, ("\n".join(trace) + "\n").encode("utf-8"))
-    if len(reports) == 1:
-        payload = emit_report(reports[0], args.format)
+    if args.trace is None:
+        report = _run_repetitions(scenario, base_seed)
     else:
-        payload = emit_report(build_aggregate(reports), args.format)
-    _write_output(payload, args.out)
+        # Runs do no I/O, so an OSError here comes from the trace file.
+        try:
+            with open(args.trace, "w", encoding="utf-8", newline="") as trace:
+                report = _run_repetitions(scenario, base_seed, trace)
+        except OSError as exc:
+            raise OutputError(f"cannot write {args.trace}: {exc.strerror or exc}") from None
+    _write_output(emit_report(report, args.format), args.out)
     return 0
 
 
@@ -129,7 +122,7 @@ def _cmd_sweep(args) -> int:
         _set_path(doc, args.param, value)
         scenario = scenario_from_dict(doc)
         seed = scenario.seed if args.seed is None else args.seed
-        agg = build_aggregate(_run_repetitions(scenario, seed))
+        agg = _run_repetitions(scenario, seed)
         rows.append(
             {
                 "param": args.param,

@@ -79,47 +79,48 @@ def is_stat_honest(profile: AdversaryProfile) -> bool:
     return profile.fault is FaultKind.HONEST and profile.reporting is ReportingKind.HONEST
 
 
+_HONEST = AdversaryProfile()
+
+
 @dataclass
 class DetectionStats:
+    """Detection quality of one run, folded verdict by verdict as it runs."""
+
     detections: dict[int, int] = field(default_factory=dict)  # corrupt device -> first flagged round
     false_positives: int = 0
     outcome_counts: dict[Outcome, int] = field(default_factory=dict)
+
+    def fold(
+        self, v: Verdict, issuers: tuple[int, ...], profiles: dict[int, AdversaryProfile]
+    ) -> None:
+        """Count verdict `v` once for each device in `issuers` that reached it.
+
+        Detection latency for a corrupt device is the first round an honest
+        device flagged it; a false positive is any FLAGGED verdict whose
+        checkee has a honest fault model. Devices missing from `profiles`
+        are honest.
+        """
+        outcome = v.outcome
+        self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + len(issuers)
+        if outcome is not Outcome.FLAGGED:
+            return
+        if profiles.get(v.checkee, _HONEST).fault is FaultKind.HONEST:
+            self.false_positives += len(issuers)
+        elif any(is_stat_honest(profiles.get(i, _HONEST)) for i in issuers):
+            prior = self.detections.get(v.checkee)
+            if prior is None or v.round < prior:
+                self.detections[v.checkee] = v.round
 
 
 def detection_stats(
     verdicts: list[tuple[int, Verdict]],
     profiles: dict[int, AdversaryProfile],
 ) -> DetectionStats:
-    """Score a completed run's verdict log against the ground-truth adversary map.
+    """Score a log of (issuing device, verdict) pairs against the adversary map.
 
-    `verdicts` holds (issuing device, verdict) pairs. Detection latency for a
-    corrupt device is the first round an honest device flagged it; a false
-    positive is any FLAGGED verdict whose checkee has a honest fault model.
+    The reference for the stats a run folds as it goes: one fold per pair.
     """
-    honest = AdversaryProfile()
-    trusted = inconclusive = 0
-    flagged = []
-    # Outcomes are told apart by identity: hashing an Enum member runs
-    # Python code, and runs log hundreds of verdicts per repetition.
+    stats = DetectionStats()
     for issuer, v in verdicts:
-        outcome = v.outcome
-        if outcome is Outcome.TRUSTED:
-            trusted += 1
-        elif outcome is Outcome.INCONCLUSIVE:
-            inconclusive += 1
-        else:
-            flagged.append((issuer, v))
-    counts = (
-        (Outcome.TRUSTED, trusted),
-        (Outcome.FLAGGED, len(flagged)),
-        (Outcome.INCONCLUSIVE, inconclusive),
-    )
-    stats = DetectionStats(outcome_counts={outcome: n for outcome, n in counts if n})
-    for issuer, v in flagged:
-        if profiles.get(v.checkee, honest).fault is FaultKind.HONEST:
-            stats.false_positives += 1
-        elif is_stat_honest(profiles.get(issuer, honest)):
-            prior = stats.detections.get(v.checkee)
-            if prior is None or v.round < prior:
-                stats.detections[v.checkee] = v.round
+        stats.fold(v, (issuer,), profiles)
     return stats

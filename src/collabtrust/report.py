@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass
 
 from .errors import ContractError
-from .metrics import DetectionStats, detection_stats
 from .scenario import Scenario
 from .simnet import RunResult
 from .verdict import Outcome
@@ -31,22 +30,33 @@ class DeviceReport:
 
 
 @dataclass(frozen=True)
-class SimReport:
+class Report:
+    """Integer results of one run, or sums over repetitions; rates are left to the consumer.
+
+    For a single run `detections` and `excluded` map a device to the round
+    it was first detected or excluded in. Once merged (repetitions > 1) they
+    count the repetitions in which that happened, `halt_reason` is None and
+    the per-device `excluded_round`/`detection_round` are blank.
+    """
+
     seed: int
     repetitions: int
     rounds_executed: int
     halt_reason: str | None
+    halted_runs: int
     devices: tuple[DeviceReport, ...]
     messages: dict[str, int]
     verdicts: dict[str, int]
     false_positives: int
     detections: dict[int, int]
+    excluded: dict[int, int]
     total_energy: int
 
 
-def build_report(result: RunResult, scenario: Scenario) -> SimReport:
+def build_report(result: RunResult, scenario: Scenario) -> Report:
     """Assemble the report for one completed run (pure post-processing)."""
-    stats: DetectionStats = detection_stats(result.verdicts, scenario.profile_map())
+    stats = result.stats
+    suspicion = result.suspicion
     devices = []
     for d in range(scenario.population):
         usage = result.energy.usage[d]
@@ -56,17 +66,18 @@ def build_report(result: RunResult, scenario: Scenario) -> SimReport:
                 energy=result.energy.energy(d),
                 sent=usage.sent,
                 received=usage.received,
-                flags=result.suspicion.flag_count(d),
-                excluded_round=result.suspicion.excluded_round(d),
-                detection_round=result.suspicion.first_flagged.get(d),
+                flags=suspicion.flag_count(d),
+                excluded_round=suspicion.excluded_round(d),
+                detection_round=suspicion.first_flagged.get(d),
             )
         )
     c = result.counters
-    return SimReport(
+    return Report(
         seed=result.seed,
         repetitions=1,
         rounds_executed=result.rounds_executed,
         halt_reason=result.halt_reason,
+        halted_runs=0 if result.halt_reason is None else 1,
         devices=tuple(devices),
         messages={
             "sent": c.sent,
@@ -79,89 +90,53 @@ def build_report(result: RunResult, scenario: Scenario) -> SimReport:
         verdicts={o.value: stats.outcome_counts.get(o, 0) for o in OUTCOME_ORDER},
         false_positives=stats.false_positives,
         detections=dict(sorted(stats.detections.items())),
+        excluded=dict(sorted(suspicion.excluded_at.items())),
         total_energy=result.energy.total_energy(),
     )
 
 
-@dataclass(frozen=True)
-class AggregateReport:
-    """Integer sums over repeated runs; rates are left to the consumer.
+def _per_repetition(counts: dict[int, int], report: Report) -> dict[int, int]:
+    """A single run's device -> round map as device -> 1 repetition."""
+    return dict.fromkeys(counts, 1) if report.repetitions == 1 else counts
 
-    `detections` maps a corrupt device to the number of repetitions in which
-    an honest device flagged it; `excluded` counts repetitions ending with
-    the device excluded.
+
+def _sum_by_key(a: dict, b: dict) -> dict:
+    return {k: a.get(k, 0) + b.get(k, 0) for k in sorted(a.keys() | b.keys())}
+
+
+def merge(a: Report, b: Report) -> Report:
+    """Sum two reports of the same scenario; the seed shown is `a`'s.
+
+    Every field is a sum, so merging repetitions in any grouping gives the
+    same report.
     """
-
-    seed: int
-    repetitions: int
-    rounds_executed: int
-    devices: tuple[DeviceReport, ...]
-    messages: dict[str, int]
-    verdicts: dict[str, int]
-    false_positives: int
-    detections: dict[int, int]
-    excluded: dict[int, int]
-    halted_runs: int
-    total_energy: int
-
-
-def build_aggregate(reports: list[SimReport]) -> AggregateReport:
-    """Sum repeated runs; the seed shown is the first repetition's."""
-    if not reports:
-        raise ContractError("aggregate needs at least one report")
-    n_devices = len(reports[0].devices)
-    energy = [0] * n_devices
-    sent = [0] * n_devices
-    received = [0] * n_devices
-    flags = [0] * n_devices
-    detections: dict[int, int] = {}
-    excluded: dict[int, int] = {}
-    messages: dict[str, int] = {k: 0 for k in reports[0].messages}
-    verdicts: dict[str, int] = {o.value: 0 for o in OUTCOME_ORDER}
-    false_positives = 0
-    rounds = 0
-    halted = 0
-    for rep in reports:
-        rounds += rep.rounds_executed
-        false_positives += rep.false_positives
-        halted += 1 if rep.halt_reason is not None else 0
-        for k, v in rep.messages.items():
-            messages[k] += v
-        for k, v in rep.verdicts.items():
-            verdicts[k] += v
-        for device in rep.detections:
-            detections[device] = detections.get(device, 0) + 1
-        for dev in rep.devices:
-            energy[dev.id] += dev.energy
-            sent[dev.id] += dev.sent
-            received[dev.id] += dev.received
-            flags[dev.id] += dev.flags
-            if dev.excluded_round is not None:
-                excluded[dev.id] = excluded.get(dev.id, 0) + 1
     devices = tuple(
         DeviceReport(
-            id=d,
-            energy=energy[d],
-            sent=sent[d],
-            received=received[d],
-            flags=flags[d],
+            id=x.id,
+            energy=x.energy + y.energy,
+            sent=x.sent + y.sent,
+            received=x.received + y.received,
+            flags=x.flags + y.flags,
             excluded_round=None,
             detection_round=None,
         )
-        for d in range(n_devices)
+        for x, y in zip(a.devices, b.devices)
     )
-    return AggregateReport(
-        seed=reports[0].seed,
-        repetitions=len(reports),
-        rounds_executed=rounds,
+    return Report(
+        seed=a.seed,
+        repetitions=a.repetitions + b.repetitions,
+        rounds_executed=a.rounds_executed + b.rounds_executed,
+        halt_reason=None,
+        halted_runs=a.halted_runs + b.halted_runs,
         devices=devices,
-        messages=messages,
-        verdicts=verdicts,
-        false_positives=false_positives,
-        detections=dict(sorted(detections.items())),
-        excluded=dict(sorted(excluded.items())),
-        halted_runs=halted,
-        total_energy=sum(energy),
+        messages={k: v + b.messages[k] for k, v in a.messages.items()},
+        verdicts={k: v + b.verdicts[k] for k, v in a.verdicts.items()},
+        false_positives=a.false_positives + b.false_positives,
+        detections=_sum_by_key(
+            _per_repetition(a.detections, a), _per_repetition(b.detections, b)
+        ),
+        excluded=_sum_by_key(_per_repetition(a.excluded, a), _per_repetition(b.excluded, b)),
+        total_energy=a.total_energy + b.total_energy,
     )
 
 
@@ -180,13 +155,14 @@ def _device_rows(devices: tuple[DeviceReport, ...]) -> list[dict]:
     ]
 
 
-def _to_json(report: SimReport | AggregateReport) -> bytes:
+def _to_json(report: Report) -> bytes:
     obj: dict = {
         "seed": report.seed,
         "repetitions": report.repetitions,
         "rounds_executed": report.rounds_executed,
     }
-    if isinstance(report, SimReport):
+    single = report.repetitions == 1
+    if single:
         obj["halt_reason"] = report.halt_reason
     else:
         obj["halted_runs"] = report.halted_runs
@@ -198,7 +174,7 @@ def _to_json(report: SimReport | AggregateReport) -> bytes:
         "detections": {str(k): v for k, v in report.detections.items()},
         "total_energy": report.total_energy,
     }
-    if isinstance(report, AggregateReport):
+    if not single:
         global_obj["excluded"] = {str(k): v for k, v in report.excluded.items()}
     obj["global"] = global_obj
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
@@ -211,7 +187,7 @@ def _csv_cell(value: int | None) -> str:
     return "" if value is None else str(value)
 
 
-def _to_csv(report: SimReport | AggregateReport) -> bytes:
+def _to_csv(report: Report) -> bytes:
     lines = [_CSV_HEADER]
     for d in report.devices:
         lines.append(
@@ -225,7 +201,7 @@ def _to_csv(report: SimReport | AggregateReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def emit_report(report: SimReport | AggregateReport, format: str = "json") -> bytes:
+def emit_report(report: Report, format: str = "json") -> bytes:
     """Serialize a report. Formats: `json` (stable key order) or `csv`."""
     if format == "json":
         return _to_json(report)

@@ -26,6 +26,10 @@ from .routines import Kind, RoutineSpec, routine_catalog
 from .simnet import NetworkModel
 from .verdict import default_quorum
 
+# A run keeps per-device state for the whole population from round 0, so the
+# loader caps it well below what exhausts memory (100,000 devices take ~0.2 GiB).
+MAX_POPULATION = 100_000
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -44,6 +48,10 @@ class Scenario:
     adversaries: tuple[tuple[int, AdversaryProfile], ...] = ()
 
     def __post_init__(self):
+        if self.population > MAX_POPULATION:
+            raise ScenarioError(
+                f"population: must be at most {MAX_POPULATION}, got {self.population}"
+            )
         if self.group_size < 3:
             raise ScenarioError(f"group_size: must be at least 3, got {self.group_size}")
         if self.group_size > self.population:

@@ -37,7 +37,13 @@ from .adversary import (
     distort_opinion,
 )
 from .errors import ContractError, GroupFormationError, ProtocolViolation
-from .metrics import DeviceUsage, EnergyLedger, TrafficCounters, lossless_messages_per_round
+from .metrics import (
+    DetectionStats,
+    DeviceUsage,
+    EnergyLedger,
+    TrafficCounters,
+    lossless_messages_per_round,
+)
 from .protocol import (
     Challenge,
     ComparisonReport,
@@ -135,7 +141,7 @@ class RunResult:
     rounds_executed: int
     halt_reason: str | None
     trace: list[str] | None
-    verdicts: list[tuple[int, Verdict]]
+    stats: DetectionStats
     counters: TrafficCounters
     energy: EnergyLedger
     suspicion: SuspicionLedger
@@ -321,10 +327,11 @@ class Simulation:
             )
             for d in range(sc.population)
         }
+        stats = DetectionStats()
         rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
         path = self._run_tally if latency_free(sc, self.collect_trace) else self._run_events
-        rounds_executed, halt_reason, trace, verdicts = path(
-            states, rng_group, suspicion, energy, counters
+        rounds_executed, halt_reason, trace = path(
+            states, rng_group, suspicion, energy, counters, stats, profiles
         )
         _check_run_identities(counters, energy)
         return RunResult(
@@ -332,13 +339,13 @@ class Simulation:
             rounds_executed=rounds_executed,
             halt_reason=halt_reason,
             trace=trace,
-            verdicts=verdicts,
+            stats=stats,
             counters=counters,
             energy=energy,
             suspicion=suspicion,
         )
 
-    def _run_tally(self, states, rng_group, suspicion, energy, counters):
+    def _run_tally(self, states, rng_group, suspicion, energy, counters, stats, profiles):
         """Latency-free runs: one tally per round, no events, no network draws.
 
         The routine table and the special devices are found once per run,
@@ -350,7 +357,6 @@ class Simulation:
         usage = energy.usage
         routines = [(spec, spec.op_count) for spec in states[0].routine_order]
         special = {d for d, state in states.items() if _is_special(state.profile)}
-        verdicts: list[tuple[int, Verdict]] = []
         group: GroupConfig | None = None
         specials: dict[int, DeviceState] = {}
         n_plain = epoch_rounds = epoch_ops = 0
@@ -374,7 +380,8 @@ class Simulation:
             epoch_rounds += 1
             epoch_ops += op_count
             v = _tally_round(group, specials, n_plain, r, spec, seed, usage)
-            verdicts += [(m, v) for m in group.members]
+            # Every member reaches this verdict.
+            stats.fold(v, group.members, profiles)
             if v.outcome is Outcome.FLAGGED:
                 update_suspicion(suspicion, v)
         if group is not None:
@@ -382,9 +389,9 @@ class Simulation:
         messages = lossless_messages_per_round(sc.group_size) * rounds_executed
         counters.sent += messages
         counters.delivered += messages
-        return rounds_executed, halt_reason, None, verdicts
+        return rounds_executed, halt_reason, None
 
-    def _run_events(self, states, rng_group, suspicion, energy, counters):
+    def _run_events(self, states, rng_group, suspicion, energy, counters, stats, profiles):
         """Every unicast through per-tick delivery buckets, with loss, latency and trace.
 
         Events run in (tick, seq) order. Round timers are computed, not
@@ -411,7 +418,6 @@ class Simulation:
         next_seq = 2 * sc.rounds
 
         trace: list[str] | None = [] if self.collect_trace else None
-        verdicts: list[tuple[int, Verdict]] = []
         round_verdicts: list[Verdict] = []
         group: GroupConfig | None = None
         current_round = -1
@@ -441,7 +447,7 @@ class Simulation:
             next_seq = seq
 
         def record_verdict(issuer: int, v: Verdict, t: int, seq: int) -> None:
-            verdicts.append((issuer, v))
+            stats.fold(v, (issuer,), profiles)
             round_verdicts.append(v)
             if trace is not None:
                 ta = v.tally
@@ -534,7 +540,7 @@ class Simulation:
                 break
 
         counters.in_flight = sum(len(b) for b in buckets.values())
-        return rounds_executed, halt_reason, trace, verdicts
+        return rounds_executed, halt_reason, trace
 
 
 def run_simulation(

@@ -35,6 +35,7 @@ from collabtrust.verdict import (
     default_quorum,
     oracle_outcome,
 )
+from verdict_log import run_logged
 
 TROJAN_16 = TrojanModel(
     operand_index=0, mask=0x0F, match=0x05, payload=PayloadKind.XOR, payload_value=1
@@ -57,18 +58,18 @@ def test_acceptance_1_five_device_detection_vignette():
             seed=1,
             adversaries=((2, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
         )
-        res = run_simulation(sc, collect_trace=False)
-        checkee_rounds = [v.round for _, v in res.verdicts if v.checkee == 2]
+        res, verdicts = run_logged(sc, collect_trace=False)
+        checkee_rounds = [v.round for _, v in verdicts if v.checkee == 2]
         assert checkee_rounds, "device 2 never served as checkee"
         first = min(checkee_rounds)
-        flagged = [(i, v) for i, v in res.verdicts if v.outcome is Outcome.FLAGGED]
+        flagged = [(i, v) for i, v in verdicts if v.outcome is Outcome.FLAGGED]
         # unanimous: all five devices flag it, in its first checkee round
         assert len(flagged) == 5
         assert {i for i, _ in flagged} == {0, 1, 2, 3, 4}
         assert all(v.round == first and v.checkee == 2 for _, v in flagged)
-        others = [v for _, v in res.verdicts if v.outcome is not Outcome.FLAGGED]
+        others = [v for _, v in verdicts if v.outcome is not Outcome.FLAGGED]
         assert all(v.outcome is Outcome.TRUSTED for v in others)
-        assert detection_stats(res.verdicts, sc.profile_map()).false_positives == 0
+        assert detection_stats(verdicts, sc.profile_map()).false_positives == 0
         assert res.suspicion.excluded_round(2) == first
 
 
@@ -153,8 +154,8 @@ def test_acceptance_3_manifestation_hypothesis():
         detected = 0
         profiles = sc.profile_map()
         for rep in range(reps):
-            res = run_simulation(sc, seed=20_000 + rep, collect_trace=False)
-            if 1 in detection_stats(res.verdicts, profiles).detections:
+            _, verdicts = run_logged(sc, seed=20_000 + rep, collect_trace=False)
+            if 1 in detection_stats(verdicts, profiles).detections:
                 detected += 1
         sigma = math.sqrt(float(p_detect) * (1 - float(p_detect)) / reps)
         rate = detected / reps
@@ -172,8 +173,8 @@ def test_acceptance_4_evasion_corollary():
         profiles = sc.profile_map()
         detected = 0
         for rep in range(500):
-            res = run_simulation(sc, seed=50_000 + rep, collect_trace=False)
-            if 1 in detection_stats(res.verdicts, profiles).detections:
+            _, verdicts = run_logged(sc, seed=50_000 + rep, collect_trace=False)
+            if 1 in detection_stats(verdicts, profiles).detections:
                 detected += 1
         assert detected == 0
 
@@ -220,8 +221,8 @@ def test_acceptance_6_loss_safety():
         for drop in (0.0, 0.1, 0.3, 0.5):
             sc = Scenario(seed=0, network=NetworkModel(drop_prob=drop))
             for rep in range(200):
-                res = run_simulation(sc, seed=80_000 + rep, collect_trace=False)
-                outcomes = {v.outcome for _, v in res.verdicts}
+                _, verdicts = run_logged(sc, seed=80_000 + rep, collect_trace=False)
+                outcomes = {v.outcome for _, v in verdicts}
                 assert Outcome.FLAGGED not in outcomes, (drop, rep)
 
 

@@ -130,6 +130,15 @@ def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"output error: cannot write {target}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_population_over_limit_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"population": 100_001, "group_size": 3, "rounds": 1}))
+    assert run_cli("run", "--scenario", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err == "scenario error: population: must be at most 100000, got 100001\n"
 
 
 def test_invalid_scenario_exits_1(tmp_path, capsys):
@@ -298,24 +307,58 @@ def test_aggregate_csv_blanks_single_run_columns(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_no_run_result_outlives_its_repetition(monkeypatch, tmp_path, command):
-    # Each repetition is reduced to its report as soon as it ends: when the
-    # next run starts, no earlier RunResult (and its verdict log) is alive.
+    # Each repetition is reduced to its report and merged as soon as it
+    # ends: when the next run starts, no earlier RunResult is alive, and no
+    # earlier report either, except a first repetition's, which is the
+    # running total until the second is merged into it.
     scenario = tmp_path / "reps.json"
     scenario.write_text(json.dumps({"rounds": 3, "repetitions": 4}))
-    alive: list[weakref.ref] = []
-    real_run = cli.run_simulation
+    results: list[weakref.ref] = []
+    reports: list[weakref.ref] = []
+    real_run, real_build = cli.run_simulation, cli.build_report
 
-    def tracked(*args, **kwargs):
+    def tracked_run(*args, **kwargs):
         gc.collect()
-        assert [ref() for ref in alive] == [None] * len(alive)
+        assert [ref() for ref in results] == [None] * len(results)
+        call = len(results)
+        alive = [i for i, ref in enumerate(reports) if ref() is not None]
+        assert alive == ([call - 1] if call % 4 == 1 else []), call
         res = real_run(*args, **kwargs)
-        alive.append(weakref.ref(res))
+        results.append(weakref.ref(res))
         return res
 
-    monkeypatch.setattr(cli, "run_simulation", tracked)
+    def tracked_build(*args, **kwargs):
+        report = real_build(*args, **kwargs)
+        reports.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(cli, "run_simulation", tracked_run)
+    monkeypatch.setattr(cli, "build_report", tracked_build)
     if command == "run":
         argv = ["run", "--scenario", str(scenario), "--trace", str(tmp_path / "t.txt")]
     else:
         argv = ["sweep", "--scenario", str(scenario), "--param", "seed", "--values", "1,2"]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
-    assert len(alive) == (4 if command == "run" else 8)
+    assert len(results) == len(reports) == (4 if command == "run" else 8)
+
+
+def test_trace_streams_each_repetition_as_it_ends(monkeypatch, tmp_path):
+    # When repetition k starts, the trace file on disk already holds
+    # repetitions 0..k-1, each under its REP header, and nothing more.
+    scenario = tmp_path / "reps.json"
+    scenario.write_text(json.dumps({"rounds": 3, "repetitions": 4, "seed": 10}))
+    trace = tmp_path / "t.txt"
+    on_disk: list[bytes] = []
+    real_run = cli.run_simulation
+
+    def snapshot(*args, **kwargs):
+        on_disk.append(trace.read_bytes())
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_simulation", snapshot)
+    assert run_cli("run", "--scenario", str(scenario), "--trace", str(trace),
+                   "--out", str(tmp_path / "out.json")) == 0
+    final = trace.read_bytes()
+    assert len(on_disk) == 4
+    for k, seen in enumerate(on_disk):
+        assert seen == final[: final.index(f"REP {k} seed={10 + k}\n".encode())], k

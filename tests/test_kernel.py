@@ -3,9 +3,10 @@
 Untraced runs with no loss and 3 * latency_max below the round deadline take
 the kernel; traced runs always take the event engine. A Hypothesis
 differential test generates lossless scenarios at the edge of that regime
-and checks that both paths produce the same report bytes and the same
-(issuer, verdict) pairs. Verdict order legitimately differs: the engine
-records verdicts as tallies complete, the kernel member by member.
+and checks that both paths produce the same report bytes and fold the same
+(issuer, verdict) pairs into their stats. Fold order legitimately differs:
+the engine folds verdicts as tallies complete, the kernel a round's verdict
+for all members at once.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from hypothesis import strategies as st
 
 import collabtrust.simnet as simnet
 from collabtrust.adversary import AdversaryProfile, Opinion, ReportingKind, distort_opinion
+from collabtrust.metrics import detection_stats
 from collabtrust.report import build_report, emit_report
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import NetworkModel, latency_free, report_stream, run_simulation
+from verdict_log import run_logged
 
 MASKS = (0, 1, 3, 0x0F, 0x81)
 
@@ -162,11 +165,13 @@ PURE_EVADER = scenario_from_dict(
 @example(sc=PURE_EVADER, seed=0)
 def test_kernel_matches_engine(sc, seed):
     assert latency_free(sc, collect_trace=False)
-    engine = run_simulation(sc, seed=seed, collect_trace=True)
-    kernel = run_simulation(sc, seed=seed, collect_trace=False)
+    engine, engine_verdicts = run_logged(sc, seed=seed, collect_trace=True)
+    kernel, kernel_verdicts = run_logged(sc, seed=seed, collect_trace=False)
     assert kernel.trace is None
     assert _reports(sc, kernel) == _reports(sc, engine)
-    assert Counter(kernel.verdicts) == Counter(engine.verdicts)
+    assert Counter(kernel_verdicts) == Counter(engine_verdicts)
+    # The kernel folds each round once for all members; the reference folds per issuer.
+    assert kernel.stats == engine.stats == detection_stats(kernel_verdicts, sc.profile_map())
     assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
 
 
@@ -217,8 +222,8 @@ def test_random_reporter_flip_rate_end_to_end():
     )
     chances = flips = 0
     for rep in range(40):
-        res = run_simulation(sc, seed=1000 + rep, collect_trace=False)
-        per_round = {v.round: v for issuer, v in res.verdicts}
+        _, verdicts = run_logged(sc, seed=1000 + rep, collect_trace=False)
+        per_round = {v.round: v for issuer, v in verdicts}
         for v in per_round.values():
             if v.checkee != 1:
                 chances += 1

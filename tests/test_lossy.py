@@ -20,6 +20,7 @@ from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
 from test_kernel import adversary_docs
+from verdict_log import run_logged
 
 DELIVERY_KINDS = ("CHALLENGE", "RESPONSE", "REPORT")
 
@@ -83,8 +84,8 @@ def _check_conservation(res) -> None:
 @given(sc=lossy_scenarios(honest=True), seed=st.integers(0, 2**64 - 1))
 def test_lossy_honest_runs_flag_no_one(sc, seed):
     assert not latency_free(sc, collect_trace=False)
-    res = run_simulation(sc, seed=seed)
-    assert all(v.outcome is not Outcome.FLAGGED for _, v in res.verdicts)
+    res, verdicts = run_logged(sc, seed=seed)
+    assert all(v.outcome is not Outcome.FLAGGED for _, v in verdicts)
     assert res.halt_reason is None and res.rounds_executed == sc.rounds
     _check_conservation(res)
 

@@ -12,6 +12,7 @@ from collabtrust.metrics import (
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, run_simulation
 from collabtrust.verdict import Outcome, Tally, Verdict, default_quorum
+from verdict_log import run_logged
 
 UNIT = EnergyModel(e_op=1, e_tx=2, e_rx=1)
 
@@ -99,17 +100,17 @@ def test_detection_stats_always_wrong_latency():
         population=10,
         adversaries=((3, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
-    res = run_simulation(sc, seed=4, collect_trace=False)
-    stats = detection_stats(res.verdicts, sc.profile_map())
-    first_checkee_round = min(v.round for _, v in res.verdicts if v.checkee == 3)
+    _, verdicts = run_logged(sc, seed=4, collect_trace=False)
+    stats = detection_stats(verdicts, sc.profile_map())
+    first_checkee_round = min(v.round for _, v in verdicts if v.checkee == 3)
     assert stats.detections == {3: first_checkee_round}
     assert stats.false_positives == 0
 
 
 def test_detection_stats_all_honest_run():
     sc = Scenario(rounds=5)
-    res = run_simulation(sc, seed=2, collect_trace=False)
-    stats = detection_stats(res.verdicts, sc.profile_map())
+    _, verdicts = run_logged(sc, seed=2, collect_trace=False)
+    stats = detection_stats(verdicts, sc.profile_map())
     assert stats.detections == {}
     assert stats.false_positives == 0
     assert stats.outcome_counts.get(Outcome.INCONCLUSIVE, 0) == 0

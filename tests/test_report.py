@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
+from functools import reduce
 
 import pytest
 
-from collabtrust.adversary import AdversaryProfile, FaultKind
+from collabtrust.adversary import AdversaryProfile, FaultKind, PayloadKind, TrojanModel
 from collabtrust.errors import ContractError
-from collabtrust.report import build_aggregate, build_report, emit_report
+from collabtrust.report import build_report, emit_report, merge
 from collabtrust.scenario import Scenario
-from collabtrust.simnet import run_simulation
+from collabtrust.simnet import NetworkModel, run_simulation
 
 
 def _honest_report(seed=3, rounds=5):
@@ -84,17 +85,49 @@ def test_aggregate_sums_and_detection_counts():
         build_report(run_simulation(sc, seed=100 + k, collect_trace=False), sc)
         for k in range(3)
     ]
-    agg = build_aggregate(reports)
+    agg = reduce(merge, reports)
     assert agg.seed == 100
     assert agg.repetitions == 3
     assert agg.rounds_executed == sum(r.rounds_executed for r in reports)
     assert agg.total_energy == sum(r.total_energy for r in reports)
     assert agg.detections[4] == sum(1 for r in reports if 4 in r.detections)
     assert agg.excluded[4] == 3
+    assert agg.halt_reason is None
+    assert all(d.excluded_round is None and d.detection_round is None for d in agg.devices)
     for key in ("sent", "delivered", "dropped"):
         assert agg.messages[key] == sum(r.messages[key] for r in reports)
 
 
-def test_aggregate_requires_input():
-    with pytest.raises(ContractError):
-        build_aggregate([])
+# Population 6 in groups of 5: the always-wrong device 2 is always excluded,
+# the Trojan (device 1) only in some repetitions, and a run that excludes
+# both halts. So the reports differ in detections, exclusions and halts.
+MIXED = Scenario(
+    population=6,
+    rounds=30,
+    network=NetworkModel(drop_prob=0.05),
+    adversaries=(
+        (1, AdversaryProfile(fault=FaultKind.TROJAN, trojan=TrojanModel(
+            operand_index=0, mask=0x0F, match=0x05, payload=PayloadKind.XOR, payload_value=1
+        ))),
+        (2, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),
+    ),
+)
+
+
+def test_merge_is_associative_in_emitted_bytes():
+    # Any grouping of repetitions merges to the same bytes, so partial sums
+    # can be merged in any split.
+    reports = [
+        build_report(run_simulation(MIXED, seed=300 + k, collect_trace=False), MIXED)
+        for k in range(6)
+    ]
+    assert len({r.halt_reason is None for r in reports}) == 2
+    assert len({tuple(r.detections) for r in reports}) >= 2
+    for n in range(2, 7):
+        whole = reduce(merge, reports[:n])
+        assert whole.repetitions == n
+        for j in range(1, n):
+            split = merge(reduce(merge, reports[:j]), reduce(merge, reports[j:n]))
+            for fmt in ("json", "csv"):
+                assert emit_report(split, fmt) == emit_report(whole, fmt), (n, j, fmt)
+

@@ -51,6 +51,14 @@ def test_group_larger_than_population_names_path():
         parse_scenario('{"group_size": 10, "population": 5}')
 
 
+def test_population_capped_in_one_line():
+    # A run builds per-device state for the whole population before round 0.
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario('{"population": 100001, "group_size": 3}')
+    assert str(exc.value) == "population: must be at most 100000, got 100001"
+    assert parse_scenario('{"population": 100000, "group_size": 3}').population == 100_000
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ScenarioError, match="grop_size"):
         parse_scenario('{"grop_size": 5}')

@@ -14,6 +14,7 @@ from collabtrust.routines import OperandVector
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import GroupConfig, NetworkModel, form_group, run_simulation
 from collabtrust.verdict import Outcome
+from verdict_log import run_logged
 
 
 def _msg():
@@ -184,9 +185,9 @@ def test_form_group_inclusion_frequency_hypergeometric():
 
 def test_honest_run_all_trusted():
     sc = Scenario(rounds=5)
-    res = run_simulation(sc, seed=1)
-    assert len(res.verdicts) == 25  # 5 devices x 5 rounds
-    assert all(v.outcome is Outcome.TRUSTED for _, v in res.verdicts)
+    res, verdicts = run_logged(sc, seed=1)
+    assert len(verdicts) == 25  # 5 devices x 5 rounds
+    assert all(v.outcome is Outcome.TRUSTED for _, v in verdicts)
     assert res.halt_reason is None
     assert res.counters.late == 0
 
@@ -196,10 +197,10 @@ def test_always_wrong_flagged_in_first_checkee_round():
         population=10,
         adversaries=((2, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
-    res = run_simulation(sc, seed=5)
-    first_checkee_round = min(v.round for _, v in res.verdicts if v.checkee == 2)
+    res, verdicts = run_logged(sc, seed=5)
+    first_checkee_round = min(v.round for _, v in verdicts if v.checkee == 2)
     assert res.suspicion.first_flagged[2] == first_checkee_round
-    flagged = [v for _, v in res.verdicts if v.outcome is Outcome.FLAGGED]
+    flagged = [v for _, v in verdicts if v.outcome is Outcome.FLAGGED]
     assert flagged and all(v.checkee == 2 for v in flagged)
 
 
@@ -213,19 +214,19 @@ def test_lossless_verdicts_identical_across_devices_each_round():
     # Asserted on the event engine (traced), where each device tallies the
     # reports it received; the untraced tally kernel must match it.
     for sc in scenarios:
-        res = run_simulation(sc, seed=12, collect_trace=True)
+        res, verdicts = run_logged(sc, seed=12, collect_trace=True)
         by_round: dict[int, set] = {}
         issuers: dict[int, int] = {}
-        for _, v in res.verdicts:
+        for _, v in verdicts:
             by_round.setdefault(v.round, set()).add((v.outcome, v.checkee, v.tally))
             issuers[v.round] = issuers.get(v.round, 0) + 1
         for round_no, distinct in by_round.items():
             assert len(distinct) == 1, (round_no, distinct)
             assert issuers[round_no] == sc.group_size  # one verdict per device
-        kernel = run_simulation(sc, seed=12, collect_trace=False)
+        kernel, kernel_verdicts = run_logged(sc, seed=12, collect_trace=False)
         assert kernel.counters == res.counters
         assert kernel.energy.usage == res.energy.usage
-        assert sorted(kernel.verdicts, key=repr) == sorted(res.verdicts, key=repr)
+        assert sorted(kernel_verdicts, key=repr) == sorted(verdicts, key=repr)
 
 
 def test_lossless_framing_minority_causes_no_false_positives():
@@ -235,9 +236,9 @@ def test_lossless_framing_minority_causes_no_false_positives():
     )
     sc = Scenario(adversaries=liars)
     for seed in range(5):
-        res = run_simulation(sc, seed=seed, collect_trace=False)
-        assert all(v.outcome is Outcome.TRUSTED for _, v in res.verdicts)
-        assert detection_stats(res.verdicts, sc.profile_map()).false_positives == 0
+        _, verdicts = run_logged(sc, seed=seed, collect_trace=False)
+        assert all(v.outcome is Outcome.TRUSTED for _, v in verdicts)
+        assert detection_stats(verdicts, sc.profile_map()).false_positives == 0
 
 
 def test_same_seed_identical_trace_and_different_seed_differs():
@@ -349,12 +350,12 @@ def test_high_latency_runs_stay_conserved():
     # round boundary: deliveries become late (marked in the trace) and the
     # books still balance.
     sc = Scenario(network=NetworkModel(latency_min=4, latency_max=9))
-    res = run_simulation(sc, seed=1)
+    res, verdicts = run_logged(sc, seed=1)
     c = res.counters
     assert c.late > 0
     assert c.sent == c.delivered + c.dropped + c.late + c.in_flight, c
     assert any(line.endswith("late=1") for line in res.trace)
-    assert all(v.outcome is not Outcome.FLAGGED for _, v in res.verdicts)
+    assert all(v.outcome is not Outcome.FLAGGED for _, v in verdicts)
 
 
 def test_high_latency_exclusion_still_unreferenced():
