@@ -14,6 +14,7 @@ from typing import TextIO
 
 from .errors import ProtocolViolation, ScenarioError
 from .report import Report, build_report, emit_report, merge
+from .rng import MASK64
 from .scenario import Scenario, read_scenario_doc, scenario_from_dict
 from .simnet import run_simulation
 from .verdict import decision_table, default_quorum
@@ -21,6 +22,20 @@ from .verdict import decision_table, default_quorum
 
 class OutputError(Exception):
     """An output file (--out or --trace) could not be written."""
+
+
+class UsageError(Exception):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError instead of exiting 2.
+
+    Subparsers are built with the parent's class, so they inherit this.
+    """
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _write_file(path: str, data: bytes) -> None:
@@ -43,17 +58,17 @@ def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = 
     """Run every repetition (repetition k with seed base+k) into one merged report.
 
     Each run is reduced to its report and merged as soon as it ends, so
-    memory does not grow with `repetitions`. With `trace` given, runs are
-    traced and each one's lines are written there as it ends, under a
+    memory does not grow with `repetitions`. With `trace` given, each run
+    writes its trace lines there as its events happen, under a
     `REP k seed=S` header when there are several.
     """
     total: Report | None = None
     for rep in range(scenario.repetitions):
-        res = run_simulation(scenario, seed=base_seed + rep, collect_trace=trace is not None)
+        seed = (base_seed + rep) & MASK64
+        if trace is not None and scenario.repetitions > 1:
+            trace.write(f"REP {rep} seed={seed}\n")
+        res = run_simulation(scenario, seed=seed, trace=trace)
         if trace is not None:
-            if scenario.repetitions > 1:
-                trace.write(f"REP {rep} seed={res.seed}\n")
-            trace.write("\n".join(res.trace) + "\n")
             trace.flush()
         report = build_report(res, scenario)
         total = report if total is None else merge(total, report)
@@ -64,15 +79,16 @@ def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = 
 def _cmd_run(args) -> int:
     scenario = scenario_from_dict(read_scenario_doc(args.scenario))
     base_seed = scenario.seed if args.seed is None else args.seed
-    if args.trace is None:
+    path = args.trace
+    if path is None:
         report = _run_repetitions(scenario, base_seed)
     else:
-        # Runs do no I/O, so an OSError here comes from the trace file.
+        # The trace file is the only I/O here, so an OSError comes from it.
         try:
-            with open(args.trace, "w", encoding="utf-8", newline="") as trace:
+            with open(path, "w", encoding="utf-8", newline="") as trace:
                 report = _run_repetitions(scenario, base_seed, trace)
         except OSError as exc:
-            raise OutputError(f"cannot write {args.trace}: {exc.strerror or exc}") from None
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
     _write_output(emit_report(report, args.format), args.out)
     return 0
 
@@ -89,10 +105,14 @@ def _set_path(doc: dict, dotted: str, value) -> None:
 
 
 def _parse_sweep_value(token: str):
+    error = ScenarioError(f"sweep value {token!r} is not a JSON scalar")
     try:
-        return json.loads(token)
-    except json.JSONDecodeError:
-        raise ScenarioError(f"sweep value {token!r} is not a JSON scalar") from None
+        value = json.loads(token)
+    except (ValueError, RecursionError):
+        raise error from None
+    if isinstance(value, (list, dict)):
+        raise error
+    return value
 
 
 _SWEEP_COLUMNS = (
@@ -167,7 +187,7 @@ def _cmd_oracle_verdict_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="collabtrust",
         description="Deterministic simulator for collaborative majority-vote device checking.",
     )
@@ -201,14 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_oracle_verdict_table(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1

@@ -418,6 +418,8 @@ def read_scenario_doc(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8: byte {exc.start}: {exc.reason}") from None
     doc = _parse_json(text)
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected a JSON object")

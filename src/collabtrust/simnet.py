@@ -8,23 +8,23 @@ streams derived from the scenario seed: the network stream (loss and
 latency), the grouping stream (ad-hoc membership draws), and one stream per
 device (reporting noise). Varying one knob never reshuffles the others.
 
-Untraced runs whose outcome cannot depend on timing (no loss, and
-3 * latency_max below the round deadline) skip the event engine: a
-tally-level kernel computes each round's verdict directly. It finds the
-special devices (a fault, a non-HONEST reporting policy or an EVADE
-initiator) once per run; plain members take the honest output and their
-AGREE votes come as one count, so only special members go through
-apply_fault and distort_opinion. Messages and energy follow the lossless
-closed form, charged once per group epoch (plus the initiator's share per
-round). Its reports are byte-identical to the engine's; traces always come
-from the engine.
+A run given a trace stream goes through the event engine, which writes
+each trace line there as its event happens. Runs with no trace sink whose
+outcome cannot depend on timing (no loss, and 3 * latency_max below the
+round deadline) skip the engine: a tally-level kernel computes each round's
+verdict directly. It finds the special devices (a fault, a non-HONEST
+reporting policy or an EVADE initiator) once per run; plain members take the
+honest output and their AGREE votes come as one count, so only special
+members go through apply_fault and distort_opinion. Messages and energy
+follow the lossless closed form, charged once per group epoch. Its reports
+are byte-identical to the engine's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .adversary import (
     AdversaryProfile,
@@ -32,6 +32,7 @@ from .adversary import (
     InitiatorKind,
     Opinion,
     ReportingKind,
+    TrojanModel,
     apply_fault,
     choose_adversarial_operands,
     distort_opinion,
@@ -140,7 +141,6 @@ class RunResult:
     seed: int
     rounds_executed: int
     halt_reason: str | None
-    trace: list[str] | None
     stats: DetectionStats
     counters: TrafficCounters
     energy: EnergyLedger
@@ -148,18 +148,18 @@ class RunResult:
 
 
 def _trace_deliver(t: int, seq: int, msg: Message, frm: int, to: int, late: bool) -> str:
-    suffix = " late=1" if late else ""
+    end = " late=1\n" if late else "\n"
     if type(msg) is Challenge:
         ops = ",".join(str(v) for v in msg.ops.values)
         return (
             f"{t} {seq} CHALLENGE {frm} {to} round={msg.round} checkee={msg.checkee}"
-            f" spec={msg.spec_id} ops={ops} cid={msg.challenge_id}{suffix}"
+            f" spec={msg.spec_id} ops={ops} cid={msg.challenge_id}{end}"
         )
     if type(msg) is Response:
-        return f"{t} {seq} RESPONSE {frm} {to} cid={msg.challenge_id} output={msg.output}{suffix}"
+        return f"{t} {seq} RESPONSE {frm} {to} cid={msg.challenge_id} output={msg.output}{end}"
     return (
         f"{t} {seq} REPORT {frm} {to} cid={msg.challenge_id} checkee={msg.checkee}"
-        f" opinion={msg.opinion.value}{suffix}"
+        f" opinion={msg.opinion.value}{end}"
     )
 
 
@@ -173,20 +173,15 @@ def report_stream(seed: int, device: int) -> SplitMix64:
     return SplitMix64(mix_words(seed, REPORT_STREAM, device))
 
 
-def latency_free(scenario: "Scenario", collect_trace: bool) -> bool:
+def latency_free(scenario: "Scenario") -> bool:
     """Whether no report or verdict of the run can depend on message timing.
 
     Without loss every message is delivered, and with 3 * latency_max below
     the round deadline the challenge -> response -> report chain of each
-    round lands before its deadline. Such runs take the tally-level kernel
-    unless a trace is wanted; every other run takes the event engine.
+    round lands before its deadline.
     """
     net = scenario.network
-    return (
-        not collect_trace
-        and net.drop_prob == 0.0
-        and 3 * net.latency_max < scenario.round_deadline
-    )
+    return net.drop_prob == 0.0 and 3 * net.latency_max < scenario.round_deadline
 
 
 def _next_group(
@@ -224,14 +219,21 @@ def _is_special(profile: AdversaryProfile) -> bool:
     )
 
 
+class _Special(NamedTuple):
+    """What the tally kernel keeps of one special device."""
+
+    profile: AdversaryProfile
+    rng: SplitMix64  # its reporting-noise stream
+    colluder_trojans: dict[int, TrojanModel]
+
+
 def _tally_round(
     group: GroupConfig,
-    specials: dict[int, DeviceState],
+    specials: dict[int, _Special],
     n_plain: int,
     r: int,
     spec: RoutineSpec,
     seed: int,
-    usage: dict[int, DeviceUsage],
 ) -> Verdict:
     """One latency-free round at tally level: the verdict every member reaches.
 
@@ -239,15 +241,12 @@ def _tally_round(
     counts the rest. Plain members yield the honest output, so only special
     ones go through apply_fault and distort_opinion (each RANDOM reporter on
     its own stream, as in the event engine), and the plain checkers' AGREE
-    votes come as one count. Of the unicasts only the initiator's own share
-    is charged here; the rest is charged per group epoch.
+    votes come as one count.
     """
-    members = group.members
-    n = len(members)
+    n = len(group.members)
     checkee = round_checkee(group, r)
-    initiator = round_initiator(group, r)
     ops = generate_operands(seed, r, checkee, spec)
-    evader = specials.get(initiator)
+    evader = specials.get(round_initiator(group, r))
     if evader is not None:
         ops = choose_adversarial_operands(evader.profile, ops, evader.colluder_trojans, checkee)
     honest = execute(spec, ops)
@@ -260,11 +259,6 @@ def _tally_round(
             truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
             if distort_opinion(s.profile, truth, checkee, s.rng) is Opinion.AGREE:
                 agree += 1
-    # _charge_epoch charges every member one received challenge per round;
-    # the initiator instead sends the n-1 challenges and receives none.
-    u = usage[initiator]
-    u.sent += n - 1
-    u.received -= 1
     tally = Tally(agree=agree, disagree=n - 1 - agree, missing=0, n_checkers=n - 1)
     return Verdict(
         checkee=checkee, round=r, outcome=compute_verdict(tally, group.quorum), tally=tally
@@ -272,19 +266,23 @@ def _tally_round(
 
 
 def _charge_epoch(
-    usage: dict[int, DeviceUsage], members: tuple[int, ...], rounds: int, ops: int
+    usage: dict[int, DeviceUsage], members: tuple[int, ...], first: int, rounds: int, ops: int
 ) -> None:
-    """Charge `rounds` lossless rounds of one group to each of its members.
+    """Charge one group's lossless rounds first .. first + rounds - 1 to its members.
 
-    Per round a member sends n-1 responses or reports and receives n-1 of
-    them plus one challenge; `ops` is the routines' summed op_count.
+    Per round each member sends n-1 responses or reports and receives n-1 of
+    them; every member but the initiator receives one challenge, and the
+    initiator sends the n-1 challenges. Member i initiates the rounds r with
+    (r + 1) % n == i. `ops` is the routines' summed op_count.
     """
     n = len(members)
-    for m in members:
+    whole, part = divmod(rounds, n)
+    for i, m in enumerate(members):
+        initiated = whole + ((i - first - 1) % n < part)
         u = usage[m]
         u.ops += ops
-        u.sent += rounds * (n - 1)
-        u.received += rounds * n
+        u.sent += (rounds + initiated) * (n - 1)
+        u.received += rounds * n - initiated
 
 
 def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> None:
@@ -300,250 +298,244 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
         raise ProtocolViolation(f"energy ledger: devices charged {charged} sends, counters say {c.sent}")
 
 
-class Simulation:
-    """One deterministic run of a validated scenario."""
+def _run_tally(sc: "Scenario", res: RunResult) -> None:
+    """Latency-free runs: one tally per round, no events, no network draws.
 
-    def __init__(self, scenario: "Scenario", seed: int | None = None, collect_trace: bool = True):
-        self.scenario = scenario
-        self.seed = (scenario.seed if seed is None else seed) & MASK64
-        self.collect_trace = collect_trace
+    The routine table and the special devices are found once per run,
+    the group's special members once per group, and energy is charged
+    once per group epoch (when the group changes and when the run ends).
+    """
+    seed = res.seed
+    usage = res.energy.usage
+    stats = res.stats
+    suspicion = res.suspicion
+    rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
+    profiles = sc.profile_map()
+    routines = [(spec, spec.op_count) for spec in sc.routine_table()]
+    special: dict[int, _Special] = {
+        d: _Special(p, report_stream(seed, d), sc.colluder_trojans(d))
+        for d, p in profiles.items()
+        if _is_special(p)
+    }
+    group: GroupConfig | None = None
+    specials: dict[int, _Special] = {}
+    n_plain = epoch_start = epoch_ops = rounds_executed = 0
+    for r in range(sc.rounds):
+        try:
+            new_group = _next_group(group, r, sc, suspicion, rng_group)
+        except GroupFormationError as exc:
+            res.halt_reason = str(exc)
+            break
+        if new_group is not group:
+            if group is not None:
+                _charge_epoch(usage, group.members, epoch_start, r - epoch_start, epoch_ops)
+            group = new_group
+            specials = {m: special[m] for m in group.members if m in special}
+            n_plain = len(group.members) - len(specials)
+            epoch_start, epoch_ops = r, 0
+        rounds_executed = r + 1
+        spec, op_count = routines[r % len(routines)]
+        epoch_ops += op_count
+        v = _tally_round(group, specials, n_plain, r, spec, seed)
+        # Every member reaches this verdict.
+        stats.fold(v, group.members, profiles)
+        if v.outcome is Outcome.FLAGGED:
+            update_suspicion(suspicion, v)
+    if group is not None:
+        _charge_epoch(usage, group.members, epoch_start, rounds_executed - epoch_start, epoch_ops)
+    res.rounds_executed = rounds_executed
+    messages = lossless_messages_per_round(sc.group_size) * rounds_executed
+    res.counters.sent += messages
+    res.counters.delivered += messages
 
-    def run(self) -> RunResult:
-        sc = self.scenario
-        seed = self.seed
-        suspicion = SuspicionLedger(flag_threshold=sc.flag_threshold)
-        energy = EnergyLedger(sc.energy, range(sc.population))
-        counters = TrafficCounters()
-        routine_order = sc.routine_table()
-        profiles = sc.profile_map()
-        states = {
-            d: DeviceState(
-                device_id=d,
-                profile=profiles[d],
-                routine_order=routine_order,
-                rng=report_stream(seed, d),
-                usage=energy.usage[d],
-                colluder_trojans=sc.colluder_trojans(d),
+
+def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
+    """Every unicast through per-tick delivery buckets, with loss, latency and trace.
+
+    Events run in (tick, seq) order. Round timers are computed, not
+    queued: round r starts at r * deadline with seq 2r and ends at
+    (r + 1) * deadline with seq 2r + 1, so at any tick the timers fire
+    before its deliveries, which number from 2 * rounds in send order.
+    Each tick's deliveries sit in one list in seq order; a heap holds
+    only the ticks that have one. Each trace line goes to `trace` as its
+    event happens.
+    """
+    seed = res.seed
+    counters = res.counters
+    usage = res.energy.usage
+    stats = res.stats
+    suspicion = res.suspicion
+    profiles = sc.profile_map()
+    routine_order = sc.routine_table()
+    states = {
+        d: DeviceState(
+            device_id=d,
+            profile=profiles[d],
+            routine_order=routine_order,
+            rng=report_stream(seed, d),
+            usage=usage[d],
+            colluder_trojans=sc.colluder_trojans(d),
+        )
+        for d in range(sc.population)
+    }
+    rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
+    network = sc.network
+    net_seed = network.seed if network.seed is not None else mix_words(seed, NETWORK_STREAM)
+    fates = SplitMix64(net_seed).fates
+    drop_prob = network.drop_prob
+    lo = network.latency_min
+    span = network.latency_max - lo + 1
+    deadline = sc.round_deadline
+    last_round = sc.rounds - 1
+    buckets: dict[int, list[tuple[int, Message, int, int]]] = {}
+    ticks: list[int] = []
+    next_seq = 2 * sc.rounds
+
+    write = None if trace is None else trace.write
+    round_verdicts: list[Verdict] = []
+    group: GroupConfig | None = None
+    current_round = -1
+
+    def dispatch_sends(frm: int, outgoing: list[tuple[int, Message]], now: int) -> None:
+        nonlocal next_seq
+        # Transmissions are charged even when the channel drops them.
+        n = len(outgoing)
+        counters.sent += n
+        usage[frm].sent += n
+        seq = next_seq
+        for (to, msg), latency in zip(outgoing, fates(n, drop_prob, lo, span)):
+            if to == frm:
+                raise ContractError(f"device {frm} cannot send to itself")
+            if latency is None:
+                counters.dropped += 1
+                continue
+            at = now + latency
+            bucket = buckets.get(at)
+            if bucket is None:
+                bucket = buckets[at] = []
+                heappush(ticks, at)
+            bucket.append((seq, msg, frm, to))
+            seq += 1
+        next_seq = seq
+
+    def record_verdict(issuer: int, v: Verdict, t: int, seq: int) -> None:
+        stats.fold(v, (issuer,), profiles)
+        round_verdicts.append(v)
+        if write is not None:
+            ta = v.tally
+            write(
+                f"{t} {seq} VERDICT {issuer} - round={v.round} checkee={v.checkee}"
+                f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
+                f" missing={ta.missing}\n"
             )
-            for d in range(sc.population)
-        }
-        stats = DetectionStats()
-        rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
-        path = self._run_tally if latency_free(sc, self.collect_trace) else self._run_events
-        rounds_executed, halt_reason, trace = path(
-            states, rng_group, suspicion, energy, counters, stats, profiles
-        )
-        _check_run_identities(counters, energy)
-        return RunResult(
-            seed=seed,
-            rounds_executed=rounds_executed,
-            halt_reason=halt_reason,
-            trace=trace,
-            stats=stats,
-            counters=counters,
-            energy=energy,
-            suspicion=suspicion,
-        )
 
-    def _run_tally(self, states, rng_group, suspicion, energy, counters, stats, profiles):
-        """Latency-free runs: one tally per round, no events, no network draws.
+    timer = 0  # seq of the next round timer
+    while True:
+        timer_at = ((timer + 1) >> 1) * deadline
+        if ticks and ticks[0] < timer_at:
+            t = heappop(ticks)
+            # A zero-latency send appends to this very bucket; the loop
+            # reaches it, since list iteration runs to the current end.
+            for seq, msg, frm, to in buckets[t]:
+                usage[to].received += 1
+                # Every message kind carries challenge_id, which equals the round.
+                late = msg.challenge_id != current_round or to not in group.member_set
+                if write is not None:
+                    write(_trace_deliver(t, seq, msg, frm, to, late))
+                if late:
+                    counters.late += 1
+                    continue
+                counters.delivered += 1
+                state = states[to]
+                kind = type(msg)
+                if kind is ComparisonReport:
+                    maybe = handle_report(state, msg)
+                    if maybe is not None:
+                        record_verdict(to, maybe, t, seq)
+                elif kind is Challenge:
+                    dispatch_sends(to, handle_check_request(state, msg), t)
+                else:
+                    dispatch_sends(to, handle_response(state, msg), t)
+            del buckets[t]
+            continue
 
-        The routine table and the special devices are found once per run,
-        the group's special members once per group, and energy is charged
-        once per group epoch (when the group changes and when the run ends).
-        """
-        sc = self.scenario
-        seed = self.seed
-        usage = energy.usage
-        routines = [(spec, spec.op_count) for spec in states[0].routine_order]
-        special = {d for d, state in states.items() if _is_special(state.profile)}
-        group: GroupConfig | None = None
-        specials: dict[int, DeviceState] = {}
-        n_plain = epoch_rounds = epoch_ops = 0
-        rounds_executed = 0
-        halt_reason: str | None = None
-        for r in range(sc.rounds):
+        t, seq, r = timer_at, timer, timer >> 1
+        timer += 1
+        if not seq & 1:  # round r starts
             try:
                 new_group = _next_group(group, r, sc, suspicion, rng_group)
             except GroupFormationError as exc:
-                halt_reason = str(exc)
+                res.halt_reason = str(exc)
+                if write is not None:
+                    write(f"{t} {seq} HALT - - reason={res.halt_reason!r}\n")
                 break
             if new_group is not group:
-                if group is not None:
-                    _charge_epoch(usage, group.members, epoch_rounds, epoch_ops)
                 group = new_group
-                specials = {m: states[m] for m in group.members if m in special}
-                n_plain = len(group.members) - len(specials)
-                epoch_rounds = epoch_ops = 0
-            rounds_executed = r + 1
-            spec, op_count = routines[r % len(routines)]
-            epoch_rounds += 1
-            epoch_ops += op_count
-            v = _tally_round(group, specials, n_plain, r, spec, seed, usage)
-            # Every member reaches this verdict.
-            stats.fold(v, group.members, profiles)
-            if v.outcome is Outcome.FLAGGED:
-                update_suspicion(suspicion, v)
-        if group is not None:
-            _charge_epoch(usage, group.members, epoch_rounds, epoch_ops)
-        messages = lossless_messages_per_round(sc.group_size) * rounds_executed
-        counters.sent += messages
-        counters.delivered += messages
-        return rounds_executed, halt_reason, None
-
-    def _run_events(self, states, rng_group, suspicion, energy, counters, stats, profiles):
-        """Every unicast through per-tick delivery buckets, with loss, latency and trace.
-
-        Events run in (tick, seq) order. Round timers are computed, not
-        queued: round r starts at r * deadline with seq 2r and ends at
-        (r + 1) * deadline with seq 2r + 1, so at any tick the timers fire
-        before its deliveries, which number from 2 * rounds in send order.
-        Each tick's deliveries sit in one list in seq order; a heap holds
-        only the ticks that have one.
-        """
-        sc = self.scenario
-        seed = self.seed
-        network = sc.network
-        net_seed = network.seed if network.seed is not None else mix_words(seed, NETWORK_STREAM)
-        fates = SplitMix64(net_seed).fates
-        drop_prob = network.drop_prob
-        lo = network.latency_min
-        span = network.latency_max - lo + 1
-        routine_order = states[0].routine_order
-        deadline = sc.round_deadline
-        last_round = sc.rounds - 1
-        usage = energy.usage
-        buckets: dict[int, list[tuple[int, Message, int, int]]] = {}
-        ticks: list[int] = []
-        next_seq = 2 * sc.rounds
-
-        trace: list[str] | None = [] if self.collect_trace else None
-        round_verdicts: list[Verdict] = []
-        group: GroupConfig | None = None
-        current_round = -1
-        rounds_executed = 0
-        halt_reason: str | None = None
-
-        def dispatch_sends(frm: int, outgoing: list[tuple[int, Message]], now: int) -> None:
-            nonlocal next_seq
-            # Transmissions are charged even when the channel drops them.
-            n = len(outgoing)
-            counters.sent += n
-            usage[frm].sent += n
-            seq = next_seq
-            for (to, msg), latency in zip(outgoing, fates(n, drop_prob, lo, span)):
-                if to == frm:
-                    raise ContractError(f"device {frm} cannot send to itself")
-                if latency is None:
-                    counters.dropped += 1
-                    continue
-                at = now + latency
-                bucket = buckets.get(at)
-                if bucket is None:
-                    bucket = buckets[at] = []
-                    heappush(ticks, at)
-                bucket.append((seq, msg, frm, to))
-                seq += 1
-            next_seq = seq
-
-        def record_verdict(issuer: int, v: Verdict, t: int, seq: int) -> None:
-            stats.fold(v, (issuer,), profiles)
-            round_verdicts.append(v)
-            if trace is not None:
-                ta = v.tally
-                trace.append(
-                    f"{t} {seq} VERDICT {issuer} - round={v.round} checkee={v.checkee}"
-                    f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
-                    f" missing={ta.missing}"
-                )
-
-        timer = 0  # seq of the next round timer
-        while True:
-            timer_at = ((timer + 1) >> 1) * deadline
-            if ticks and ticks[0] < timer_at:
-                t = heappop(ticks)
-                # A zero-latency send appends to this very bucket; the loop
-                # reaches it, since list iteration runs to the current end.
-                for seq, msg, frm, to in buckets[t]:
-                    usage[to].received += 1
-                    # Every message kind carries challenge_id, which equals the round.
-                    late = msg.challenge_id != current_round or to not in group.member_set
-                    if trace is not None:
-                        trace.append(_trace_deliver(t, seq, msg, frm, to, late))
-                    if late:
-                        counters.late += 1
-                        continue
-                    counters.delivered += 1
-                    state = states[to]
-                    kind = type(msg)
-                    if kind is ComparisonReport:
-                        maybe = handle_report(state, msg)
-                        if maybe is not None:
-                            record_verdict(to, maybe, t, seq)
-                    elif kind is Challenge:
-                        dispatch_sends(to, handle_check_request(state, msg), t)
-                    else:
-                        dispatch_sends(to, handle_response(state, msg), t)
-                del buckets[t]
-                continue
-
-            t, seq, r = timer_at, timer, timer >> 1
-            timer += 1
-            if not seq & 1:  # round r starts
-                try:
-                    new_group = _next_group(group, r, sc, suspicion, rng_group)
-                except GroupFormationError as exc:
-                    halt_reason = str(exc)
-                    if trace is not None:
-                        trace.append(f"{t} {seq} HALT - - reason={halt_reason!r}")
-                    break
-                if new_group is not group:
-                    group = new_group
-                    for m in group.members:
-                        states[m].group = group
-                current_round = r
-                round_verdicts = []
                 for m in group.members:
-                    begin_round(states[m], r)
-                initiator = round_initiator(group, r)
-                if trace is not None:
-                    members = ",".join(str(m) for m in group.members)
-                    spec = routine_order[r % len(routine_order)]
-                    trace.append(
-                        f"{t} {seq} ROUND_START - - round={r} group={members}"
-                        f" checkee={round_checkee(group, r)} initiator={initiator}"
-                        f" routine={spec.id}"
-                    )
-                dispatch_sends(initiator, on_round_start(states[initiator], r, seed), t)
-                rounds_executed = r + 1
-                continue
-
-            # Round r's deadline.
+                    states[m].group = group
+            current_round = r
+            round_verdicts = []
             for m in group.members:
-                state = states[m]
-                if not state.verdict_emitted:
-                    record_verdict(m, on_timeout(state, r), t, seq)
-            flagged = [v for v in round_verdicts if v.outcome is Outcome.FLAGGED]
-            if flagged:
-                # One suspicion update per round: any device's FLAGGED
-                # verdict marks the round against the checkee.
-                update_suspicion(suspicion, flagged[0])
-                checkee = flagged[0].checkee
-                if suspicion.is_excluded(checkee):
-                    for at, bucket in buckets.items():
-                        keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]
-                        counters.late += len(bucket) - len(keep)
-                        buckets[at] = keep
-            if trace is not None:
-                trace.append(f"{t} {seq} ROUND_DEADLINE - - round={r}")
-            if r == last_round:
-                break
+                begin_round(states[m], r)
+            initiator = round_initiator(group, r)
+            if write is not None:
+                members = ",".join(str(m) for m in group.members)
+                spec = routine_order[r % len(routine_order)]
+                write(
+                    f"{t} {seq} ROUND_START - - round={r} group={members}"
+                    f" checkee={round_checkee(group, r)} initiator={initiator}"
+                    f" routine={spec.id}\n"
+                )
+            dispatch_sends(initiator, on_round_start(states[initiator], r, seed), t)
+            res.rounds_executed = r + 1
+            continue
 
-        counters.in_flight = sum(len(b) for b in buckets.values())
-        return rounds_executed, halt_reason, trace
+        # Round r's deadline.
+        for m in group.members:
+            state = states[m]
+            if not state.verdict_emitted:
+                record_verdict(m, on_timeout(state, r), t, seq)
+        flagged = [v for v in round_verdicts if v.outcome is Outcome.FLAGGED]
+        if flagged:
+            # One suspicion update per round: any device's FLAGGED
+            # verdict marks the round against the checkee.
+            update_suspicion(suspicion, flagged[0])
+            checkee = flagged[0].checkee
+            if suspicion.is_excluded(checkee):
+                for at, bucket in buckets.items():
+                    keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]
+                    counters.late += len(bucket) - len(keep)
+                    buckets[at] = keep
+        if write is not None:
+            write(f"{t} {seq} ROUND_DEADLINE - - round={r}\n")
+        if r == last_round:
+            break
+
+    counters.in_flight = sum(len(b) for b in buckets.values())
 
 
 def run_simulation(
-    scenario: "Scenario", seed: int | None = None, collect_trace: bool = True
+    scenario: "Scenario", seed: int | None = None, trace: TextIO | None = None
 ) -> RunResult:
-    return Simulation(scenario, seed=seed, collect_trace=collect_trace).run()
+    """One deterministic run of a validated scenario at `seed` (default: its own).
+
+    With a `trace` text stream the run goes through the event engine, which
+    writes each trace line there as its event happens. Without one, a
+    latency-free run takes the tally kernel and any other the engine.
+    """
+    seed = (scenario.seed if seed is None else seed) & MASK64
+    res = RunResult(
+        seed=seed,
+        rounds_executed=0,
+        halt_reason=None,
+        stats=DetectionStats(),
+        counters=TrafficCounters(),
+        energy=EnergyLedger(scenario.energy, range(scenario.population)),
+        suspicion=SuspicionLedger(flag_threshold=scenario.flag_threshold),
+    )
+    if trace is None and latency_free(scenario):
+        _run_tally(scenario, res)
+    else:
+        _run_events(scenario, res, trace)
+    _check_run_identities(res.counters, res.energy)
+    return res

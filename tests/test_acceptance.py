@@ -35,7 +35,7 @@ from collabtrust.verdict import (
     default_quorum,
     oracle_outcome,
 )
-from verdict_log import run_logged
+from verdict_log import run_logged, run_traced
 
 TROJAN_16 = TrojanModel(
     operand_index=0, mask=0x0F, match=0x05, payload=PayloadKind.XOR, payload_value=1
@@ -58,7 +58,7 @@ def test_acceptance_1_five_device_detection_vignette():
             seed=1,
             adversaries=((2, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
         )
-        res, verdicts = run_logged(sc, collect_trace=False)
+        res, verdicts = run_logged(sc)
         checkee_rounds = [v.round for _, v in verdicts if v.checkee == 2]
         assert checkee_rounds, "device 2 never served as checkee"
         first = min(checkee_rounds)
@@ -154,7 +154,7 @@ def test_acceptance_3_manifestation_hypothesis():
         detected = 0
         profiles = sc.profile_map()
         for rep in range(reps):
-            _, verdicts = run_logged(sc, seed=20_000 + rep, collect_trace=False)
+            _, verdicts = run_logged(sc, seed=20_000 + rep)
             if 1 in detection_stats(verdicts, profiles).detections:
                 detected += 1
         sigma = math.sqrt(float(p_detect) * (1 - float(p_detect)) / reps)
@@ -173,7 +173,7 @@ def test_acceptance_4_evasion_corollary():
         profiles = sc.profile_map()
         detected = 0
         for rep in range(500):
-            _, verdicts = run_logged(sc, seed=50_000 + rep, collect_trace=False)
+            _, verdicts = run_logged(sc, seed=50_000 + rep)
             if 1 in detection_stats(verdicts, profiles).detections:
                 detected += 1
         assert detected == 0
@@ -185,8 +185,8 @@ def _engine_and_kernel(sc: Scenario):
     The closed forms are asserted on the engine, which routes every unicast;
     the kernel charges them by formula, so it must agree with the engine.
     """
-    engine = run_simulation(sc, collect_trace=True)
-    kernel = run_simulation(sc, collect_trace=False)
+    engine, _ = run_traced(sc)
+    kernel = run_simulation(sc)
     assert kernel.counters == engine.counters
     assert kernel.energy.usage == engine.energy.usage
     assert kernel.energy.total_energy() == engine.energy.total_energy()
@@ -221,7 +221,7 @@ def test_acceptance_6_loss_safety():
         for drop in (0.0, 0.1, 0.3, 0.5):
             sc = Scenario(seed=0, network=NetworkModel(drop_prob=drop))
             for rep in range(200):
-                _, verdicts = run_logged(sc, seed=80_000 + rep, collect_trace=False)
+                _, verdicts = run_logged(sc, seed=80_000 + rep)
                 outcomes = {v.outcome for _, v in verdicts}
                 assert Outcome.FLAGGED not in outcomes, (drop, rep)
 
@@ -229,13 +229,13 @@ def test_acceptance_6_loss_safety():
 def test_acceptance_7_determinism():
     with criterion(7, "same seed reproduces trace and report bytes; new seed differs"):
         sc = Scenario(seed=1, adversaries=((2, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),))
-        a = run_simulation(sc, seed=7)
-        b = run_simulation(sc, seed=7)
-        c = run_simulation(sc, seed=8)
-        assert "\n".join(a.trace) == "\n".join(b.trace)
+        a, a_trace = run_traced(sc, seed=7)
+        b, b_trace = run_traced(sc, seed=7)
+        _, c_trace = run_traced(sc, seed=8)
+        assert a_trace == b_trace
         assert emit_report(build_report(a, sc), "json") == emit_report(build_report(b, sc), "json")
         assert emit_report(build_report(a, sc), "csv") == emit_report(build_report(b, sc), "csv")
-        assert "\n".join(a.trace) != "\n".join(c.trace)
+        assert a_trace != c_trace
 
 
 def test_acceptance_8_verdict_oracle_equivalence():

@@ -243,6 +243,52 @@ def test_sweep_bad_value_exits_1(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "values", ('{"drop_prob":0.1}', "[0.1]", "1" * 5000), ids=("object", "list", "too-many-digits")
+)
+def test_sweep_value_that_is_no_scalar_exits_1_with_one_line(capsys, values):
+    # An object or list would land unquoted in its CSV row and shift every column.
+    assert run_cli("sweep", "--scenario", HONEST, "--param", "network", "--values", values) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: sweep value {values!r} is not a JSON scalar\n"
+
+
+def test_non_utf8_scenario_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    assert run_cli("run", "--scenario", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: scenario file is not UTF-8")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    (
+        (["run", "--scenario", HONEST, "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["run"], "the following arguments are required: --scenario"),
+        (["run", "--scenario", HONEST, "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["oracle", "verdict-table", "--n", "x"], "argument --n: invalid int value: 'x'"),
+    ),
+    ids=("seed-abc", "missing-scenario", "format-xml", "oracle-n-x"),
+)
+def test_usage_error_exits_1_with_one_line(capsys, argv, message):
+    # Exit 2 is reserved for protocol violations, so argparse must not exit with it.
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {message}")
+    assert captured.err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: collabtrust run")
+
+
 def test_sweep_seed_override_changes_rows(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -1,16 +1,17 @@
 """The tally-level round kernel against the event engine.
 
-Untraced runs with no loss and 3 * latency_max below the round deadline take
-the kernel; traced runs always take the event engine. A Hypothesis
-differential test generates lossless scenarios at the edge of that regime
-and checks that both paths produce the same report bytes and fold the same
-(issuer, verdict) pairs into their stats. Fold order legitimately differs:
-the engine folds verdicts as tallies complete, the kernel a round's verdict
-for all members at once.
+Runs with no trace sink, no loss and 3 * latency_max below the round
+deadline take the kernel; a run given a trace stream always takes the event
+engine. A Hypothesis differential test generates lossless scenarios at the
+edge of that regime and checks that both paths produce the same report bytes
+and fold the same (issuer, verdict) pairs into their stats. Fold order
+legitimately differs: the engine folds verdicts as tallies complete, the
+kernel a round's verdict for all members at once.
 """
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 
 from hypothesis import HealthCheck, example, given, settings
@@ -164,10 +165,9 @@ PURE_EVADER = scenario_from_dict(
 @example(sc=CONST_TROJAN, seed=0)
 @example(sc=PURE_EVADER, seed=0)
 def test_kernel_matches_engine(sc, seed):
-    assert latency_free(sc, collect_trace=False)
-    engine, engine_verdicts = run_logged(sc, seed=seed, collect_trace=True)
-    kernel, kernel_verdicts = run_logged(sc, seed=seed, collect_trace=False)
-    assert kernel.trace is None
+    assert latency_free(sc)
+    engine, engine_verdicts = run_logged(sc, seed=seed, trace=io.StringIO())
+    kernel, kernel_verdicts = run_logged(sc, seed=seed)
     assert _reports(sc, kernel) == _reports(sc, engine)
     assert Counter(kernel_verdicts) == Counter(engine_verdicts)
     # The kernel folds each round once for all members; the reference folds per issuer.
@@ -175,18 +175,18 @@ def test_kernel_matches_engine(sc, seed):
     assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
 
 
-def _engine_runs(monkeypatch, sc: Scenario, collect_trace: bool) -> int:
+def _engine_runs(monkeypatch, sc: Scenario, trace: io.StringIO | None) -> int:
     """How many times one run enters the event engine (asserting it took one path)."""
     calls = Counter()
     for name in ("_run_events", "_run_tally"):
-        path = getattr(simnet.Simulation, name)
+        path = getattr(simnet, name)
 
-        def counted(self, *args, _path=path, _name=name):
+        def counted(*args, _path=path, _name=name):
             calls[_name] += 1
-            return _path(self, *args)
+            return _path(*args)
 
-        monkeypatch.setattr(simnet.Simulation, name, counted)
-    run_simulation(sc, seed=3, collect_trace=collect_trace)
+        monkeypatch.setattr(simnet, name, counted)
+    run_simulation(sc, seed=3, trace=trace)
     monkeypatch.undo()
     assert calls["_run_events"] + calls["_run_tally"] == 1
     return calls["_run_events"]
@@ -194,13 +194,13 @@ def _engine_runs(monkeypatch, sc: Scenario, collect_trace: bool) -> int:
 
 def test_only_latency_free_untraced_runs_take_the_kernel(monkeypatch):
     inside = Scenario(rounds=5, round_deadline=10, network=NetworkModel(latency_max=3))
-    assert _engine_runs(monkeypatch, inside, collect_trace=False) == 0
-    assert _engine_runs(monkeypatch, inside, collect_trace=True) == 1
+    assert _engine_runs(monkeypatch, inside, trace=None) == 0
+    assert _engine_runs(monkeypatch, inside, trace=io.StringIO()) == 1
     lossy = Scenario(rounds=5, network=NetworkModel(drop_prob=0.1))
     tight = Scenario(rounds=5, round_deadline=9, network=NetworkModel(latency_max=3))
     for sc in (lossy, tight):
-        assert not latency_free(sc, collect_trace=False)
-        assert _engine_runs(monkeypatch, sc, collect_trace=False) == 1
+        assert not latency_free(sc)
+        assert _engine_runs(monkeypatch, sc, trace=None) == 1
 
 
 def test_report_streams_independent_across_devices_and_seeds():
@@ -222,7 +222,7 @@ def test_random_reporter_flip_rate_end_to_end():
     )
     chances = flips = 0
     for rep in range(40):
-        _, verdicts = run_logged(sc, seed=1000 + rep, collect_trace=False)
+        _, verdicts = run_logged(sc, seed=1000 + rep)
         per_round = {v.round: v for issuer, v in verdicts}
         for v in per_round.values():
             if v.checkee != 1:

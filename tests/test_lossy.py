@@ -8,6 +8,7 @@ reuse the adversary strategy of `test_kernel.py`.
 
 from __future__ import annotations
 
+import io
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
 from test_kernel import adversary_docs
-from verdict_log import run_logged
+from verdict_log import run_logged, run_traced, trace_lines
 
 DELIVERY_KINDS = ("CHALLENGE", "RESPONSE", "REPORT")
 
@@ -67,12 +68,12 @@ def lossy_scenarios(draw, honest: bool = False, minority: bool = False) -> Scena
     return scenario_from_dict(doc)
 
 
-def _check_conservation(res) -> None:
+def _check_conservation(res, trace: list[str]) -> None:
     c = res.counters
     assert c.sent == c.delivered + c.dropped + c.late + c.in_flight
     usage = res.energy.usage.values()
     assert sum(u.sent for u in usage) == c.sent
-    lines = [line.split() for line in res.trace]
+    lines = [line.split() for line in trace]
     deliveries = [f for f in lines if f[2] in DELIVERY_KINDS]
     # Every popped delivery is received; purged ones are late but never popped.
     assert sum(u.received for u in usage) == len(deliveries)
@@ -83,20 +84,21 @@ def _check_conservation(res) -> None:
 @SETTINGS
 @given(sc=lossy_scenarios(honest=True), seed=st.integers(0, 2**64 - 1))
 def test_lossy_honest_runs_flag_no_one(sc, seed):
-    assert not latency_free(sc, collect_trace=False)
-    res, verdicts = run_logged(sc, seed=seed)
+    assert not latency_free(sc)
+    sink = io.StringIO()
+    res, verdicts = run_logged(sc, seed=seed, trace=sink)
     assert all(v.outcome is not Outcome.FLAGGED for _, v in verdicts)
     assert res.halt_reason is None and res.rounds_executed == sc.rounds
-    _check_conservation(res)
+    _check_conservation(res, trace_lines(sink))
 
 
 @SETTINGS
 @given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
 def test_lossy_traced_runs_conserve_and_repeat(sc, seed):
-    first = run_simulation(sc, seed=seed)
-    second = run_simulation(sc, seed=seed)
-    _check_conservation(first)
-    assert "\n".join(first.trace).encode() == "\n".join(second.trace).encode()
+    first, first_trace = run_traced(sc, seed=seed)
+    second, second_trace = run_traced(sc, seed=seed)
+    _check_conservation(first, first_trace)
+    assert first_trace == second_trace
     assert emit_report(build_report(first, sc), "json") == emit_report(build_report(second, sc), "json")
 
 
@@ -105,7 +107,7 @@ def test_lossy_traced_runs_conserve_and_repeat(sc, seed):
 def test_lossy_minority_of_adversaries_frames_no_one(sc, seed):
     # Framing needs floor((N-1)/2) + 1 DISAGREE votes; loss and lateness
     # only remove votes, so a minority can never flag an honest device.
-    res = run_simulation(sc, seed=seed, collect_trace=False)
+    res = run_simulation(sc, seed=seed)
     assert build_report(res, sc).false_positives == 0
 
 
@@ -144,6 +146,6 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
         mp.setattr(simnet, "handle_check_request", on_challenge)
         mp.setattr(simnet, "handle_response", on_response)
         mp.setattr(simnet, "handle_report", on_report)
-        res = run_simulation(sc, seed=seed, collect_trace=False)
+        res = run_simulation(sc, seed=seed)
     # Every delivered message reached exactly one handler.
     assert sum(calls.values()) == res.counters.delivered

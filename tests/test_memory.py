@@ -1,9 +1,10 @@
-"""Memory stays bounded however many rounds a run has.
+"""Memory stays bounded however many rounds a run has, traced or not.
 
 Peak RSS is read with `getrusage(RUSAGE_CHILDREN)`, whose `ru_maxrss` is
 the maximum over all waited-for children. So each measurement runs in a
 fresh measuring process that starts exactly one child: the CLI on the
-scenario, untraced (the tally kernel).
+scenario, either untraced (the tally kernel) or with `--trace` (the event
+engine, streaming its trace to a file).
 """
 
 from __future__ import annotations
@@ -21,17 +22,19 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # Measured on a 2-vCPU x86-64 Linux VM, Python 3.11.7: 25 rounds and 20,000
 # rounds both peak at ~16.0 MiB (spread ~1 MiB between runs); with a
 # per-verdict log kept in the run result 20,000 rounds peaked ~14.8 MiB higher.
+# Traced, 25 and 2,000 rounds peak within ~1 MiB of each other; with the
+# trace lines held in the run result, 2,000 rounds peaked ~26 MiB higher.
 BOUND_MIB = 4.0
 
 MEASURE = """
 import resource, subprocess, sys
-subprocess.run([sys.executable, "-m", "collabtrust", "run", "--scenario", sys.argv[1]],
+subprocess.run([sys.executable, "-m", "collabtrust", "run", "--scenario", *sys.argv[1:]],
                stdout=subprocess.DEVNULL, check=True)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def _peak_mib(tmp_path: pathlib.Path, rounds: int) -> float:
+def _peak_mib(tmp_path: pathlib.Path, rounds: int, traced: bool = False) -> float:
     # N=7 of 9 with one Trojan: exclusion regroups the run, it never halts.
     doc = {
         "population": 9,
@@ -48,9 +51,10 @@ def _peak_mib(tmp_path: pathlib.Path, rounds: int) -> float:
     }
     path = tmp_path / f"rounds{rounds}.json"
     path.write_text(json.dumps(doc))
+    trace = ["--trace", str(tmp_path / f"trace{rounds}.txt")] if traced else []
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", MEASURE, str(path)],
+        [sys.executable, "-c", MEASURE, str(path), *trace],
         env=env, capture_output=True, text=True, check=True,
     )
     return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
@@ -60,4 +64,11 @@ def _peak_mib(tmp_path: pathlib.Path, rounds: int) -> float:
 def test_peak_rss_does_not_grow_with_rounds(tmp_path):
     short = _peak_mib(tmp_path, 25)
     long = _peak_mib(tmp_path, 20_000)
+    assert long - short <= BOUND_MIB, (short, long)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_traced_peak_rss_does_not_grow_with_rounds(tmp_path):
+    short = _peak_mib(tmp_path, 25, traced=True)
+    long = _peak_mib(tmp_path, 2_000, traced=True)
     assert long - short <= BOUND_MIB, (short, long)

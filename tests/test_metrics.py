@@ -31,14 +31,14 @@ def test_ledger_prices_each_usage_kind():
 
 def test_zero_cost_model():
     sc = Scenario(rounds=3, energy=EnergyModel(e_op=0, e_tx=0, e_rx=0))
-    res = run_simulation(sc, seed=1, collect_trace=False)
+    res = run_simulation(sc, seed=1)
     assert res.energy.total_energy() == 0
 
 
 def test_lossless_round_closed_form_five_devices():
     # 5 executions of an atomic routine + 24 unicasts: 5*1 + 24*2 + 24*1 = 77
     sc = Scenario(rounds=1)
-    res = run_simulation(sc, seed=1, collect_trace=False)
+    res = run_simulation(sc, seed=1)
     assert res.counters.sent == 24
     assert res.energy.total_energy() == 77
 
@@ -51,7 +51,7 @@ def test_lossless_closed_form_group_sizes_3_to_7():
             rounds=1,
             quorum=default_quorum(n - 1),
         )
-        res = run_simulation(sc, seed=1, collect_trace=False)
+        res = run_simulation(sc, seed=1)
         messages = lossless_messages_per_round(n)
         assert messages == (n - 1) + (n - 1) + (n - 1) ** 2
         assert res.counters.sent == messages, n
@@ -61,7 +61,7 @@ def test_lossless_closed_form_group_sizes_3_to_7():
 
 def test_ledger_matches_event_resum():
     sc = Scenario(network=NetworkModel(drop_prob=0.2))
-    res = run_simulation(sc, seed=9, collect_trace=False)
+    res = run_simulation(sc, seed=9)
     for device, usage in res.energy.usage.items():
         expected = UNIT.e_op * usage.ops + UNIT.e_tx * usage.sent + UNIT.e_rx * usage.received
         assert res.energy.energy(device) == expected
@@ -72,7 +72,7 @@ def test_ledger_matches_event_resum():
 
 def test_dropped_message_charges_sender_only():
     sc = Scenario(rounds=1, network=NetworkModel(drop_prob=1.0))
-    res = run_simulation(sc, seed=1, collect_trace=False)
+    res = run_simulation(sc, seed=1)
     # only the initiator acted: 1 execution + 4 transmissions, nothing received
     assert res.counters.sent == 4
     assert res.counters.dropped == 4
@@ -82,15 +82,15 @@ def test_dropped_message_charges_sender_only():
 
 
 def test_energy_monotone_in_rounds():
-    short = run_simulation(Scenario(rounds=5), seed=3, collect_trace=False)
-    long = run_simulation(Scenario(rounds=10), seed=3, collect_trace=False)
+    short = run_simulation(Scenario(rounds=5), seed=3)
+    long = run_simulation(Scenario(rounds=10), seed=3)
     for device in range(5):
         assert long.energy.energy(device) >= short.energy.energy(device)
 
 
 def test_non_unit_costs_scale_exactly():
     sc = Scenario(rounds=1, energy=EnergyModel(e_op=3, e_tx=5, e_rx=7))
-    res = run_simulation(sc, seed=1, collect_trace=False)
+    res = run_simulation(sc, seed=1)
     # 5 atomic executions, 24 sends, 24 receives
     assert res.energy.total_energy() == 5 * 3 + 24 * 5 + 24 * 7
 
@@ -100,7 +100,7 @@ def test_detection_stats_always_wrong_latency():
         population=10,
         adversaries=((3, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
-    _, verdicts = run_logged(sc, seed=4, collect_trace=False)
+    _, verdicts = run_logged(sc, seed=4)
     stats = detection_stats(verdicts, sc.profile_map())
     first_checkee_round = min(v.round for _, v in verdicts if v.checkee == 3)
     assert stats.detections == {3: first_checkee_round}
@@ -109,7 +109,7 @@ def test_detection_stats_always_wrong_latency():
 
 def test_detection_stats_all_honest_run():
     sc = Scenario(rounds=5)
-    _, verdicts = run_logged(sc, seed=2, collect_trace=False)
+    _, verdicts = run_logged(sc, seed=2)
     stats = detection_stats(verdicts, sc.profile_map())
     assert stats.detections == {}
     assert stats.false_positives == 0

@@ -16,7 +16,7 @@ from collabtrust.simnet import NetworkModel, run_simulation
 
 def _honest_report(seed=3, rounds=5):
     sc = Scenario(rounds=rounds)
-    return build_report(run_simulation(sc, seed=seed, collect_trace=False), sc), sc
+    return build_report(run_simulation(sc, seed=seed), sc), sc
 
 
 def test_json_round_trip_matches_in_memory_report():
@@ -66,7 +66,7 @@ def test_report_fields_for_flagged_device():
         population=10,
         adversaries=((4, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
-    res = run_simulation(sc, seed=2, collect_trace=False)
+    res = run_simulation(sc, seed=2)
     report = build_report(res, sc)
     dev = report.devices[4]
     assert dev.flags >= 1
@@ -82,7 +82,7 @@ def test_aggregate_sums_and_detection_counts():
         adversaries=((4, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
     reports = [
-        build_report(run_simulation(sc, seed=100 + k, collect_trace=False), sc)
+        build_report(run_simulation(sc, seed=100 + k), sc)
         for k in range(3)
     ]
     agg = reduce(merge, reports)
@@ -118,7 +118,7 @@ def test_merge_is_associative_in_emitted_bytes():
     # Any grouping of repetitions merges to the same bytes, so partial sums
     # can be merged in any split.
     reports = [
-        build_report(run_simulation(MIXED, seed=300 + k, collect_trace=False), MIXED)
+        build_report(run_simulation(MIXED, seed=300 + k), MIXED)
         for k in range(6)
     ]
     assert len({r.halt_reason is None for r in reports}) == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import io
+
 import pytest
 
 import collabtrust.simnet as simnet
@@ -12,9 +14,9 @@ from collabtrust.protocol import Challenge
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import OperandVector
 from collabtrust.scenario import Scenario
-from collabtrust.simnet import GroupConfig, NetworkModel, form_group, run_simulation
+from collabtrust.simnet import GroupConfig, NetworkModel, form_group
 from collabtrust.verdict import Outcome
-from verdict_log import run_logged
+from verdict_log import run_logged, run_traced, trace_lines
 
 
 def _msg():
@@ -67,7 +69,7 @@ def test_fates_draw_what_next_float_and_below_draw(drop_prob, span):
 def test_send_to_self_is_contract_error(monkeypatch):
     monkeypatch.setattr(simnet, "on_round_start", lambda state, r, seed: [(state.id, _msg())])
     with pytest.raises(ContractError, match="cannot send to itself"):
-        run_simulation(Scenario(rounds=1), seed=0, collect_trace=True)
+        run_traced(Scenario(rounds=1), seed=0)
 
 
 # Zero-latency sends and a deadline of 2 * latency_max put round timers and
@@ -94,13 +96,15 @@ def _events(trace):
 
 
 def test_queue_orders_by_time():
-    times = [e[0] for e in _events(run_simulation(SHARED_TICKS, seed=5).trace)]
+    _, trace = run_traced(SHARED_TICKS, seed=5)
+    times = [e[0] for e in _events(trace)]
     assert times == sorted(times)
 
 
 def test_queue_breaks_ties_by_scheduling_order():
     first = 2 * SHARED_TICKS.rounds
-    events = _events(run_simulation(SHARED_TICKS, seed=5).trace)
+    _, trace = run_traced(SHARED_TICKS, seed=5)
+    events = _events(trace)
     shared = 0
     for tick in sorted({e[0] for e in events}):
         at = [e for e in events if e[0] == tick]
@@ -123,13 +127,13 @@ def test_engine_counts_unreached_deliveries_in_flight():
     sc = Scenario(
         rounds=20, round_deadline=6, network=NetworkModel(latency_min=1, latency_max=5, drop_prob=0.2)
     )
-    res = run_simulation(sc, seed=1)
+    res, trace = run_traced(sc, seed=1)
     c = res.counters
     first = 2 * sc.rounds
-    delivered = {e[1] for e in _events(res.trace) if e[2] not in TIMERS}
+    delivered = {e[1] for e in _events(trace) if e[2] not in TIMERS}
     assert delivered <= set(range(first, first + c.sent - c.dropped))
     assert c.in_flight == c.sent - c.dropped - len(delivered) > 0
-    assert res.trace[-1].endswith(f"ROUND_DEADLINE - - round={sc.rounds - 1}")
+    assert trace[-1].endswith(f"ROUND_DEADLINE - - round={sc.rounds - 1}")
 
 
 def test_network_model_validation():
@@ -185,7 +189,7 @@ def test_form_group_inclusion_frequency_hypergeometric():
 
 def test_honest_run_all_trusted():
     sc = Scenario(rounds=5)
-    res, verdicts = run_logged(sc, seed=1)
+    res, verdicts = run_logged(sc, seed=1, trace=io.StringIO())
     assert len(verdicts) == 25  # 5 devices x 5 rounds
     assert all(v.outcome is Outcome.TRUSTED for _, v in verdicts)
     assert res.halt_reason is None
@@ -197,7 +201,7 @@ def test_always_wrong_flagged_in_first_checkee_round():
         population=10,
         adversaries=((2, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
-    res, verdicts = run_logged(sc, seed=5)
+    res, verdicts = run_logged(sc, seed=5, trace=io.StringIO())
     first_checkee_round = min(v.round for _, v in verdicts if v.checkee == 2)
     assert res.suspicion.first_flagged[2] == first_checkee_round
     flagged = [v for _, v in verdicts if v.outcome is Outcome.FLAGGED]
@@ -214,7 +218,7 @@ def test_lossless_verdicts_identical_across_devices_each_round():
     # Asserted on the event engine (traced), where each device tallies the
     # reports it received; the untraced tally kernel must match it.
     for sc in scenarios:
-        res, verdicts = run_logged(sc, seed=12, collect_trace=True)
+        res, verdicts = run_logged(sc, seed=12, trace=io.StringIO())
         by_round: dict[int, set] = {}
         issuers: dict[int, int] = {}
         for _, v in verdicts:
@@ -223,7 +227,7 @@ def test_lossless_verdicts_identical_across_devices_each_round():
         for round_no, distinct in by_round.items():
             assert len(distinct) == 1, (round_no, distinct)
             assert issuers[round_no] == sc.group_size  # one verdict per device
-        kernel, kernel_verdicts = run_logged(sc, seed=12, collect_trace=False)
+        kernel, kernel_verdicts = run_logged(sc, seed=12)
         assert kernel.counters == res.counters
         assert kernel.energy.usage == res.energy.usage
         assert sorted(kernel_verdicts, key=repr) == sorted(verdicts, key=repr)
@@ -236,18 +240,18 @@ def test_lossless_framing_minority_causes_no_false_positives():
     )
     sc = Scenario(adversaries=liars)
     for seed in range(5):
-        _, verdicts = run_logged(sc, seed=seed, collect_trace=False)
+        _, verdicts = run_logged(sc, seed=seed)
         assert all(v.outcome is Outcome.TRUSTED for _, v in verdicts)
         assert detection_stats(verdicts, sc.profile_map()).false_positives == 0
 
 
 def test_same_seed_identical_trace_and_different_seed_differs():
     sc = Scenario(rounds=5)
-    a = run_simulation(sc, seed=9)
-    b = run_simulation(sc, seed=9)
-    c = run_simulation(sc, seed=10)
-    assert a.trace == b.trace
-    assert a.trace != c.trace
+    _, a = run_traced(sc, seed=9)
+    _, b = run_traced(sc, seed=9)
+    _, c = run_traced(sc, seed=10)
+    assert a == b
+    assert a != c
 
 
 def _round_slices(trace):
@@ -269,8 +273,8 @@ def _round_slices(trace):
 
 def test_lossless_round_message_counts_from_trace():
     sc = Scenario(rounds=5)
-    res = run_simulation(sc, seed=4)
-    for round_no, lines in _round_slices(res.trace).items():
+    res, trace = run_traced(sc, seed=4)
+    for round_no, lines in _round_slices(trace).items():
         kinds = [line.split()[2] for line in lines]
         assert kinds.count("CHALLENGE") == 4, round_no
         assert kinds.count("RESPONSE") == 4, round_no
@@ -281,9 +285,9 @@ def test_lossless_round_message_counts_from_trace():
 def test_no_causal_violation_in_trace():
     # Every challenge delivery happens within (round start, start + max latency].
     sc = Scenario(rounds=5)
-    res = run_simulation(sc, seed=8)
+    _, trace = run_traced(sc, seed=8)
     deadline = sc.round_deadline
-    for line in res.trace:
+    for line in trace:
         fields = line.split()
         if fields[2] != "CHALLENGE":
             continue
@@ -296,7 +300,7 @@ def test_no_causal_violation_in_trace():
 def test_trace_conservation_under_loss():
     sc = Scenario(network=NetworkModel(drop_prob=0.3))
     for seed in range(5):
-        res = run_simulation(sc, seed=seed)
+        res, _ = run_traced(sc, seed=seed)
         c = res.counters
         assert c.sent == c.delivered + c.dropped + c.late + c.in_flight, c
         assert c.sent == sum(u.sent for u in res.energy.usage.values())
@@ -308,11 +312,11 @@ def test_excluded_device_never_referenced_afterwards():
         rounds=25,
         adversaries=((4, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
-    res = run_simulation(sc, seed=6)
+    res, trace = run_traced(sc, seed=6)
     excluded_round = res.suspicion.excluded_round(4)
     assert excluded_round is not None
     boundary = (excluded_round + 1) * sc.round_deadline  # its deadline tick
-    for line in res.trace:
+    for line in trace:
         fields = line.split()
         t, kind = int(fields[0]), fields[2]
         if t <= boundary:
@@ -329,7 +333,7 @@ def test_excluded_device_never_referenced_afterwards():
 
 def test_exclusion_halts_when_population_exhausted():
     sc = Scenario(adversaries=((1, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),))
-    res = run_simulation(sc, seed=2)
+    res, _ = run_traced(sc, seed=2)
     assert res.halt_reason is not None
     assert "eligible" in res.halt_reason
     assert res.rounds_executed < sc.rounds
@@ -337,8 +341,8 @@ def test_exclusion_halts_when_population_exhausted():
 
 def test_regroup_period_redraws_membership():
     sc = Scenario(population=20, rounds=10, regroup_period=5)
-    res = run_simulation(sc, seed=3)
-    starts = [line for line in res.trace if line.split()[2] == "ROUND_START"]
+    _, trace = run_traced(sc, seed=3)
+    starts = [line for line in trace if line.split()[2] == "ROUND_START"]
     groups = {line.split()[6] for line in starts}
     # one membership for rounds 0-4, one for 5-9 (identical draws are
     # astronomically unlikely with population 20)
@@ -350,11 +354,12 @@ def test_high_latency_runs_stay_conserved():
     # round boundary: deliveries become late (marked in the trace) and the
     # books still balance.
     sc = Scenario(network=NetworkModel(latency_min=4, latency_max=9))
-    res, verdicts = run_logged(sc, seed=1)
+    sink = io.StringIO()
+    res, verdicts = run_logged(sc, seed=1, trace=sink)
     c = res.counters
     assert c.late > 0
     assert c.sent == c.delivered + c.dropped + c.late + c.in_flight, c
-    assert any(line.endswith("late=1") for line in res.trace)
+    assert any(line.endswith("late=1") for line in trace_lines(sink))
     assert all(v.outcome is not Outcome.FLAGGED for _, v in verdicts)
 
 
@@ -369,13 +374,13 @@ def test_high_latency_exclusion_still_unreferenced():
     )
     exclusions = 0
     for seed in range(6):
-        res = run_simulation(sc, seed=seed)
+        res, trace = run_traced(sc, seed=seed)
         excluded_round = res.suspicion.excluded_round(5)
         if excluded_round is None:
             continue  # slow links can starve every tally of this device's rounds
         exclusions += 1
         boundary = (excluded_round + 1) * sc.round_deadline
-        for line in res.trace:
+        for line in trace:
             fields = line.split()
             if int(fields[0]) <= boundary:
                 continue
@@ -389,10 +394,8 @@ def test_high_latency_exclusion_still_unreferenced():
 def test_loss_knob_does_not_reshuffle_groups_or_operands():
     # Separate named streams: turning on packet loss must not change which
     # groups are drawn, who is checked, or what operands are issued.
-    base = run_simulation(Scenario(rounds=10), seed=42)
-    lossy = run_simulation(
-        Scenario(rounds=10, network=NetworkModel(drop_prob=0.4)), seed=42
-    )
+    _, base = run_traced(Scenario(rounds=10), seed=42)
+    _, lossy = run_traced(Scenario(rounds=10, network=NetworkModel(drop_prob=0.4)), seed=42)
 
     def round_starts(trace):
         return [line.split(maxsplit=2)[2] for line in trace if " ROUND_START " in line]
@@ -406,7 +409,7 @@ def test_loss_knob_does_not_reshuffle_groups_or_operands():
                 ops.setdefault(round_no, set()).add(fields[8])
         return ops
 
-    assert round_starts(base.trace) == round_starts(lossy.trace)
-    base_ops = challenge_ops(base.trace)
-    for round_no, sets in challenge_ops(lossy.trace).items():
+    assert round_starts(base) == round_starts(lossy)
+    base_ops = challenge_ops(base)
+    for round_no, sets in challenge_ops(lossy).items():
         assert sets == base_ops[round_no], round_no
