@@ -104,6 +104,24 @@ class AdversaryProfile:
             )
 
 
+# The profile of every device a scenario does not list.
+HONEST_PROFILE = AdversaryProfile()
+
+
+def is_special(profile: AdversaryProfile) -> bool:
+    """Whether a device can make a round differ from an all-honest one.
+
+    A fault changes its outputs, a reporting policy its opinions, and an
+    EVADE initiator the operands. Every other device computes the honest
+    output and reports the plain comparison.
+    """
+    return (
+        profile.fault is not FaultKind.HONEST
+        or profile.reporting is not ReportingKind.HONEST
+        or profile.initiator_policy is InitiatorKind.EVADE
+    )
+
+
 def apply_fault(
     profile: AdversaryProfile,
     spec: RoutineSpec,

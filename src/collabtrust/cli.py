@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import sys
 from typing import TextIO
@@ -220,9 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by every later call of main."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .adversary import AdversaryProfile, FaultKind, ReportingKind
+from .adversary import HONEST_PROFILE, AdversaryProfile, FaultKind, ReportingKind
 from .errors import ContractError
 from .verdict import Outcome, Verdict
 
@@ -79,9 +79,6 @@ def is_stat_honest(profile: AdversaryProfile) -> bool:
     return profile.fault is FaultKind.HONEST and profile.reporting is ReportingKind.HONEST
 
 
-_HONEST = AdversaryProfile()
-
-
 @dataclass
 class DetectionStats:
     """Detection quality of one run, folded verdict by verdict as it runs."""
@@ -104,9 +101,9 @@ class DetectionStats:
         self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + len(issuers)
         if outcome is not Outcome.FLAGGED:
             return
-        if profiles.get(v.checkee, _HONEST).fault is FaultKind.HONEST:
+        if profiles.get(v.checkee, HONEST_PROFILE).fault is FaultKind.HONEST:
             self.false_positives += len(issuers)
-        elif any(is_stat_honest(profiles.get(i, _HONEST)) for i in issuers):
+        elif any(is_stat_honest(profiles.get(i, HONEST_PROFILE)) for i in issuers):
             prior = self.detections.get(v.checkee)
             if prior is None or v.round < prior:
                 self.detections[v.checkee] = v.round

@@ -18,6 +18,7 @@ parked until the challenge arrives.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -92,7 +93,7 @@ class DeviceState:
         self,
         device_id: int,
         profile: AdversaryProfile,
-        routine_order: list[RoutineSpec],
+        routine_order: Sequence[RoutineSpec],
         rng: SplitMix64,
         usage: DeviceUsage,
         colluder_trojans: dict[int, TrojanModel] | None = None,

@@ -7,8 +7,9 @@ second. Composite routines left-fold their steps over the operand list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 from .errors import ContractError
 from .rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, mix_words
@@ -29,13 +30,17 @@ VALID_WIDTHS = (8, 16, 32)
 class RoutineSpec:
     """One routine: an atomic operation or a left-fold of atomic steps.
 
-    `arity` is derived: 2 for atomic kinds, len(steps) + 1 for composites.
+    `arity` and `op_count` are derived once: 2 operands and 1 primitive step
+    for atomic kinds, len(steps) + 1 operands and len(steps) primitive steps
+    for composites. `op_count` feeds energy accounting.
     """
 
     id: int
     kind: Kind
     width: int
     steps: tuple[Kind, ...] = ()
+    arity: int = field(init=False, compare=False, repr=False)
+    op_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.id < 0:
@@ -50,19 +55,9 @@ class RoutineSpec:
                 raise ContractError(f"composite steps must be atomic, got {bad[0].value}")
         elif self.steps:
             raise ContractError(f"{self.kind.value} routine must not carry steps")
-
-    @property
-    def arity(self) -> int:
-        if self.kind is Kind.COMPOSITE:
-            return len(self.steps) + 1
-        return 2
-
-    @property
-    def op_count(self) -> int:
-        """Primitive steps executed per run, for energy accounting."""
-        if self.kind is Kind.COMPOSITE:
-            return len(self.steps)
-        return 1
+        op_count = len(self.steps) or 1
+        object.__setattr__(self, "arity", op_count + 1)
+        object.__setattr__(self, "op_count", op_count)
 
 
 @dataclass(frozen=True)
@@ -85,37 +80,33 @@ class RoutineOutput:
     op_count: int
 
 
-def _apply_step(kind: Kind, a: int, b: int, mask: int) -> int:
-    if kind is Kind.ADD:
-        return (a + b) & mask
-    if kind is Kind.MUL:
-        return (a * b) & mask
-    if kind is Kind.CMP:
-        return 1 if a >= b else 0
-    raise ContractError(f"not an atomic step: {kind.value}")
-
-
 def execute(spec: RoutineSpec, ops: OperandVector) -> RoutineOutput:
     """Run a routine over an operand vector with honest semantics.
 
     Pure and deterministic; raises ContractError on arity or width mismatch.
+    An atomic routine is a fold of its one step over two operands.
     """
     if ops.width != spec.width:
         raise ContractError(
             f"operand width {ops.width} does not match routine width {spec.width}"
         )
-    if len(ops.values) != spec.arity:
+    values = ops.values
+    if len(values) != spec.arity:
         raise ContractError(
-            f"routine {spec.id} needs {spec.arity} operands, got {len(ops.values)}"
+            f"routine {spec.id} needs {spec.arity} operands, got {len(values)}"
         )
     mask = (1 << spec.width) - 1
-    if spec.kind is not Kind.COMPOSITE:
-        value = _apply_step(spec.kind, ops.values[0], ops.values[1], mask)
-        return RoutineOutput(value=value, op_count=1)
-    acc = ops.values[0]
-    for step, operand in zip(spec.steps, ops.values[1:]):
-        acc = _apply_step(step, acc, operand, mask)
-    return RoutineOutput(value=acc, op_count=len(spec.steps))
+    acc = values[0]
+    for step, operand in zip(spec.steps or (spec.kind,), values[1:]):
+        if step is Kind.ADD:
+            acc = (acc + operand) & mask
+        elif step is Kind.MUL:
+            acc = (acc * operand) & mask
+        elif step is Kind.CMP:
+            acc = 1 if acc >= operand else 0
+        else:
+            raise ContractError(f"not an atomic step: {step.value}")
+    return RoutineOutput(value=acc, op_count=spec.op_count)
 
 
 def compose(steps: list[Kind] | tuple[Kind, ...], width: int, spec_id: int = 0) -> RoutineSpec:
@@ -136,6 +127,17 @@ def routine_catalog() -> list[RoutineSpec]:
     ]
 
 
+# How many (round, checkee, routine id) stream keys the operand memo keeps.
+OPERAND_KEY_CACHE = 4096
+
+
+@lru_cache(maxsize=OPERAND_KEY_CACHE)
+def _operand_key(round_no: int, checkee: int, routine_id: int) -> int:
+    """mix_words(round, checkee, routine id): the seed-independent part of a
+    challenge's stream seed, which every repetition of a scenario asks for again."""
+    return mix_words(round_no, checkee, routine_id)
+
+
 def generate_operands(seed: int, round_no: int, checkee: int, spec: RoutineSpec) -> OperandVector:
     """Derive the round's challenge operands from the shared seed.
 
@@ -146,7 +148,7 @@ def generate_operands(seed: int, round_no: int, checkee: int, spec: RoutineSpec)
     """
     # SplitMix64.next_u64 inlined, with no generator object: every challenge
     # of every run draws here.
-    s = seed ^ mix_words(round_no, checkee, spec.id)
+    s = seed ^ _operand_key(round_no, checkee, spec.id)
     width = spec.width
     mask = (1 << width) - 1
     values = []

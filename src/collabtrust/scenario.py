@@ -13,18 +13,20 @@ import json
 from dataclasses import dataclass, field
 
 from .adversary import (
+    HONEST_PROFILE,
     AdversaryProfile,
     FaultKind,
     InitiatorKind,
     PayloadKind,
     ReportingKind,
     TrojanModel,
+    is_special,
 )
 from .errors import ContractError, ScenarioError
 from .metrics import EnergyModel
 from .routines import Kind, RoutineSpec, routine_catalog
 from .simnet import NetworkModel
-from .verdict import default_quorum
+from .verdict import Outcome, Tally, default_quorum, lossless_verdicts
 
 # A run keeps per-device state for the whole population from round 0, so the
 # loader caps it well below what exhausts memory (100,000 devices take ~0.2 GiB).
@@ -46,6 +48,18 @@ class Scenario:
     energy: EnergyModel = field(default_factory=EnergyModel)
     routines: tuple[RoutineSpec, ...] = ()
     adversaries: tuple[tuple[int, AdversaryProfile], ...] = ()
+    # The run plan: derived once from the fields above when the scenario is
+    # built, and read (never mutated) by every run of it. Devices missing
+    # from the sparse adversary map are honest.
+    routine_order: tuple[RoutineSpec, ...] = field(init=False, compare=False, repr=False)
+    adversary_map: dict[int, AdversaryProfile] = field(init=False, compare=False, repr=False)
+    special_devices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    evader_trojans: dict[int, dict[int, TrojanModel]] = field(
+        init=False, compare=False, repr=False
+    )
+    lossless_verdicts: tuple[tuple[Tally, Outcome], ...] = field(
+        init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.population > MAX_POPULATION:
@@ -107,7 +121,10 @@ class Scenario:
             if spec.id in routine_ids:
                 raise ScenarioError(f"routines: duplicate id {spec.id}")
             routine_ids.add(spec.id)
-        table = self.routine_table()
+        by_id = {spec.id: spec for spec in routine_catalog()}
+        for spec in self.routines:
+            by_id[spec.id] = spec
+        table = tuple(by_id[i] for i in sorted(by_id))
         min_arity = min(spec.arity for spec in table)
         min_width = min(spec.width for spec in table)
         for device, profile in self.adversaries:
@@ -133,30 +150,43 @@ class Scenario:
                     f"{model.payload_value:#x} wider than width {min_width}"
                 )
 
+        self._set_plan(table)
+
+    def _set_plan(self, table: tuple[RoutineSpec, ...]) -> None:
+        """Store what every run of this scenario needs and no seed changes."""
+        profiles = dict(self.adversaries)
+        evader_trojans = {}
+        for device, profile in profiles.items():
+            if profile.initiator_policy is not InitiatorKind.EVADE:
+                continue
+            trojans = {}
+            for target in profile.targets:
+                target_profile = profiles.get(target)
+                if target_profile is not None and target_profile.trojan is not None:
+                    trojans[target] = target_profile.trojan
+            evader_trojans[device] = trojans
+        specials = tuple(sorted(d for d, p in profiles.items() if is_special(p)))
+        object.__setattr__(self, "routine_order", table)
+        object.__setattr__(self, "adversary_map", profiles)
+        object.__setattr__(self, "special_devices", specials)
+        object.__setattr__(self, "evader_trojans", evader_trojans)
+        object.__setattr__(
+            self, "lossless_verdicts", lossless_verdicts(self.group_size, self.quorum)
+        )
+
     def routine_table(self) -> list[RoutineSpec]:
         """Built-in catalog with scenario overrides/additions, ordered by id."""
-        table = {spec.id: spec for spec in routine_catalog()}
-        for spec in self.routines:
-            table[spec.id] = spec
-        return [table[i] for i in sorted(table)]
+        return list(self.routine_order)
 
     def profile_map(self) -> dict[int, AdversaryProfile]:
-        profiles = {d: AdversaryProfile() for d in range(self.population)}
-        profiles.update(dict(self.adversaries))
+        """Every device's profile, honest ones included (O(population))."""
+        profiles = dict.fromkeys(range(self.population), HONEST_PROFILE)
+        profiles.update(self.adversary_map)
         return profiles
 
     def colluder_trojans(self, device: int) -> dict[int, TrojanModel]:
         """Trigger knowledge an evading initiator has about its colluders."""
-        profiles = dict(self.adversaries)
-        me = profiles.get(device)
-        if me is None or me.initiator_policy is not InitiatorKind.EVADE:
-            return {}
-        out = {}
-        for target in me.targets:
-            target_profile = profiles.get(target)
-            if target_profile is not None and target_profile.trojan is not None:
-                out[target] = target_profile.trojan
-        return out
+        return dict(self.evader_trojans.get(device, {}))
 
 
 _TOP_KEYS = {

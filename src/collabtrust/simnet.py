@@ -12,26 +12,32 @@ A run given a trace stream goes through the event engine, which writes
 each trace line there as its event happens. Runs with no trace sink whose
 outcome cannot depend on timing (no loss, and 3 * latency_max below the
 round deadline) skip the engine: a tally-level kernel computes each round's
-verdict directly. It finds the special devices (a fault, a non-HONEST
-reporting policy or an EVADE initiator) once per run; plain members take the
-honest output and their AGREE votes come as one count, so only special
-members go through apply_fault and distort_opinion. Messages and energy
-follow the lossless closed form, charged once per group epoch. Its reports
-are byte-identical to the engine's.
+verdict directly. It reads the scenario's run plan, built once per scenario
+and shared by every repetition: the routine table, the sparse adversary map,
+the special devices (a fault, a non-HONEST reporting policy or an EVADE
+initiator) and the lossless verdict table, one (Tally, Outcome) per possible
+AGREE count. Plain members take the honest output and their AGREE votes come
+as one count, so only special members go through apply_fault and
+distort_opinion, and the count indexes the verdict table. Messages and
+energy follow the lossless closed form, charged once per group epoch. Its
+reports are byte-identical to the engine's.
+
+Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
+form_group's draws over the eligible devices without listing them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .adversary import (
+    HONEST_PROFILE,
     AdversaryProfile,
-    FaultKind,
-    InitiatorKind,
     Opinion,
-    ReportingKind,
     TrojanModel,
     apply_fault,
     choose_adversarial_operands,
@@ -62,7 +68,7 @@ from .protocol import (
 )
 from .rng import MASK64, SplitMix64, mix_words
 from .routines import RoutineSpec, execute, generate_operands
-from .verdict import Outcome, SuspicionLedger, Tally, Verdict, compute_verdict, update_suspicion
+from .verdict import Outcome, SuspicionLedger, Tally, Verdict, update_suspicion
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -134,6 +140,47 @@ def form_group(
     return GroupConfig(members=tuple(pool[:size]), quorum=quorum, round_deadline=round_deadline)
 
 
+def draw_group(
+    population: int,
+    excluded: Collection[int],
+    size: int,
+    rng: SplitMix64,
+    quorum: int,
+    round_deadline: int,
+) -> GroupConfig:
+    """form_group over the devices of range(population) not in `excluded`.
+
+    The same draws pick the same members without building the eligible
+    list: a sparse Fisher-Yates shuffles ranks, keeping only the swapped
+    positions, and each chosen rank maps to its device by bisecting the
+    sorted exclusions. O(size + len(excluded)) times a log, not O(population).
+    """
+    skip = sorted(excluded)
+    n = population - len(skip)
+    if size > n:
+        raise GroupFormationError(f"need {size} devices but only {n} are eligible")
+    swapped: dict[int, int] = {}
+    ranks = []
+    for i in range(size):
+        j = i + rng.below(n - i)
+        ranks.append(swapped.get(j, j))
+        swapped[j] = swapped.get(i, i)
+    members = tuple(_nth_eligible(skip, k) for k in ranks) if skip else tuple(ranks)
+    return GroupConfig(members=members, quorum=quorum, round_deadline=round_deadline)
+
+
+def _nth_eligible(skip: list[int], rank: int) -> int:
+    """The device of this rank (from 0) among those not in the sorted list `skip`.
+
+    It is the least d with d = rank + |skip <= d|; iterating that map from
+    d = rank climbs to it without passing it.
+    """
+    d = rank
+    while (nxt := rank + bisect_right(skip, d)) != d:
+        d = nxt
+    return d
+
+
 @dataclass
 class RunResult:
     """Everything a single run produces; report assembly reads from here."""
@@ -201,21 +248,8 @@ def _next_group(
         and group.member_set.isdisjoint(suspicion.excluded_at)
     ):
         return group
-    eligible = suspicion.eligible(range(sc.population))
-    return form_group(eligible, sc.group_size, rng_group, sc.quorum, sc.round_deadline)
-
-
-def _is_special(profile: AdversaryProfile) -> bool:
-    """Whether a device can make a round differ from an all-honest one.
-
-    A fault changes its outputs, a reporting policy its opinions, and an
-    EVADE initiator the operands. Every other device computes the honest
-    output and reports the plain comparison.
-    """
-    return (
-        profile.fault is not FaultKind.HONEST
-        or profile.reporting is not ReportingKind.HONEST
-        or profile.initiator_policy is InitiatorKind.EVADE
+    return draw_group(
+        sc.population, suspicion.excluded_at, sc.group_size, rng_group, sc.quorum, sc.round_deadline
     )
 
 
@@ -234,6 +268,7 @@ def _tally_round(
     r: int,
     spec: RoutineSpec,
     seed: int,
+    verdicts: tuple[tuple[Tally, Outcome], ...],
 ) -> Verdict:
     """One latency-free round at tally level: the verdict every member reaches.
 
@@ -241,9 +276,9 @@ def _tally_round(
     counts the rest. Plain members yield the honest output, so only special
     ones go through apply_fault and distort_opinion (each RANDOM reporter on
     its own stream, as in the event engine), and the plain checkers' AGREE
-    votes come as one count.
+    votes come as one count. `verdicts` is the scenario's lossless verdict
+    table, indexed by that count.
     """
-    n = len(group.members)
     checkee = round_checkee(group, r)
     ops = generate_operands(seed, r, checkee, spec)
     evader = specials.get(round_initiator(group, r))
@@ -259,10 +294,8 @@ def _tally_round(
             truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
             if distort_opinion(s.profile, truth, checkee, s.rng) is Opinion.AGREE:
                 agree += 1
-    tally = Tally(agree=agree, disagree=n - 1 - agree, missing=0, n_checkers=n - 1)
-    return Verdict(
-        checkee=checkee, round=r, outcome=compute_verdict(tally, group.quorum), tally=tally
-    )
+    tally, outcome = verdicts[agree]
+    return Verdict(checkee=checkee, round=r, outcome=outcome, tally=tally)
 
 
 def _charge_epoch(
@@ -301,21 +334,23 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
 def _run_tally(sc: "Scenario", res: RunResult) -> None:
     """Latency-free runs: one tally per round, no events, no network draws.
 
-    The routine table and the special devices are found once per run,
-    the group's special members once per group, and energy is charged
-    once per group epoch (when the group changes and when the run ends).
+    The scenario's run plan gives the routine table, the sparse adversary
+    map, the special devices and the lossless verdict table; a run adds
+    only the special devices' seeded streams. The group's special members
+    are found once per group, and energy is charged once per group epoch
+    (when the group changes and when the run ends).
     """
     seed = res.seed
     usage = res.energy.usage
     stats = res.stats
     suspicion = res.suspicion
     rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
-    profiles = sc.profile_map()
-    routines = [(spec, spec.op_count) for spec in sc.routine_table()]
+    profiles = sc.adversary_map
+    routines = sc.routine_order
+    verdicts = sc.lossless_verdicts
     special: dict[int, _Special] = {
-        d: _Special(p, report_stream(seed, d), sc.colluder_trojans(d))
-        for d, p in profiles.items()
-        if _is_special(p)
+        d: _Special(profiles[d], report_stream(seed, d), sc.evader_trojans.get(d, {}))
+        for d in sc.special_devices
     }
     group: GroupConfig | None = None
     specials: dict[int, _Special] = {}
@@ -334,10 +369,11 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
             n_plain = len(group.members) - len(specials)
             epoch_start, epoch_ops = r, 0
         rounds_executed = r + 1
-        spec, op_count = routines[r % len(routines)]
-        epoch_ops += op_count
-        v = _tally_round(group, specials, n_plain, r, spec, seed)
-        # Every member reaches this verdict.
+        spec = routines[r % len(routines)]
+        epoch_ops += spec.op_count
+        v = _tally_round(group, specials, n_plain, r, spec, seed, verdicts)
+        # Every member reaches this verdict; devices missing from the
+        # sparse `profiles` count as honest.
         stats.fold(v, group.members, profiles)
         if v.outcome is Outcome.FLAGGED:
             update_suspicion(suspicion, v)
@@ -365,16 +401,16 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     usage = res.energy.usage
     stats = res.stats
     suspicion = res.suspicion
-    profiles = sc.profile_map()
-    routine_order = sc.routine_table()
+    profiles = sc.adversary_map
+    routine_order = sc.routine_order
     states = {
         d: DeviceState(
             device_id=d,
-            profile=profiles[d],
+            profile=profiles.get(d, HONEST_PROFILE),
             routine_order=routine_order,
             rng=report_stream(seed, d),
             usage=usage[d],
-            colluder_trojans=sc.colluder_trojans(d),
+            colluder_trojans=sc.evader_trojans.get(d),
         )
         for d in range(sc.population)
     }

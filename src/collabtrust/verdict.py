@@ -66,6 +66,21 @@ def compute_verdict(tally: Tally, quorum: int) -> Outcome:
     return Outcome.TRUSTED
 
 
+def lossless_verdicts(n: int, quorum: int) -> tuple[tuple[Tally, Outcome], ...]:
+    """The n tallies a lossless round in a group of n can end with, and their outcomes.
+
+    With no opinion missing, the AGREE count alone fixes the tally, so entry
+    `a` is the tally with a agreeing and n-1-a disagreeing checkers. Each
+    tally is validated and decided once, here.
+    """
+    n_checkers = n - 1
+    table = []
+    for agree in range(n):
+        tally = Tally(agree=agree, disagree=n_checkers - agree, missing=0, n_checkers=n_checkers)
+        table.append((tally, compute_verdict(tally, quorum)))
+    return tuple(table)
+
+
 def oracle_outcome(agree: int, disagree: int, missing: int, quorum: int) -> Outcome:
     """Independent restatement of the rule, kept for cross-checking.
 
@@ -125,9 +140,6 @@ class SuspicionLedger:
 
     def excluded_round(self, device: int) -> int | None:
         return self.excluded_at.get(device)
-
-    def eligible(self, population: range | list[int]) -> list[int]:
-        return [d for d in population if d not in self.excluded_at]
 
 
 def update_suspicion(ledger: SuspicionLedger, v: Verdict) -> SuspicionLedger:

@@ -408,3 +408,64 @@ def test_trace_streams_each_repetition_as_it_ends(monkeypatch, tmp_path):
     assert len(on_disk) == 4
     for k, seen in enumerate(on_disk):
         assert seen == final[: final.index(f"REP {k} seed={10 + k}\n".encode())], k
+
+
+def test_one_process_serves_run_usage_error_and_oracle_in_turn(tmp_path, capsys):
+    # main reuses one parser; no call may leave state behind for the next.
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert run_cli("run", "--scenario", HONEST, "--seed", "7", "--out", str(first)) == 0
+    assert json.loads(first.read_text())["global"]["messages"]["sent"] == 600
+    assert run_cli("run", "--seed", "7") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "usage error: the following arguments are required: --scenario\n"
+    )
+    assert run_cli("oracle", "verdict-table", "--n", "3") == 0
+    assert capsys.readouterr().out == (
+        "agree,disagree,missing,outcome\n"
+        "2,0,0,TRUSTED\n1,1,0,TRUSTED\n1,0,1,INCONCLUSIVE\n0,2,0,FLAGGED\n0,1,1,INCONCLUSIVE\n"
+        "0,0,2,INCONCLUSIVE\n"
+    )
+    assert run_cli("run", "--scenario", HONEST, "--seed", "7", "--out", str(again)) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+_SWEEP_TO_REPORT = {
+    "rounds_executed": lambda g: g["rounds_executed"],
+    "sent": lambda g: g["global"]["messages"]["sent"],
+    "delivered": lambda g: g["global"]["messages"]["delivered"],
+    "trusted": lambda g: g["global"]["verdicts"]["TRUSTED"],
+    "flagged": lambda g: g["global"]["verdicts"]["FLAGGED"],
+    "inconclusive": lambda g: g["global"]["verdicts"]["INCONCLUSIVE"],
+    "false_positives": lambda g: g["global"]["false_positives"],
+    "detected_devices": lambda g: len(g["global"]["detections"]),
+    "total_energy": lambda g: g["global"]["total_energy"],
+}
+
+
+@pytest.mark.parametrize("param, values", [("group_size", [3, 4, 5]), ("quorum", [1, 2, 3])])
+def test_each_sweep_row_equals_a_separate_run(tmp_path, param, values):
+    # Every sweep value builds its own scenario and run plan; a plan leaking
+    # from one value into the next would show as a row that differs from
+    # the run of that value alone.
+    doc = json.loads((SCENARIO_DIR / "five_device_trojan.json").read_text())
+    doc["repetitions"] = 4
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.json"
+    assert run_cli(
+        "sweep", "--scenario", str(base), "--param", param,
+        "--values", ",".join(map(str, values)), "--format", "json", "--out", str(out),
+    ) == 0
+    rows = json.loads(out.read_text())
+    assert [row["value"] for row in rows] == values
+    for row in rows:
+        single = tmp_path / f"{param}{row['value']}.json"
+        single.write_text(json.dumps({**doc, param: row["value"]}))
+        report = tmp_path / f"report{row['value']}.json"
+        assert run_cli("run", "--scenario", str(single), "--out", str(report)) == 0
+        got = json.loads(report.read_text())
+        assert row["repetitions"] == got["repetitions"] == 4
+        for column, read in _SWEEP_TO_REPORT.items():
+            assert row[column] == read(got), (param, row["value"], column)

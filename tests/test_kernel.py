@@ -17,6 +17,7 @@ from collections import Counter
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import collabtrust.routines as routines
 import collabtrust.simnet as simnet
 from collabtrust.adversary import AdversaryProfile, Opinion, ReportingKind, distort_opinion
 from collabtrust.metrics import detection_stats
@@ -230,3 +231,11 @@ def test_random_reporter_flip_rate_end_to_end():
                 flips += v.tally.disagree
     sigma = (p * (1 - p) / chances) ** 0.5
     assert abs(flips / chances - p) <= 3 * sigma, (flips, chances)
+
+
+def test_operand_key_memo_stays_bounded():
+    # 20,000 rounds ask for 20,000 distinct (round, checkee, routine) keys.
+    run_simulation(Scenario(rounds=20_000, regroup_period=1_000))
+    info = routines._operand_key.cache_info()
+    assert info.maxsize == routines.OPERAND_KEY_CACHE <= 4096
+    assert info.currsize <= info.maxsize

@@ -220,3 +220,51 @@ def test_operand_collisions_match_birthday_statistics():
     collisions = n - len(set(points))
     mean, sd = _birthday_mean_sd(n, m)
     assert abs(collisions - mean) <= 3 * sd, (collisions, mean, sd)
+
+
+def _left_fold(spec: RoutineSpec, values: list[int]) -> int:
+    """Reference semantics: fold the steps over the operands, modulo 2^width."""
+    modulus = 1 << spec.width
+    steps = spec.steps if spec.kind is Kind.COMPOSITE else (spec.kind,)
+    acc = values[0]
+    for step, operand in zip(steps, values[1:]):
+        if step is Kind.ADD:
+            acc = (acc + operand) % modulus
+        elif step is Kind.MUL:
+            acc = (acc * operand) % modulus
+        else:
+            acc = int(acc >= operand)
+    return acc
+
+
+@st.composite
+def specs_with_operands(draw) -> tuple[RoutineSpec, list[int]]:
+    width = draw(st.sampled_from(VALID_WIDTHS))
+    arity = draw(st.integers(2, 5))
+    spec_id = draw(st.integers(0, 2**16))
+    if arity == 2 and draw(st.booleans()):
+        spec = RoutineSpec(id=spec_id, kind=draw(st.sampled_from(ATOMIC_KINDS)), width=width)
+    else:
+        n_steps = arity - 1
+        steps = draw(st.lists(st.sampled_from(ATOMIC_KINDS), min_size=n_steps, max_size=n_steps))
+        spec = compose(steps, width=width, spec_id=spec_id)
+    values = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=arity, max_size=arity))
+    return spec, values
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=specs_with_operands())
+def test_execute_equals_reference_left_fold(case):
+    spec, values = case
+    assert spec.arity == len(values)
+    out = execute(spec, vec(values, width=spec.width))
+    assert out.value == _left_fold(spec, values)
+    assert out.op_count == spec.op_count == len(values) - 1
+    with pytest.raises(ContractError, match="operands"):
+        execute(spec, vec(values + [0], width=spec.width))
+    with pytest.raises(ContractError, match="operands"):
+        execute(spec, vec(values[:-1], width=spec.width))
+    other = next(w for w in VALID_WIDTHS if w != spec.width)
+    narrowed = [v & ((1 << other) - 1) for v in values]
+    with pytest.raises(ContractError, match="width"):
+        execute(spec, vec(narrowed, width=other))

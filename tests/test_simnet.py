@@ -5,6 +5,8 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import collabtrust.simnet as simnet
 from collabtrust.adversary import AdversaryProfile, FaultKind, ReportingKind
@@ -14,7 +16,7 @@ from collabtrust.protocol import Challenge
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import OperandVector
 from collabtrust.scenario import Scenario
-from collabtrust.simnet import GroupConfig, NetworkModel, form_group
+from collabtrust.simnet import GroupConfig, NetworkModel, draw_group, form_group
 from collabtrust.verdict import Outcome
 from verdict_log import run_logged, run_traced, trace_lines
 
@@ -185,6 +187,38 @@ def test_form_group_inclusion_frequency_hypergeometric():
     sigma = (draws * p * (1 - p)) ** 0.5
     for device, count in counts.items():
         assert abs(count - draws * p) <= 3 * sigma, (device, count)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_draw_group_matches_form_group_over_the_eligible_list(data):
+    population = data.draw(st.integers(3, 200), label="population")
+    excluded = data.draw(
+        st.one_of(
+            st.sets(st.integers(0, population - 1), max_size=population // 4),
+            # Nearly everyone excluded: the complement of a few kept devices.
+            st.sets(st.integers(0, population - 1), max_size=8).map(
+                lambda kept: set(range(population)) - kept
+            ),
+        ),
+        label="excluded",
+    )
+    size = data.draw(st.integers(3, 8), label="size")
+    eligible = [d for d in range(population) if d not in excluded]
+    for seed in data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3)):
+        listed, sparse = SplitMix64(seed), SplitMix64(seed)
+        if size > len(eligible):
+            with pytest.raises(GroupFormationError) as expected:
+                form_group(eligible, size, listed, quorum=2, round_deadline=10)
+            with pytest.raises(GroupFormationError) as got:
+                draw_group(population, excluded, size, sparse, quorum=2, round_deadline=10)
+            assert str(got.value) == str(expected.value)
+            continue
+        expected = form_group(eligible, size, listed, quorum=2, round_deadline=10)
+        got = draw_group(population, excluded, size, sparse, quorum=2, round_deadline=10)
+        assert got == expected
+        # Both consumed the same draws.
+        assert sparse.next_u64() == listed.next_u64()
 
 
 def test_honest_run_all_trusted():

@@ -15,6 +15,7 @@ from collabtrust.verdict import (
     compute_verdict,
     decision_table,
     default_quorum,
+    lossless_verdicts,
     minimum_corruption_to_frame,
     oracle_outcome,
     update_suspicion,
@@ -207,7 +208,20 @@ def test_ledger_below_threshold():
     assert ledger.excluded_round(1) == 2
 
 
-def test_ledger_eligibility_filter():
-    ledger = SuspicionLedger()
-    update_suspicion(ledger, Verdict(3, 5, Outcome.FLAGGED, tally(0, 4, 0)))
-    assert ledger.eligible(range(5)) == [0, 1, 2, 4]
+def test_lossless_verdicts_equal_the_rule_and_the_oracle():
+    for n in range(3, 26):
+        for quorum in range(1, n):
+            table = lossless_verdicts(n, quorum)
+            assert len(table) == n
+            for agree, (t, outcome) in enumerate(table):
+                disagree = n - 1 - agree
+                assert t == tally(agree, disagree, 0)
+                assert outcome is compute_verdict(t, quorum)
+                assert outcome is oracle_outcome(agree, disagree, 0, quorum)
+
+
+def test_lossless_verdicts_reject_a_quorum_out_of_range():
+    with pytest.raises(ContractError):
+        lossless_verdicts(5, 0)
+    with pytest.raises(ContractError):
+        lossless_verdicts(5, 5)
