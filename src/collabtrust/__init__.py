@@ -26,8 +26,6 @@ from .metrics import EnergyModel, detection_stats, lossless_messages_per_round
 from .report import Report, build_report, emit_report, merge
 from .routines import (
     Kind,
-    OperandVector,
-    RoutineOutput,
     RoutineSpec,
     compose,
     execute,

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ContractError
-from .routines import OperandVector, RoutineOutput, RoutineSpec
+from .routines import RoutineSpec
 from .rng import SplitMix64
 
 
@@ -75,8 +75,8 @@ class TrojanModel:
         if self.payload in (PayloadKind.XOR, PayloadKind.CONST) and self.payload_value < 0:
             raise ContractError("payload value must be non-negative")
 
-    def triggers(self, ops: OperandVector) -> bool:
-        return (ops.values[self.operand_index] & self.mask) == self.match
+    def triggers(self, ops: tuple[int, ...]) -> bool:
+        return (ops[self.operand_index] & self.mask) == self.match
 
 
 @dataclass(frozen=True)
@@ -125,30 +125,28 @@ def is_special(profile: AdversaryProfile) -> bool:
 def apply_fault(
     profile: AdversaryProfile,
     spec: RoutineSpec,
-    ops: OperandVector,
-    honest: RoutineOutput,
-) -> RoutineOutput:
+    ops: tuple[int, ...],
+    honest: int,
+) -> int:
     """Pass an honest routine output through the device's hardware fault.
 
     ALWAYS_WRONG complements every bit; a Trojan corrupts the output only
-    when its trigger matches the inspected operand. op_count is preserved.
+    when its trigger matches the inspected operand.
     """
     if profile.fault is FaultKind.HONEST:
         return honest
     mask = (1 << spec.width) - 1
     if profile.fault is FaultKind.ALWAYS_WRONG:
-        return RoutineOutput(value=honest.value ^ mask, op_count=honest.op_count)
+        return honest ^ mask
     model = profile.trojan
     assert model is not None
     if not model.triggers(ops):
         return honest
     if model.payload is PayloadKind.XOR:
-        value = (honest.value ^ model.payload_value) & mask
-    elif model.payload is PayloadKind.CONST:
-        value = model.payload_value & mask
-    else:  # COMPLEMENT
-        value = honest.value ^ mask
-    return RoutineOutput(value=value, op_count=honest.op_count)
+        return (honest ^ model.payload_value) & mask
+    if model.payload is PayloadKind.CONST:
+        return model.payload_value & mask
+    return honest ^ mask  # COMPLEMENT
 
 
 def trigger_probability(model: TrojanModel, spec: RoutineSpec) -> Fraction:
@@ -186,10 +184,10 @@ def distort_opinion(
 
 def choose_adversarial_operands(
     profile: AdversaryProfile,
-    honest_ops: OperandVector,
+    honest_ops: tuple[int, ...],
     colluder_trojans: dict[int, TrojanModel],
     checkee: int,
-) -> OperandVector:
+) -> tuple[int, ...]:
     """An EVADE initiator rewrites the challenge so a colluder's Trojan stays quiet.
 
     The inspected operand's masked bits are set to `match` with the lowest
@@ -203,8 +201,6 @@ def choose_adversarial_operands(
         return honest_ops
     lowest_bit = model.mask & -model.mask
     safe_bits = model.match ^ lowest_bit
-    width_mask = (1 << honest_ops.width) - 1
-    values = list(honest_ops.values)
-    v = values[model.operand_index]
-    values[model.operand_index] = (v & ~model.mask & width_mask) | safe_bits
-    return OperandVector(values=tuple(values), width=honest_ops.width)
+    values = list(honest_ops)
+    values[model.operand_index] = (values[model.operand_index] & ~model.mask) | safe_bits
+    return tuple(values)

@@ -11,6 +11,8 @@ import copy
 import functools
 import json
 import sys
+from collections.abc import Iterable
+from itertools import chain
 from typing import TextIO
 
 from .errors import ProtocolViolation, ScenarioError
@@ -39,20 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_file(path: str, data: bytes) -> None:
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
+def _write_output(chunks: Iterable[bytes], out: str | None) -> None:
+    """Write each chunk as it comes to the file `out`, or to stdout.
 
-
-def _write_output(data: bytes, out: str | None) -> None:
+    The file is opened before the first chunk is asked for, so an
+    unwritable `out` fails before any output is produced.
+    """
     if out is None:
-        sys.stdout.buffer.write(data)
+        for chunk in chunks:
+            sys.stdout.buffer.write(chunk)
         sys.stdout.buffer.flush()
-    else:
-        _write_file(out, data)
+        return
+    try:
+        with open(out, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = None) -> Report:
@@ -90,7 +95,7 @@ def _cmd_run(args) -> int:
                 report = _run_repetitions(scenario, base_seed, trace)
         except OSError as exc:
             raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
-    _write_output(emit_report(report, args.format), args.out)
+    _write_output((emit_report(report, args.format),), args.out)
     return 0
 
 
@@ -169,7 +174,7 @@ def _cmd_sweep(args) -> int:
         for row in rows:
             lines.append(",".join(str(row[col]) for col in _SWEEP_COLUMNS))
         payload = ("\n".join(lines) + "\n").encode("utf-8")
-    _write_output(payload, args.out)
+    _write_output((payload,), args.out)
     return 0
 
 
@@ -180,10 +185,11 @@ def _cmd_oracle_verdict_table(args) -> int:
     quorum = default_quorum(n_checkers) if args.quorum is None else args.quorum
     if not 1 <= quorum <= n_checkers:
         raise ScenarioError(f"--quorum: must be in [1, {n_checkers}], got {quorum}")
-    lines = ["agree,disagree,missing,outcome"]
-    for agree, disagree, missing, outcome in decision_table(n_checkers, quorum):
-        lines.append(f"{agree},{disagree},{missing},{outcome.value}")
-    _write_output(("\n".join(lines) + "\n").encode("utf-8"), args.out)
+    rows = (
+        f"{agree},{disagree},{missing},{outcome.value}\n".encode()
+        for agree, disagree, missing, outcome in decision_table(n_checkers, quorum)
+    )
+    _write_output(chain((b"agree,disagree,missing,outcome\n",), rows), args.out)
     return 0
 
 

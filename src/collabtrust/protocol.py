@@ -32,7 +32,7 @@ from .adversary import (
 )
 from .errors import ProtocolViolation
 from .metrics import DeviceUsage
-from .routines import OperandVector, RoutineSpec, execute, generate_operands
+from .routines import RoutineSpec, execute, generate_operands
 from .rng import SplitMix64
 from .verdict import Tally, Verdict, compute_verdict
 
@@ -45,8 +45,8 @@ class Challenge:
     round: int
     initiator: int
     checkee: int
-    spec_id: int
-    ops: OperandVector
+    spec: RoutineSpec
+    ops: tuple[int, ...]
     challenge_id: int
 
 
@@ -75,7 +75,6 @@ class DeviceState:
         "id",
         "profile",
         "routine_order",
-        "routines",
         "colluder_trojans",
         "rng",
         "usage",
@@ -101,7 +100,6 @@ class DeviceState:
         self.id = device_id
         self.profile = profile
         self.routine_order = routine_order
-        self.routines = {spec.id: spec for spec in routine_order}
         self.colluder_trojans = colluder_trojans or {}
         self.rng = rng
         self.usage = usage
@@ -165,7 +163,7 @@ def make_challenge(state: DeviceState, round_no: int, shared_seed: int) -> Chall
         round=round_no,
         initiator=state.id,
         checkee=checkee,
-        spec_id=spec.id,
+        spec=spec,
         ops=ops,
         challenge_id=round_no,
     )
@@ -196,14 +194,14 @@ def handle_check_request(state: DeviceState, ch: Challenge) -> list[tuple[int, M
     keep their output as the private comparison reference (or, if the
     response already arrived, compare and report immediately).
     """
-    spec = state.routines[ch.spec_id]
+    spec = ch.spec
     out = apply_fault(state.profile, spec, ch.ops, execute(spec, ch.ops))
-    state.usage.ops += out.op_count
+    state.usage.ops += spec.op_count
     state.challenge = ch
-    state.reference = out.value
+    state.reference = out
     if state.id == ch.checkee:
         # The checkee's "reference" is the output it must defend.
-        response = Response(challenge_id=ch.challenge_id, responder=state.id, output=out.value)
+        response = Response(challenge_id=ch.challenge_id, responder=state.id, output=out)
         return [(peer, response) for peer in state._peers()]
     if state.pending_response is not None:
         # The checkee's answer overtook our challenge; compare it now.

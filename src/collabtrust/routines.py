@@ -60,44 +60,22 @@ class RoutineSpec:
         object.__setattr__(self, "op_count", op_count)
 
 
-@dataclass(frozen=True)
-class OperandVector:
-    values: tuple[int, ...]
-    width: int
+def execute(spec: RoutineSpec, ops: tuple[int, ...]) -> int:
+    """Run a routine over its operand words with honest semantics.
 
-    def __post_init__(self):
-        if self.width not in VALID_WIDTHS:
-            raise ContractError(f"width must be one of {VALID_WIDTHS}, got {self.width}")
-        bound = 1 << self.width
-        for v in self.values:
-            if not 0 <= v < bound:
-                raise ContractError(f"operand {v} outside [0, 2^{self.width})")
-
-
-@dataclass(frozen=True)
-class RoutineOutput:
-    value: int
-    op_count: int
-
-
-def execute(spec: RoutineSpec, ops: OperandVector) -> RoutineOutput:
-    """Run a routine over an operand vector with honest semantics.
-
-    Pure and deterministic; raises ContractError on arity or width mismatch.
-    An atomic routine is a fold of its one step over two operands.
+    Pure and deterministic; raises ContractError on an arity mismatch or an
+    operand outside [0, 2^width). An atomic routine is a fold of its one
+    step over two operands.
     """
-    if ops.width != spec.width:
-        raise ContractError(
-            f"operand width {ops.width} does not match routine width {spec.width}"
-        )
-    values = ops.values
-    if len(values) != spec.arity:
-        raise ContractError(
-            f"routine {spec.id} needs {spec.arity} operands, got {len(values)}"
-        )
-    mask = (1 << spec.width) - 1
-    acc = values[0]
-    for step, operand in zip(spec.steps or (spec.kind,), values[1:]):
+    if len(ops) != spec.arity:
+        raise ContractError(f"routine {spec.id} needs {spec.arity} operands, got {len(ops)}")
+    width = spec.width
+    mask = (1 << width) - 1
+    for v in ops:
+        if not 0 <= v <= mask:
+            raise ContractError(f"operand {v} outside [0, 2^{width})")
+    acc = ops[0]
+    for step, operand in zip(spec.steps or (spec.kind,), ops[1:]):
         if step is Kind.ADD:
             acc = (acc + operand) & mask
         elif step is Kind.MUL:
@@ -106,7 +84,7 @@ def execute(spec: RoutineSpec, ops: OperandVector) -> RoutineOutput:
             acc = 1 if acc >= operand else 0
         else:
             raise ContractError(f"not an atomic step: {step.value}")
-    return RoutineOutput(value=acc, op_count=spec.op_count)
+    return acc
 
 
 def compose(steps: list[Kind] | tuple[Kind, ...], width: int, spec_id: int = 0) -> RoutineSpec:
@@ -138,28 +116,22 @@ def _operand_key(round_no: int, checkee: int, routine_id: int) -> int:
     return mix_words(round_no, checkee, routine_id)
 
 
-def generate_operands(seed: int, round_no: int, checkee: int, spec: RoutineSpec) -> OperandVector:
+def generate_operands(seed: int, round_no: int, checkee: int, spec: RoutineSpec) -> tuple[int, ...]:
     """Derive the round's challenge operands from the shared seed.
 
     The stream seed is `seed XOR mix(round, checkee, routine id)`, so any
-    party knowing the shared seed reproduces the exact vector, and distinct
+    party knowing the shared seed reproduces the exact operands, and distinct
     rounds/checkees/routines get independent-looking draws. Each operand is
     the next SplitMix64 word of that stream masked to the routine's width.
     """
     # SplitMix64.next_u64 inlined, with no generator object: every challenge
     # of every run draws here.
     s = seed ^ _operand_key(round_no, checkee, spec.id)
-    width = spec.width
-    mask = (1 << width) - 1
+    mask = (1 << spec.width) - 1
     values = []
     for _ in range(spec.arity):
         s = (s + GOLDEN_GAMMA) & MASK64
         z = ((s ^ (s >> 30)) * MIX_MUL_1) & MASK64
         z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
         values.append((z ^ (z >> 31)) & mask)
-    # Every value is masked to a width validated when the spec was built, so
-    # OperandVector's per-value range check cannot fail here and is skipped.
-    ops = object.__new__(OperandVector)
-    object.__setattr__(ops, "values", tuple(values))
-    object.__setattr__(ops, "width", width)
-    return ops
+    return tuple(values)

@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 
 from .adversary import (
-    HONEST_PROFILE,
     AdversaryProfile,
     FaultKind,
     InitiatorKind,
@@ -28,8 +27,8 @@ from .routines import Kind, RoutineSpec, routine_catalog
 from .simnet import NetworkModel
 from .verdict import Outcome, Tally, default_quorum, lossless_verdicts
 
-# A run keeps per-device state for the whole population from round 0, so the
-# loader caps it well below what exhausts memory (100,000 devices take ~0.2 GiB).
+# A run keeps an energy ledger entry and a report row for every device of the
+# population, so the loader caps it well below what exhausts memory.
 MAX_POPULATION = 100_000
 
 
@@ -173,20 +172,6 @@ class Scenario:
         object.__setattr__(
             self, "lossless_verdicts", lossless_verdicts(self.group_size, self.quorum)
         )
-
-    def routine_table(self) -> list[RoutineSpec]:
-        """Built-in catalog with scenario overrides/additions, ordered by id."""
-        return list(self.routine_order)
-
-    def profile_map(self) -> dict[int, AdversaryProfile]:
-        """Every device's profile, honest ones included (O(population))."""
-        profiles = dict.fromkeys(range(self.population), HONEST_PROFILE)
-        profiles.update(self.adversary_map)
-        return profiles
-
-    def colluder_trojans(self, device: int) -> dict[int, TrojanModel]:
-        """Trigger knowledge an evading initiator has about its colluders."""
-        return dict(self.evader_trojans.get(device, {}))
 
 
 _TOP_KEYS = {

@@ -197,10 +197,10 @@ class RunResult:
 def _trace_deliver(t: int, seq: int, msg: Message, frm: int, to: int, late: bool) -> str:
     end = " late=1\n" if late else "\n"
     if type(msg) is Challenge:
-        ops = ",".join(str(v) for v in msg.ops.values)
+        ops = ",".join(str(v) for v in msg.ops)
         return (
             f"{t} {seq} CHALLENGE {frm} {to} round={msg.round} checkee={msg.checkee}"
-            f" spec={msg.spec_id} ops={ops} cid={msg.challenge_id}{end}"
+            f" spec={msg.spec.id} ops={ops} cid={msg.challenge_id}{end}"
         )
     if type(msg) is Response:
         return f"{t} {seq} RESPONSE {frm} {to} cid={msg.challenge_id} output={msg.output}{end}"
@@ -285,10 +285,10 @@ def _tally_round(
     if evader is not None:
         ops = choose_adversarial_operands(evader.profile, ops, evader.colluder_trojans, checkee)
     honest = execute(spec, ops)
-    outputs = {m: apply_fault(s.profile, spec, ops, honest).value for m, s in specials.items()}
-    answer = outputs.get(checkee, honest.value)
+    outputs = {m: apply_fault(s.profile, spec, ops, honest) for m, s in specials.items()}
+    answer = outputs.get(checkee, honest)
     plain_checkers = n_plain - 1 if checkee not in outputs else n_plain
-    agree = plain_checkers if answer == honest.value else 0
+    agree = plain_checkers if answer == honest else 0
     for m, s in specials.items():
         if m != checkee:
             truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
@@ -403,17 +403,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     suspicion = res.suspicion
     profiles = sc.adversary_map
     routine_order = sc.routine_order
-    states = {
-        d: DeviceState(
-            device_id=d,
-            profile=profiles.get(d, HONEST_PROFILE),
-            routine_order=routine_order,
-            rng=report_stream(seed, d),
-            usage=usage[d],
-            colluder_trojans=sc.evader_trojans.get(d),
-        )
-        for d in range(sc.population)
-    }
+    # A device's state is made when it first joins a group; devices that
+    # never do have none.
+    states: dict[int, DeviceState] = {}
     rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
     network = sc.network
     net_seed = network.seed if network.seed is not None else mix_words(seed, NETWORK_STREAM)
@@ -508,7 +500,17 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             if new_group is not group:
                 group = new_group
                 for m in group.members:
-                    states[m].group = group
+                    state = states.get(m)
+                    if state is None:
+                        state = states[m] = DeviceState(
+                            device_id=m,
+                            profile=profiles.get(m, HONEST_PROFILE),
+                            routine_order=routine_order,
+                            rng=report_stream(seed, m),
+                            usage=usage[m],
+                            colluder_trojans=sc.evader_trojans.get(m),
+                        )
+                    state.group = group
             current_round = r
             round_verdicts = []
             for m in group.members:

@@ -9,6 +9,7 @@ one. Below the opinion quorum a round is INCONCLUSIVE rather than guessed.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -95,21 +96,23 @@ def oracle_outcome(agree: int, disagree: int, missing: int, quorum: int) -> Outc
     return Outcome.TRUSTED
 
 
-def decision_table(n_checkers: int, quorum: int | None = None) -> list[tuple[int, int, int, Outcome]]:
-    """Every (agree, disagree, missing) split of n_checkers with its outcome.
+def decision_table(
+    n_checkers: int, quorum: int | None = None
+) -> Iterator[tuple[int, int, int, Outcome]]:
+    """Yield every (agree, disagree, missing) split of n_checkers with its outcome.
 
     Enumerated via oracle_outcome; the CLI exposes this table so the rule
-    can be audited without reading code.
+    can be audited without reading code. There are (n+1)(n+2)/2 rows for
+    n checkers, so they are yielded one at a time; a bad n_checkers raises
+    when the first row is asked for.
     """
     if n_checkers < 1:
         raise ContractError(f"need at least 1 checker, got {n_checkers}")
     q = default_quorum(n_checkers) if quorum is None else quorum
-    rows = []
     for agree in range(n_checkers, -1, -1):
         for disagree in range(n_checkers - agree, -1, -1):
             missing = n_checkers - agree - disagree
-            rows.append((agree, disagree, missing, oracle_outcome(agree, disagree, missing, q)))
-    return rows
+            yield agree, disagree, missing, oracle_outcome(agree, disagree, missing, q)
 
 
 def minimum_corruption_to_frame(n: int) -> int:

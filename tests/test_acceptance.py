@@ -69,7 +69,7 @@ def test_acceptance_1_five_device_detection_vignette():
         assert all(v.round == first and v.checkee == 2 for _, v in flagged)
         others = [v for _, v in verdicts if v.outcome is not Outcome.FLAGGED]
         assert all(v.outcome is Outcome.TRUSTED for v in others)
-        assert detection_stats(verdicts, sc.profile_map()).false_positives == 0
+        assert detection_stats(verdicts, sc.adversary_map).false_positives == 0
         assert res.suspicion.excluded_round(2) == first
 
 
@@ -134,7 +134,7 @@ def test_acceptance_3_manifestation_hypothesis():
         sc = _trojan_scenario()
         checkee_rounds = 11
         assert sc.rounds == checkee_rounds * sc.group_size
-        p_trigger = trigger_probability(TROJAN_16, sc.routine_table()[0])
+        p_trigger = trigger_probability(TROJAN_16, sc.routine_order[0])
         assert p_trigger == Fraction(1, 16)
         p_detect = 1 - (1 - p_trigger) ** checkee_rounds  # exact rational
         assert math.isclose(float(p_detect), 0.5081, abs_tol=5e-4)
@@ -152,7 +152,7 @@ def test_acceptance_3_manifestation_hypothesis():
 
         reps = 2000
         detected = 0
-        profiles = sc.profile_map()
+        profiles = sc.adversary_map
         for rep in range(reps):
             _, verdicts = run_logged(sc, seed=20_000 + rep)
             if 1 in detection_stats(verdicts, profiles).detections:
@@ -170,7 +170,7 @@ def test_acceptance_4_evasion_corollary():
             for d in (0, 2, 3, 4)
         )
         sc = _trojan_scenario(extra=evaders)
-        profiles = sc.profile_map()
+        profiles = sc.adversary_map
         detected = 0
         for rep in range(500):
             _, verdicts = run_logged(sc, seed=50_000 + rep)

@@ -21,13 +21,9 @@ from collabtrust.adversary import (
 )
 from collabtrust.errors import ContractError
 from collabtrust.rng import SplitMix64
-from collabtrust.routines import Kind, OperandVector, RoutineSpec, execute
+from collabtrust.routines import Kind, RoutineSpec, execute
 
 ADD8 = RoutineSpec(id=0, kind=Kind.ADD, width=8)
-
-
-def vec(values, width=8):
-    return OperandVector(values=tuple(values), width=width)
 
 
 def run_with_fault(profile, spec, ops):
@@ -35,24 +31,24 @@ def run_with_fault(profile, spec, ops):
 
 
 def test_honest_fault_is_identity():
-    ops = vec((200, 100))
+    ops = (200, 100)
     honest = execute(ADD8, ops)
-    assert apply_fault(AdversaryProfile(), ADD8, ops, honest) is honest
+    assert apply_fault(AdversaryProfile(), ADD8, ops, honest) == honest
 
 
 def test_always_wrong_complements():
     profile = AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)
-    ops = vec((3, 2))
+    ops = (3, 2)
     honest = execute(ADD8, ops)  # 5
-    assert apply_fault(profile, ADD8, ops, honest).value == 250
+    assert apply_fault(profile, ADD8, ops, honest) == 250
 
 
 def test_always_wrong_never_equals_honest_exhaustive():
     profile = AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)
     for a in range(256):
-        ops = vec((a, 1))
+        ops = (a, 1)
         honest = execute(ADD8, ops)
-        assert apply_fault(profile, ADD8, ops, honest).value != honest.value
+        assert apply_fault(profile, ADD8, ops, honest) != honest
 
 
 def test_trojan_trigger_and_payload():
@@ -60,24 +56,24 @@ def test_trojan_trigger_and_payload():
         operand_index=0, mask=0xFF, match=0xA5, payload=PayloadKind.XOR, payload_value=0x01
     )
     profile = AdversaryProfile(fault=FaultKind.TROJAN, trojan=model)
-    fired = run_with_fault(profile, ADD8, vec((0xA5, 1)))
-    assert fired.value == 0xA7  # honest 0xA6 ^ 0x01
-    quiet = run_with_fault(profile, ADD8, vec((0x13, 1)))
-    assert quiet.value == execute(ADD8, vec((0x13, 1))).value
+    fired = run_with_fault(profile, ADD8, (0xA5, 1))
+    assert fired == 0xA7  # honest 0xA6 ^ 0x01
+    quiet = run_with_fault(profile, ADD8, (0x13, 1))
+    assert quiet == execute(ADD8, (0x13, 1))
 
 
 def test_trojan_payload_kinds():
-    ops = vec((0x05, 7))
+    ops = (0x05, 7)
     honest = execute(ADD8, ops)  # 12
     base = dict(operand_index=0, mask=0x0F, match=0x05)
     const = TrojanModel(payload=PayloadKind.CONST, payload_value=0xEE, **base)
     comp = TrojanModel(payload=PayloadKind.COMPLEMENT, **base)
     assert apply_fault(
         AdversaryProfile(fault=FaultKind.TROJAN, trojan=const), ADD8, ops, honest
-    ).value == 0xEE
+    ) == 0xEE
     assert apply_fault(
         AdversaryProfile(fault=FaultKind.TROJAN, trojan=comp), ADD8, ops, honest
-    ).value == honest.value ^ 0xFF
+    ) == honest ^ 0xFF
 
 
 def test_non_trigger_transparency_exhaustive():
@@ -89,20 +85,20 @@ def test_non_trigger_transparency_exhaustive():
     profile = AdversaryProfile(fault=FaultKind.TROJAN, trojan=model)
     for a in range(256):
         for b in range(256):
-            ops = vec((a, b))
+            ops = (a, b)
             honest = execute(ADD8, ops)
             faulted = apply_fault(profile, ADD8, ops, honest)
             if a == 0xA5:
-                assert faulted.value != honest.value
+                assert faulted != honest
             else:
-                assert faulted.value == honest.value
+                assert faulted == honest
 
 
 def count_triggering_pairs(model: TrojanModel) -> int:
     hits = 0
     for a in range(256):
         for b in range(256):
-            if model.triggers(vec((a, b))):
+            if model.triggers((a, b)):
                 hits += 1
     return hits
 
@@ -187,9 +183,9 @@ def test_evasion_forces_non_trigger():
         initiator_policy=InitiatorKind.EVADE, targets=frozenset({2})
     )
     trojans = {2: model}
-    hot = vec((0xA5, 1))
+    hot = (0xA5, 1)
     out = choose_adversarial_operands(evader, hot, trojans, checkee=2)
-    assert (out.values[0] & 0xFF) != 0xA5
+    assert (out[0] & 0xFF) != 0xA5
     assert not model.triggers(out)
     # devices outside the colluder set get the honest operands
     assert choose_adversarial_operands(evader, hot, trojans, checkee=4) is hot
@@ -204,16 +200,17 @@ def test_evasion_exhaustive_over_operand_values():
             initiator_policy=InitiatorKind.EVADE, targets=frozenset({1})
         )
         for a in range(256):
-            out = choose_adversarial_operands(evader, vec((a, 0)), {1: model}, checkee=1)
+            out = choose_adversarial_operands(evader, (a, 0), {1: model}, checkee=1)
             assert not model.triggers(out)
-            # untouched outside the mask
-            assert out.values[0] & ~mask & 0xFF == a & ~mask & 0xFF
-            assert out.values[1] == 0
+            # in width, and untouched outside the mask
+            assert 0 <= out[0] <= 0xFF
+            assert out[0] & ~mask == a & ~mask
+            assert out[1] == 0
 
 
 def test_evasion_noop_cases():
     honest_initiator = AdversaryProfile()
-    ops = vec((0xA5, 1))
+    ops = (0xA5, 1)
     assert choose_adversarial_operands(honest_initiator, ops, {}, checkee=2) is ops
     # colluder without a trojan, and an un-evadable always-on trigger
     evader = AdversaryProfile(initiator_policy=InitiatorKind.EVADE, targets=frozenset({2}))

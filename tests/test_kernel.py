@@ -172,7 +172,7 @@ def test_kernel_matches_engine(sc, seed):
     assert _reports(sc, kernel) == _reports(sc, engine)
     assert Counter(kernel_verdicts) == Counter(engine_verdicts)
     # The kernel folds each round once for all members; the reference folds per issuer.
-    assert kernel.stats == engine.stats == detection_stats(kernel_verdicts, sc.profile_map())
+    assert kernel.stats == engine.stats == detection_stats(kernel_verdicts, sc.adversary_map)
     assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
 
 

@@ -1,10 +1,11 @@
-"""Memory stays bounded however many rounds a run has, traced or not.
+"""Memory stays bounded however many rounds a run has, traced or not, and
+however large a verdict table the oracle prints.
 
 Peak RSS is read with `getrusage(RUSAGE_CHILDREN)`, whose `ru_maxrss` is
 the maximum over all waited-for children. So each measurement runs in a
 fresh measuring process that starts exactly one child: the CLI on the
 scenario, either untraced (the tally kernel) or with `--trace` (the event
-engine, streaming its trace to a file).
+engine, streaming its trace to a file), or `oracle verdict-table`.
 """
 
 from __future__ import annotations
@@ -28,10 +29,20 @@ BOUND_MIB = 4.0
 
 MEASURE = """
 import resource, subprocess, sys
-subprocess.run([sys.executable, "-m", "collabtrust", "run", "--scenario", *sys.argv[1:]],
+subprocess.run([sys.executable, "-m", "collabtrust", *sys.argv[1:]],
                stdout=subprocess.DEVNULL, check=True)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
+
+
+def _cli_peak_mib(*argv: str) -> float:
+    """Peak RSS of one `python -m collabtrust *argv` process, in MiB."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", MEASURE, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
 
 
 def _peak_mib(tmp_path: pathlib.Path, rounds: int, traced: bool = False) -> float:
@@ -52,12 +63,7 @@ def _peak_mib(tmp_path: pathlib.Path, rounds: int, traced: bool = False) -> floa
     path = tmp_path / f"rounds{rounds}.json"
     path.write_text(json.dumps(doc))
     trace = ["--trace", str(tmp_path / f"trace{rounds}.txt")] if traced else []
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", MEASURE, str(path), *trace],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    return int(proc.stdout) / 1024  # ru_maxrss is in KiB on Linux
+    return _cli_peak_mib("run", "--scenario", str(path), *trace)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
@@ -72,3 +78,16 @@ def test_traced_peak_rss_does_not_grow_with_rounds(tmp_path):
     short = _peak_mib(tmp_path, 25, traced=True)
     long = _peak_mib(tmp_path, 2_000, traced=True)
     assert long - short <= BOUND_MIB, (short, long)
+
+
+# `oracle verdict-table --n N` prints N(N+1)/2 rows. Measured on the same VM:
+# with the rows and lines held in lists, --n 800 peaked at ~80 MiB against
+# ~17 MiB for --n 5; written as they are made, both peak at ~17 MiB.
+VERDICT_TABLE_BOUND_MIB = 8.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_verdict_table_peak_rss_does_not_grow_with_n():
+    small = _cli_peak_mib("oracle", "verdict-table", "--n", "5")
+    large = _cli_peak_mib("oracle", "verdict-table", "--n", "800")
+    assert large - small <= VERDICT_TABLE_BOUND_MIB, (small, large)

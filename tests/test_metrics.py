@@ -101,7 +101,7 @@ def test_detection_stats_always_wrong_latency():
         adversaries=((3, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
     _, verdicts = run_logged(sc, seed=4)
-    stats = detection_stats(verdicts, sc.profile_map())
+    stats = detection_stats(verdicts, sc.adversary_map)
     first_checkee_round = min(v.round for _, v in verdicts if v.checkee == 3)
     assert stats.detections == {3: first_checkee_round}
     assert stats.false_positives == 0
@@ -110,7 +110,7 @@ def test_detection_stats_always_wrong_latency():
 def test_detection_stats_all_honest_run():
     sc = Scenario(rounds=5)
     _, verdicts = run_logged(sc, seed=2)
-    stats = detection_stats(verdicts, sc.profile_map())
+    stats = detection_stats(verdicts, sc.adversary_map)
     assert stats.detections == {}
     assert stats.false_positives == 0
     assert stats.outcome_counts.get(Outcome.INCONCLUSIVE, 0) == 0

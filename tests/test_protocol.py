@@ -29,7 +29,7 @@ from collabtrust.protocol import (
     round_initiator,
 )
 from collabtrust.rng import SplitMix64
-from collabtrust.routines import OperandVector, execute, routine_catalog
+from collabtrust.routines import execute, routine_catalog
 from collabtrust.simnet import GroupConfig
 from collabtrust.verdict import Outcome
 
@@ -56,13 +56,13 @@ def make_bench(round_no=0, profiles=None):
     return states
 
 
-def challenge_for(round_no=0, ops=(200, 100), spec_id=0):
+def challenge_for(round_no=0, ops=(200, 100)):
     return Challenge(
         round=round_no,
         initiator=round_initiator(GROUP, round_no),
         checkee=round_checkee(GROUP, round_no),
-        spec_id=spec_id,
-        ops=OperandVector(values=tuple(ops), width=8),
+        spec=routine_catalog()[0],
+        ops=ops,
         challenge_id=round_no,
     )
 
@@ -87,7 +87,7 @@ def test_on_round_start_emits_group_minus_one_challenges():
     assert ch.checkee == 0 and ch.initiator == 1 and ch.challenge_id == 0
     # the initiator processed its own copy and is now a waiting checker
     assert states[1].challenge == ch
-    assert states[1].reference == execute(states[1].routines[ch.spec_id], ch.ops).value
+    assert states[1].reference == execute(ch.spec, ch.ops)
     assert states[1].opinions == {}
 
 

@@ -14,7 +14,6 @@ from collabtrust.routines import (
     ATOMIC_KINDS,
     VALID_WIDTHS,
     Kind,
-    OperandVector,
     RoutineSpec,
     compose,
     execute,
@@ -23,33 +22,25 @@ from collabtrust.routines import (
 )
 
 
-def vec(values, width=8):
-    return OperandVector(values=tuple(values), width=width)
-
-
 def test_add_wraps_modulo_width():
-    out = execute(RoutineSpec(id=0, kind=Kind.ADD, width=8), vec((200, 100)))
-    assert out.value == 44  # 300 mod 256
-    assert out.op_count == 1
+    assert execute(RoutineSpec(id=0, kind=Kind.ADD, width=8), (200, 100)) == 44  # 300 mod 256
 
 
 def test_cmp_is_geq():
     spec = RoutineSpec(id=2, kind=Kind.CMP, width=8)
-    assert execute(spec, vec((5, 9))).value == 0
-    assert execute(spec, vec((9, 5))).value == 1
-    assert execute(spec, vec((9, 9))).value == 1
+    assert execute(spec, (5, 9)) == 0
+    assert execute(spec, (9, 5)) == 1
+    assert execute(spec, (9, 9)) == 1
 
 
 def test_composite_left_fold():
     spec = compose([Kind.ADD, Kind.MUL], width=8)
-    out = execute(spec, vec((3, 4, 2)))
-    assert out.value == 14  # (3+4)*2
-    assert out.op_count == 2
+    assert execute(spec, (3, 4, 2)) == 14  # (3+4)*2
+    assert spec.op_count == 2
 
 
 def test_mul_wraps():
-    out = execute(RoutineSpec(id=1, kind=Kind.MUL, width=8), vec((16, 17)))
-    assert out.value == (16 * 17) % 256
+    assert execute(RoutineSpec(id=1, kind=Kind.MUL, width=8), (16, 17)) == (16 * 17) % 256
 
 
 def test_single_step_compose_equals_atomic():
@@ -58,14 +49,14 @@ def test_single_step_compose_equals_atomic():
     assert composite.arity == 2
     rng = SplitMix64(1)
     for _ in range(200):
-        ops = vec((rng.next_bits(8), rng.next_bits(8)))
-        assert execute(composite, ops).value == execute(atomic, ops).value
+        ops = (rng.next_bits(8), rng.next_bits(8))
+        assert execute(composite, ops) == execute(atomic, ops)
 
 
 def test_three_step_compose_shape():
     spec = compose([Kind.ADD, Kind.MUL, Kind.CMP], width=8)
     assert spec.arity == 4
-    assert execute(spec, vec((1, 2, 3, 4))).op_count == 3
+    assert spec.op_count == 3
 
 
 def test_compose_fold_identity_against_manual_composition():
@@ -75,7 +66,7 @@ def test_compose_fold_identity_against_manual_composition():
     for _ in range(1000):
         a, b, c = (rng.next_bits(8) for _ in range(3))
         expected = ((a * b) % 256 + c) % 256
-        assert execute(spec, vec((a, b, c))).value == expected
+        assert execute(spec, (a, b, c)) == expected
 
 
 def test_fold_identity_all_two_step_composites():
@@ -90,9 +81,9 @@ def test_fold_identity_all_two_step_composites():
             spec = compose([first, second], width=8)
             for _ in range(1200):  # > 10^4 vectors across the 9 combinations
                 a, b, c = (rng.next_bits(8) for _ in range(3))
-                step1 = execute(atomic[first], vec((a, b))).value
-                expected = execute(atomic[second], vec((step1, c))).value
-                assert execute(spec, vec((a, b, c))).value == expected
+                step1 = execute(atomic[first], (a, b))
+                expected = execute(atomic[second], (step1, c))
+                assert execute(spec, (a, b, c)) == expected
 
 
 def test_outputs_closed_in_width():
@@ -105,19 +96,14 @@ def test_outputs_closed_in_width():
         ]
         for spec in specs:
             for _ in range(300):
-                ops = vec(
-                    tuple(rng.next_bits(width) for _ in range(spec.arity)), width=width
-                )
-                assert 0 <= execute(spec, ops).value < (1 << width)
+                ops = tuple(rng.next_bits(width) for _ in range(spec.arity))
+                assert 0 <= execute(spec, ops) < (1 << width)
 
 
 def test_execute_is_pure():
     spec = compose([Kind.ADD, Kind.MUL], width=8)
-    ops = vec((3, 4, 2))
-    first = execute(spec, ops)
-    second = execute(spec, ops)
-    assert first == second
-    assert ops.values == (3, 4, 2)
+    ops = (3, 4, 2)
+    assert execute(spec, ops) == execute(spec, ops)
 
 
 def test_catalog_contents():
@@ -134,9 +120,7 @@ def test_catalog_contents():
 def test_contract_errors():
     spec = RoutineSpec(id=0, kind=Kind.ADD, width=8)
     with pytest.raises(ContractError):
-        execute(spec, vec((1, 2, 3)))  # arity mismatch
-    with pytest.raises(ContractError):
-        execute(spec, vec((1, 2), width=16))  # width mismatch
+        execute(spec, (1, 2, 3))  # arity mismatch
     with pytest.raises(ContractError):
         compose([], width=8)
     with pytest.raises(ContractError):
@@ -145,8 +129,10 @@ def test_contract_errors():
         RoutineSpec(id=0, kind=Kind.ADD, width=8, steps=(Kind.ADD,))
     with pytest.raises(ContractError):
         RoutineSpec(id=0, kind=Kind.ADD, width=12)
-    with pytest.raises(ContractError):
-        vec((256, 0))
+    with pytest.raises(ContractError, match="outside"):
+        execute(spec, (256, 0))
+    with pytest.raises(ContractError, match="outside"):
+        execute(spec, (0, -1))
 
 
 def test_generate_operands_deterministic_and_masked():
@@ -154,9 +140,9 @@ def test_generate_operands_deterministic_and_masked():
     a = generate_operands(99, 4, 2, spec)
     b = generate_operands(99, 4, 2, spec)
     assert a == b
-    assert len(a.values) == spec.arity
-    assert all(0 <= v < 256 for v in a.values)
-    # any input change changes the vector
+    assert len(a) == spec.arity
+    assert all(0 <= v < 256 for v in a)
+    # any input change changes the operands
     assert generate_operands(100, 4, 2, spec) != a
     assert generate_operands(99, 5, 2, spec) != a
     assert generate_operands(99, 4, 3, spec) != a
@@ -185,9 +171,7 @@ def test_operands_match_reference_stream(seed, round_no, checkee, spec):
     # checkee, id), one word per operand, masked to the routine's width.
     rng = SplitMix64(seed ^ mix_words(round_no, checkee, spec.id))
     mask = (1 << spec.width) - 1
-    expected = OperandVector(
-        values=tuple(rng.next_u64() & mask for _ in range(spec.arity)), width=spec.width
-    )
+    expected = tuple(rng.next_u64() & mask for _ in range(spec.arity))
     assert generate_operands(seed, round_no, checkee, spec) == expected
 
 
@@ -215,7 +199,7 @@ def test_operand_collisions_match_birthday_statistics():
     for round_no in range(2000):
         for checkee in range(5):
             ops = generate_operands(0xC0FFEE, round_no, checkee, spec)
-            points.append((ops.values[0] << 8) | ops.values[1])
+            points.append((ops[0] << 8) | ops[1])
     assert len(points) == n
     collisions = n - len(set(points))
     mean, sd = _birthday_mean_sd(n, m)
@@ -257,14 +241,11 @@ def specs_with_operands(draw) -> tuple[RoutineSpec, list[int]]:
 def test_execute_equals_reference_left_fold(case):
     spec, values = case
     assert spec.arity == len(values)
-    out = execute(spec, vec(values, width=spec.width))
-    assert out.value == _left_fold(spec, values)
-    assert out.op_count == spec.op_count == len(values) - 1
+    assert execute(spec, tuple(values)) == _left_fold(spec, values)
+    assert spec.op_count == len(values) - 1
     with pytest.raises(ContractError, match="operands"):
-        execute(spec, vec(values + [0], width=spec.width))
+        execute(spec, (*values, 0))
     with pytest.raises(ContractError, match="operands"):
-        execute(spec, vec(values[:-1], width=spec.width))
-    other = next(w for w in VALID_WIDTHS if w != spec.width)
-    narrowed = [v & ((1 << other) - 1) for v in values]
-    with pytest.raises(ContractError, match="width"):
-        execute(spec, vec(narrowed, width=other))
+        execute(spec, tuple(values[:-1]))
+    with pytest.raises(ContractError, match="outside"):
+        execute(spec, (*values[:-1], 1 << spec.width))

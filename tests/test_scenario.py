@@ -162,7 +162,7 @@ def test_routine_additions_and_overrides():
         '{"id": 0, "kind": "MUL", "width": 8}]}'
     )
     sc = parse_scenario(doc)
-    table = sc.routine_table()
+    table = sc.routine_order
     assert [spec.id for spec in table] == [0, 1, 2, 3, 4, 5]
     assert table[0].kind is Kind.MUL  # override
     assert table[5].steps == (Kind.ADD, Kind.CMP)
@@ -198,9 +198,8 @@ def test_evade_targets_feed_colluder_map():
     sc = parse_scenario(doc)
     profile = dict(sc.adversaries)[0]
     assert profile.initiator_policy is InitiatorKind.EVADE
-    trojans = sc.colluder_trojans(0)
-    assert set(trojans) == {1}
-    assert sc.colluder_trojans(1) == {}
+    assert set(sc.evader_trojans[0]) == {1}
+    assert 1 not in sc.evader_trojans
 
 
 def test_reporting_without_targets_rejected():

@@ -14,7 +14,7 @@ from collabtrust.errors import ContractError, GroupFormationError
 from collabtrust.metrics import detection_stats
 from collabtrust.protocol import Challenge
 from collabtrust.rng import SplitMix64
-from collabtrust.routines import OperandVector
+from collabtrust.routines import routine_catalog
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import GroupConfig, NetworkModel, draw_group, form_group
 from collabtrust.verdict import Outcome
@@ -26,8 +26,8 @@ def _msg():
         round=0,
         initiator=0,
         checkee=1,
-        spec_id=0,
-        ops=OperandVector(values=(1, 2), width=8),
+        spec=routine_catalog()[0],
+        ops=(1, 2),
         challenge_id=0,
     )
 
@@ -276,7 +276,7 @@ def test_lossless_framing_minority_causes_no_false_positives():
     for seed in range(5):
         _, verdicts = run_logged(sc, seed=seed)
         assert all(v.outcome is Outcome.TRUSTED for _, v in verdicts)
-        assert detection_stats(verdicts, sc.profile_map()).false_positives == 0
+        assert detection_stats(verdicts, sc.adversary_map).false_positives == 0
 
 
 def test_same_seed_identical_trace_and_different_seed_differs():
@@ -381,6 +381,27 @@ def test_regroup_period_redraws_membership():
     # one membership for rounds 0-4, one for 5-9 (identical draws are
     # astronomically unlikely with population 20)
     assert len(groups) == 2
+
+
+def test_engine_makes_state_only_for_devices_that_join_a_group(monkeypatch):
+    made = []
+
+    class CountingState(simnet.DeviceState):
+        def __init__(self, device_id, *args, **kwargs):
+            made.append(device_id)
+            super().__init__(device_id, *args, **kwargs)
+
+    monkeypatch.setattr(simnet, "DeviceState", CountingState)
+    sc = Scenario(population=1000, group_size=5, rounds=10, regroup_period=1)
+    _, trace = run_traced(sc, seed=4)
+    joined = {
+        int(m)
+        for line in trace
+        if line.split()[2] == "ROUND_START"
+        for m in line.split()[6].removeprefix("group=").split(",")
+    }
+    # Each device that joined is made once; no other device is made.
+    assert sorted(made) == sorted(joined)
 
 
 def test_high_latency_runs_stay_conserved():

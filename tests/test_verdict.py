@@ -81,7 +81,7 @@ def test_matches_oracle_on_all_tallies_and_quorums():
 
 
 def test_decision_table_shape():
-    rows = decision_table(4)
+    rows = list(decision_table(4))
     assert len(rows) == 15  # compositions of 4 into 3 parts
     assert all(a + d + m == 4 for a, d, m, _ in rows)
     assert len(set((a, d, m) for a, d, m, _ in rows)) == 15
