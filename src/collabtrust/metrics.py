@@ -11,6 +11,7 @@ event loop and the protocol charge a device by incrementing its
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .adversary import HONEST_PROFILE, AdversaryProfile, FaultKind, ReportingKind
@@ -81,11 +82,17 @@ def is_stat_honest(profile: AdversaryProfile) -> bool:
 
 @dataclass
 class DetectionStats:
-    """Detection quality of one run, folded verdict by verdict as it runs."""
+    """Detection quality of one run, folded verdict by verdict as it runs.
+
+    The outcome counts are plain ints, so a fold tells outcomes apart by
+    identity and hashes no Enum member.
+    """
 
     detections: dict[int, int] = field(default_factory=dict)  # corrupt device -> first flagged round
     false_positives: int = 0
-    outcome_counts: dict[Outcome, int] = field(default_factory=dict)
+    trusted: int = 0
+    flagged: int = 0
+    inconclusive: int = 0
 
     def fold(
         self, v: Verdict, issuers: tuple[int, ...], profiles: dict[int, AdversaryProfile]
@@ -98,15 +105,29 @@ class DetectionStats:
         are honest.
         """
         outcome = v.outcome
-        self.outcome_counts[outcome] = self.outcome_counts.get(outcome, 0) + len(issuers)
-        if outcome is not Outcome.FLAGGED:
+        if outcome is Outcome.TRUSTED:
+            self.trusted += len(issuers)
             return
+        if outcome is Outcome.INCONCLUSIVE:
+            self.inconclusive += len(issuers)
+            return
+        self.flagged += len(issuers)
         if profiles.get(v.checkee, HONEST_PROFILE).fault is FaultKind.HONEST:
             self.false_positives += len(issuers)
         elif any(is_stat_honest(profiles.get(i, HONEST_PROFILE)) for i in issuers):
             prior = self.detections.get(v.checkee)
             if prior is None or v.round < prior:
                 self.detections[v.checkee] = v.round
+
+    def fold_quiet(self, members: tuple[int, ...], rounds: Sequence[int]) -> None:
+        """Count the verdict every member reaches in each of a group's quiet `rounds`.
+
+        In a quiet round all n - 1 checkers agree, so the verdict about
+        round r's checkee, members[r % n], is TRUSTED with tally
+        (n - 1, 0, 0, n - 1); one call folds what `fold(v, members, ...)`
+        would fold for each such round.
+        """
+        self.trusted += len(rounds) * len(members)
 
 
 def detection_stats(

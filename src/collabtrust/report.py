@@ -15,8 +15,6 @@ from .scenario import Scenario
 from .simnet import RunResult
 from .verdict import Outcome
 
-OUTCOME_ORDER = (Outcome.TRUSTED, Outcome.FLAGGED, Outcome.INCONCLUSIVE)
-
 
 @dataclass(frozen=True)
 class DeviceReport:
@@ -87,7 +85,11 @@ def build_report(result: RunResult, scenario: Scenario) -> Report:
             "stray": 0,  # strays are counted as late; the key keeps the format stable
             "in_flight": c.in_flight,
         },
-        verdicts={o.value: stats.outcome_counts.get(o, 0) for o in OUTCOME_ORDER},
+        verdicts={
+            Outcome.TRUSTED.value: stats.trusted,
+            Outcome.FLAGGED.value: stats.flagged,
+            Outcome.INCONCLUSIVE.value: stats.inconclusive,
+        },
         false_positives=stats.false_positives,
         detections=dict(sorted(stats.detections.items())),
         excluded=dict(sorted(suspicion.excluded_at.items())),

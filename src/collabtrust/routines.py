@@ -12,7 +12,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import ContractError
-from .rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, mix_words
+from .rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, mix64, mix_words
 
 
 class Kind(Enum):
@@ -116,17 +116,26 @@ def _operand_key(round_no: int, checkee: int, routine_id: int) -> int:
     return mix_words(round_no, checkee, routine_id)
 
 
+def challenge_seed(seed: int, round_no: int, checkee: int, routine_id: int) -> int:
+    """The stream seed of a challenge's operands: `seed XOR mix(round, checkee, routine id)`.
+
+    The one derivation of that stream: generate_operands and operand_word
+    both start from it.
+    """
+    return seed ^ _operand_key(round_no, checkee, routine_id)
+
+
 def generate_operands(seed: int, round_no: int, checkee: int, spec: RoutineSpec) -> tuple[int, ...]:
     """Derive the round's challenge operands from the shared seed.
 
-    The stream seed is `seed XOR mix(round, checkee, routine id)`, so any
-    party knowing the shared seed reproduces the exact operands, and distinct
-    rounds/checkees/routines get independent-looking draws. Each operand is
-    the next SplitMix64 word of that stream masked to the routine's width.
+    Any party knowing the shared seed reproduces the exact operands from
+    challenge_seed, and distinct rounds/checkees/routines get
+    independent-looking draws. Each operand is the next SplitMix64 word of
+    that stream masked to the routine's width.
     """
     # SplitMix64.next_u64 inlined, with no generator object: every challenge
     # of every run draws here.
-    s = seed ^ _operand_key(round_no, checkee, spec.id)
+    s = challenge_seed(seed, round_no, checkee, spec.id)
     mask = (1 << spec.width) - 1
     values = []
     for _ in range(spec.arity):
@@ -135,3 +144,12 @@ def generate_operands(seed: int, round_no: int, checkee: int, spec: RoutineSpec)
         z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
         values.append((z ^ (z >> 31)) & mask)
     return tuple(values)
+
+
+def operand_word(seed: int, round_no: int, checkee: int, spec: RoutineSpec, index: int) -> int:
+    """generate_operands(seed, round_no, checkee, spec)[index], drawing no other word.
+
+    Word i of a SplitMix64 stream seeded s is mix64(s + (i + 1) * gamma).
+    """
+    s = challenge_seed(seed, round_no, checkee, spec.id)
+    return mix64(s + (index + 1) * GOLDEN_GAMMA) & ((1 << spec.width) - 1)

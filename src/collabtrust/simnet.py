@@ -16,11 +16,17 @@ verdict directly. It reads the scenario's run plan, built once per scenario
 and shared by every repetition: the routine table, the sparse adversary map,
 the special devices (a fault, a non-HONEST reporting policy or an EVADE
 initiator) and the lossless verdict table, one (Tally, Outcome) per possible
-AGREE count. Plain members take the honest output and their AGREE votes come
-as one count, so only special members go through apply_fault and
-distort_opinion, and the count indexes the verdict table. Messages and
-energy follow the lossless closed form, charged once per group epoch. Its
-reports are byte-identical to the engine's.
+AGREE count. The kernel walks the rounds group epoch by group epoch,
+drawing a group only at the regroup period or after an exclusion. Most
+rounds are quiet: no special member can change the verdict (_quiet_checks
+says which can). A quiet round draws no operands and builds no Verdict;
+its verdict is the unanimous TRUSTED one, and each epoch's quiet rounds
+are folded in one DetectionStats.fold_quiet call. In a loud round plain
+members take the honest output and their AGREE votes come as one count,
+so only special members go through apply_fault and distort_opinion, and
+the count indexes the verdict table. Messages and energy follow the
+lossless closed form, charged once per group epoch. Its reports are
+byte-identical to the engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
 form_group's draws over the eligible devices without listing them.
@@ -37,7 +43,9 @@ from typing import TYPE_CHECKING, NamedTuple, TextIO
 from .adversary import (
     HONEST_PROFILE,
     AdversaryProfile,
+    FaultKind,
     Opinion,
+    ReportingKind,
     TrojanModel,
     apply_fault,
     choose_adversarial_operands,
@@ -67,7 +75,7 @@ from .protocol import (
     round_initiator,
 )
 from .rng import MASK64, SplitMix64, mix_words
-from .routines import RoutineSpec, execute, generate_operands
+from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import Outcome, SuspicionLedger, Tally, Verdict, update_suspicion
 
 if TYPE_CHECKING:
@@ -261,6 +269,80 @@ class _Special(NamedTuple):
     colluder_trojans: dict[int, TrojanModel]
 
 
+# What a round at one checkee position must still check before it is quiet:
+# the group's Trojans, and its RANDOM reporters other than the checkee.
+_QuietCheck = tuple[tuple[TrojanModel, ...], tuple[_Special, ...]]
+
+
+def _quiet_checks(
+    members: tuple[int, ...], specials: dict[int, _Special]
+) -> tuple[_QuietCheck | None, ...]:
+    """Per checkee position of a group, what can make its rounds loud.
+
+    A round is quiet when no special member can change its verdict from
+    the unanimous one. Some special members matter by position alone: an
+    ALWAYS_WRONG member in every round, a FRAME or SHIELD reporter when the
+    checkee is one of its targets, and an EVADE initiator when the checkee
+    is a colluder with a Trojan. Such positions get None. At the others,
+    a round is loud only if a Trojan's trigger fires or a RANDOM reporter
+    flips its opinion.
+    """
+    n = len(members)
+    models = []
+    positional = []  # members that matter by position, or draw per round
+    for m, s in specials.items():
+        profile = s.profile
+        if profile.fault is FaultKind.ALWAYS_WRONG:
+            return (None,) * n
+        if profile.fault is FaultKind.TROJAN:
+            models.append(profile.trojan)
+        if profile.reporting is not ReportingKind.HONEST or s.colluder_trojans:
+            positional.append((m, s))
+    trojans = tuple(models)
+    if not positional:
+        return ((trojans, ()),) * n
+    checks: list[_QuietCheck | None] = []
+    for pos, checkee in enumerate(members):
+        evader = specials.get(members[(pos + 1) % n])
+        loud = evader is not None and checkee in evader.colluder_trojans
+        randoms = []
+        for m, s in positional:
+            reporting = s.profile.reporting
+            if m == checkee or reporting is ReportingKind.HONEST:
+                continue
+            if reporting is ReportingKind.RANDOM:
+                randoms.append(s)
+            elif checkee in s.profile.targets:  # FRAME or SHIELD
+                loud = True
+        checks.append(None if loud else (trojans, tuple(randoms)))
+    return tuple(checks)
+
+
+def _round_is_quiet(
+    check: _QuietCheck | None, seed: int, r: int, checkee: int, spec: RoutineSpec
+) -> bool:
+    """Whether round r ends in the unanimous verdict, decided before any operand is drawn.
+
+    `check` is _quiet_checks' entry for the round's checkee position. A
+    Trojan's trigger reads one operand word, derived alone. Each RANDOM
+    reporter's next flip is peeked at; only when none flips is the round
+    quiet and their words drawn, one each in group order. A loud round
+    leaves every stream as it was, for _tally_round to draw from.
+    """
+    if check is None:
+        return False
+    trojans, randoms = check
+    for t in trojans:
+        if operand_word(seed, r, checkee, spec, t.operand_index) & t.mask == t.match:
+            return False
+    for s in randoms:
+        if s.rng.peek_float() < s.profile.flip_probability:
+            return False
+    for s in randoms:
+        s.rng.next_u64()
+    return True
+
+
 def _tally_round(
     group: GroupConfig,
     specials: dict[int, _Special],
@@ -332,55 +414,68 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
 
 
 def _run_tally(sc: "Scenario", res: RunResult) -> None:
-    """Latency-free runs: one tally per round, no events, no network draws.
+    """Latency-free runs: one tally per loud round, no events, no network draws.
 
     The scenario's run plan gives the routine table, the sparse adversary
     map, the special devices and the lossless verdict table; a run adds
-    only the special devices' seeded streams. The group's special members
-    are found once per group, and energy is charged once per group epoch
-    (when the group changes and when the run ends).
+    only the special devices' seeded streams. Rounds are walked group epoch
+    by group epoch: a group is drawn at the regroup period and after an
+    exclusion, and its special members and quiet checks are found once.
+    Per epoch its quiet rounds are folded in one call and energy is
+    charged once.
     """
     seed = res.seed
     usage = res.energy.usage
     stats = res.stats
     suspicion = res.suspicion
+    excluded = suspicion.excluded_at
     rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
     profiles = sc.adversary_map
     routines = sc.routine_order
+    n_routines = len(routines)
     verdicts = sc.lossless_verdicts
+    period = sc.regroup_period
     special: dict[int, _Special] = {
         d: _Special(profiles[d], report_stream(seed, d), sc.evader_trojans.get(d, {}))
         for d in sc.special_devices
     }
-    group: GroupConfig | None = None
-    specials: dict[int, _Special] = {}
-    n_plain = epoch_start = epoch_ops = rounds_executed = 0
-    for r in range(sc.rounds):
+    r = 0
+    while r < sc.rounds:
         try:
-            new_group = _next_group(group, r, sc, suspicion, rng_group)
+            group = draw_group(
+                sc.population, excluded, sc.group_size, rng_group, sc.quorum, sc.round_deadline
+            )
         except GroupFormationError as exc:
             res.halt_reason = str(exc)
             break
-        if new_group is not group:
-            if group is not None:
-                _charge_epoch(usage, group.members, epoch_start, r - epoch_start, epoch_ops)
-            group = new_group
-            specials = {m: special[m] for m in group.members if m in special}
-            n_plain = len(group.members) - len(specials)
-            epoch_start, epoch_ops = r, 0
-        rounds_executed = r + 1
-        spec = routines[r % len(routines)]
-        epoch_ops += spec.op_count
-        v = _tally_round(group, specials, n_plain, r, spec, seed, verdicts)
-        # Every member reaches this verdict; devices missing from the
-        # sparse `profiles` count as honest.
-        stats.fold(v, group.members, profiles)
-        if v.outcome is Outcome.FLAGGED:
-            update_suspicion(suspicion, v)
-    if group is not None:
-        _charge_epoch(usage, group.members, epoch_start, rounds_executed - epoch_start, epoch_ops)
-    res.rounds_executed = rounds_executed
-    messages = lossless_messages_per_round(sc.group_size) * rounds_executed
+        members = group.members
+        n = len(members)
+        specials = {m: special[m] for m in members if m in special}
+        n_plain = n - len(specials)
+        checks = _quiet_checks(members, specials)
+        first = r
+        ops = 0
+        quiet: list[int] = []
+        for r in range(first, min(sc.rounds, (first // period + 1) * period)):
+            spec = routines[r % n_routines]
+            ops += spec.op_count
+            pos = r % n
+            if _round_is_quiet(checks[pos], seed, r, members[pos], spec):
+                quiet.append(r)
+                continue
+            v = _tally_round(group, specials, n_plain, r, spec, seed, verdicts)
+            # Every member reaches this verdict; devices missing from the
+            # sparse `profiles` count as honest.
+            stats.fold(v, members, profiles)
+            if v.outcome is Outcome.FLAGGED:
+                update_suspicion(suspicion, v)
+                if v.checkee in excluded:
+                    break  # the group is redrawn without it
+        r += 1
+        stats.fold_quiet(members, quiet)
+        _charge_epoch(usage, members, first, r - first, ops)
+    res.rounds_executed = r
+    messages = lossless_messages_per_round(sc.group_size) * r
     res.counters.sent += messages
     res.counters.delivered += messages
 

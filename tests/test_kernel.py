@@ -6,7 +6,10 @@ engine. A Hypothesis differential test generates lossless scenarios at the
 edge of that regime and checks that both paths produce the same report bytes
 and fold the same (issuer, verdict) pairs into their stats. Fold order
 legitimately differs: the engine folds verdicts as tallies complete, the
-kernel a round's verdict for all members at once.
+kernel a round's verdict for all members at once and a group's quiet rounds
+in bulk. A second Hypothesis test checks the quiet-round shortcut on single
+rounds: whenever it calls a round quiet, the full tally ends unanimous and
+every RANDOM reporter's stream ends where the full tally leaves it.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ def adversary_docs(draw, device: int, population: int) -> dict:
     reporting = draw(st.sampled_from(("HONEST", "FRAME", "SHIELD", "RANDOM")))
     doc["reporting"] = reporting
     if reporting == "RANDOM":
-        doc["p"] = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+        doc["p"] = draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)) | st.floats(0.0, 1.0))
     policy = draw(st.sampled_from(("HONEST", "EVADE")))
     doc["initiator_policy"] = policy
     if reporting in ("FRAME", "SHIELD") or policy == "EVADE":
@@ -77,7 +80,7 @@ def routine_docs(draw, routine_id: int) -> dict:
 
 
 @st.composite
-def lossless_scenarios(draw) -> Scenario:
+def lossless_scenarios(draw, min_adversaries: int = 0) -> Scenario:
     group_size = draw(st.integers(3, 9))
     population = group_size + draw(st.integers(0, 3))
     latency_max = draw(st.integers(0, 4))
@@ -85,7 +88,9 @@ def lossless_scenarios(draw) -> Scenario:
     # masks and payloads fit in 8 bits and every routine takes at least two
     # operands, so any table passes the load-time trigger checks.
     routine_ids = draw(st.lists(st.integers(0, 7), max_size=5, unique=True))
-    corrupt = draw(st.lists(st.integers(0, population - 1), max_size=4, unique=True))
+    corrupt = draw(
+        st.lists(st.integers(0, population - 1), min_size=min_adversaries, max_size=4, unique=True)
+    )
     doc = {
         "population": population,
         "group_size": group_size,
@@ -155,6 +160,30 @@ PURE_EVADER = scenario_from_dict(
 )
 
 
+# Device 2 evades for its colluder 1 by writing 0b10 into operand 0's low
+# bits, which fires device 3's trigger. At seed 1, round 1 (checkee 1,
+# initiator 2 in group order 0..4) has low bits 0b01, which fire neither.
+TWO_TROJAN_EVADER = scenario_from_dict(
+    {
+        "adversaries": [
+            {
+                "device": 1,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 3, "match": 3},
+                "payload": {"kind": "COMPLEMENT"},
+            },
+            {
+                "device": 3,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 3, "match": 2},
+                "payload": {"kind": "COMPLEMENT"},
+            },
+            {"device": 2, "initiator_policy": "EVADE", "targets": [1]},
+        ],
+    }
+)
+
+
 @settings(
     max_examples=100,
     deadline=None,
@@ -174,6 +203,63 @@ def test_kernel_matches_engine(sc, seed):
     # The kernel folds each round once for all members; the reference folds per issuer.
     assert kernel.stats == engine.stats == detection_stats(kernel_verdicts, sc.adversary_map)
     assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
+
+
+@st.composite
+def kernel_rounds(draw) -> tuple[Scenario, tuple[int, ...], int, int]:
+    """A scenario, a group of it that holds every special device, a round and a seed."""
+    sc = draw(lossless_scenarios(min_adversaries=1))
+    plain = [d for d in range(sc.population) if d not in sc.special_devices]
+    members = (list(sc.special_devices) + plain)[: sc.group_size]
+    order = tuple(draw(st.permutations(members)))
+    return sc, order, draw(st.integers(0, 2**20)), draw(st.integers(0, 2**64 - 1))
+
+
+def _group_specials(sc: Scenario, members: tuple[int, ...], seed: int) -> dict:
+    """The kernel's special members of this group, in group order, on fresh streams."""
+    return {
+        m: simnet._Special(sc.adversary_map[m], report_stream(seed, m), sc.evader_trojans.get(m, {}))
+        for m in members
+        if m in sc.special_devices
+    }
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=kernel_rounds())
+# The Trojan always fires: loud while device 1 is in the group, quiet once it is not.
+@example(case=(CONST_TROJAN, (0, 1, 2, 3, 4), 0, 0))
+@example(case=(CONST_TROJAN, (6, 0, 2, 3, 4), 7, 0))
+# Round 1 checks the Trojan colluder 1 and device 2 initiates it: the evader matters.
+@example(case=(PURE_EVADER, (0, 1, 2, 3, 4), 1, 0))
+@example(case=(PURE_EVADER, (0, 1, 2, 3, 4), 3, 0))
+@example(case=(TWO_TROJAN_EVADER, (0, 1, 2, 3, 4), 1, 1))
+def test_quiet_rounds_end_in_the_unanimous_verdict(case):
+    sc, members, r, seed = case
+    group = simnet.GroupConfig(members, sc.quorum, sc.round_deadline)
+    n = len(members)
+    pos = r % n
+    spec = sc.routine_order[r % len(sc.routine_order)]
+    shortcut = _group_specials(sc, members, seed)
+    full = _group_specials(sc, members, seed)
+    quiet = simnet._round_is_quiet(
+        simnet._quiet_checks(members, shortcut)[pos], seed, r, members[pos], spec
+    )
+    v = simnet._tally_round(group, full, n - len(full), r, spec, seed, sc.lossless_verdicts)
+    if quiet:
+        assert (v.tally, v.outcome) == sc.lossless_verdicts[n - 1]
+        # Each RANDOM reporter drew exactly the words the full round drew.
+        for m in shortcut:
+            assert shortcut[m].rng.next_u64() == full[m].rng.next_u64()
+    else:
+        # A loud round draws nothing before _tally_round does.
+        for m in shortcut:
+            assert shortcut[m].rng.next_u64() == report_stream(seed, m).next_u64()
 
 
 def _engine_runs(monkeypatch, sc: Scenario, trace: io.StringIO | None) -> int:

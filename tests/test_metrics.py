@@ -113,8 +113,8 @@ def test_detection_stats_all_honest_run():
     stats = detection_stats(verdicts, sc.adversary_map)
     assert stats.detections == {}
     assert stats.false_positives == 0
-    assert stats.outcome_counts.get(Outcome.INCONCLUSIVE, 0) == 0
-    assert stats.outcome_counts[Outcome.TRUSTED] == 25
+    assert stats.inconclusive == 0
+    assert stats.trusted == 25
 
 
 def test_false_positive_counts_flagged_honest_checkee():

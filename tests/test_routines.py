@@ -15,9 +15,11 @@ from collabtrust.routines import (
     VALID_WIDTHS,
     Kind,
     RoutineSpec,
+    challenge_seed,
     compose,
     execute,
     generate_operands,
+    operand_word,
     routine_catalog,
 )
 
@@ -173,6 +175,21 @@ def test_operands_match_reference_stream(seed, round_no, checkee, spec):
     mask = (1 << spec.width) - 1
     expected = tuple(rng.next_u64() & mask for _ in range(spec.arity))
     assert generate_operands(seed, round_no, checkee, spec) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    round_no=st.integers(0, 2**32),
+    checkee=st.integers(0, 2**16),
+    spec=routine_specs(),
+)
+def test_operand_word_is_that_operand_alone(seed, round_no, checkee, spec):
+    ops = generate_operands(seed, round_no, checkee, spec)
+    assert [operand_word(seed, round_no, checkee, spec, i) for i in range(spec.arity)] == list(ops)
+    assert challenge_seed(seed, round_no, checkee, spec.id) == seed ^ mix_words(
+        round_no, checkee, spec.id
+    )
 
 
 def _birthday_mean_sd(n: int, m: int) -> tuple[float, float]:
