@@ -6,11 +6,12 @@ charged even when the channel drops the message (the radio still spent the
 energy); receptions are charged for every delivery that reaches a device,
 including late ones, which the event loop never hands to the protocol. The
 event loop and the protocol charge a device by incrementing its
-`DeviceUsage` counters directly.
+`DeviceUsage` counters directly; the ledger makes them on first use.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -40,14 +41,20 @@ class DeviceUsage:
 
 
 class EnergyLedger:
-    """Per-device usage counters plus the cost model to price them."""
+    """Per-device usage counters plus the cost model to price them.
 
-    def __init__(self, model: EnergyModel, devices: range | list[int]):
+    A device's counters are made when it is first charged, so `usage` holds
+    only the devices a run touched; a device never charged has energy 0.
+    """
+
+    def __init__(self, model: EnergyModel):
         self.model = model
-        self.usage: dict[int, DeviceUsage] = {d: DeviceUsage() for d in devices}
+        self.usage: defaultdict[int, DeviceUsage] = defaultdict(DeviceUsage)
 
     def energy(self, device: int) -> int:
-        u = self.usage[device]
+        u = self.usage.get(device)
+        if u is None:
+            return 0
         m = self.model
         return m.e_op * u.ops + m.e_tx * u.sent + m.e_rx * u.received
 

@@ -8,7 +8,9 @@ formatting is used anywhere.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ContractError
 from .scenario import Scenario
@@ -16,25 +18,32 @@ from .simnet import RunResult
 from .verdict import Outcome
 
 
-@dataclass(frozen=True)
-class DeviceReport:
-    id: int
+class DeviceRow(NamedTuple):
+    """One device's line of a report; the device id is its key in `Report.devices`."""
+
     energy: int
     sent: int
     received: int
     flags: int
-    excluded_round: int | None
-    detection_round: int | None
+    excluded_round: int | None = None
+    detection_round: int | None = None
+
+
+# The row of a device no run touched, and what merge adds for a missing one.
+_BLANK = DeviceRow(0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
 class Report:
     """Integer results of one run, or sums over repetitions; rates are left to the consumer.
 
-    For a single run `detections` and `excluded` map a device to the round
-    it was first detected or excluded in. Once merged (repetitions > 1) they
-    count the repetitions in which that happened, `halt_reason` is None and
-    the per-device `excluded_round`/`detection_round` are blank.
+    `devices` holds rows only for the devices a run touched, those that
+    joined a group; every other device of `population` has a zero row,
+    made when the report is emitted. For a single run `detections` and
+    `excluded` map a device to the round it was first detected or excluded
+    in. Once merged (repetitions > 1) they count the repetitions in which
+    that happened, `halt_reason` is None and the per-device
+    `excluded_round`/`detection_round` are blank.
     """
 
     seed: int
@@ -42,7 +51,8 @@ class Report:
     rounds_executed: int
     halt_reason: str | None
     halted_runs: int
-    devices: tuple[DeviceReport, ...]
+    population: int
+    devices: dict[int, DeviceRow]
     messages: dict[str, int]
     verdicts: dict[str, int]
     false_positives: int
@@ -52,23 +62,25 @@ class Report:
 
 
 def build_report(result: RunResult, scenario: Scenario) -> Report:
-    """Assemble the report for one completed run (pure post-processing)."""
+    """Assemble the report for one completed run (pure post-processing).
+
+    Every device a verdict flags was a group member and so was charged, so
+    the ledger's devices are all the run touched.
+    """
     stats = result.stats
     suspicion = result.suspicion
-    devices = []
-    for d in range(scenario.population):
-        usage = result.energy.usage[d]
-        devices.append(
-            DeviceReport(
-                id=d,
-                energy=result.energy.energy(d),
-                sent=usage.sent,
-                received=usage.received,
-                flags=suspicion.flag_count(d),
-                excluded_round=suspicion.excluded_round(d),
-                detection_round=suspicion.first_flagged.get(d),
-            )
+    energy = result.energy.energy
+    devices = {
+        d: DeviceRow(
+            energy(d),
+            u.sent,
+            u.received,
+            suspicion.flag_count(d),
+            suspicion.excluded_round(d),
+            suspicion.first_flagged.get(d),
         )
+        for d, u in result.energy.usage.items()
+    }
     c = result.counters
     return Report(
         seed=result.seed,
@@ -76,7 +88,8 @@ def build_report(result: RunResult, scenario: Scenario) -> Report:
         rounds_executed=result.rounds_executed,
         halt_reason=result.halt_reason,
         halted_runs=0 if result.halt_reason is None else 1,
-        devices=tuple(devices),
+        population=scenario.population,
+        devices=devices,
         messages={
             "sent": c.sent,
             "delivered": c.delivered,
@@ -112,24 +125,20 @@ def merge(a: Report, b: Report) -> Report:
     Every field is a sum, so merging repetitions in any grouping gives the
     same report.
     """
-    devices = tuple(
-        DeviceReport(
-            id=x.id,
-            energy=x.energy + y.energy,
-            sent=x.sent + y.sent,
-            received=x.received + y.received,
-            flags=x.flags + y.flags,
-            excluded_round=None,
-            detection_round=None,
+    devices = {}
+    for d in a.devices.keys() | b.devices.keys():
+        x, y = a.devices.get(d, _BLANK), b.devices.get(d, _BLANK)
+        # The counters add up; a merged row's rounds are left blank.
+        devices[d] = DeviceRow(
+            x.energy + y.energy, x.sent + y.sent, x.received + y.received, x.flags + y.flags
         )
-        for x, y in zip(a.devices, b.devices)
-    )
     return Report(
         seed=a.seed,
         repetitions=a.repetitions + b.repetitions,
         rounds_executed=a.rounds_executed + b.rounds_executed,
         halt_reason=None,
         halted_runs=a.halted_runs + b.halted_runs,
+        population=a.population,
         devices=devices,
         messages={k: v + b.messages[k] for k, v in a.messages.items()},
         verdicts={k: v + b.verdicts[k] for k, v in a.verdicts.items()},
@@ -142,19 +151,9 @@ def merge(a: Report, b: Report) -> Report:
     )
 
 
-def _device_rows(devices: tuple[DeviceReport, ...]) -> list[dict]:
-    return [
-        {
-            "id": d.id,
-            "energy": d.energy,
-            "sent": d.sent,
-            "received": d.received,
-            "flags": d.flags,
-            "excluded_round": d.excluded_round,
-            "detection_round": d.detection_round,
-        }
-        for d in devices
-    ]
+def _rows(report: Report) -> Iterator[tuple[int, DeviceRow]]:
+    """Every device's (id, row) in id order, a zero row for each one never touched."""
+    return ((d, report.devices.get(d, _BLANK)) for d in range(report.population))
 
 
 def _to_json(report: Report) -> bytes:
@@ -168,7 +167,7 @@ def _to_json(report: Report) -> bytes:
         obj["halt_reason"] = report.halt_reason
     else:
         obj["halted_runs"] = report.halted_runs
-    obj["devices"] = _device_rows(report.devices)
+    obj["devices"] = [{"id": d, **row._asdict()} for d, row in _rows(report)]
     global_obj = {
         "messages": report.messages,
         "verdicts": report.verdicts,
@@ -191,14 +190,14 @@ def _csv_cell(value: int | None) -> str:
 
 def _to_csv(report: Report) -> bytes:
     lines = [_CSV_HEADER]
-    for d in report.devices:
+    for d, row in _rows(report):
         lines.append(
-            f"{d.id},{d.energy},{d.sent},{d.received},{d.flags},"
-            f"{_csv_cell(d.excluded_round)},{_csv_cell(d.detection_round)}"
+            f"{d},{row.energy},{row.sent},{row.received},{row.flags},"
+            f"{_csv_cell(row.excluded_round)},{_csv_cell(row.detection_round)}"
         )
-    total_sent = sum(d.sent for d in report.devices)
-    total_received = sum(d.received for d in report.devices)
-    total_flags = sum(d.flags for d in report.devices)
+    total_sent = sum(row.sent for row in report.devices.values())
+    total_received = sum(row.received for row in report.devices.values())
+    total_flags = sum(row.flags for row in report.devices.values())
     lines.append(f"GLOBAL,{report.total_energy},{total_sent},{total_received},{total_flags},,")
     return ("\n".join(lines) + "\n").encode("utf-8")
 

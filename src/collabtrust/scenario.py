@@ -27,8 +27,10 @@ from .routines import Kind, RoutineSpec, routine_catalog
 from .simnet import NetworkModel
 from .verdict import Outcome, Tally, default_quorum, lossless_verdicts
 
-# A run keeps an energy ledger entry and a report row for every device of the
-# population, so the loader caps it well below what exhausts memory.
+# A run keeps state only for the devices that join a group, but the emitted
+# report has a row for every device, and json.dumps holds the whole JSON
+# document in memory, so the loader caps the population well below what
+# exhausts memory.
 MAX_POPULATION = 100_000
 
 

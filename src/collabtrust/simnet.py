@@ -109,7 +109,6 @@ class NetworkModel:
 class GroupConfig:
     members: tuple[int, ...]
     quorum: int
-    round_deadline: int
     # Derived from members, for O(1) membership tests on the delivery path.
     member_set: frozenset[int] = field(init=False, compare=False, repr=False)
 
@@ -123,8 +122,6 @@ class GroupConfig:
             raise ContractError(
                 f"quorum {self.quorum} out of range [1, {len(self.members) - 1}]"
             )
-        if self.round_deadline < 1:
-            raise ContractError("round deadline must be at least 1 tick")
 
 
 def form_group(
@@ -132,7 +129,6 @@ def form_group(
     size: int,
     rng: SplitMix64,
     quorum: int,
-    round_deadline: int,
 ) -> GroupConfig:
     """Draw an ad-hoc group: a uniform subset via a seeded Fisher-Yates prefix.
 
@@ -145,7 +141,7 @@ def form_group(
         )
     pool = list(eligible)
     rng.shuffle_prefix(pool, size)
-    return GroupConfig(members=tuple(pool[:size]), quorum=quorum, round_deadline=round_deadline)
+    return GroupConfig(members=tuple(pool[:size]), quorum=quorum)
 
 
 def draw_group(
@@ -154,7 +150,6 @@ def draw_group(
     size: int,
     rng: SplitMix64,
     quorum: int,
-    round_deadline: int,
 ) -> GroupConfig:
     """form_group over the devices of range(population) not in `excluded`.
 
@@ -174,7 +169,7 @@ def draw_group(
         ranks.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
     members = tuple(_nth_eligible(skip, k) for k in ranks) if skip else tuple(ranks)
-    return GroupConfig(members=members, quorum=quorum, round_deadline=round_deadline)
+    return GroupConfig(members=members, quorum=quorum)
 
 
 def _nth_eligible(skip: list[int], rank: int) -> int:
@@ -256,9 +251,7 @@ def _next_group(
         and group.member_set.isdisjoint(suspicion.excluded_at)
     ):
         return group
-    return draw_group(
-        sc.population, suspicion.excluded_at, sc.group_size, rng_group, sc.quorum, sc.round_deadline
-    )
+    return draw_group(sc.population, suspicion.excluded_at, sc.group_size, rng_group, sc.quorum)
 
 
 class _Special(NamedTuple):
@@ -442,9 +435,7 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     r = 0
     while r < sc.rounds:
         try:
-            group = draw_group(
-                sc.population, excluded, sc.group_size, rng_group, sc.quorum, sc.round_deadline
-            )
+            group = draw_group(sc.population, excluded, sc.group_size, rng_group, sc.quorum)
         except GroupFormationError as exc:
             res.halt_reason = str(exc)
             break
@@ -663,7 +654,7 @@ def run_simulation(
         halt_reason=None,
         stats=DetectionStats(),
         counters=TrafficCounters(),
-        energy=EnergyLedger(scenario.energy, range(scenario.population)),
+        energy=EnergyLedger(scenario.energy),
         suspicion=SuspicionLedger(flag_threshold=scenario.flag_threshold),
     )
     if trace is None and latency_free(scenario):

@@ -161,8 +161,8 @@ def _one_dropped() -> TrafficCounters:
     return TrafficCounters(dropped=1)
 
 
-def _device_0_sent_once(model, devices) -> EnergyLedger:
-    ledger = EnergyLedger(model, devices)
+def _device_0_sent_once(model) -> EnergyLedger:
+    ledger = EnergyLedger(model)
     ledger.usage[0].sent = 1
     return ledger
 

@@ -3,8 +3,8 @@
 Each case runs `collabtrust run` through `cli.main` for one scenario and seed
 and hashes three outputs with SHA-256: the `--trace` file, the JSON report
 and the CSV report. The committed table in `golden_digests.json` covers every
-shipped `scenarios/*.json` plus two inline documents for paths the shipped
-(lossless) scenarios never reach:
+shipped `scenarios/*.json` plus inline documents for paths the shipped
+scenarios never reach:
 
 - `lossy_adversarial`: N=7 of 9, latency 1..9 ticks, 20% loss, an
   ALWAYS_WRONG device and a SHIELD liar covering it. It produces drops, late
@@ -17,6 +17,10 @@ shipped `scenarios/*.json` plus two inline documents for paths the shipped
   many events share a tick (a round's deadline, the next round's start and
   deliveries all land together), plus two faulty devices whose exclusion
   halts the run with deliveries still in flight.
+- `sparse_population`: groups of 5 drawn from 60 devices over 12 rounds, so
+  most devices never join a group and their report rows are all zero. Its
+  ALWAYS_WRONG device is excluded mid-epoch in some seeds and its Trojan in
+  another.
 
 The JSON and CSV reports are also produced without `--trace` and must hash
 the same: untraced lossless runs take the tally-level kernel instead of the
@@ -87,6 +91,21 @@ INLINE_SCENARIOS = {
         "adversaries": [
             {"device": 2, "fault": "ALWAYS_WRONG"},
             {"device": 4, "fault": "ALWAYS_WRONG"},
+        ],
+    },
+    "sparse_population": {
+        "population": 60,
+        "group_size": 5,
+        "rounds": 12,
+        "regroup_period": 5,
+        "adversaries": [
+            {"device": 4, "fault": "ALWAYS_WRONG"},
+            {
+                "device": 31,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 3, "match": 1},
+                "payload": {"kind": "XOR", "value": 1},
+            },
         ],
     },
 }

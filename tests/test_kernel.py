@@ -241,7 +241,7 @@ def _group_specials(sc: Scenario, members: tuple[int, ...], seed: int) -> dict:
 @example(case=(TWO_TROJAN_EVADER, (0, 1, 2, 3, 4), 1, 1))
 def test_quiet_rounds_end_in_the_unanimous_verdict(case):
     sc, members, r, seed = case
-    group = simnet.GroupConfig(members, sc.quorum, sc.round_deadline)
+    group = simnet.GroupConfig(members, sc.quorum)
     n = len(members)
     pos = r % n
     spec = sc.routine_order[r % len(sc.routine_order)]

@@ -20,13 +20,21 @@ UNIT = EnergyModel(e_op=1, e_tx=2, e_rx=1)
 def test_ledger_prices_each_usage_kind():
     # energy = e_op * ops + e_tx * sent + e_rx * received, with distinct
     # prices so each counter's weight shows.
-    ledger = EnergyLedger(EnergyModel(e_op=1, e_tx=2, e_rx=5), range(2))
+    ledger = EnergyLedger(EnergyModel(e_op=1, e_tx=2, e_rx=5))
     ledger.usage[0].ops += 3
     ledger.usage[0].sent += 1
     ledger.usage[1].received += 1
     assert ledger.energy(0) == 3 * 1 + 1 * 2
     assert ledger.energy(1) == 1 * 5
     assert ledger.total_energy() == 10
+
+
+def test_ledger_holds_only_charged_devices():
+    ledger = EnergyLedger(UNIT)
+    assert ledger.energy(7) == 0
+    assert ledger.total_energy() == 0
+    ledger.usage[3].sent += 1
+    assert list(ledger.usage) == [3]  # pricing device 7 made no entry
 
 
 def test_zero_cost_model():

@@ -33,7 +33,7 @@ from collabtrust.routines import execute, routine_catalog
 from collabtrust.simnet import GroupConfig
 from collabtrust.verdict import Outcome
 
-GROUP = GroupConfig(members=(0, 1, 2, 3, 4), quorum=3, round_deadline=10)
+GROUP = GroupConfig(members=(0, 1, 2, 3, 4), quorum=3)
 
 
 def make_device(device_id, profile=None, group=GROUP):

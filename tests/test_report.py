@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from functools import reduce
 
@@ -28,9 +29,11 @@ def test_json_round_trip_matches_in_memory_report():
     assert doc["global"]["messages"] == report.messages
     assert doc["global"]["verdicts"] == report.verdicts
     assert doc["global"]["total_energy"] == report.total_energy
-    for entry, dev in zip(doc["devices"], report.devices):
+    assert [entry["id"] for entry in doc["devices"]] == list(range(report.population))
+    for entry in doc["devices"]:
+        dev = report.devices[entry["id"]]
         assert entry == {
-            "id": dev.id,
+            "id": entry["id"],
             "energy": dev.energy,
             "sent": dev.sent,
             "received": dev.received,
@@ -53,6 +56,34 @@ def test_formats_carry_identical_numbers():
             int(cells[3]),
         ]
     assert csv_rows[-1].split(",")[1] == str(doc["global"]["total_energy"])
+
+
+def test_reports_keep_rows_only_for_devices_that_joined_a_group():
+    # 10 rounds of 5-member groups touch at most 50 of 100,000 devices; the
+    # ledger, the report and a merge hold rows for those alone, while the
+    # emitted CSV still has a line per device plus the header and GLOBAL.
+    sc = Scenario(
+        population=100_000,
+        group_size=5,
+        rounds=10,
+        adversaries=((3, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
+    )
+    kernel = run_simulation(sc, seed=1)
+    engine = run_simulation(sc, seed=2, trace=io.StringIO())
+    reports = []
+    for res in (kernel, engine):
+        assert 5 <= len(res.energy.usage) <= 50
+        report = build_report(res, sc)
+        assert report.devices.keys() == res.energy.usage.keys()
+        reports.append(report)
+    merged = merge(*reports)
+    assert merged.devices.keys() == kernel.energy.usage.keys() | engine.energy.usage.keys()
+    assert len(merged.devices) <= 50
+    csv = emit_report(merged, "csv").decode()
+    assert csv.count("\n") == sc.population + 2
+    lines = csv.split("\n")
+    last = sc.population - 1  # its row follows the header and every row before it
+    assert lines[1 + last] == f"{last},0,0,0,0,,"
 
 
 def test_unknown_format_rejected():
@@ -93,7 +124,9 @@ def test_aggregate_sums_and_detection_counts():
     assert agg.detections[4] == sum(1 for r in reports if 4 in r.detections)
     assert agg.excluded[4] == 3
     assert agg.halt_reason is None
-    assert all(d.excluded_round is None and d.detection_round is None for d in agg.devices)
+    assert all(
+        d.excluded_round is None and d.detection_round is None for d in agg.devices.values()
+    )
     for key in ("sent", "delivered", "dropped"):
         assert agg.messages[key] == sum(r.messages[key] for r in reports)
 

@@ -147,31 +147,31 @@ def test_network_model_validation():
 
 def test_group_config_validation():
     with pytest.raises(ContractError):
-        GroupConfig(members=(0, 1), quorum=1, round_deadline=10)
+        GroupConfig(members=(0, 1), quorum=1)
     with pytest.raises(ContractError):
-        GroupConfig(members=(0, 1, 1), quorum=1, round_deadline=10)
+        GroupConfig(members=(0, 1, 1), quorum=1)
     with pytest.raises(ContractError):
-        GroupConfig(members=(0, 1, 2), quorum=3, round_deadline=10)
+        GroupConfig(members=(0, 1, 2), quorum=3)
 
 
 def test_form_group_deterministic():
     population = list(range(20))
-    a = form_group(population, 5, SplitMix64(7), quorum=3, round_deadline=10)
-    b = form_group(population, 5, SplitMix64(7), quorum=3, round_deadline=10)
+    a = form_group(population, 5, SplitMix64(7), quorum=3)
+    b = form_group(population, 5, SplitMix64(7), quorum=3)
     assert a == b
     assert len(set(a.members)) == 5
     assert all(m in population for m in a.members)
 
 
 def test_form_group_whole_population():
-    group = form_group([3, 1, 4, 5, 9], 5, SplitMix64(0), quorum=3, round_deadline=10)
+    group = form_group([3, 1, 4, 5, 9], 5, SplitMix64(0), quorum=3)
     # degenerate draw: size == population, every device selected
     assert sorted(group.members) == [1, 3, 4, 5, 9]
 
 
 def test_form_group_too_few_devices():
     with pytest.raises(GroupFormationError):
-        form_group([0, 1, 2], 5, SplitMix64(0), quorum=3, round_deadline=10)
+        form_group([0, 1, 2], 5, SplitMix64(0), quorum=3)
 
 
 def test_form_group_inclusion_frequency_hypergeometric():
@@ -181,7 +181,7 @@ def test_form_group_inclusion_frequency_hypergeometric():
     draws = 10_000
     counts = dict.fromkeys(population, 0)
     for _ in range(draws):
-        for m in form_group(population, 5, rng, quorum=3, round_deadline=10).members:
+        for m in form_group(population, 5, rng, quorum=3).members:
             counts[m] += 1
     p = 5 / 20
     sigma = (draws * p * (1 - p)) ** 0.5
@@ -209,13 +209,13 @@ def test_draw_group_matches_form_group_over_the_eligible_list(data):
         listed, sparse = SplitMix64(seed), SplitMix64(seed)
         if size > len(eligible):
             with pytest.raises(GroupFormationError) as expected:
-                form_group(eligible, size, listed, quorum=2, round_deadline=10)
+                form_group(eligible, size, listed, quorum=2)
             with pytest.raises(GroupFormationError) as got:
-                draw_group(population, excluded, size, sparse, quorum=2, round_deadline=10)
+                draw_group(population, excluded, size, sparse, quorum=2)
             assert str(got.value) == str(expected.value)
             continue
-        expected = form_group(eligible, size, listed, quorum=2, round_deadline=10)
-        got = draw_group(population, excluded, size, sparse, quorum=2, round_deadline=10)
+        expected = form_group(eligible, size, listed, quorum=2)
+        got = draw_group(population, excluded, size, sparse, quorum=2)
         assert got == expected
         # Both consumed the same draws.
         assert sparse.next_u64() == listed.next_u64()
