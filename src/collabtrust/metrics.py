@@ -12,7 +12,6 @@ event loop and the protocol charge a device by incrementing its
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .adversary import HONEST_PROFILE, AdversaryProfile, FaultKind, ReportingKind
@@ -126,15 +125,15 @@ class DetectionStats:
             if prior is None or v.round < prior:
                 self.detections[v.checkee] = v.round
 
-    def fold_quiet(self, members: tuple[int, ...], rounds: Sequence[int]) -> None:
-        """Count the verdict every member reaches in each of a group's quiet `rounds`.
+    def fold_quiet(self, members: tuple[int, ...], epoch: range, loud: int) -> None:
+        """Count the verdict every member reaches in a group epoch's quiet rounds.
 
-        In a quiet round all n - 1 checkers agree, so the verdict about
-        round r's checkee, members[r % n], is TRUSTED with tally
-        (n - 1, 0, 0, n - 1); one call folds what `fold(v, members, ...)`
-        would fold for each such round.
+        The quiet rounds are those of `epoch` other than the `loud` ones
+        folded one by one with `fold`. The framing bound makes each of them
+        TRUSTED, so one call folds what `fold(v, members, ...)` would fold
+        for each.
         """
-        self.trusted += len(rounds) * len(members)
+        self.trusted += (len(epoch) - loud) * len(members)
 
 
 def detection_stats(

@@ -70,10 +70,6 @@ class SplitMix64:
         """Uniform in [0, 1) with 53 bits of resolution."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def peek_float(self) -> float:
-        """What next_float() would return next, without drawing it."""
-        return (mix64(self._state + GOLDEN_GAMMA) >> 11) * (2.0 ** -53)
-
     def below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n). Consumes no draw when n == 1."""
         if n <= 0:

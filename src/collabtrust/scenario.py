@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .adversary import (
     AdversaryProfile,
@@ -50,17 +51,22 @@ class Scenario:
     routines: tuple[RoutineSpec, ...] = ()
     adversaries: tuple[tuple[int, AdversaryProfile], ...] = ()
     # The run plan: derived once from the fields above when the scenario is
-    # built, and read (never mutated) by every run of it. Devices missing
-    # from the sparse adversary map are honest.
+    # built, and read by every run of it. Devices missing from the sparse
+    # adversary map are honest. Only the tally kernel's memo of classified
+    # group layouts grows, up to simnet.LAYOUT_MEMO entries; it holds device
+    # ids and models, never a run's streams.
     routine_order: tuple[RoutineSpec, ...] = field(init=False, compare=False, repr=False)
+    op_prefix: tuple[int, ...] = field(init=False, compare=False, repr=False)
     adversary_map: dict[int, AdversaryProfile] = field(init=False, compare=False, repr=False)
     special_devices: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    layout_devices: frozenset[int] = field(init=False, compare=False, repr=False)
     evader_trojans: dict[int, dict[int, TrojanModel]] = field(
         init=False, compare=False, repr=False
     )
     lossless_verdicts: tuple[tuple[Tally, Outcome], ...] = field(
         init=False, compare=False, repr=False
     )
+    layout_classes: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.population > MAX_POPULATION:
@@ -167,13 +173,20 @@ class Scenario:
                     trojans[target] = target_profile.trojan
             evader_trojans[device] = trojans
         specials = tuple(sorted(d for d, p in profiles.items() if is_special(p)))
+        framed = (p.targets for p in profiles.values() if p.reporting is ReportingKind.FRAME)
         object.__setattr__(self, "routine_order", table)
+        # op_prefix[i]: the summed op counts of the first i routines of the cycle.
+        op_prefix = tuple(accumulate((s.op_count for s in table), initial=0))
+        object.__setattr__(self, "op_prefix", op_prefix)
         object.__setattr__(self, "adversary_map", profiles)
         object.__setattr__(self, "special_devices", specials)
+        # The members whose place in a group the kernel's classes depend on.
+        object.__setattr__(self, "layout_devices", frozenset(specials).union(*framed))
         object.__setattr__(self, "evader_trojans", evader_trojans)
         object.__setattr__(
             self, "lossless_verdicts", lossless_verdicts(self.group_size, self.quorum)
         )
+        object.__setattr__(self, "layout_classes", {})
 
 
 _TOP_KEYS = {

@@ -13,20 +13,31 @@ each trace line there as its event happens. Runs with no trace sink whose
 outcome cannot depend on timing (no loss, and 3 * latency_max below the
 round deadline) skip the engine: a tally-level kernel computes each round's
 verdict directly. It reads the scenario's run plan, built once per scenario
-and shared by every repetition: the routine table, the sparse adversary map,
-the special devices (a fault, a non-HONEST reporting policy or an EVADE
-initiator) and the lossless verdict table, one (Tally, Outcome) per possible
-AGREE count. The kernel walks the rounds group epoch by group epoch,
-drawing a group only at the regroup period or after an exclusion. Most
-rounds are quiet: no special member can change the verdict (_quiet_checks
-says which can). A quiet round draws no operands and builds no Verdict;
-its verdict is the unanimous TRUSTED one, and each epoch's quiet rounds
-are folded in one DetectionStats.fold_quiet call. In a loud round plain
-members take the honest output and their AGREE votes come as one count,
-so only special members go through apply_fault and distort_opinion, and
-the count indexes the verdict table. Messages and energy follow the
-lossless closed form, charged once per group epoch. Its reports are
-byte-identical to the engine's.
+and shared by every repetition: the routine table and its op-count prefix
+sums, the sparse adversary map, the special devices (a fault, a non-HONEST
+reporting policy or an EVADE initiator), the lossless verdict table (one
+(Tally, Outcome) per possible AGREE count) and a bounded memo of classified
+group layouts. The kernel walks the rounds group epoch by group epoch,
+drawing a group only at the regroup period or after an exclusion.
+
+By the paper's framing bound, up to floor((N-1)/2) dissenting checkers
+cannot flag a checkee whose answer is honest. So each checkee position of
+a group gets one of three classes, found once per special layout (where
+the group's special members and FRAME targets sit) by _classify:
+FULL when the checkee is ALWAYS_WRONG, is a colluder of the EVADE device
+initiating its round, or has more checkers that can dissent (a fault, a
+FRAME reporter targeting it, a RANDOM reporter) than the bound; TRIGGER when the
+checkee is a Trojan, whose round is quiet unless the one operand word its
+trigger reads fires it; FREE otherwise. A quiet round draws no operands and
+builds no Verdict; it ends TRUSTED, and each epoch's quiet rounds are
+folded in one DetectionStats.fold_quiet call. A group with no RANDOM
+reporter never visits its FREE rounds; with one, each round draws one word
+per RANDOM checker, as the engine does. In a loud round plain members take
+the honest output and their AGREE votes come as one count, so only special
+members go through apply_fault and distort_opinion, and the count indexes
+the verdict table. Messages and energy follow the lossless closed form,
+charged once per group epoch. Its reports are byte-identical to the
+engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
 form_group's draws over the eligible devices without listing them.
@@ -37,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Collection
 from dataclasses import dataclass, field
+from enum import Enum
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
@@ -50,6 +62,7 @@ from .adversary import (
     apply_fault,
     choose_adversarial_operands,
     distort_opinion,
+    is_special,
 )
 from .errors import ContractError, GroupFormationError, ProtocolViolation
 from .metrics import (
@@ -149,9 +162,8 @@ def draw_group(
     excluded: Collection[int],
     size: int,
     rng: SplitMix64,
-    quorum: int,
-) -> GroupConfig:
-    """form_group over the devices of range(population) not in `excluded`.
+) -> tuple[int, ...]:
+    """form_group's members over the devices of range(population) not in `excluded`.
 
     The same draws pick the same members without building the eligible
     list: a sparse Fisher-Yates shuffles ranks, keeping only the swapped
@@ -168,8 +180,7 @@ def draw_group(
         j = i + rng.below(n - i)
         ranks.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
-    members = tuple(_nth_eligible(skip, k) for k in ranks) if skip else tuple(ranks)
-    return GroupConfig(members=members, quorum=quorum)
+    return tuple(_nth_eligible(skip, k) for k in ranks) if skip else tuple(ranks)
 
 
 def _nth_eligible(skip: list[int], rank: int) -> int:
@@ -251,7 +262,8 @@ def _next_group(
         and group.member_set.isdisjoint(suspicion.excluded_at)
     ):
         return group
-    return draw_group(sc.population, suspicion.excluded_at, sc.group_size, rng_group, sc.quorum)
+    members = draw_group(sc.population, suspicion.excluded_at, sc.group_size, rng_group)
+    return GroupConfig(members=members, quorum=sc.quorum)
 
 
 class _Special(NamedTuple):
@@ -262,82 +274,137 @@ class _Special(NamedTuple):
     colluder_trojans: dict[int, TrojanModel]
 
 
-# What a round at one checkee position must still check before it is quiet:
-# the group's Trojans, and its RANDOM reporters other than the checkee.
-_QuietCheck = tuple[tuple[TrojanModel, ...], tuple[_Special, ...]]
+class PositionClass(Enum):
+    """What the tally kernel computes for the rounds at one checkee position."""
+
+    FREE = "FREE"  # nothing: the round ends TRUSTED
+    TRIGGER = "TRIGGER"  # the checkee's trigger word; the full tally only if it fires
+    FULL = "FULL"  # the full tally
 
 
-def _quiet_checks(
-    members: tuple[int, ...], specials: dict[int, _Special]
-) -> tuple[_QuietCheck | None, ...]:
-    """Per checkee position of a group, what can make its rounds loud.
+class _Position(NamedTuple):
+    kind: PositionClass
+    trigger: TrojanModel | None  # the checkee's, at a TRIGGER position
+    randoms: tuple[int, ...]  # the RANDOM reporters among the checkers
 
-    A round is quiet when no special member can change its verdict from
-    the unanimous one. Some special members matter by position alone: an
-    ALWAYS_WRONG member in every round, a FRAME or SHIELD reporter when the
-    checkee is one of its targets, and an EVADE initiator when the checkee
-    is a colluder with a Trojan. Such positions get None. At the others,
-    a round is loud only if a Trojan's trigger fires or a RANDOM reporter
-    flips its opinion.
+
+class _GroupClasses(NamedTuple):
+    """The classes of a group's checkee positions, found from its special layout."""
+
+    specials: tuple[int, ...]  # the special members, in group order
+    positions: tuple[_Position, ...]
+    loud: tuple[int, ...]  # the positions that are not FREE
+    randoms: bool  # whether some position has a RANDOM checker
+
+
+# How many special layouts the memo in a scenario's run plan keeps classified.
+LAYOUT_MEMO = 4096
+
+
+def framing_bound(verdicts: tuple[tuple[Tally, Outcome], ...]) -> int:
+    """The most dissenting checkers a lossless verdict table leaves TRUSTED.
+
+    Entry a of the table is the round with a AGREE votes of n - 1, so this
+    is the largest k whose entries n-1 .. n-1-k are all TRUSTED:
+    floor((n-1)/2) under the majority rule.
     """
-    n = len(members)
-    models = []
-    positional = []  # members that matter by position, or draw per round
-    for m, s in specials.items():
-        profile = s.profile
-        if profile.fault is FaultKind.ALWAYS_WRONG:
-            return (None,) * n
-        if profile.fault is FaultKind.TROJAN:
-            models.append(profile.trojan)
-        if profile.reporting is not ReportingKind.HONEST or s.colluder_trojans:
-            positional.append((m, s))
-    trojans = tuple(models)
-    if not positional:
-        return ((trojans, ()),) * n
-    checks: list[_QuietCheck | None] = []
-    for pos, checkee in enumerate(members):
-        evader = specials.get(members[(pos + 1) % n])
-        loud = evader is not None and checkee in evader.colluder_trojans
+    k = 0
+    while k + 1 < len(verdicts) and verdicts[-2 - k][1] is Outcome.TRUSTED:
+        k += 1
+    return k
+
+
+def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClasses:
+    """Give each checkee position of a group with this layout its class.
+
+    `layout` holds the (position, device) pairs of the group's members in
+    `sc.layout_devices`: its special members and the devices a FRAME
+    reporter targets. Every other member is plain. While the checkee's
+    answer is honest, a checker can dissent only if its fault is not HONEST,
+    it is a FRAME reporter targeting the checkee, or it is a RANDOM
+    reporter; up to framing_bound of them cannot change a TRUSTED outcome.
+    A position is FULL when the checkee is ALWAYS_WRONG, when its initiator
+    is an EVADE device and the checkee one of its colluders, or when more
+    checkers can dissent than that bound. Past that, a Trojan checkee's
+    answer is honest unless its trigger fires (TRIGGER), and any other
+    checkee's always is (FREE).
+    """
+    n = sc.group_size
+    bound = framing_bound(sc.lossless_verdicts)
+    profiles = sc.adversary_map
+    at = dict(layout)
+    specials = tuple(d for _, d in layout if d in profiles and is_special(profiles[d]))
+    positions = []
+    for pos in range(n):
+        checkee = at.get(pos, -1)
+        profile = profiles.get(checkee, HONEST_PROFILE)
+        colluders = sc.evader_trojans.get(at.get((pos + 1) % n, -1), {})
+        dissenters = 0
         randoms = []
-        for m, s in positional:
-            reporting = s.profile.reporting
-            if m == checkee or reporting is ReportingKind.HONEST:
+        for d in specials:
+            if d == checkee:
                 continue
-            if reporting is ReportingKind.RANDOM:
-                randoms.append(s)
-            elif checkee in s.profile.targets:  # FRAME or SHIELD
-                loud = True
-        checks.append(None if loud else (trojans, tuple(randoms)))
-    return tuple(checks)
+            p = profiles[d]
+            if p.reporting is ReportingKind.RANDOM:
+                randoms.append(d)
+            if (
+                p.fault is not FaultKind.HONEST
+                or p.reporting is ReportingKind.RANDOM
+                or (p.reporting is ReportingKind.FRAME and checkee in p.targets)
+            ):
+                dissenters += 1
+        if profile.fault is FaultKind.ALWAYS_WRONG or checkee in colluders or dissenters > bound:
+            kind = PositionClass.FULL
+        elif profile.fault is FaultKind.TROJAN:
+            kind = PositionClass.TRIGGER
+        else:
+            kind = PositionClass.FREE
+        trigger = profile.trojan if kind is PositionClass.TRIGGER else None
+        positions.append(_Position(kind, trigger, tuple(randoms)))
+    return _GroupClasses(
+        specials=specials,
+        positions=tuple(positions),
+        loud=tuple(i for i, p in enumerate(positions) if p.kind is not PositionClass.FREE),
+        randoms=any(p.randoms for p in positions),
+    )
 
 
-def _round_is_quiet(
-    check: _QuietCheck | None, seed: int, r: int, checkee: int, spec: RoutineSpec
+def _ops_before(op_prefix: tuple[int, ...], r: int) -> int:
+    """The summed op counts of the routines of rounds 0 .. r - 1."""
+    cycles, rest = divmod(r, len(op_prefix) - 1)
+    return cycles * op_prefix[-1] + op_prefix[rest]
+
+
+def _quiet_round(
+    position: _Position,
+    seed: int,
+    r: int,
+    checkee: int,
+    spec: RoutineSpec,
+    special: dict[int, _Special],
 ) -> bool:
-    """Whether round r ends in the unanimous verdict, decided before any operand is drawn.
+    """Whether round r, at a checkee position of this class, ends TRUSTED by the framing bound.
 
-    `check` is _quiet_checks' entry for the round's checkee position. A
-    Trojan's trigger reads one operand word, derived alone. Each RANDOM
-    reporter's next flip is peeked at; only when none flips is the round
-    quiet and their words drawn, one each in group order. A loud round
-    leaves every stream as it was, for _tally_round to draw from.
+    A TRIGGER round derives the one operand word the checkee's trigger
+    reads. A quiet round draws one word from each RANDOM checker's stream,
+    as the full tally would; a loud round draws nothing, for _tally_round
+    to draw.
     """
-    if check is None:
+    kind = position.kind
+    if kind is PositionClass.FULL:
         return False
-    trojans, randoms = check
-    for t in trojans:
-        if operand_word(seed, r, checkee, spec, t.operand_index) & t.mask == t.match:
-            return False
-    for s in randoms:
-        if s.rng.peek_float() < s.profile.flip_probability:
-            return False
-    for s in randoms:
-        s.rng.next_u64()
+    t = position.trigger
+    if kind is PositionClass.TRIGGER and (
+        operand_word(seed, r, checkee, spec, t.operand_index) & t.mask == t.match
+    ):
+        return False
+    for d in position.randoms:
+        special[d].rng.next_u64()
     return True
 
 
 def _tally_round(
-    group: GroupConfig,
+    members: tuple[int, ...],
     specials: dict[int, _Special],
     n_plain: int,
     r: int,
@@ -354,9 +421,10 @@ def _tally_round(
     votes come as one count. `verdicts` is the scenario's lossless verdict
     table, indexed by that count.
     """
-    checkee = round_checkee(group, r)
+    n = len(members)
+    checkee = members[r % n]
     ops = generate_operands(seed, r, checkee, spec)
-    evader = specials.get(round_initiator(group, r))
+    evader = specials.get(members[(r + 1) % n])
     if evader is not None:
         ops = choose_adversarial_operands(evader.profile, ops, evader.colluder_trojans, checkee)
     honest = execute(spec, ops)
@@ -409,13 +477,15 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
 def _run_tally(sc: "Scenario", res: RunResult) -> None:
     """Latency-free runs: one tally per loud round, no events, no network draws.
 
-    The scenario's run plan gives the routine table, the sparse adversary
-    map, the special devices and the lossless verdict table; a run adds
-    only the special devices' seeded streams. Rounds are walked group epoch
-    by group epoch: a group is drawn at the regroup period and after an
-    exclusion, and its special members and quiet checks are found once.
-    Per epoch its quiet rounds are folded in one call and energy is
-    charged once.
+    The scenario's run plan gives the routine table and its op-count prefix
+    sums, the sparse adversary map, the special devices, the lossless
+    verdict table and the memo of classified layouts; a run adds only the
+    special devices' seeded streams. Rounds are walked group epoch by group
+    epoch: a group is drawn at the regroup period and after an exclusion.
+    A group without a RANDOM reporter visits only the rounds at its
+    positions that are not FREE; with one, every round, to draw its words.
+    Per epoch the quiet rounds are folded in one call and energy is charged
+    once.
     """
     seed = res.seed
     usage = res.energy.usage
@@ -426,47 +496,67 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     profiles = sc.adversary_map
     routines = sc.routine_order
     n_routines = len(routines)
+    op_prefix = sc.op_prefix
     verdicts = sc.lossless_verdicts
     period = sc.regroup_period
+    rounds = sc.rounds
+    n = sc.group_size
+    marked = sc.layout_devices
+    memo = sc.layout_classes
     special: dict[int, _Special] = {
         d: _Special(profiles[d], report_stream(seed, d), sc.evader_trojans.get(d, {}))
         for d in sc.special_devices
     }
     r = 0
-    while r < sc.rounds:
+    while r < rounds:
         try:
-            group = draw_group(sc.population, excluded, sc.group_size, rng_group, sc.quorum)
+            members = draw_group(sc.population, excluded, n, rng_group)
         except GroupFormationError as exc:
             res.halt_reason = str(exc)
             break
-        members = group.members
-        n = len(members)
-        specials = {m: special[m] for m in members if m in special}
-        n_plain = n - len(specials)
-        checks = _quiet_checks(members, specials)
+        layout = tuple([(i, m) for i, m in enumerate(members) if m in marked])
+        classes = memo.get(layout)
+        if classes is None:
+            classes = _classify(sc, layout)
+            if len(memo) < LAYOUT_MEMO:
+                memo[layout] = classes
         first = r
-        ops = 0
-        quiet: list[int] = []
-        for r in range(first, min(sc.rounds, (first // period + 1) * period)):
-            spec = routines[r % n_routines]
-            ops += spec.op_count
+        stop = min(rounds, (first // period + 1) * period)
+        if classes.randoms:
+            visit: range | list[int] = range(first, stop)
+        else:
+            visit = [
+                b + p
+                for b in range(first - first % n, stop, n)
+                for p in classes.loud
+                if first <= b + p < stop
+            ]
+        group_specials = None
+        loud = 0
+        for r in visit:
             pos = r % n
-            if _round_is_quiet(checks[pos], seed, r, members[pos], spec):
-                quiet.append(r)
+            spec = routines[r % n_routines]
+            if _quiet_round(classes.positions[pos], seed, r, members[pos], spec, special):
                 continue
-            v = _tally_round(group, specials, n_plain, r, spec, seed, verdicts)
+            if group_specials is None:
+                group_specials = {d: special[d] for d in classes.specials}
+            n_plain = n - len(group_specials)
+            v = _tally_round(members, group_specials, n_plain, r, spec, seed, verdicts)
+            loud += 1
             # Every member reaches this verdict; devices missing from the
             # sparse `profiles` count as honest.
             stats.fold(v, members, profiles)
             if v.outcome is Outcome.FLAGGED:
                 update_suspicion(suspicion, v)
                 if v.checkee in excluded:
-                    break  # the group is redrawn without it
-        r += 1
-        stats.fold_quiet(members, quiet)
-        _charge_epoch(usage, members, first, r - first, ops)
+                    stop = r + 1  # the group is redrawn without it
+                    break
+        stats.fold_quiet(members, range(first, stop), loud)
+        ops = _ops_before(op_prefix, stop) - _ops_before(op_prefix, first)
+        _charge_epoch(usage, members, first, stop - first, ops)
+        r = stop
     res.rounds_executed = r
-    messages = lossless_messages_per_round(sc.group_size) * r
+    messages = lossless_messages_per_round(n) * r
     res.counters.sent += messages
     res.counters.delivered += messages
 

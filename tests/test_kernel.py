@@ -2,14 +2,24 @@
 
 Runs with no trace sink, no loss and 3 * latency_max below the round
 deadline take the kernel; a run given a trace stream always takes the event
-engine. A Hypothesis differential test generates lossless scenarios at the
-edge of that regime and checks that both paths produce the same report bytes
-and fold the same (issuer, verdict) pairs into their stats. Fold order
-legitimately differs: the engine folds verdicts as tallies complete, the
-kernel a round's verdict for all members at once and a group's quiet rounds
-in bulk. A second Hypothesis test checks the quiet-round shortcut on single
-rounds: whenever it calls a round quiet, the full tally ends unanimous and
-every RANDOM reporter's stream ends where the full tally leaves it.
+engine. The kernel gives each checkee position of a group one of three
+classes: FULL (the full tally), TRIGGER (a Trojan checkee, quiet unless its
+trigger fires) and FREE (quiet). By the paper's framing bound, up to
+floor((N-1)/2) dissenting checkers cannot flag a checkee whose answer is
+honest, so a quiet round ends TRUSTED and is folded in bulk without its
+tally.
+
+A Hypothesis differential test generates lossless scenarios at the edge of
+the kernel's regime and checks that both paths produce the same report
+bytes and fold the same (issuer, verdict) pairs into their stats: exactly
+for the rounds the kernel tallies, and on (issuer, round, checkee, outcome)
+for its bulk rounds. Fold order legitimately differs: the engine folds
+verdicts as tallies complete, the kernel a round's verdict for all members
+at once and a group epoch's quiet rounds in bulk. A second Hypothesis test
+checks the classes on single rounds: whenever a round is quiet, the full
+tally ends TRUSTED and every RANDOM checker's stream ends one word on,
+where the full tally leaves it. A third differential pins the classifier
+at the bound itself, for each kind of dissenter and N in 3..7.
 """
 
 from __future__ import annotations
@@ -27,7 +37,8 @@ from collabtrust.metrics import detection_stats
 from collabtrust.report import build_report, emit_report
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import NetworkModel, latency_free, report_stream, run_simulation
-from verdict_log import run_logged
+from collabtrust.verdict import Outcome, minimum_corruption_to_frame
+from verdict_log import kernel_view, run_logged
 
 MASKS = (0, 1, 3, 0x0F, 0x81)
 
@@ -199,7 +210,10 @@ def test_kernel_matches_engine(sc, seed):
     engine, engine_verdicts = run_logged(sc, seed=seed, trace=io.StringIO())
     kernel, kernel_verdicts = run_logged(sc, seed=seed)
     assert _reports(sc, kernel) == _reports(sc, engine)
-    assert Counter(kernel_verdicts) == Counter(engine_verdicts)
+    # Verdicts folded one by one equal the engine's, tally included; bulk
+    # rounds match on (issuer, round, checkee, outcome).
+    got, expected = kernel_view(kernel_verdicts, engine_verdicts)
+    assert got == expected
     # The kernel folds each round once for all members; the reference folds per issuer.
     assert kernel.stats == engine.stats == detection_stats(kernel_verdicts, sc.adversary_map)
     assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
@@ -241,21 +255,24 @@ def _group_specials(sc: Scenario, members: tuple[int, ...], seed: int) -> dict:
 @example(case=(TWO_TROJAN_EVADER, (0, 1, 2, 3, 4), 1, 1))
 def test_quiet_rounds_end_in_the_unanimous_verdict(case):
     sc, members, r, seed = case
-    group = simnet.GroupConfig(members, sc.quorum)
     n = len(members)
     pos = r % n
     spec = sc.routine_order[r % len(sc.routine_order)]
     shortcut = _group_specials(sc, members, seed)
     full = _group_specials(sc, members, seed)
-    quiet = simnet._round_is_quiet(
-        simnet._quiet_checks(members, shortcut)[pos], seed, r, members[pos], spec
-    )
-    v = simnet._tally_round(group, full, n - len(full), r, spec, seed, sc.lossless_verdicts)
+    layout = tuple((i, m) for i, m in enumerate(members) if m in sc.layout_devices)
+    position = simnet._classify(sc, layout).positions[pos]
+    quiet = simnet._quiet_round(position, seed, r, members[pos], spec, shortcut)
+    v = simnet._tally_round(members, full, n - len(full), r, spec, seed, sc.lossless_verdicts)
     if quiet:
-        assert (v.tally, v.outcome) == sc.lossless_verdicts[n - 1]
-        # Each RANDOM reporter drew exactly the words the full round drew.
+        assert position.kind is not simnet.PositionClass.FULL
+        assert v.outcome is Outcome.TRUSTED
+        # Each RANDOM checker's stream is exactly one word on, as the full round left it.
         for m in shortcut:
-            assert shortcut[m].rng.next_u64() == full[m].rng.next_u64()
+            step = report_stream(seed, m)
+            if m in position.randoms:
+                step.next_u64()
+            assert shortcut[m].rng.next_u64() == full[m].rng.next_u64() == step.next_u64()
     else:
         # A loud round draws nothing before _tally_round does.
         for m in shortcut:
@@ -299,24 +316,83 @@ def test_report_streams_independent_across_devices_and_seeds():
     assert flips_a != flips_b
 
 
-def test_random_reporter_flip_rate_end_to_end():
-    # All hardware is honest, so every DISAGREE in a tally is a flip by the
-    # one RANDOM reporter, which checks in 4 of every 5 rounds.
-    p = 0.3
-    sc = Scenario(
-        rounds=50,
-        adversaries=((1, AdversaryProfile(reporting=ReportingKind.RANDOM, flip_probability=p)),),
-    )
+def _flip_rate(sc: Scenario, reps: int, trace: bool) -> tuple[int, int]:
+    """(flips, chances) over `reps` runs of a scenario whose only deviants are RANDOM reporters.
+
+    All hardware is honest, so every DISAGREE in a tally is a flip, and each
+    RANDOM reporter other than the checkee has one chance per round.
+    """
+    randoms = set(sc.special_devices)
     chances = flips = 0
-    for rep in range(40):
-        _, verdicts = run_logged(sc, seed=1000 + rep)
+    for rep in range(reps):
+        _, verdicts = run_logged(sc, seed=1000 + rep, trace=io.StringIO() if trace else None)
         per_round = {v.round: v for issuer, v in verdicts}
         for v in per_round.values():
-            if v.checkee != 1:
-                chances += 1
-                flips += v.tally.disagree
-    sigma = (p * (1 - p) / chances) ** 0.5
-    assert abs(flips / chances - p) <= 3 * sigma, (flips, chances)
+            chances += len(randoms - {v.checkee})
+            flips += v.tally.disagree
+    return flips, chances
+
+
+def test_random_reporter_flip_rate_end_to_end():
+    p = 0.3
+    random = AdversaryProfile(reporting=ReportingKind.RANDOM, flip_probability=p)
+    # One RANDOM reporter is within the framing bound, so the kernel folds
+    # its rounds in bulk without tallies: count on the engine.
+    within = Scenario(rounds=50, adversaries=((1, random),))
+    # Four of five are over it: every round is FULL and the kernel's
+    # tallies are exact.
+    over = Scenario(
+        rounds=50, flag_threshold=50, adversaries=tuple((d, random) for d in (1, 2, 3, 4))
+    )
+    layout = tuple((i, i) for i in (1, 2, 3, 4))
+    assert all(c.kind is simnet.PositionClass.FULL for c in simnet._classify(over, layout).positions)
+    for sc, trace, reps in ((within, True, 40), (over, False, 10)):
+        flips, chances = _flip_rate(sc, reps, trace)
+        sigma = (p * (1 - p) / chances) ** 0.5
+        assert abs(flips / chances - p) <= 3 * sigma, (flips, chances)
+
+
+# Each kind of member that can dissent about an honest checkee, by the
+# devices it holds: 1..k of a group that also holds device 0.
+DISSENTERS = {
+    "FRAME": {"reporting": "FRAME", "targets": [0]},
+    "RANDOM": {"reporting": "RANDOM", "p": 1.0},
+    "ALWAYS_WRONG": {"fault": "ALWAYS_WRONG"},
+    "TROJAN": {
+        "fault": "TROJAN",
+        "trigger": {"index": 0, "mask": 0, "match": 0},
+        "payload": {"kind": "COMPLEMENT"},
+    },
+}
+
+
+def test_kernel_matches_engine_at_the_framing_bound():
+    # floor((N-1)/2) dissenters cannot flag an honest checkee; one more can.
+    for n in range(3, 8):
+        bound = minimum_corruption_to_frame(n) - 1
+        for kind, doc in DISSENTERS.items():
+            for k in (bound, bound + 1):
+                sc = scenario_from_dict(
+                    {
+                        "population": n,
+                        "group_size": n,
+                        "rounds": 12,
+                        "regroup_period": 3,
+                        "flag_threshold": 12,
+                        "adversaries": [dict(doc, device=d) for d in range(1, k + 1)],
+                    }
+                )
+                # Device 0 is honest and every dissenter can dissent about it.
+                layout = tuple((d, d) for d in range(1, k + 1))
+                if kind == "FRAME":
+                    layout = ((0, 0),) + layout  # device 0 is a FRAME target
+                position = simnet._classify(sc, layout).positions[0]
+                expected = simnet.PositionClass.FREE if k == bound else simnet.PositionClass.FULL
+                assert position.kind is expected, (n, kind, k)
+                for seed in range(3):
+                    engine = run_simulation(sc, seed=seed, trace=io.StringIO())
+                    kernel = run_simulation(sc, seed=seed)
+                    assert _reports(sc, kernel) == _reports(sc, engine), (n, kind, k, seed)
 
 
 def test_operand_key_memo_stays_bounded():
@@ -325,3 +401,22 @@ def test_operand_key_memo_stays_bounded():
     info = routines._operand_key.cache_info()
     assert info.maxsize == routines.OPERAND_KEY_CACHE <= 4096
     assert info.currsize <= info.maxsize
+
+
+def test_layout_memo_stays_bounded():
+    # 3,000 FRAME reporters among 100,000 devices, regrouped every round:
+    # thousands of groups hold one, each at its own (position, device) layout.
+    sc = scenario_from_dict(
+        {
+            "population": 100_000,
+            "group_size": 5,
+            "rounds": 20_000,
+            "regroup_period": 1,
+            "adversaries": [
+                {"device": d, "reporting": "FRAME", "targets": [d + 1]} for d in range(0, 6_000, 2)
+            ],
+        }
+    )
+    run_simulation(sc)
+    # The memo fills up to its cap and no further.
+    assert len(sc.layout_classes) == simnet.LAYOUT_MEMO <= 4096
