@@ -33,7 +33,7 @@ from .routines import (
     routine_catalog,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, scenario_from_dict
-from .simnet import GroupConfig, NetworkModel, RunResult, form_group, run_simulation
+from .simnet import NetworkModel, RunResult, form_group, run_simulation
 from .verdict import (
     Outcome,
     SuspicionLedger,

@@ -167,9 +167,12 @@ def distort_opinion(
     profile: AdversaryProfile,
     true_opinion: Opinion,
     checkee: int,
-    rng: SplitMix64,
+    rng: SplitMix64 | None,
 ) -> Opinion:
-    """What the device reports instead of its honestly computed opinion."""
+    """What the device reports instead of its honestly computed opinion.
+
+    Only a RANDOM reporter draws, from its own stream `rng`.
+    """
     if profile.reporting is ReportingKind.HONEST:
         return true_opinion
     if profile.reporting is ReportingKind.FRAME:

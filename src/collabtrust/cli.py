@@ -121,21 +121,20 @@ def _parse_sweep_value(token: str):
     return value
 
 
+# Each sweep column after `param` and `value`, with how it reads the merged report.
 _SWEEP_COLUMNS = (
-    "param",
-    "value",
-    "repetitions",
-    "rounds_executed",
-    "sent",
-    "delivered",
-    "dropped",
-    "late",
-    "trusted",
-    "flagged",
-    "inconclusive",
-    "false_positives",
-    "detected_devices",
-    "total_energy",
+    ("repetitions", lambda agg: agg.repetitions),
+    ("rounds_executed", lambda agg: agg.rounds_executed),
+    ("sent", lambda agg: agg.messages["sent"]),
+    ("delivered", lambda agg: agg.messages["delivered"]),
+    ("dropped", lambda agg: agg.messages["dropped"]),
+    ("late", lambda agg: agg.messages["late"]),
+    ("trusted", lambda agg: agg.verdicts["TRUSTED"]),
+    ("flagged", lambda agg: agg.verdicts["FLAGGED"]),
+    ("inconclusive", lambda agg: agg.verdicts["INCONCLUSIVE"]),
+    ("false_positives", lambda agg: agg.false_positives),
+    ("detected_devices", lambda agg: len(agg.detections)),
+    ("total_energy", lambda agg: agg.total_energy),
 )
 
 
@@ -149,30 +148,15 @@ def _cmd_sweep(args) -> int:
         scenario = scenario_from_dict(doc)
         seed = scenario.seed if args.seed is None else args.seed
         agg = _run_repetitions(scenario, seed)
-        rows.append(
-            {
-                "param": args.param,
-                "value": value,
-                "repetitions": agg.repetitions,
-                "rounds_executed": agg.rounds_executed,
-                "sent": agg.messages["sent"],
-                "delivered": agg.messages["delivered"],
-                "dropped": agg.messages["dropped"],
-                "late": agg.messages["late"],
-                "trusted": agg.verdicts["TRUSTED"],
-                "flagged": agg.verdicts["FLAGGED"],
-                "inconclusive": agg.verdicts["INCONCLUSIVE"],
-                "false_positives": agg.false_positives,
-                "detected_devices": len(agg.detections),
-                "total_energy": agg.total_energy,
-            }
-        )
+        row = {"param": args.param, "value": value}
+        row.update((name, column(agg)) for name, column in _SWEEP_COLUMNS)
+        rows.append(row)
     if args.format == "json":
         payload = (json.dumps(rows, indent=2) + "\n").encode("utf-8")
     else:
-        lines = [",".join(_SWEEP_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(str(row[col]) for col in _SWEEP_COLUMNS))
+        header = ("param", "value", *(name for name, _ in _SWEEP_COLUMNS))
+        lines = [",".join(header)]
+        lines.extend(",".join(str(cell) for cell in row.values()) for row in rows)
         payload = ("\n".join(lines) + "\n").encode("utf-8")
     _write_output((payload,), args.out)
     return 0

@@ -8,6 +8,10 @@ locally computed reference and broadcasts an AGREE/DISAGREE report; every
 device (checkee included) tallies reports and concludes a verdict, either
 when the tally is complete or at the round deadline.
 
+A group is its members tuple: the checkee of round r is member r mod N,
+the initiator the member after it, and every device of a scenario applies
+its one quorum. Each message names its round once, in `round`.
+
 Handlers are plain transitions (state, message) -> (state, outgoing messages).
 The event loop alone decides each message's fate: it drops, delays and
 counts as late every off-round or non-member delivery, so handlers see only
@@ -20,7 +24,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .adversary import (
     AdversaryProfile,
@@ -36,9 +39,6 @@ from .routines import RoutineSpec, execute, generate_operands
 from .rng import SplitMix64
 from .verdict import Tally, Verdict, compute_verdict
 
-if TYPE_CHECKING:
-    from .simnet import GroupConfig
-
 
 @dataclass(frozen=True)
 class Challenge:
@@ -47,19 +47,18 @@ class Challenge:
     checkee: int
     spec: RoutineSpec
     ops: tuple[int, ...]
-    challenge_id: int
 
 
 @dataclass(frozen=True)
 class Response:
-    challenge_id: int
+    round: int
     responder: int
     output: int
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    challenge_id: int
+    round: int
     reporter: int
     checkee: int
     opinion: Opinion
@@ -78,7 +77,8 @@ class DeviceState:
         "colluder_trojans",
         "rng",
         "usage",
-        "group",
+        "quorum",
+        "members",
         "round",
         "checkee",
         "challenge",
@@ -93,8 +93,9 @@ class DeviceState:
         device_id: int,
         profile: AdversaryProfile,
         routine_order: Sequence[RoutineSpec],
-        rng: SplitMix64,
+        rng: SplitMix64 | None,  # a RANDOM reporter's report stream
         usage: DeviceUsage,
+        quorum: int,
         colluder_trojans: dict[int, TrojanModel] | None = None,
     ):
         self.id = device_id
@@ -103,7 +104,8 @@ class DeviceState:
         self.colluder_trojans = colluder_trojans or {}
         self.rng = rng
         self.usage = usage
-        self.group: GroupConfig | None = None
+        self.quorum = quorum
+        self.members: tuple[int, ...] = ()  # the device's group, set when it joins one
         self.round: int | None = None
         self.checkee: int | None = None
         self.challenge: Challenge | None = None
@@ -114,22 +116,20 @@ class DeviceState:
 
     @property
     def n_checkers(self) -> int:
-        assert self.group is not None
-        return len(self.group.members) - 1
+        return len(self.members) - 1
 
     def _peers(self) -> list[int]:
-        assert self.group is not None
-        return [m for m in self.group.members if m != self.id]
+        return [m for m in self.members if m != self.id]
 
 
-def round_checkee(group: "GroupConfig", round_no: int) -> int:
+def round_checkee(members: tuple[int, ...], round_no: int) -> int:
     """Round-robin schedule: position round mod size. Common knowledge."""
-    return group.members[round_no % len(group.members)]
+    return members[round_no % len(members)]
 
 
-def round_initiator(group: "GroupConfig", round_no: int) -> int:
+def round_initiator(members: tuple[int, ...], round_no: int) -> int:
     """The member after the checkee in group order."""
-    return group.members[(round_no + 1) % len(group.members)]
+    return members[(round_no + 1) % len(members)]
 
 
 def begin_round(state: DeviceState, round_no: int) -> None:
@@ -138,9 +138,8 @@ def begin_round(state: DeviceState, round_no: int) -> None:
     Rounds are synchronous: every group member knows the round number and
     therefore the scheduled checkee, even if it never sees the challenge.
     """
-    assert state.group is not None
     state.round = round_no
-    state.checkee = round_checkee(state.group, round_no)
+    state.checkee = round_checkee(state.members, round_no)
     state.challenge = None
     state.reference = None
     state.pending_response = None
@@ -154,8 +153,7 @@ def make_challenge(state: DeviceState, round_no: int, shared_seed: int) -> Chall
     The routine rotates through the catalog; operands come from the shared
     seed, then pass through the initiator's evasion policy if it is corrupt.
     """
-    assert state.group is not None
-    checkee = round_checkee(state.group, round_no)
+    checkee = round_checkee(state.members, round_no)
     spec = state.routine_order[round_no % len(state.routine_order)]
     ops = generate_operands(shared_seed, round_no, checkee, spec)
     ops = choose_adversarial_operands(state.profile, ops, state.colluder_trojans, checkee)
@@ -165,7 +163,6 @@ def make_challenge(state: DeviceState, round_no: int, shared_seed: int) -> Chall
         checkee=checkee,
         spec=spec,
         ops=ops,
-        challenge_id=round_no,
     )
 
 
@@ -173,11 +170,11 @@ def on_round_start(
     state: DeviceState, round_no: int, shared_seed: int
 ) -> list[tuple[int, Message]]:
     """Initiator duty: build the round's challenge and unicast it to the group."""
-    if state.group is None or state.round != round_no or state.challenge is not None:
+    if not state.members or state.round != round_no or state.challenge is not None:
         raise ProtocolViolation(
             f"device {state.id}: round {round_no} start out of turn (device round {state.round})"
         )
-    if round_initiator(state.group, round_no) != state.id:
+    if round_initiator(state.members, round_no) != state.id:
         raise ProtocolViolation(f"device {state.id} is not round {round_no}'s initiator")
     ch = make_challenge(state, round_no, shared_seed)
     outgoing: list[tuple[int, Message]] = [(peer, ch) for peer in state._peers()]
@@ -201,7 +198,7 @@ def handle_check_request(state: DeviceState, ch: Challenge) -> list[tuple[int, M
     state.reference = out
     if state.id == ch.checkee:
         # The checkee's "reference" is the output it must defend.
-        response = Response(challenge_id=ch.challenge_id, responder=state.id, output=out)
+        response = Response(round=ch.round, responder=state.id, output=out)
         return [(peer, response) for peer in state._peers()]
     if state.pending_response is not None:
         # The checkee's answer overtook our challenge; compare it now.
@@ -227,7 +224,7 @@ def handle_response(state: DeviceState, r: Response) -> list[tuple[int, Comparis
     # round deadline rather than being returned from this handler.
     state.opinions[state.id] = opinion
     report = ComparisonReport(
-        challenge_id=r.challenge_id, reporter=state.id, checkee=state.checkee, opinion=opinion
+        round=r.round, reporter=state.id, checkee=state.checkee, opinion=opinion
     )
     return [(peer, report) for peer in state._peers()]
 
@@ -255,7 +252,7 @@ def on_timeout(state: DeviceState, round_no: int) -> Verdict:
 
 
 def _conclude(state: DeviceState) -> Verdict:
-    assert state.group is not None and state.round is not None and state.checkee is not None
+    assert state.round is not None and state.checkee is not None
     agree = sum(1 for o in state.opinions.values() if o is Opinion.AGREE)
     disagree = len(state.opinions) - agree
     tally = Tally(
@@ -264,6 +261,6 @@ def _conclude(state: DeviceState) -> Verdict:
         missing=state.n_checkers - len(state.opinions),
         n_checkers=state.n_checkers,
     )
-    outcome = compute_verdict(tally, state.group.quorum)
+    outcome = compute_verdict(tally, state.quorum)
     state.verdict_emitted = True
     return Verdict(checkee=state.checkee, round=state.round, outcome=outcome, tally=tally)

@@ -31,7 +31,7 @@ def mix_words(*words: int) -> int:
     """Fold integers into one 64-bit hash by iterating the finalizer.
 
     Used to derive independent stream seeds (per round/device/routine,
-    per named subsystem) from a single scenario seed.
+    per named subsystem, through `stream`) from a single scenario seed.
     """
     h = 0
     for w in words:
@@ -128,3 +128,12 @@ class SplitMix64:
         for i in range(k):
             j = i + self.below(n - i)
             items[i], items[j] = items[j], items[i]
+
+
+def stream(seed: int, tag: int, *words: int) -> SplitMix64:
+    """The substream named `tag` (and, per device, `words`) of the run at `seed`.
+
+    Hashing the seed with the name keeps the streams of distinct names,
+    devices and consecutive seeds independent.
+    """
+    return SplitMix64(mix_words(seed, tag, *words))

@@ -58,7 +58,6 @@ class Scenario:
     routine_order: tuple[RoutineSpec, ...] = field(init=False, compare=False, repr=False)
     op_prefix: tuple[int, ...] = field(init=False, compare=False, repr=False)
     adversary_map: dict[int, AdversaryProfile] = field(init=False, compare=False, repr=False)
-    special_devices: tuple[int, ...] = field(init=False, compare=False, repr=False)
     layout_devices: frozenset[int] = field(init=False, compare=False, repr=False)
     evader_trojans: dict[int, dict[int, TrojanModel]] = field(
         init=False, compare=False, repr=False
@@ -172,14 +171,13 @@ class Scenario:
                 if target_profile is not None and target_profile.trojan is not None:
                     trojans[target] = target_profile.trojan
             evader_trojans[device] = trojans
-        specials = tuple(sorted(d for d, p in profiles.items() if is_special(p)))
+        specials = (d for d, p in profiles.items() if is_special(p))
         framed = (p.targets for p in profiles.values() if p.reporting is ReportingKind.FRAME)
         object.__setattr__(self, "routine_order", table)
         # op_prefix[i]: the summed op counts of the first i routines of the cycle.
         op_prefix = tuple(accumulate((s.op_count for s in table), initial=0))
         object.__setattr__(self, "op_prefix", op_prefix)
         object.__setattr__(self, "adversary_map", profiles)
-        object.__setattr__(self, "special_devices", specials)
         # The members whose place in a group the kernel's classes depend on.
         object.__setattr__(self, "layout_devices", frozenset(specials).union(*framed))
         object.__setattr__(self, "evader_trojans", evader_trojans)

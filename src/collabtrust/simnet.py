@@ -4,9 +4,16 @@ Virtual time is integer ticks; events are totally ordered by (time, seq):
 round r's timers hold seqs 2r and 2r + 1, and messages number from
 2 * rounds in send order, so equal-time events resolve in a fixed,
 platform-independent order. All randomness comes from named SplitMix64
-streams derived from the scenario seed: the network stream (loss and
-latency), the grouping stream (ad-hoc membership draws), and one stream per
-device (reporting noise). Varying one knob never reshuffles the others.
+streams derived from the scenario seed by rng.stream: the network stream
+(loss and latency), the grouping stream (ad-hoc membership draws), and one
+stream per RANDOM reporter (reporting noise), derived when it first joins
+a group. Varying one knob never reshuffles the others.
+
+A group is the tuple of its members in draw order, on both paths: the
+checkee of round r is member r mod N, the initiator the member after it,
+and the quorum is the scenario's. Each message names its round once; a
+delivery is late when that round is over or the receiver has left the
+group.
 
 A run given a trace stream goes through the event engine, which writes
 each trace line there as its event happens. Runs with no trace sink whose
@@ -14,11 +21,14 @@ outcome cannot depend on timing (no loss, and 3 * latency_max below the
 round deadline) skip the engine: a tally-level kernel computes each round's
 verdict directly. It reads the scenario's run plan, built once per scenario
 and shared by every repetition: the routine table and its op-count prefix
-sums, the sparse adversary map, the special devices (a fault, a non-HONEST
-reporting policy or an EVADE initiator), the lossless verdict table (one
-(Tally, Outcome) per possible AGREE count) and a bounded memo of classified
-group layouts. The kernel walks the rounds group epoch by group epoch,
-drawing a group only at the regroup period or after an exclusion.
+sums, the sparse adversary map with the EVADE devices' colluders, the
+devices whose place in a group matters (special ones: a fault, a
+non-HONEST reporting policy or an EVADE initiator; and FRAME targets), the
+lossless verdict table (one (Tally, Outcome) per possible AGREE count) and
+a bounded memo of classified group layouts. The kernel walks the rounds
+group epoch by group epoch, drawing a group only at the regroup period or
+after an exclusion. A run derives a report stream only for the RANDOM
+reporters of the groups it draws.
 
 By the paper's framing bound, up to floor((N-1)/2) dissenting checkers
 cannot flag a checkee whose answer is honest. So each checkee position of
@@ -40,14 +50,15 @@ charged once per group epoch. Its reports are byte-identical to the
 engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
-form_group's draws over the eligible devices without listing them.
+form_group's draws over the eligible devices without listing them; both
+return the members tuple.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, NamedTuple, TextIO
@@ -87,7 +98,7 @@ from .protocol import (
     round_checkee,
     round_initiator,
 )
-from .rng import MASK64, SplitMix64, mix_words
+from .rng import MASK64, SplitMix64, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import Outcome, SuspicionLedger, Tally, Verdict, update_suspicion
 
@@ -118,35 +129,12 @@ class NetworkModel:
             raise ContractError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
 
 
-@dataclass(frozen=True)
-class GroupConfig:
-    members: tuple[int, ...]
-    quorum: int
-    # Derived from members, for O(1) membership tests on the delivery path.
-    member_set: frozenset[int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "member_set", frozenset(self.members))
-        if len(self.member_set) != len(self.members):
-            raise ContractError("group members must be distinct")
-        if len(self.members) < 3:
-            raise ContractError(f"group needs at least 3 members, got {len(self.members)}")
-        if not 1 <= self.quorum <= len(self.members) - 1:
-            raise ContractError(
-                f"quorum {self.quorum} out of range [1, {len(self.members) - 1}]"
-            )
-
-
-def form_group(
-    eligible: list[int],
-    size: int,
-    rng: SplitMix64,
-    quorum: int,
-) -> GroupConfig:
+def form_group(eligible: list[int], size: int, rng: SplitMix64) -> tuple[int, ...]:
     """Draw an ad-hoc group: a uniform subset via a seeded Fisher-Yates prefix.
 
     Member order is the shuffled order (it fixes the checkee rotation).
-    The caller filters out excluded devices before calling.
+    The caller filters out excluded devices before calling. The reference
+    for draw_group, which makes the same draws without the list.
     """
     if size > len(eligible):
         raise GroupFormationError(
@@ -154,7 +142,7 @@ def form_group(
         )
     pool = list(eligible)
     rng.shuffle_prefix(pool, size)
-    return GroupConfig(members=tuple(pool[:size]), quorum=quorum)
+    return tuple(pool[:size])
 
 
 def draw_group(
@@ -214,12 +202,12 @@ def _trace_deliver(t: int, seq: int, msg: Message, frm: int, to: int, late: bool
         ops = ",".join(str(v) for v in msg.ops)
         return (
             f"{t} {seq} CHALLENGE {frm} {to} round={msg.round} checkee={msg.checkee}"
-            f" spec={msg.spec.id} ops={ops} cid={msg.challenge_id}{end}"
+            f" spec={msg.spec.id} ops={ops} cid={msg.round}{end}"
         )
     if type(msg) is Response:
-        return f"{t} {seq} RESPONSE {frm} {to} cid={msg.challenge_id} output={msg.output}{end}"
+        return f"{t} {seq} RESPONSE {frm} {to} cid={msg.round} output={msg.output}{end}"
     return (
-        f"{t} {seq} REPORT {frm} {to} cid={msg.challenge_id} checkee={msg.checkee}"
+        f"{t} {seq} REPORT {frm} {to} cid={msg.round} checkee={msg.checkee}"
         f" opinion={msg.opinion.value}{end}"
     )
 
@@ -227,11 +215,10 @@ def _trace_deliver(t: int, seq: int, msg: Message, frm: int, to: int, late: bool
 def report_stream(seed: int, device: int) -> SplitMix64:
     """Device `device`'s reporting-noise stream for the run at `seed`.
 
-    Hashing (seed, tag, device) keeps the streams of distinct devices and of
-    consecutive repetition seeds independent; XOR-ing seed and device would
-    make device d at seed s replay device d' at seed s^d^d'.
+    XOR-ing seed and device instead of hashing them would make device d at
+    seed s replay device d' at seed s^d^d'.
     """
-    return SplitMix64(mix_words(seed, REPORT_STREAM, device))
+    return stream(seed, REPORT_STREAM, device)
 
 
 def latency_free(scenario: "Scenario") -> bool:
@@ -246,32 +233,20 @@ def latency_free(scenario: "Scenario") -> bool:
 
 
 def _next_group(
-    group: GroupConfig | None,
+    group: tuple[int, ...] | None,
     r: int,
     sc: "Scenario",
     suspicion: SuspicionLedger,
     rng_group: SplitMix64,
-) -> GroupConfig:
+) -> tuple[int, ...]:
     """Round r's group: redrawn on the regroup period or after an exclusion.
 
     Raises GroupFormationError when too few devices remain eligible.
     """
-    if (
-        group is not None
-        and r % sc.regroup_period != 0
-        and group.member_set.isdisjoint(suspicion.excluded_at)
-    ):
+    excluded = suspicion.excluded_at
+    if group is not None and r % sc.regroup_period != 0 and excluded.keys().isdisjoint(group):
         return group
-    members = draw_group(sc.population, suspicion.excluded_at, sc.group_size, rng_group)
-    return GroupConfig(members=members, quorum=sc.quorum)
-
-
-class _Special(NamedTuple):
-    """What the tally kernel keeps of one special device."""
-
-    profile: AdversaryProfile
-    rng: SplitMix64  # its reporting-noise stream
-    colluder_trojans: dict[int, TrojanModel]
+    return draw_group(sc.population, excluded, sc.group_size, rng_group)
 
 
 class PositionClass(Enum):
@@ -291,10 +266,10 @@ class _Position(NamedTuple):
 class _GroupClasses(NamedTuple):
     """The classes of a group's checkee positions, found from its special layout."""
 
-    specials: tuple[int, ...]  # the special members, in group order
+    specials: dict[int, AdversaryProfile]  # the special members, in group order
     positions: tuple[_Position, ...]
     loud: tuple[int, ...]  # the positions that are not FREE
-    randoms: bool  # whether some position has a RANDOM checker
+    randoms: tuple[int, ...]  # the RANDOM reporters among the members
 
 
 # How many special layouts the memo in a scenario's run plan keeps classified.
@@ -333,7 +308,7 @@ def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClas
     bound = framing_bound(sc.lossless_verdicts)
     profiles = sc.adversary_map
     at = dict(layout)
-    specials = tuple(d for _, d in layout if d in profiles and is_special(profiles[d]))
+    specials = {d: profiles[d] for _, d in layout if d in profiles and is_special(profiles[d])}
     positions = []
     for pos in range(n):
         checkee = at.get(pos, -1)
@@ -341,10 +316,9 @@ def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClas
         colluders = sc.evader_trojans.get(at.get((pos + 1) % n, -1), {})
         dissenters = 0
         randoms = []
-        for d in specials:
+        for d, p in specials.items():
             if d == checkee:
                 continue
-            p = profiles[d]
             if p.reporting is ReportingKind.RANDOM:
                 randoms.append(d)
             if (
@@ -365,7 +339,7 @@ def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClas
         specials=specials,
         positions=tuple(positions),
         loud=tuple(i for i, p in enumerate(positions) if p.kind is not PositionClass.FREE),
-        randoms=any(p.randoms for p in positions),
+        randoms=tuple(d for d, p in specials.items() if p.reporting is ReportingKind.RANDOM),
     )
 
 
@@ -381,14 +355,14 @@ def _quiet_round(
     r: int,
     checkee: int,
     spec: RoutineSpec,
-    special: dict[int, _Special],
+    streams: dict[int, SplitMix64],
 ) -> bool:
     """Whether round r, at a checkee position of this class, ends TRUSTED by the framing bound.
 
     A TRIGGER round derives the one operand word the checkee's trigger
-    reads. A quiet round draws one word from each RANDOM checker's stream,
-    as the full tally would; a loud round draws nothing, for _tally_round
-    to draw.
+    reads. A quiet round draws one word from each RANDOM checker's stream
+    in `streams`, as the full tally would; a loud round draws nothing, for
+    _tally_round to draw.
     """
     kind = position.kind
     if kind is PositionClass.FULL:
@@ -399,45 +373,46 @@ def _quiet_round(
     ):
         return False
     for d in position.randoms:
-        special[d].rng.next_u64()
+        streams[d].next_u64()
     return True
 
 
 def _tally_round(
+    sc: "Scenario",
     members: tuple[int, ...],
-    specials: dict[int, _Special],
-    n_plain: int,
+    specials: dict[int, AdversaryProfile],
+    streams: dict[int, SplitMix64],
     r: int,
     spec: RoutineSpec,
     seed: int,
-    verdicts: tuple[tuple[Tally, Outcome], ...],
 ) -> Verdict:
     """One latency-free round at tally level: the verdict every member reaches.
 
-    `specials` holds the group's special members in group order and n_plain
-    counts the rest. Plain members yield the honest output, so only special
-    ones go through apply_fault and distort_opinion (each RANDOM reporter on
-    its own stream, as in the event engine), and the plain checkers' AGREE
-    votes come as one count. `verdicts` is the scenario's lossless verdict
-    table, indexed by that count.
+    `specials` maps the group's special members, in group order, to their
+    profiles; every other member is plain. Plain members yield the honest
+    output, so only special ones go through apply_fault and distort_opinion
+    (each RANDOM reporter on its stream in `streams`, as in the event
+    engine), and the plain checkers' AGREE votes come as one count, which
+    indexes the scenario's lossless verdict table.
     """
     n = len(members)
     checkee = members[r % n]
     ops = generate_operands(seed, r, checkee, spec)
-    evader = specials.get(members[(r + 1) % n])
-    if evader is not None:
-        ops = choose_adversarial_operands(evader.profile, ops, evader.colluder_trojans, checkee)
+    initiator = members[(r + 1) % n]
+    if initiator in specials:
+        colluders = sc.evader_trojans.get(initiator, {})
+        ops = choose_adversarial_operands(specials[initiator], ops, colluders, checkee)
     honest = execute(spec, ops)
-    outputs = {m: apply_fault(s.profile, spec, ops, honest) for m, s in specials.items()}
+    outputs = {m: apply_fault(p, spec, ops, honest) for m, p in specials.items()}
     answer = outputs.get(checkee, honest)
-    plain_checkers = n_plain - 1 if checkee not in outputs else n_plain
+    plain_checkers = n - len(specials) - (checkee not in outputs)
     agree = plain_checkers if answer == honest else 0
-    for m, s in specials.items():
+    for m, p in specials.items():
         if m != checkee:
             truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
-            if distort_opinion(s.profile, truth, checkee, s.rng) is Opinion.AGREE:
+            if distort_opinion(p, truth, checkee, streams.get(m)) is Opinion.AGREE:
                 agree += 1
-    tally, outcome = verdicts[agree]
+    tally, outcome = sc.lossless_verdicts[agree]
     return Verdict(checkee=checkee, round=r, outcome=outcome, tally=tally)
 
 
@@ -478,10 +453,11 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     """Latency-free runs: one tally per loud round, no events, no network draws.
 
     The scenario's run plan gives the routine table and its op-count prefix
-    sums, the sparse adversary map, the special devices, the lossless
-    verdict table and the memo of classified layouts; a run adds only the
-    special devices' seeded streams. Rounds are walked group epoch by group
-    epoch: a group is drawn at the regroup period and after an exclusion.
+    sums, the sparse adversary map, the lossless verdict table and the memo
+    of classified layouts; a run adds only the report streams of the RANDOM
+    reporters in the groups it draws, each made at the first epoch it is
+    drawn in. Rounds are walked group epoch by group epoch: a group is drawn
+    at the regroup period and after an exclusion.
     A group without a RANDOM reporter visits only the rounds at its
     positions that are not FREE; with one, every round, to draw its words.
     Per epoch the quiet rounds are folded in one call and energy is charged
@@ -492,21 +468,17 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     stats = res.stats
     suspicion = res.suspicion
     excluded = suspicion.excluded_at
-    rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
+    rng_group = stream(seed, GROUPING_STREAM)
     profiles = sc.adversary_map
     routines = sc.routine_order
     n_routines = len(routines)
     op_prefix = sc.op_prefix
-    verdicts = sc.lossless_verdicts
     period = sc.regroup_period
     rounds = sc.rounds
     n = sc.group_size
     marked = sc.layout_devices
     memo = sc.layout_classes
-    special: dict[int, _Special] = {
-        d: _Special(profiles[d], report_stream(seed, d), sc.evader_trojans.get(d, {}))
-        for d in sc.special_devices
-    }
+    streams: dict[int, SplitMix64] = {}
     r = 0
     while r < rounds:
         try:
@@ -520,6 +492,9 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
             classes = _classify(sc, layout)
             if len(memo) < LAYOUT_MEMO:
                 memo[layout] = classes
+        for d in classes.randoms:
+            if d not in streams:
+                streams[d] = report_stream(seed, d)
         first = r
         stop = min(rounds, (first // period + 1) * period)
         if classes.randoms:
@@ -531,17 +506,13 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
                 for p in classes.loud
                 if first <= b + p < stop
             ]
-        group_specials = None
         loud = 0
         for r in visit:
             pos = r % n
             spec = routines[r % n_routines]
-            if _quiet_round(classes.positions[pos], seed, r, members[pos], spec, special):
+            if _quiet_round(classes.positions[pos], seed, r, members[pos], spec, streams):
                 continue
-            if group_specials is None:
-                group_specials = {d: special[d] for d in classes.specials}
-            n_plain = n - len(group_specials)
-            v = _tally_round(members, group_specials, n_plain, r, spec, seed, verdicts)
+            v = _tally_round(sc, members, classes.specials, streams, r, spec, seed)
             loud += 1
             # Every member reaches this verdict; devices missing from the
             # sparse `profiles` count as honest.
@@ -582,10 +553,11 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     # A device's state is made when it first joins a group; devices that
     # never do have none.
     states: dict[int, DeviceState] = {}
-    rng_group = SplitMix64(mix_words(seed, GROUPING_STREAM))
+    rng_group = stream(seed, GROUPING_STREAM)
     network = sc.network
-    net_seed = network.seed if network.seed is not None else mix_words(seed, NETWORK_STREAM)
-    fates = SplitMix64(net_seed).fates
+    # An explicit network seed pins the network stream across run seeds.
+    net = stream(seed, NETWORK_STREAM) if network.seed is None else SplitMix64(network.seed)
+    fates = net.fates
     drop_prob = network.drop_prob
     lo = network.latency_min
     span = network.latency_max - lo + 1
@@ -596,8 +568,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     next_seq = 2 * sc.rounds
 
     write = None if trace is None else trace.write
-    round_verdicts: list[Verdict] = []
-    group: GroupConfig | None = None
+    flagged: Verdict | None = None  # the current round's first FLAGGED verdict
+    group: tuple[int, ...] | None = None
+    member_set: frozenset[int] = frozenset()
     current_round = -1
 
     def dispatch_sends(frm: int, outgoing: list[tuple[int, Message]], now: int) -> None:
@@ -623,8 +596,10 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         next_seq = seq
 
     def record_verdict(issuer: int, v: Verdict, t: int, seq: int) -> None:
+        nonlocal flagged
         stats.fold(v, (issuer,), profiles)
-        round_verdicts.append(v)
+        if flagged is None and v.outcome is Outcome.FLAGGED:
+            flagged = v
         if write is not None:
             ta = v.tally
             write(
@@ -642,8 +617,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             # reaches it, since list iteration runs to the current end.
             for seq, msg, frm, to in buckets[t]:
                 usage[to].received += 1
-                # Every message kind carries challenge_id, which equals the round.
-                late = msg.challenge_id != current_round or to not in group.member_set
+                late = msg.round != current_round or to not in member_set
                 if write is not None:
                     write(_trace_deliver(t, seq, msg, frm, to, late))
                 if late:
@@ -675,25 +649,29 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 break
             if new_group is not group:
                 group = new_group
-                for m in group.members:
+                member_set = frozenset(group)
+                for m in group:
                     state = states.get(m)
                     if state is None:
+                        profile = profiles.get(m, HONEST_PROFILE)
+                        random = profile.reporting is ReportingKind.RANDOM
                         state = states[m] = DeviceState(
                             device_id=m,
-                            profile=profiles.get(m, HONEST_PROFILE),
+                            profile=profile,
                             routine_order=routine_order,
-                            rng=report_stream(seed, m),
+                            rng=report_stream(seed, m) if random else None,
                             usage=usage[m],
+                            quorum=sc.quorum,
                             colluder_trojans=sc.evader_trojans.get(m),
                         )
-                    state.group = group
+                    state.members = group
             current_round = r
-            round_verdicts = []
-            for m in group.members:
+            flagged = None
+            for m in group:
                 begin_round(states[m], r)
             initiator = round_initiator(group, r)
             if write is not None:
-                members = ",".join(str(m) for m in group.members)
+                members = ",".join(str(m) for m in group)
                 spec = routine_order[r % len(routine_order)]
                 write(
                     f"{t} {seq} ROUND_START - - round={r} group={members}"
@@ -705,16 +683,15 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             continue
 
         # Round r's deadline.
-        for m in group.members:
+        for m in group:
             state = states[m]
             if not state.verdict_emitted:
                 record_verdict(m, on_timeout(state, r), t, seq)
-        flagged = [v for v in round_verdicts if v.outcome is Outcome.FLAGGED]
-        if flagged:
+        if flagged is not None:
             # One suspicion update per round: any device's FLAGGED
             # verdict marks the round against the checkee.
-            update_suspicion(suspicion, flagged[0])
-            checkee = flagged[0].checkee
+            update_suspicion(suspicion, flagged)
+            checkee = flagged.checkee
             if suspicion.is_excluded(checkee):
                 for at, bucket in buckets.items():
                     keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]

@@ -27,12 +27,19 @@ from __future__ import annotations
 import io
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import collabtrust.routines as routines
 import collabtrust.simnet as simnet
-from collabtrust.adversary import AdversaryProfile, Opinion, ReportingKind, distort_opinion
+from collabtrust.adversary import (
+    AdversaryProfile,
+    Opinion,
+    ReportingKind,
+    distort_opinion,
+    is_special,
+)
 from collabtrust.metrics import detection_stats
 from collabtrust.report import build_report, emit_report
 from collabtrust.scenario import Scenario, scenario_from_dict
@@ -219,23 +226,20 @@ def test_kernel_matches_engine(sc, seed):
     assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
 
 
+def _special_devices(sc: Scenario) -> list[int]:
+    """The devices that can make a round differ from an all-honest one, in id order."""
+    return sorted(d for d, p in sc.adversary_map.items() if is_special(p))
+
+
 @st.composite
 def kernel_rounds(draw) -> tuple[Scenario, tuple[int, ...], int, int]:
     """A scenario, a group of it that holds every special device, a round and a seed."""
     sc = draw(lossless_scenarios(min_adversaries=1))
-    plain = [d for d in range(sc.population) if d not in sc.special_devices]
-    members = (list(sc.special_devices) + plain)[: sc.group_size]
+    specials = _special_devices(sc)
+    plain = [d for d in range(sc.population) if d not in specials]
+    members = (specials + plain)[: sc.group_size]
     order = tuple(draw(st.permutations(members)))
     return sc, order, draw(st.integers(0, 2**20)), draw(st.integers(0, 2**64 - 1))
-
-
-def _group_specials(sc: Scenario, members: tuple[int, ...], seed: int) -> dict:
-    """The kernel's special members of this group, in group order, on fresh streams."""
-    return {
-        m: simnet._Special(sc.adversary_map[m], report_stream(seed, m), sc.evader_trojans.get(m, {}))
-        for m in members
-        if m in sc.special_devices
-    }
 
 
 @settings(
@@ -258,25 +262,27 @@ def test_quiet_rounds_end_in_the_unanimous_verdict(case):
     n = len(members)
     pos = r % n
     spec = sc.routine_order[r % len(sc.routine_order)]
-    shortcut = _group_specials(sc, members, seed)
-    full = _group_specials(sc, members, seed)
     layout = tuple((i, m) for i, m in enumerate(members) if m in sc.layout_devices)
-    position = simnet._classify(sc, layout).positions[pos]
+    classes = simnet._classify(sc, layout)
+    position = classes.positions[pos]
+    # The group's RANDOM reporters on fresh streams; no other member has one.
+    shortcut = {m: report_stream(seed, m) for m in classes.randoms}
+    full = {m: report_stream(seed, m) for m in classes.randoms}
     quiet = simnet._quiet_round(position, seed, r, members[pos], spec, shortcut)
-    v = simnet._tally_round(members, full, n - len(full), r, spec, seed, sc.lossless_verdicts)
+    v = simnet._tally_round(sc, members, classes.specials, full, r, spec, seed)
     if quiet:
         assert position.kind is not simnet.PositionClass.FULL
         assert v.outcome is Outcome.TRUSTED
         # Each RANDOM checker's stream is exactly one word on, as the full round left it.
-        for m in shortcut:
+        for m in classes.randoms:
             step = report_stream(seed, m)
             if m in position.randoms:
                 step.next_u64()
-            assert shortcut[m].rng.next_u64() == full[m].rng.next_u64() == step.next_u64()
+            assert shortcut[m].next_u64() == full[m].next_u64() == step.next_u64()
     else:
         # A loud round draws nothing before _tally_round does.
-        for m in shortcut:
-            assert shortcut[m].rng.next_u64() == report_stream(seed, m).next_u64()
+        for m in classes.randoms:
+            assert shortcut[m].next_u64() == report_stream(seed, m).next_u64()
 
 
 def _engine_runs(monkeypatch, sc: Scenario, trace: io.StringIO | None) -> int:
@@ -322,7 +328,7 @@ def _flip_rate(sc: Scenario, reps: int, trace: bool) -> tuple[int, int]:
     All hardware is honest, so every DISAGREE in a tally is a flip, and each
     RANDOM reporter other than the checkee has one chance per round.
     """
-    randoms = set(sc.special_devices)
+    randoms = set(_special_devices(sc))
     chances = flips = 0
     for rep in range(reps):
         _, verdicts = run_logged(sc, seed=1000 + rep, trace=io.StringIO() if trace else None)
@@ -420,3 +426,64 @@ def test_layout_memo_stays_bounded():
     run_simulation(sc)
     # The memo fills up to its cap and no further.
     assert len(sc.layout_classes) == simnet.LAYOUT_MEMO <= 4096
+
+
+def _count_report_streams(monkeypatch, sc: Scenario, engine: bool) -> tuple[Counter, set[int]]:
+    """The report streams one run derives, per device, and the devices of its groups.
+
+    A trace sink sends the run through the event engine; without one it takes the kernel.
+    """
+    streams: Counter = Counter()
+    drawn: set[int] = set()
+
+    def counted_stream(seed, device):
+        streams[device] += 1
+        return report_stream(seed, device)
+
+    def recorded_draw(*args, _draw=simnet.draw_group):
+        members = _draw(*args)
+        drawn.update(members)
+        return members
+
+    monkeypatch.setattr(simnet, "report_stream", counted_stream)
+    monkeypatch.setattr(simnet, "draw_group", recorded_draw)
+    run_simulation(sc, seed=0, trace=io.StringIO() if engine else None)
+    monkeypatch.undo()
+    return streams, drawn
+
+
+@pytest.mark.parametrize("engine", [False, True], ids=["kernel", "engine"])
+def test_no_report_stream_for_frame_reporters(monkeypatch, engine):
+    # FRAME reporters never draw from a report stream.
+    sc = scenario_from_dict(
+        {
+            "population": 100_000,
+            "group_size": 5,
+            "rounds": 10,
+            "adversaries": [
+                {"device": d, "reporting": "FRAME", "targets": [d + 1]} for d in range(0, 6_000, 2)
+            ],
+        }
+    )
+    streams, _ = _count_report_streams(monkeypatch, sc, engine)
+    assert sum(streams.values()) == 0
+
+
+@pytest.mark.parametrize("engine", [False, True], ids=["kernel", "engine"])
+def test_one_report_stream_per_random_reporter_drawn(monkeypatch, engine):
+    # Half the devices are RANDOM reporters that never flip; only those the
+    # run's groups hold get a stream, once each however often they return.
+    randoms = range(0, 40, 2)
+    sc = scenario_from_dict(
+        {
+            "population": 40,
+            "group_size": 5,
+            "rounds": 15,
+            "regroup_period": 3,
+            "adversaries": [{"device": d, "reporting": "RANDOM", "p": 0.0} for d in randoms],
+        }
+    )
+    streams, drawn = _count_report_streams(monkeypatch, sc, engine)
+    expected = drawn.intersection(randoms)
+    assert len(expected) < len(randoms)
+    assert streams == Counter(dict.fromkeys(expected, 1))

@@ -120,20 +120,20 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
 
     def on_challenge(state, ch):
         assert ch.round == state.round and state.challenge is None
-        assert state.id in state.group.member_set and state.id != ch.initiator
+        assert state.id in state.members and state.id != ch.initiator
         calls["challenge"] += 1
         return challenge_handler(state, ch)
 
     def on_response(state, r):
-        assert r.challenge_id == state.round
+        assert r.round == state.round
         assert r.responder == state.checkee != state.id
         assert state.id not in state.opinions
         calls["response"] += 1
         return response_handler(state, r)
 
     def on_report(state, rep):
-        assert rep.challenge_id == state.round and rep.checkee == state.checkee
-        assert rep.reporter in state.group.member_set
+        assert rep.round == state.round and rep.checkee == state.checkee
+        assert rep.reporter in state.members
         assert rep.reporter not in (state.checkee, state.id)
         assert rep.reporter not in state.opinions
         calls["report"] += 1

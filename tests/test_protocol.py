@@ -30,10 +30,9 @@ from collabtrust.protocol import (
 )
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, routine_catalog
-from collabtrust.simnet import GroupConfig
 from collabtrust.verdict import Outcome
 
-GROUP = GroupConfig(members=(0, 1, 2, 3, 4), quorum=3)
+GROUP = (0, 1, 2, 3, 4)
 
 
 def make_device(device_id, profile=None, group=GROUP):
@@ -43,14 +42,15 @@ def make_device(device_id, profile=None, group=GROUP):
         routine_order=routine_catalog(),
         rng=SplitMix64(100 + device_id),
         usage=DeviceUsage(),
+        quorum=3,
     )
-    state.group = group
+    state.members = group
     return state
 
 
 def make_bench(round_no=0, profiles=None):
     profiles = profiles or {}
-    states = {d: make_device(d, profiles.get(d)) for d in GROUP.members}
+    states = {d: make_device(d, profiles.get(d)) for d in GROUP}
     for state in states.values():
         begin_round(state, round_no)
     return states
@@ -63,7 +63,6 @@ def challenge_for(round_no=0, ops=(200, 100)):
         checkee=round_checkee(GROUP, round_no),
         spec=routine_catalog()[0],
         ops=ops,
-        challenge_id=round_no,
     )
 
 
@@ -84,7 +83,7 @@ def test_on_round_start_emits_group_minus_one_challenges():
     assert len(challenges) == 4
     assert sorted(to for to, _ in challenges) == [0, 2, 3, 4]
     ch = challenges[0][1]
-    assert ch.checkee == 0 and ch.initiator == 1 and ch.challenge_id == 0
+    assert ch.checkee == 0 and ch.initiator == 1 and ch.round == 0
     # the initiator processed its own copy and is now a waiting checker
     assert states[1].challenge == ch
     assert states[1].reference == execute(ch.spec, ch.ops)
@@ -138,7 +137,7 @@ def test_checker_caches_reference_and_stays_silent():
 def test_matching_response_yields_agree_broadcast():
     states = make_bench(round_no=0)
     handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    outgoing = handle_response(states[2], Response(challenge_id=0, responder=0, output=44))
+    outgoing = handle_response(states[2], Response(round=0, responder=0, output=44))
     assert len(outgoing) == 4
     assert all(m.opinion is Opinion.AGREE for _, m in outgoing)
     assert states[2].opinions == {2: Opinion.AGREE}
@@ -148,7 +147,7 @@ def test_matching_response_yields_agree_broadcast():
 def test_mismatching_response_yields_disagree():
     states = make_bench(round_no=0)
     handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    outgoing = handle_response(states[2], Response(challenge_id=0, responder=0, output=45))
+    outgoing = handle_response(states[2], Response(round=0, responder=0, output=45))
     assert all(m.opinion is Opinion.DISAGREE for _, m in outgoing)
 
 
@@ -156,14 +155,14 @@ def test_framing_reporter_lies_in_broadcast_and_own_tally():
     framer = AdversaryProfile(reporting=ReportingKind.FRAME, targets=frozenset({0}))
     states = make_bench(profiles={2: framer})
     handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    outgoing = handle_response(states[2], Response(challenge_id=0, responder=0, output=44))
+    outgoing = handle_response(states[2], Response(round=0, responder=0, output=44))
     assert all(m.opinion is Opinion.DISAGREE for _, m in outgoing)
     assert states[2].opinions[2] is Opinion.DISAGREE
 
 
 def test_early_response_is_parked_until_challenge_arrives():
     states = make_bench(round_no=0)
-    early = Response(challenge_id=0, responder=0, output=44)
+    early = Response(round=0, responder=0, output=44)
     assert handle_response(states[2], early) == []
     assert states[2].pending_response == early
     assert states[2].opinions == {}
@@ -180,7 +179,7 @@ def fill_reports(state, opinions):
         verdict = handle_report(
             state,
             ComparisonReport(
-                challenge_id=state.round, reporter=reporter, checkee=state.checkee, opinion=opinion
+                round=state.round, reporter=reporter, checkee=state.checkee, opinion=opinion
             ),
         )
     return verdict
@@ -205,7 +204,7 @@ def test_unanimous_disagreement_concludes_flagged():
 def test_checker_tally_includes_own_opinion():
     states = make_bench(round_no=0)
     handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    handle_response(states[2], Response(challenge_id=0, responder=0, output=44))
+    handle_response(states[2], Response(round=0, responder=0, output=44))
     v = fill_reports(states[2], [(r, Opinion.AGREE) for r in (1, 3, 4)])
     assert v is not None and v.outcome is Outcome.TRUSTED
     assert v.tally.agree == 4  # three peers plus itself

@@ -51,6 +51,12 @@ def test_group_larger_than_population_names_path():
         parse_scenario('{"group_size": 10, "population": 5}')
 
 
+def test_group_of_fewer_than_three_is_rejected():
+    # A group of two has one checker, so no majority of checkers can flag.
+    with pytest.raises(ScenarioError, match="group_size: must be at least 3"):
+        parse_scenario('{"group_size": 2, "population": 5, "quorum": 1}')
+
+
 def test_population_capped_in_one_line():
     # A run builds per-device state for the whole population before round 0.
     with pytest.raises(ScenarioError) as exc:

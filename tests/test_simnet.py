@@ -16,7 +16,7 @@ from collabtrust.protocol import Challenge
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import routine_catalog
 from collabtrust.scenario import Scenario
-from collabtrust.simnet import GroupConfig, NetworkModel, draw_group, form_group
+from collabtrust.simnet import NetworkModel, draw_group, form_group
 from collabtrust.verdict import Outcome
 from verdict_log import kernel_view, run_logged, run_traced, trace_lines
 
@@ -28,7 +28,6 @@ def _msg():
         checkee=1,
         spec=routine_catalog()[0],
         ops=(1, 2),
-        challenge_id=0,
     )
 
 
@@ -145,33 +144,24 @@ def test_network_model_validation():
         NetworkModel(drop_prob=1.5)
 
 
-def test_group_config_validation():
-    with pytest.raises(ContractError):
-        GroupConfig(members=(0, 1), quorum=1)
-    with pytest.raises(ContractError):
-        GroupConfig(members=(0, 1, 1), quorum=1)
-    with pytest.raises(ContractError):
-        GroupConfig(members=(0, 1, 2), quorum=3)
-
-
 def test_form_group_deterministic():
     population = list(range(20))
-    a = form_group(population, 5, SplitMix64(7), quorum=3)
-    b = form_group(population, 5, SplitMix64(7), quorum=3)
+    a = form_group(population, 5, SplitMix64(7))
+    b = form_group(population, 5, SplitMix64(7))
     assert a == b
-    assert len(set(a.members)) == 5
-    assert all(m in population for m in a.members)
+    assert len(set(a)) == 5
+    assert all(m in population for m in a)
 
 
 def test_form_group_whole_population():
-    group = form_group([3, 1, 4, 5, 9], 5, SplitMix64(0), quorum=3)
+    group = form_group([3, 1, 4, 5, 9], 5, SplitMix64(0))
     # degenerate draw: size == population, every device selected
-    assert sorted(group.members) == [1, 3, 4, 5, 9]
+    assert sorted(group) == [1, 3, 4, 5, 9]
 
 
 def test_form_group_too_few_devices():
     with pytest.raises(GroupFormationError):
-        form_group([0, 1, 2], 5, SplitMix64(0), quorum=3)
+        form_group([0, 1, 2], 5, SplitMix64(0))
 
 
 def test_form_group_inclusion_frequency_hypergeometric():
@@ -181,7 +171,7 @@ def test_form_group_inclusion_frequency_hypergeometric():
     draws = 10_000
     counts = dict.fromkeys(population, 0)
     for _ in range(draws):
-        for m in form_group(population, 5, rng, quorum=3).members:
+        for m in form_group(population, 5, rng):
             counts[m] += 1
     p = 5 / 20
     sigma = (draws * p * (1 - p)) ** 0.5
@@ -209,14 +199,14 @@ def test_draw_group_matches_form_group_over_the_eligible_list(data):
         listed, sparse = SplitMix64(seed), SplitMix64(seed)
         if size > len(eligible):
             with pytest.raises(GroupFormationError) as expected:
-                form_group(eligible, size, listed, quorum=2)
+                form_group(eligible, size, listed)
             with pytest.raises(GroupFormationError) as got:
                 draw_group(population, excluded, size, sparse)
             assert str(got.value) == str(expected.value)
             continue
-        expected = form_group(eligible, size, listed, quorum=2)
+        expected = form_group(eligible, size, listed)
         got = draw_group(population, excluded, size, sparse)
-        assert got == expected.members
+        assert got == expected
         # Both consumed the same draws.
         assert sparse.next_u64() == listed.next_u64()
 
