@@ -63,13 +63,14 @@ class EnergyLedger:
 
 @dataclass
 class TrafficCounters:
-    """Message fate counts for one run; conservation is checked in tests."""
+    """Message fate counts for one run; conservation is checked at its end."""
 
     sent: int = 0
     delivered: int = 0
     dropped: int = 0
     late: int = 0
     in_flight: int = 0
+    purged: int = 0  # of the late: dropped from the queue at an exclusion, never received
 
 
 def lossless_messages_per_round(n: int) -> int:

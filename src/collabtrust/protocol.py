@@ -9,13 +9,14 @@ device (checkee included) tallies reports and concludes a verdict, either
 when the tally is complete or at the round deadline.
 
 A group is its members tuple: the checkee of round r is member r mod N,
-the initiator the member after it, and every device of a scenario applies
-its one quorum. Each message names its round once, in `round`.
+the initiator the member after it, and every device looks its verdicts up
+in the scenario's one table. Each message names its round once, in `round`.
 
 Handlers are plain transitions (state, message) -> (state, outgoing messages).
 The event loop alone decides each message's fate: it drops, delays and
 counts as late every off-round or non-member delivery, so handlers see only
-on-round messages between current group members, each exactly once. The one
+on-round messages between current group members, each exactly once, even
+when an untraced run hands over an on-time report as it is sent. The one
 ordering they handle is a response that overtakes its challenge: it is
 parked until the challenge arrives.
 """
@@ -37,7 +38,7 @@ from .errors import ProtocolViolation
 from .metrics import DeviceUsage
 from .routines import RoutineSpec, execute, generate_operands
 from .rng import SplitMix64
-from .verdict import Tally, Verdict, compute_verdict
+from .verdict import Verdict, VerdictTable
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,10 @@ class DeviceState:
         "colluder_trojans",
         "rng",
         "usage",
-        "quorum",
+        "verdicts",
         "members",
+        "peers",
+        "n_checkers",
         "round",
         "checkee",
         "challenge",
@@ -95,7 +98,7 @@ class DeviceState:
         routine_order: Sequence[RoutineSpec],
         rng: SplitMix64 | None,  # a RANDOM reporter's report stream
         usage: DeviceUsage,
-        quorum: int,
+        verdicts: VerdictTable,
         colluder_trojans: dict[int, TrojanModel] | None = None,
     ):
         self.id = device_id
@@ -104,8 +107,8 @@ class DeviceState:
         self.colluder_trojans = colluder_trojans or {}
         self.rng = rng
         self.usage = usage
-        self.quorum = quorum
-        self.members: tuple[int, ...] = ()  # the device's group, set when it joins one
+        self.verdicts = verdicts
+        self.join(())  # the device's group, set when it joins one
         self.round: int | None = None
         self.checkee: int | None = None
         self.challenge: Challenge | None = None
@@ -114,12 +117,11 @@ class DeviceState:
         self.opinions: dict[int, Opinion] = {}
         self.verdict_emitted = False
 
-    @property
-    def n_checkers(self) -> int:
-        return len(self.members) - 1
-
-    def _peers(self) -> list[int]:
-        return [m for m in self.members if m != self.id]
+    def join(self, members: tuple[int, ...]) -> None:
+        """Make `members` the device's group; its peers and checker count follow once, here."""
+        self.members = members
+        self.peers = tuple(m for m in members if m != self.id)
+        self.n_checkers = len(members) - 1
 
 
 def round_checkee(members: tuple[int, ...], round_no: int) -> int:
@@ -177,7 +179,7 @@ def on_round_start(
     if round_initiator(state.members, round_no) != state.id:
         raise ProtocolViolation(f"device {state.id} is not round {round_no}'s initiator")
     ch = make_challenge(state, round_no, shared_seed)
-    outgoing: list[tuple[int, Message]] = [(peer, ch) for peer in state._peers()]
+    outgoing: list[tuple[int, Message]] = [(peer, ch) for peer in state.peers]
     # The initiator is a checker too; it processes the challenge locally
     # (never emitting a Response, since initiator != checkee).
     outgoing.extend(handle_check_request(state, ch))
@@ -199,7 +201,7 @@ def handle_check_request(state: DeviceState, ch: Challenge) -> list[tuple[int, M
     if state.id == ch.checkee:
         # The checkee's "reference" is the output it must defend.
         response = Response(round=ch.round, responder=state.id, output=out)
-        return [(peer, response) for peer in state._peers()]
+        return [(peer, response) for peer in state.peers]
     if state.pending_response is not None:
         # The checkee's answer overtook our challenge; compare it now.
         parked, state.pending_response = state.pending_response, None
@@ -226,7 +228,7 @@ def handle_response(state: DeviceState, r: Response) -> list[tuple[int, Comparis
     report = ComparisonReport(
         round=r.round, reporter=state.id, checkee=state.checkee, opinion=opinion
     )
-    return [(peer, report) for peer in state._peers()]
+    return [(peer, report) for peer in state.peers]
 
 
 def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
@@ -253,14 +255,8 @@ def on_timeout(state: DeviceState, round_no: int) -> Verdict:
 
 def _conclude(state: DeviceState) -> Verdict:
     assert state.round is not None and state.checkee is not None
-    agree = sum(1 for o in state.opinions.values() if o is Opinion.AGREE)
-    disagree = len(state.opinions) - agree
-    tally = Tally(
-        agree=agree,
-        disagree=disagree,
-        missing=state.n_checkers - len(state.opinions),
-        n_checkers=state.n_checkers,
-    )
-    outcome = compute_verdict(tally, state.quorum)
+    opinions = list(state.opinions.values())
+    agree = opinions.count(Opinion.AGREE)
+    tally, outcome = state.verdicts[agree, len(opinions) - agree]
     state.verdict_emitted = True
     return Verdict(checkee=state.checkee, round=state.round, outcome=outcome, tally=tally)

@@ -26,7 +26,7 @@ from .errors import ContractError, ScenarioError
 from .metrics import EnergyModel
 from .routines import Kind, RoutineSpec, routine_catalog
 from .simnet import NetworkModel
-from .verdict import Outcome, Tally, default_quorum, lossless_verdicts
+from .verdict import Outcome, Tally, VerdictTable, default_quorum, lossless_verdicts, verdict_table
 
 # A run keeps state only for the devices that join a group, but the emitted
 # report has a row for every device, and json.dumps holds the whole JSON
@@ -52,9 +52,10 @@ class Scenario:
     adversaries: tuple[tuple[int, AdversaryProfile], ...] = ()
     # The run plan: derived once from the fields above when the scenario is
     # built, and read by every run of it. Devices missing from the sparse
-    # adversary map are honest. Only the tally kernel's memo of classified
-    # group layouts grows, up to simnet.LAYOUT_MEMO entries; it holds device
-    # ids and models, never a run's streams.
+    # adversary map are honest. Only two parts grow: the verdict table, by
+    # the (agree, disagree) splits runs reach, and the tally kernel's memo of
+    # classified group layouts, up to simnet.LAYOUT_MEMO entries. Neither
+    # holds a run's streams.
     routine_order: tuple[RoutineSpec, ...] = field(init=False, compare=False, repr=False)
     op_prefix: tuple[int, ...] = field(init=False, compare=False, repr=False)
     adversary_map: dict[int, AdversaryProfile] = field(init=False, compare=False, repr=False)
@@ -62,6 +63,7 @@ class Scenario:
     evader_trojans: dict[int, dict[int, TrojanModel]] = field(
         init=False, compare=False, repr=False
     )
+    verdicts: VerdictTable = field(init=False, compare=False, repr=False)
     lossless_verdicts: tuple[tuple[Tally, Outcome], ...] = field(
         init=False, compare=False, repr=False
     )
@@ -181,9 +183,9 @@ class Scenario:
         # The members whose place in a group the kernel's classes depend on.
         object.__setattr__(self, "layout_devices", frozenset(specials).union(*framed))
         object.__setattr__(self, "evader_trojans", evader_trojans)
-        object.__setattr__(
-            self, "lossless_verdicts", lossless_verdicts(self.group_size, self.quorum)
-        )
+        verdicts = verdict_table(self.group_size, self.quorum)
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "lossless_verdicts", lossless_verdicts(verdicts))
         object.__setattr__(self, "layout_classes", {})
 
 

@@ -11,24 +11,27 @@ a group. Varying one knob never reshuffles the others.
 
 A group is the tuple of its members in draw order, on both paths: the
 checkee of round r is member r mod N, the initiator the member after it,
-and the quorum is the scenario's. Each message names its round once; a
-delivery is late when that round is over or the receiver has left the
-group.
+and every verdict is looked up in the scenario's verdict table. Each
+message names its round once; a delivery is late when that round is over
+or the receiver has left the group.
 
 A run given a trace stream goes through the event engine, which writes
-each trace line there as its event happens. Runs with no trace sink whose
-outcome cannot depend on timing (no loss, and 3 * latency_max below the
-round deadline) skip the engine: a tally-level kernel computes each round's
-verdict directly. It reads the scenario's run plan, built once per scenario
-and shared by every repetition: the routine table and its op-count prefix
-sums, the sparse adversary map with the EVADE devices' colluders, the
-devices whose place in a group matters (special ones: a fault, a
-non-HONEST reporting policy or an EVADE initiator; and FRAME targets), the
-lossless verdict table (one (Tally, Outcome) per possible AGREE count) and
-a bounded memo of classified group layouts. The kernel walks the rounds
-group epoch by group epoch, drawing a group only at the regroup period or
-after an exclusion. A run derives a report stream only for the RANDOM
-reporters of the groups it draws.
+each trace line there as its event happens. Untraced, the engine settles a
+report that lands before its round's deadline when it is sent, as a report
+triggers no send; handlers still see every delivered message exactly once.
+Runs with no trace sink whose outcome cannot depend on timing (no loss,
+and 3 * latency_max below the round deadline) skip the engine: a tally-
+level kernel computes each round's verdict directly. It reads the
+scenario's run plan, built once per scenario and shared by every
+repetition: the routine table and its op-count prefix sums, the sparse
+adversary map with the EVADE devices' colluders, the devices whose place
+in a group matters (special ones: a fault, a non-HONEST reporting policy
+or an EVADE initiator; and FRAME targets), the verdict table's lossless
+entries (one (Tally, Outcome) per possible AGREE count) and a bounded memo
+of classified group layouts. The kernel walks the rounds group epoch by
+group epoch, drawing a group only at the regroup period or after an
+exclusion. A run derives a report stream only for the RANDOM reporters of
+the groups it draws.
 
 By the paper's framing bound, up to floor((N-1)/2) dissenting checkers
 cannot flag a checkee whose answer is honest. So each checkee position of
@@ -437,7 +440,7 @@ def _charge_epoch(
 
 
 def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> None:
-    """Message conservation and the transmit ledger, checked at the end of a run."""
+    """Message conservation and the transmit and receive ledgers, checked at the end of a run."""
     c = counters
     accounted = c.delivered + c.dropped + c.late + c.in_flight
     if c.sent != accounted:
@@ -447,6 +450,12 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
     charged = sum(u.sent for u in energy.usage.values())
     if charged != c.sent:
         raise ProtocolViolation(f"energy ledger: devices charged {charged} sends, counters say {c.sent}")
+    received = sum(u.received for u in energy.usage.values())
+    expected = c.delivered + c.late - c.purged  # purged deliveries are late, never received
+    if received != expected:
+        raise ProtocolViolation(
+            f"receive ledger: devices charged {received} receptions, counters say {expected}"
+        )
 
 
 def _run_tally(sc: "Scenario", res: RunResult) -> None:
@@ -541,7 +550,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     before its deliveries, which number from 2 * rounds in send order.
     Each tick's deliveries sit in one list in seq order; a heap holds
     only the ticks that have one. Each trace line goes to `trace` as its
-    event happens.
+    event happens. With no trace, a report that lands before its round's
+    deadline is handed to handle_report when it is sent; it still takes
+    its seq, so the queued deliveries keep theirs.
     """
     seed = res.seed
     counters = res.counters
@@ -580,6 +591,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         counters.sent += n
         usage[frm].sent += n
         seq = next_seq
+        settle_by = -1 if write is not None else (current_round + 1) * deadline
         for (to, msg), latency in zip(outgoing, fates(n, drop_prob, lo, span)):
             if to == frm:
                 raise ContractError(f"device {frm} cannot send to itself")
@@ -587,11 +599,18 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 counters.dropped += 1
                 continue
             at = now + latency
-            bucket = buckets.get(at)
-            if bucket is None:
-                bucket = buckets[at] = []
-                heappush(ticks, at)
-            bucket.append((seq, msg, frm, to))
+            if at < settle_by and type(msg) is ComparisonReport:
+                usage[to].received += 1
+                counters.delivered += 1
+                maybe = handle_report(states[to], msg)
+                if maybe is not None:
+                    record_verdict(to, maybe, at, seq)
+            else:
+                bucket = buckets.get(at)
+                if bucket is None:
+                    bucket = buckets[at] = []
+                    heappush(ticks, at)
+                bucket.append((seq, msg, frm, to))
             seq += 1
         next_seq = seq
 
@@ -661,10 +680,10 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                             routine_order=routine_order,
                             rng=report_stream(seed, m) if random else None,
                             usage=usage[m],
-                            quorum=sc.quorum,
+                            verdicts=sc.verdicts,
                             colluder_trojans=sc.evader_trojans.get(m),
                         )
-                    state.members = group
+                    state.join(group)
             current_round = r
             flagged = None
             for m in group:
@@ -695,7 +714,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             if suspicion.is_excluded(checkee):
                 for at, bucket in buckets.items():
                     keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]
-                    counters.late += len(bucket) - len(keep)
+                    purged = len(bucket) - len(keep)
+                    counters.late += purged
+                    counters.purged += purged
                     buckets[at] = keep
         if write is not None:
             write(f"{t} {seq} ROUND_DEADLINE - - round={r}\n")

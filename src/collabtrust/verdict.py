@@ -67,19 +67,37 @@ def compute_verdict(tally: Tally, quorum: int) -> Outcome:
     return Outcome.TRUSTED
 
 
-def lossless_verdicts(n: int, quorum: int) -> tuple[tuple[Tally, Outcome], ...]:
-    """The n tallies a lossless round in a group of n can end with, and their outcomes.
+class VerdictTable(dict):
+    """(agree, disagree) -> (Tally, Outcome) for a group's n_checkers; the rest are missing.
 
-    With no opinion missing, the AGREE count alone fixes the tally, so entry
-    `a` is the tally with a agreeing and n-1-a disagreeing checkers. Each
-    tally is validated and decided once, here.
+    An entry is made, validated and decided on its first lookup and kept, so
+    each split is decided once however many verdicts reach it, and a large
+    group holds only the splits its runs reach.
     """
-    n_checkers = n - 1
-    table = []
-    for agree in range(n):
-        tally = Tally(agree=agree, disagree=n_checkers - agree, missing=0, n_checkers=n_checkers)
-        table.append((tally, compute_verdict(tally, quorum)))
-    return tuple(table)
+
+    def __init__(self, n_checkers: int, quorum: int):
+        super().__init__()
+        self.n_checkers, self.quorum = n_checkers, quorum
+
+    def __missing__(self, split: tuple[int, int]) -> tuple[Tally, Outcome]:
+        agree, disagree = split
+        n = self.n_checkers
+        tally = Tally(agree=agree, disagree=disagree, missing=n - agree - disagree, n_checkers=n)
+        entry = self[split] = (tally, compute_verdict(tally, self.quorum))
+        return entry
+
+
+def verdict_table(n: int, quorum: int) -> VerdictTable:
+    """The verdict table of a group of n at this quorum; raises if the quorum is out of range."""
+    if not 1 <= quorum <= n - 1:
+        raise ContractError(f"quorum {quorum} out of range [1, {n - 1}]")
+    return VerdictTable(n - 1, quorum)
+
+
+def lossless_verdicts(table: VerdictTable) -> tuple[tuple[Tally, Outcome], ...]:
+    """The table's entries with no opinion missing; entry a has a AGREE votes."""
+    n = table.n_checkers
+    return tuple(table[agree, n - agree] for agree in range(n + 1))
 
 
 def oracle_outcome(agree: int, disagree: int, missing: int, quorum: int) -> Outcome:

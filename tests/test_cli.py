@@ -167,6 +167,12 @@ def _device_0_sent_once(model) -> EnergyLedger:
     return ledger
 
 
+def _device_0_received_once(model) -> EnergyLedger:
+    ledger = EnergyLedger(model)
+    ledger.usage[0].received = 1
+    return ledger
+
+
 # The honest scenario is lossless, so it takes the tally kernel untraced and
 # the event engine traced; the end-of-run check guards both.
 @pytest.mark.parametrize("traced", (False, True), ids=("kernel", "engine"))
@@ -175,8 +181,9 @@ def _device_0_sent_once(model) -> EnergyLedger:
     (
         ("TrafficCounters", _one_dropped, "message conservation"),
         ("EnergyLedger", _device_0_sent_once, "energy ledger"),
+        ("EnergyLedger", _device_0_received_once, "receive ledger"),
     ),
-    ids=("conservation", "ledger"),
+    ids=("conservation", "ledger", "receptions"),
 )
 def test_broken_run_identity_exits_2(monkeypatch, tmp_path, capsys, traced, name, factory, message):
     monkeypatch.setattr(simnet, name, factory)

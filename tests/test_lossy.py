@@ -3,7 +3,9 @@
 These runs never take the tally kernel: every one has loss, and many have a
 deadline the challenge -> response -> report chain can overrun, so reports go
 missing, arrive late or are still in flight when the run ends. Scenarios
-reuse the adversary strategy of `test_kernel.py`.
+reuse the adversary strategy of `test_kernel.py`. Untraced, the engine
+settles each report that lands before its round's deadline when it is sent;
+traced, every delivery is its own event. Both must end the same.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import io
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import collabtrust.simnet as simnet
@@ -149,3 +151,61 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
         res = run_simulation(sc, seed=seed)
     # Every delivered message reached exactly one handler.
     assert sum(calls.values()) == res.counters.delivered
+
+
+def _lossy_doc(population, lo, hi, deadline, drop) -> dict:
+    """Group 5, 12 rounds, regrouped every 3, with an ALWAYS_WRONG device 2."""
+    return {
+        "population": population,
+        "group_size": 5,
+        "rounds": 12,
+        "regroup_period": 3,
+        "round_deadline": deadline,
+        "network": {"latency_min": lo, "latency_max": hi, "drop_prob": drop},
+        "adversaries": [{"device": 2, "fault": "ALWAYS_WRONG"}],
+    }
+
+
+# The cases the differential must cover, each with a seed that shows it
+# (test_differential_examples_show_their_case checks that they do).
+ZERO_LATENCY = (_lossy_doc(6, 0, 2, 3, 0.2), 0)
+# Latency 2 both ways: every report lands exactly on the deadline tick, late.
+ON_THE_DEADLINE = (_lossy_doc(6, 2, 2, 6, 0.05), 0)
+PURGE = (_lossy_doc(7, 1, 4, 10, 0.05), 1)
+HALT_IN_FLIGHT = (_lossy_doc(5, 1, 4, 10, 0.05), 4)
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=scenario_from_dict(ZERO_LATENCY[0]), seed=ZERO_LATENCY[1])
+@example(sc=scenario_from_dict(ON_THE_DEADLINE[0]), seed=ON_THE_DEADLINE[1])
+@example(sc=scenario_from_dict(PURGE[0]), seed=PURGE[1])
+@example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
+def test_untraced_engine_equals_traced_engine(sc, seed):
+    untraced = run_simulation(sc, seed=seed)
+    traced, _ = run_traced(sc, seed=seed)
+    assert untraced.stats == traced.stats
+    assert untraced.counters == traced.counters
+    assert dict(untraced.energy.usage) == dict(traced.energy.usage)
+    assert untraced.suspicion == traced.suspicion
+    assert untraced.rounds_executed == traced.rounds_executed
+    assert untraced.halt_reason == traced.halt_reason
+
+
+def test_differential_examples_show_their_case():
+    def run(case):
+        doc, seed = case
+        return run_simulation(scenario_from_dict(doc), seed=seed)
+
+    zero = run(ZERO_LATENCY)
+    assert zero.counters.delivered > 0 and zero.counters.late > 0
+    _, trace = run_traced(scenario_from_dict(ON_THE_DEADLINE[0]), seed=ON_THE_DEADLINE[1])
+    reports = [line for line in trace if line.split()[2] == "REPORT"]
+    deadline = ON_THE_DEADLINE[0]["round_deadline"]
+    assert reports and all(
+        line.endswith(" late=1") and int(line.split()[0]) % deadline == 0 for line in reports
+    )
+    purged = run(PURGE)
+    assert purged.counters.purged > 0 and purged.halt_reason is None
+    halted = run(HALT_IN_FLIGHT)
+    assert halted.halt_reason is not None and halted.counters.in_flight > 0

@@ -30,7 +30,7 @@ from collabtrust.protocol import (
 )
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, routine_catalog
-from collabtrust.verdict import Outcome
+from collabtrust.verdict import Outcome, verdict_table
 
 GROUP = (0, 1, 2, 3, 4)
 
@@ -42,9 +42,9 @@ def make_device(device_id, profile=None, group=GROUP):
         routine_order=routine_catalog(),
         rng=SplitMix64(100 + device_id),
         usage=DeviceUsage(),
-        quorum=3,
+        verdicts=verdict_table(len(group), 3),
     )
-    state.members = group
+    state.join(group)
     return state
 
 

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from collabtrust.errors import ContractError
+from collabtrust.scenario import Scenario
 from collabtrust.verdict import (
     Outcome,
     SuspicionLedger,
@@ -19,6 +20,7 @@ from collabtrust.verdict import (
     minimum_corruption_to_frame,
     oracle_outcome,
     update_suspicion,
+    verdict_table,
 )
 
 
@@ -211,7 +213,7 @@ def test_ledger_below_threshold():
 def test_lossless_verdicts_equal_the_rule_and_the_oracle():
     for n in range(3, 26):
         for quorum in range(1, n):
-            table = lossless_verdicts(n, quorum)
+            table = lossless_verdicts(verdict_table(n, quorum))
             assert len(table) == n
             for agree, (t, outcome) in enumerate(table):
                 disagree = n - 1 - agree
@@ -222,6 +224,43 @@ def test_lossless_verdicts_equal_the_rule_and_the_oracle():
 
 def test_lossless_verdicts_reject_a_quorum_out_of_range():
     with pytest.raises(ContractError):
-        lossless_verdicts(5, 0)
+        lossless_verdicts(verdict_table(5, 0))
     with pytest.raises(ContractError):
-        lossless_verdicts(5, 5)
+        lossless_verdicts(verdict_table(5, 5))
+
+
+def test_verdict_table_decides_every_split_once_by_the_rule_and_the_oracle():
+    for n in range(3, 10):
+        for quorum in range(1, n):
+            table = verdict_table(n, quorum)
+            lossless = lossless_verdicts(table)
+            assert len(table) == n  # entries are made as they are looked up
+            for agree in range(n):
+                for disagree in range(n - agree):
+                    missing = n - 1 - agree - disagree
+                    t, outcome = table[agree, disagree]
+                    assert t == tally(agree, disagree, missing, n - 1)
+                    assert outcome is compute_verdict(t, quorum)
+                    assert outcome is oracle_outcome(agree, disagree, missing, quorum)
+                    assert table[agree, disagree][0] is t  # decided once, then kept
+            assert len(table) == n * (n + 1) // 2
+            unanimous = sorted(
+                (e for e in table.values() if e[0].missing == 0), key=lambda e: e[0].agree
+            )
+            assert list(lossless) == unanimous
+            assert all(e is table[e[0].agree, e[0].disagree] for e in lossless)
+            sc = Scenario(population=n, group_size=n, quorum=quorum)
+            assert sc.lossless_verdicts == lossless
+            assert all(e is sc.verdicts[e[0].agree, e[0].disagree] for e in sc.lossless_verdicts)
+
+
+def test_verdict_table_rejects_a_bad_quorum_or_split():
+    for quorum in (0, 5):
+        with pytest.raises(ContractError):
+            verdict_table(5, quorum)
+    table = verdict_table(5, 3)
+    with pytest.raises(ContractError):
+        table[3, 2]  # 5 opinions from 4 checkers
+    with pytest.raises(ContractError):
+        table[-1, 2]
+    assert len(table) == 0
