@@ -22,8 +22,8 @@ from .adversary import (
     trigger_probability,
 )
 from .errors import ContractError, GroupFormationError, ProtocolViolation, ScenarioError
-from .metrics import EnergyModel, detection_stats, lossless_messages_per_round
-from .report import Report, build_report, emit_report, merge
+from .metrics import EnergyModel, lossless_messages_per_round
+from .report import Report, emit_report
 from .routines import (
     Kind,
     RoutineSpec,
@@ -33,7 +33,7 @@ from .routines import (
     routine_catalog,
 )
 from .scenario import Scenario, load_scenario, parse_scenario, scenario_from_dict
-from .simnet import NetworkModel, RunResult, form_group, run_simulation
+from .simnet import NetworkModel, RunResult, run_simulation
 from .verdict import (
     Outcome,
     SuspicionLedger,
@@ -42,7 +42,6 @@ from .verdict import (
     compute_verdict,
     decision_table,
     default_quorum,
-    minimum_corruption_to_frame,
     update_suspicion,
 )
 

@@ -16,7 +16,7 @@ from itertools import chain
 from typing import TextIO
 
 from .errors import ProtocolViolation, ScenarioError
-from .report import Report, build_report, emit_report, merge
+from .report import Report, emit_report
 from .rng import MASK64
 from .scenario import Scenario, read_scenario_doc, scenario_from_dict
 from .simnet import run_simulation
@@ -61,24 +61,21 @@ def _write_output(chunks: Iterable[bytes], out: str | None) -> None:
 
 
 def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = None) -> Report:
-    """Run every repetition (repetition k with seed base+k) into one merged report.
+    """Run every repetition (repetition k with seed base+k) into one running total.
 
-    Each run is reduced to its report and merged as soon as it ends, so
-    memory does not grow with `repetitions`. With `trace` given, each run
+    Each run is folded into the total as soon as it ends and then dropped,
+    so memory does not grow with `repetitions`. With `trace` given, each run
     writes its trace lines there as its events happen, under a
     `REP k seed=S` header when there are several.
     """
-    total: Report | None = None
+    total = Report(scenario)
     for rep in range(scenario.repetitions):
         seed = (base_seed + rep) & MASK64
         if trace is not None and scenario.repetitions > 1:
             trace.write(f"REP {rep} seed={seed}\n")
-        res = run_simulation(scenario, seed=seed, trace=trace)
+        total.fold(run_simulation(scenario, seed=seed, trace=trace))
         if trace is not None:
             trace.flush()
-        report = build_report(res, scenario)
-        total = report if total is None else merge(total, report)
-        del res, report  # neither outlives its repetition
     return total
 
 
@@ -121,7 +118,7 @@ def _parse_sweep_value(token: str):
     return value
 
 
-# Each sweep column after `param` and `value`, with how it reads the merged report.
+# Each sweep column after `param` and `value`, with how it reads the running total.
 _SWEEP_COLUMNS = (
     ("repetitions", lambda agg: agg.repetitions),
     ("rounds_executed", lambda agg: agg.rounds_executed),
@@ -134,7 +131,7 @@ _SWEEP_COLUMNS = (
     ("inconclusive", lambda agg: agg.verdicts["INCONCLUSIVE"]),
     ("false_positives", lambda agg: agg.false_positives),
     ("detected_devices", lambda agg: len(agg.detections)),
-    ("total_energy", lambda agg: agg.total_energy),
+    ("total_energy", Report.total_energy),
 )
 
 

@@ -136,16 +136,3 @@ class DetectionStats:
         """
         self.trusted += (len(epoch) - loud) * len(members)
 
-
-def detection_stats(
-    verdicts: list[tuple[int, Verdict]],
-    profiles: dict[int, AdversaryProfile],
-) -> DetectionStats:
-    """Score a log of (issuing device, verdict) pairs against the adversary map.
-
-    The reference for the stats a run folds as it goes: one fold per pair.
-    """
-    stats = DetectionStats()
-    for issuer, v in verdicts:
-        stats.fold(v, (issuer,), profiles)
-    return stats

@@ -1,159 +1,121 @@
 """Run reports: per-device and global metrics, serialized to JSON or CSV.
 
-Report bytes are a pure function of (scenario, seed, format): all values are
-integers or fixed strings, key order is fixed, and no locale-dependent
-formatting is used anywhere.
+A report is one running total: `Report.fold` adds each completed run into
+it in place, and the run is not kept. Report bytes are a pure function of
+(scenario, seed, format): all values are integers or fixed strings, key
+order is fixed, and no locale-dependent formatting is used anywhere.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ContractError
 from .scenario import Scenario
 from .simnet import RunResult
-from .verdict import Outcome
+from .verdict import SuspicionLedger
+
+# A device's report line; the four after `id` are its summed counters.
+_COLUMNS = ("id", "energy", "sent", "received", "flags", "excluded_round", "detection_round")
+# The counters of a device no run touched.
+_BLANK = (0, 0, 0, 0)
 
 
-class DeviceRow(NamedTuple):
-    """One device's line of a report; the device id is its key in `Report.devices`."""
-
-    energy: int
-    sent: int
-    received: int
-    flags: int
-    excluded_round: int | None = None
-    detection_round: int | None = None
+def _count(counts: dict[int, int], devices) -> None:
+    for d in devices:
+        counts[d] = counts.get(d, 0) + 1
 
 
-# The row of a device no run touched, and what merge adds for a missing one.
-_BLANK = DeviceRow(0, 0, 0, 0)
-
-
-@dataclass(frozen=True)
 class Report:
-    """Integer results of one run, or sums over repetitions; rates are left to the consumer.
+    """The integer results of a scenario's runs, summed as each run is folded in.
 
-    `devices` holds rows only for the devices a run touched, those that
-    joined a group; every other device of `population` has a zero row,
-    made when the report is emitted. For a single run `detections` and
-    `excluded` map a device to the round it was first detected or excluded
-    in. Once merged (repetitions > 1) they count the repetitions in which
-    that happened, `halt_reason` is None and the per-device
-    `excluded_round`/`detection_round` are blank.
+    `devices` holds [energy, sent, received, flags] only for the devices a
+    run touched, those that joined a group; every other device of
+    `population` has a zero row, made when the report is emitted.
+    `detections` and `excluded` count the runs in which a device was
+    detected or excluded. The seed shown is the first run's.
+
+    `halt_reason`, `suspicion` and `detection_rounds` are the last folded
+    run's halt reason, suspicion ledger and device -> first detection
+    round. The emitter reads them only when `repetitions == 1`: a single
+    run's report shows its halt reason, each device's excluded and
+    detection rounds, and its detection rounds in place of the counts.
     """
 
-    seed: int
-    repetitions: int
-    rounds_executed: int
-    halt_reason: str | None
-    halted_runs: int
-    population: int
-    devices: dict[int, DeviceRow]
-    messages: dict[str, int]
-    verdicts: dict[str, int]
-    false_positives: int
-    detections: dict[int, int]
-    excluded: dict[int, int]
-    total_energy: int
-
-
-def build_report(result: RunResult, scenario: Scenario) -> Report:
-    """Assemble the report for one completed run (pure post-processing).
-
-    Every device a verdict flags was a group member and so was charged, so
-    the ledger's devices are all the run touched.
-    """
-    stats = result.stats
-    suspicion = result.suspicion
-    energy = result.energy.energy
-    devices = {
-        d: DeviceRow(
-            energy(d),
-            u.sent,
-            u.received,
-            suspicion.flag_count(d),
-            suspicion.excluded_round(d),
-            suspicion.first_flagged.get(d),
+    def __init__(self, scenario: Scenario):
+        self.population = scenario.population
+        self.seed = 0
+        self.repetitions = 0
+        self.rounds_executed = 0
+        self.halted_runs = 0
+        self.devices: dict[int, list[int]] = {}
+        self.messages = dict.fromkeys(
+            ("sent", "delivered", "dropped", "late", "stray", "in_flight"), 0
         )
-        for d, u in result.energy.usage.items()
-    }
-    c = result.counters
-    return Report(
-        seed=result.seed,
-        repetitions=1,
-        rounds_executed=result.rounds_executed,
-        halt_reason=result.halt_reason,
-        halted_runs=0 if result.halt_reason is None else 1,
-        population=scenario.population,
-        devices=devices,
-        messages={
-            "sent": c.sent,
-            "delivered": c.delivered,
-            "dropped": c.dropped,
-            "late": c.late,
-            "stray": 0,  # strays are counted as late; the key keeps the format stable
-            "in_flight": c.in_flight,
-        },
-        verdicts={
-            Outcome.TRUSTED.value: stats.trusted,
-            Outcome.FLAGGED.value: stats.flagged,
-            Outcome.INCONCLUSIVE.value: stats.inconclusive,
-        },
-        false_positives=stats.false_positives,
-        detections=dict(sorted(stats.detections.items())),
-        excluded=dict(sorted(suspicion.excluded_at.items())),
-        total_energy=result.energy.total_energy(),
-    )
+        self.verdicts = dict.fromkeys(("TRUSTED", "FLAGGED", "INCONCLUSIVE"), 0)
+        self.false_positives = 0
+        self.detections: dict[int, int] = {}
+        self.excluded: dict[int, int] = {}
+        self.halt_reason: str | None = None
+        self.suspicion = SuspicionLedger()
+        self.detection_rounds: dict[int, int] = {}
+
+    def fold(self, result: RunResult) -> None:
+        """Add one completed run to the total.
+
+        Every device a verdict flags was a group member and so was charged,
+        so the ledger's devices are all the run touched.
+        """
+        if not self.repetitions:
+            self.seed = result.seed
+        self.repetitions += 1
+        self.rounds_executed += result.rounds_executed
+        self.halted_runs += result.halt_reason is not None
+        c, stats, suspicion = result.counters, result.stats, result.suspicion
+        m = self.messages
+        m["sent"] += c.sent
+        m["delivered"] += c.delivered
+        m["dropped"] += c.dropped
+        m["late"] += c.late  # strays are counted as late; "stray" keeps the format stable
+        m["in_flight"] += c.in_flight
+        v = self.verdicts
+        v["TRUSTED"] += stats.trusted
+        v["FLAGGED"] += stats.flagged
+        v["INCONCLUSIVE"] += stats.inconclusive
+        self.false_positives += stats.false_positives
+        rows, energy, flags = self.devices, result.energy.energy, suspicion.flags
+        for d, u in result.energy.usage.items():
+            row = rows.get(d)
+            if row is None:
+                rows[d] = [energy(d), u.sent, u.received, flags.get(d, 0)]
+            else:
+                row[0] += energy(d)
+                row[1] += u.sent
+                row[2] += u.received
+                row[3] += flags.get(d, 0)
+        _count(self.detections, stats.detections)
+        _count(self.excluded, suspicion.excluded_at)
+        self.halt_reason = result.halt_reason
+        self.suspicion = suspicion
+        self.detection_rounds = stats.detections
+
+    def total_energy(self) -> int:
+        return sum(row[0] for row in self.devices.values())
 
 
-def _per_repetition(counts: dict[int, int], report: Report) -> dict[int, int]:
-    """A single run's device -> round map as device -> 1 repetition."""
-    return dict.fromkeys(counts, 1) if report.repetitions == 1 else counts
+def _rows(report: Report) -> Iterator[tuple[int | None, ...]]:
+    """Every device's line in id order, a zero line for each one never touched."""
+    devices = report.devices
+    ids = range(report.population)
+    if report.repetitions != 1:
+        return ((d, *devices.get(d, _BLANK), None, None) for d in ids)
+    excluded, flagged = report.suspicion.excluded_at, report.suspicion.first_flagged
+    return ((d, *devices.get(d, _BLANK), excluded.get(d), flagged.get(d)) for d in ids)
 
 
-def _sum_by_key(a: dict, b: dict) -> dict:
-    return {k: a.get(k, 0) + b.get(k, 0) for k in sorted(a.keys() | b.keys())}
-
-
-def merge(a: Report, b: Report) -> Report:
-    """Sum two reports of the same scenario; the seed shown is `a`'s.
-
-    Every field is a sum, so merging repetitions in any grouping gives the
-    same report.
-    """
-    devices = {}
-    for d in a.devices.keys() | b.devices.keys():
-        x, y = a.devices.get(d, _BLANK), b.devices.get(d, _BLANK)
-        # The counters add up; a merged row's rounds are left blank.
-        devices[d] = DeviceRow(
-            x.energy + y.energy, x.sent + y.sent, x.received + y.received, x.flags + y.flags
-        )
-    return Report(
-        seed=a.seed,
-        repetitions=a.repetitions + b.repetitions,
-        rounds_executed=a.rounds_executed + b.rounds_executed,
-        halt_reason=None,
-        halted_runs=a.halted_runs + b.halted_runs,
-        population=a.population,
-        devices=devices,
-        messages={k: v + b.messages[k] for k, v in a.messages.items()},
-        verdicts={k: v + b.verdicts[k] for k, v in a.verdicts.items()},
-        false_positives=a.false_positives + b.false_positives,
-        detections=_sum_by_key(
-            _per_repetition(a.detections, a), _per_repetition(b.detections, b)
-        ),
-        excluded=_sum_by_key(_per_repetition(a.excluded, a), _per_repetition(b.excluded, b)),
-        total_energy=a.total_energy + b.total_energy,
-    )
-
-
-def _rows(report: Report) -> Iterator[tuple[int, DeviceRow]]:
-    """Every device's (id, row) in id order, a zero row for each one never touched."""
-    return ((d, report.devices.get(d, _BLANK)) for d in range(report.population))
+def _by_device(counts: dict[int, int]) -> dict[str, int]:
+    return {str(d): n for d, n in sorted(counts.items())}
 
 
 def _to_json(report: Report) -> bytes:
@@ -167,21 +129,18 @@ def _to_json(report: Report) -> bytes:
         obj["halt_reason"] = report.halt_reason
     else:
         obj["halted_runs"] = report.halted_runs
-    obj["devices"] = [{"id": d, **row._asdict()} for d, row in _rows(report)]
+    obj["devices"] = [dict(zip(_COLUMNS, row)) for row in _rows(report)]
     global_obj = {
         "messages": report.messages,
         "verdicts": report.verdicts,
         "false_positives": report.false_positives,
-        "detections": {str(k): v for k, v in report.detections.items()},
-        "total_energy": report.total_energy,
+        "detections": _by_device(report.detection_rounds if single else report.detections),
+        "total_energy": report.total_energy(),
     }
     if not single:
-        global_obj["excluded"] = {str(k): v for k, v in report.excluded.items()}
+        global_obj["excluded"] = _by_device(report.excluded)
     obj["global"] = global_obj
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
-
-
-_CSV_HEADER = "id,energy,sent,received,flags,excluded_round,detection_round"
 
 
 def _csv_cell(value: int | None) -> str:
@@ -189,16 +148,14 @@ def _csv_cell(value: int | None) -> str:
 
 
 def _to_csv(report: Report) -> bytes:
-    lines = [_CSV_HEADER]
-    for d, row in _rows(report):
+    lines = [",".join(_COLUMNS)]
+    for d, energy, sent, received, flags, excluded, detected in _rows(report):
         lines.append(
-            f"{d},{row.energy},{row.sent},{row.received},{row.flags},"
-            f"{_csv_cell(row.excluded_round)},{_csv_cell(row.detection_round)}"
+            f"{d},{energy},{sent},{received},{flags},{_csv_cell(excluded)},{_csv_cell(detected)}"
         )
-    total_sent = sum(row.sent for row in report.devices.values())
-    total_received = sum(row.received for row in report.devices.values())
-    total_flags = sum(row.flags for row in report.devices.values())
-    lines.append(f"GLOBAL,{report.total_energy},{total_sent},{total_received},{total_flags},,")
+    # Each counter summed over the rows; with _BLANK, a report of no rows sums to zeros.
+    totals = [sum(column) for column in zip(_BLANK, *report.devices.values())]
+    lines.append(f"GLOBAL,{','.join(map(str, totals))},,")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -62,10 +62,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
         return z ^ (z >> 31)
 
-    def next_bits(self, width: int) -> int:
-        """One draw masked to the low `width` bits."""
-        return self.next_u64() & ((1 << width) - 1)
-
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 bits of resolution."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
@@ -119,15 +115,6 @@ class SplitMix64:
                     break
         self._state = s
         return out
-
-    def shuffle_prefix(self, items: list, k: int) -> None:
-        """Fisher-Yates the first `k` positions of `items` in place."""
-        n = len(items)
-        if not 0 <= k <= n:
-            raise ValueError(f"prefix length {k} out of range for {n} items")
-        for i in range(k):
-            j = i + self.below(n - i)
-            items[i], items[j] = items[j], items[i]
 
 
 def stream(seed: int, tag: int, *words: int) -> SplitMix64:

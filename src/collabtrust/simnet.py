@@ -53,8 +53,8 @@ charged once per group epoch. Its reports are byte-identical to the
 engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
-form_group's draws over the eligible devices without listing them; both
-return the members tuple.
+the draws of a Fisher-Yates prefix over the list of eligible devices
+without listing them; both return the members tuple.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from .protocol import (
 )
 from .rng import MASK64, SplitMix64, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
-from .verdict import Outcome, SuspicionLedger, Tally, Verdict, update_suspicion
+from .verdict import Outcome, SuspicionLedger, Verdict, framing_bound, update_suspicion
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -132,32 +132,18 @@ class NetworkModel:
             raise ContractError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
 
 
-def form_group(eligible: list[int], size: int, rng: SplitMix64) -> tuple[int, ...]:
-    """Draw an ad-hoc group: a uniform subset via a seeded Fisher-Yates prefix.
-
-    Member order is the shuffled order (it fixes the checkee rotation).
-    The caller filters out excluded devices before calling. The reference
-    for draw_group, which makes the same draws without the list.
-    """
-    if size > len(eligible):
-        raise GroupFormationError(
-            f"need {size} devices but only {len(eligible)} are eligible"
-        )
-    pool = list(eligible)
-    rng.shuffle_prefix(pool, size)
-    return tuple(pool[:size])
-
-
 def draw_group(
     population: int,
     excluded: Collection[int],
     size: int,
     rng: SplitMix64,
 ) -> tuple[int, ...]:
-    """form_group's members over the devices of range(population) not in `excluded`.
+    """An ad-hoc group of `size` devices of range(population) not in `excluded`.
 
-    The same draws pick the same members without building the eligible
-    list: a sparse Fisher-Yates shuffles ranks, keeping only the swapped
+    The members are those a Fisher-Yates shuffle of the first `size`
+    positions of the sorted eligible list picks, in shuffled order (it
+    fixes the checkee rotation), from the same draws but without the list:
+    a sparse Fisher-Yates shuffles ranks, keeping only the swapped
     positions, and each chosen rank maps to its device by bisecting the
     sorted exclusions. O(size + len(excluded)) times a log, not O(population).
     """
@@ -277,19 +263,6 @@ class _GroupClasses(NamedTuple):
 
 # How many special layouts the memo in a scenario's run plan keeps classified.
 LAYOUT_MEMO = 4096
-
-
-def framing_bound(verdicts: tuple[tuple[Tally, Outcome], ...]) -> int:
-    """The most dissenting checkers a lossless verdict table leaves TRUSTED.
-
-    Entry a of the table is the round with a AGREE votes of n - 1, so this
-    is the largest k whose entries n-1 .. n-1-k are all TRUSTED:
-    floor((n-1)/2) under the majority rule.
-    """
-    k = 0
-    while k + 1 < len(verdicts) and verdicts[-2 - k][1] is Outcome.TRUSTED:
-        k += 1
-    return k
 
 
 def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClasses:

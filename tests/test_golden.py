@@ -17,10 +17,19 @@ scenarios never reach:
   many events share a tick (a round's deadline, the next round's start and
   deliveries all land together), plus two faulty devices whose exclusion
   halts the run with deliveries still in flight.
+- `repetitions_mixed_halts`: six lossy repetitions in which the ALWAYS_WRONG
+  device is always excluded and the Trojan only in some, so some runs halt
+  and others do not: the aggregate's `halted_runs`, `detections` and
+  `excluded` counts all differ from the repetition count.
 - `sparse_population`: groups of 5 drawn from 60 devices over 12 rounds, so
   most devices never join a group and their report rows are all zero. Its
   ALWAYS_WRONG device is excluded mid-epoch in some seeds and its Trojan in
   another.
+
+The table also holds the JSON and CSV output of `collabtrust sweep` over
+`scenarios/five_device_trojan.json` for each entry of `SWEEPS`: one sweep
+crosses from a single run to aggregates, the other from the kernel to the
+lossy engine.
 
 The JSON and CSV reports are also produced without `--trace` and must hash
 the same: untraced lossless runs take the tally-level kernel instead of the
@@ -81,6 +90,22 @@ INLINE_SCENARIOS = {
             },
         ],
     },
+    "repetitions_mixed_halts": {
+        "population": 6,
+        "group_size": 5,
+        "rounds": 30,
+        "repetitions": 6,
+        "network": {"drop_prob": 0.05},
+        "adversaries": [
+            {
+                "device": 1,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 15, "match": 5},
+                "payload": {"kind": "XOR", "value": 1},
+            },
+            {"device": 2, "fault": "ALWAYS_WRONG"},
+        ],
+    },
     "same_tick_halt": {
         "population": 6,
         "group_size": 5,
@@ -109,6 +134,11 @@ INLINE_SCENARIOS = {
         ],
     },
 }
+
+
+# Sweeps over scenarios/five_device_trojan.json: (param, values).
+SWEEP_SCENARIO = SCENARIO_DIR / "five_device_trojan.json"
+SWEEPS = (("repetitions", "1,4,8"), ("network.drop_prob", "0,0.1,0.3"))
 
 
 def _scenario_paths(workdir: pathlib.Path) -> dict[str, pathlib.Path]:
@@ -151,6 +181,21 @@ def _untraced_digests(scenario: pathlib.Path, seed: int, workdir: pathlib.Path) 
     return out
 
 
+def _sweep_digests(param: str, values: str, workdir: pathlib.Path) -> dict[str, str]:
+    out = {}
+    for fmt in ("json", "csv"):
+        rows = workdir / f"sweep.{fmt}"
+        argv = ["sweep", "--scenario", str(SWEEP_SCENARIO), "--param", param,
+                "--values", values, "--format", fmt, "--out", str(rows)]
+        assert cli.main(argv) == 0
+        out[fmt] = _sha256(rows)
+    return out
+
+
+def _sweep_id(param: str, values: str) -> str:
+    return f"sweep/{param}={values}"
+
+
 def _case_id(name: str, seed: int) -> str:
     return f"{name}/seed={seed}"
 
@@ -162,7 +207,8 @@ def _cases() -> list[tuple[str, int]]:
 
 def test_table_covers_every_case():
     table = json.loads(TABLE.read_text(encoding="utf-8"))
-    assert sorted(table) == sorted(_case_id(n, s) for n, s in _cases())
+    ids = [_case_id(n, s) for n, s in _cases()] + [_sweep_id(p, v) for p, v in SWEEPS]
+    assert sorted(table) == sorted(ids)
 
 
 @pytest.mark.parametrize("name,seed", _cases(), ids=[_case_id(n, s) for n, s in _cases()])
@@ -179,6 +225,12 @@ def test_untraced_reports_match_golden_digests(name, seed, tmp_path):
     assert _untraced_digests(scenario, seed, tmp_path) == {"json": golden["json"], "csv": golden["csv"]}
 
 
+@pytest.mark.parametrize("param,values", SWEEPS, ids=[_sweep_id(p, v) for p, v in SWEEPS])
+def test_sweep_outputs_match_golden_digests(param, values, tmp_path):
+    golden = json.loads(TABLE.read_text(encoding="utf-8"))[_sweep_id(param, values)]
+    assert _sweep_digests(param, values, tmp_path) == golden
+
+
 def _write_table() -> None:
     table = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -186,6 +238,8 @@ def _write_table() -> None:
         paths = _scenario_paths(workdir)
         for name, seed in _cases():
             table[_case_id(name, seed)] = _digests(paths[name], seed, workdir)
+        for param, values in SWEEPS:
+            table[_sweep_id(param, values)] = _sweep_digests(param, values, workdir)
     TABLE.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(table)} digests to {TABLE}", file=sys.stderr)
 

