@@ -103,7 +103,7 @@ from .protocol import (
 )
 from .rng import MASK64, SplitMix64, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
-from .verdict import Outcome, SuspicionLedger, Verdict, framing_bound, update_suspicion
+from .verdict import Outcome, SuspicionLedger, Tally, Verdict, framing_bound, update_suspicion
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -185,19 +185,25 @@ class RunResult:
     suspicion: SuspicionLedger
 
 
-def _trace_deliver(t: int, seq: int, msg: Message, frm: int, to: int, late: bool) -> str:
-    end = " late=1\n" if late else "\n"
+def _trace_text(msg: Message, frm: int) -> tuple[str, str]:
+    """The text of a delivery line of `msg` from `frm`, around its receiver.
+
+    A delivery's line is f"{time} {seq}{head}{to}{tail}": `head` holds the
+    kind and sender, `tail` the payload and newline. Both are the same for
+    every receiver of a fan-out, so they are built once per message sent.
+    """
     if type(msg) is Challenge:
-        ops = ",".join(str(v) for v in msg.ops)
+        ops = ",".join(map(str, msg.ops))
         return (
-            f"{t} {seq} CHALLENGE {frm} {to} round={msg.round} checkee={msg.checkee}"
-            f" spec={msg.spec.id} ops={ops} cid={msg.round}{end}"
+            f" CHALLENGE {frm} ",
+            f" round={msg.round} checkee={msg.checkee} spec={msg.spec.id}"
+            f" ops={ops} cid={msg.round}\n",
         )
     if type(msg) is Response:
-        return f"{t} {seq} RESPONSE {frm} {to} cid={msg.round} output={msg.output}{end}"
+        return f" RESPONSE {frm} ", f" cid={msg.round} output={msg.output}\n"
     return (
-        f"{t} {seq} REPORT {frm} {to} cid={msg.round} checkee={msg.checkee}"
-        f" opinion={msg.opinion.value}{end}"
+        f" REPORT {frm} ",
+        f" cid={msg.round} checkee={msg.checkee} opinion={msg.opinion.value}\n",
     )
 
 
@@ -523,9 +529,13 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     before its deliveries, which number from 2 * rounds in send order.
     Each tick's deliveries sit in one list in seq order; a heap holds
     only the ticks that have one. Each trace line goes to `trace` as its
-    event happens. With no trace, a report that lands before its round's
-    deadline is handed to handle_report when it is sent; it still takes
-    its seq, so the queued deliveries keep theirs.
+    event happens. A delivery's line is fixed when its message is sent:
+    its tick, seq and receiver are known then, and the kind, sender and
+    payload text is built once per message of a fan-out. The line waits
+    in a table keyed by seq that only traced runs fill; at delivery only
+    ` late=1` may be appended. With no trace, a report that lands before
+    its round's deadline is handed to handle_report when it is sent; it
+    still takes its seq, so the queued deliveries keep theirs.
     """
     seed = res.seed
     counters = res.counters
@@ -552,6 +562,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     next_seq = 2 * sc.rounds
 
     write = None if trace is None else trace.write
+    lines: dict[int, str] = {}  # traced runs: seq -> the queued delivery's line
+    verdict_texts: dict[Tally, str] = {}  # traced runs: a VERDICT line's tally text
+    group_text = ""  # traced runs: the group's members, as ROUND_START shows them
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
     group: tuple[int, ...] | None = None
     member_set: frozenset[int] = frozenset()
@@ -565,6 +578,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         usage[frm].sent += n
         seq = next_seq
         settle_by = -1 if write is not None else (current_round + 1) * deadline
+        prev = head = tail = None
         for (to, msg), latency in zip(outgoing, fates(n, drop_prob, lo, span)):
             if to == frm:
                 raise ContractError(f"device {frm} cannot send to itself")
@@ -584,6 +598,11 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     bucket = buckets[at] = []
                     heappush(ticks, at)
                 bucket.append((seq, msg, frm, to))
+                if write is not None:
+                    if msg is not prev:
+                        prev = msg
+                        head, tail = _trace_text(msg, frm)
+                    lines[seq] = f"{at} {seq}{head}{to}{tail}"
             seq += 1
         next_seq = seq
 
@@ -594,11 +613,13 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             flagged = v
         if write is not None:
             ta = v.tally
-            write(
-                f"{t} {seq} VERDICT {issuer} - round={v.round} checkee={v.checkee}"
-                f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
-                f" missing={ta.missing}\n"
-            )
+            text = verdict_texts.get(ta)
+            if text is None:
+                text = verdict_texts[ta] = (
+                    f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
+                    f" missing={ta.missing}\n"
+                )
+            write(f"{t} {seq} VERDICT {issuer} - round={v.round} checkee={v.checkee}{text}")
 
     timer = 0  # seq of the next round timer
     while True:
@@ -611,7 +632,8 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 usage[to].received += 1
                 late = msg.round != current_round or to not in member_set
                 if write is not None:
-                    write(_trace_deliver(t, seq, msg, frm, to, late))
+                    line = lines.pop(seq)
+                    write(line[:-1] + " late=1\n" if late else line)
                 if late:
                     counters.late += 1
                     continue
@@ -657,16 +679,17 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                             colluder_trojans=sc.evader_trojans.get(m),
                         )
                     state.join(group)
+                if write is not None:
+                    group_text = ",".join(map(str, group))
             current_round = r
             flagged = None
             for m in group:
                 begin_round(states[m], r)
             initiator = round_initiator(group, r)
             if write is not None:
-                members = ",".join(str(m) for m in group)
                 spec = routine_order[r % len(routine_order)]
                 write(
-                    f"{t} {seq} ROUND_START - - round={r} group={members}"
+                    f"{t} {seq} ROUND_START - - round={r} group={group_text}"
                     f" checkee={round_checkee(group, r)} initiator={initiator}"
                     f" routine={spec.id}\n"
                 )
@@ -691,6 +714,10 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     counters.late += purged
                     counters.purged += purged
                     buckets[at] = keep
+                    if write is not None and purged:
+                        for e in bucket:
+                            if e[2] == checkee or e[3] == checkee:
+                                del lines[e[0]]
         if write is not None:
             write(f"{t} {seq} ROUND_DEADLINE - - round={r}\n")
         if r == last_round:

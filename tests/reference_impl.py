@@ -11,6 +11,10 @@ None of this runs in the simulator:
 - `detection_stats`: the stats of a log of (issuer, verdict) pairs folded
   pair by pair, which a run folds as it goes.
 - `next_bits`: one SplitMix64 word masked to its low bits.
+- `trace_delivery` and `trace_verdict`: a delivery's and a verdict's trace
+  line, formatted whole for each line, as the engine once did at each
+  delivery. The engine now builds a message's text once per fan-out and
+  fixes each delivery's line when it is sent; the lines must not change.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import NamedTuple
 from collabtrust.adversary import AdversaryProfile
 from collabtrust.errors import ContractError, GroupFormationError
 from collabtrust.metrics import DetectionStats
+from collabtrust.protocol import Challenge, Message, Response
 from collabtrust.rng import SplitMix64
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import RunResult
@@ -245,3 +250,30 @@ def detection_stats(
     for issuer, v in verdicts:
         stats.fold(v, (issuer,), profiles)
     return stats
+
+
+def trace_delivery(t: int, seq: int, msg: Message, frm: int, to: int, late: bool) -> str:
+    """The trace line of delivering `msg` from `frm` to `to` at tick `t`, with its newline."""
+    end = " late=1\n" if late else "\n"
+    if type(msg) is Challenge:
+        ops = ",".join(str(v) for v in msg.ops)
+        return (
+            f"{t} {seq} CHALLENGE {frm} {to} round={msg.round} checkee={msg.checkee}"
+            f" spec={msg.spec.id} ops={ops} cid={msg.round}{end}"
+        )
+    if type(msg) is Response:
+        return f"{t} {seq} RESPONSE {frm} {to} cid={msg.round} output={msg.output}{end}"
+    return (
+        f"{t} {seq} REPORT {frm} {to} cid={msg.round} checkee={msg.checkee}"
+        f" opinion={msg.opinion.value}{end}"
+    )
+
+
+def trace_verdict(t: int, seq: int, issuer: int, v: Verdict) -> str:
+    """The trace line of `issuer` reaching verdict `v` at tick `t`, with its newline."""
+    ta = v.tally
+    return (
+        f"{t} {seq} VERDICT {issuer} - round={v.round} checkee={v.checkee}"
+        f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
+        f" missing={ta.missing}\n"
+    )

@@ -18,10 +18,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import collabtrust.simnet as simnet
+from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
 from collabtrust.report import emit_report
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
+from reference_impl import trace_delivery, trace_verdict
 from test_kernel import adversary_docs
 from verdict_log import folded, run_logged, run_traced, trace_lines
 
@@ -190,6 +192,54 @@ def test_untraced_engine_equals_traced_engine(sc, seed):
     assert untraced.suspicion == traced.suspicion
     assert untraced.rounds_executed == traced.rounds_executed
     assert untraced.halt_reason == traced.halt_reason
+
+
+KINDS = {Challenge: "CHALLENGE", Response: "RESPONSE", ComparisonReport: "REPORT"}
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=scenario_from_dict(ZERO_LATENCY[0]), seed=ZERO_LATENCY[1])
+@example(sc=scenario_from_dict(ON_THE_DEADLINE[0]), seed=ON_THE_DEADLINE[1])
+@example(sc=scenario_from_dict(PURGE[0]), seed=PURGE[1])
+@example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
+def test_trace_lines_equal_the_reference_formatter(sc, seed):
+    """Each delivery line is the reference's line of the message sent, at the
+    line's tick, seq, receiver and fate; each VERDICT line the reference's
+    line of the verdict folded."""
+    sent: dict[tuple[str, int, int], Message] = {}  # (kind, round, sender) -> message
+
+    def logging(handler):
+        def wrapped(state, *args):
+            outgoing = handler(state, *args)
+            for _, msg in outgoing:
+                # A device sends at most one message of each kind per round.
+                assert sent.setdefault((KINDS[type(msg)], msg.round, state.id), msg) is msg
+            return outgoing
+
+        return wrapped
+
+    sink = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("on_round_start", "handle_check_request", "handle_response"):
+            mp.setattr(simnet, name, logging(getattr(simnet, name)))
+        _, verdicts = run_logged(sc, seed=seed, trace=sink)
+    issued = iter(verdicts)
+    current_round, members = -1, []
+    for line in trace_lines(sink):
+        t, seq, kind, frm, to, *fields = line.split()
+        if kind == "ROUND_START":
+            payload = dict(f.split("=") for f in fields)
+            current_round, members = int(payload["round"]), payload["group"].split(",")
+        elif kind in DELIVERY_KINDS:
+            late = fields[-1] == "late=1"
+            rnd = int(dict(f.split("=") for f in fields)["cid"])
+            assert late == (rnd != current_round or to not in members)
+            msg = sent[kind, rnd, int(frm)]
+            assert line + "\n" == trace_delivery(int(t), int(seq), msg, int(frm), int(to), late)
+        elif kind == "VERDICT":
+            assert line + "\n" == trace_verdict(int(t), int(seq), *next(issued))
+    assert next(issued, None) is None
 
 
 def test_differential_examples_show_their_case():

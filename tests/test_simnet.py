@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from collabtrust.protocol import Challenge
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import routine_catalog
 from collabtrust.scenario import Scenario
-from collabtrust.simnet import NetworkModel, draw_group
+from collabtrust.simnet import NetworkModel, draw_group, run_simulation
 from collabtrust.verdict import Outcome
 from reference_impl import detection_stats, form_group
 from verdict_log import kernel_view, run_logged, run_traced, trace_lines
@@ -68,9 +69,38 @@ def test_fates_draw_what_next_float_and_below_draw(drop_prob, span):
 
 
 def test_send_to_self_is_contract_error(monkeypatch):
+    # Loss keeps the untraced run off the tally kernel.
+    sc = Scenario(rounds=1, network=NetworkModel(drop_prob=0.1))
+    built = []
     monkeypatch.setattr(simnet, "on_round_start", lambda state, r, seed: [(state.id, _msg())])
-    with pytest.raises(ContractError, match="cannot send to itself"):
-        run_traced(Scenario(rounds=1), seed=0)
+    monkeypatch.setattr(simnet, "_trace_text", lambda msg, frm: built.append(msg))
+    for trace in (None, io.StringIO()):
+        with pytest.raises(ContractError, match="cannot send to itself"):
+            run_simulation(sc, seed=0, trace=trace)
+    assert not simnet.latency_free(sc) and built == []
+
+
+def test_trace_text_follows_each_message_of_a_fan_out(monkeypatch):
+    # Handlers fan one message out to every peer; the trace must not rely
+    # on it. Here each peer gets its own challenge, with its own operands
+    # (so most rounds flag their checkee).
+    start = simnet.on_round_start
+    sent = {}
+
+    def one_challenge_each(state, r, seed):
+        out = []
+        for to, ch in start(state, r, seed):
+            sent[r, to] = replace(ch, ops=tuple(v ^ to for v in ch.ops))
+            out.append((to, sent[r, to]))
+        return out
+
+    monkeypatch.setattr(simnet, "on_round_start", one_challenge_each)
+    _, trace = run_traced(Scenario(rounds=5, flag_threshold=6), seed=3)  # never halts
+    challenges = [line.split() for line in trace if line.split()[2] == "CHALLENGE"]
+    assert len(challenges) == len(sent) == 5 * 4
+    for f in challenges:
+        ch = sent[int(f[5].removeprefix("round=")), int(f[4])]
+        assert f[8] == "ops=" + ",".join(map(str, ch.ops))
 
 
 # Zero-latency sends and a deadline of 2 * latency_max put round timers and
