@@ -4,9 +4,10 @@ Energy is charged in abstract integer units and is exact: a device's total
 is always e_op * ops + e_tx * sent + e_rx * received. Transmissions are
 charged even when the channel drops the message (the radio still spent the
 energy); receptions are charged for every delivery that reaches a device,
-including late ones, which the event loop never hands to the protocol. The
-event loop and the protocol charge a device by incrementing its
-`DeviceUsage` counters directly; the ledger makes them on first use.
+including late ones, which the event loop never hands to the protocol. Only
+the simulator charges a device, by incrementing its `DeviceUsage` counters
+directly: the event engine as each op, send and reception happens, the
+tally kernel once per group epoch. The ledger makes them on first use.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Per-device state machine for one checking round.
 
 A round has one checkee and one challenge. The initiator derives operands
-from the shared seed and unicasts the challenge to the rest of the group;
+from the shared seed and sends the challenge to the rest of the group;
 every receiver executes the routine through its own fault model; the checkee
 broadcasts its output; each checker compares that output against its own
 locally computed reference and broadcasts an AGREE/DISAGREE report; every
@@ -12,13 +12,14 @@ A group is its members tuple: the checkee of round r is member r mod N,
 the initiator the member after it, and every device looks its verdicts up
 in the scenario's one table. Each message names its round once, in `round`.
 
-Handlers are plain transitions (state, message) -> (state, outgoing messages).
-The event loop alone decides each message's fate: it drops, delays and
-counts as late every off-round or non-member delivery, so handlers see only
-on-round messages between current group members, each exactly once, even
-when an untraced run hands over an on-time report as it is sent. The one
-ordering they handle is a response that overtakes its challenge: it is
-parked until the challenge arrives.
+Handlers are plain transitions (state, message) -> (state, message or None):
+a device sends each message to its whole group, and the event loop fans it
+out to the sender's peers, charges all energy and alone decides each
+message's fate. It drops, delays and counts as late every off-round or
+non-member delivery, so handlers see only on-round messages between current
+group members, each exactly once, even when an untraced run hands over an
+on-time report as it is sent. The one ordering they handle is a response
+that overtakes its challenge: it is parked until the challenge arrives.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .adversary import (
     distort_opinion,
 )
 from .errors import ProtocolViolation
-from .metrics import DeviceUsage
 from .routines import RoutineSpec, execute, generate_operands
 from .rng import SplitMix64
 from .verdict import Verdict, VerdictTable
@@ -69,7 +69,7 @@ Message = Challenge | Response | ComparisonReport
 
 
 class DeviceState:
-    """Everything one device knows; confined to the event loop that owns it."""
+    """Everything one device knows but its energy; confined to the event loop that owns it."""
 
     __slots__ = (
         "id",
@@ -77,7 +77,6 @@ class DeviceState:
         "routine_order",
         "colluder_trojans",
         "rng",
-        "usage",
         "verdicts",
         "members",
         "peers",
@@ -97,7 +96,6 @@ class DeviceState:
         profile: AdversaryProfile,
         routine_order: Sequence[RoutineSpec],
         rng: SplitMix64 | None,  # a RANDOM reporter's report stream
-        usage: DeviceUsage,
         verdicts: VerdictTable,
         colluder_trojans: dict[int, TrojanModel] | None = None,
     ):
@@ -106,7 +104,6 @@ class DeviceState:
         self.routine_order = routine_order
         self.colluder_trojans = colluder_trojans or {}
         self.rng = rng
-        self.usage = usage
         self.verdicts = verdicts
         self.join(())  # the device's group, set when it joins one
         self.round: int | None = None
@@ -168,10 +165,8 @@ def make_challenge(state: DeviceState, round_no: int, shared_seed: int) -> Chall
     )
 
 
-def on_round_start(
-    state: DeviceState, round_no: int, shared_seed: int
-) -> list[tuple[int, Message]]:
-    """Initiator duty: build the round's challenge and unicast it to the group."""
+def on_round_start(state: DeviceState, round_no: int, shared_seed: int) -> Challenge:
+    """Initiator duty: build the round's challenge, for the group's other members."""
     if not state.members or state.round != round_no or state.challenge is not None:
         raise ProtocolViolation(
             f"device {state.id}: round {round_no} start out of turn (device round {state.round})"
@@ -179,56 +174,52 @@ def on_round_start(
     if round_initiator(state.members, round_no) != state.id:
         raise ProtocolViolation(f"device {state.id} is not round {round_no}'s initiator")
     ch = make_challenge(state, round_no, shared_seed)
-    outgoing: list[tuple[int, Message]] = [(peer, ch) for peer in state.peers]
     # The initiator is a checker too; it processes the challenge locally
-    # (never emitting a Response, since initiator != checkee).
-    outgoing.extend(handle_check_request(state, ch))
-    return outgoing
+    # (never answering, since initiator != checkee).
+    handle_check_request(state, ch)
+    return ch
 
 
-def handle_check_request(state: DeviceState, ch: Challenge) -> list[tuple[int, Message]]:
+def handle_check_request(state: DeviceState, ch: Challenge) -> Response | ComparisonReport | None:
     """Accept a challenge: compute through the local fault model and cache it.
 
-    The checkee answers with a Response broadcast; checkers stay silent and
-    keep their output as the private comparison reference (or, if the
-    response already arrived, compare and report immediately).
+    The checkee answers with its Response; a checker stays silent and keeps
+    its output as the private comparison reference, unless the response
+    already arrived: then it compares and returns its report.
     """
     spec = ch.spec
     out = apply_fault(state.profile, spec, ch.ops, execute(spec, ch.ops))
-    state.usage.ops += spec.op_count
     state.challenge = ch
     state.reference = out
     if state.id == ch.checkee:
         # The checkee's "reference" is the output it must defend.
-        response = Response(round=ch.round, responder=state.id, output=out)
-        return [(peer, response) for peer in state.peers]
+        return Response(round=ch.round, responder=state.id, output=out)
     if state.pending_response is not None:
         # The checkee's answer overtook our challenge; compare it now.
         parked, state.pending_response = state.pending_response, None
         return handle_response(state, parked)
-    return []
+    return None
 
 
-def handle_response(state: DeviceState, r: Response) -> list[tuple[int, ComparisonReport]]:
-    """Compare the checkee's output to the local reference and broadcast a report.
+def handle_response(state: DeviceState, r: Response) -> ComparisonReport | None:
+    """Compare the checkee's output to the local reference and return the report.
 
     A response that beats this checker's own challenge copy through the
-    network is parked and replayed once the challenge arrives, so random
-    latencies never cost a checker its opinion.
+    network is parked (None) and replayed once the challenge arrives, so
+    random latencies never cost a checker its opinion.
     """
     if state.challenge is None:
         state.pending_response = r
-        return []
+        return None
     true_opinion = Opinion.AGREE if r.output == state.reference else Opinion.DISAGREE
     opinion = distort_opinion(state.profile, true_opinion, state.checkee, state.rng)
     # Own opinion enters the local tally exactly once, as broadcast.
     # If every other report already arrived, the verdict waits for the
     # round deadline rather than being returned from this handler.
     state.opinions[state.id] = opinion
-    report = ComparisonReport(
+    return ComparisonReport(
         round=r.round, reporter=state.id, checkee=state.checkee, opinion=opinion
     )
-    return [(peer, report) for peer in state.peers]
 
 
 def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:

@@ -190,7 +190,7 @@ def _trace_text(msg: Message, frm: int) -> tuple[str, str]:
 
     A delivery's line is f"{time} {seq}{head}{to}{tail}": `head` holds the
     kind and sender, `tail` the payload and newline. Both are the same for
-    every receiver of a fan-out, so they are built once per message sent.
+    every receiver of a fan-out, so they are built once per fan-out.
     """
     if type(msg) is Challenge:
         ops = ",".join(map(str, msg.ops))
@@ -523,19 +523,21 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
 def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     """Every unicast through per-tick delivery buckets, with loss, latency and trace.
 
-    Events run in (tick, seq) order. Round timers are computed, not
-    queued: round r starts at r * deadline with seq 2r and ends at
-    (r + 1) * deadline with seq 2r + 1, so at any tick the timers fire
-    before its deliveries, which number from 2 * rounds in send order.
-    Each tick's deliveries sit in one list in seq order; a heap holds
-    only the ticks that have one. Each trace line goes to `trace` as its
-    event happens. A delivery's line is fixed when its message is sent:
-    its tick, seq and receiver are known then, and the kind, sender and
-    payload text is built once per message of a fan-out. The line waits
-    in a table keyed by seq that only traced runs fill; at delivery only
-    ` late=1` may be appended. With no trace, a report that lands before
-    its round's deadline is handed to handle_report when it is sent; it
-    still takes its seq, so the queued deliveries keep theirs.
+    A handler returns at most one message; dispatch_sends sends it to each
+    of the sender's peers with one batch of fates. This loop charges every
+    op, send and reception: a challenge's ops as it is built and as it is
+    handled on time. Events run in (tick, seq) order. Round timers are
+    computed, not queued: round r starts at r * deadline with seq 2r and
+    ends at (r + 1) * deadline with seq 2r + 1, so at any tick the timers
+    fire before its deliveries, which number from 2 * rounds in send order
+    (a drop takes none). Each tick's deliveries sit in one list in seq
+    order; a heap holds only the ticks that have one. Each trace line goes
+    to `trace` as its event happens. A delivery's line is fixed when its
+    message is sent, from text built once per fan-out, and waits in a table
+    keyed by seq that only traced runs fill; at delivery only ` late=1` may
+    be appended. With no trace, a report that lands before its round's
+    deadline is handed to handle_report when it is sent; it still takes
+    its seq, so the queued deliveries keep theirs.
     """
     seed = res.seed
     counters = res.counters
@@ -570,23 +572,24 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     member_set: frozenset[int] = frozenset()
     current_round = -1
 
-    def dispatch_sends(frm: int, outgoing: list[tuple[int, Message]], now: int) -> None:
+    def dispatch_sends(frm: int, msg: Message, now: int) -> None:
         nonlocal next_seq
+        peers = states[frm].peers
+        n = len(peers)
         # Transmissions are charged even when the channel drops them.
-        n = len(outgoing)
         counters.sent += n
         usage[frm].sent += n
         seq = next_seq
-        settle_by = -1 if write is not None else (current_round + 1) * deadline
-        prev = head = tail = None
-        for (to, msg), latency in zip(outgoing, fates(n, drop_prob, lo, span)):
-            if to == frm:
-                raise ContractError(f"device {frm} cannot send to itself")
+        settle = write is None and type(msg) is ComparisonReport
+        settle_by = (current_round + 1) * deadline if settle else -1
+        if write is not None:
+            head, tail = _trace_text(msg, frm)
+        for to, latency in zip(peers, fates(n, drop_prob, lo, span)):
             if latency is None:
                 counters.dropped += 1
                 continue
             at = now + latency
-            if at < settle_by and type(msg) is ComparisonReport:
+            if at < settle_by:
                 usage[to].received += 1
                 counters.delivered += 1
                 maybe = handle_report(states[to], msg)
@@ -599,9 +602,6 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     heappush(ticks, at)
                 bucket.append((seq, msg, frm, to))
                 if write is not None:
-                    if msg is not prev:
-                        prev = msg
-                        head, tail = _trace_text(msg, frm)
                     lines[seq] = f"{at} {seq}{head}{to}{tail}"
             seq += 1
         next_seq = seq
@@ -645,9 +645,11 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     if maybe is not None:
                         record_verdict(to, maybe, t, seq)
                 elif kind is Challenge:
-                    dispatch_sends(to, handle_check_request(state, msg), t)
-                else:
-                    dispatch_sends(to, handle_response(state, msg), t)
+                    usage[to].ops += msg.spec.op_count
+                    if (out := handle_check_request(state, msg)) is not None:
+                        dispatch_sends(to, out, t)
+                elif (out := handle_response(state, msg)) is not None:
+                    dispatch_sends(to, out, t)
             del buckets[t]
             continue
 
@@ -674,7 +676,6 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                             profile=profile,
                             routine_order=routine_order,
                             rng=report_stream(seed, m) if random else None,
-                            usage=usage[m],
                             verdicts=sc.verdicts,
                             colluder_trojans=sc.evader_trojans.get(m),
                         )
@@ -693,7 +694,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     f" checkee={round_checkee(group, r)} initiator={initiator}"
                     f" routine={spec.id}\n"
                 )
-            dispatch_sends(initiator, on_round_start(states[initiator], r, seed), t)
+            ch = on_round_start(states[initiator], r, seed)
+            usage[initiator].ops += ch.spec.op_count
+            dispatch_sends(initiator, ch, t)
             res.rounds_executed = r + 1
             continue
 

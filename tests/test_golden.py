@@ -55,6 +55,8 @@ import tempfile
 import pytest
 
 import collabtrust.cli as cli
+import collabtrust.simnet as simnet
+from collabtrust.scenario import scenario_from_dict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -223,6 +225,29 @@ def test_untraced_reports_match_golden_digests(name, seed, tmp_path):
     golden = json.loads(TABLE.read_text(encoding="utf-8"))[_case_id(name, seed)]
     scenario = _scenario_paths(tmp_path)[name]
     assert _untraced_digests(scenario, seed, tmp_path) == {"json": golden["json"], "csv": golden["csv"]}
+
+
+def test_inline_cases_show_their_case():
+    """Across the seeds, each lossy inline case parks responses that overtake
+    their challenge, drops and delivers late, and purges queued deliveries,
+    so its digests guard those paths."""
+    handle_response = simnet.handle_response
+    parked = 0
+
+    def parking(state, r):
+        nonlocal parked
+        parked += state.challenge is None
+        return handle_response(state, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "handle_response", parking)
+        for name in ("lossy_adversarial", "same_tick_halt"):
+            sc = scenario_from_dict(INLINE_SCENARIOS[name])
+            parked = dropped = late = purged = 0
+            for seed in SEEDS:
+                c = simnet.run_simulation(sc, seed=seed).counters
+                dropped, late, purged = dropped + c.dropped, late + c.late, purged + c.purged
+            assert parked and dropped and late and purged, (name, parked, dropped, late, purged)
 
 
 @pytest.mark.parametrize("param,values", SWEEPS, ids=[_sweep_id(p, v) for p, v in SWEEPS])

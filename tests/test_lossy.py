@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import collabtrust.simnet as simnet
 from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
 from collabtrust.report import emit_report
+from collabtrust.rng import SplitMix64
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
@@ -194,6 +195,35 @@ def test_untraced_engine_equals_traced_engine(sc, seed):
     assert untraced.halt_reason == traced.halt_reason
 
 
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=scenario_from_dict(ZERO_LATENCY[0]), seed=ZERO_LATENCY[1])
+@example(sc=scenario_from_dict(ON_THE_DEADLINE[0]), seed=ON_THE_DEADLINE[1])
+@example(sc=scenario_from_dict(PURGE[0]), seed=PURGE[1])
+@example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
+def test_each_fan_out_reaches_the_senders_peers_once(sc, seed):
+    """Every send is one message to the sender's group_size - 1 peers: the
+    engine draws one batch of fates per fan-out, never an empty one, and
+    no delivery goes from a device to itself."""
+    counts: list[int] = []
+    fates = SplitMix64.fates
+
+    def counting(rng, count, *args):
+        counts.append(count)
+        return fates(rng, count, *args)
+
+    sink = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SplitMix64, "fates", counting)
+        for trace in (None, sink):
+            counts.clear()
+            res = run_simulation(sc, seed=seed, trace=trace)
+            assert set(counts) == {sc.group_size - 1}
+            assert sum(counts) == res.counters.sent
+    deliveries = [f for f in map(str.split, trace_lines(sink)) if f[2] in DELIVERY_KINDS]
+    assert all(f[3] != f[4] for f in deliveries)
+
+
 KINDS = {Challenge: "CHALLENGE", Response: "RESPONSE", ComparisonReport: "REPORT"}
 
 
@@ -211,11 +241,11 @@ def test_trace_lines_equal_the_reference_formatter(sc, seed):
 
     def logging(handler):
         def wrapped(state, *args):
-            outgoing = handler(state, *args)
-            for _, msg in outgoing:
+            msg = handler(state, *args)
+            if msg is not None:
                 # A device sends at most one message of each kind per round.
                 assert sent.setdefault((KINDS[type(msg)], msg.round, state.id), msg) is msg
-            return outgoing
+            return msg
 
         return wrapped
 

@@ -13,7 +13,6 @@ from collabtrust.adversary import (
     TrojanModel,
 )
 from collabtrust.errors import ProtocolViolation
-from collabtrust.metrics import DeviceUsage
 from collabtrust.protocol import (
     Challenge,
     ComparisonReport,
@@ -41,7 +40,6 @@ def make_device(device_id, profile=None, group=GROUP):
         profile=profile or AdversaryProfile(),
         routine_order=routine_catalog(),
         rng=SplitMix64(100 + device_id),
-        usage=DeviceUsage(),
         verdicts=verdict_table(len(group), 3),
     )
     state.join(group)
@@ -78,11 +76,10 @@ def test_round_robin_schedule():
 
 def test_on_round_start_emits_group_minus_one_challenges():
     states = make_bench(round_no=0)
-    outgoing = on_round_start(states[1], 0, shared_seed=42)
-    challenges = [(to, m) for to, m in outgoing if isinstance(m, Challenge)]
-    assert len(challenges) == 4
-    assert sorted(to for to, _ in challenges) == [0, 2, 3, 4]
-    ch = challenges[0][1]
+    ch = on_round_start(states[1], 0, shared_seed=42)
+    assert isinstance(ch, Challenge)
+    # the engine sends it to the initiator's peers: the rest of the group
+    assert states[1].peers == (0, 2, 3, 4)
     assert ch.checkee == 0 and ch.initiator == 1 and ch.round == 0
     # the initiator processed its own copy and is now a waiting checker
     assert states[1].challenge == ch
@@ -105,11 +102,10 @@ def test_on_round_start_requires_idle():
 
 def test_honest_checkee_broadcasts_its_output():
     states = make_bench(round_no=0)
-    outgoing = handle_check_request(states[0], challenge_for(ops=(200, 100)))
-    assert len(outgoing) == 4
-    assert all(isinstance(m, Response) for _, m in outgoing)
-    assert all(m.output == 44 for _, m in outgoing)
-    assert sorted(to for to, _ in outgoing) == [1, 2, 3, 4]
+    response = handle_check_request(states[0], challenge_for(ops=(200, 100)))
+    assert isinstance(response, Response)
+    assert response.output == 44 and response.responder == 0 and response.round == 0
+    assert states[0].peers == (1, 2, 3, 4)
     # the checkee defends its own output and never holds an opinion of its own
     assert states[0].reference == 44
     assert states[0].opinions == {}
@@ -121,14 +117,13 @@ def test_trojaned_checkee_answers_with_payload():
     )
     profile = AdversaryProfile(fault=FaultKind.TROJAN, trojan=trojan)
     states = make_bench(profiles={0: profile})
-    outgoing = handle_check_request(states[0], challenge_for(ops=(200, 100)))
-    assert all(m.output == 45 for _, m in outgoing)
+    response = handle_check_request(states[0], challenge_for(ops=(200, 100)))
+    assert isinstance(response, Response) and response.output == 45
 
 
 def test_checker_caches_reference_and_stays_silent():
     states = make_bench(round_no=0)
-    outgoing = handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    assert outgoing == []
+    assert handle_check_request(states[2], challenge_for(ops=(200, 100))) is None
     assert states[2].reference == 44
     assert states[2].opinions == {}
     assert states[2].pending_response is None
@@ -137,9 +132,11 @@ def test_checker_caches_reference_and_stays_silent():
 def test_matching_response_yields_agree_broadcast():
     states = make_bench(round_no=0)
     handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    outgoing = handle_response(states[2], Response(round=0, responder=0, output=44))
-    assert len(outgoing) == 4
-    assert all(m.opinion is Opinion.AGREE for _, m in outgoing)
+    report = handle_response(states[2], Response(round=0, responder=0, output=44))
+    assert isinstance(report, ComparisonReport)
+    assert report.opinion is Opinion.AGREE
+    assert report.reporter == 2 and report.checkee == 0 and report.round == 0
+    assert states[2].peers == (0, 1, 3, 4)
     assert states[2].opinions == {2: Opinion.AGREE}
     assert not states[2].verdict_emitted
 
@@ -147,29 +144,29 @@ def test_matching_response_yields_agree_broadcast():
 def test_mismatching_response_yields_disagree():
     states = make_bench(round_no=0)
     handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    outgoing = handle_response(states[2], Response(round=0, responder=0, output=45))
-    assert all(m.opinion is Opinion.DISAGREE for _, m in outgoing)
+    report = handle_response(states[2], Response(round=0, responder=0, output=45))
+    assert report.opinion is Opinion.DISAGREE
 
 
 def test_framing_reporter_lies_in_broadcast_and_own_tally():
     framer = AdversaryProfile(reporting=ReportingKind.FRAME, targets=frozenset({0}))
     states = make_bench(profiles={2: framer})
     handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    outgoing = handle_response(states[2], Response(round=0, responder=0, output=44))
-    assert all(m.opinion is Opinion.DISAGREE for _, m in outgoing)
+    report = handle_response(states[2], Response(round=0, responder=0, output=44))
+    assert report.opinion is Opinion.DISAGREE
     assert states[2].opinions[2] is Opinion.DISAGREE
 
 
 def test_early_response_is_parked_until_challenge_arrives():
     states = make_bench(round_no=0)
     early = Response(round=0, responder=0, output=44)
-    assert handle_response(states[2], early) == []
+    assert handle_response(states[2], early) is None
     assert states[2].pending_response == early
     assert states[2].opinions == {}
-    outgoing = handle_check_request(states[2], challenge_for(ops=(200, 100)))
-    reports = [m for _, m in outgoing if isinstance(m, ComparisonReport)]
-    assert len(reports) == 4
-    assert all(m.opinion is Opinion.AGREE for m in reports)
+    report = handle_check_request(states[2], challenge_for(ops=(200, 100)))
+    assert isinstance(report, ComparisonReport)
+    assert report.opinion is Opinion.AGREE and report.reporter == 2
+    assert states[2].pending_response is None
 
 
 def fill_reports(state, opinions):

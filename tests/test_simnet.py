@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import io
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,24 +11,12 @@ from hypothesis import strategies as st
 import collabtrust.simnet as simnet
 from collabtrust.adversary import AdversaryProfile, FaultKind, ReportingKind
 from collabtrust.errors import ContractError, GroupFormationError
-from collabtrust.protocol import Challenge
 from collabtrust.rng import SplitMix64
-from collabtrust.routines import routine_catalog
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, draw_group, run_simulation
 from collabtrust.verdict import Outcome
 from reference_impl import detection_stats, form_group
 from verdict_log import kernel_view, run_logged, run_traced, trace_lines
-
-
-def _msg():
-    return Challenge(
-        round=0,
-        initiator=0,
-        checkee=1,
-        spec=routine_catalog()[0],
-        ops=(1, 2),
-    )
 
 
 # The engine draws each fan-out's unicast fates in one batch: a latency in
@@ -66,41 +53,6 @@ def test_fates_draw_what_next_float_and_below_draw(drop_prob, span):
             expected.append(2 + reference.below(span))
     assert batched.fates(300, drop_prob, 2, span) == expected
     assert batched.next_u64() == reference.next_u64()
-
-
-def test_send_to_self_is_contract_error(monkeypatch):
-    # Loss keeps the untraced run off the tally kernel.
-    sc = Scenario(rounds=1, network=NetworkModel(drop_prob=0.1))
-    built = []
-    monkeypatch.setattr(simnet, "on_round_start", lambda state, r, seed: [(state.id, _msg())])
-    monkeypatch.setattr(simnet, "_trace_text", lambda msg, frm: built.append(msg))
-    for trace in (None, io.StringIO()):
-        with pytest.raises(ContractError, match="cannot send to itself"):
-            run_simulation(sc, seed=0, trace=trace)
-    assert not simnet.latency_free(sc) and built == []
-
-
-def test_trace_text_follows_each_message_of_a_fan_out(monkeypatch):
-    # Handlers fan one message out to every peer; the trace must not rely
-    # on it. Here each peer gets its own challenge, with its own operands
-    # (so most rounds flag their checkee).
-    start = simnet.on_round_start
-    sent = {}
-
-    def one_challenge_each(state, r, seed):
-        out = []
-        for to, ch in start(state, r, seed):
-            sent[r, to] = replace(ch, ops=tuple(v ^ to for v in ch.ops))
-            out.append((to, sent[r, to]))
-        return out
-
-    monkeypatch.setattr(simnet, "on_round_start", one_challenge_each)
-    _, trace = run_traced(Scenario(rounds=5, flag_threshold=6), seed=3)  # never halts
-    challenges = [line.split() for line in trace if line.split()[2] == "CHALLENGE"]
-    assert len(challenges) == len(sent) == 5 * 4
-    for f in challenges:
-        ch = sent[int(f[5].removeprefix("round=")), int(f[4])]
-        assert f[8] == "ops=" + ",".join(map(str, ch.ops))
 
 
 # Zero-latency sends and a deadline of 2 * latency_max put round timers and
@@ -165,6 +117,20 @@ def test_engine_counts_unreached_deliveries_in_flight():
     assert delivered <= set(range(first, first + c.sent - c.dropped))
     assert c.in_flight == c.sent - c.dropped - len(delivered) > 0
     assert trace[-1].endswith(f"ROUND_DEADLINE - - round={sc.rounds - 1}")
+
+
+def test_only_challenges_handled_on_time_are_charged_ops(monkeypatch):
+    # Validation keeps latency_max below the deadline, so in a valid run every
+    # challenge lands in its round. A network that holds each unicast for a
+    # whole round makes every one late: only the initiators, who build the
+    # challenges, pay for their routines.
+    sc = Scenario(rounds=6, network=NetworkModel(drop_prob=0.1))  # lossy: the engine
+    monkeypatch.setattr(SplitMix64, "fates", lambda rng, count, *args: [sc.round_deadline] * count)
+    res = run_simulation(sc, seed=0)
+    c = res.counters
+    assert c.late == c.sent - c.in_flight and c.delivered == 0
+    built = sum(sc.routine_order[r % len(sc.routine_order)].op_count for r in range(sc.rounds))
+    assert sum(u.ops for u in res.energy.usage.values()) == built
 
 
 def test_network_model_validation():
