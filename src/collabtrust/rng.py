@@ -3,11 +3,20 @@
 Every random draw in the simulator comes from one of these streams, so two
 runs with the same seed produce identical results on any platform. Python's
 own `random` module is deliberately not used anywhere in the package.
+
+SplitMix64 is counter-based: word i (from 0) of the stream at state s is
+`mix64(s + (i + 1) * GOLDEN_GAMMA)`. So `block` computes the next k words
+of a stream at once, without advancing it: it places the k counters in the
+128-bit lanes of one Python int, and each finalizer step is then one big-int
+operation over every lane. Fan-outs (`SplitMix64.fates`) and group draws
+(`simnet.draw_group`) draw through it and advance the stream by the words
+they consumed, so every drawn word is the one a word-by-word draw would see.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 MASK64 = (1 << 64) - 1
 
@@ -17,6 +26,12 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 # Finalizer multipliers; routines.generate_operands inlines the draw too.
 MIX_MUL_1 = 0xBF58476D1CE4E5B9
 MIX_MUL_2 = 0x94D049BB133111EB
+
+# Most words one `block` pass computes.
+LANES = 64
+
+# _PLANS[k] is the plan of a k-word pass, built on first use (see _plan).
+_PLANS: list[tuple | None] = [None] * (LANES + 1)
 
 
 def mix64(z: int) -> int:
@@ -43,6 +58,43 @@ def mix_words(*words: int) -> int:
     return h
 
 
+def _plan(k: int) -> tuple:
+    """The constants of a k-word `block` pass, kept in _PLANS.
+
+    Lane i (bits 128i .. 128i + 127) of `s * lanes + counters` holds
+    s + (i + 1) * GOLDEN_GAMMA, at most 2^65, and `mask` keeps the low 64
+    bits of every lane. A product of two 64-bit words is below 2^128, so a
+    masked lane times a multiplier never carries into the next lane.
+    """
+    if not 0 <= k <= LANES:
+        raise ValueError(f"block() computes 0 to {LANES} words in one pass, got {k}")
+    lanes = counters = mask = 0
+    for i in range(k):
+        lanes |= 1 << (128 * i)
+        counters |= (((i + 1) * GOLDEN_GAMMA) & MASK64) << (128 * i)
+        mask |= MASK64 << (128 * i)
+    # Each lane's low 64 bits, read little-endian on every platform.
+    unpack = struct.Struct("<" + "Q8x" * k).unpack
+    plan = _PLANS[k] = (lanes, counters, mask, unpack, 16 * k)
+    return plan
+
+
+def block(state: int, k: int) -> tuple[int, ...]:
+    """The next `k` words (at most LANES) of the stream at `state`, which stays as it is.
+
+    Word for word what k `next_u64` calls from that state return.
+    """
+    try:
+        lanes, counters, mask, unpack, size = _PLANS[k]
+    except (IndexError, TypeError):
+        lanes, counters, mask, unpack, size = _plan(k)
+    z = (state * lanes + counters) & mask
+    z = ((z ^ z >> 30) & mask) * MIX_MUL_1 & mask
+    z = ((z ^ z >> 27) & mask) * MIX_MUL_2 & mask
+    # Bits above 64 in a lane are never read.
+    return unpack((z ^ z >> 31).to_bytes(size, "little"))
+
+
 class SplitMix64:
     """The reference SplitMix64 generator.
 
@@ -66,25 +118,26 @@ class SplitMix64:
         """Uniform in [0, 1) with 53 bits of resolution."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def below(self, n: int) -> int:
-        """Unbiased uniform integer in [0, n). Consumes no draw when n == 1."""
-        if n <= 0:
-            raise ValueError(f"below() needs n >= 1, got {n}")
-        if n == 1:
-            return 0
-        # Rejection sampling keeps the distribution exactly uniform.
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
+    def peek(self, k: int) -> tuple[int, ...]:
+        """The next `k` words (at most LANES), without advancing the stream."""
+        return block(self._state, k)
+
+    def advance(self, k: int) -> None:
+        """Skip `k` words: the state k `next_u64` calls would leave."""
+        self._state = (self._state + k * GOLDEN_GAMMA) & MASK64
 
     def fates(self, count: int, drop_prob: float, lo: int, span: int) -> list[int | None]:
         """`count` unicast fates: None if dropped, else a latency in [lo, lo + span).
 
-        Per message this draws exactly what `next_float() < drop_prob` (skipped
-        when drop_prob is 0) and then, unless dropped, `lo + below(span)`
-        would draw, so batching a fan-out changes no drawn word.
+        Per message this consumes exactly the words that `next_float() <
+        drop_prob` (skipped when drop_prob is 0) and then, unless dropped, an
+        unbiased draw in [0, span) by rejection would, so batching a fan-out
+        changes no drawn word. The words come from `block` passes (word i
+        from state s is mix64(s + (i + 1) * GOLDEN_GAMMA), one per 128-bit
+        lane): each pass is sized for the rest of the fan-out without
+        rejections, up to LANES words, and a rejection or a longer fan-out
+        computes another. The stream advances by the words consumed; the
+        words a pass computes past them are never seen.
         """
         if span <= 0:
             raise ValueError(f"fates() needs span >= 1, got {span}")
@@ -92,28 +145,36 @@ class SplitMix64:
         # by a power of two is exact.
         threshold = math.ceil(drop_prob * 2.0**53)
         limit = (1 << 64) - ((1 << 64) % span)
+        # Words per unicast when nothing is rejected.
+        per = (threshold != 0) + (span != 1)
+        if not per:
+            return [lo] * count
         s = self._state
+        words: tuple[int, ...] = ()
+        i = k = 0
         out: list[int | None] = []
-        for _ in range(count):
-            if threshold:
-                z = s = (s + GOLDEN_GAMMA) & MASK64
-                z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
-                if (z ^ (z >> 31)) >> 11 < threshold:
-                    out.append(None)
-                    continue
-            if span == 1:
-                out.append(lo)
-                continue
+        for left in range(count, 0, -1):
+            drop_word = threshold
             while True:
-                z = s = (s + GOLDEN_GAMMA) & MASK64
-                z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
-                z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
-                z ^= z >> 31
-                if z < limit:
+                if i == k:
+                    s = (s + k * GOLDEN_GAMMA) & MASK64
+                    k = min(LANES, per * left)
+                    words = block(s, k)
+                    i = 0
+                z = words[i]
+                i += 1
+                if drop_word:
+                    if z >> 11 < threshold:
+                        out.append(None)
+                        break
+                    if span == 1:
+                        out.append(lo)
+                        break
+                    drop_word = 0
+                elif z < limit:
                     out.append(lo + z % span)
                     break
-        self._state = s
+        self._state = (s + i * GOLDEN_GAMMA) & MASK64
         return out
 
 

@@ -101,7 +101,7 @@ from .protocol import (
     round_checkee,
     round_initiator,
 )
-from .rng import MASK64, SplitMix64, stream
+from .rng import LANES, MASK64, SplitMix64, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import Outcome, SuspicionLedger, Tally, Verdict, framing_bound, update_suspicion
 
@@ -146,6 +146,8 @@ def draw_group(
     a sparse Fisher-Yates shuffles ranks, keeping only the swapped
     positions, and each chosen rank maps to its device by bisecting the
     sorted exclusions. O(size + len(excluded)) times a log, not O(population).
+    Its words come from `rng.peek` passes of up to LANES words, and the
+    stream advances by the words consumed, as `fates` does.
     """
     skip = sorted(excluded)
     n = population - len(skip)
@@ -153,11 +155,30 @@ def draw_group(
         raise GroupFormationError(f"need {size} devices but only {n} are eligible")
     swapped: dict[int, int] = {}
     ranks = []
+    words: tuple[int, ...] = ()
+    w = k = 0
     for i in range(size):
-        j = i + rng.below(n - i)
+        # Position i swaps with i + an unbiased draw below n - i, by
+        # rejection; a bound of 1 draws no word.
+        bound = n - i
+        j = i
+        if bound > 1:
+            limit = (1 << 64) - ((1 << 64) % bound)
+            while True:
+                if w == k:
+                    rng.advance(k)
+                    k = min(LANES, size - i)
+                    words = rng.peek(k)
+                    w = 0
+                z = words[w]
+                w += 1
+                if z < limit:
+                    j += z % bound
+                    break
         ranks.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
-    return tuple(_nth_eligible(skip, k) for k in ranks) if skip else tuple(ranks)
+    rng.advance(w)
+    return tuple(_nth_eligible(skip, rank) for rank in ranks) if skip else tuple(ranks)
 
 
 def _nth_eligible(skip: list[int], rank: int) -> int:

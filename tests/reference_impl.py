@@ -11,6 +11,10 @@ None of this runs in the simulator:
 - `detection_stats`: the stats of a log of (issuer, verdict) pairs folded
   pair by pair, which a run folds as it goes.
 - `next_bits`: one SplitMix64 word masked to its low bits.
+- `below`: one unbiased draw in [0, n), word by word by rejection, which
+  `SplitMix64.fates` and `simnet.draw_group` draw from `rng.block` passes.
+- `unmix64`: the inverse of `rng.mix64`, to build a stream state whose next
+  word is any chosen word.
 - `trace_delivery` and `trace_verdict`: a delivery's and a verdict's trace
   line, formatted whole for each line, as the engine once did at each
   delivery. The engine now builds a message's text once per fan-out and
@@ -28,7 +32,7 @@ from collabtrust.adversary import AdversaryProfile
 from collabtrust.errors import ContractError, GroupFormationError
 from collabtrust.metrics import DetectionStats
 from collabtrust.protocol import Challenge, Message, Response
-from collabtrust.rng import SplitMix64
+from collabtrust.rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, SplitMix64
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import RunResult
 from collabtrust.verdict import Outcome, Verdict
@@ -216,13 +220,47 @@ def next_bits(rng: SplitMix64, width: int) -> int:
     return rng.next_u64() & ((1 << width) - 1)
 
 
+def below(rng: SplitMix64, n: int) -> int:
+    """Unbiased uniform integer in [0, n). Consumes no draw when n == 1."""
+    if n <= 0:
+        raise ValueError(f"below() needs n >= 1, got {n}")
+    if n == 1:
+        return 0
+    # Rejection sampling keeps the distribution exactly uniform.
+    limit = (1 << 64) - ((1 << 64) % n)
+    while True:
+        v = rng.next_u64()
+        if v < limit:
+            return v % n
+
+
+def _unshift(z: int, k: int) -> int:
+    """The x with x ^ (x >> k) == z, for 64-bit words."""
+    x = z
+    for _ in range(64 // k):
+        x = z ^ (x >> k)
+    return x
+
+
+def unmix64(z: int) -> int:
+    """The 64-bit word that `mix64` maps to `z`: each of its steps undone."""
+    z = _unshift(z & MASK64, 31)
+    z = _unshift(z * pow(MIX_MUL_2, -1, 1 << 64) & MASK64, 27)
+    return _unshift(z * pow(MIX_MUL_1, -1, 1 << 64) & MASK64, 30)
+
+
+def state_before(word: int) -> int:
+    """A stream state whose next `next_u64` word is `word`."""
+    return (unmix64(word) - GOLDEN_GAMMA) & MASK64
+
+
 def shuffle_prefix(rng: SplitMix64, items: list, k: int) -> None:
     """Fisher-Yates the first `k` positions of `items` in place."""
     n = len(items)
     if not 0 <= k <= n:
         raise ValueError(f"prefix length {k} out of range for {n} items")
     for i in range(k):
-        j = i + rng.below(n - i)
+        j = i + below(rng, n - i)
         items[i], items[j] = items[j], items[i]
 
 

@@ -25,6 +25,10 @@ scenarios never reach:
   most devices never join a group and their report rows are all zero. Its
   ALWAYS_WRONG device is excluded mid-epoch in some seeds and its Trojan in
   another.
+- `wide_lossy`: groups of 36 drawn from 40 devices with 10% loss and latency
+  1..4, so each fan-out of 35 unicasts draws 70 network words, more than one
+  block pass of `rng.LANES`, and each group draw 36 bounded words. A Trojan,
+  an ALWAYS_WRONG device and a FRAME reporter ride along.
 
 The table also holds the JSON and CSV output of `collabtrust sweep` over
 `scenarios/five_device_trojan.json` for each entry of `SWEEPS`: one sweep
@@ -133,6 +137,23 @@ INLINE_SCENARIOS = {
                 "trigger": {"index": 0, "mask": 3, "match": 1},
                 "payload": {"kind": "XOR", "value": 1},
             },
+        ],
+    },
+    "wide_lossy": {
+        "population": 40,
+        "group_size": 36,
+        "rounds": 8,
+        "regroup_period": 4,
+        "network": {"latency_min": 1, "latency_max": 4, "drop_prob": 0.1},
+        "adversaries": [
+            {
+                "device": 1,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 3, "match": 1},
+                "payload": {"kind": "XOR", "value": 1},
+            },
+            {"device": 2, "fault": "ALWAYS_WRONG"},
+            {"device": 3, "reporting": "FRAME", "targets": [0]},
         ],
     },
 }

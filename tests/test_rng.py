@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from collabtrust.rng import GOLDEN_GAMMA, MASK64, SplitMix64, mix64, mix_words
-from reference_impl import next_bits, shuffle_prefix
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from collabtrust.rng import GOLDEN_GAMMA, LANES, MASK64, SplitMix64, block, mix64, mix_words
+from reference_impl import below, next_bits, shuffle_prefix, state_before, unmix64
 
 # Published reference outputs for the canonical SplitMix64 with seed 0.
 SEED0_VECTORS = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
@@ -59,7 +63,7 @@ def test_below_bounds_and_coverage():
     rng = SplitMix64(5)
     seen = set()
     for _ in range(500):
-        v = rng.below(7)
+        v = below(rng, 7)
         assert 0 <= v < 7
         seen.add(v)
     assert seen == set(range(7))
@@ -68,8 +72,46 @@ def test_below_bounds_and_coverage():
 def test_below_one_consumes_no_draw():
     rng = SplitMix64(11)
     first = SplitMix64(11).next_u64()
-    assert rng.below(1) == 0
+    assert below(rng, 1) == 0
     assert rng.next_u64() == first
+
+
+# A state just below 2**64 wraps the counter of the pass's first lane.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(state=st.one_of(
+    st.integers(0, MASK64),
+    st.integers(0, 2**16).map(lambda d: MASK64 - d),
+))
+@example(state=0)
+@example(state=MASK64)
+def test_block_is_the_next_words_and_advance_skips_them(state):
+    expected = []
+    rng = SplitMix64(state)
+    for _ in range(LANES):
+        expected.append(rng.next_u64())
+    for k in range(1, LANES + 1):
+        assert block(state, k) == tuple(expected[:k])
+        assert SplitMix64(state).peek(k) == tuple(expected[:k])
+    for j in range(LANES):
+        skipped = SplitMix64(state)
+        skipped.advance(j)
+        assert skipped.next_u64() == expected[j]
+
+
+def test_block_computes_at_most_lanes_words_in_one_pass():
+    with pytest.raises(ValueError, match="block"):
+        block(1, LANES + 1)
+    with pytest.raises(ValueError, match="block"):
+        SplitMix64(1).peek(LANES + 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(word=st.integers(0, MASK64))
+@example(word=MASK64)
+def test_unmix64_inverts_mix64(word):
+    assert unmix64(mix64(word)) == word
+    assert mix64(unmix64(word)) == word
+    assert SplitMix64(state_before(word)).next_u64() == word
 
 
 def test_shuffle_prefix_is_permutation():

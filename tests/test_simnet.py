@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import collabtrust.simnet as simnet
 from collabtrust.adversary import AdversaryProfile, FaultKind, ReportingKind
 from collabtrust.errors import ContractError, GroupFormationError
-from collabtrust.rng import SplitMix64
+from collabtrust.rng import GOLDEN_GAMMA, MASK64, SplitMix64
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, draw_group, run_simulation
 from collabtrust.verdict import Outcome
-from reference_impl import detection_stats, form_group
+from reference_impl import below, detection_stats, form_group, state_before
 from verdict_log import kernel_view, run_logged, run_traced, trace_lines
 
 
@@ -50,9 +50,31 @@ def test_fates_draw_what_next_float_and_below_draw(drop_prob, span):
         if drop_prob > 0.0 and reference.next_float() < drop_prob:
             expected.append(None)
         else:
-            expected.append(2 + reference.below(span))
+            expected.append(2 + below(reference, span))
     assert batched.fates(300, drop_prob, 2, span) == expected
     assert batched.next_u64() == reference.next_u64()
+
+
+# The word 2**64 - 1 is rejected by every draw whose bound is not a power of
+# two, so a stream placed just before it forces a rejection at a chosen lane
+# of a block pass: the first, or the last of a full or of a shorter pass.
+def _rejecting_at(lane: int) -> int:
+    return (state_before(MASK64) - lane * GOLDEN_GAMMA) & MASK64
+
+
+@pytest.mark.parametrize("count,lane", ((1, 0), (5, 0), (5, 4), (64, 63), (100, 0), (100, 63)))
+def test_fates_redraw_a_rejected_word_as_below_does(count, lane):
+    batched, reference = SplitMix64(_rejecting_at(lane)), SplitMix64(_rejecting_at(lane))
+    expected = [2 + below(reference, 3) for _ in range(count)]
+    assert batched.fates(count, 0.0, 2, 3) == expected
+    assert batched.next_u64() == reference.next_u64()
+
+
+@pytest.mark.parametrize("population,size,lane", ((5, 5, 0), (5, 5, 2), (100, 70, 0), (100, 70, 63)))
+def test_draw_group_redraws_a_rejected_word_as_form_group_does(population, size, lane):
+    sparse, listed = SplitMix64(_rejecting_at(lane)), SplitMix64(_rejecting_at(lane))
+    assert draw_group(population, {}, size, sparse) == form_group(list(range(population)), size, listed)
+    assert sparse.next_u64() == listed.next_u64()
 
 
 # Zero-latency sends and a deadline of 2 * latency_max put round timers and
@@ -189,7 +211,8 @@ def test_draw_group_matches_form_group_over_the_eligible_list(data):
         ),
         label="excluded",
     )
-    size = data.draw(st.integers(3, 8), label="size")
+    # Sizes past rng.LANES take more than one block pass.
+    size = data.draw(st.integers(3, 8) | st.integers(60, 140), label="size")
     eligible = [d for d in range(population) if d not in excluded]
     for seed in data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3)):
         listed, sparse = SplitMix64(seed), SplitMix64(seed)
