@@ -10,16 +10,18 @@ import argparse
 import copy
 import functools
 import json
+import os
 import sys
+import threading
 from collections.abc import Iterable
 from itertools import chain
-from typing import TextIO
+from typing import BinaryIO, NoReturn, TextIO
 
 from .errors import ProtocolViolation, ScenarioError
 from .report import Report, emit_report
 from .rng import MASK64
 from .scenario import Scenario, read_scenario_doc, scenario_from_dict
-from .simnet import run_simulation
+from .simnet import latency_free, run_simulation
 from .verdict import decision_table, default_quorum
 
 
@@ -60,16 +62,18 @@ def _write_output(chunks: Iterable[bytes], out: str | None) -> None:
         raise OutputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = None) -> Report:
-    """Run every repetition (repetition k with seed base+k) into one running total.
+def _fold_runs(
+    scenario: Scenario, base_seed: int, reps: range, trace: TextIO | None = None
+) -> Report:
+    """Run repetitions `reps` (repetition k with seed base+k) into one running total.
 
-    Each run is folded into the total as soon as it ends and then dropped,
-    so memory does not grow with `repetitions`. With `trace` given, each run
-    writes its trace lines there as its events happen, under a
-    `REP k seed=S` header when there are several.
+    Each run is folded in as soon as it ends and then dropped, so memory
+    does not grow with `repetitions`. With `trace` given, each run writes
+    its trace lines there as its events happen, under a `REP k seed=S`
+    header when the scenario has several.
     """
     total = Report(scenario)
-    for rep in range(scenario.repetitions):
+    for rep in reps:
         seed = (base_seed + rep) & MASK64
         if trace is not None and scenario.repetitions > 1:
             trace.write(f"REP {rep} seed={seed}\n")
@@ -77,6 +81,117 @@ def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = 
         if trace is not None:
             trace.flush()
     return total
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = None) -> Report:
+    """Run every repetition of the scenario into one running total.
+
+    An untraced event-engine run of several repetitions splits them into
+    contiguous shares, one per usable CPU at most, each folded by its own
+    forked worker (see `_fold_forked`). Everything else runs in this
+    process: traced runs, single runs, tally-kernel runs (a kernel
+    repetition costs far less than a fork), and a process without `fork`
+    or with more than one thread. The report's bytes do not depend on
+    which.
+    """
+    reps = scenario.repetitions
+    workers = 1
+    if (
+        trace is None
+        and reps > 1
+        and not latency_free(scenario)
+        and hasattr(os, "fork")
+        and threading.active_count() == 1
+    ):
+        workers = min(_usable_cpus(), reps)
+    if workers == 1:
+        return _fold_runs(scenario, base_seed, range(reps), trace)
+    return _fold_forked(scenario, base_seed, workers)
+
+
+def _worker(scenario: Scenario, base_seed: int, reps: range, fd: int) -> NoReturn:
+    """A forked worker: fold `reps`, write the result to pipe `fd`, exit.
+
+    It writes its pickled total and exits 0, or a protocol violation's
+    message and exits 2. Any other exception prints its traceback and exits
+    1. Every path ends in `os._exit`, so nothing of the parent's stack runs
+    on here.
+    """
+    import pickle  # already imported by the parent, which forked this worker
+
+    code = 1
+    try:
+        try:
+            part = _fold_runs(scenario, base_seed, reps)
+            payload, status = pickle.dumps(part, pickle.HIGHEST_PROTOCOL), 0
+        except ProtocolViolation as exc:
+            payload, status = str(exc).encode("utf-8"), 2
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+        code = status
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _fold_forked(scenario: Scenario, base_seed: int, workers: int) -> Report:
+    """Fold the repetitions in `workers` contiguous shares, side by side.
+
+    A forked worker folds each share after the first into its own total
+    and sends it back pickled over a pipe; this process folds the first
+    share itself, so the report's seed is repetition 0's, then adds the
+    partials in repetition order. Every worker is reaped on every path.
+    """
+    import pickle  # imported here, so that a command that forks no worker never loads it
+
+    reps = scenario.repetitions
+    bounds = [reps * w // workers for w in range(workers + 1)]
+    children: dict[int, BinaryIO] = {}  # pid -> read end of its pipe, in share order
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _worker(scenario, base_seed, range(lo, hi), write)
+            os.close(write)
+            children[pid] = open(read, "rb")
+        total = _fold_runs(scenario, base_seed, range(bounds[1]))
+        for pid in list(children):
+            with children[pid] as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            code = os.waitstatus_to_exitcode(status)
+            if code == 2:
+                raise ProtocolViolation(data.decode("utf-8"))
+            if code:
+                raise RuntimeError(f"repetition worker {pid} exited with status {code}")
+            total.add(pickle.loads(data))
+        return total
+    except BaseException:
+        import signal  # imported here, as only a failed fold stops its workers early
+
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
 
 
 def _cmd_run(args) -> int:

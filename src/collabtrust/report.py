@@ -100,6 +100,35 @@ class Report:
         self.suspicion = suspicion
         self.detection_rounds = stats.detections
 
+    def add(self, other: Report) -> None:
+        """Add another total, of the repetitions after this one's, in place.
+
+        The result is what folding the other's runs in after this one's
+        would have made.
+        """
+        if not other.repetitions:
+            return
+        if not self.repetitions:
+            self.seed = other.seed
+        self.repetitions += other.repetitions
+        self.rounds_executed += other.rounds_executed
+        self.halted_runs += other.halted_runs
+        rows = self.devices
+        for d, counters in other.devices.items():
+            rows[d] = [a + b for a, b in zip(rows.get(d, _BLANK), counters)]
+        self.false_positives += other.false_positives
+        for mine, theirs in (
+            (self.messages, other.messages),
+            (self.verdicts, other.verdicts),
+            (self.detections, other.detections),
+            (self.excluded, other.excluded),
+        ):
+            for key, n in theirs.items():
+                mine[key] = mine.get(key, 0) + n
+        self.halt_reason = other.halt_reason
+        self.suspicion = other.suspicion
+        self.detection_rounds = other.detection_rounds
+
     def total_energy(self) -> int:
         return sum(row[0] for row in self.devices.values())
 

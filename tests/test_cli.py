@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import weakref
 
 import pytest
@@ -16,6 +17,7 @@ import collabtrust.cli as cli
 import collabtrust.simnet as simnet
 from collabtrust.errors import ProtocolViolation
 from collabtrust.metrics import EnergyLedger, TrafficCounters
+from test_golden import INLINE_SCENARIOS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -477,3 +479,194 @@ def test_each_sweep_row_equals_a_separate_run(tmp_path, param, values):
         assert row["repetitions"] == got["repetitions"] == 4
         for column, read in _SWEEP_TO_REPORT.items():
             assert row[column] == read(got), (param, row["value"], column)
+
+
+# Untraced event-engine commands of several repetitions fork one worker per
+# usable CPU at most; the rest run in-process. Each document below takes the
+# engine untraced (it is lossy) and has several repetitions.
+FORKED_DOCS = {
+    "repetitions_mixed_halts": INLINE_SCENARIOS["repetitions_mixed_halts"],
+    "wide_lossy": {**INLINE_SCENARIOS["wide_lossy"], "repetitions": 3},
+    # Zero latency, a deadline of 2 * latency_max and a RANDOM reporter.
+    "zero_latency": {
+        "population": 9, "group_size": 7, "rounds": 20, "regroup_period": 4,
+        "flag_threshold": 2, "repetitions": 5, "round_deadline": 6,
+        "network": {"latency_min": 0, "latency_max": 3, "drop_prob": 0.1},
+        "adversaries": [
+            {"device": 1, "fault": "TROJAN", "trigger": {"index": 0, "mask": 3, "match": 1},
+             "payload": {"kind": "COMPLEMENT"}},
+            {"device": 2, "fault": "ALWAYS_WRONG"},
+            {"device": 3, "reporting": "RANDOM", "p": 0.3},
+        ],
+    },
+}
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+
+
+@pytest.fixture
+def reaped():
+    """Fails the test if it leaves a child process or an open fd behind.
+
+    Request it last, so that the fds other fixtures hold are open on both sides.
+    """
+    fds = set(os.listdir("/dev/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir("/dev/fd")) == fds
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list[int]:
+    """The pid of every worker `os.fork` starts in this process, in order."""
+    started: list[int] = []
+    real_fork = os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return started
+
+
+def _write_doc(tmp_path, name: str, doc: dict) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _outputs(tmp_path, scenario: str) -> list[bytes]:
+    """The bytes of `run` in both formats at two seeds, and of a JSON and a CSV sweep."""
+    commands = [
+        ["run", "--scenario", scenario, "--seed", seed, "--format", fmt]
+        for seed in ("1", "7") for fmt in ("json", "csv")
+    ]
+    commands += [
+        ["sweep", "--scenario", scenario, "--param", "network.drop_prob",
+         "--values", "0.05,0.3", "--format", fmt]
+        for fmt in ("json", "csv")
+    ]
+    outs = []
+    for argv in commands:
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 0, argv
+        outs.append(out.read_bytes())
+    return outs
+
+
+@needs_fork
+@pytest.mark.parametrize("name", FORKED_DOCS)
+def test_report_bytes_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, forks, name, reaped):
+    scenario = _write_doc(tmp_path, name, FORKED_DOCS[name])
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = _outputs(tmp_path, scenario)
+    assert forks == []
+    repetitions = FORKED_DOCS[name]["repetitions"]
+    for cpus in (2, 3, repetitions + 4):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        before = len(forks)
+        assert _outputs(tmp_path, scenario) == serial, cpus
+        # Each of the 4 runs and 4 sweep values forks min(cpus, repetitions) - 1 workers.
+        assert len(forks) - before == 8 * (min(cpus, repetitions) - 1), cpus
+
+
+@needs_fork
+def test_kernel_traced_and_single_runs_never_fork(monkeypatch, tmp_path, reaped):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
+    lossy = _write_doc(tmp_path, "lossy", FORKED_DOCS["zero_latency"])
+    kernel = json.loads((SCENARIO_DIR / "five_device_trojan.json").read_text())
+    kernel = _write_doc(tmp_path, "kernel", {**kernel, "repetitions": 4})
+    single = _write_doc(tmp_path, "single", INLINE_SCENARIOS["wide_lossy"])
+    out = ("--out", str(tmp_path / "out"))
+    assert run_cli("run", "--scenario", kernel, *out) == 0
+    assert run_cli("sweep", "--scenario", kernel, "--param", "rounds", "--values", "5,9", *out) == 0
+    assert run_cli("run", "--scenario", lossy, "--trace", str(tmp_path / "t.txt"), *out) == 0
+    assert run_cli("run", "--scenario", single, *out) == 0
+    # A second thread keeps even an untraced lossy run in this process.
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert run_cli("run", "--scenario", lossy, *out) == 0
+    finally:
+        stop.set()
+        waiter.join()
+
+
+def _fail_in_workers(monkeypatch, exc: Exception) -> None:
+    """Make every run of a forked worker raise `exc`; this process's runs stay real."""
+    parent = os.getpid()
+    real_run = cli.run_simulation
+
+    def failing(sc, seed, trace=None):
+        if os.getpid() != parent:
+            raise type(exc)(f"{exc} at seed {seed}")
+        return real_run(sc, seed=seed, trace=trace)
+
+    monkeypatch.setattr(cli, "run_simulation", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+@needs_fork
+def test_a_workers_protocol_violation_exits_2_in_one_line(
+    monkeypatch, tmp_path, capfd, forks, reaped
+):
+    # Repetitions 0..4 at seeds 10..14: this process folds 10 and 11, the
+    # worker 12..14 and stops at 12. capfd sees the worker's stderr too.
+    scenario = _write_doc(tmp_path, "lossy", {**FORKED_DOCS["zero_latency"], "seed": 10})
+    _fail_in_workers(monkeypatch, ProtocolViolation("synthetic fault"))
+    assert run_cli("run", "--scenario", scenario, "--out", str(tmp_path / "r.json")) == 2
+    assert len(forks) == 1
+    assert capfd.readouterr().err == "protocol violation: synthetic fault at seed 12\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+@needs_fork
+def test_a_workers_other_exception_never_returns_into_the_callers_stack(
+    monkeypatch, tmp_path, capfd, forks, reaped
+):
+    scenario = _write_doc(tmp_path, "lossy", {**FORKED_DOCS["zero_latency"], "seed": 10})
+    _fail_in_workers(monkeypatch, ValueError("synthetic crash"))
+    parent = os.getpid()
+    try:
+        with pytest.raises(RuntimeError, match=r"exited with status 1$"):
+            run_cli("run", "--scenario", scenario)
+    finally:
+        if os.getpid() != parent:
+            os._exit(70)  # a worker that got here would go on to run the remaining tests
+    assert len(forks) == 1
+    err = capfd.readouterr().err
+    assert "Traceback" in err and err.endswith("ValueError: synthetic crash at seed 12\n")
+
+
+@needs_fork
+@pytest.mark.parametrize("exc", (ProtocolViolation("parent fault"), KeyboardInterrupt()),
+                         ids=("violation", "interrupt"))
+def test_a_failed_parent_share_stops_and_reaps_every_worker(
+    monkeypatch, tmp_path, forks, exc, reaped
+):
+    scenario = _write_doc(tmp_path, "lossy", FORKED_DOCS["zero_latency"])
+    parent = os.getpid()
+    real_run = cli.run_simulation
+
+    def failing_here(sc, seed, trace=None):
+        if os.getpid() == parent:
+            raise exc
+        return real_run(sc, seed=seed, trace=trace)
+
+    monkeypatch.setattr(cli, "run_simulation", failing_here)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    if isinstance(exc, ProtocolViolation):
+        assert run_cli("run", "--scenario", scenario) == 2
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "--scenario", scenario)
+    assert len(forks) == 2

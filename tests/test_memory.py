@@ -1,11 +1,13 @@
-"""Memory stays bounded however many rounds a run has, traced or not, and
-however large a verdict table the oracle prints.
+"""Memory stays bounded however many rounds a run has, traced or not,
+however many repetitions forked workers share, and however large a verdict
+table the oracle prints.
 
 Peak RSS is read with `getrusage(RUSAGE_CHILDREN)`, whose `ru_maxrss` is
 the maximum over all waited-for children. So each measurement runs in a
 fresh measuring process that starts exactly one child: the CLI on the
 scenario, either untraced (the tally kernel) or with `--trace` (the event
-engine, streaming its trace to a file), or `oracle verdict-table`.
+engine, streaming its trace to a file), or `oracle verdict-table`. The
+maximum also covers the CLI's own forked workers, which it waits for.
 """
 
 from __future__ import annotations
@@ -78,6 +80,28 @@ def test_traced_peak_rss_does_not_grow_with_rounds(tmp_path):
     short = _peak_mib(tmp_path, 25, traced=True)
     long = _peak_mib(tmp_path, 2_000, traced=True)
     assert long - short <= BOUND_MIB, (short, long)
+
+
+# A lossy scenario takes the event engine untraced, and its repetitions are
+# split over forked workers, one per usable CPU at most. Measured on the same
+# VM with two CPUs: 2 and 32 repetitions both peak at ~17 MiB.
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB only on Linux")
+def test_forked_peak_rss_does_not_grow_with_repetitions(tmp_path):
+    peaks = []
+    for repetitions in (2, 32):
+        doc = {
+            "population": 9,
+            "group_size": 7,
+            "rounds": 10,
+            "repetitions": repetitions,
+            "network": {"latency_min": 1, "latency_max": 3, "drop_prob": 0.1},
+            "adversaries": [{"device": 2, "fault": "ALWAYS_WRONG"}],
+        }
+        path = tmp_path / f"reps{repetitions}.json"
+        path.write_text(json.dumps(doc))
+        peaks.append(_cli_peak_mib("run", "--scenario", str(path)))
+    few, many = peaks
+    assert many - few <= BOUND_MIB, (few, many)
 
 
 # `oracle verdict-table --n N` prints N(N+1)/2 rows. Measured on the same VM:

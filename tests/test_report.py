@@ -183,3 +183,30 @@ def test_folding_runs_one_by_one_emits_the_reference_chain_bytes(sc, repetitions
     for fmt in ("json", "csv"):
         assert emit_report(total, fmt) == emit(chain, fmt), fmt
 
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    sc=lossy_scenarios(),
+    repetitions=st.integers(1, 6),
+    split=st.integers(0, 5),
+    seed=st.integers(0, 2**64 - 7),
+)
+@example(sc=MIXED, repetitions=6, split=2, seed=300)
+@example(sc=MIXED, repetitions=2, split=0, seed=300)
+def test_adding_two_totals_emits_the_running_total_bytes(sc, repetitions, split, seed):
+    # Repetitions 0..k folded into one total and k+1..n-1 into another, then
+    # added, emit what one total folding every run in turn emits, whatever k.
+    runs = [run_simulation(sc, seed=seed + k) for k in range(repetitions)]
+    k = split % repetitions
+    total = folded(sc, *runs[: k + 1])
+    total.add(folded(sc, *runs[k + 1 :]))
+    whole = folded(sc, *runs)
+    for fmt in ("json", "csv"):
+        assert emit_report(total, fmt) == emit_report(whole, fmt), fmt
