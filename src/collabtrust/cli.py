@@ -50,9 +50,17 @@ def _write_output(chunks: Iterable[bytes], out: str | None) -> None:
     unwritable `out` fails before any output is produced.
     """
     if out is None:
-        for chunk in chunks:
-            sys.stdout.buffer.write(chunk)
-        sys.stdout.buffer.flush()
+        try:
+            for chunk in chunks:
+                sys.stdout.buffer.write(chunk)
+            sys.stdout.buffer.flush()
+        except OSError as exc:
+            # The interpreter flushes stdout again at exit; pointing it at
+            # devnull keeps that flush from failing a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise OutputError(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:
         with open(out, "wb") as fh:

@@ -37,7 +37,7 @@ class RoutineSpec:
 
     id: int
     kind: Kind
-    width: int
+    width: int = 8
     steps: tuple[Kind, ...] = ()
     arity: int = field(init=False, compare=False, repr=False)
     op_count: int = field(init=False, compare=False, repr=False)

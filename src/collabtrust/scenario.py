@@ -1,15 +1,20 @@
 """Scenario documents: the JSON surface that configures a run.
 
-Every field has a documented default (the zero-config scenario is the
-five-device vignette: population 5, group 5, 25 rounds, lossless network,
-all devices honest). Unknown keys and constraint violations are load-time
-errors that name the offending path; a validated scenario never fails at
-run time.
+A document's keys are the init fields of the dataclasses it builds
+(Scenario, NetworkModel, EnergyModel, RoutineSpec), and a key it leaves
+out keeps its field's default, so `Scenario()` is the empty document: the
+five-device vignette, population 5, group 5, 25 rounds, lossless network,
+all devices honest. Only adversary entries have keys of their own. Unknown
+keys and constraint violations are load-time errors that name the
+offending path; a validated scenario never fails at run time.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -42,7 +47,7 @@ class Scenario:
     rounds: int = 25
     regroup_period: int = 5
     seed: int = 0
-    quorum: int = 3
+    quorum: int | None = None  # None: default_quorum(group_size - 1)
     round_deadline: int = 10
     repetitions: int = 1
     flag_threshold: int = 1
@@ -86,6 +91,8 @@ class Scenario:
             raise ScenarioError(
                 f"regroup_period: must be at least 1, got {self.regroup_period}"
             )
+        if self.quorum is None:
+            object.__setattr__(self, "quorum", default_quorum(self.group_size - 1))
         if not 1 <= self.quorum <= self.group_size - 1:
             raise ScenarioError(
                 f"quorum: must be in [1, {self.group_size - 1}], got {self.quorum}"
@@ -189,24 +196,6 @@ class Scenario:
         object.__setattr__(self, "layout_classes", {})
 
 
-_TOP_KEYS = {
-    "population",
-    "group_size",
-    "rounds",
-    "regroup_period",
-    "seed",
-    "quorum",
-    "round_deadline",
-    "repetitions",
-    "flag_threshold",
-    "network",
-    "energy",
-    "routines",
-    "adversaries",
-}
-_NETWORK_KEYS = {"latency_min", "latency_max", "drop_prob", "seed"}
-_ENERGY_KEYS = {"e_op", "e_tx", "e_rx"}
-_ROUTINE_KEYS = {"id", "kind", "steps", "width"}
 _ADVERSARY_KEYS = {
     "device",
     "fault",
@@ -221,7 +210,7 @@ _TRIGGER_KEYS = {"index", "mask", "match"}
 _PAYLOAD_KEYS = {"kind", "value"}
 
 
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
+def _require_keys(obj: dict, allowed: Collection[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             # repr() keeps a key with a line break or control character on one line.
@@ -229,21 +218,19 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
             raise ScenarioError(f"{path}{name}: unknown key")
 
 
-def _get_int(obj: dict, key: str, default: int, path: str) -> int:
-    value = obj.get(key, default)
+def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}{key}: expected an integer, got {value!r}")
+        raise ScenarioError(f"{path}: expected an integer, got {value!r}")
     return value
 
 
-def _get_number(obj: dict, key: str, default: float, path: str) -> float:
-    value = obj.get(key, default)
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}{key}: expected a number, got {value!r}")
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise ScenarioError(f"{path}{key}: number out of range") from None
+        raise ScenarioError(f"{path}: number out of range") from None
 
 
 def _enum(cls, value, path: str):
@@ -254,58 +241,54 @@ def _enum(cls, value, path: str):
         raise ScenarioError(f"{path}: {value!r} is not one of {options}") from None
 
 
-def _parse_network(obj, path: str) -> NetworkModel:
+def _tuple_of(parse):
+    """A parser of a JSON list into the tuple of its entries, each read by `parse`."""
+
+    def parse_list(value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ScenarioError(f"{path}: expected a list")
+        return tuple(parse(entry, f"{path}[{i}]") for i, entry in enumerate(value))
+
+    return parse_list
+
+
+def _build(cls, obj, path: str, **parsers):
+    """A `cls` from the JSON object `obj` at `path`; its keys are `cls`'s init fields.
+
+    A key the object leaves out keeps its field's default; a field without
+    one is a required key. A present key is read by its parser in
+    `parsers`, called with the value and the key's path, or else as a number
+    when its field's default is a float and as an integer otherwise. A
+    ContractError from `cls` is reported at `path`.
+    """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
-    _require_keys(obj, _NETWORK_KEYS, f"{path}.")
-    seed = obj.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ScenarioError(f"{path}.seed: expected an integer or null, got {seed!r}")
+    prefix = f"{path}." if path else ""
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    _require_keys(obj, fields, prefix)
+    required = [
+        name
+        for name, f in fields.items()
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+    ]
+    if not obj.keys() >= set(required):
+        raise ScenarioError(f"{path}: entries need {' and '.join(map(repr, required))}")
+    kwargs = {}
+    for key, value in obj.items():
+        if key in parsers:
+            kwargs[key] = parsers[key](value, prefix + key)
+        elif isinstance(fields[key].default, float):
+            kwargs[key] = _number(value, prefix + key)
+        else:
+            kwargs[key] = _int(value, prefix + key)
     try:
-        return NetworkModel(
-            latency_min=_get_int(obj, "latency_min", 1, f"{path}."),
-            latency_max=_get_int(obj, "latency_max", 3, f"{path}."),
-            drop_prob=_get_number(obj, "drop_prob", 0.0, f"{path}."),
-            seed=seed,
-        )
+        return cls(**kwargs)
     except ContractError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 
 
-def _parse_energy(obj, path: str) -> EnergyModel:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    _require_keys(obj, _ENERGY_KEYS, f"{path}.")
-    try:
-        return EnergyModel(
-            e_op=_get_int(obj, "e_op", 1, f"{path}."),
-            e_tx=_get_int(obj, "e_tx", 2, f"{path}."),
-            e_rx=_get_int(obj, "e_rx", 1, f"{path}."),
-        )
-    except ContractError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-
-
-def _parse_routine(obj, path: str) -> RoutineSpec:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    _require_keys(obj, _ROUTINE_KEYS, f"{path}.")
-    if "id" not in obj or "kind" not in obj:
-        raise ScenarioError(f"{path}: routine entries need 'id' and 'kind'")
-    kind = _enum(Kind, obj["kind"], f"{path}.kind")
-    steps_raw = obj.get("steps", [])
-    if not isinstance(steps_raw, list):
-        raise ScenarioError(f"{path}.steps: expected a list")
-    steps = tuple(_enum(Kind, s, f"{path}.steps[{i}]") for i, s in enumerate(steps_raw))
-    try:
-        return RoutineSpec(
-            id=_get_int(obj, "id", 0, f"{path}."),
-            kind=kind,
-            width=_get_int(obj, "width", 8, f"{path}."),
-            steps=steps,
-        )
-    except ContractError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+_kind = functools.partial(_enum, Kind)
+_parse_routine = functools.partial(_build, RoutineSpec, kind=_kind, steps=_tuple_of(_kind))
 
 
 def _parse_adversary(obj, path: str) -> tuple[int, AdversaryProfile]:
@@ -314,7 +297,7 @@ def _parse_adversary(obj, path: str) -> tuple[int, AdversaryProfile]:
     _require_keys(obj, _ADVERSARY_KEYS, f"{path}.")
     if "device" not in obj:
         raise ScenarioError(f"{path}: adversary entries need 'device'")
-    device = _get_int(obj, "device", 0, f"{path}.")
+    device = _int(obj["device"], f"{path}.device")
     fault = _enum(FaultKind, obj.get("fault", "HONEST"), f"{path}.fault")
     reporting = _enum(ReportingKind, obj.get("reporting", "HONEST"), f"{path}.reporting")
     policy = _enum(
@@ -332,14 +315,14 @@ def _parse_adversary(obj, path: str) -> tuple[int, AdversaryProfile]:
             raise ScenarioError(f"{path}.payload: required for TROJAN fault")
         _require_keys(pay, _PAYLOAD_KEYS, f"{path}.payload.")
         payload_kind = _enum(PayloadKind, pay.get("kind"), f"{path}.payload.kind")
-        payload_value = _get_int(pay, "value", 0, f"{path}.payload.")
+        payload_value = _int(pay.get("value", 0), f"{path}.payload.value")
         if payload_kind is not PayloadKind.COMPLEMENT and "value" not in pay:
             raise ScenarioError(f"{path}.payload.value: required for {payload_kind.value}")
         try:
             trojan = TrojanModel(
-                operand_index=_get_int(trig, "index", 0, f"{path}.trigger."),
-                mask=_get_int(trig, "mask", 0, f"{path}.trigger."),
-                match=_get_int(trig, "match", 0, f"{path}.trigger."),
+                operand_index=_int(trig.get("index", 0), f"{path}.trigger.index"),
+                mask=_int(trig.get("mask", 0), f"{path}.trigger.mask"),
+                match=_int(trig.get("match", 0), f"{path}.trigger.match"),
                 payload=payload_kind,
                 payload_value=payload_value,
             )
@@ -363,7 +346,7 @@ def _parse_adversary(obj, path: str) -> tuple[int, AdversaryProfile]:
     if needs_targets and not targets:
         raise ScenarioError(f"{path}.targets: required for {reporting.value}/{policy.value}")
 
-    p = _get_number(obj, "p", 0.0, f"{path}.")
+    p = _number(obj.get("p", 0.0), f"{path}.p")
     if reporting is ReportingKind.RANDOM:
         if "p" not in obj:
             raise ScenarioError(f"{path}.p: required for RANDOM reporting")
@@ -388,40 +371,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
     """Build and validate a Scenario from a parsed JSON object."""
     if not isinstance(doc, dict):
         raise ScenarioError("top level: expected a JSON object")
-    _require_keys(doc, _TOP_KEYS, "")
-
-    group_size = _get_int(doc, "group_size", 5, "")
-    if "quorum" in doc:
-        quorum = _get_int(doc, "quorum", 0, "")
-    else:
-        quorum = default_quorum(group_size - 1)
-
-    routines_raw = doc.get("routines", [])
-    if not isinstance(routines_raw, list):
-        raise ScenarioError("routines: expected a list")
-    adversaries_raw = doc.get("adversaries", [])
-    if not isinstance(adversaries_raw, list):
-        raise ScenarioError("adversaries: expected a list")
-
-    return Scenario(
-        population=_get_int(doc, "population", 5, ""),
-        group_size=group_size,
-        rounds=_get_int(doc, "rounds", 25, ""),
-        regroup_period=_get_int(doc, "regroup_period", 5, ""),
-        seed=_get_int(doc, "seed", 0, ""),
-        quorum=quorum,
-        round_deadline=_get_int(doc, "round_deadline", 10, ""),
-        repetitions=_get_int(doc, "repetitions", 1, ""),
-        flag_threshold=_get_int(doc, "flag_threshold", 1, ""),
-        network=_parse_network(doc.get("network", {}), "network"),
-        energy=_parse_energy(doc.get("energy", {}), "energy"),
-        routines=tuple(
-            _parse_routine(r, f"routines[{i}]") for i, r in enumerate(routines_raw)
-        ),
-        adversaries=tuple(
-            _parse_adversary(a, f"adversaries[{i}]")
-            for i, a in enumerate(adversaries_raw)
-        ),
+    return _build(
+        Scenario,
+        doc,
+        "",
+        network=functools.partial(_build, NetworkModel),
+        energy=functools.partial(_build, EnergyModel),
+        routines=_tuple_of(_parse_routine),
+        adversaries=_tuple_of(_parse_adversary),
     )
 
 

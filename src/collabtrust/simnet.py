@@ -121,7 +121,6 @@ class NetworkModel:
     latency_min: int = 1
     latency_max: int = 3
     drop_prob: float = 0.0
-    seed: int | None = None  # explicit network stream seed; None derives from run seed
 
     def __post_init__(self):
         if not 0 <= self.latency_min <= self.latency_max:
@@ -554,9 +553,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     (a drop takes none). Each tick's deliveries sit in one list in seq
     order; a heap holds only the ticks that have one. Each trace line goes
     to `trace` as its event happens. A delivery's line is fixed when its
-    message is sent, from text built once per fan-out, and waits in a table
-    keyed by seq that only traced runs fill; at delivery only ` late=1` may
-    be appended. With no trace, a report that lands before its round's
+    message is sent, from text built once per fan-out, and waits in its
+    bucket entry (None when untraced); at delivery only ` late=1` may be
+    appended. With no trace, a report that lands before its round's
     deadline is handed to handle_report when it is sent; it still takes
     its seq, so the queued deliveries keep theirs.
     """
@@ -572,20 +571,18 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     states: dict[int, DeviceState] = {}
     rng_group = stream(seed, GROUPING_STREAM)
     network = sc.network
-    # An explicit network seed pins the network stream across run seeds.
-    net = stream(seed, NETWORK_STREAM) if network.seed is None else SplitMix64(network.seed)
-    fates = net.fates
+    fates = stream(seed, NETWORK_STREAM).fates
     drop_prob = network.drop_prob
     lo = network.latency_min
     span = network.latency_max - lo + 1
     deadline = sc.round_deadline
     last_round = sc.rounds - 1
-    buckets: dict[int, list[tuple[int, Message, int, int]]] = {}
+    # tick -> its deliveries as (seq, message, sender, receiver, trace line or None)
+    buckets: dict[int, list[tuple[int, Message, int, int, str | None]]] = {}
     ticks: list[int] = []
     next_seq = 2 * sc.rounds
 
     write = None if trace is None else trace.write
-    lines: dict[int, str] = {}  # traced runs: seq -> the queued delivery's line
     verdict_texts: dict[Tally, str] = {}  # traced runs: a VERDICT line's tally text
     group_text = ""  # traced runs: the group's members, as ROUND_START shows them
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
@@ -603,6 +600,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         seq = next_seq
         settle = write is None and type(msg) is ComparisonReport
         settle_by = (current_round + 1) * deadline if settle else -1
+        line = None
         if write is not None:
             head, tail = _trace_text(msg, frm)
         for to, latency in zip(peers, fates(n, drop_prob, lo, span)):
@@ -621,9 +619,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 if bucket is None:
                     bucket = buckets[at] = []
                     heappush(ticks, at)
-                bucket.append((seq, msg, frm, to))
                 if write is not None:
-                    lines[seq] = f"{at} {seq}{head}{to}{tail}"
+                    line = f"{at} {seq}{head}{to}{tail}"
+                bucket.append((seq, msg, frm, to, line))
             seq += 1
         next_seq = seq
 
@@ -649,11 +647,10 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             t = heappop(ticks)
             # A zero-latency send appends to this very bucket; the loop
             # reaches it, since list iteration runs to the current end.
-            for seq, msg, frm, to in buckets[t]:
+            for seq, msg, frm, to, line in buckets[t]:
                 usage[to].received += 1
                 late = msg.round != current_round or to not in member_set
-                if write is not None:
-                    line = lines.pop(seq)
+                if line is not None:
                     write(line[:-1] + " late=1\n" if late else line)
                 if late:
                     counters.late += 1
@@ -738,10 +735,6 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     counters.late += purged
                     counters.purged += purged
                     buckets[at] = keep
-                    if write is not None and purged:
-                        for e in bucket:
-                            if e[2] == checkee or e[3] == checkee:
-                                del lines[e[0]]
         if write is not None:
             write(f"{t} {seq} ROUND_DEADLINE - - round={r}\n")
         if r == last_round:

@@ -135,6 +135,43 @@ def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", HONEST],
+        ["sweep", "--scenario", HONEST, "--param", "group_size", "--values", "3,4"],
+        ["oracle", "verdict-table", "--n", "5"],
+    ],
+    ids=["run", "sweep", "oracle"],
+)
+def test_a_closed_stdout_pipe_exits_1_with_one_line(argv):
+    # The read end is closed before the command starts, so every write to
+    # stdout fails with EPIPE, whatever the timing. Stdout stays buffered, as
+    # in a shell pipeline, so the interpreter's flush at exit would fail again
+    # and print an "Exception ignored" line.
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "collabtrust", *argv],
+            env={**env, "PYTHONPATH": str(ROOT / "src")},
+            stdout=write, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("output error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_a_network_seed_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "network_seed.json"
+    path.write_text(json.dumps({"network": {"seed": 1}}))
+    assert run_cli("run", "--scenario", str(path)) == 1
+    assert capsys.readouterr().err == "scenario error: network.seed: unknown key\n"
+
+
 def test_population_over_limit_exits_1_with_one_line(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"population": 100_001, "group_size": 3, "rounds": 1}))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from collabtrust.adversary import FaultKind, InitiatorKind, ReportingKind
 from collabtrust.errors import ScenarioError
-from collabtrust.routines import Kind
+from collabtrust.routines import Kind, RoutineSpec
 from collabtrust.scenario import Scenario, load_scenario, parse_scenario, scenario_from_dict
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -30,6 +30,22 @@ def test_empty_document_gives_defaults():
     assert (sc.network.latency_min, sc.network.latency_max) == (1, 3)
     assert (sc.energy.e_op, sc.energy.e_tx, sc.energy.e_rx) == (1, 2, 1)
     assert sc.adversaries == ()
+    # The loader adds no default of its own: the dataclasses hold them all.
+    assert sc == Scenario()
+
+
+def test_quorum_default_applies_to_constructed_scenarios():
+    assert Scenario(population=3, group_size=3).quorum == 2
+    sc = Scenario(population=9, group_size=9)
+    assert sc.quorum == 5
+    assert parse_scenario('{"population": 9, "group_size": 9}').quorum == 5
+    assert parse_scenario('{"population": 9, "group_size": 9}') == sc
+
+
+def test_routine_width_defaults_to_8():
+    sc = parse_scenario('{"routines": [{"id": 5, "kind": "ADD"}]}')
+    assert sc.routines == (RoutineSpec(id=5, kind=Kind.ADD),)
+    assert sc.routines[0].width == 8
 
 
 def test_shipped_trojan_scenario_loads():
@@ -177,6 +193,9 @@ def test_routine_additions_and_overrides():
 def test_routine_entry_validation():
     with pytest.raises(ScenarioError, match=r"routines\[0\]"):
         parse_scenario('{"routines": [{"id": 5, "kind": "COMPOSITE", "width": 8}]}')
+    # RoutineSpec's fields without a default are the required keys.
+    with pytest.raises(ScenarioError, match=r"^routines\[0\]: entries need 'id' and 'kind'$"):
+        parse_scenario('{"routines": [{"id": 5}]}')
 
 
 def test_type_errors_name_paths():
@@ -266,7 +285,7 @@ def _valid_scenario_doc(draw) -> dict:
         "seed": draw(st.integers(0, 2**64 - 1)),
         "quorum": draw(st.integers(1, group_size - 1)),
         "round_deadline": 10,
-        "network": {"latency_min": 1, "latency_max": 3, "drop_prob": 0.1, "seed": None},
+        "network": {"latency_min": 1, "latency_max": 3, "drop_prob": 0.1},
         "energy": {"e_op": 1, "e_tx": 2, "e_rx": 1},
         "routines": [
             {
@@ -331,6 +350,14 @@ def test_any_json_value_loads_or_raises_scenario_error(doc):
         assert "\n" not in str(exc)
     else:
         assert isinstance(sc, Scenario)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=_valid_scenario_doc())
+def test_every_unfuzzed_base_document_loads(doc):
+    # The fuzz above starts from these documents; one that failed to load
+    # would leave only its top-level checks exercised.
+    assert isinstance(scenario_from_dict(doc), Scenario)
 
 
 @pytest.mark.parametrize(
