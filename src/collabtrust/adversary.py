@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import ContractError
 from .routines import RoutineSpec
 from .rng import SplitMix64
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class Opinion(Enum):
@@ -151,6 +154,10 @@ def apply_fault(
 
 def trigger_probability(model: TrojanModel, spec: RoutineSpec) -> Fraction:
     """Exact chance a uniform operand fires the trigger: 2^-popcount(mask)."""
+    # Imported here, so that importing the package (and every CLI command)
+    # does not load fractions, decimal and numbers.
+    from fractions import Fraction
+
     width_mask = (1 << spec.width) - 1
     if model.operand_index >= spec.arity:
         raise ContractError(

@@ -9,8 +9,11 @@ SplitMix64 is counter-based: word i (from 0) of the stream at state s is
 of a stream at once, without advancing it: it places the k counters in the
 128-bit lanes of one Python int, and each finalizer step is then one big-int
 operation over every lane. Fan-outs (`SplitMix64.fates`) and group draws
-(`simnet.draw_group`) draw through it and advance the stream by the words
-they consumed, so every drawn word is the one a word-by-word draw would see.
+(`simnet.draw_group`) read the stream's `state`, call `block` at it for
+every word they need if none is rejected (at most LANES; a rejection or a
+longer draw computes another pass), and then set the state once, past the
+words they consumed. So every drawn word is the one a word-by-word draw
+would see.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ MASK64 = (1 << 64) - 1
 # Weyl-sequence increment ("golden gamma") from the reference SplitMix64.
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 
-# Finalizer multipliers; routines.generate_operands inlines the draw too.
+# Finalizer multipliers; routines.generate_operands and operand_word inline the draw too.
 MIX_MUL_1 = 0xBF58476D1CE4E5B9
 MIX_MUL_2 = 0x94D049BB133111EB
 
@@ -100,16 +103,18 @@ class SplitMix64:
 
     State advances by the golden gamma; each output is the finalized state.
     Matches the published test vectors (seed 0 -> 0xE220A8397B1DCDAF, ...).
+    `state` is public for the batched draws that read words with `block`
+    and then step it past them.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        self.state = seed & MASK64
 
     def next_u64(self) -> int:
         # mix64 inlined: this is the simulator's most frequent call.
-        z = self._state = (self._state + GOLDEN_GAMMA) & MASK64
+        z = self.state = (self.state + GOLDEN_GAMMA) & MASK64
         z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
         z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
         return z ^ (z >> 31)
@@ -117,14 +122,6 @@ class SplitMix64:
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 bits of resolution."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
-
-    def peek(self, k: int) -> tuple[int, ...]:
-        """The next `k` words (at most LANES), without advancing the stream."""
-        return block(self._state, k)
-
-    def advance(self, k: int) -> None:
-        """Skip `k` words: the state k `next_u64` calls would leave."""
-        self._state = (self._state + k * GOLDEN_GAMMA) & MASK64
 
     def fates(self, count: int, drop_prob: float, lo: int, span: int) -> list[int | None]:
         """`count` unicast fates: None if dropped, else a latency in [lo, lo + span).
@@ -149,7 +146,7 @@ class SplitMix64:
         per = (threshold != 0) + (span != 1)
         if not per:
             return [lo] * count
-        s = self._state
+        s = self.state
         words: tuple[int, ...] = ()
         i = k = 0
         out: list[int | None] = []
@@ -174,7 +171,7 @@ class SplitMix64:
                 elif z < limit:
                     out.append(lo + z % span)
                     break
-        self._state = (s + i * GOLDEN_GAMMA) & MASK64
+        self.state = (s + i * GOLDEN_GAMMA) & MASK64
         return out
 
 

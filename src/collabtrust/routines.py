@@ -12,7 +12,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import ContractError
-from .rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, mix64, mix_words
+from .rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, mix_words
 
 
 class Kind(Enum):
@@ -151,5 +151,8 @@ def operand_word(seed: int, round_no: int, checkee: int, spec: RoutineSpec, inde
 
     Word i of a SplitMix64 stream seeded s is mix64(s + (i + 1) * gamma).
     """
-    s = challenge_seed(seed, round_no, checkee, spec.id)
-    return mix64(s + (index + 1) * GOLDEN_GAMMA) & ((1 << spec.width) - 1)
+    # mix64 inlined, as in generate_operands: every TRIGGER round draws here.
+    z = (challenge_seed(seed, round_no, checkee, spec.id) + (index + 1) * GOLDEN_GAMMA) & MASK64
+    z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
+    return (z ^ (z >> 31)) & ((1 << spec.width) - 1)

@@ -57,10 +57,11 @@ class Scenario:
     adversaries: tuple[tuple[int, AdversaryProfile], ...] = ()
     # The run plan: derived once from the fields above when the scenario is
     # built, and read by every run of it. Devices missing from the sparse
-    # adversary map are honest. Only two parts grow: the verdict table, by
-    # the (agree, disagree) splits runs reach, and the tally kernel's memo of
-    # classified group layouts, up to simnet.LAYOUT_MEMO entries. Neither
-    # holds a run's streams.
+    # adversary map are honest. Only three parts grow: the verdict table, by
+    # the (agree, disagree) splits runs reach, and the tally kernel's two
+    # memos, of classified group layouts (up to simnet.LAYOUT_MEMO entries)
+    # and of epoch plans by epoch shape (up to simnet.EPOCH_MEMO charges).
+    # None holds a run's streams.
     routine_order: tuple[RoutineSpec, ...] = field(init=False, compare=False, repr=False)
     op_prefix: tuple[int, ...] = field(init=False, compare=False, repr=False)
     adversary_map: dict[int, AdversaryProfile] = field(init=False, compare=False, repr=False)
@@ -73,6 +74,7 @@ class Scenario:
         init=False, compare=False, repr=False
     )
     layout_classes: dict = field(init=False, compare=False, repr=False)
+    epoch_plans: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.population > MAX_POPULATION:
@@ -194,6 +196,7 @@ class Scenario:
         object.__setattr__(self, "verdicts", verdicts)
         object.__setattr__(self, "lossless_verdicts", lossless_verdicts(verdicts))
         object.__setattr__(self, "layout_classes", {})
+        object.__setattr__(self, "epoch_plans", {})
 
 
 _ADVERSARY_KEYS = {

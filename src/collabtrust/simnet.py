@@ -27,11 +27,11 @@ repetition: the routine table and its op-count prefix sums, the sparse
 adversary map with the EVADE devices' colluders, the devices whose place
 in a group matters (special ones: a fault, a non-HONEST reporting policy
 or an EVADE initiator; and FRAME targets), the verdict table's lossless
-entries (one (Tally, Outcome) per possible AGREE count) and a bounded memo
-of classified group layouts. The kernel walks the rounds group epoch by
-group epoch, drawing a group only at the regroup period or after an
-exclusion. A run derives a report stream only for the RANDOM reporters of
-the groups it draws.
+entries (one (Tally, Outcome) per possible AGREE count), a bounded memo
+of classified group layouts and a bounded memo of epoch plans. The kernel
+walks the rounds group epoch by group epoch, drawing a group only at the
+regroup period or after an exclusion. A run derives a report stream only
+for the RANDOM reporters of the groups it draws.
 
 By the paper's framing bound, up to floor((N-1)/2) dissenting checkers
 cannot flag a checkee whose answer is honest. So each checkee position of
@@ -49,12 +49,20 @@ per RANDOM checker, as the engine does. In a loud round plain members take
 the honest output and their AGREE votes come as one count, so only special
 members go through apply_fault and distort_opinion, and the count indexes
 the verdict table. Messages and energy follow the lossless closed form,
-charged once per group epoch. Its reports are byte-identical to the
-engine's.
+charged once per group epoch. What an epoch charges does not depend on the
+seed or on who the members are, only on its shape: its phase (first round
+mod N), its routine phase (first round mod the number of routines) and its
+length. _plan_epoch works that shape's closed form out once, the summed op
+count and each position's (sent, received) charge, and the run plan's
+epoch-plan memo keeps it under that key, up to EPOCH_MEMO charges in all
+(EPOCH_MEMO // N shapes); an epoch then only adds the plan to its members'
+counters. Its reports are
+byte-identical to the engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
 the draws of a Fisher-Yates prefix over the list of eligible devices
-without listing them; both return the members tuple.
+without listing them, from the words of one rng.block pass; both return
+the members tuple.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from itertools import chain
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .adversary import (
@@ -81,7 +90,6 @@ from .adversary import (
 from .errors import ContractError, GroupFormationError, ProtocolViolation
 from .metrics import (
     DetectionStats,
-    DeviceUsage,
     EnergyLedger,
     TrafficCounters,
     lossless_messages_per_round,
@@ -101,7 +109,7 @@ from .protocol import (
     round_checkee,
     round_initiator,
 )
-from .rng import LANES, MASK64, SplitMix64, stream
+from .rng import GOLDEN_GAMMA, LANES, MASK64, SplitMix64, block, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import Outcome, SuspicionLedger, Tally, Verdict, framing_bound, update_suspicion
 
@@ -145,38 +153,43 @@ def draw_group(
     a sparse Fisher-Yates shuffles ranks, keeping only the swapped
     positions, and each chosen rank maps to its device by bisecting the
     sorted exclusions. O(size + len(excluded)) times a log, not O(population).
-    Its words come from `rng.peek` passes of up to LANES words, and the
-    stream advances by the words consumed, as `fates` does.
+    One `block` call at the stream's state reads every word the draw needs
+    if none is rejected (up to LANES); only a rejection or a longer draw
+    computes another pass. The stream's state is then set once, past the
+    words consumed, as `fates` does.
     """
     skip = sorted(excluded)
     n = population - len(skip)
     if size > n:
         raise GroupFormationError(f"need {size} devices but only {n} are eligible")
+    s = rng.state
+    # One word per position whose bound is above 1.
+    k = min(LANES, size, n - 1) if n else 0
+    words = block(s, k)
     swapped: dict[int, int] = {}
     ranks = []
-    words: tuple[int, ...] = ()
-    w = k = 0
+    w = 0
     for i in range(size):
         # Position i swaps with i + an unbiased draw below n - i, by
         # rejection; a bound of 1 draws no word.
         bound = n - i
-        j = i
-        if bound > 1:
-            limit = (1 << 64) - ((1 << 64) % bound)
+        if bound < 2:
+            j = i
+        else:
             while True:
                 if w == k:
-                    rng.advance(k)
-                    k = min(LANES, size - i)
-                    words = rng.peek(k)
+                    s = (s + k * GOLDEN_GAMMA) & MASK64
+                    k = min(LANES, size - i, bound - 1)
+                    words = block(s, k)
                     w = 0
                 z = words[w]
                 w += 1
-                if z < limit:
-                    j += z % bound
+                if z < (1 << 64) - (1 << 64) % bound:
+                    j = i + z % bound
                     break
         ranks.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
-    rng.advance(w)
+    rng.state = (s + w * GOLDEN_GAMMA) & MASK64
     return tuple(_nth_eligible(skip, rank) for rank in ranks) if skip else tuple(ranks)
 
 
@@ -345,12 +358,6 @@ def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClas
     )
 
 
-def _ops_before(op_prefix: tuple[int, ...], r: int) -> int:
-    """The summed op counts of the routines of rounds 0 .. r - 1."""
-    cycles, rest = divmod(r, len(op_prefix) - 1)
-    return cycles * op_prefix[-1] + op_prefix[rest]
-
-
 def _quiet_round(
     position: _Position,
     seed: int,
@@ -418,24 +425,39 @@ def _tally_round(
     return Verdict(checkee=checkee, round=r, outcome=outcome, tally=tally)
 
 
-def _charge_epoch(
-    usage: dict[int, DeviceUsage], members: tuple[int, ...], first: int, rounds: int, ops: int
-) -> None:
-    """Charge one group's lossless rounds first .. first + rounds - 1 to its members.
+class _EpochPlan(NamedTuple):
+    """What a group epoch of one shape charges its members, whatever the seed."""
 
-    Per round each member sends n-1 responses or reports and receives n-1 of
+    ops: int  # the summed op counts of its rounds, charged to every member
+    charges: tuple[tuple[int, int], ...]  # the (sent, received) of the member at each position
+
+
+# How many (sent, received) charges the epoch-plan memo in a scenario's run
+# plan keeps: a plan holds one per position, so groups of n keep the plans
+# of EPOCH_MEMO // n epoch shapes, and a group larger than this keeps none.
+EPOCH_MEMO = 16_384
+
+
+def _plan_epoch(sc: "Scenario", phase: int, routine_phase: int, rounds: int) -> _EpochPlan:
+    """The lossless closed form of `rounds` rounds of one group, from a round r0.
+
+    `phase` is r0 % n and `routine_phase` is r0 % len(sc.routine_order):
+    nothing else of r0 changes the charges. Per round each member runs the
+    round's routine, sends n-1 responses or reports and receives n-1 of
     them; every member but the initiator receives one challenge, and the
-    initiator sends the n-1 challenges. Member i initiates the rounds r with
-    (r + 1) % n == i. `ops` is the routines' summed op_count.
+    initiator sends the n-1 challenges. The member at position i initiates
+    the rounds r with (r + 1) % n == i.
     """
-    n = len(members)
+    n = sc.group_size
+    op_prefix = sc.op_prefix
+    cycles, rest = divmod(routine_phase + rounds, len(op_prefix) - 1)
+    ops = cycles * op_prefix[-1] + op_prefix[rest] - op_prefix[routine_phase]
     whole, part = divmod(rounds, n)
-    for i, m in enumerate(members):
-        initiated = whole + ((i - first - 1) % n < part)
-        u = usage[m]
-        u.ops += ops
-        u.sent += (rounds + initiated) * (n - 1)
-        u.received += rounds * n - initiated
+    charges = []
+    for i in range(n):
+        initiated = whole + ((i - phase - 1) % n < part)
+        charges.append(((rounds + initiated) * (n - 1), rounds * n - initiated))
+    return _EpochPlan(ops, tuple(charges))
 
 
 def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> None:
@@ -460,16 +482,17 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
 def _run_tally(sc: "Scenario", res: RunResult) -> None:
     """Latency-free runs: one tally per loud round, no events, no network draws.
 
-    The scenario's run plan gives the routine table and its op-count prefix
-    sums, the sparse adversary map, the lossless verdict table and the memo
-    of classified layouts; a run adds only the report streams of the RANDOM
+    The scenario's run plan gives the routine table, the sparse adversary
+    map, the lossless verdict table, the memo of classified layouts and the
+    memo of epoch plans; a run adds only the report streams of the RANDOM
     reporters in the groups it draws, each made at the first epoch it is
     drawn in. Rounds are walked group epoch by group epoch: a group is drawn
     at the regroup period and after an exclusion.
     A group without a RANDOM reporter visits only the rounds at its
-    positions that are not FREE; with one, every round, to draw its words.
-    Per epoch the quiet rounds are folded in one call and energy is charged
-    once.
+    positions that are not FREE, each position's rounds a range merged into
+    round order; with one, every round, to draw its words. Per epoch the
+    quiet rounds are folded in one call and the epoch's plan is added to
+    its members' counters once.
     """
     seed = res.seed
     usage = res.energy.usage
@@ -480,12 +503,13 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     profiles = sc.adversary_map
     routines = sc.routine_order
     n_routines = len(routines)
-    op_prefix = sc.op_prefix
     period = sc.regroup_period
     rounds = sc.rounds
     n = sc.group_size
     marked = sc.layout_devices
     memo = sc.layout_classes
+    plans = sc.epoch_plans
+    plan_cap = EPOCH_MEMO // n
     streams: dict[int, SplitMix64] = {}
     r = 0
     while r < rounds:
@@ -508,12 +532,9 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
         if classes.randoms:
             visit: range | list[int] = range(first, stop)
         else:
-            visit = [
-                b + p
-                for b in range(first - first % n, stop, n)
-                for p in classes.loud
-                if first <= b + p < stop
-            ]
+            # The rounds at each loud position, merged in round order.
+            spans = [range(first + (p - first) % n, stop, n) for p in classes.loud]
+            visit = spans[0] if len(spans) == 1 else sorted(chain(*spans))
         loud = 0
         for r in visit:
             pos = r % n
@@ -531,8 +552,18 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
                     stop = r + 1  # the group is redrawn without it
                     break
         stats.fold_quiet(members, range(first, stop), loud)
-        ops = _ops_before(op_prefix, stop) - _ops_before(op_prefix, first)
-        _charge_epoch(usage, members, first, stop - first, ops)
+        key = (first % n, first % n_routines, stop - first)
+        plan = plans.get(key)
+        if plan is None:
+            plan = _plan_epoch(sc, *key)
+            if len(plans) < plan_cap:
+                plans[key] = plan
+        ops = plan.ops
+        for m, (sent, received) in zip(members, plan.charges):
+            u = usage[m]
+            u.ops += ops
+            u.sent += sent
+            u.received += received
         r = stop
     res.rounds_executed = r
     messages = lossless_messages_per_round(n) * r

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,19 @@ def test_trigger_probability_against_enumeration():
 def test_trigger_probability_empty_mask_matches_everything():
     model = TrojanModel(operand_index=0, mask=0x00, match=0x00, payload=PayloadKind.COMPLEMENT)
     assert trigger_probability(model, ADD8) == 1
+
+
+def test_importing_the_cli_loads_no_fractions():
+    # trigger_probability imports Fraction when it is called, so no command
+    # pays for fractions, decimal and numbers at start-up.
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, collabtrust.cli; print('fractions' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout == "False\n"
+    model = TrojanModel(operand_index=0, mask=0x0F, match=0x05, payload=PayloadKind.COMPLEMENT)
+    assert type(trigger_probability(model, ADD8)) is Fraction
 
 
 def test_trigger_probability_validates_model():

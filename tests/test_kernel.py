@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -41,7 +42,7 @@ from collabtrust.adversary import (
     is_special,
 )
 from collabtrust.report import emit_report
-from collabtrust.scenario import Scenario, scenario_from_dict
+from collabtrust.scenario import Scenario, load_scenario, scenario_from_dict
 from collabtrust.simnet import NetworkModel, latency_free, report_stream, run_simulation
 from collabtrust.verdict import (
     Outcome,
@@ -208,6 +209,87 @@ TWO_TROJAN_EVADER = scenario_from_dict(
 )
 
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+COLLUDING_FRAMING, ALWAYS_WRONG, HONEST, TROJAN = (
+    load_scenario(str(SCENARIOS / f"{name}.json"))
+    for name in ("colluding_framing", "five_device_always_wrong", "five_device_honest", "five_device_trojan")
+)
+
+# The documents of the CI workflow's kernel-against-engine steps. In a group
+# of 7, three FRAME liars against device 0 cannot flag it (the bound) and
+# four can; a Trojan rides along in both.
+_TROJAN_6 = {
+    "device": 6,
+    "fault": "TROJAN",
+    "trigger": {"index": 0, "mask": 1, "match": 1},
+    "payload": {"kind": "COMPLEMENT"},
+}
+AT_BOUND, OVER_BOUND = (
+    scenario_from_dict(
+        {
+            "population": 7,
+            "group_size": 7,
+            "rounds": 60,
+            "repetitions": 20,
+            "flag_threshold": 3,
+            "adversaries": [
+                *({"device": d, "reporting": "FRAME", "targets": [0]} for d in range(1, 1 + liars)),
+                _TROJAN_6,
+            ],
+        }
+    )
+    for liars in (3, 4)
+)
+# Devices 1 and 4 flip opinions from their own report streams, and device 2
+# rewrites the challenges it initiates so its colluder's Trojan stays quiet.
+RANDOM_EVADE = scenario_from_dict(
+    {
+        "population": 7,
+        "group_size": 5,
+        "rounds": 40,
+        "repetitions": 20,
+        "flag_threshold": 3,
+        "adversaries": [
+            {"device": 1, "reporting": "RANDOM", "p": 0.3},
+            {"device": 4, "reporting": "RANDOM", "p": 0.3},
+            {"device": 2, "initiator_policy": "EVADE", "targets": [3]},
+            {
+                "device": 3,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 1, "match": 1},
+                "payload": {"kind": "COMPLEMENT"},
+            },
+        ],
+    }
+)
+# Epochs off the aligned phase: a regroup period of 7 over groups of 5 and 7
+# routines, and an ALWAYS_WRONG device excluded on its first flag, so groups
+# are also redrawn in the middle of a period.
+OFF_PHASE = scenario_from_dict(
+    {
+        "population": 9,
+        "group_size": 5,
+        "rounds": 60,
+        "regroup_period": 7,
+        "repetitions": 20,
+        "flag_threshold": 1,
+        "routines": [
+            {"id": 5, "kind": "ADD", "width": 16},
+            {"id": 6, "kind": "COMPOSITE", "steps": ["MUL", "ADD"]},
+        ],
+        "adversaries": [
+            {"device": 2, "fault": "ALWAYS_WRONG"},
+            {
+                "device": 5,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 3, "match": 1},
+                "payload": {"kind": "COMPLEMENT"},
+            },
+        ],
+    }
+)
+
+
 @settings(
     max_examples=100,
     deadline=None,
@@ -218,6 +300,21 @@ TWO_TROJAN_EVADER = scenario_from_dict(
 @given(sc=lossless_scenarios(), seed=st.integers(0, 2**64 - 1))
 @example(sc=CONST_TROJAN, seed=0)
 @example(sc=PURE_EVADER, seed=0)
+# Each shipped scenario at its own seed and at the other seed CI runs it at,
+# and the CI documents: their tallies, which the CI steps' reports do not hold.
+@example(sc=COLLUDING_FRAMING, seed=COLLUDING_FRAMING.seed)
+@example(sc=COLLUDING_FRAMING, seed=20261018)
+@example(sc=ALWAYS_WRONG, seed=ALWAYS_WRONG.seed)
+@example(sc=ALWAYS_WRONG, seed=20261018)
+@example(sc=HONEST, seed=HONEST.seed)
+@example(sc=HONEST, seed=20261018)
+@example(sc=TROJAN, seed=TROJAN.seed)
+@example(sc=TROJAN, seed=20261018)
+@example(sc=AT_BOUND, seed=AT_BOUND.seed)
+@example(sc=OVER_BOUND, seed=OVER_BOUND.seed)
+@example(sc=RANDOM_EVADE, seed=RANDOM_EVADE.seed)
+@example(sc=OFF_PHASE, seed=1)
+@example(sc=OFF_PHASE, seed=2)
 def test_kernel_matches_engine(sc, seed):
     assert latency_free(sc)
     engine, engine_verdicts = run_logged(sc, seed=seed, trace=io.StringIO())
@@ -432,6 +529,29 @@ def test_layout_memo_stays_bounded():
     run_simulation(sc)
     # The memo fills up to its cap and no further.
     assert len(sc.layout_classes) == simnet.LAYOUT_MEMO <= 4096
+
+
+def test_epoch_plan_memo_stays_bounded():
+    # Regrouped every round, groups of 5 and 661 routines (5 and 661 are
+    # coprime) give each of the first 3,305 rounds its own epoch shape.
+    sc = scenario_from_dict(
+        {
+            "population": 5,
+            "group_size": 5,
+            "rounds": 3_400,
+            "regroup_period": 1,
+            "routines": [{"id": i, "kind": "ADD"} for i in range(5, 661)],
+        }
+    )
+    run_simulation(sc)
+    # The memo fills up to its cap of charges, one per position, and no further.
+    assert len(sc.epoch_plans) == simnet.EPOCH_MEMO // 5 == 3_276
+    # The layout memo holds layouts only: these groups have one, the empty one.
+    assert len(sc.layout_classes) == 1
+    # A group larger than the cap keeps no plan.
+    wide = Scenario(population=20_000, group_size=simnet.EPOCH_MEMO + 1, rounds=2, regroup_period=1)
+    run_simulation(wide)
+    assert not wide.epoch_plans
 
 
 def _count_report_streams(monkeypatch, sc: Scenario, engine: bool) -> tuple[Counter, set[int]]:
