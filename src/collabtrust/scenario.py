@@ -16,7 +16,6 @@ import functools
 import json
 from collections.abc import Collection
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 from .adversary import (
     AdversaryProfile,
@@ -25,13 +24,12 @@ from .adversary import (
     PayloadKind,
     ReportingKind,
     TrojanModel,
-    is_special,
 )
 from .errors import ContractError, ScenarioError
 from .metrics import EnergyModel
 from .routines import Kind, RoutineSpec, routine_catalog
-from .simnet import NetworkModel
-from .verdict import Outcome, Tally, VerdictTable, default_quorum, lossless_verdicts, verdict_table
+from .simnet import NetworkModel, RunPlan
+from .verdict import default_quorum
 
 # A run keeps state only for the devices that join a group, but the emitted
 # report has a row for every device, and json.dumps holds the whole JSON
@@ -55,26 +53,14 @@ class Scenario:
     energy: EnergyModel = field(default_factory=EnergyModel)
     routines: tuple[RoutineSpec, ...] = ()
     adversaries: tuple[tuple[int, AdversaryProfile], ...] = ()
-    # The run plan: derived once from the fields above when the scenario is
-    # built, and read by every run of it. Devices missing from the sparse
-    # adversary map are honest. Only three parts grow: the verdict table, by
-    # the (agree, disagree) splits runs reach, and the tally kernel's two
-    # memos, of classified group layouts (up to simnet.LAYOUT_MEMO entries)
-    # and of epoch plans by epoch shape (up to simnet.EPOCH_MEMO charges).
-    # None holds a run's streams.
+    # Derived once from the fields above when the scenario is built: the
+    # resolved document, that is the routine table (the catalog with the
+    # document's routines added or overriding, in id order) and the sparse
+    # adversary map (devices it does not list are honest), and the run plan,
+    # what every run derives from them and no seed changes.
     routine_order: tuple[RoutineSpec, ...] = field(init=False, compare=False, repr=False)
-    op_prefix: tuple[int, ...] = field(init=False, compare=False, repr=False)
     adversary_map: dict[int, AdversaryProfile] = field(init=False, compare=False, repr=False)
-    layout_devices: frozenset[int] = field(init=False, compare=False, repr=False)
-    evader_trojans: dict[int, dict[int, TrojanModel]] = field(
-        init=False, compare=False, repr=False
-    )
-    verdicts: VerdictTable = field(init=False, compare=False, repr=False)
-    lossless_verdicts: tuple[tuple[Tally, Outcome], ...] = field(
-        init=False, compare=False, repr=False
-    )
-    layout_classes: dict = field(init=False, compare=False, repr=False)
-    epoch_plans: dict = field(init=False, compare=False, repr=False)
+    plan: RunPlan = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.population > MAX_POPULATION:
@@ -167,36 +153,9 @@ class Scenario:
                     f"{model.payload_value:#x} wider than width {min_width}"
                 )
 
-        self._set_plan(table)
-
-    def _set_plan(self, table: tuple[RoutineSpec, ...]) -> None:
-        """Store what every run of this scenario needs and no seed changes."""
-        profiles = dict(self.adversaries)
-        evader_trojans = {}
-        for device, profile in profiles.items():
-            if profile.initiator_policy is not InitiatorKind.EVADE:
-                continue
-            trojans = {}
-            for target in profile.targets:
-                target_profile = profiles.get(target)
-                if target_profile is not None and target_profile.trojan is not None:
-                    trojans[target] = target_profile.trojan
-            evader_trojans[device] = trojans
-        specials = (d for d, p in profiles.items() if is_special(p))
-        framed = (p.targets for p in profiles.values() if p.reporting is ReportingKind.FRAME)
         object.__setattr__(self, "routine_order", table)
-        # op_prefix[i]: the summed op counts of the first i routines of the cycle.
-        op_prefix = tuple(accumulate((s.op_count for s in table), initial=0))
-        object.__setattr__(self, "op_prefix", op_prefix)
-        object.__setattr__(self, "adversary_map", profiles)
-        # The members whose place in a group the kernel's classes depend on.
-        object.__setattr__(self, "layout_devices", frozenset(specials).union(*framed))
-        object.__setattr__(self, "evader_trojans", evader_trojans)
-        verdicts = verdict_table(self.group_size, self.quorum)
-        object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "lossless_verdicts", lossless_verdicts(verdicts))
-        object.__setattr__(self, "layout_classes", {})
-        object.__setattr__(self, "epoch_plans", {})
+        object.__setattr__(self, "adversary_map", dict(self.adversaries))
+        object.__setattr__(self, "plan", RunPlan(self))
 
 
 _ADVERSARY_KEYS = {

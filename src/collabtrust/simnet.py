@@ -21,17 +21,12 @@ report that lands before its round's deadline when it is sent, as a report
 triggers no send; handlers still see every delivered message exactly once.
 Runs with no trace sink whose outcome cannot depend on timing (no loss,
 and 3 * latency_max below the round deadline) skip the engine: a tally-
-level kernel computes each round's verdict directly. It reads the
-scenario's run plan, built once per scenario and shared by every
-repetition: the routine table and its op-count prefix sums, the sparse
-adversary map with the EVADE devices' colluders, the devices whose place
-in a group matters (special ones: a fault, a non-HONEST reporting policy
-or an EVADE initiator; and FRAME targets), the verdict table's lossless
-entries (one (Tally, Outcome) per possible AGREE count), a bounded memo
-of classified group layouts and a bounded memo of epoch plans. The kernel
-walks the rounds group epoch by group epoch, drawing a group only at the
-regroup period or after an exclusion. A run derives a report stream only
-for the RANDOM reporters of the groups it draws.
+level kernel computes each round's verdict directly. Both paths read the
+scenario's RunPlan, what every run derives from the scenario and no seed
+changes, built once per scenario and shared by every repetition. The
+kernel walks the rounds group epoch by group epoch, drawing a group only
+at the regroup period or after an exclusion. A run derives a report
+stream only for the RANDOM reporters of the groups it draws.
 
 By the paper's framing bound, up to floor((N-1)/2) dissenting checkers
 cannot flag a checkee whose answer is honest. So each checkee position of
@@ -54,9 +49,8 @@ seed or on who the members are, only on its shape: its phase (first round
 mod N), its routine phase (first round mod the number of routines) and its
 length. _plan_epoch works that shape's closed form out once, the summed op
 count and each position's (sent, received) charge, and the run plan's
-epoch-plan memo keeps it under that key, up to EPOCH_MEMO charges in all
-(EPOCH_MEMO // N shapes); an epoch then only adds the plan to its members'
-counters. Its reports are
+memo keeps it under that key, as it keeps each classified layout; an
+epoch then only adds the plan to its members' counters. Its reports are
 byte-identical to the engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
@@ -72,13 +66,14 @@ from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain
 from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .adversary import (
     HONEST_PROFILE,
     AdversaryProfile,
     FaultKind,
+    InitiatorKind,
     Opinion,
     ReportingKind,
     TrojanModel,
@@ -111,7 +106,16 @@ from .protocol import (
 )
 from .rng import GOLDEN_GAMMA, LANES, MASK64, SplitMix64, block, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
-from .verdict import Outcome, SuspicionLedger, Tally, Verdict, framing_bound, update_suspicion
+from .verdict import (
+    Outcome,
+    SuspicionLedger,
+    Tally,
+    Verdict,
+    framing_bound,
+    lossless_verdicts,
+    update_suspicion,
+    verdict_table,
+)
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -300,19 +304,69 @@ class _GroupClasses(NamedTuple):
     randoms: tuple[int, ...]  # the RANDOM reporters among the members
 
 
-# How many special layouts the memo in a scenario's run plan keeps classified.
-LAYOUT_MEMO = 4096
+class _EpochPlan(NamedTuple):
+    """What a group epoch of one shape charges its members, whatever the seed."""
+
+    ops: int  # the summed op counts of its rounds, charged to every member
+    charges: tuple[tuple[int, int], ...]  # the (sent, received) of the member at each position
+
+
+# How many group positions a run plan's memo may hold: a classified layout
+# and an epoch plan each hold one per position, so groups of n keep
+# MEMO_POSITIONS // n entries of both kinds together, and a group wider than
+# this keeps none.
+MEMO_POSITIONS = 16_384
+
+
+class RunPlan:
+    """What every run of a scenario derives from it and no seed changes.
+
+    Built once with the scenario, as `Scenario.plan`. Only two parts grow:
+    the verdict table, by the (agree, disagree) splits runs reach, and the
+    tally kernel's memo, up to MEMO_POSITIONS positions. Neither holds a
+    run's streams.
+    """
+
+    def __init__(self, sc: "Scenario"):
+        profiles = sc.adversary_map
+        # op_prefix[i]: the summed op counts of the first i routines of the cycle.
+        self.op_prefix = tuple(accumulate((s.op_count for s in sc.routine_order), initial=0))
+        # The members whose place in a group the kernel's classes depend on:
+        # the special devices and the devices a FRAME reporter targets.
+        specials = (d for d, p in profiles.items() if is_special(p))
+        framed = (p.targets for p in profiles.values() if p.reporting is ReportingKind.FRAME)
+        self.layout_devices = frozenset(specials).union(*framed)
+        trojans = {d: p.trojan for d, p in profiles.items() if p.trojan is not None}
+        self.evader_trojans = {
+            d: {t: trojans[t] for t in p.targets if t in trojans}
+            for d, p in profiles.items()
+            if p.initiator_policy is InitiatorKind.EVADE
+        }
+        self.verdicts = verdict_table(sc.group_size, sc.quorum)
+        # One (Tally, Outcome) per AGREE count, and the framing bound they give.
+        self.lossless_verdicts = lossless_verdicts(self.verdicts)
+        self.bound = framing_bound(self.lossless_verdicts)
+        # Classified layouts under their tuple of (position, device) pairs,
+        # and epoch plans under their (phase, routine phase, length) shape.
+        self.memo: dict[tuple, _GroupClasses | _EpochPlan] = {}
+        self.memo_cap = MEMO_POSITIONS // sc.group_size
+
+    def keep(self, key: tuple, value: _GroupClasses | _EpochPlan) -> _GroupClasses | _EpochPlan:
+        """`value`, memoized under `key` while the memo has room."""
+        if len(self.memo) < self.memo_cap:
+            self.memo[key] = value
+        return value
 
 
 def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClasses:
     """Give each checkee position of a group with this layout its class.
 
     `layout` holds the (position, device) pairs of the group's members in
-    `sc.layout_devices`: its special members and the devices a FRAME
-    reporter targets. Every other member is plain. While the checkee's
+    the run plan's `layout_devices`: its special members and the devices a
+    FRAME reporter targets. Every other member is plain. While the checkee's
     answer is honest, a checker can dissent only if its fault is not HONEST,
     it is a FRAME reporter targeting the checkee, or it is a RANDOM
-    reporter; up to framing_bound of them cannot change a TRUSTED outcome.
+    reporter; up to the plan's bound of them cannot change a TRUSTED outcome.
     A position is FULL when the checkee is ALWAYS_WRONG, when its initiator
     is an EVADE device and the checkee one of its colluders, or when more
     checkers can dissent than that bound. Past that, a Trojan checkee's
@@ -320,15 +374,16 @@ def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClas
     checkee's always is (FREE).
     """
     n = sc.group_size
-    bound = framing_bound(sc.lossless_verdicts)
+    plan = sc.plan
     profiles = sc.adversary_map
     at = dict(layout)
     specials = {d: profiles[d] for _, d in layout if d in profiles and is_special(profiles[d])}
-    positions = []
-    for pos in range(n):
-        checkee = at.get(pos, -1)
+    positions: list[_Position] = []
+    # Every checkee outside the layout is plain and faces the same checkers,
+    # so their positions share one class, found first at position -1.
+    for pos, checkee in ((-1, -1), *layout):
         profile = profiles.get(checkee, HONEST_PROFILE)
-        colluders = sc.evader_trojans.get(at.get((pos + 1) % n, -1), {})
+        colluders = plan.evader_trojans.get(at.get((pos + 1) % n, -1), {})
         dissenters = 0
         randoms = []
         for d, p in specials.items():
@@ -342,14 +397,17 @@ def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClas
                 or (p.reporting is ReportingKind.FRAME and checkee in p.targets)
             ):
                 dissenters += 1
-        if profile.fault is FaultKind.ALWAYS_WRONG or checkee in colluders or dissenters > bound:
+        if profile.fault is FaultKind.ALWAYS_WRONG or checkee in colluders or dissenters > plan.bound:
             kind = PositionClass.FULL
         elif profile.fault is FaultKind.TROJAN:
             kind = PositionClass.TRIGGER
         else:
             kind = PositionClass.FREE
         trigger = profile.trojan if kind is PositionClass.TRIGGER else None
-        positions.append(_Position(kind, trigger, tuple(randoms)))
+        if pos < 0:
+            positions = [_Position(kind, trigger, tuple(randoms))] * n
+        else:
+            positions[pos] = _Position(kind, trigger, tuple(randoms))
     return _GroupClasses(
         specials=specials,
         positions=tuple(positions),
@@ -402,14 +460,14 @@ def _tally_round(
     output, so only special ones go through apply_fault and distort_opinion
     (each RANDOM reporter on its stream in `streams`, as in the event
     engine), and the plain checkers' AGREE votes come as one count, which
-    indexes the scenario's lossless verdict table.
+    indexes the run plan's lossless verdict entries.
     """
     n = len(members)
     checkee = members[r % n]
     ops = generate_operands(seed, r, checkee, spec)
     initiator = members[(r + 1) % n]
     if initiator in specials:
-        colluders = sc.evader_trojans.get(initiator, {})
+        colluders = sc.plan.evader_trojans.get(initiator, {})
         ops = choose_adversarial_operands(specials[initiator], ops, colluders, checkee)
     honest = execute(spec, ops)
     outputs = {m: apply_fault(p, spec, ops, honest) for m, p in specials.items()}
@@ -421,21 +479,8 @@ def _tally_round(
             truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
             if distort_opinion(p, truth, checkee, streams.get(m)) is Opinion.AGREE:
                 agree += 1
-    tally, outcome = sc.lossless_verdicts[agree]
+    tally, outcome = sc.plan.lossless_verdicts[agree]
     return Verdict(checkee=checkee, round=r, outcome=outcome, tally=tally)
-
-
-class _EpochPlan(NamedTuple):
-    """What a group epoch of one shape charges its members, whatever the seed."""
-
-    ops: int  # the summed op counts of its rounds, charged to every member
-    charges: tuple[tuple[int, int], ...]  # the (sent, received) of the member at each position
-
-
-# How many (sent, received) charges the epoch-plan memo in a scenario's run
-# plan keeps: a plan holds one per position, so groups of n keep the plans
-# of EPOCH_MEMO // n epoch shapes, and a group larger than this keeps none.
-EPOCH_MEMO = 16_384
 
 
 def _plan_epoch(sc: "Scenario", phase: int, routine_phase: int, rounds: int) -> _EpochPlan:
@@ -449,7 +494,7 @@ def _plan_epoch(sc: "Scenario", phase: int, routine_phase: int, rounds: int) -> 
     the rounds r with (r + 1) % n == i.
     """
     n = sc.group_size
-    op_prefix = sc.op_prefix
+    op_prefix = sc.plan.op_prefix
     cycles, rest = divmod(routine_phase + rounds, len(op_prefix) - 1)
     ops = cycles * op_prefix[-1] + op_prefix[rest] - op_prefix[routine_phase]
     whole, part = divmod(rounds, n)
@@ -482,12 +527,12 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
 def _run_tally(sc: "Scenario", res: RunResult) -> None:
     """Latency-free runs: one tally per loud round, no events, no network draws.
 
-    The scenario's run plan gives the routine table, the sparse adversary
-    map, the lossless verdict table, the memo of classified layouts and the
-    memo of epoch plans; a run adds only the report streams of the RANDOM
-    reporters in the groups it draws, each made at the first epoch it is
-    drawn in. Rounds are walked group epoch by group epoch: a group is drawn
-    at the regroup period and after an exclusion.
+    The scenario's RunPlan gives the devices whose place in a group matters,
+    the lossless verdict entries and one memo of classified layouts and
+    epoch plans; a run adds only the report streams of the RANDOM reporters
+    in the groups it draws, each made at the first epoch it is drawn in.
+    Rounds are walked group epoch by group epoch: a group is drawn at the
+    regroup period and after an exclusion.
     A group without a RANDOM reporter visits only the rounds at its
     positions that are not FREE, each position's rounds a range merged into
     round order; with one, every round, to draw its words. Per epoch the
@@ -506,10 +551,10 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     period = sc.regroup_period
     rounds = sc.rounds
     n = sc.group_size
-    marked = sc.layout_devices
-    memo = sc.layout_classes
-    plans = sc.epoch_plans
-    plan_cap = EPOCH_MEMO // n
+    plan = sc.plan
+    marked = plan.layout_devices
+    memo = plan.memo
+    keep = plan.keep
     streams: dict[int, SplitMix64] = {}
     r = 0
     while r < rounds:
@@ -519,11 +564,7 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
             res.halt_reason = str(exc)
             break
         layout = tuple([(i, m) for i, m in enumerate(members) if m in marked])
-        classes = memo.get(layout)
-        if classes is None:
-            classes = _classify(sc, layout)
-            if len(memo) < LAYOUT_MEMO:
-                memo[layout] = classes
+        classes = memo.get(layout) or keep(layout, _classify(sc, layout))
         for d in classes.randoms:
             if d not in streams:
                 streams[d] = report_stream(seed, d)
@@ -552,14 +593,10 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
                     stop = r + 1  # the group is redrawn without it
                     break
         stats.fold_quiet(members, range(first, stop), loud)
-        key = (first % n, first % n_routines, stop - first)
-        plan = plans.get(key)
-        if plan is None:
-            plan = _plan_epoch(sc, *key)
-            if len(plans) < plan_cap:
-                plans[key] = plan
-        ops = plan.ops
-        for m, (sent, received) in zip(members, plan.charges):
+        shape = (first % n, first % n_routines, stop - first)
+        epoch = memo.get(shape) or keep(shape, _plan_epoch(sc, *shape))
+        ops = epoch.ops
+        for m, (sent, received) in zip(members, epoch.charges):
             u = usage[m]
             u.ops += ops
             u.sent += sent
@@ -725,8 +762,8 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                             profile=profile,
                             routine_order=routine_order,
                             rng=report_stream(seed, m) if random else None,
-                            verdicts=sc.verdicts,
-                            colluder_trojans=sc.evader_trojans.get(m),
+                            verdicts=sc.plan.verdicts,
+                            colluder_trojans=sc.plan.evader_trojans.get(m),
                         )
                     state.join(group)
                 if write is not None:

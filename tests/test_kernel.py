@@ -25,6 +25,7 @@ at the bound itself, for each kind of dissenter and N in 3..7.
 from __future__ import annotations
 
 import io
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -135,8 +136,8 @@ def lossless_scenarios(draw, min_adversaries: int = 0) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def _reports(sc: Scenario, res) -> tuple[bytes, bytes]:
-    report = folded(sc, res)
+def _reports(sc: Scenario, *results) -> tuple[bytes, bytes]:
+    report = folded(sc, *results)
     return emit_report(report, "json"), emit_report(report, "csv")
 
 
@@ -265,29 +266,28 @@ RANDOM_EVADE = scenario_from_dict(
 # Epochs off the aligned phase: a regroup period of 7 over groups of 5 and 7
 # routines, and an ALWAYS_WRONG device excluded on its first flag, so groups
 # are also redrawn in the middle of a period.
-OFF_PHASE = scenario_from_dict(
-    {
-        "population": 9,
-        "group_size": 5,
-        "rounds": 60,
-        "regroup_period": 7,
-        "repetitions": 20,
-        "flag_threshold": 1,
-        "routines": [
-            {"id": 5, "kind": "ADD", "width": 16},
-            {"id": 6, "kind": "COMPOSITE", "steps": ["MUL", "ADD"]},
-        ],
-        "adversaries": [
-            {"device": 2, "fault": "ALWAYS_WRONG"},
-            {
-                "device": 5,
-                "fault": "TROJAN",
-                "trigger": {"index": 0, "mask": 3, "match": 1},
-                "payload": {"kind": "COMPLEMENT"},
-            },
-        ],
-    }
-)
+OFF_PHASE_DOC = {
+    "population": 9,
+    "group_size": 5,
+    "rounds": 60,
+    "regroup_period": 7,
+    "repetitions": 20,
+    "flag_threshold": 1,
+    "routines": [
+        {"id": 5, "kind": "ADD", "width": 16},
+        {"id": 6, "kind": "COMPOSITE", "steps": ["MUL", "ADD"]},
+    ],
+    "adversaries": [
+        {"device": 2, "fault": "ALWAYS_WRONG"},
+        {
+            "device": 5,
+            "fault": "TROJAN",
+            "trigger": {"index": 0, "mask": 3, "match": 1},
+            "payload": {"kind": "COMPLEMENT"},
+        },
+    ],
+}
+OFF_PHASE = scenario_from_dict(OFF_PHASE_DOC)
 
 
 @settings(
@@ -365,7 +365,7 @@ def test_quiet_rounds_end_in_the_unanimous_verdict(case):
     n = len(members)
     pos = r % n
     spec = sc.routine_order[r % len(sc.routine_order)]
-    layout = tuple((i, m) for i, m in enumerate(members) if m in sc.layout_devices)
+    layout = tuple((i, m) for i, m in enumerate(members) if m in sc.plan.layout_devices)
     classes = simnet._classify(sc, layout)
     position = classes.positions[pos]
     # The group's RANDOM reporters on fresh streams; no other member has one.
@@ -512,10 +512,11 @@ def test_operand_key_memo_stays_bounded():
     assert info.currsize <= info.maxsize
 
 
-def test_layout_memo_stays_bounded():
-    # 3,000 FRAME reporters among 100,000 devices, regrouped every round:
-    # thousands of groups hold one, each at its own (position, device) layout.
-    sc = scenario_from_dict(
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # 3,000 FRAME reporters among 100,000 devices, regrouped every round:
+        # thousands of groups hold one, each at its own (position, device) layout.
         {
             "population": 100_000,
             "group_size": 5,
@@ -524,34 +525,74 @@ def test_layout_memo_stays_bounded():
             "adversaries": [
                 {"device": d, "reporting": "FRAME", "targets": [d + 1]} for d in range(0, 6_000, 2)
             ],
-        }
-    )
-    run_simulation(sc)
-    # The memo fills up to its cap and no further.
-    assert len(sc.layout_classes) == simnet.LAYOUT_MEMO <= 4096
-
-
-def test_epoch_plan_memo_stays_bounded():
-    # Regrouped every round, groups of 5 and 661 routines (5 and 661 are
-    # coprime) give each of the first 3,305 rounds its own epoch shape.
-    sc = scenario_from_dict(
+        },
+        # Groups of 5 and 661 routines (5 and 661 are coprime), regrouped every
+        # round, give each of the first 3,305 rounds its own epoch shape.
         {
             "population": 5,
             "group_size": 5,
             "rounds": 3_400,
             "regroup_period": 1,
             "routines": [{"id": i, "kind": "ADD"} for i in range(5, 661)],
-        }
-    )
-    run_simulation(sc)
-    # The memo fills up to its cap of charges, one per position, and no further.
-    assert len(sc.epoch_plans) == simnet.EPOCH_MEMO // 5 == 3_276
-    # The layout memo holds layouts only: these groups have one, the empty one.
-    assert len(sc.layout_classes) == 1
-    # A group larger than the cap keeps no plan.
-    wide = Scenario(population=20_000, group_size=simnet.EPOCH_MEMO + 1, rounds=2, regroup_period=1)
-    run_simulation(wide)
-    assert not wide.epoch_plans
+        },
+        # Groups of 400, regrouped every round: each layout (where the one
+        # Trojan sits) and each epoch plan holds 400 positions.
+        {
+            "population": 400,
+            "group_size": 400,
+            "rounds": 100,
+            "regroup_period": 1,
+            "adversaries": [
+                {
+                    "device": 1,
+                    "fault": "TROJAN",
+                    "trigger": {"index": 0, "mask": 15, "match": 5},
+                    "payload": {"kind": "XOR", "value": 1},
+                }
+            ],
+        },
+        # A group wider than the memo keeps nothing.
+        {
+            "population": 20_000,
+            "group_size": simnet.MEMO_POSITIONS + 1,
+            "rounds": 2,
+            "regroup_period": 1,
+        },
+    ],
+    ids=["frame_reporters", "epoch_shapes", "group_400", "wider_than_the_memo"],
+)
+def test_run_plan_memo_stays_bounded(doc):
+    sc = scenario_from_dict(doc)
+    run_simulation(sc, seed=3)
+    n = sc.group_size
+    # A classified layout and an epoch plan each hold n positions. The memo
+    # fills up to its cap and no further.
+    assert len(sc.plan.memo) * n <= simnet.MEMO_POSITIONS
+    assert len(sc.plan.memo) == simnet.MEMO_POSITIONS // n
+
+
+def _kernel_reports(doc: dict) -> list[tuple[bytes, bytes]]:
+    """The kernel's JSON and CSV reports of every repetition of `doc`, at its seed and at 20261018."""
+    sc = scenario_from_dict(doc)
+    assert latency_free(sc)
+    reports = []
+    for seed in (sc.seed, 20261018):
+        reports.append(_reports(sc, *(run_simulation(sc, seed=seed + k) for k in range(sc.repetitions))))
+    # The memo keeps entries at the default cap and none at 0.
+    assert bool(sc.plan.memo) == (simnet.MEMO_POSITIONS > 0)
+    return reports
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))] + [OFF_PHASE_DOC],
+    ids=[p.stem for p in sorted(SCENARIOS.glob("*.json"))] + ["off_phase"],
+)
+def test_a_full_memo_changes_no_report_byte(monkeypatch, doc):
+    # With no room, every layout is classified and every epoch planned anew.
+    expected = _kernel_reports(doc)
+    monkeypatch.setattr(simnet, "MEMO_POSITIONS", 0)
+    assert _kernel_reports(doc) == expected
 
 
 def _count_report_streams(monkeypatch, sc: Scenario, engine: bool) -> tuple[Counter, set[int]]:

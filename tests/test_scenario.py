@@ -223,8 +223,8 @@ def test_evade_targets_feed_colluder_map():
     sc = parse_scenario(doc)
     profile = dict(sc.adversaries)[0]
     assert profile.initiator_policy is InitiatorKind.EVADE
-    assert set(sc.evader_trojans[0]) == {1}
-    assert 1 not in sc.evader_trojans
+    assert set(sc.plan.evader_trojans[0]) == {1}
+    assert 1 not in sc.plan.evader_trojans
 
 
 def test_reporting_without_targets_rejected():

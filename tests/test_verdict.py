@@ -251,8 +251,8 @@ def test_verdict_table_decides_every_split_once_by_the_rule_and_the_oracle():
             assert list(lossless) == unanimous
             assert all(e is table[e[0].agree, e[0].disagree] for e in lossless)
             sc = Scenario(population=n, group_size=n, quorum=quorum)
-            assert sc.lossless_verdicts == lossless
-            assert all(e is sc.verdicts[e[0].agree, e[0].disagree] for e in sc.lossless_verdicts)
+            assert sc.plan.lossless_verdicts == lossless
+            assert all(e is sc.plan.verdicts[e[0].agree, e[0].disagree] for e in sc.plan.lossless_verdicts)
 
 
 def test_verdict_table_rejects_a_bad_quorum_or_split():
