@@ -1,12 +1,17 @@
 """Per-device state machine for one checking round.
 
 A round has one checkee and one challenge. The initiator derives operands
-from the shared seed and sends the challenge to the rest of the group;
-every receiver executes the routine through its own fault model; the checkee
-broadcasts its output; each checker compares that output against its own
-locally computed reference and broadcasts an AGREE/DISAGREE report; every
+from the shared seed, runs the routine on them once and sends the challenge,
+with that honest output, to the rest of the group. The routine is pure, so
+its honest output is the same for every receiver; each receiver passes it
+through its own fault model, and is charged the routine's ops as if it ran
+it. The checkee broadcasts its output; each checker compares that output
+against its own reference and broadcasts an AGREE/DISAGREE report; every
 device (checkee included) tallies reports and concludes a verdict, either
 when the tally is complete or at the round deadline.
+
+Messages and verdicts are NamedTuples: immutable, equal and hashed by
+value, and built positionally on the engine's per-event path.
 
 A group is its members tuple: the checkee of round r is member r mod N,
 the initiator the member after it, and every device looks its verdicts up
@@ -25,7 +30,7 @@ that overtakes its challenge: it is parked until the challenge arrives.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .adversary import (
     AdversaryProfile,
@@ -41,24 +46,22 @@ from .rng import SplitMix64
 from .verdict import Verdict, VerdictTable
 
 
-@dataclass(frozen=True)
-class Challenge:
+class Challenge(NamedTuple):
     round: int
     initiator: int
     checkee: int
     spec: RoutineSpec
     ops: tuple[int, ...]
+    honest: int  # execute(spec, ops), run once by the initiator; not in the trace
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     round: int
     responder: int
     output: int
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     round: int
     reporter: int
     checkee: int
@@ -151,18 +154,13 @@ def make_challenge(state: DeviceState, round_no: int, shared_seed: int) -> Chall
 
     The routine rotates through the catalog; operands come from the shared
     seed, then pass through the initiator's evasion policy if it is corrupt.
+    The routine runs once, here, on the final operands.
     """
     checkee = round_checkee(state.members, round_no)
     spec = state.routine_order[round_no % len(state.routine_order)]
     ops = generate_operands(shared_seed, round_no, checkee, spec)
     ops = choose_adversarial_operands(state.profile, ops, state.colluder_trojans, checkee)
-    return Challenge(
-        round=round_no,
-        initiator=state.id,
-        checkee=checkee,
-        spec=spec,
-        ops=ops,
-    )
+    return Challenge(round_no, state.id, checkee, spec, ops, execute(spec, ops))
 
 
 def on_round_start(state: DeviceState, round_no: int, shared_seed: int) -> Challenge:
@@ -181,19 +179,20 @@ def on_round_start(state: DeviceState, round_no: int, shared_seed: int) -> Chall
 
 
 def handle_check_request(state: DeviceState, ch: Challenge) -> Response | ComparisonReport | None:
-    """Accept a challenge: compute through the local fault model and cache it.
+    """Accept a challenge: pass its honest output through the local fault model and cache it.
 
-    The checkee answers with its Response; a checker stays silent and keeps
-    its output as the private comparison reference, unless the response
-    already arrived: then it compares and returns its report.
+    The routine is pure, so the initiator's one run of it stands for every
+    receiver's; only the fault model is the receiver's own. The checkee
+    answers with its Response; a checker stays silent and keeps its output
+    as the private comparison reference, unless the response already
+    arrived: then it compares and returns its report.
     """
-    spec = ch.spec
-    out = apply_fault(state.profile, spec, ch.ops, execute(spec, ch.ops))
+    out = apply_fault(state.profile, ch.spec, ch.ops, ch.honest)
     state.challenge = ch
     state.reference = out
     if state.id == ch.checkee:
         # The checkee's "reference" is the output it must defend.
-        return Response(round=ch.round, responder=state.id, output=out)
+        return Response(ch.round, state.id, out)
     if state.pending_response is not None:
         # The checkee's answer overtook our challenge; compare it now.
         parked, state.pending_response = state.pending_response, None
@@ -217,9 +216,7 @@ def handle_response(state: DeviceState, r: Response) -> ComparisonReport | None:
     # If every other report already arrived, the verdict waits for the
     # round deadline rather than being returned from this handler.
     state.opinions[state.id] = opinion
-    return ComparisonReport(
-        round=r.round, reporter=state.id, checkee=state.checkee, opinion=opinion
-    )
+    return ComparisonReport(r.round, state.id, state.checkee, opinion)
 
 
 def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
@@ -250,4 +247,4 @@ def _conclude(state: DeviceState) -> Verdict:
     agree = opinions.count(Opinion.AGREE)
     tally, outcome = state.verdicts[agree, len(opinions) - agree]
     state.verdict_emitted = True
-    return Verdict(checkee=state.checkee, round=state.round, outcome=outcome, tally=tally)
+    return Verdict(state.checkee, state.round, outcome, tally)

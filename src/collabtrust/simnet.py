@@ -109,7 +109,6 @@ from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import (
     Outcome,
     SuspicionLedger,
-    Tally,
     Verdict,
     framing_bound,
     lossless_verdicts,
@@ -480,7 +479,7 @@ def _tally_round(
             if distort_opinion(p, truth, checkee, streams.get(m)) is Opinion.AGREE:
                 agree += 1
     tally, outcome = sc.plan.lossless_verdicts[agree]
-    return Verdict(checkee=checkee, round=r, outcome=outcome, tally=tally)
+    return Verdict(checkee, r, outcome, tally)
 
 
 def _plan_epoch(sc: "Scenario", phase: int, routine_phase: int, rounds: int) -> _EpochPlan:
@@ -651,7 +650,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     next_seq = 2 * sc.rounds
 
     write = None if trace is None else trace.write
-    verdict_texts: dict[Tally, str] = {}  # traced runs: a VERDICT line's tally text
+    verdict_texts: dict[tuple[int, int], str] = {}  # traced runs: VERDICT text by split
     group_text = ""  # traced runs: the group's members, as ROUND_START shows them
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
     group: tuple[int, ...] | None = None
@@ -700,9 +699,10 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             flagged = v
         if write is not None:
             ta = v.tally
-            text = verdict_texts.get(ta)
+            split = ta.agree, ta.disagree
+            text = verdict_texts.get(split)
             if text is None:
-                text = verdict_texts[ta] = (
+                text = verdict_texts[split] = (
                     f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
                     f" missing={ta.missing}\n"
                 )

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import ContractError
 
@@ -40,8 +41,7 @@ class Tally:
             )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     checkee: int
     round: int
     outcome: Outcome

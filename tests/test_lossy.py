@@ -17,10 +17,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import collabtrust.protocol as protocol
 import collabtrust.simnet as simnet
+from collabtrust.adversary import apply_fault
 from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
 from collabtrust.report import emit_report
 from collabtrust.rng import SplitMix64
+from collabtrust.routines import execute, generate_operands
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
@@ -289,3 +292,108 @@ def test_differential_examples_show_their_case():
     assert purged.counters.purged > 0 and purged.halt_reason is None
     halted = run(HALT_IN_FLIGHT)
     assert halted.halt_reason is not None and halted.counters.in_flight > 0
+
+
+# Device 2 initiates with EVADE for its colluder 3, whose Trojan fires on
+# every odd first operand: each challenge 2 initiates at 3 is rewritten so
+# the Trojan stays quiet (test_challenge_examples_show_their_case).
+EVADE_TROJAN = (
+    {
+        "population": 6,
+        "group_size": 5,
+        "rounds": 30,
+        "regroup_period": 3,
+        "round_deadline": 10,
+        "network": {"latency_min": 1, "latency_max": 4, "drop_prob": 0.1},
+        "adversaries": [
+            {"device": 2, "initiator_policy": "EVADE", "targets": [3]},
+            {
+                "device": 3,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 1, "match": 1},
+                "payload": {"kind": "COMPLEMENT"},
+            },
+        ],
+    },
+    0,
+)
+
+
+def _check_challenges(sc, seed) -> int:
+    """Run `sc` untraced and check every challenge against the routine layer.
+
+    Each challenge built must carry `honest == execute(spec, ops)` on its
+    final operands, and each device that handles one must keep as its
+    reference that output passed through its own fault model. Returns how
+    many challenges an initiator rewrote to operands with another honest
+    output than the drawn ones.
+    """
+    built: list[Challenge] = []
+    make_challenge = protocol.make_challenge
+    handle_check_request = protocol.handle_check_request
+
+    def making(state, round_no, shared_seed):
+        ch = make_challenge(state, round_no, shared_seed)
+        built.append(ch)
+        return ch
+
+    def handling(state, ch):
+        out = handle_check_request(state, ch)
+        spec, ops = ch.spec, ch.ops
+        assert state.reference == apply_fault(state.profile, spec, ops, execute(spec, ops))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "make_challenge", making)
+        # The initiator handles its own copy in on_round_start; the engine
+        # hands over every delivered one.
+        mp.setattr(protocol, "handle_check_request", handling)
+        mp.setattr(simnet, "handle_check_request", handling)
+        res = run_simulation(sc, seed=seed)
+    assert len(built) == res.rounds_executed
+    rewritten = 0
+    for ch in built:
+        assert ch.honest == execute(ch.spec, ch.ops)
+        drawn = generate_operands(res.seed, ch.round, ch.checkee, ch.spec)
+        rewritten += execute(ch.spec, drawn) != ch.honest
+    return rewritten
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=scenario_from_dict(EVADE_TROJAN[0]), seed=EVADE_TROJAN[1])
+def test_each_challenge_carries_the_honest_output_of_its_final_operands(sc, seed):
+    _check_challenges(sc, seed)
+
+
+def test_challenge_examples_show_their_case():
+    assert _check_challenges(scenario_from_dict(EVADE_TROJAN[0]), EVADE_TROJAN[1]) > 0
+
+
+@pytest.mark.parametrize(
+    "doc, seed, traced",
+    [
+        pytest.param(EVADE_TROJAN[0], EVADE_TROJAN[1], True, id="evade_traced"),
+        pytest.param(EVADE_TROJAN[0], EVADE_TROJAN[1], False, id="evade_untraced"),
+        pytest.param(PURGE[0], PURGE[1], False, id="purge_untraced"),
+        pytest.param(HALT_IN_FLIGHT[0], HALT_IN_FLIGHT[1], False, id="halt_untraced"),
+    ],
+)
+def test_the_engine_runs_each_challenges_routine_once(doc, seed, traced):
+    """The routine is pure, so the initiator runs it once per challenge and
+    every receiver passes that output through its own fault model."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "execute", counting("execute", protocol.execute))
+        mp.setattr(protocol, "make_challenge", counting("built", protocol.make_challenge))
+        trace = io.StringIO() if traced else None
+        res = run_simulation(scenario_from_dict(doc), seed=seed, trace=trace)
+    assert calls["execute"] == calls["built"] == res.rounds_executed > 0

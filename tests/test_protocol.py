@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+from collections import Counter
+
 import pytest
 
 from collabtrust.adversary import (
@@ -29,7 +32,7 @@ from collabtrust.protocol import (
 )
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, routine_catalog
-from collabtrust.verdict import Outcome, verdict_table
+from collabtrust.verdict import Outcome, Tally, Verdict, verdict_table
 
 GROUP = (0, 1, 2, 3, 4)
 
@@ -55,13 +58,40 @@ def make_bench(round_no=0, profiles=None):
 
 
 def challenge_for(round_no=0, ops=(200, 100)):
+    spec = routine_catalog()[0]
     return Challenge(
         round=round_no,
         initiator=round_initiator(GROUP, round_no),
         checkee=round_checkee(GROUP, round_no),
-        spec=routine_catalog()[0],
+        spec=spec,
         ops=ops,
+        honest=execute(spec, ops),
     )
+
+
+# Each record kind with a factory of its field values: every call builds
+# equal but distinct values.
+RECORDS = {
+    "Challenge": (Challenge, lambda: (0, 1, 0, routine_catalog()[0], (200, 100), 44)),
+    "Response": (Response, lambda: (0, 0, 44)),
+    "ComparisonReport": (ComparisonReport, lambda: (0, 2, 0, Opinion.AGREE)),
+    "Verdict": (Verdict, lambda: (0, 0, Outcome.FLAGGED, Tally(0, 4, 0, 4))),
+}
+
+
+@pytest.mark.parametrize("kind, values", RECORDS.values(), ids=RECORDS)
+def test_messages_and_verdicts_are_immutable_values(kind, values):
+    """Messages and verdicts compare and hash by value (the tests count them
+    in Counters), and no field of one can be reassigned."""
+    a, b = kind(*values()), kind(*values())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert Counter([a, b]) == {a: 2}
+    *head, _ = values()
+    assert kind(*head, None) != a
+    for name in inspect.signature(kind).parameters:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b
 
 
 def test_round_robin_schedule():
