@@ -20,7 +20,7 @@ from typing import BinaryIO, NoReturn, TextIO
 from .errors import ProtocolViolation, ScenarioError
 from .report import Report, emit_report
 from .rng import MASK64
-from .scenario import Scenario, read_scenario_doc, scenario_from_dict
+from .scenario import MAX_POPULATION, Scenario, read_scenario_doc, scenario_from_dict
 from .simnet import latency_free, run_simulation
 from .verdict import decision_table, default_quorum
 
@@ -283,8 +283,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_verdict_table(args) -> int:
-    if args.n < 3:
-        raise ScenarioError(f"--n: group size must be at least 3, got {args.n}")
+    if not 3 <= args.n <= MAX_POPULATION:  # rows grow as n^2 / 2; no scenario holds a larger group
+        raise ScenarioError(f"--n: group size must be in [3, {MAX_POPULATION}], got {args.n}")
     n_checkers = args.n - 1
     quorum = default_quorum(n_checkers) if args.quorum is None else args.quorum
     if not 1 <= quorum <= n_checkers:

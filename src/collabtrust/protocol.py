@@ -7,8 +7,8 @@ its honest output is the same for every receiver; each receiver passes it
 through its own fault model, and is charged the routine's ops as if it ran
 it. The checkee broadcasts its output; each checker compares that output
 against its own reference and broadcasts an AGREE/DISAGREE report; every
-device (checkee included) tallies reports and concludes a verdict, either
-when the tally is complete or at the round deadline.
+device (checkee included) counts the opinions it hears, and the AGREE ones,
+and concludes a verdict when that tally is complete or at the deadline.
 
 Messages and verdicts are NamedTuples: immutable, equal and hashed by
 value, and built positionally on the engine's per-event path.
@@ -22,9 +22,10 @@ a device sends each message to its whole group, and the event loop fans it
 out to the sender's peers, charges all energy and alone decides each
 message's fate. It drops, delays and counts as late every off-round or
 non-member delivery, so handlers see only on-round messages between current
-group members, each exactly once, even when an untraced run hands over an
-on-time report as it is sent. The one ordering they handle is a response
-that overtakes its challenge: it is parked until the challenge arrives.
+group members, each exactly once. Untraced, a report's on-time receivers
+are settled in one call as it is sent, and verdicts come at the deadline.
+The one ordering they handle is a response that overtakes its challenge:
+it is parked until the challenge arrives.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ class DeviceState:
         "challenge",
         "reference",
         "pending_response",
-        "opinions",
+        "heard",
+        "agree",
         "verdict_emitted",
     )
 
@@ -114,7 +116,7 @@ class DeviceState:
         self.challenge: Challenge | None = None
         self.reference: int | None = None
         self.pending_response: Response | None = None
-        self.opinions: dict[int, Opinion] = {}
+        self.heard = self.agree = 0  # opinions tallied this round, and the AGREE ones
         self.verdict_emitted = False
 
     def join(self, members: tuple[int, ...]) -> None:
@@ -145,7 +147,7 @@ def begin_round(state: DeviceState, round_no: int) -> None:
     state.challenge = None
     state.reference = None
     state.pending_response = None
-    state.opinions = {}
+    state.heard = state.agree = 0
     state.verdict_emitted = False
 
 
@@ -212,11 +214,19 @@ def handle_response(state: DeviceState, r: Response) -> ComparisonReport | None:
         return None
     true_opinion = Opinion.AGREE if r.output == state.reference else Opinion.DISAGREE
     opinion = distort_opinion(state.profile, true_opinion, state.checkee, state.rng)
-    # Own opinion enters the local tally exactly once, as broadcast.
-    # If every other report already arrived, the verdict waits for the
-    # round deadline rather than being returned from this handler.
-    state.opinions[state.id] = opinion
+    # Own opinion enters the local tally once, as broadcast; a tally it
+    # completes still waits for the round deadline, not this handler.
+    state.heard += 1
+    state.agree += opinion is Opinion.AGREE
     return ComparisonReport(r.round, state.id, state.checkee, opinion)
+
+
+def settle_reports(states: Sequence[DeviceState], rep: ComparisonReport) -> None:
+    """Count `rep`'s opinion at each of `states`, as handle_report does, concluding nothing."""
+    agree = rep.opinion is Opinion.AGREE
+    for state in states:
+        state.heard += 1
+        state.agree += agree
 
 
 def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
@@ -226,8 +236,9 @@ def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
     known from the schedule, and the event loop hands over only this
     round's reports from the other checkers.
     """
-    state.opinions[rep.reporter] = rep.opinion
-    if len(state.opinions) < state.n_checkers:
+    state.heard += 1
+    state.agree += rep.opinion is Opinion.AGREE
+    if state.heard < state.n_checkers:
         return None
     return _conclude(state)
 
@@ -243,8 +254,6 @@ def on_timeout(state: DeviceState, round_no: int) -> Verdict:
 
 def _conclude(state: DeviceState) -> Verdict:
     assert state.round is not None and state.checkee is not None
-    opinions = list(state.opinions.values())
-    agree = opinions.count(Opinion.AGREE)
-    tally, outcome = state.verdicts[agree, len(opinions) - agree]
+    tally, outcome = state.verdicts[state.agree, state.heard - state.agree]
     state.verdict_emitted = True
     return Verdict(state.checkee, state.round, outcome, tally)

@@ -138,40 +138,38 @@ class SplitMix64:
         """
         if span <= 0:
             raise ValueError(f"fates() needs span >= 1, got {span}")
-        # x * 2**-53 < p  <=>  x < ceil(p * 2**53) for an integer x; scaling
-        # by a power of two is exact.
-        threshold = math.ceil(drop_prob * 2.0**53)
+        # next_float() < p  <=>  (z >> 11) < ceil(p * 2**53)  <=>  z < ceil(p * 2**53) << 11.
+        drop_cut = math.ceil(drop_prob * 2.0**53) << 11
         limit = (1 << 64) - ((1 << 64) % span)
+        drop_word = drops = drop_cut != 0  # whether the next word decides a drop
         # Words per unicast when nothing is rejected.
-        per = (threshold != 0) + (span != 1)
+        per = drops + (span != 1)
         if not per:
             return [lo] * count
         s = self.state
-        words: tuple[int, ...] = ()
-        i = k = 0
         out: list[int | None] = []
-        for left in range(count, 0, -1):
-            drop_word = threshold
-            while True:
-                if i == k:
-                    s = (s + k * GOLDEN_GAMMA) & MASK64
-                    k = min(LANES, per * left)
-                    words = block(s, k)
-                    i = 0
-                z = words[i]
-                i += 1
+        append = out.append
+        left = count
+        while left:
+            for used, z in enumerate(block(s, min(LANES, per * left)), 1):
                 if drop_word:
-                    if z >> 11 < threshold:
-                        out.append(None)
-                        break
-                    if span == 1:
-                        out.append(lo)
-                        break
-                    drop_word = 0
+                    if z < drop_cut:
+                        append(None)
+                    elif span == 1:
+                        append(lo)
+                    else:
+                        drop_word = False
+                        continue
                 elif z < limit:
-                    out.append(lo + z % span)
+                    append(lo + z % span)
+                    drop_word = drops
+                else:
+                    continue
+                left -= 1
+                if not left:
                     break
-        self.state = (s + i * GOLDEN_GAMMA) & MASK64
+            s = (s + used * GOLDEN_GAMMA) & MASK64
+        self.state = s
         return out
 
 

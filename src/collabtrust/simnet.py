@@ -16,9 +16,9 @@ message names its round once; a delivery is late when that round is over
 or the receiver has left the group.
 
 A run given a trace stream goes through the event engine, which writes
-each trace line there as its event happens. Untraced, the engine settles a
-report that lands before its round's deadline when it is sent, as a report
-triggers no send; handlers still see every delivered message exactly once.
+each trace line there as its event happens. Untraced, a report triggers no
+send, so its receivers that land before the deadline settle it when it is
+sent, in one protocol.settle_reports call, and verdicts come at the deadline.
 Runs with no trace sink whose outcome cannot depend on timing (no loss,
 and 3 * latency_max below the round deadline) skip the engine: a tally-
 level kernel computes each round's verdict directly. Both paths read the
@@ -103,6 +103,7 @@ from .protocol import (
     on_timeout,
     round_checkee,
     round_initiator,
+    settle_reports,
 )
 from .rng import GOLDEN_GAMMA, LANES, MASK64, SplitMix64, block, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
@@ -622,9 +623,10 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     to `trace` as its event happens. A delivery's line is fixed when its
     message is sent, from text built once per fan-out, and waits in its
     bucket entry (None when untraced); at delivery only ` late=1` may be
-    appended. With no trace, a report that lands before its round's
-    deadline is handed to handle_report when it is sent; it still takes
-    its seq, so the queued deliveries keep theirs.
+    appended. With no trace, a report's receivers that land before the
+    deadline are charged and tallied in one settle_reports call as it is
+    sent; each still takes its seq. Its queued deliveries all land late, so
+    every verdict comes from on_timeout and handle_report runs only traced.
     """
     seed = res.seed
     counters = res.counters
@@ -667,20 +669,17 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         seq = next_seq
         settle = write is None and type(msg) is ComparisonReport
         settle_by = (current_round + 1) * deadline if settle else -1
+        settled: list[DeviceState] = []
         line = None
         if write is not None:
             head, tail = _trace_text(msg, frm)
         for to, latency in zip(peers, fates(n, drop_prob, lo, span)):
             if latency is None:
-                counters.dropped += 1
                 continue
             at = now + latency
             if at < settle_by:
                 usage[to].received += 1
-                counters.delivered += 1
-                maybe = handle_report(states[to], msg)
-                if maybe is not None:
-                    record_verdict(to, maybe, at, seq)
+                settled.append(states[to])
             else:
                 bucket = buckets.get(at)
                 if bucket is None:
@@ -690,6 +689,10 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     line = f"{at} {seq}{head}{to}{tail}"
                 bucket.append((seq, msg, frm, to, line))
             seq += 1
+        if settled:
+            settle_reports(settled, msg)
+            counters.delivered += len(settled)
+        counters.dropped += n - (seq - next_seq)  # a drop takes no seq
         next_seq = seq
 
     def record_verdict(issuer: int, v: Verdict, t: int, seq: int) -> None:

@@ -17,7 +17,7 @@ import collabtrust.cli as cli
 import collabtrust.simnet as simnet
 from collabtrust.errors import ProtocolViolation
 from collabtrust.metrics import EnergyLedger, TrafficCounters
-from test_golden import INLINE_SCENARIOS
+from golden import INLINE_SCENARIOS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -245,6 +245,17 @@ def test_oracle_verdict_table_rows(capsys):
 
 def test_oracle_verdict_table_bad_n(capsys):
     assert run_cli("oracle", "verdict-table", "--n", "2") == 1
+
+
+def test_oracle_verdict_table_n_above_max_population_writes_no_row(capsys):
+    # Its rows grow as n^2 / 2; a group no scenario can hold is refused
+    # before the header is written.
+    assert run_cli("oracle", "verdict-table", "--n", "100001") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "scenario error: --n: group size must be in [3, 100000], got 100001"
+    ]
 
 
 def test_oracle_verdict_table_custom_quorum(capsys):

@@ -123,40 +123,81 @@ def test_lossy_minority_of_adversaries_frames_no_one(sc, seed):
 @given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
 def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
     """The event loop owns message fate: whatever reaches a handler is for the
-    current round, between current group members, and not a duplicate."""
+    current round, between current group members, and not a duplicate.
+
+    A tally is two counts, so duplicates are caught here with a set of the
+    (round, receiver, reporter) opinions tallied, the own one included. An
+    untraced run settles a report's on-time receivers in one settle_reports
+    call; each receiver counts as one delivery."""
     calls: Counter = Counter()
+    tallied: set[tuple[int, int, int]] = set()
+
+    def own_opinion(state, out):
+        if type(out) is ComparisonReport:
+            key = (out.round, state.id, state.id)
+            assert key not in tallied
+            tallied.add(key)
+        return out
 
     def on_challenge(state, ch):
         assert ch.round == state.round and state.challenge is None
         assert state.id in state.members and state.id != ch.initiator
         calls["challenge"] += 1
-        return challenge_handler(state, ch)
+        return own_opinion(state, challenge_handler(state, ch))
 
     def on_response(state, r):
         assert r.round == state.round
         assert r.responder == state.checkee != state.id
-        assert state.id not in state.opinions
+        assert (r.round, state.id, state.id) not in tallied
         calls["response"] += 1
-        return response_handler(state, r)
+        return own_opinion(state, response_handler(state, r))
 
-    def on_report(state, rep):
+    def check_report(state, rep):
         assert rep.round == state.round and rep.checkee == state.checkee
         assert rep.reporter in state.members
         assert rep.reporter not in (state.checkee, state.id)
-        assert rep.reporter not in state.opinions
+        key = (rep.round, state.id, rep.reporter)
+        assert key not in tallied
+        tallied.add(key)
+
+    def on_report(state, rep):
+        check_report(state, rep)
         calls["report"] += 1
         return report_handler(state, rep)
+
+    def on_settle(states, rep):
+        for state in states:
+            check_report(state, rep)
+        calls["report"] += len(states)
+        return settle_handler(states, rep)
 
     challenge_handler = simnet.handle_check_request
     response_handler = simnet.handle_response
     report_handler = simnet.handle_report
+    settle_handler = simnet.settle_reports
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simnet, "handle_check_request", on_challenge)
         mp.setattr(simnet, "handle_response", on_response)
         mp.setattr(simnet, "handle_report", on_report)
+        mp.setattr(simnet, "settle_reports", on_settle)
         res = run_simulation(sc, seed=seed)
     # Every delivered message reached exactly one handler.
     assert sum(calls.values()) == res.counters.delivered
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+def test_untraced_runs_never_call_handle_report(sc, seed):
+    """Untraced, a report's on-time receivers are settled when it is sent and
+    its queued deliveries all land at or past the deadline, so late: every
+    verdict is taken at the deadline and handle_report is traced-only."""
+
+    def unreachable(state, rep):
+        raise AssertionError(f"handle_report reached untraced: {rep}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "handle_report", unreachable)
+        run_simulation(sc, seed=seed)
 
 
 def _lossy_doc(population, lo, hi, deadline, drop) -> dict:

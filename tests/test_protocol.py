@@ -29,6 +29,7 @@ from collabtrust.protocol import (
     on_timeout,
     round_checkee,
     round_initiator,
+    settle_reports,
 )
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, routine_catalog
@@ -114,7 +115,7 @@ def test_on_round_start_emits_group_minus_one_challenges():
     # the initiator processed its own copy and is now a waiting checker
     assert states[1].challenge == ch
     assert states[1].reference == execute(ch.spec, ch.ops)
-    assert states[1].opinions == {}
+    assert (states[1].heard, states[1].agree) == (0, 0)
 
 
 def test_on_round_start_wrong_device_is_fatal():
@@ -138,7 +139,7 @@ def test_honest_checkee_broadcasts_its_output():
     assert states[0].peers == (1, 2, 3, 4)
     # the checkee defends its own output and never holds an opinion of its own
     assert states[0].reference == 44
-    assert states[0].opinions == {}
+    assert (states[0].heard, states[0].agree) == (0, 0)
 
 
 def test_trojaned_checkee_answers_with_payload():
@@ -155,7 +156,7 @@ def test_checker_caches_reference_and_stays_silent():
     states = make_bench(round_no=0)
     assert handle_check_request(states[2], challenge_for(ops=(200, 100))) is None
     assert states[2].reference == 44
-    assert states[2].opinions == {}
+    assert (states[2].heard, states[2].agree) == (0, 0)
     assert states[2].pending_response is None
 
 
@@ -167,7 +168,7 @@ def test_matching_response_yields_agree_broadcast():
     assert report.opinion is Opinion.AGREE
     assert report.reporter == 2 and report.checkee == 0 and report.round == 0
     assert states[2].peers == (0, 1, 3, 4)
-    assert states[2].opinions == {2: Opinion.AGREE}
+    assert (states[2].heard, states[2].agree) == (1, 1)  # its own AGREE
     assert not states[2].verdict_emitted
 
 
@@ -184,7 +185,7 @@ def test_framing_reporter_lies_in_broadcast_and_own_tally():
     handle_check_request(states[2], challenge_for(ops=(200, 100)))
     report = handle_response(states[2], Response(round=0, responder=0, output=44))
     assert report.opinion is Opinion.DISAGREE
-    assert states[2].opinions[2] is Opinion.DISAGREE
+    assert (states[2].heard, states[2].agree) == (1, 0)  # its own DISAGREE
 
 
 def test_early_response_is_parked_until_challenge_arrives():
@@ -192,7 +193,7 @@ def test_early_response_is_parked_until_challenge_arrives():
     early = Response(round=0, responder=0, output=44)
     assert handle_response(states[2], early) is None
     assert states[2].pending_response == early
-    assert states[2].opinions == {}
+    assert (states[2].heard, states[2].agree) == (0, 0)
     report = handle_check_request(states[2], challenge_for(ops=(200, 100)))
     assert isinstance(report, ComparisonReport)
     assert report.opinion is Opinion.AGREE and report.reporter == 2
@@ -269,7 +270,7 @@ def test_begin_round_resets_state():
     handle_check_request(states[2], challenge_for())
     begin_round(states[2], 1)
     assert states[2].challenge is None
-    assert states[2].opinions == {}
+    assert (states[2].heard, states[2].agree) == (0, 0)
     assert states[2].checkee == 1
     assert states[2].reference is None
     assert not states[2].verdict_emitted
@@ -285,3 +286,40 @@ def test_checker_without_challenge_still_tallies_peer_reports():
     assert v.outcome is Outcome.TRUSTED
     assert v.tally.agree == 3 and v.tally.missing == 1
     assert state.challenge is None
+
+
+@pytest.mark.parametrize(
+    "agree, disagree", [(a, d) for a in range(5) for d in range(5 - a)]
+)
+def test_settled_reports_conclude_at_the_deadline_as_handled_ones_do(agree, disagree):
+    # Untraced runs settle a report's on-time receivers at send time and
+    # take every verdict at the deadline; traced runs call handle_report,
+    # which may conclude early. Both must reach the same verdict.
+    opinions = [Opinion.AGREE] * agree + [Opinion.DISAGREE] * disagree
+    reports = [
+        ComparisonReport(round=0, reporter=reporter, checkee=0, opinion=opinion)
+        for reporter, opinion in zip((1, 2, 3, 4), opinions)
+    ]
+    handled = make_bench(round_no=0)[0]
+    verdict = None
+    for rep in reports:
+        verdict = handle_report(handled, rep)
+    if verdict is None:
+        verdict = on_timeout(handled, 0)
+
+    settled = make_bench(round_no=0)[0]
+    for rep in reports:
+        settle_reports([settled], rep)
+    assert not settled.verdict_emitted
+    assert on_timeout(settled, 0) == verdict
+    assert (verdict.tally.agree, verdict.tally.disagree) == (agree, disagree)
+
+
+def test_one_settle_call_tallies_each_receiver_once():
+    states = make_bench(round_no=0)
+    receivers = [states[0], states[3], states[4]]
+    settle_reports(receivers, ComparisonReport(round=0, reporter=1, checkee=0, opinion=Opinion.AGREE))
+    settle_reports(receivers, ComparisonReport(round=0, reporter=2, checkee=0, opinion=Opinion.DISAGREE))
+    assert [(s.heard, s.agree) for s in receivers] == [(2, 1)] * 3
+    assert (states[1].heard, states[2].heard) == (0, 0)
+    assert not any(s.verdict_emitted for s in states.values())
