@@ -44,14 +44,12 @@ per RANDOM checker, as the engine does. In a loud round plain members take
 the honest output and their AGREE votes come as one count, so only special
 members go through apply_fault and distort_opinion, and the count indexes
 the verdict table. Messages and energy follow the lossless closed form,
-charged once per group epoch. What an epoch charges does not depend on the
-seed or on who the members are, only on its shape: its phase (first round
-mod N), its routine phase (first round mod the number of routines) and its
-length. _plan_epoch works that shape's closed form out once, the summed op
-count and each position's (sent, received) charge, and the run plan's
-memo keeps it under that key, as it keeps each classified layout; an
-epoch then only adds the plan to its members' counters. Its reports are
-byte-identical to the engine's.
+charged once per group epoch: every member gets the same sends,
+receptions and op count, from the epoch's length and the run plan's
+op-count prefix sums, and the members that initiate one round more than
+the others get n-1 more sends and one reception fewer. The run plan caches
+the classified layouts used last, up to MEMO_POSITIONS group positions.
+The kernel's reports are byte-identical to the engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
 the draws of a Fisher-Yates prefix over the list of eligible devices
@@ -65,6 +63,7 @@ from bisect import bisect_right
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import accumulate, chain
 from typing import TYPE_CHECKING, NamedTuple, TextIO
@@ -304,17 +303,9 @@ class _GroupClasses(NamedTuple):
     randoms: tuple[int, ...]  # the RANDOM reporters among the members
 
 
-class _EpochPlan(NamedTuple):
-    """What a group epoch of one shape charges its members, whatever the seed."""
-
-    ops: int  # the summed op counts of its rounds, charged to every member
-    charges: tuple[tuple[int, int], ...]  # the (sent, received) of the member at each position
-
-
-# How many group positions a run plan's memo may hold: a classified layout
-# and an epoch plan each hold one per position, so groups of n keep
-# MEMO_POSITIONS // n entries of both kinds together, and a group wider than
-# this keeps none.
+# How many group positions a run plan may keep classified: a layout's classes
+# hold one per position, so groups of n keep the MEMO_POSITIONS // n layouts
+# used last, and a group wider than this keeps none.
 MEMO_POSITIONS = 16_384
 
 
@@ -323,8 +314,8 @@ class RunPlan:
 
     Built once with the scenario, as `Scenario.plan`. Only two parts grow:
     the verdict table, by the (agree, disagree) splits runs reach, and the
-    tally kernel's memo, up to MEMO_POSITIONS positions. Neither holds a
-    run's streams.
+    cache of classified layouts, up to MEMO_POSITIONS positions. Neither
+    holds a run's streams.
     """
 
     def __init__(self, sc: "Scenario"):
@@ -346,16 +337,8 @@ class RunPlan:
         # One (Tally, Outcome) per AGREE count, and the framing bound they give.
         self.lossless_verdicts = lossless_verdicts(self.verdicts)
         self.bound = framing_bound(self.lossless_verdicts)
-        # Classified layouts under their tuple of (position, device) pairs,
-        # and epoch plans under their (phase, routine phase, length) shape.
-        self.memo: dict[tuple, _GroupClasses | _EpochPlan] = {}
-        self.memo_cap = MEMO_POSITIONS // sc.group_size
-
-    def keep(self, key: tuple, value: _GroupClasses | _EpochPlan) -> _GroupClasses | _EpochPlan:
-        """`value`, memoized under `key` while the memo has room."""
-        if len(self.memo) < self.memo_cap:
-            self.memo[key] = value
-        return value
+        # A layout's classes, by its tuple of (position, device) pairs.
+        self.classify = lru_cache(MEMO_POSITIONS // sc.group_size)(partial(_classify, sc))
 
 
 def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClasses:
@@ -483,28 +466,6 @@ def _tally_round(
     return Verdict(checkee, r, outcome, tally)
 
 
-def _plan_epoch(sc: "Scenario", phase: int, routine_phase: int, rounds: int) -> _EpochPlan:
-    """The lossless closed form of `rounds` rounds of one group, from a round r0.
-
-    `phase` is r0 % n and `routine_phase` is r0 % len(sc.routine_order):
-    nothing else of r0 changes the charges. Per round each member runs the
-    round's routine, sends n-1 responses or reports and receives n-1 of
-    them; every member but the initiator receives one challenge, and the
-    initiator sends the n-1 challenges. The member at position i initiates
-    the rounds r with (r + 1) % n == i.
-    """
-    n = sc.group_size
-    op_prefix = sc.plan.op_prefix
-    cycles, rest = divmod(routine_phase + rounds, len(op_prefix) - 1)
-    ops = cycles * op_prefix[-1] + op_prefix[rest] - op_prefix[routine_phase]
-    whole, part = divmod(rounds, n)
-    charges = []
-    for i in range(n):
-        initiated = whole + ((i - phase - 1) % n < part)
-        charges.append(((rounds + initiated) * (n - 1), rounds * n - initiated))
-    return _EpochPlan(ops, tuple(charges))
-
-
 def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> None:
     """Message conservation and the transmit and receive ledgers, checked at the end of a run."""
     c = counters
@@ -528,16 +489,16 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     """Latency-free runs: one tally per loud round, no events, no network draws.
 
     The scenario's RunPlan gives the devices whose place in a group matters,
-    the lossless verdict entries and one memo of classified layouts and
-    epoch plans; a run adds only the report streams of the RANDOM reporters
-    in the groups it draws, each made at the first epoch it is drawn in.
-    Rounds are walked group epoch by group epoch: a group is drawn at the
-    regroup period and after an exclusion.
+    the lossless verdict entries, the op-count prefix sums and its cache of
+    classified layouts; a run adds only the report streams of the RANDOM
+    reporters in the groups it draws, each made at the first epoch it is
+    drawn in. Rounds are walked group epoch by group epoch: a group is drawn
+    at the regroup period and after an exclusion.
     A group without a RANDOM reporter visits only the rounds at its
     positions that are not FREE, each position's rounds a range merged into
     round order; with one, every round, to draw its words. Per epoch the
-    quiet rounds are folded in one call and the epoch's plan is added to
-    its members' counters once.
+    quiet rounds are folded in one call, and the epoch's closed-form
+    charges are worked out where it ends and added to its members' counters.
     """
     seed = res.seed
     usage = res.energy.usage
@@ -553,8 +514,8 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     n = sc.group_size
     plan = sc.plan
     marked = plan.layout_devices
-    memo = plan.memo
-    keep = plan.keep
+    classify = plan.classify
+    op_prefix = plan.op_prefix
     streams: dict[int, SplitMix64] = {}
     r = 0
     while r < rounds:
@@ -564,7 +525,7 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
             res.halt_reason = str(exc)
             break
         layout = tuple([(i, m) for i, m in enumerate(members) if m in marked])
-        classes = memo.get(layout) or keep(layout, _classify(sc, layout))
+        classes = classify(layout)
         for d in classes.randoms:
             if d not in streams:
                 streams[d] = report_stream(seed, d)
@@ -593,14 +554,28 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
                     stop = r + 1  # the group is redrawn without it
                     break
         stats.fold_quiet(members, range(first, stop), loud)
-        shape = (first % n, first % n_routines, stop - first)
-        epoch = memo.get(shape) or keep(shape, _plan_epoch(sc, *shape))
-        ops = epoch.ops
-        for m, (sent, received) in zip(members, epoch.charges):
+        # The epoch's lossless closed form. Per round each member runs the
+        # round's routine, sends n-1 responses or reports and receives n-1
+        # of them; every member but the initiator receives one challenge,
+        # and the initiator sends the n-1 challenges. Each member initiates
+        # `whole` rounds, and the `part` members from the first round's
+        # initiator onward one more.
+        length = stop - first
+        whole, part = divmod(length, n)
+        routine_phase = first % n_routines
+        cycles, rest = divmod(routine_phase + length, n_routines)
+        ops = cycles * op_prefix[-1] + op_prefix[rest] - op_prefix[routine_phase]
+        sent = (length + whole) * (n - 1)
+        received = length * n - whole
+        for m in members:
             u = usage[m]
             u.ops += ops
             u.sent += sent
             u.received += received
+        for i in range(first + 1, first + 1 + part):
+            u = usage[members[i % n]]
+            u.sent += n - 1
+            u.received -= 1
         r = stop
     res.rounds_executed = r
     messages = lossless_messages_per_round(n) * r

@@ -19,7 +19,8 @@ at once and a group epoch's quiet rounds in bulk. A second Hypothesis test
 checks the classes on single rounds: whenever a round is quiet, the full
 tally ends TRUSTED and every RANDOM checker's stream ends one word on,
 where the full tally leaves it. A third differential pins the classifier
-at the bound itself, for each kind of dissenter and N in 3..7.
+at the bound itself, for each kind of dissenter and N in 3..7, and a fixed
+sweep of epoch shapes checks the kernel's closed-form charges.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from collabtrust.adversary import (
     is_special,
 )
 from collabtrust.report import emit_report
+from collabtrust.rng import stream
 from collabtrust.scenario import Scenario, load_scenario, scenario_from_dict
 from collabtrust.simnet import NetworkModel, latency_free, report_stream, run_simulation
 from collabtrust.verdict import (
@@ -527,7 +529,8 @@ def test_operand_key_memo_stays_bounded():
             ],
         },
         # Groups of 5 and 661 routines (5 and 661 are coprime), regrouped every
-        # round, give each of the first 3,305 rounds its own epoch shape.
+        # round, give each of the first 3,305 rounds its own epoch shape, and
+        # every group the empty layout.
         {
             "population": 5,
             "group_size": 5,
@@ -536,7 +539,7 @@ def test_operand_key_memo_stays_bounded():
             "routines": [{"id": i, "kind": "ADD"} for i in range(5, 661)],
         },
         # Groups of 400, regrouped every round: each layout (where the one
-        # Trojan sits) and each epoch plan holds 400 positions.
+        # Trojan sits) holds 400 positions.
         {
             "population": 400,
             "group_size": 400,
@@ -565,10 +568,15 @@ def test_run_plan_memo_stays_bounded(doc):
     sc = scenario_from_dict(doc)
     run_simulation(sc, seed=3)
     n = sc.group_size
-    # A classified layout and an epoch plan each hold n positions. The memo
-    # fills up to its cap and no further.
-    assert len(sc.plan.memo) * n <= simnet.MEMO_POSITIONS
-    assert len(sc.plan.memo) == simnet.MEMO_POSITIONS // n
+    info = sc.plan.classify.cache_info()
+    # A classified layout holds n positions. The cache fills up to its
+    # bound and no further; epoch shapes take no room.
+    assert info.maxsize == simnet.MEMO_POSITIONS // n
+    if sc.plan.layout_devices:
+        assert info.currsize == info.maxsize
+    else:
+        # Every group has the empty layout, kept if there is room for one.
+        assert info.currsize == min(info.maxsize, 1)
 
 
 def _kernel_reports(doc: dict) -> list[tuple[bytes, bytes]]:
@@ -578,8 +586,9 @@ def _kernel_reports(doc: dict) -> list[tuple[bytes, bytes]]:
     reports = []
     for seed in (sc.seed, 20261018):
         reports.append(_reports(sc, *(run_simulation(sc, seed=seed + k) for k in range(sc.repetitions))))
-    # The memo keeps entries at the default cap and none at 0.
-    assert bool(sc.plan.memo) == (simnet.MEMO_POSITIONS > 0)
+    # The cache holds every layout classified, up to its bound.
+    info = sc.plan.classify.cache_info()
+    assert info.currsize == min(info.maxsize, info.misses)
     return reports
 
 
@@ -589,10 +598,81 @@ def _kernel_reports(doc: dict) -> list[tuple[bytes, bytes]]:
     ids=[p.stem for p in sorted(SCENARIOS.glob("*.json"))] + ["off_phase"],
 )
 def test_a_full_memo_changes_no_report_byte(monkeypatch, doc):
-    # With no room, every layout is classified and every epoch planned anew.
+    # With no room every layout is classified anew; with room for one, each
+    # layout other than the last one used evicts it.
     expected = _kernel_reports(doc)
-    monkeypatch.setattr(simnet, "MEMO_POSITIONS", 0)
-    assert _kernel_reports(doc) == expected
+    for room in (0, scenario_from_dict(doc).group_size):
+        monkeypatch.setattr(simnet, "MEMO_POSITIONS", room)
+        assert _kernel_reports(doc) == expected, room
+
+
+def test_a_layout_used_again_is_classified_once(monkeypatch):
+    calls: Counter = Counter()
+
+    def counted(sc, layout, _classify=simnet._classify):
+        calls[layout] += 1
+        return _classify(sc, layout)
+
+    monkeypatch.setattr(simnet, "_classify", counted)
+    # Room for two layouts. Among 5 devices in groups of 5, the Trojan's
+    # layout is the position it is drawn at, and a one-round run draws one group.
+    monkeypatch.setattr(simnet, "MEMO_POSITIONS", 10)
+    sc = scenario_from_dict(
+        {
+            "population": 5,
+            "group_size": 5,
+            "rounds": 1,
+            "adversaries": [
+                {
+                    "device": 0,
+                    "fault": "TROJAN",
+                    "trigger": {"index": 0, "mask": 1, "match": 1},
+                    "payload": {"kind": "COMPLEMENT"},
+                }
+            ],
+        }
+    )
+    seeds = {}  # the first seed that draws each layout
+    for seed in range(50):
+        members = simnet.draw_group(5, (), 5, stream(seed, simnet.GROUPING_STREAM))
+        seeds.setdefault(((members.index(0), 0),), seed)
+    (a, b, c, *_) = seeds
+    # Fill the cache with two other layouts, then use one layout three times.
+    for seed in (seeds[b], seeds[c], seeds[a], seeds[a], seeds[a]):
+        run_simulation(sc, seed=seed)
+    assert calls == {b: 1, c: 1, a: 1}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_kernel_charges_equal_the_engines_over_epoch_shapes(n):
+    # Every regroup period from 1 to 2n + 1, over 5 and 7 routines, with an
+    # ALWAYS_WRONG device excluded on its first flag, so epochs also end in
+    # the middle of a period: the kernel's closed-form sends, receptions and
+    # op counts must equal the engine's, device by device.
+    extra = [
+        {"id": 5, "kind": "ADD", "width": 16},
+        {"id": 6, "kind": "COMPOSITE", "steps": ["MUL", "ADD"]},
+    ]
+    cut = 0  # the runs whose exclusion ends an epoch before its period does
+    for period in range(1, 2 * n + 2):
+        for routines_doc in ([], extra):
+            sc = scenario_from_dict(
+                {
+                    "population": n + 1,
+                    "group_size": n,
+                    "rounds": 4 * n + 3,
+                    "regroup_period": period,
+                    "flag_threshold": 1,
+                    "routines": routines_doc,
+                    "adversaries": [{"device": 0, "fault": "ALWAYS_WRONG"}],
+                }
+            )
+            for seed in range(2):
+                kernel = run_simulation(sc, seed=seed)
+                engine = run_simulation(sc, seed=seed, trace=io.StringIO())
+                assert _reports(sc, kernel) == _reports(sc, engine), (period, len(sc.routine_order), seed)
+                cut += (kernel.suspicion.excluded_at.get(0, -1) + 1) % period != 0
+    assert cut >= n
 
 
 def _count_report_streams(monkeypatch, sc: Scenario, engine: bool) -> tuple[Counter, set[int]]:
