@@ -6,20 +6,20 @@ own `random` module is deliberately not used anywhere in the package.
 
 SplitMix64 is counter-based: word i (from 0) of the stream at state s is
 `mix64(s + (i + 1) * GOLDEN_GAMMA)`. So `block` computes the next k words
-of a stream at once, without advancing it: it places the k counters in the
-128-bit lanes of one Python int, and each finalizer step is then one big-int
-operation over every lane. Fan-outs (`SplitMix64.fates`) and group draws
-(`simnet.draw_group`) read the stream's `state`, call `block` at it for
-every word they need if none is rejected (at most LANES; a rejection or a
-longer draw computes another pass), and then set the state once, past the
-words they consumed. So every drawn word is the one a word-by-word draw
-would see.
+of a stream at once: it places the k counters in the 128-bit lanes of one
+Python int, and each finalizer step is then one big-int operation over
+every lane. A stream is a lazy iterator over its words (`words`), chained
+from `block` passes of LANES words each. Every draw, a fan-out's unicast
+fates and a group draw included, is a `next` on that iterator, so every
+drawn word is the one a word-by-word draw would see.
 """
 
 from __future__ import annotations
 
-import math
 import struct
+from collections.abc import Iterator
+from itertools import chain, count, repeat
+from math import ceil
 
 MASK64 = (1 << 64) - 1
 
@@ -83,7 +83,7 @@ def _plan(k: int) -> tuple:
 
 
 def block(state: int, k: int) -> tuple[int, ...]:
-    """The next `k` words (at most LANES) of the stream at `state`, which stays as it is.
+    """The next `k` words (at most LANES) of the stream at `state`.
 
     Word for word what k `next_u64` calls from that state return.
     """
@@ -98,79 +98,42 @@ def block(state: int, k: int) -> tuple[int, ...]:
     return unpack((z ^ z >> 31).to_bytes(size, "little"))
 
 
+def words(state: int) -> Iterator[int]:
+    """The words of the stream at `state`, one `block` pass of LANES words at a time.
+
+    Pass j starts at state + j * LANES * GOLDEN_GAMMA, kept to 64 bits.
+    Nothing is computed until the first word is drawn, and then one pass
+    at a time.
+    """
+    starts = map(MASK64.__and__, count(state, LANES * GOLDEN_GAMMA))
+    return chain.from_iterable(map(block, starts, repeat(LANES)))
+
+
 class SplitMix64:
     """The reference SplitMix64 generator.
 
     State advances by the golden gamma; each output is the finalized state.
     Matches the published test vectors (seed 0 -> 0xE220A8397B1DCDAF, ...).
-    `state` is public for the batched draws that read words with `block`
-    and then step it past them.
+    `words` is the stream's word iterator, public for the draws that take
+    many words in one loop with `next`.
     """
 
-    __slots__ = ("state",)
+    __slots__ = ("words",)
 
     def __init__(self, seed: int):
-        self.state = seed & MASK64
+        self.words = words(seed)
 
     def next_u64(self) -> int:
-        # mix64 inlined: this is the simulator's most frequent call.
-        z = self.state = (self.state + GOLDEN_GAMMA) & MASK64
-        z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
-        z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
-        return z ^ (z >> 31)
+        return next(self.words)
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 bits of resolution."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
+        return (next(self.words) >> 11) * (2.0 ** -53)
 
-    def fates(self, count: int, drop_prob: float, lo: int, span: int) -> list[int | None]:
-        """`count` unicast fates: None if dropped, else a latency in [lo, lo + span).
 
-        Per message this consumes exactly the words that `next_float() <
-        drop_prob` (skipped when drop_prob is 0) and then, unless dropped, an
-        unbiased draw in [0, span) by rejection would, so batching a fan-out
-        changes no drawn word. The words come from `block` passes (word i
-        from state s is mix64(s + (i + 1) * GOLDEN_GAMMA), one per 128-bit
-        lane): each pass is sized for the rest of the fan-out without
-        rejections, up to LANES words, and a rejection or a longer fan-out
-        computes another. The stream advances by the words consumed; the
-        words a pass computes past them are never seen.
-        """
-        if span <= 0:
-            raise ValueError(f"fates() needs span >= 1, got {span}")
-        # next_float() < p  <=>  (z >> 11) < ceil(p * 2**53)  <=>  z < ceil(p * 2**53) << 11.
-        drop_cut = math.ceil(drop_prob * 2.0**53) << 11
-        limit = (1 << 64) - ((1 << 64) % span)
-        drop_word = drops = drop_cut != 0  # whether the next word decides a drop
-        # Words per unicast when nothing is rejected.
-        per = drops + (span != 1)
-        if not per:
-            return [lo] * count
-        s = self.state
-        out: list[int | None] = []
-        append = out.append
-        left = count
-        while left:
-            for used, z in enumerate(block(s, min(LANES, per * left)), 1):
-                if drop_word:
-                    if z < drop_cut:
-                        append(None)
-                    elif span == 1:
-                        append(lo)
-                    else:
-                        drop_word = False
-                        continue
-                elif z < limit:
-                    append(lo + z % span)
-                    drop_word = drops
-                else:
-                    continue
-                left -= 1
-                if not left:
-                    break
-            s = (s + used * GOLDEN_GAMMA) & MASK64
-        self.state = s
-        return out
+def float_cut(p: float) -> int:
+    """The word bound for `next_float() < p`: a word z draws below p iff z < float_cut(p)."""
+    return ceil(p * 2.0**53) << 11
 
 
 def stream(seed: int, tag: int, *words: int) -> SplitMix64:

@@ -7,7 +7,9 @@ platform-independent order. All randomness comes from named SplitMix64
 streams derived from the scenario seed by rng.stream: the network stream
 (loss and latency), the grouping stream (ad-hoc membership draws), and one
 stream per RANDOM reporter (reporting noise), derived when it first joins
-a group. Varying one knob never reshuffles the others.
+a group. Varying one knob never reshuffles the others. The engine's send
+loop decodes each unicast's loss and latency from the network stream's
+words as it sends; no other code reads them.
 
 A group is the tuple of its members in draw order, on both paths: the
 checkee of round r is member r mod N, the initiator the member after it,
@@ -53,8 +55,8 @@ The kernel's reports are byte-identical to the engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
 the draws of a Fisher-Yates prefix over the list of eligible devices
-without listing them, from the words of one rng.block pass; both return
-the members tuple.
+without listing them, drawing each word with `next` on the grouping
+stream's word iterator; both return the members tuple.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from .protocol import (
     round_initiator,
     settle_reports,
 )
-from .rng import GOLDEN_GAMMA, LANES, MASK64, SplitMix64, block, stream
+from .rng import MASK64, SplitMix64, float_cut, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import (
     Outcome,
@@ -156,22 +158,14 @@ def draw_group(
     a sparse Fisher-Yates shuffles ranks, keeping only the swapped
     positions, and each chosen rank maps to its device by bisecting the
     sorted exclusions. O(size + len(excluded)) times a log, not O(population).
-    One `block` call at the stream's state reads every word the draw needs
-    if none is rejected (up to LANES); only a rejection or a longer draw
-    computes another pass. The stream's state is then set once, past the
-    words consumed, as `fates` does.
     """
     skip = sorted(excluded)
     n = population - len(skip)
     if size > n:
         raise GroupFormationError(f"need {size} devices but only {n} are eligible")
-    s = rng.state
-    # One word per position whose bound is above 1.
-    k = min(LANES, size, n - 1) if n else 0
-    words = block(s, k)
+    words = rng.words
     swapped: dict[int, int] = {}
     ranks = []
-    w = 0
     for i in range(size):
         # Position i swaps with i + an unbiased draw below n - i, by
         # rejection; a bound of 1 draws no word.
@@ -179,20 +173,12 @@ def draw_group(
         if bound < 2:
             j = i
         else:
-            while True:
-                if w == k:
-                    s = (s + k * GOLDEN_GAMMA) & MASK64
-                    k = min(LANES, size - i, bound - 1)
-                    words = block(s, k)
-                    w = 0
-                z = words[w]
-                w += 1
-                if z < (1 << 64) - (1 << 64) % bound:
-                    j = i + z % bound
-                    break
+            limit = (1 << 64) - (1 << 64) % bound
+            while (z := next(words)) >= limit:
+                pass
+            j = i + z % bound
         ranks.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
-    rng.state = (s + w * GOLDEN_GAMMA) & MASK64
     return tuple(_nth_eligible(skip, rank) for rank in ranks) if skip else tuple(ranks)
 
 
@@ -587,21 +573,24 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     """Every unicast through per-tick delivery buckets, with loss, latency and trace.
 
     A handler returns at most one message; dispatch_sends sends it to each
-    of the sender's peers with one batch of fates. This loop charges every
-    op, send and reception: a challenge's ops as it is built and as it is
-    handled on time. Events run in (tick, seq) order. Round timers are
-    computed, not queued: round r starts at r * deadline with seq 2r and
-    ends at (r + 1) * deadline with seq 2r + 1, so at any tick the timers
-    fire before its deliveries, which number from 2 * rounds in send order
-    (a drop takes none). Each tick's deliveries sit in one list in seq
-    order; a heap holds only the ticks that have one. Each trace line goes
-    to `trace` as its event happens. A delivery's line is fixed when its
-    message is sent, from text built once per fan-out, and waits in its
-    bucket entry (None when untraced); at delivery only ` late=1` may be
-    appended. With no trace, a report's receivers that land before the
-    deadline are charged and tallied in one settle_reports call as it is
-    sent; each still takes its seq. Its queued deliveries all land late, so
-    every verdict comes from on_timeout and handle_report runs only traced.
+    of the sender's peers, drawing each unicast's fate from the network
+    stream's words as it goes: a drop word unless drop_prob is 0, then,
+    unless dropped, a latency word redrawn by rejection unless the latency
+    is fixed. This loop charges every op, send and reception: a challenge's
+    ops as it is built and as it is handled on time. Events run in (tick,
+    seq) order. Round timers are computed, not queued: round r starts at
+    r * deadline with seq 2r and ends at (r + 1) * deadline with seq
+    2r + 1, so at any tick the timers fire before its deliveries, which
+    number from 2 * rounds in send order (a drop takes none). Each tick's
+    deliveries sit in one list in seq order; a heap holds only the ticks
+    that have one. Each trace line goes to `trace` as its event happens. A
+    delivery's line is fixed when its message is sent, from text built once
+    per fan-out, and waits in its bucket entry (None when untraced); at
+    delivery only ` late=1` may be appended. With no trace, a report's
+    receivers that land before the deadline are charged and tallied in one
+    settle_reports call as it is sent; each still takes its seq. Its queued
+    deliveries all land late, so every verdict comes from on_timeout and
+    handle_report runs only traced.
     """
     seed = res.seed
     counters = res.counters
@@ -615,10 +604,12 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     states: dict[int, DeviceState] = {}
     rng_group = stream(seed, GROUPING_STREAM)
     network = sc.network
-    fates = stream(seed, NETWORK_STREAM).fates
-    drop_prob = network.drop_prob
+    words = stream(seed, NETWORK_STREAM).words
+    drop_cut = float_cut(network.drop_prob)
     lo = network.latency_min
     span = network.latency_max - lo + 1
+    # Latency words at or above `limit` are redrawn, so z % span is unbiased.
+    limit = (1 << 64) - (1 << 64) % span
     deadline = sc.round_deadline
     last_round = sc.rounds - 1
     # tick -> its deliveries as (seq, message, sender, receiver, trace line or None)
@@ -648,10 +639,16 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         line = None
         if write is not None:
             head, tail = _trace_text(msg, frm)
-        for to, latency in zip(peers, fates(n, drop_prob, lo, span)):
-            if latency is None:
+        soonest = now + lo
+        for to in peers:
+            if drop_cut and next(words) < drop_cut:
                 continue
-            at = now + latency
+            if span == 1:
+                at = soonest
+            else:
+                while (z := next(words)) >= limit:
+                    pass
+                at = soonest + z % span
             if at < settle_by:
                 usage[to].received += 1
                 settled.append(states[to])

@@ -26,9 +26,14 @@ scenarios never reach:
   ALWAYS_WRONG device is excluded mid-epoch in some seeds and its Trojan in
   another.
 - `wide_lossy`: groups of 36 drawn from 40 devices with 10% loss and latency
-  1..4, so each fan-out of 35 unicasts draws 70 network words, more than one
-  block pass of `rng.LANES`, and each group draw 36 bounded words. A Trojan,
-  an ALWAYS_WRONG device and a FRAME reporter ride along.
+  1..4, so each fan-out of 35 unicasts draws up to 70 network words, across
+  passes of the network stream's word iterator, and each group draw 36
+  bounded words. A Trojan, an ALWAYS_WRONG device and a FRAME reporter ride
+  along.
+- `fixed_latency_lossy`: groups of 6 of 8 with 20% loss and a fixed latency
+  of 3 ticks (`latency_min == latency_max`), so each unicast draws a drop
+  word and no latency word, the send loop's one special case. A Trojan and
+  an ALWAYS_WRONG device ride along, and both are detected.
 
 The table also holds the JSON and CSV output of `collabtrust sweep` over
 `scenarios/five_device_trojan.json` for each entry of `SWEEPS`: one sweep
@@ -158,6 +163,22 @@ INLINE_SCENARIOS = {
             },
             {"device": 2, "fault": "ALWAYS_WRONG"},
             {"device": 3, "reporting": "FRAME", "targets": [0]},
+        ],
+    },
+    "fixed_latency_lossy": {
+        "population": 8,
+        "group_size": 6,
+        "rounds": 30,
+        "regroup_period": 5,
+        "network": {"latency_min": 3, "latency_max": 3, "drop_prob": 0.2},
+        "adversaries": [
+            {
+                "device": 1,
+                "fault": "TROJAN",
+                "trigger": {"index": 0, "mask": 3, "match": 1},
+                "payload": {"kind": "XOR", "value": 1},
+            },
+            {"device": 2, "fault": "ALWAYS_WRONG"},
         ],
     },
 }

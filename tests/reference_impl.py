@@ -11,8 +11,11 @@ None of this runs in the simulator:
 - `detection_stats`: the stats of a log of (issuer, verdict) pairs folded
   pair by pair, which a run folds as it goes.
 - `next_bits`: one SplitMix64 word masked to its low bits.
-- `below`: one unbiased draw in [0, n), word by word by rejection, which
-  `SplitMix64.fates` and `simnet.draw_group` draw from `rng.block` passes.
+- `below`: one unbiased draw in [0, n), word by word by rejection, as the
+  event engine's send loop and `simnet.draw_group` draw from a stream's
+  word iterator.
+- `fates`: a fan-out's unicast fates drawn word by word with `next_float`
+  and `below`, which the event engine decodes inline as it sends.
 - `unmix64`: the inverse of `rng.mix64`, to build a stream state whose next
   word is any chosen word.
 - `trace_delivery` and `trace_verdict`: a delivery's and a verdict's trace
@@ -232,6 +235,22 @@ def below(rng: SplitMix64, n: int) -> int:
         v = rng.next_u64()
         if v < limit:
             return v % n
+
+
+def fates(rng: SplitMix64, count: int, drop_prob: float, lo: int, span: int) -> list[int | None]:
+    """`count` unicast fates: None if dropped, else a latency in [lo, lo + span).
+
+    Each unicast draws `next_float() < drop_prob` (no word when drop_prob is
+    0) and then, unless dropped, `lo + below(rng, span)` (no word when span
+    is 1).
+    """
+    out: list[int | None] = []
+    for _ in range(count):
+        if drop_prob > 0.0 and rng.next_float() < drop_prob:
+            out.append(None)
+        else:
+            out.append(lo + below(rng, span))
+    return out
 
 
 def _unshift(z: int, k: int) -> int:

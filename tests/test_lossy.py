@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 import collabtrust.protocol as protocol
 import collabtrust.simnet as simnet
 from collabtrust.adversary import apply_fault
+from collabtrust.metrics import TrafficCounters
 from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
 from collabtrust.report import emit_report
-from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, generate_operands
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
@@ -247,18 +247,20 @@ def test_untraced_engine_equals_traced_engine(sc, seed):
 @example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
 def test_each_fan_out_reaches_the_senders_peers_once(sc, seed):
     """Every send is one message to the sender's group_size - 1 peers: the
-    engine draws one batch of fates per fan-out, never an empty one, and
-    no delivery goes from a device to itself."""
+    engine charges each fan-out's transmissions in one step, never an empty
+    one, and no delivery goes from a device to itself."""
     counts: list[int] = []
-    fates = SplitMix64.fates
 
-    def counting(rng, count, *args):
-        counts.append(count)
-        return fates(rng, count, *args)
+    class FanOuts(TrafficCounters):
+        # Each step of `sent` is one fan-out's transmissions.
+        def __setattr__(self, name, value):
+            if name == "sent" and "sent" in self.__dict__:
+                counts.append(value - self.sent)
+            super().__setattr__(name, value)
 
     sink = io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SplitMix64, "fates", counting)
+        mp.setattr(simnet, "TrafficCounters", FanOuts)
         for trace in (None, sink):
             counts.clear()
             res = run_simulation(sc, seed=seed, trace=trace)

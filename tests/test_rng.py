@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collabtrust.rng import GOLDEN_GAMMA, LANES, MASK64, SplitMix64, block, mix64, mix_words
+import collabtrust.rng as rng
+from collabtrust.rng import (
+    GOLDEN_GAMMA,
+    LANES,
+    MASK64,
+    SplitMix64,
+    block,
+    float_cut,
+    mix64,
+    mix_words,
+    words,
+)
 from reference_impl import below, next_bits, shuffle_prefix, state_before, unmix64
 
 # Published reference outputs for the canonical SplitMix64 with seed 0.
@@ -59,6 +72,20 @@ def test_next_float_in_unit_interval():
     assert abs(mean - 0.5) < 3 * (1 / 12) ** 0.5 / 100
 
 
+# The words on both sides of the cut, for probabilities that are and are not
+# a whole number of 2**-53 steps.
+@given(st.floats(0.0, 1.0), st.integers(0, MASK64))
+@example(0.0, 0)
+@example(1.0, MASK64)
+@example(0.1, 0)
+@example(0.5, 1 << 63)
+def test_float_cut_is_the_word_bound_of_next_float(p, z):
+    cut = float_cut(p)
+    for word in (z, cut - 1, cut):
+        if 0 <= word <= MASK64:
+            assert (word < cut) == (SplitMix64(state_before(word)).next_float() < p)
+
+
 def test_below_bounds_and_coverage():
     rng = SplitMix64(5)
     seen = set()
@@ -95,6 +122,29 @@ def test_block_is_the_next_words_at_the_state(state):
     for j in range(LANES):
         skipped = SplitMix64((state + j * GOLDEN_GAMMA) & MASK64)
         assert skipped.next_u64() == expected[j]
+
+
+# A state just below 2**64 wraps the first counter; a seed outside 64 bits
+# is taken modulo 2**64.
+@pytest.mark.parametrize("state", (0, 1, MASK64, MASK64 - 3, -(2**63)))
+def test_words_are_the_stream_across_every_pass(state, monkeypatch):
+    passes = []
+
+    def counting(s, k):
+        passes.append(k)
+        return block(s, k)
+
+    monkeypatch.setattr(rng, "block", counting)
+    stream = SplitMix64(state)
+    assert passes == []  # a stream never drawn from computes nothing
+    assert stream.next_u64() == mix64(state + GOLDEN_GAMMA)
+    assert passes == [LANES]
+    drawn = [stream.next_u64()] + list(islice(stream.words, 298)) + [stream.next_float()]
+    # Word i of the stream, across the pass boundaries 64, 128, 192 and 256.
+    assert drawn[:-1] == [mix64(state + (i + 1) * GOLDEN_GAMMA) for i in range(1, 300)]
+    assert drawn[-1] == (mix64(state + 301 * GOLDEN_GAMMA) >> 11) * 2.0**-53
+    assert passes == [LANES] * 5
+    assert list(islice(words(state), 300)) == [mix64(state + i * GOLDEN_GAMMA) for i in range(1, 301)]
 
 
 def test_block_computes_at_most_lanes_words_in_one_pass():

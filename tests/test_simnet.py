@@ -15,59 +15,124 @@ from collabtrust.rng import GOLDEN_GAMMA, MASK64, SplitMix64
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, draw_group, run_simulation
 from collabtrust.verdict import Outcome
-from reference_impl import below, detection_stats, form_group, state_before
+from reference_impl import detection_stats, fates, form_group, state_before
 from verdict_log import kernel_view, run_logged, run_traced, trace_lines
 
 
-# The engine draws each fan-out's unicast fates in one batch: a latency in
-# ticks, or None for a dropped message.
-def test_send_lossless_delivers_within_latency_bounds():
-    latencies = SplitMix64(1).fates(600, 0.0, 1, 3)
-    assert len(latencies) == 600 and None not in latencies
-    assert set(latencies) == {1, 2, 3}
-
-
-def test_send_certain_loss_never_delivers():
-    assert SplitMix64(2).fates(200, 1.0, 1, 3) == [None] * 200
-
-
-def test_send_loss_rate_within_3_sigma():
-    p = 0.2
-    n = 100_000
-    lost = SplitMix64(3).fates(n, p, 1, 3).count(None)
-    sigma = (p * (1 - p) / n) ** 0.5
-    assert abs(lost / n - p) <= 3 * sigma
-
-
-# Span 1 draws no latency word, drop 0 no float, and span 2**63 + 1 rejects
-# about half of its latency words.
-@pytest.mark.parametrize("span", (1, 3, 4, 7, 2**63 + 1))
-@pytest.mark.parametrize("drop_prob", (0.0, 0.3, 1.0))
-def test_fates_draw_what_next_float_and_below_draw(drop_prob, span):
-    batched, reference = SplitMix64(99), SplitMix64(99)
-    expected = []
-    for _ in range(300):
-        if drop_prob > 0.0 and reference.next_float() < drop_prob:
-            expected.append(None)
-        else:
-            expected.append(2 + below(reference, span))
-    assert batched.fates(300, drop_prob, 2, span) == expected
-    assert batched.next_u64() == reference.next_u64()
-
-
 # The word 2**64 - 1 is rejected by every draw whose bound is not a power of
-# two, so a stream placed just before it forces a rejection at a chosen lane
-# of a block pass: the first, or the last of a full or of a shorter pass.
+# two, so a stream placed just before it forces a rejection at a chosen word:
+# the first or the last of a pass of the stream's word iterator, or one
+# inside a pass.
 def _rejecting_at(lane: int) -> int:
     return (state_before(MASK64) - lane * GOLDEN_GAMMA) & MASK64
 
 
-@pytest.mark.parametrize("count,lane", ((1, 0), (5, 0), (5, 4), (64, 63), (100, 0), (100, 63)))
-def test_fates_redraw_a_rejected_word_as_below_does(count, lane):
-    batched, reference = SplitMix64(_rejecting_at(lane)), SplitMix64(_rejecting_at(lane))
-    expected = [2 + below(reference, 3) for _ in range(count)]
-    assert batched.fates(count, 0.0, 2, 3) == expected
-    assert batched.next_u64() == reference.next_u64()
+def _network_at(state: int, monkeypatch) -> None:
+    """Start every run's network stream at `state`; the other streams stay as they are."""
+    stream = simnet.stream
+    monkeypatch.setattr(
+        simnet,
+        "stream",
+        lambda seed, tag, *words: SplitMix64(state) if tag == simnet.NETWORK_STREAM
+        else stream(seed, tag, *words),
+    )
+
+
+def _deliveries(trace, kind):
+    """(seq, sender, receiver, tick) of each `kind` delivery line, in seq order."""
+    return sorted((int(f[1]), int(f[3]), int(f[4]), int(f[0]))
+                  for f in map(str.split, trace) if f[2] == kind)
+
+
+def _reference_fan_out(rng, group, frm, now, seq, drop_prob, lo, span):
+    """The deliveries `reference_impl.fates` gives a fan-out from `frm` sent at `now`."""
+    peers = [m for m in group if m != frm]
+    out = []
+    for to, latency in zip(peers, fates(rng, len(peers), drop_prob, lo, span)):
+        if latency is not None:
+            out.append((seq, frm, to, now + latency))
+            seq += 1  # a drop takes no seq
+    return out
+
+
+def _check_first_fan_outs(state, group_size, drop_prob, span, monkeypatch):
+    """One traced round whose network stream starts at `state`: its challenge
+    fan-out, and the first response fan-out after it, reach exactly the
+    (receiver, tick) pairs the word-by-word reference gives and drop exactly
+    the unicasts it drops. Every message of both lands before the deadline."""
+    lo = 2
+    hi = lo + span - 1
+    sc = Scenario(population=group_size, group_size=group_size, rounds=1,
+                  round_deadline=2 * hi + 1, network=NetworkModel(lo, hi, drop_prob))
+    _network_at(state, monkeypatch)
+    res, trace = run_traced(sc, seed=0)
+    start = dict(f.split("=") for f in trace[0].split()[5:])
+    group = tuple(map(int, start["group"].split(",")))
+    reference = SplitMix64(state)
+    challenges = _deliveries(trace, "CHALLENGE")
+    first = 2 * sc.rounds
+    assert challenges == _reference_fan_out(
+        reference, group, int(start["initiator"]), 0, first, drop_prob, lo, span
+    )
+    responses = _deliveries(trace, "RESPONSE")
+    if responses:
+        frm = responses[0][1]
+        sent_at = next(t for _, _, to, t in challenges if to == frm)
+        assert [r for r in responses if r[1] == frm] == _reference_fan_out(
+            reference, group, frm, sent_at, first + len(challenges), drop_prob, lo, span
+        )
+    return res
+
+
+def test_send_lossless_delivers_within_latency_bounds():
+    sc = Scenario(rounds=150, network=NetworkModel(latency_min=1, latency_max=3))
+    res, trace = run_traced(sc, seed=1)
+    assert res.counters.dropped == 0
+    latencies = [int(t) - int(rnd.split("=")[1]) * sc.round_deadline
+                 for t, _, kind, _, _, rnd, *_ in map(str.split, trace) if kind == "CHALLENGE"]
+    assert len(latencies) == 150 * (sc.group_size - 1)
+    assert set(latencies) == {1, 2, 3}
+
+
+def test_send_certain_loss_never_delivers():
+    sc = Scenario(rounds=50, network=NetworkModel(drop_prob=1.0))
+    res, trace = run_traced(sc, seed=2)
+    c = res.counters
+    assert c.dropped == c.sent == 50 * (sc.group_size - 1)
+    assert {line.split()[2] for line in trace} == {"ROUND_START", "VERDICT", "ROUND_DEADLINE"}
+
+
+def test_send_loss_rate_within_3_sigma():
+    p = 0.2
+    sc = Scenario(population=10, group_size=10, rounds=1800, network=NetworkModel(drop_prob=p))
+    c = run_simulation(sc, seed=3).counters
+    n = c.sent
+    assert n > 100_000
+    sigma = (p * (1 - p) / n) ** 0.5
+    assert abs(c.dropped / n - p) <= 3 * sigma
+
+
+# Span 1 draws no latency word, drop 0 no float, and span 2**63 + 1 rejects
+# about half of its latency words. 64 peers take the fan-outs across the
+# pass boundaries of the stream's word iterator.
+@pytest.mark.parametrize("span", (1, 3, 4, 7, 2**63 + 1))
+@pytest.mark.parametrize("drop_prob", (0.0, 0.3, 1.0))
+def test_fates_draw_what_next_float_and_below_draw(drop_prob, span, monkeypatch):
+    res = _check_first_fan_outs(99, 65, drop_prob, span, monkeypatch)
+    if drop_prob == 1.0:
+        assert res.counters.dropped == res.counters.sent == 64
+
+
+# A fan-out to `count` peers (a group of 3 at the least) whose word `lane`
+# is rejected: the first or the last word of the iterator's first pass of
+# LANES words (0, 63), a word inside it (4), and the first and the last
+# word of its second pass and the first of its third (64, 127, 128).
+@pytest.mark.parametrize(
+    "count,lane",
+    ((1, 0), (5, 0), (5, 4), (64, 63), (100, 0), (100, 63), (130, 64), (130, 127), (130, 128)),
+)
+def test_fates_redraw_a_rejected_word_as_below_does(count, lane, monkeypatch):
+    _check_first_fan_outs(_rejecting_at(lane), max(3, count + 1), 0.0, 3, monkeypatch)
 
 
 @pytest.mark.parametrize("population,size,lane", ((5, 5, 0), (5, 5, 2), (100, 70, 0), (100, 70, 63)))
@@ -141,13 +206,14 @@ def test_engine_counts_unreached_deliveries_in_flight():
     assert trace[-1].endswith(f"ROUND_DEADLINE - - round={sc.rounds - 1}")
 
 
-def test_only_challenges_handled_on_time_are_charged_ops(monkeypatch):
+def test_only_challenges_handled_on_time_are_charged_ops():
     # Validation keeps latency_max below the deadline, so in a valid run every
     # challenge lands in its round. A network that holds each unicast for a
-    # whole round makes every one late: only the initiators, who build the
-    # challenges, pay for their routines.
-    sc = Scenario(rounds=6, network=NetworkModel(drop_prob=0.1))  # lossy: the engine
-    monkeypatch.setattr(SplitMix64, "fates", lambda rng, count, *args: [sc.round_deadline] * count)
+    # whole round, set past validation, makes every one late: only the
+    # initiators, who build the challenges, pay for their routines.
+    sc = Scenario(rounds=6)
+    whole_round = NetworkModel(latency_min=sc.round_deadline, latency_max=sc.round_deadline)
+    object.__setattr__(sc, "network", whole_round)  # not latency-free: the engine
     res = run_simulation(sc, seed=0)
     c = res.counters
     assert c.late == c.sent - c.in_flight and c.delivered == 0
