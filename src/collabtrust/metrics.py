@@ -6,13 +6,15 @@ charged even when the channel drops the message (the radio still spent the
 energy); receptions are charged for every delivery that reaches a device,
 including late ones, which the event loop never hands to the protocol. Only
 the simulator charges a device, by incrementing its `DeviceUsage` counters
-directly: the event engine as each op, send and reception happens, the
+directly: the event engine as each op, send and reception happens (an
+untraced run's in-time report receptions at their round's deadline), the
 tally kernel once per group epoch. The ledger makes them on first use.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .adversary import HONEST_PROFILE, AdversaryProfile, FaultKind, ReportingKind
@@ -103,7 +105,7 @@ class DetectionStats:
     inconclusive: int = 0
 
     def fold(
-        self, v: Verdict, issuers: tuple[int, ...], profiles: dict[int, AdversaryProfile]
+        self, v: Verdict, issuers: Sequence[int], profiles: dict[int, AdversaryProfile]
     ) -> None:
         """Count verdict `v` once for each device in `issuers` that reached it.
 

@@ -22,15 +22,16 @@ a device sends each message to its whole group, and the event loop fans it
 out to the sender's peers, charges all energy and alone decides each
 message's fate. It drops, delays and counts as late every off-round or
 non-member delivery, so handlers see only on-round messages between current
-group members, each exactly once. Untraced, a report's on-time receivers
-are settled in one call as it is sent, and verdicts come at the deadline.
-The one ordering they handle is a response that overtakes its challenge:
+group members, each exactly once. Untraced, no report is handed over: at
+the deadline one settle_round call adds to every member's tally the round's
+reports less the ones it missed, and concludes the whole group. The one
+ordering the handlers handle is a response that overtakes its challenge:
 it is parked until the challenge arrives.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from typing import NamedTuple
 
 from .adversary import (
@@ -122,7 +123,12 @@ class DeviceState:
     def join(self, members: tuple[int, ...]) -> None:
         """Make `members` the device's group; its peers and checker count follow once, here."""
         self.members = members
-        self.peers = tuple(m for m in members if m != self.id)
+        try:
+            i = members.index(self.id)
+        except ValueError:
+            self.peers = members
+        else:
+            self.peers = members[:i] + members[i + 1 :]
         self.n_checkers = len(members) - 1
 
 
@@ -136,19 +142,21 @@ def round_initiator(members: tuple[int, ...], round_no: int) -> int:
     return members[(round_no + 1) % len(members)]
 
 
-def begin_round(state: DeviceState, round_no: int) -> None:
-    """Advance the device's local round clock and clear per-round state.
+def begin_round(states: Sequence[DeviceState], round_no: int) -> None:
+    """Advance the local round clock of one group's members and clear their per-round state.
 
     Rounds are synchronous: every group member knows the round number and
     therefore the scheduled checkee, even if it never sees the challenge.
     """
-    state.round = round_no
-    state.checkee = round_checkee(state.members, round_no)
-    state.challenge = None
-    state.reference = None
-    state.pending_response = None
-    state.heard = state.agree = 0
-    state.verdict_emitted = False
+    checkee = round_checkee(states[0].members, round_no)
+    for state in states:
+        state.round = round_no
+        state.checkee = checkee
+        state.challenge = None
+        state.reference = None
+        state.pending_response = None
+        state.heard = state.agree = 0
+        state.verdict_emitted = False
 
 
 def make_challenge(state: DeviceState, round_no: int, shared_seed: int) -> Challenge:
@@ -221,14 +229,6 @@ def handle_response(state: DeviceState, r: Response) -> ComparisonReport | None:
     return ComparisonReport(r.round, state.id, state.checkee, opinion)
 
 
-def settle_reports(states: Sequence[DeviceState], rep: ComparisonReport) -> None:
-    """Count `rep`'s opinion at each of `states`, as handle_report does, concluding nothing."""
-    agree = rep.opinion is Opinion.AGREE
-    for state in states:
-        state.heard += 1
-        state.agree += agree
-
-
 def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
     """Tally a peer's opinion; conclude once every expected opinion is in.
 
@@ -246,10 +246,50 @@ def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
 def on_timeout(state: DeviceState, round_no: int) -> Verdict:
     """Round deadline: conclude from the partial tally, missing = abstention."""
     if state.round != round_no or state.verdict_emitted:
-        raise ProtocolViolation(
-            f"device {state.id}: timeout for round {round_no} with no pending verdict"
-        )
+        raise _not_pending(state, round_no)
     return _conclude(state)
+
+
+def settle_round(
+    states: Sequence[DeviceState],
+    round_no: int,
+    reports: int,
+    agrees: int,
+    missed: Mapping[int, int],
+    missed_agree: Mapping[int, int],
+) -> list[tuple[Verdict, list[int]]]:
+    """Round deadline of one group's members when no report was handed over.
+
+    The round sent `reports` reports, `agrees` of them AGREE. Each member
+    heard all of them in time but the `missed[id]` it did not, of which
+    `missed_agree[id]` were AGREE: the dropped ones, those landing at or
+    after the deadline, and its own, whose opinion handle_response counted.
+    Every member's tally gets the rest, and every member concludes, as
+    on_timeout would. Returns each distinct verdict once, with the ids of
+    the members that reached it in `states` order.
+    """
+    issuers: dict[tuple[int, int], list[int]] = {}
+    for state in states:
+        if state.round != round_no or state.verdict_emitted:
+            raise _not_pending(state, round_no)
+        d = state.id
+        state.heard += reports - missed.get(d, 0)
+        state.agree += agrees - missed_agree.get(d, 0)
+        state.verdict_emitted = True
+        issuers.setdefault((state.agree, state.heard - state.agree), []).append(d)
+    # One group's members share the round's checkee and verdict table.
+    first = states[0]
+    verdicts = []
+    for split, ids in issuers.items():
+        tally, outcome = first.verdicts[split]
+        verdicts.append((Verdict(first.checkee, round_no, outcome, tally), ids))
+    return verdicts
+
+
+def _not_pending(state: DeviceState, round_no: int) -> ProtocolViolation:
+    return ProtocolViolation(
+        f"device {state.id}: timeout for round {round_no} with no pending verdict"
+    )
 
 
 def _conclude(state: DeviceState) -> Verdict:

@@ -19,8 +19,11 @@ or the receiver has left the group.
 
 A run given a trace stream goes through the event engine, which writes
 each trace line there as its event happens. Untraced, a report triggers no
-send, so its receivers that land before the deadline settle it when it is
-sent, in one protocol.settle_reports call, and verdicts come at the deadline.
+send, so the engine hands none over: it records only who misses each one
+(a receiver whose copy is dropped or lands at or after the round's end, and
+the sender), and at the deadline one protocol.settle_round call adds to
+every member's tally the round's reports less its misses and concludes the
+group, one verdict per (agree, disagree) split.
 Runs with no trace sink whose outcome cannot depend on timing (no loss,
 and 3 * latency_max below the round deadline) skip the engine: a tally-
 level kernel computes each round's verdict directly. Both paths read the
@@ -62,6 +65,7 @@ stream's word iterator; both return the members tuple.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
@@ -104,7 +108,7 @@ from .protocol import (
     on_timeout,
     round_checkee,
     round_initiator,
-    settle_reports,
+    settle_round,
 )
 from .rng import MASK64, SplitMix64, float_cut, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
@@ -586,11 +590,14 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     that have one. Each trace line goes to `trace` as its event happens. A
     delivery's line is fixed when its message is sent, from text built once
     per fan-out, and waits in its bucket entry (None when untraced); at
-    delivery only ` late=1` may be appended. With no trace, a report's
-    receivers that land before the deadline are charged and tallied in one
-    settle_reports call as it is sent; each still takes its seq. Its queued
-    deliveries all land late, so every verdict comes from on_timeout and
-    handle_report runs only traced.
+    delivery only ` late=1` may be appended. With no trace, a report is
+    tallied by its misses: the sender and each receiver whose copy is dropped
+    or lands at or after the round's end miss it. A copy that lands in time
+    takes its seq but is not queued; a late one is queued, so it lands late
+    and handle_report runs only traced. At the deadline settle_round tallies
+    and concludes the whole group, each of its verdicts is folded once for
+    all its issuers, and each member is charged the receptions of the
+    reports it did not miss.
     """
     seed = res.seed
     counters = res.counters
@@ -621,27 +628,45 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     verdict_texts: dict[tuple[int, int], str] = {}  # traced runs: VERDICT text by split
     group_text = ""  # traced runs: the group's members, as ROUND_START shows them
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
+    # Untraced: the round's reports, the AGREE ones, and one entry per miss
+    # naming the member that missed a report, by the report's opinion.
+    reports = agrees = 0
+    agree_misses: list[int] = []
+    disagree_misses: list[int] = []
     group: tuple[int, ...] | None = None
+    group_states: tuple[DeviceState, ...] = ()
     member_set: frozenset[int] = frozenset()
     current_round = -1
 
     def dispatch_sends(frm: int, msg: Message, now: int) -> None:
-        nonlocal next_seq
+        nonlocal next_seq, reports, agrees
         peers = states[frm].peers
         n = len(peers)
         # Transmissions are charged even when the channel drops them.
         counters.sent += n
         usage[frm].sent += n
         seq = next_seq
-        settle = write is None and type(msg) is ComparisonReport
-        settle_by = (current_round + 1) * deadline if settle else -1
-        settled: list[DeviceState] = []
+        miss = None
+        settle_by = -1
+        if write is None and type(msg) is ComparisonReport:
+            # Untraced, a report is tallied at the deadline by what each
+            # member missed: dropped, at or past the round's end, or its own.
+            reports += 1
+            if msg.opinion is Opinion.AGREE:
+                agrees += 1
+                miss = agree_misses.append
+            else:
+                miss = disagree_misses.append
+            miss(frm)
+            settle_by = (current_round + 1) * deadline
         line = None
         if write is not None:
             head, tail = _trace_text(msg, frm)
         soonest = now + lo
         for to in peers:
             if drop_cut and next(words) < drop_cut:
+                if miss:
+                    miss(to)
                 continue
             if span == 1:
                 at = soonest
@@ -649,10 +674,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 while (z := next(words)) >= limit:
                     pass
                 at = soonest + z % span
-            if at < settle_by:
-                usage[to].received += 1
-                settled.append(states[to])
-            else:
+            if at >= settle_by:
+                if miss:
+                    miss(to)
                 bucket = buckets.get(at)
                 if bucket is None:
                     bucket = buckets[at] = []
@@ -661,9 +685,6 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     line = f"{at} {seq}{head}{to}{tail}"
                 bucket.append((seq, msg, frm, to, line))
             seq += 1
-        if settled:
-            settle_reports(settled, msg)
-            counters.delivered += len(settled)
         counters.dropped += n - (seq - next_seq)  # a drop takes no seq
         next_seq = seq
 
@@ -741,12 +762,12 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                             colluder_trojans=sc.plan.evader_trojans.get(m),
                         )
                     state.join(group)
+                group_states = tuple(states[m] for m in group)
                 if write is not None:
                     group_text = ",".join(map(str, group))
             current_round = r
             flagged = None
-            for m in group:
-                begin_round(states[m], r)
+            begin_round(group_states, r)
             initiator = round_initiator(group, r)
             if write is not None:
                 spec = routine_order[r % len(routine_order)]
@@ -762,10 +783,27 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             continue
 
         # Round r's deadline.
-        for m in group:
-            state = states[m]
-            if not state.verdict_emitted:
-                record_verdict(m, on_timeout(state, r), t, seq)
+        if write is None:
+            missed = Counter(agree_misses)
+            missed_agree = missed.copy()
+            missed.update(disagree_misses)
+            for v, issuers in settle_round(group_states, r, reports, agrees, missed, missed_agree):
+                stats.fold(v, issuers, profiles)
+                if flagged is None and v.outcome is Outcome.FLAGGED:
+                    flagged = v
+            # Each member received in time every report it did not miss.
+            for m in group:
+                if heard := reports - missed.get(m, 0):
+                    usage[m].received += heard
+            counters.delivered += reports * len(group) - missed.total()
+            reports = agrees = 0
+            agree_misses.clear()
+            disagree_misses.clear()
+        else:
+            for m in group:
+                state = states[m]
+                if not state.verdict_emitted:
+                    record_verdict(m, on_timeout(state, r), t, seq)
         if flagged is not None:
             # One suspicion update per round: any device's FLAGGED
             # verdict marks the round against the checkee.

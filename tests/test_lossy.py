@@ -3,9 +3,11 @@
 These runs never take the tally kernel: every one has loss, and many have a
 deadline the challenge -> response -> report chain can overrun, so reports go
 missing, arrive late or are still in flight when the run ends. Scenarios
-reuse the adversary strategy of `test_kernel.py`. Untraced, the engine
-settles each report that lands before its round's deadline when it is sent;
-traced, every delivery is its own event. Both must end the same.
+reuse the adversary strategy of `test_kernel.py`. Untraced, the engine hands
+over no report: it records which members miss each one (dropped, landing at
+or past the round's end, or their own) and tallies the rest at the deadline,
+in one settle_round call per round. Traced, every delivery is its own event.
+Both must end the same, down to each member's verdict and tally.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 import collabtrust.protocol as protocol
 import collabtrust.simnet as simnet
-from collabtrust.adversary import apply_fault
+from collabtrust.adversary import Opinion, apply_fault
 from collabtrust.metrics import TrafficCounters
 from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
 from collabtrust.report import emit_report
@@ -127,16 +129,20 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
 
     A tally is two counts, so duplicates are caught here with a set of the
     (round, receiver, reporter) opinions tallied, the own one included. An
-    untraced run settles a report's on-time receivers in one settle_reports
-    call; each receiver counts as one delivery."""
+    untraced run hands over no report: one settle_round call per deadline
+    adds each member's reports less its misses. There each report must come
+    from a distinct checker, each member must miss its own, and each report
+    it did not miss counts as one delivery."""
     calls: Counter = Counter()
     tallied: set[tuple[int, int, int]] = set()
+    opinions: dict[tuple[int, int], bool] = {}  # (round, reporter) -> AGREE
 
     def own_opinion(state, out):
         if type(out) is ComparisonReport:
             key = (out.round, state.id, state.id)
             assert key not in tallied
             tallied.add(key)
+            opinions[out.round, state.id] = out.opinion is Opinion.AGREE
         return out
 
     def on_challenge(state, ch):
@@ -152,34 +158,38 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
         calls["response"] += 1
         return own_opinion(state, response_handler(state, r))
 
-    def check_report(state, rep):
+    def on_report(state, rep):
         assert rep.round == state.round and rep.checkee == state.checkee
         assert rep.reporter in state.members
         assert rep.reporter not in (state.checkee, state.id)
         key = (rep.round, state.id, rep.reporter)
         assert key not in tallied
         tallied.add(key)
-
-    def on_report(state, rep):
-        check_report(state, rep)
         calls["report"] += 1
         return report_handler(state, rep)
 
-    def on_settle(states, rep):
+    def on_settle(states, round_no, reports, agrees, missed, missed_agree):
+        sent = [agree for (r, _), agree in opinions.items() if r == round_no]
+        assert (reports, agrees) == (len(sent), sum(sent))
         for state in states:
-            check_report(state, rep)
-        calls["report"] += len(states)
-        return settle_handler(states, rep)
+            assert state.round == round_no and state.id in state.members
+            own = (round_no, state.id, state.id) in tallied
+            assert own <= missed.get(state.id, 0) <= reports
+            assert missed_agree.get(state.id, 0) <= min(agrees, missed.get(state.id, 0))
+            calls["report"] += reports - missed.get(state.id, 0)
+        concluded = settle_handler(states, round_no, reports, agrees, missed, missed_agree)
+        assert all(state.heard <= state.n_checkers for state in states)
+        return concluded
 
     challenge_handler = simnet.handle_check_request
     response_handler = simnet.handle_response
     report_handler = simnet.handle_report
-    settle_handler = simnet.settle_reports
+    settle_handler = simnet.settle_round
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simnet, "handle_check_request", on_challenge)
         mp.setattr(simnet, "handle_response", on_response)
         mp.setattr(simnet, "handle_report", on_report)
-        mp.setattr(simnet, "settle_reports", on_settle)
+        mp.setattr(simnet, "settle_round", on_settle)
         res = run_simulation(sc, seed=seed)
     # Every delivered message reached exactly one handler.
     assert sum(calls.values()) == res.counters.delivered
@@ -188,8 +198,8 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
 @SETTINGS
 @given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
 def test_untraced_runs_never_call_handle_report(sc, seed):
-    """Untraced, a report's on-time receivers are settled when it is sent and
-    its queued deliveries all land at or past the deadline, so late: every
+    """Untraced, no report is handed over: its queued deliveries all land at or
+    past the deadline, so late, and settle_round tallies the rest there. Every
     verdict is taken at the deadline and handle_report is traced-only."""
 
     def unreachable(state, rep):
@@ -220,6 +230,9 @@ ZERO_LATENCY = (_lossy_doc(6, 0, 2, 3, 0.2), 0)
 ON_THE_DEADLINE = (_lossy_doc(6, 2, 2, 6, 0.05), 0)
 PURGE = (_lossy_doc(7, 1, 4, 10, 0.05), 1)
 HALT_IN_FLIGHT = (_lossy_doc(5, 1, 4, 10, 0.05), 4)
+# Latency 0 to deadline - 1: reports land in time, on the deadline tick and
+# past it, and device 2 is excluded with deliveries to it still queued.
+TIGHT_DEADLINE = (_lossy_doc(7, 0, 4, 5, 0.05), 3)
 
 
 @SETTINGS
@@ -228,6 +241,7 @@ HALT_IN_FLIGHT = (_lossy_doc(5, 1, 4, 10, 0.05), 4)
 @example(sc=scenario_from_dict(ON_THE_DEADLINE[0]), seed=ON_THE_DEADLINE[1])
 @example(sc=scenario_from_dict(PURGE[0]), seed=PURGE[1])
 @example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
+@example(sc=scenario_from_dict(TIGHT_DEADLINE[0]), seed=TIGHT_DEADLINE[1])
 def test_untraced_engine_equals_traced_engine(sc, seed):
     untraced = run_simulation(sc, seed=seed)
     traced, _ = run_traced(sc, seed=seed)
@@ -237,6 +251,27 @@ def test_untraced_engine_equals_traced_engine(sc, seed):
     assert untraced.suspicion == traced.suspicion
     assert untraced.rounds_executed == traced.rounds_executed
     assert untraced.halt_reason == traced.halt_reason
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=scenario_from_dict(ZERO_LATENCY[0]), seed=ZERO_LATENCY[1])
+@example(sc=scenario_from_dict(ON_THE_DEADLINE[0]), seed=ON_THE_DEADLINE[1])
+@example(sc=scenario_from_dict(PURGE[0]), seed=PURGE[1])
+@example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
+@example(sc=scenario_from_dict(TIGHT_DEADLINE[0]), seed=TIGHT_DEADLINE[1])
+def test_untraced_engine_folds_the_traced_engines_verdicts(sc, seed):
+    """Each member's verdict, tally included, is the same whether its reports
+    are handed over one by one (traced) or tallied by their misses at the
+    deadline (untraced). Untraced, a round's verdicts are folded once per
+    split, so only the multisets are compared."""
+    _, untraced = run_logged(sc, seed=seed)
+    _, traced = run_logged(sc, seed=seed, trace=io.StringIO())
+
+    def view(log):
+        return Counter((i, v.round, v.checkee, v.outcome, v.tally) for i, v in log)
+
+    assert view(untraced) == view(traced)
 
 
 @SETTINGS
@@ -335,6 +370,15 @@ def test_differential_examples_show_their_case():
     assert purged.counters.purged > 0 and purged.halt_reason is None
     halted = run(HALT_IN_FLIGHT)
     assert halted.halt_reason is not None and halted.counters.in_flight > 0
+    tight, trace = run_traced(scenario_from_dict(TIGHT_DEADLINE[0]), seed=TIGHT_DEADLINE[1])
+    deadline = TIGHT_DEADLINE[0]["round_deadline"]
+    reports = [line.split() for line in trace if line.split()[2] == "REPORT"]
+    fates = Counter(
+        "in time" if f[-1] != "late=1" else "on" if int(f[0]) % deadline == 0 else "past"
+        for f in reports
+    )
+    assert min(fates["in time"], fates["on"], fates["past"]) > 0
+    assert tight.suspicion.excluded_at and tight.counters.purged > 0
 
 
 # Device 2 initiates with EVADE for its colluder 3, whose Trojan fires on

@@ -29,7 +29,7 @@ from collabtrust.protocol import (
     on_timeout,
     round_checkee,
     round_initiator,
-    settle_reports,
+    settle_round,
 )
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, routine_catalog
@@ -53,8 +53,7 @@ def make_device(device_id, profile=None, group=GROUP):
 def make_bench(round_no=0, profiles=None):
     profiles = profiles or {}
     states = {d: make_device(d, profiles.get(d)) for d in GROUP}
-    for state in states.values():
-        begin_round(state, round_no)
+    begin_round(list(states.values()), round_no)
     return states
 
 
@@ -268,12 +267,13 @@ def test_timeout_after_verdict_is_a_violation():
 def test_begin_round_resets_state():
     states = make_bench(round_no=0)
     handle_check_request(states[2], challenge_for())
-    begin_round(states[2], 1)
-    assert states[2].challenge is None
-    assert (states[2].heard, states[2].agree) == (0, 0)
-    assert states[2].checkee == 1
-    assert states[2].reference is None
-    assert not states[2].verdict_emitted
+    fill_reports(states[0], [(r, Opinion.AGREE) for r in (1, 2, 3, 4)])
+    begin_round(list(states.values()), 1)
+    for state in states.values():
+        assert state.round == 1 and state.checkee == 1
+        assert state.challenge is None and state.reference is None
+        assert (state.heard, state.agree) == (0, 0)
+        assert not state.verdict_emitted
 
 
 def test_checker_without_challenge_still_tallies_peer_reports():
@@ -288,38 +288,82 @@ def test_checker_without_challenge_still_tallies_peer_reports():
     assert state.challenge is None
 
 
+def _own_opinions(states, opinions):
+    """Have each reporter of `opinions` (reporter -> opinion) reach its own
+    opinion of checkee 0's answer, as handle_response counts it, and return
+    the reports they send."""
+    reports = []
+    for reporter, opinion in opinions.items():
+        state = states[reporter]
+        handle_check_request(state, challenge_for())
+        output = state.reference if opinion is Opinion.AGREE else state.reference + 1
+        rep = handle_response(state, Response(round=0, responder=0, output=output))
+        assert rep.opinion is opinion
+        reports.append(rep)
+    return reports
+
+
 @pytest.mark.parametrize(
     "agree, disagree", [(a, d) for a in range(5) for d in range(5 - a)]
 )
 def test_settled_reports_conclude_at_the_deadline_as_handled_ones_do(agree, disagree):
-    # Untraced runs settle a report's on-time receivers at send time and
-    # take every verdict at the deadline; traced runs call handle_report,
-    # which may conclude early. Both must reach the same verdict.
-    opinions = [Opinion.AGREE] * agree + [Opinion.DISAGREE] * disagree
-    reports = [
-        ComparisonReport(round=0, reporter=reporter, checkee=0, opinion=opinion)
-        for reporter, opinion in zip((1, 2, 3, 4), opinions)
-    ]
-    handled = make_bench(round_no=0)[0]
-    verdict = None
-    for rep in reports:
-        verdict = handle_report(handled, rep)
-    if verdict is None:
-        verdict = on_timeout(handled, 0)
+    # Untraced runs hand over no report: settle_round adds each member's
+    # reports less its misses at the deadline and concludes the group at
+    # once. Traced runs call handle_report per delivery, which may conclude
+    # early, and on_timeout per member. Both must reach the same verdicts.
+    opinions = dict(zip((1, 2, 3, 4), [Opinion.AGREE] * agree + [Opinion.DISAGREE] * disagree))
+    lost = max(opinions, default=None)  # the checkee misses the last report
 
-    settled = make_bench(round_no=0)[0]
-    for rep in reports:
-        settle_reports([settled], rep)
-    assert not settled.verdict_emitted
-    assert on_timeout(settled, 0) == verdict
-    assert (verdict.tally.agree, verdict.tally.disagree) == (agree, disagree)
+    handled = make_bench(round_no=0)
+    reports = _own_opinions(handled, opinions)
+    expected = {}
+    for d, state in handled.items():
+        verdict = None
+        for rep in reports:
+            if rep.reporter != d and (d, rep.reporter) != (0, lost):
+                verdict = handle_report(state, rep) or verdict
+        expected[d] = verdict or on_timeout(state, 0)
+
+    settled = make_bench(round_no=0)
+    _own_opinions(settled, opinions)
+    missed = Counter(opinions.keys())
+    missed_agree = Counter(r for r, o in opinions.items() if o is Opinion.AGREE)
+    if lost is not None:
+        missed[0] += 1
+        missed_agree[0] += opinions[lost] is Opinion.AGREE
+    concluded = settle_round(
+        list(settled.values()), 0, agree + disagree, agree, missed, missed_agree
+    )
+    got = {d: v for v, issuers in concluded for d in issuers}
+    assert got == expected
+    assert len(concluded) == len(set(expected.values()))
+    assert sorted(d for _, issuers in concluded for d in issuers) == list(GROUP)
+    assert all(issuers == sorted(issuers) for _, issuers in concluded)
+    assert all(s.verdict_emitted for s in settled.values())
+    tally = got[0].tally
+    assert (tally.agree + tally.disagree, tally.disagree) == (
+        agree + disagree - (lost is not None),
+        disagree - (lost is not None and opinions[lost] is Opinion.DISAGREE),
+    )
 
 
 def test_one_settle_call_tallies_each_receiver_once():
     states = make_bench(round_no=0)
-    receivers = [states[0], states[3], states[4]]
-    settle_reports(receivers, ComparisonReport(round=0, reporter=1, checkee=0, opinion=Opinion.AGREE))
-    settle_reports(receivers, ComparisonReport(round=0, reporter=2, checkee=0, opinion=Opinion.DISAGREE))
-    assert [(s.heard, s.agree) for s in receivers] == [(2, 1)] * 3
-    assert (states[1].heard, states[2].heard) == (0, 0)
-    assert not any(s.verdict_emitted for s in states.values())
+    _own_opinions(states, {1: Opinion.AGREE, 2: Opinion.DISAGREE})
+    # Each reporter misses its own report, which handle_response counted.
+    concluded = settle_round(list(states.values()), 0, 2, 1, {1: 1, 2: 1}, {1: 1})
+    assert [(s.heard, s.agree) for s in states.values()] == [(2, 1)] * 5
+    assert all(s.verdict_emitted for s in states.values())
+    assert [issuers for _, issuers in concluded] == [[0, 1, 2, 3, 4]]
+    with pytest.raises(ProtocolViolation):
+        settle_round(list(states.values()), 0, 0, 0, {}, {})
+
+
+def test_a_settle_call_returns_each_split_once_with_its_issuers_in_group_order():
+    states = make_bench(round_no=0)
+    # Devices 1 and 2 missed one of the two AGREE reports, devices 3 and 4 both.
+    missed = {1: 1, 2: 1, 3: 2, 4: 2}
+    concluded = settle_round(list(states.values()), 0, 2, 2, missed, missed)
+    splits = {(v.tally.agree, v.tally.disagree): issuers for v, issuers in concluded}
+    assert splits == {(2, 0): [0], (1, 0): [1, 2], (0, 0): [3, 4]}
+    assert {(v.round, v.checkee) for v, _ in concluded} == {(0, 0)}
