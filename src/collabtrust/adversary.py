@@ -68,7 +68,7 @@ class TrojanModel:
 
     def __post_init__(self):
         if self.operand_index < 0:
-            raise ContractError(f"operand_index must be >= 0, got {self.operand_index}")
+            raise ContractError(f"trigger index must be >= 0, got {self.operand_index}")
         if self.mask < 0 or self.match < 0:
             raise ContractError("trigger mask and match must be non-negative")
         if self.match & ~self.mask:

@@ -30,7 +30,7 @@ class OutputError(Exception):
 
 
 class UsageError(Exception):
-    """The command line does not parse."""
+    """The command line does not parse, or its options conflict."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,9 +203,12 @@ def _fold_forked(scenario: Scenario, base_seed: int, workers: int) -> Report:
 
 
 def _cmd_run(args) -> int:
+    path = args.trace
+    if path is not None and args.out is not None:
+        if os.path.realpath(path) == os.path.realpath(args.out):
+            raise UsageError(f"--out and --trace name the same file: {args.out}")
     scenario = scenario_from_dict(read_scenario_doc(args.scenario))
     base_seed = scenario.seed if args.seed is None else args.seed
-    path = args.trace
     if path is None:
         report = _run_repetitions(scenario, base_seed)
     else:

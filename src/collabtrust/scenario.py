@@ -1,21 +1,21 @@
 """Scenario documents: the JSON surface that configures a run.
 
-A document's keys are the init fields of the dataclasses it builds
-(Scenario, NetworkModel, EnergyModel, RoutineSpec), and a key it leaves
-out keeps its field's default, so `Scenario()` is the empty document: the
-five-device vignette, population 5, group 5, 25 rounds, lossless network,
-all devices honest. Only adversary entries have keys of their own. Unknown
-keys and constraint violations are load-time errors that name the
+`_build` reads every object in a document: its keys are the parameters of
+what it builds (Scenario, NetworkModel, EnergyModel, RoutineSpec, and
+`_adversary` for an adversaries entry), and a key left out keeps its
+default, so `Scenario()` is the empty document: the five-device vignette,
+population 5, group 5, 25 rounds, lossless network, all devices honest.
+Unknown keys and constraint violations are load-time errors that name the
 offending path; a validated scenario never fails at run time.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
+import inspect
 import json
-from collections.abc import Collection
 from dataclasses import dataclass, field
+from enum import Enum
 
 from .adversary import (
     AdversaryProfile,
@@ -158,28 +158,6 @@ class Scenario:
         object.__setattr__(self, "plan", RunPlan(self))
 
 
-_ADVERSARY_KEYS = {
-    "device",
-    "fault",
-    "trigger",
-    "payload",
-    "reporting",
-    "targets",
-    "p",
-    "initiator_policy",
-}
-_TRIGGER_KEYS = {"index", "mask", "match"}
-_PAYLOAD_KEYS = {"kind", "value"}
-
-
-def _require_keys(obj: dict, allowed: Collection[str], path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            # repr() keeps a key with a line break or control character on one line.
-            name = key if isinstance(key, str) and key.isprintable() else repr(key)
-            raise ScenarioError(f"{path}{name}: unknown key")
-
-
 def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: expected an integer, got {value!r}")
@@ -214,37 +192,44 @@ def _tuple_of(parse):
     return parse_list
 
 
-def _build(cls, obj, path: str, **parsers):
-    """A `cls` from the JSON object `obj` at `path`; its keys are `cls`'s init fields.
+# One signature takes tens of microseconds, and a document may list thousands of entries.
+_signature = functools.cache(inspect.signature)
 
-    A key the object leaves out keeps its field's default; a field without
-    one is a required key. A present key is read by its parser in
-    `parsers`, called with the value and the key's path, or else as a number
-    when its field's default is a float and as an integer otherwise. A
-    ContractError from `cls` is reported at `path`.
+
+def _build(make, obj, path: str, **parsers):
+    """`make(**keys)` from the JSON object `obj` at `path`; its keys are `make`'s parameters.
+
+    A key the object leaves out keeps its parameter's default; a parameter
+    without one is a required key. A present key is read by its parser in
+    `parsers` (called with the value and the key's path), else by its
+    default's type: an Enum member's Enum, a number for a float, an integer
+    otherwise. A ContractError from `make` is reported at `path`.
     """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
     prefix = f"{path}." if path else ""
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
-    _require_keys(obj, fields, prefix)
-    required = [
-        name
-        for name, f in fields.items()
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    ]
+    params = _signature(make).parameters
+    for key in obj:
+        if key not in params:
+            # repr() keeps a key with a line break or control character on one line.
+            name = key if isinstance(key, str) and key.isprintable() else repr(key)
+            raise ScenarioError(f"{prefix}{name}: unknown key")
+    required = [name for name, param in params.items() if param.default is param.empty]
     if not obj.keys() >= set(required):
         raise ScenarioError(f"{path}: entries need {' and '.join(map(repr, required))}")
     kwargs = {}
     for key, value in obj.items():
+        default = params[key].default
         if key in parsers:
             kwargs[key] = parsers[key](value, prefix + key)
-        elif isinstance(fields[key].default, float):
+        elif isinstance(default, Enum):
+            kwargs[key] = _enum(type(default), value, prefix + key)
+        elif isinstance(default, float):
             kwargs[key] = _number(value, prefix + key)
         else:
             kwargs[key] = _int(value, prefix + key)
     try:
-        return cls(**kwargs)
+        return make(**kwargs)
     except ContractError as exc:
         raise ScenarioError(f"{path}: {exc}") from None
 
@@ -253,80 +238,65 @@ _kind = functools.partial(_enum, Kind)
 _parse_routine = functools.partial(_build, RoutineSpec, kind=_kind, steps=_tuple_of(_kind))
 
 
-def _parse_adversary(obj, path: str) -> tuple[int, AdversaryProfile]:
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{path}: expected an object")
-    _require_keys(obj, _ADVERSARY_KEYS, f"{path}.")
-    if "device" not in obj:
-        raise ScenarioError(f"{path}: adversary entries need 'device'")
-    device = _int(obj["device"], f"{path}.device")
-    fault = _enum(FaultKind, obj.get("fault", "HONEST"), f"{path}.fault")
-    reporting = _enum(ReportingKind, obj.get("reporting", "HONEST"), f"{path}.reporting")
-    policy = _enum(
-        InitiatorKind, obj.get("initiator_policy", "HONEST"), f"{path}.initiator_policy"
-    )
+def _trigger(index=0, mask=0, match=0):
+    return index, mask, match
 
+
+def _payload(kind, value=None):
+    return kind, value
+
+
+def _adversary(
+    device,
+    fault=FaultKind.HONEST,
+    trigger=None,
+    payload=None,
+    reporting=ReportingKind.HONEST,
+    targets=(),
+    p=None,
+    initiator_policy=InitiatorKind.HONEST,
+) -> tuple[int, AdversaryProfile]:
+    """An adversaries entry: its device and profile, by the rules that span its keys."""
     trojan = None
     if fault is FaultKind.TROJAN:
-        trig = obj.get("trigger")
-        if not isinstance(trig, dict):
-            raise ScenarioError(f"{path}.trigger: required for TROJAN fault")
-        _require_keys(trig, _TRIGGER_KEYS, f"{path}.trigger.")
-        pay = obj.get("payload")
-        if not isinstance(pay, dict):
-            raise ScenarioError(f"{path}.payload: required for TROJAN fault")
-        _require_keys(pay, _PAYLOAD_KEYS, f"{path}.payload.")
-        payload_kind = _enum(PayloadKind, pay.get("kind"), f"{path}.payload.kind")
-        payload_value = _int(pay.get("value", 0), f"{path}.payload.value")
-        if payload_kind is not PayloadKind.COMPLEMENT and "value" not in pay:
-            raise ScenarioError(f"{path}.payload.value: required for {payload_kind.value}")
-        try:
-            trojan = TrojanModel(
-                operand_index=_int(trig.get("index", 0), f"{path}.trigger.index"),
-                mask=_int(trig.get("mask", 0), f"{path}.trigger.mask"),
-                match=_int(trig.get("match", 0), f"{path}.trigger.match"),
-                payload=payload_kind,
-                payload_value=payload_value,
-            )
-        except ContractError as exc:
-            raise ScenarioError(f"{path}.trigger: {exc}") from None
-    elif "trigger" in obj or "payload" in obj:
-        raise ScenarioError(f"{path}: trigger/payload only apply to TROJAN fault")
-
-    targets_raw = obj.get("targets", [])
-    if not isinstance(targets_raw, list):
-        raise ScenarioError(f"{path}.targets: expected a list")
-    targets = []
-    for i, target in enumerate(targets_raw):
-        if isinstance(target, bool) or not isinstance(target, int):
-            raise ScenarioError(f"{path}.targets[{i}]: expected an integer")
-        targets.append(target)
-    needs_targets = (
-        reporting in (ReportingKind.FRAME, ReportingKind.SHIELD)
-        or policy is InitiatorKind.EVADE
+        if trigger is None:
+            raise ContractError("trigger: required for TROJAN fault")
+        if payload is None:
+            raise ContractError("payload: required for TROJAN fault")
+        kind, value = payload
+        if value is None and kind is not PayloadKind.COMPLEMENT:
+            raise ContractError(f"payload.value: required for {kind.value}")
+        trojan = TrojanModel(*trigger, payload=kind, payload_value=value or 0)
+    elif trigger is not None or payload is not None:
+        key = "trigger" if trigger is not None else "payload"
+        raise ContractError(f"{key}: only applies to TROJAN fault")
+    if not targets:
+        if reporting in (ReportingKind.FRAME, ReportingKind.SHIELD):
+            raise ContractError(f"targets: required for {reporting.value} reporting")
+        if initiator_policy is InitiatorKind.EVADE:
+            raise ContractError("targets: required for EVADE initiator_policy")
+    if reporting is ReportingKind.RANDOM and p is None:
+        raise ContractError("p: required for RANDOM reporting")
+    if reporting is not ReportingKind.RANDOM and p is not None:
+        raise ContractError("p: only applies to RANDOM reporting")
+    return device, AdversaryProfile(
+        fault=fault,
+        trojan=trojan,
+        reporting=reporting,
+        targets=frozenset(targets),
+        flip_probability=0.0 if p is None else p,
+        initiator_policy=initiator_policy,
     )
-    if needs_targets and not targets:
-        raise ScenarioError(f"{path}.targets: required for {reporting.value}/{policy.value}")
 
-    p = _number(obj.get("p", 0.0), f"{path}.p")
-    if reporting is ReportingKind.RANDOM:
-        if "p" not in obj:
-            raise ScenarioError(f"{path}.p: required for RANDOM reporting")
-    elif "p" in obj:
-        raise ScenarioError(f"{path}.p: only applies to RANDOM reporting")
 
-    try:
-        profile = AdversaryProfile(
-            fault=fault,
-            trojan=trojan,
-            reporting=reporting,
-            targets=frozenset(targets),
-            flip_probability=p,
-            initiator_policy=policy,
-        )
-    except ContractError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-    return device, profile
+_parse_adversary = functools.partial(
+    _build,
+    _adversary,
+    trigger=functools.partial(_build, _trigger),
+    payload=functools.partial(_build, _payload, kind=functools.partial(_enum, PayloadKind)),
+    targets=_tuple_of(_int),
+    p=_number,
+)
 
 
 def scenario_from_dict(doc: dict) -> Scenario:

@@ -135,6 +135,23 @@ def test_unwritable_trace_exits_1_with_one_line(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("spelling", ("same", "dotted"))
+def test_out_equal_to_trace_exits_1_before_running(tmp_path, capsys, monkeypatch, spelling):
+    # The report would overwrite the trace; the run must not start at all.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "both.txt"
+    other = target if spelling == "same" else tmp_path / "." / "sub" / ".." / "both.txt"
+    assert run_cli("run", "--scenario", HONEST, "--out", str(target), "--trace", str(other)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--out" in err and "--trace" in err
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import pathlib
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collabtrust.adversary import FaultKind, InitiatorKind, ReportingKind
+from collabtrust.adversary import (
+    HONEST_PROFILE,
+    FaultKind,
+    InitiatorKind,
+    PayloadKind,
+    ReportingKind,
+)
 from collabtrust.errors import ScenarioError
 from collabtrust.routines import Kind, RoutineSpec
 from collabtrust.scenario import Scenario, load_scenario, parse_scenario, scenario_from_dict
@@ -233,6 +240,66 @@ def test_reporting_without_targets_rejected():
     # honest reporting needs none
     sc = parse_scenario('{"adversaries": [{"device": 1, "reporting": "HONEST"}]}')
     assert dict(sc.adversaries)[1].reporting is ReportingKind.HONEST
+
+
+_TRIGGER = {"index": 0, "mask": 1, "match": 1}
+
+
+# One entry per rule of an adversaries entry, placed second in the list, with
+# the key its diagnostic must name.
+@pytest.mark.parametrize(
+    "entry,key",
+    [
+        ({"device": 1, "fault": "TROJAN", "payload": {"kind": "COMPLEMENT"}}, "trigger"),
+        ({"device": 1, "fault": "TROJAN", "trigger": _TRIGGER}, "payload"),
+        ({"device": 1, "fault": "TROJAN", "trigger": _TRIGGER, "payload": {"kind": "XOR"}}, "value"),
+        ({"device": 1, "fault": "TROJAN", "trigger": _TRIGGER, "payload": {"kind": "CONST"}}, "value"),
+        ({"device": 1, "fault": "TROJAN", "trigger": _TRIGGER, "payload": {"value": 1}}, "kind"),
+        ({"device": 1, "trigger": _TRIGGER}, "trigger"),
+        ({"device": 1, "fault": "ALWAYS_WRONG", "payload": {"kind": "COMPLEMENT"}}, "payload"),
+        ({"device": 1, "reporting": "FRAME"}, "targets"),
+        ({"device": 1, "reporting": "SHIELD"}, "targets"),
+        ({"device": 1, "initiator_policy": "EVADE"}, "targets"),
+        ({"device": 1, "reporting": "RANDOM"}, "p"),
+        ({"device": 1, "p": 0.5}, "p"),
+        ({"device": 1, "fault": "TROJAN", "trigger": {**_TRIGGER, "when": 1},
+          "payload": {"kind": "COMPLEMENT"}}, "when"),
+        ({"fault": "ALWAYS_WRONG"}, "device"),
+    ],
+    ids=[
+        "trojan-without-trigger", "trojan-without-payload", "xor-without-value",
+        "const-without-value", "payload-without-kind", "trigger-without-trojan",
+        "payload-without-trojan", "frame-without-targets", "shield-without-targets",
+        "evade-without-targets", "random-without-p", "p-without-random",
+        "unknown-trigger-key", "no-device",
+    ],
+)
+def test_each_adversary_rule_names_its_entry_and_key(entry, key):
+    with pytest.raises(ScenarioError) as exc:
+        scenario_from_dict({"adversaries": [{"device": 0}, entry]})
+    message = str(exc.value)
+    assert message.startswith("adversaries[1]")
+    assert re.search(rf"\b{key}\b", message), message
+    assert "\n" not in message
+
+
+def test_missing_targets_names_only_the_policy_that_needs_them():
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario('{"adversaries": [{"device": 1, "reporting": "FRAME"}]}')
+    assert "FRAME" in str(exc.value) and "HONEST" not in str(exc.value)
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario('{"adversaries": [{"device": 1, "initiator_policy": "EVADE"}]}')
+    assert "EVADE" in str(exc.value) and "HONEST" not in str(exc.value)
+
+
+def test_bare_and_complement_entries_load():
+    sc = parse_scenario('{"adversaries": [{"device": 1}]}')
+    assert sc.adversaries == ((1, HONEST_PROFILE),)
+    doc = {"adversaries": [{"device": 1, "fault": "TROJAN", "trigger": _TRIGGER,
+                            "payload": {"kind": "COMPLEMENT"}}]}
+    trojan = scenario_from_dict(doc).adversaries[0][1].trojan
+    assert (trojan.payload, trojan.payload_value) == (PayloadKind.COMPLEMENT, 0)
+    assert (trojan.operand_index, trojan.mask, trojan.match) == (0, 1, 1)
 
 
 # Scenario-loader fuzz: valid documents with a few slots replaced by any
