@@ -77,8 +77,8 @@ def _fold_runs(
 
     Each run is folded in as soon as it ends and then dropped, so memory
     does not grow with `repetitions`. With `trace` given, each run writes
-    its trace lines there as its events happen, under a `REP k seed=S`
-    header when the scenario has several.
+    its trace lines there round by round, under a `REP k seed=S` header
+    when the scenario has several.
     """
     total = Report(scenario)
     for rep in reps:

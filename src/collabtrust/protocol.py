@@ -20,13 +20,17 @@ in the scenario's one table. Each message names its round once, in `round`.
 Handlers are plain transitions (state, message) -> (state, message or None):
 a device sends each message to its whole group, and the event loop fans it
 out to the sender's peers, charges all energy and alone decides each
-message's fate. It drops, delays and counts as late every off-round or
-non-member delivery, so handlers see only on-round messages between current
-group members, each exactly once. Untraced, no report is handed over: at
-the deadline one settle_round call adds to every member's tally the round's
-reports less the ones it missed, and concludes the whole group. The one
-ordering the handlers handle is a response that overtakes its challenge:
-it is parked until the challenge arrives.
+message's fate. It drops, delays and counts as late every copy that lands
+after its round, fixed at send: a copy that lands in time goes to a current
+group member, since groups change only at round starts. So handlers see
+only on-round messages between current group members, each exactly once.
+No report is handed to a handler. Traced, the event loop adds each report
+that lands in time to its receiver's two counts and calls conclude once the
+tally is complete. Untraced, at the deadline one settle_round call adds to
+every member's tally the round's reports less the ones it missed, and
+concludes the whole group. The one ordering the handlers handle is a
+response that overtakes its challenge: it is parked until the challenge
+arrives.
 """
 
 from __future__ import annotations
@@ -229,25 +233,11 @@ def handle_response(state: DeviceState, r: Response) -> ComparisonReport | None:
     return ComparisonReport(r.round, state.id, state.checkee, opinion)
 
 
-def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
-    """Tally a peer's opinion; conclude once every expected opinion is in.
-
-    Devices that missed the challenge still tally: the round's checkee is
-    known from the schedule, and the event loop hands over only this
-    round's reports from the other checkers.
-    """
-    state.heard += 1
-    state.agree += rep.opinion is Opinion.AGREE
-    if state.heard < state.n_checkers:
-        return None
-    return _conclude(state)
-
-
 def on_timeout(state: DeviceState, round_no: int) -> Verdict:
     """Round deadline: conclude from the partial tally, missing = abstention."""
     if state.round != round_no or state.verdict_emitted:
         raise _not_pending(state, round_no)
-    return _conclude(state)
+    return conclude(state)
 
 
 def settle_round(
@@ -292,7 +282,8 @@ def _not_pending(state: DeviceState, round_no: int) -> ProtocolViolation:
     )
 
 
-def _conclude(state: DeviceState) -> Verdict:
+def conclude(state: DeviceState) -> Verdict:
+    """The verdict of the device's tally as it stands; missing opinions abstain."""
     assert state.round is not None and state.checkee is not None
     tally, outcome = state.verdicts[state.agree, state.heard - state.agree]
     state.verdict_emitted = True

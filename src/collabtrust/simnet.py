@@ -14,11 +14,14 @@ words as it sends; no other code reads them.
 A group is the tuple of its members in draw order, on both paths: the
 checkee of round r is member r mod N, the initiator the member after it,
 and every verdict is looked up in the scenario's verdict table. Each
-message names its round once; a delivery is late when that round is over
-or the receiver has left the group.
+message names its round once. A copy is late when it lands at or after the
+end of the round it was sent in, so its fate is fixed at send: groups change
+only at round starts, and a member sends only to its current peers, so a
+copy that lands in time always goes to a member.
 
 A run given a trace stream goes through the event engine, which writes
-each trace line there as its event happens. Untraced, a report triggers no
+each round's trace lines there in one piece at its deadline, and tallies
+each report copy that lands in time itself. Untraced, a report triggers no
 send, so the engine hands none over: it records only who misses each one
 (a receiver whose copy is dropped or lands at or after the round's end, and
 the sender), and at the deadline one protocol.settle_round call adds to
@@ -101,8 +104,8 @@ from .protocol import (
     Message,
     Response,
     begin_round,
+    conclude,
     handle_check_request,
-    handle_report,
     handle_response,
     on_round_start,
     on_timeout,
@@ -587,17 +590,22 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     2r + 1, so at any tick the timers fire before its deliveries, which
     number from 2 * rounds in send order (a drop takes none). Each tick's
     deliveries sit in one list in seq order; a heap holds only the ticks
-    that have one. Each trace line goes to `trace` as its event happens. A
-    delivery's line is fixed when its message is sent, from text built once
-    per fan-out, and waits in its bucket entry (None when untraced); at
-    delivery only ` late=1` may be appended. With no trace, a report is
-    tallied by its misses: the sender and each receiver whose copy is dropped
-    or lands at or after the round's end miss it. A copy that lands in time
-    takes its seq but is not queued; a late one is queued, so it lands late
-    and handle_report runs only traced. At the deadline settle_round tallies
-    and concludes the whole group, each of its verdicts is folded once for
-    all its issuers, and each member is charged the receptions of the
-    reports it did not miss.
+    that have one. A copy is late exactly when it lands at or after
+    (current_round + 1) * deadline, so dispatch_sends decides it: a late
+    copy's entry carries no message (None), and at delivery it is only
+    counted and charged. A delivery's trace line, ` late=1` included, is
+    fixed when its message is sent, from text built once per fan-out, and
+    waits in its bucket entry (None when untraced). Trace lines collect in
+    a list that is written in one piece at each round's deadline, and at a
+    halt or an error. Traced, a report copy that lands in time is tallied
+    in the delivery loop, which concludes its receiver once it has heard
+    every checker. With no trace, a report is tallied by its misses: the
+    sender and each receiver whose copy is dropped or late miss it. A copy
+    that lands in time takes its seq but is not queued, so no report is
+    tallied in the loop. At the deadline settle_round tallies and concludes
+    the whole group, each of its verdicts is folded once for all its
+    issuers, and each member is charged the receptions of the reports it
+    did not miss.
     """
     seed = res.seed
     counters = res.counters
@@ -619,12 +627,15 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     limit = (1 << 64) - (1 << 64) % span
     deadline = sc.round_deadline
     last_round = sc.rounds - 1
-    # tick -> its deliveries as (seq, message, sender, receiver, trace line or None)
-    buckets: dict[int, list[tuple[int, Message, int, int, str | None]]] = {}
+    # tick -> its deliveries as (seq, message or None if late, sender,
+    # receiver, trace line or None)
+    buckets: dict[int, list[tuple[int, Message | None, int, int, str | None]]] = {}
     ticks: list[int] = []
     next_seq = 2 * sc.rounds
 
-    write = None if trace is None else trace.write
+    # Traced runs: the current round's trace lines, written at its deadline.
+    lines: list[str] | None = None if trace is None else []
+    emit = None if lines is None else lines.append
     verdict_texts: dict[tuple[int, int], str] = {}  # traced runs: VERDICT text by split
     group_text = ""  # traced runs: the group's members, as ROUND_START shows them
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
@@ -635,8 +646,8 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     disagree_misses: list[int] = []
     group: tuple[int, ...] | None = None
     group_states: tuple[DeviceState, ...] = ()
-    member_set: frozenset[int] = frozenset()
     current_round = -1
+    AGREE = Opinion.AGREE
 
     def dispatch_sends(frm: int, msg: Message, now: int) -> None:
         nonlocal next_seq, reports, agrees
@@ -646,22 +657,26 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         counters.sent += n
         usage[frm].sent += n
         seq = next_seq
+        # A copy landing at or after the round's end is late: it is queued
+        # without its message, and its trace line already says late=1.
+        late_at = (current_round + 1) * deadline
         miss = None
-        settle_by = -1
-        if write is None and type(msg) is ComparisonReport:
-            # Untraced, a report is tallied at the deadline by what each
-            # member missed: dropped, at or past the round's end, or its own.
-            reports += 1
-            if msg.opinion is Opinion.AGREE:
-                agrees += 1
-                miss = agree_misses.append
-            else:
-                miss = disagree_misses.append
-            miss(frm)
-            settle_by = (current_round + 1) * deadline
-        line = None
-        if write is not None:
+        if emit is None:
+            head = tail = late_tail = None
+            if type(msg) is ComparisonReport:
+                # Untraced, a report is tallied at the deadline by what each
+                # member missed: dropped, late, or its own. A copy in time
+                # takes its seq but is not queued.
+                reports += 1
+                if msg.opinion is AGREE:
+                    agrees += 1
+                    miss = agree_misses.append
+                else:
+                    miss = disagree_misses.append
+                miss(frm)
+        else:
             head, tail = _trace_text(msg, frm)
+            late_tail = tail[:-1] + " late=1\n"
         soonest = now + lo
         for to in peers:
             if drop_cut and next(words) < drop_cut:
@@ -674,16 +689,21 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 while (z := next(words)) >= limit:
                     pass
                 at = soonest + z % span
-            if at >= settle_by:
+            if at >= late_at:
                 if miss:
                     miss(to)
-                bucket = buckets.get(at)
-                if bucket is None:
-                    bucket = buckets[at] = []
-                    heappush(ticks, at)
-                if write is not None:
-                    line = f"{at} {seq}{head}{to}{tail}"
-                bucket.append((seq, msg, frm, to, line))
+                body, text = None, late_tail
+            elif miss:
+                seq += 1
+                continue
+            else:
+                body, text = msg, tail
+            bucket = buckets.get(at)
+            if bucket is None:
+                bucket = buckets[at] = []
+                heappush(ticks, at)
+            line = None if text is None else f"{at} {seq}{head}{to}{text}"
+            bucket.append((seq, body, frm, to, line))
             seq += 1
         counters.dropped += n - (seq - next_seq)  # a drop takes no seq
         next_seq = seq
@@ -693,7 +713,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         stats.fold(v, (issuer,), profiles)
         if flagged is None and v.outcome is Outcome.FLAGGED:
             flagged = v
-        if write is not None:
+        if emit is not None:
             ta = v.tally
             split = ta.agree, ta.disagree
             text = verdict_texts.get(split)
@@ -702,124 +722,134 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
                     f" missing={ta.missing}\n"
                 )
-            write(f"{t} {seq} VERDICT {issuer} - round={v.round} checkee={v.checkee}{text}")
+            emit(f"{t} {seq} VERDICT {issuer} - round={v.round} checkee={v.checkee}{text}")
+
+    def flush() -> None:
+        text = "".join(lines)
+        lines.clear()
+        trace.write(text)
 
     timer = 0  # seq of the next round timer
-    while True:
-        timer_at = ((timer + 1) >> 1) * deadline
-        if ticks and ticks[0] < timer_at:
-            t = heappop(ticks)
-            # A zero-latency send appends to this very bucket; the loop
-            # reaches it, since list iteration runs to the current end.
-            for seq, msg, frm, to, line in buckets[t]:
-                usage[to].received += 1
-                late = msg.round != current_round or to not in member_set
-                if line is not None:
-                    write(line[:-1] + " late=1\n" if late else line)
-                if late:
-                    counters.late += 1
-                    continue
-                counters.delivered += 1
-                state = states[to]
-                kind = type(msg)
-                if kind is ComparisonReport:
-                    maybe = handle_report(state, msg)
-                    if maybe is not None:
-                        record_verdict(to, maybe, t, seq)
-                elif kind is Challenge:
-                    usage[to].ops += msg.spec.op_count
-                    if (out := handle_check_request(state, msg)) is not None:
+    try:
+        while True:
+            timer_at = ((timer + 1) >> 1) * deadline
+            if ticks and ticks[0] < timer_at:
+                t = heappop(ticks)
+                # A zero-latency send appends to this very bucket; the loop
+                # reaches it, since list iteration runs to the current end.
+                for seq, msg, frm, to, line in buckets[t]:
+                    usage[to].received += 1
+                    if line is not None:
+                        emit(line)
+                    if msg is None:
+                        counters.late += 1
+                        continue
+                    counters.delivered += 1
+                    state = states[to]
+                    kind = type(msg)
+                    if kind is ComparisonReport:
+                        # Only traced runs queue a report copy that lands in time.
+                        state.heard += 1
+                        state.agree += msg.opinion is AGREE
+                        if state.heard == state.n_checkers:
+                            record_verdict(to, conclude(state), t, seq)
+                    elif kind is Challenge:
+                        usage[to].ops += msg.spec.op_count
+                        if (out := handle_check_request(state, msg)) is not None:
+                            dispatch_sends(to, out, t)
+                    elif (out := handle_response(state, msg)) is not None:
                         dispatch_sends(to, out, t)
-                elif (out := handle_response(state, msg)) is not None:
-                    dispatch_sends(to, out, t)
-            del buckets[t]
-            continue
+                del buckets[t]
+                continue
 
-        t, seq, r = timer_at, timer, timer >> 1
-        timer += 1
-        if not seq & 1:  # round r starts
-            try:
-                new_group = _next_group(group, r, sc, suspicion, rng_group)
-            except GroupFormationError as exc:
-                res.halt_reason = str(exc)
-                if write is not None:
-                    write(f"{t} {seq} HALT - - reason={res.halt_reason!r}\n")
-                break
-            if new_group is not group:
-                group = new_group
-                member_set = frozenset(group)
+            t, seq, r = timer_at, timer, timer >> 1
+            timer += 1
+            if not seq & 1:  # round r starts
+                try:
+                    new_group = _next_group(group, r, sc, suspicion, rng_group)
+                except GroupFormationError as exc:
+                    res.halt_reason = str(exc)
+                    if emit is not None:
+                        emit(f"{t} {seq} HALT - - reason={res.halt_reason!r}\n")
+                    break
+                if new_group is not group:
+                    group = new_group
+                    for m in group:
+                        state = states.get(m)
+                        if state is None:
+                            profile = profiles.get(m, HONEST_PROFILE)
+                            random = profile.reporting is ReportingKind.RANDOM
+                            state = states[m] = DeviceState(
+                                device_id=m,
+                                profile=profile,
+                                routine_order=routine_order,
+                                rng=report_stream(seed, m) if random else None,
+                                verdicts=sc.plan.verdicts,
+                                colluder_trojans=sc.plan.evader_trojans.get(m),
+                            )
+                        state.join(group)
+                    group_states = tuple(states[m] for m in group)
+                    if emit is not None:
+                        group_text = ",".join(map(str, group))
+                current_round = r
+                flagged = None
+                begin_round(group_states, r)
+                initiator = round_initiator(group, r)
+                if emit is not None:
+                    spec = routine_order[r % len(routine_order)]
+                    emit(
+                        f"{t} {seq} ROUND_START - - round={r} group={group_text}"
+                        f" checkee={round_checkee(group, r)} initiator={initiator}"
+                        f" routine={spec.id}\n"
+                    )
+                ch = on_round_start(states[initiator], r, seed)
+                usage[initiator].ops += ch.spec.op_count
+                dispatch_sends(initiator, ch, t)
+                res.rounds_executed = r + 1
+                continue
+
+            # Round r's deadline.
+            if emit is None:
+                missed = Counter(agree_misses)
+                missed_agree = missed.copy()
+                missed.update(disagree_misses)
+                for v, issuers in settle_round(group_states, r, reports, agrees, missed, missed_agree):
+                    stats.fold(v, issuers, profiles)
+                    if flagged is None and v.outcome is Outcome.FLAGGED:
+                        flagged = v
+                # Each member received in time every report it did not miss.
                 for m in group:
-                    state = states.get(m)
-                    if state is None:
-                        profile = profiles.get(m, HONEST_PROFILE)
-                        random = profile.reporting is ReportingKind.RANDOM
-                        state = states[m] = DeviceState(
-                            device_id=m,
-                            profile=profile,
-                            routine_order=routine_order,
-                            rng=report_stream(seed, m) if random else None,
-                            verdicts=sc.plan.verdicts,
-                            colluder_trojans=sc.plan.evader_trojans.get(m),
-                        )
-                    state.join(group)
-                group_states = tuple(states[m] for m in group)
-                if write is not None:
-                    group_text = ",".join(map(str, group))
-            current_round = r
-            flagged = None
-            begin_round(group_states, r)
-            initiator = round_initiator(group, r)
-            if write is not None:
-                spec = routine_order[r % len(routine_order)]
-                write(
-                    f"{t} {seq} ROUND_START - - round={r} group={group_text}"
-                    f" checkee={round_checkee(group, r)} initiator={initiator}"
-                    f" routine={spec.id}\n"
-                )
-            ch = on_round_start(states[initiator], r, seed)
-            usage[initiator].ops += ch.spec.op_count
-            dispatch_sends(initiator, ch, t)
-            res.rounds_executed = r + 1
-            continue
-
-        # Round r's deadline.
-        if write is None:
-            missed = Counter(agree_misses)
-            missed_agree = missed.copy()
-            missed.update(disagree_misses)
-            for v, issuers in settle_round(group_states, r, reports, agrees, missed, missed_agree):
-                stats.fold(v, issuers, profiles)
-                if flagged is None and v.outcome is Outcome.FLAGGED:
-                    flagged = v
-            # Each member received in time every report it did not miss.
-            for m in group:
-                if heard := reports - missed.get(m, 0):
-                    usage[m].received += heard
-            counters.delivered += reports * len(group) - missed.total()
-            reports = agrees = 0
-            agree_misses.clear()
-            disagree_misses.clear()
-        else:
-            for m in group:
-                state = states[m]
-                if not state.verdict_emitted:
-                    record_verdict(m, on_timeout(state, r), t, seq)
-        if flagged is not None:
-            # One suspicion update per round: any device's FLAGGED
-            # verdict marks the round against the checkee.
-            update_suspicion(suspicion, flagged)
-            checkee = flagged.checkee
-            if suspicion.is_excluded(checkee):
-                for at, bucket in buckets.items():
-                    keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]
-                    purged = len(bucket) - len(keep)
-                    counters.late += purged
-                    counters.purged += purged
-                    buckets[at] = keep
-        if write is not None:
-            write(f"{t} {seq} ROUND_DEADLINE - - round={r}\n")
-        if r == last_round:
-            break
+                    if heard := reports - missed.get(m, 0):
+                        usage[m].received += heard
+                counters.delivered += reports * len(group) - missed.total()
+                reports = agrees = 0
+                agree_misses.clear()
+                disagree_misses.clear()
+            else:
+                for m in group:
+                    state = states[m]
+                    if not state.verdict_emitted:
+                        record_verdict(m, on_timeout(state, r), t, seq)
+            if flagged is not None:
+                # One suspicion update per round: any device's FLAGGED
+                # verdict marks the round against the checkee.
+                update_suspicion(suspicion, flagged)
+                checkee = flagged.checkee
+                if suspicion.is_excluded(checkee):
+                    for at, bucket in buckets.items():
+                        keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]
+                        purged = len(bucket) - len(keep)
+                        counters.late += purged
+                        counters.purged += purged
+                        buckets[at] = keep
+            if emit is not None:
+                emit(f"{t} {seq} ROUND_DEADLINE - - round={r}\n")
+                flush()
+            if r == last_round:
+                break
+    finally:
+        if lines:
+            flush()
 
     counters.in_flight = sum(len(b) for b in buckets.values())
 
@@ -830,7 +860,7 @@ def run_simulation(
     """One deterministic run of a validated scenario at `seed` (default: its own).
 
     With a `trace` text stream the run goes through the event engine, which
-    writes each trace line there as its event happens. Without one, a
+    writes each round's trace lines there at its deadline. Without one, a
     latency-free run takes the tally kernel and any other the engine.
     """
     seed = (scenario.seed if seed is None else seed) & MASK64

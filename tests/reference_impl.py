@@ -22,6 +22,10 @@ None of this runs in the simulator:
   line, formatted whole for each line, as the engine once did at each
   delivery. The engine now builds a message's text once per fan-out and
   fixes each delivery's line when it is sent; the lines must not change.
+- `handle_report`: a peer's report handed to a device's tally, concluding
+  once every expected opinion is in, as the protocol once did for each
+  delivered report. The traced event loop now moves the two counts itself,
+  and untraced runs settle each round's reports at its deadline.
 """
 
 from __future__ import annotations
@@ -31,10 +35,17 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from collabtrust.adversary import AdversaryProfile
+from collabtrust.adversary import AdversaryProfile, Opinion
 from collabtrust.errors import ContractError, GroupFormationError
 from collabtrust.metrics import DetectionStats
-from collabtrust.protocol import Challenge, Message, Response
+from collabtrust.protocol import (
+    Challenge,
+    ComparisonReport,
+    DeviceState,
+    Message,
+    Response,
+    conclude,
+)
 from collabtrust.rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, SplitMix64
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import RunResult
@@ -334,3 +345,12 @@ def trace_verdict(t: int, seq: int, issuer: int, v: Verdict) -> str:
         f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
         f" missing={ta.missing}\n"
     )
+
+
+def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
+    """Tally a peer's opinion; conclude once every expected opinion is in."""
+    state.heard += 1
+    state.agree += rep.opinion is Opinion.AGREE
+    if state.heard < state.n_checkers:
+        return None
+    return conclude(state)

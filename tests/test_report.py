@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 from functools import reduce
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from collabtrust.adversary import AdversaryProfile, FaultKind, PayloadKind, TrojanModel
 from collabtrust.errors import ContractError
 from collabtrust.report import emit_report
-from collabtrust.scenario import Scenario
+from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import NetworkModel, run_simulation
 from reference_impl import build_report, emit, merge
 from test_kernel import lossless_scenarios
@@ -210,3 +211,23 @@ def test_adding_two_totals_emits_the_running_total_bytes(sc, repetitions, split,
     whole = folded(sc, *runs)
     for fmt in ("json", "csv"):
         assert emit_report(total, fmt) == emit_report(whole, fmt), fmt
+
+
+@pytest.mark.parametrize("traced", (False, True), ids=("kernel", "engine"))
+def test_a_device_flagged_again_keeps_its_first_flag_round(traced):
+    # ALWAYS_WRONG device 1 is flagged in every round it is checked, first
+    # in round 4; with threshold 3 it is excluded at its third flag, in
+    # round 13. detection_round is the round of its first flag, not its last.
+    sc = scenario_from_dict(
+        {
+            "population": 5,
+            "group_size": 5,
+            "rounds": 20,
+            "flag_threshold": 3,
+            "adversaries": [{"device": 1, "fault": "ALWAYS_WRONG"}],
+        }
+    )
+    res = run_simulation(sc, trace=io.StringIO() if traced else None)
+    rows = {row[0]: row for row in csv.reader(io.StringIO(emit_report(folded(sc, res), "csv").decode()))}
+    assert rows["id"][-2:] == ["excluded_round", "detection_round"]
+    assert rows["1"][-2:] == ["13", "4"]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import collabtrust.simnet as simnet
 from collabtrust.adversary import AdversaryProfile, FaultKind, ReportingKind
 from collabtrust.errors import ContractError, GroupFormationError
-from collabtrust.rng import GOLDEN_GAMMA, MASK64, SplitMix64
+from collabtrust.rng import GOLDEN_GAMMA, MASK64, SplitMix64, float_cut
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, draw_group, run_simulation
 from collabtrust.verdict import Outcome
@@ -546,3 +546,37 @@ def test_loss_knob_does_not_reshuffle_groups_or_operands():
     base_ops = challenge_ops(base)
     for round_no, sets in challenge_ops(lossy).items():
         assert sets == base_ops[round_no], round_no
+
+
+@pytest.mark.parametrize("traced", (False, True), ids=("untraced", "traced"))
+def test_the_purge_covers_deliveries_from_the_excluded_device(traced):
+    # Seed 2 excludes ALWAYS_WRONG device 5 with deliveries to it and one
+    # from it still queued; all three are purged, so device 1 never
+    # receives the one from device 5.
+    sc = Scenario(
+        population=8,
+        group_size=5,
+        rounds=30,
+        round_deadline=5,
+        network=NetworkModel(latency_min=0, latency_max=4),
+        adversaries=((5, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
+    )
+    res = run_simulation(sc, seed=2, trace=io.StringIO() if traced else None)
+    assert res.suspicion.is_excluded(5)
+    assert res.counters.purged == 3
+    assert res.energy.usage[1].received == 73
+
+
+@pytest.mark.parametrize("offset, dropped", ((0, False), (1, True)))
+def test_the_drop_cut_is_strict(offset, dropped, monkeypatch):
+    # A unicast is dropped when its drop word is below float_cut(p), so a
+    # word equal to the cut is delivered and the word below it dropped.
+    p = 0.3
+    _network_at(state_before(float_cut(p) - offset), monkeypatch)
+    sc = Scenario(population=3, group_size=3, rounds=1,
+                  network=NetworkModel(latency_min=1, latency_max=1, drop_prob=p))
+    _, trace = run_traced(sc, seed=0)
+    start = dict(f.split("=") for f in trace[0].split()[5:])
+    first_peer = next(m for m in start["group"].split(",") if m != start["initiator"])
+    challenged = {f[4] for f in map(str.split, trace) if f[2] == "CHALLENGE"}
+    assert (first_peer not in challenged) == dropped
