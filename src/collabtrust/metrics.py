@@ -8,7 +8,9 @@ including late ones, which the event loop never hands to the protocol. Only
 the simulator charges a device, by incrementing its `DeviceUsage` counters
 directly: the event engine as each op, send and reception happens (an
 untraced run's in-time report receptions at their round's deadline), the
-tally kernel once per group epoch. The ledger makes them on first use.
+tally kernel once per membership streak (consecutive group epochs that
+each hold every eligible device, or else one epoch), plus each epoch's
+extra initiations. The ledger makes them on first use.
 """
 
 from __future__ import annotations

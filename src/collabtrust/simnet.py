@@ -37,27 +37,32 @@ at the regroup period or after an exclusion. A run derives a report
 stream only for the RANDOM reporters of the groups it draws.
 
 By the paper's framing bound, up to floor((N-1)/2) dissenting checkers
-cannot flag a checkee whose answer is honest. So each checkee position of
-a group gets one of three classes, found once per special layout (where
-the group's special members and FRAME targets sit) by _classify:
-FULL when the checkee is ALWAYS_WRONG, is a colluder of the EVADE device
-initiating its round, or has more checkers that can dissent (a fault, a
-FRAME reporter targeting it, a RANDOM reporter) than the bound; TRIGGER when the
-checkee is a Trojan, whose round is quiet unless the one operand word its
-trigger reads fires it; FREE otherwise. A quiet round draws no operands and
-builds no Verdict; it ends TRUSTED, and each epoch's quiet rounds are
-folded in one DetectionStats.fold_quiet call. A group with no RANDOM
-reporter never visits its FREE rounds; with one, each round draws one word
-per RANDOM checker, as the engine does. In a loud round plain members take
-the honest output and their AGREE votes come as one count, so only special
-members go through apply_fault and distort_opinion, and the count indexes
-the verdict table. Messages and energy follow the lossless closed form,
-charged once per group epoch: every member gets the same sends,
-receptions and op count, from the epoch's length and the run plan's
-op-count prefix sums, and the members that initiate one round more than
-the others get n-1 more sends and one reception fewer. The run plan caches
-the classified layouts used last, up to MEMO_POSITIONS group positions.
-The kernel's reports are byte-identical to the engine's.
+cannot flag a checkee whose answer is honest. So each checkee position
+of a group gets one of three classes, found once per special layout
+(where the group's special members and FRAME targets sit) by _classify:
+FULL when the checkee is ALWAYS_WRONG or has more checkers that can
+dissent (a fault, a FRAME reporter targeting it, a RANDOM reporter) than
+the bound; TRIGGER when the checkee is a Trojan, whose round is quiet
+unless the one operand word its trigger reads fires it, even when an
+EVADE initiator shields it; FREE otherwise. A quiet round draws no
+operands and builds no Verdict; it ends TRUSTED, and each epoch's quiet
+rounds are folded in one DetectionStats.fold_quiet call. A group with no
+RANDOM reporter never visits its FREE rounds; with one, each round draws
+one word per RANDOM checker, as the engine does. In a loud round plain
+members take the honest output and their AGREE votes come as one count,
+so only special members go through apply_fault and distort_opinion, and
+the count indexes the verdict table. Messages and energy follow the
+lossless closed form, charged once per membership streak: consecutive
+epochs whose groups each hold every eligible device, with no exclusion
+between them, so they hold one member set (with population ==
+group_size, the whole run up to its end or halt); any other epoch is a
+streak of its own. Every member gets the same sends, receptions and op
+count, from the streak's length, its epochs' summed `whole` initiations
+and the run plan's op-count prefix sums. Per epoch, only the members
+that initiate one round more than the others get n-1 more sends and one
+reception fewer. The run plan caches the classified layouts used last,
+up to MEMO_POSITIONS group positions. The kernel's reports are
+byte-identical to the engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
 the draws of a Fisher-Yates prefix over the list of eligible devices
@@ -165,6 +170,9 @@ def draw_group(
     a sparse Fisher-Yates shuffles ranks, keeping only the swapped
     positions, and each chosen rank maps to its device by bisecting the
     sorted exclusions. O(size + len(excluded)) times a log, not O(population).
+    Each draw below `bound` rejects a word at or above 2**64 - 2**64 % bound.
+    That limit is above 2**64 - bound, so it is worked out only for a word
+    among the top `bound`.
     """
     skip = sorted(excluded)
     n = population - len(skip)
@@ -180,9 +188,9 @@ def draw_group(
         if bound < 2:
             j = i
         else:
-            limit = (1 << 64) - (1 << 64) % bound
-            while (z := next(words)) >= limit:
-                pass
+            z = next(words)
+            while z >= (1 << 64) - bound and z >= (1 << 64) - (1 << 64) % bound:
+                z = next(words)
             j = i + z % bound
         ranks.append(swapped.get(j, j))
         swapped[j] = swapped.get(i, i)
@@ -343,23 +351,24 @@ def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClas
     answer is honest, a checker can dissent only if its fault is not HONEST,
     it is a FRAME reporter targeting the checkee, or it is a RANDOM
     reporter; up to the plan's bound of them cannot change a TRUSTED outcome.
-    A position is FULL when the checkee is ALWAYS_WRONG, when its initiator
-    is an EVADE device and the checkee one of its colluders, or when more
+    A position is FULL when the checkee is ALWAYS_WRONG or when more
     checkers can dissent than that bound. Past that, a Trojan checkee's
     answer is honest unless its trigger fires (TRIGGER), and any other
-    checkee's always is (FREE).
+    checkee's always is (FREE). A Trojan whose EVADE initiator shields it
+    is TRIGGER too: choose_adversarial_operands rewrites the operand its
+    trigger reads so that a masked trigger misses, so the round ends
+    TRUSTED whether or not the honest word fires it, and a mask-0 trigger
+    fires on every word, rewritten or not.
     """
     n = sc.group_size
     plan = sc.plan
     profiles = sc.adversary_map
-    at = dict(layout)
     specials = {d: profiles[d] for _, d in layout if d in profiles and is_special(profiles[d])}
     positions: list[_Position] = []
     # Every checkee outside the layout is plain and faces the same checkers,
     # so their positions share one class, found first at position -1.
     for pos, checkee in ((-1, -1), *layout):
         profile = profiles.get(checkee, HONEST_PROFILE)
-        colluders = plan.evader_trojans.get(at.get((pos + 1) % n, -1), {})
         dissenters = 0
         randoms = []
         for d, p in specials.items():
@@ -373,7 +382,7 @@ def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClas
                 or (p.reporting is ReportingKind.FRAME and checkee in p.targets)
             ):
                 dissenters += 1
-        if profile.fault is FaultKind.ALWAYS_WRONG or checkee in colluders or dissenters > plan.bound:
+        if profile.fault is FaultKind.ALWAYS_WRONG or dissenters > plan.bound:
             kind = PositionClass.FULL
         elif profile.fault is FaultKind.TROJAN:
             kind = PositionClass.TRIGGER
@@ -489,9 +498,14 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     at the regroup period and after an exclusion.
     A group without a RANDOM reporter visits only the rounds at its
     positions that are not FREE, each position's rounds a range merged into
-    round order; with one, every round, to draw its words. Per epoch the
-    quiet rounds are folded in one call, and the epoch's closed-form
-    charges are worked out where it ends and added to its members' counters.
+    round order (one position's range alone); with one, every round, to
+    draw its words. Per epoch the quiet rounds are folded in one call and
+    the members initiating one round more than the others are charged for
+    it. The rest of the closed form is charged once per membership streak:
+    an epoch whose group holds every eligible device and sees no exclusion
+    leaves its streak open, since the next group has the same members, and
+    any other epoch, or the run's last, charges it. An exclusion precedes
+    every halt, so no streak is open at one.
     """
     seed = res.seed
     usage = res.energy.usage
@@ -510,6 +524,11 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     classify = plan.classify
     op_prefix = plan.op_prefix
     streams: dict[int, SplitMix64] = {}
+    # A group holds every eligible device when this many are excluded.
+    everyone_at = sc.population - n
+    # The open membership streak: its first round and its epochs' summed
+    # `whole` initiations.
+    streak_first = streak_whole = 0
     r = 0
     while r < rounds:
         try:
@@ -517,6 +536,7 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
         except GroupFormationError as exc:
             res.halt_reason = str(exc)
             break
+        everyone = len(excluded) == everyone_at
         layout = tuple([(i, m) for i, m in enumerate(members) if m in marked])
         classes = classify(layout)
         for d in classes.randoms:
@@ -524,12 +544,14 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
                 streams[d] = report_stream(seed, d)
         first = r
         stop = min(rounds, (first // period + 1) * period)
+        spots = classes.loud
         if classes.randoms:
             visit: range | list[int] = range(first, stop)
+        elif len(spots) == 1:
+            visit = range(first + (spots[0] - first) % n, stop, n)
         else:
             # The rounds at each loud position, merged in round order.
-            spans = [range(first + (p - first) % n, stop, n) for p in classes.loud]
-            visit = spans[0] if len(spans) == 1 else sorted(chain(*spans))
+            visit = sorted(chain(*[range(first + (p - first) % n, stop, n) for p in spots]))
         loud = 0
         for r in visit:
             pos = r % n
@@ -547,29 +569,38 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
                     stop = r + 1  # the group is redrawn without it
                     break
         stats.fold_quiet(members, range(first, stop), loud)
-        # The epoch's lossless closed form. Per round each member runs the
-        # round's routine, sends n-1 responses or reports and receives n-1
-        # of them; every member but the initiator receives one challenge,
-        # and the initiator sends the n-1 challenges. Each member initiates
-        # `whole` rounds, and the `part` members from the first round's
-        # initiator onward one more.
-        length = stop - first
-        whole, part = divmod(length, n)
-        routine_phase = first % n_routines
-        cycles, rest = divmod(routine_phase + length, n_routines)
-        ops = cycles * op_prefix[-1] + op_prefix[rest] - op_prefix[routine_phase]
-        sent = (length + whole) * (n - 1)
-        received = length * n - whole
+        # The epoch's lossless closed form. Each member initiates `whole`
+        # rounds, charged with the streak, and the `part` members from the
+        # first round's initiator onward one more: n-1 more sends and one
+        # reception fewer.
+        whole, part = divmod(stop - first, n)
+        streak_whole += whole
+        if part:
+            for i in range(first + 1, first + 1 + part):
+                u = usage[members[i % n]]
+                u.sent += n - 1
+                u.received -= 1
+        r = stop
+        # A group that holds every eligible device, none of them excluded
+        # since its draw, is drawn again with the same members.
+        if everyone and r < rounds and len(excluded) == everyone_at:
+            continue
+        # The streak ends here and is charged its closed form. Per round
+        # each member runs the round's routine, sends n-1 responses or
+        # reports and receives n-1 of them; every member but the initiator
+        # receives one challenge, and the initiator sends the n-1 challenges.
+        length = r - streak_first
+        phase = streak_first % n_routines
+        cycles, rest = divmod(phase + length, n_routines)
+        ops = cycles * op_prefix[-1] + op_prefix[rest] - op_prefix[phase]
+        sent = (length + streak_whole) * (n - 1)
+        received = length * n - streak_whole
         for m in members:
             u = usage[m]
             u.ops += ops
             u.sent += sent
             u.received += received
-        for i in range(first + 1, first + 1 + part):
-            u = usage[members[i % n]]
-            u.sent += n - 1
-            u.received -= 1
-        r = stop
+        streak_first, streak_whole = r, 0
     res.rounds_executed = r
     messages = lossless_messages_per_round(n) * r
     res.counters.sent += messages

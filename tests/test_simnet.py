@@ -142,6 +142,19 @@ def test_draw_group_redraws_a_rejected_word_as_form_group_does(population, size,
     assert sparse.next_u64() == listed.next_u64()
 
 
+# Groups of 6 of 6 and 7 of 7, whose first bound rejects the top
+# 2**64 % 6 == 4 and 2**64 % 7 == 2 words: a first word at the limit is
+# redrawn, and the word below it is taken.
+@pytest.mark.parametrize("size", (6, 7))
+@pytest.mark.parametrize("below_limit", (0, 1))
+def test_draw_group_rejects_from_the_limit_on_as_form_group_does(size, below_limit):
+    limit = (1 << 64) - (1 << 64) % size
+    state = state_before(limit - below_limit)
+    sparse, listed = SplitMix64(state), SplitMix64(state)
+    assert draw_group(size, {}, size, sparse) == form_group(list(range(size)), size, listed)
+    assert sparse.next_u64() == listed.next_u64()
+
+
 # Zero-latency sends and a deadline of 2 * latency_max put round timers and
 # deliveries on the same ticks.
 SHARED_TICKS = Scenario(
