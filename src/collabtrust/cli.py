@@ -202,11 +202,25 @@ def _fold_forked(scenario: Scenario, base_seed: int, workers: int) -> Report:
         raise
 
 
+def _check_distinct_files(args, *options: str) -> None:
+    """Raise a UsageError when two of these path options name the same file.
+
+    Each output would overwrite the scenario or the other output, so the
+    command is refused before it reads or writes anything.
+    """
+    seen: dict[str, str] = {}
+    for option in options:
+        path = getattr(args, option)
+        if path is None:
+            continue
+        first = seen.setdefault(os.path.realpath(path), option)
+        if first != option:
+            raise UsageError(f"--{first} and --{option} name the same file: {path}")
+
+
 def _cmd_run(args) -> int:
+    _check_distinct_files(args, "scenario", "out", "trace")
     path = args.trace
-    if path is not None and args.out is not None:
-        if os.path.realpath(path) == os.path.realpath(args.out):
-            raise UsageError(f"--out and --trace name the same file: {args.out}")
     scenario = scenario_from_dict(read_scenario_doc(args.scenario))
     base_seed = scenario.seed if args.seed is None else args.seed
     if path is None:
@@ -262,6 +276,7 @@ _SWEEP_COLUMNS = (
 
 
 def _cmd_sweep(args) -> int:
+    _check_distinct_files(args, "scenario", "out")
     base_doc = read_scenario_doc(args.scenario)
     values = [_parse_sweep_value(tok) for tok in args.values.split(",")]
     rows = []

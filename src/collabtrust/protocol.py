@@ -25,12 +25,13 @@ after its round, fixed at send: a copy that lands in time goes to a current
 group member, since groups change only at round starts. So handlers see
 only on-round messages between current group members, each exactly once.
 No report is handed to a handler. Traced, the event loop adds each report
-that lands in time to its receiver's two counts and calls conclude once the
-tally is complete. Untraced, at the deadline one settle_round call adds to
-every member's tally the round's reports less the ones it missed, and
-concludes the whole group. The one ordering the handlers handle is a
-response that overtakes its challenge: it is parked until the challenge
-arrives.
+that lands in time to its receiver's two counts, concludes the receiver
+once the tally is complete and the other members at the deadline, and
+split_verdicts gives the round's verdict of each (agree, disagree) split.
+Untraced, at the deadline one settle_round call adds to every member's
+tally the round's reports less the ones it missed, and concludes the whole
+group the same way. The one ordering the handlers handle is a response
+that overtakes its challenge: it is parked until the challenge arrives.
 """
 
 from __future__ import annotations
@@ -233,13 +234,6 @@ def handle_response(state: DeviceState, r: Response) -> ComparisonReport | None:
     return ComparisonReport(r.round, state.id, state.checkee, opinion)
 
 
-def on_timeout(state: DeviceState, round_no: int) -> Verdict:
-    """Round deadline: conclude from the partial tally, missing = abstention."""
-    if state.round != round_no or state.verdict_emitted:
-        raise _not_pending(state, round_no)
-    return conclude(state)
-
-
 def settle_round(
     states: Sequence[DeviceState],
     round_no: int,
@@ -254,37 +248,37 @@ def settle_round(
     heard all of them in time but the `missed[id]` it did not, of which
     `missed_agree[id]` were AGREE: the dropped ones, those landing at or
     after the deadline, and its own, whose opinion handle_response counted.
-    Every member's tally gets the rest, and every member concludes, as
-    on_timeout would. Returns each distinct verdict once, with the ids of
-    the members that reached it in `states` order.
+    Every member's tally gets the rest, and every member concludes from it,
+    missing opinions abstaining. Returns each distinct verdict once, with
+    the ids of the members that reached it in `states` order, through
+    split_verdicts.
     """
     issuers: dict[tuple[int, int], list[int]] = {}
     for state in states:
         if state.round != round_no or state.verdict_emitted:
-            raise _not_pending(state, round_no)
+            raise ProtocolViolation(
+                f"device {state.id}: timeout for round {round_no} with no pending verdict"
+            )
         d = state.id
         state.heard += reports - missed.get(d, 0)
         state.agree += agrees - missed_agree.get(d, 0)
         state.verdict_emitted = True
         issuers.setdefault((state.agree, state.heard - state.agree), []).append(d)
-    # One group's members share the round's checkee and verdict table.
-    first = states[0]
+    return split_verdicts(states[0], issuers)
+
+
+def split_verdicts(
+    state: DeviceState, issuers: Mapping[tuple[int, int], list[int]]
+) -> list[tuple[Verdict, list[int]]]:
+    """Each (agree, disagree) split of `issuers` with its verdict, looked up once.
+
+    `issuers` maps a split to the ids of the members of `state`'s group
+    that concluded with that tally this round; they share its checkee,
+    round and verdict table. Returns each split's verdict with its ids.
+    """
+    checkee, round_no, table = state.checkee, state.round, state.verdicts
     verdicts = []
     for split, ids in issuers.items():
-        tally, outcome = first.verdicts[split]
-        verdicts.append((Verdict(first.checkee, round_no, outcome, tally), ids))
+        tally, outcome = table[split]
+        verdicts.append((Verdict(checkee, round_no, outcome, tally), ids))
     return verdicts
-
-
-def _not_pending(state: DeviceState, round_no: int) -> ProtocolViolation:
-    return ProtocolViolation(
-        f"device {state.id}: timeout for round {round_no} with no pending verdict"
-    )
-
-
-def conclude(state: DeviceState) -> Verdict:
-    """The verdict of the device's tally as it stands; missing opinions abstain."""
-    assert state.round is not None and state.checkee is not None
-    tally, outcome = state.verdicts[state.agree, state.heard - state.agree]
-    state.verdict_emitted = True
-    return Verdict(state.checkee, state.round, outcome, tally)

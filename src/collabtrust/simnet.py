@@ -21,12 +21,14 @@ copy that lands in time always goes to a member.
 
 A run given a trace stream goes through the event engine, which writes
 each round's trace lines there in one piece at its deadline, and tallies
-each report copy that lands in time itself. Untraced, a report triggers no
-send, so the engine hands none over: it records only who misses each one
-(a receiver whose copy is dropped or lands at or after the round's end, and
-the sender), and at the deadline one protocol.settle_round call adds to
-every member's tally the round's reports less its misses and concludes the
-group, one verdict per (agree, disagree) split.
+each report copy that lands in time itself: a member concludes when its
+tally completes or at the deadline, and the round's verdicts are folded
+at the deadline, one per (agree, disagree) split. Untraced, a report
+triggers no send, so the engine hands none over: it records only who
+misses each one (a receiver whose copy is dropped or lands at or after the
+round's end, and the sender), and at the deadline one
+protocol.settle_round call adds to every member's tally the round's
+reports less its misses and concludes the group, one verdict per split.
 Runs with no trace sink whose outcome cannot depend on timing (no loss,
 and 3 * latency_max below the round deadline) skip the engine: a tally-
 level kernel computes each round's verdict directly. Both paths read the
@@ -73,7 +75,7 @@ stream's word iterator; both return the members tuple.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Collection
 from dataclasses import dataclass
 from enum import Enum
@@ -109,14 +111,13 @@ from .protocol import (
     Message,
     Response,
     begin_round,
-    conclude,
     handle_check_request,
     handle_response,
     on_round_start,
-    on_timeout,
     round_checkee,
     round_initiator,
     settle_round,
+    split_verdicts,
 )
 from .rng import MASK64, SplitMix64, float_cut, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
@@ -222,12 +223,14 @@ class RunResult:
     suspicion: SuspicionLedger
 
 
-def _trace_text(msg: Message, frm: int) -> tuple[str, str]:
-    """The text of a delivery line of `msg` from `frm`, around its receiver.
+def _trace_text(msg: Challenge | Response, frm: int) -> tuple[str, str]:
+    """The text of a delivery line of a challenge or response from `frm`, around its receiver.
 
     A delivery's line is f"{time} {seq}{head}{to}{tail}": `head` holds the
     kind and sender, `tail` the payload and newline. Both are the same for
-    every receiver of a fan-out, so they are built once per fan-out.
+    every receiver of a fan-out, so they are built once per fan-out. A
+    report's are built in the engine, once per sender and once per (round,
+    opinion).
     """
     if type(msg) is Challenge:
         ops = ",".join(map(str, msg.ops))
@@ -236,12 +239,7 @@ def _trace_text(msg: Message, frm: int) -> tuple[str, str]:
             f" round={msg.round} checkee={msg.checkee} spec={msg.spec.id}"
             f" ops={ops} cid={msg.round}\n",
         )
-    if type(msg) is Response:
-        return f" RESPONSE {frm} ", f" cid={msg.round} output={msg.output}\n"
-    return (
-        f" REPORT {frm} ",
-        f" cid={msg.round} checkee={msg.checkee} opinion={msg.opinion.value}\n",
-    )
+    return f" RESPONSE {frm} ", f" cid={msg.round} output={msg.output}\n"
 
 
 def report_stream(seed: int, device: int) -> SplitMix64:
@@ -625,18 +623,24 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     (current_round + 1) * deadline, so dispatch_sends decides it: a late
     copy's entry carries no message (None), and at delivery it is only
     counted and charged. A delivery's trace line, ` late=1` included, is
-    fixed when its message is sent, from text built once per fan-out, and
-    waits in its bucket entry (None when untraced). Trace lines collect in
-    a list that is written in one piece at each round's deadline, and at a
-    halt or an error. Traced, a report copy that lands in time is tallied
-    in the delivery loop, which concludes its receiver once it has heard
-    every checker. With no trace, a report is tallied by its misses: the
-    sender and each receiver whose copy is dropped or late miss it. A copy
-    that lands in time takes its seq but is not queued, so no report is
-    tallied in the loop. At the deadline settle_round tallies and concludes
-    the whole group, each of its verdicts is folded once for all its
-    issuers, and each member is charged the receptions of the reports it
-    did not miss.
+    fixed when its message is sent, from text built once per fan-out (a
+    report's head once per sender and its tail once per round and opinion;
+    ` late=1` only for a late copy), and waits in its bucket entry (None
+    when untraced). Trace lines collect in a list that is written in one
+    piece at each round's deadline, and at a halt or an error. Traced, a
+    report copy that lands in time is tallied in the delivery loop, which
+    concludes its receiver once it has heard every checker, and the
+    deadline concludes every member still pending, in group order. A
+    member concludes by writing its VERDICT line, from its split's text,
+    and joining its split's issuers; the deadline takes each split's
+    verdict from split_verdicts. With no trace, a report is tallied by its
+    misses: the sender and each receiver whose copy is dropped or late
+    miss it. A copy that lands in time takes its seq but is not queued, so
+    no report is tallied in the loop. At the deadline settle_round tallies
+    and concludes the whole group, and each member is charged the
+    receptions of the reports it did not miss. On both paths each verdict
+    is folded once for all its issuers, and the round's first FLAGGED one
+    marks its checkee.
     """
     seed = res.seed
     counters = res.counters
@@ -667,8 +671,15 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     # Traced runs: the current round's trace lines, written at its deadline.
     lines: list[str] | None = None if trace is None else []
     emit = None if lines is None else lines.append
-    verdict_texts: dict[tuple[int, int], str] = {}  # traced runs: VERDICT text by split
-    group_text = ""  # traced runs: the group's members, as ROUND_START shows them
+    table = sc.plan.verdicts
+    # Traced runs: the text VERDICT lines end in, by split; the round's
+    # issuers by split; and the text of the group's members, of a sender's
+    # report and of the round's report of each opinion.
+    verdict_texts: dict[tuple[int, int], str] = {}
+    issuers: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    verdict_head = group_text = ""
+    report_heads: dict[int, str] = {}
+    report_tails: dict[Opinion, str] = {}
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
     # Untraced: the round's reports, the AGREE ones, and one entry per miss
     # naming the member that missed a report, by the report's opinion.
@@ -693,7 +704,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         late_at = (current_round + 1) * deadline
         miss = None
         if emit is None:
-            head = tail = late_tail = None
+            head = tail = None
             if type(msg) is ComparisonReport:
                 # Untraced, a report is tallied at the deadline by what each
                 # member missed: dropped, late, or its own. A copy in time
@@ -705,9 +716,17 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 else:
                     miss = disagree_misses.append
                 miss(frm)
+        elif type(msg) is ComparisonReport:
+            head = report_heads.get(frm)
+            if head is None:
+                head = report_heads[frm] = f" REPORT {frm} "
+            tail = report_tails.get(msg.opinion)
+            if tail is None:
+                tail = report_tails[msg.opinion] = (
+                    f" cid={msg.round} checkee={msg.checkee} opinion={msg.opinion.value}\n"
+                )
         else:
             head, tail = _trace_text(msg, frm)
-            late_tail = tail[:-1] + " late=1\n"
         soonest = now + lo
         for to in peers:
             if drop_cut and next(words) < drop_cut:
@@ -723,7 +742,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             if at >= late_at:
                 if miss:
                     miss(to)
-                body, text = None, late_tail
+                body, text = None, tail and tail[:-1] + " late=1\n"
             elif miss:
                 seq += 1
                 continue
@@ -739,21 +758,20 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         counters.dropped += n - (seq - next_seq)  # a drop takes no seq
         next_seq = seq
 
-    def record_verdict(issuer: int, v: Verdict, t: int, seq: int) -> None:
-        nonlocal flagged
-        stats.fold(v, (issuer,), profiles)
-        if flagged is None and v.outcome is Outcome.FLAGGED:
-            flagged = v
-        if emit is not None:
-            ta = v.tally
-            split = ta.agree, ta.disagree
-            text = verdict_texts.get(split)
-            if text is None:
-                text = verdict_texts[split] = (
-                    f" outcome={v.outcome.value} agree={ta.agree} disagree={ta.disagree}"
-                    f" missing={ta.missing}\n"
-                )
-            emit(f"{t} {seq} VERDICT {issuer} - round={v.round} checkee={v.checkee}{text}")
+    def conclude(state: DeviceState, t: int, seq: int) -> None:
+        # Traced runs: the member concludes from its tally as it stands. Its
+        # VERDICT line is written now, and its split folded at the deadline.
+        state.verdict_emitted = True
+        split = state.agree, state.heard - state.agree
+        text = verdict_texts.get(split)
+        if text is None:
+            tally, outcome = table[split]
+            text = verdict_texts[split] = (
+                f" outcome={outcome.value} agree={tally.agree} disagree={tally.disagree}"
+                f" missing={tally.missing}\n"
+            )
+        emit(f"{t} {seq} VERDICT {state.id}{verdict_head}{text}")
+        issuers[split].append(state.id)
 
     def flush() -> None:
         text = "".join(lines)
@@ -783,7 +801,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                         state.heard += 1
                         state.agree += msg.opinion is AGREE
                         if state.heard == state.n_checkers:
-                            record_verdict(to, conclude(state), t, seq)
+                            conclude(state, t, seq)
                     elif kind is Challenge:
                         usage[to].ops += msg.spec.op_count
                         if (out := handle_check_request(state, msg)) is not None:
@@ -828,11 +846,13 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 initiator = round_initiator(group, r)
                 if emit is not None:
                     spec = routine_order[r % len(routine_order)]
+                    checkee = round_checkee(group, r)
                     emit(
                         f"{t} {seq} ROUND_START - - round={r} group={group_text}"
-                        f" checkee={round_checkee(group, r)} initiator={initiator}"
-                        f" routine={spec.id}\n"
+                        f" checkee={checkee} initiator={initiator} routine={spec.id}\n"
                     )
+                    verdict_head = f" - round={r} checkee={checkee}"
+                    report_tails.clear()
                 ch = on_round_start(states[initiator], r, seed)
                 usage[initiator].ops += ch.spec.op_count
                 dispatch_sends(initiator, ch, t)
@@ -844,10 +864,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 missed = Counter(agree_misses)
                 missed_agree = missed.copy()
                 missed.update(disagree_misses)
-                for v, issuers in settle_round(group_states, r, reports, agrees, missed, missed_agree):
-                    stats.fold(v, issuers, profiles)
-                    if flagged is None and v.outcome is Outcome.FLAGGED:
-                        flagged = v
+                settled = settle_round(group_states, r, reports, agrees, missed, missed_agree)
                 # Each member received in time every report it did not miss.
                 for m in group:
                     if heard := reports - missed.get(m, 0):
@@ -857,10 +874,17 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 agree_misses.clear()
                 disagree_misses.clear()
             else:
-                for m in group:
-                    state = states[m]
+                # Every member still pending concludes, in group order.
+                for state in group_states:
                     if not state.verdict_emitted:
-                        record_verdict(m, on_timeout(state, r), t, seq)
+                        conclude(state, t, seq)
+                settled = split_verdicts(group_states[0], issuers)
+                issuers.clear()
+            # Each split's verdict is folded once for all its issuers.
+            for v, ids in settled:
+                stats.fold(v, ids, profiles)
+                if flagged is None and v.outcome is Outcome.FLAGGED:
+                    flagged = v
             if flagged is not None:
                 # One suspicion update per round: any device's FLAGGED
                 # verdict marks the round against the checkee.

@@ -22,10 +22,13 @@ None of this runs in the simulator:
   line, formatted whole for each line, as the engine once did at each
   delivery. The engine now builds a message's text once per fan-out and
   fixes each delivery's line when it is sent; the lines must not change.
-- `handle_report`: a peer's report handed to a device's tally, concluding
-  once every expected opinion is in, as the protocol once did for each
-  delivered report. The traced event loop now moves the two counts itself,
-  and untraced runs settle each round's reports at its deadline.
+- `handle_report`, `conclude` and `on_timeout`: a peer's report handed to a
+  device's tally, concluding once every expected opinion is in, and a
+  member concluding from its tally as it stands, at the deadline, as the
+  protocol once did for each delivered report and each pending member. The
+  traced event loop now moves the two counts itself and folds each round's
+  verdicts once per (agree, disagree) split, and untraced runs settle each
+  round's reports at its deadline.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from collabtrust.adversary import AdversaryProfile, Opinion
-from collabtrust.errors import ContractError, GroupFormationError
+from collabtrust.errors import ContractError, GroupFormationError, ProtocolViolation
 from collabtrust.metrics import DetectionStats
 from collabtrust.protocol import (
     Challenge,
@@ -44,7 +47,6 @@ from collabtrust.protocol import (
     DeviceState,
     Message,
     Response,
-    conclude,
 )
 from collabtrust.rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, SplitMix64
 from collabtrust.scenario import Scenario
@@ -354,3 +356,20 @@ def handle_report(state: DeviceState, rep: ComparisonReport) -> Verdict | None:
     if state.heard < state.n_checkers:
         return None
     return conclude(state)
+
+
+def on_timeout(state: DeviceState, round_no: int) -> Verdict:
+    """Round deadline: conclude from the partial tally, missing = abstention."""
+    if state.round != round_no or state.verdict_emitted:
+        raise ProtocolViolation(
+            f"device {state.id}: timeout for round {round_no} with no pending verdict"
+        )
+    return conclude(state)
+
+
+def conclude(state: DeviceState) -> Verdict:
+    """The verdict of the device's tally as it stands; missing opinions abstain."""
+    assert state.round is not None and state.checkee is not None
+    tally, outcome = state.verdicts[state.agree, state.heard - state.agree]
+    state.verdict_emitted = True
+    return Verdict(state.checkee, state.round, outcome, tally)

@@ -153,6 +153,42 @@ def test_out_equal_to_trace_exits_1_before_running(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param(["run", "--out", "{S}"], "--out", id="run_out"),
+        pytest.param(["run", "--trace", "{S}"], "--trace", id="run_trace"),
+        pytest.param(["run", "--out", "{dotted}"], "--out", id="run_out_dotted"),
+        pytest.param(
+            ["sweep", "--param", "group_size", "--values", "3,4", "--out", "{S}"],
+            "--out",
+            id="sweep_out",
+        ),
+    ],
+)
+def test_an_output_naming_the_scenario_exits_1_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, argv, option
+):
+    # The output would overwrite the scenario it was made from.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    (tmp_path / "sub").mkdir()
+    scenario = tmp_path / "scenario.json"
+    original = pathlib.Path(HONEST).read_bytes()
+    scenario.write_bytes(original)
+    paths = {"S": str(scenario), "dotted": str(tmp_path / "." / "sub" / ".." / "scenario.json")}
+    command, *rest = argv
+    code = run_cli(command, "--scenario", str(scenario), *(a.format(**paths) for a in rest))
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error: ") and "--scenario" in err and option in err
+    assert err.count("\n") == 1 and out == ""
+    assert scenario.read_bytes() == original
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "sub"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["run", "--scenario", HONEST],

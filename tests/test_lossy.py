@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import collabtrust.protocol as protocol
 import collabtrust.simnet as simnet
 from collabtrust.adversary import Opinion, apply_fault
-from collabtrust.metrics import TrafficCounters
+from collabtrust.metrics import DetectionStats, TrafficCounters
 from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
 from collabtrust.report import emit_report
 from collabtrust.routines import execute, generate_operands
@@ -196,21 +196,18 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
 def test_untraced_runs_hand_over_no_report(sc, seed):
     """Untraced, no report is handed over: its copies that land in time are
     not queued, and settle_round tallies them at the deadline. So up to the
-    deadline a member's tally holds at most its own opinion, and the
-    delivery loop concludes no verdict."""
-
-    def unreachable(state):
-        raise AssertionError(f"device {state.id} concluded before round {state.round}'s deadline")
+    deadline a member's tally holds at most its own opinion, and no member
+    has concluded."""
 
     def on_settle(states, round_no, *counts):
         for state in states:
+            assert not state.verdict_emitted, f"device {state.id} concluded before the deadline"
             assert state.heard <= (state.id != state.checkee)
             assert state.agree <= state.heard
         return settle_handler(states, round_no, *counts)
 
     settle_handler = simnet.settle_round
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "conclude", unreachable)
         mp.setattr(simnet, "settle_round", on_settle)
         run_simulation(sc, seed=seed)
 
@@ -322,7 +319,10 @@ KINDS = {Challenge: "CHALLENGE", Response: "RESPONSE", ComparisonReport: "REPORT
 def test_trace_lines_equal_the_reference_formatter(sc, seed):
     """Each delivery line is the reference's line of the message sent, at the
     line's tick, seq, receiver and fate; each VERDICT line the reference's
-    line of the verdict folded."""
+    line of the verdict folded for its round and issuer, and each folded
+    (issuer, verdict) has exactly one VERDICT line. A round's verdicts are
+    folded once per split, so they are matched by (round, issuer), not by
+    their order."""
     sent: dict[tuple[str, int, int], Message] = {}  # (kind, round, sender) -> message
 
     def logging(handler):
@@ -340,7 +340,10 @@ def test_trace_lines_equal_the_reference_formatter(sc, seed):
         for name in ("on_round_start", "handle_check_request", "handle_response"):
             mp.setattr(simnet, name, logging(getattr(simnet, name)))
         _, verdicts = run_logged(sc, seed=seed, trace=sink)
-    issued = iter(verdicts)
+    issued = {}  # (round, issuer) -> the verdict folded
+    for issuer, v in verdicts:
+        assert (v.round, issuer) not in issued, "a member concludes once per round"
+        issued[v.round, issuer] = v
     current_round, members = -1, []
     for line in trace_lines(sink):
         t, seq, kind, frm, to, *fields = line.split()
@@ -354,8 +357,10 @@ def test_trace_lines_equal_the_reference_formatter(sc, seed):
             msg = sent[kind, rnd, int(frm)]
             assert line + "\n" == trace_delivery(int(t), int(seq), msg, int(frm), int(to), late)
         elif kind == "VERDICT":
-            assert line + "\n" == trace_verdict(int(t), int(seq), *next(issued))
-    assert next(issued, None) is None
+            rnd = int(dict(f.split("=") for f in fields)["round"])
+            v = issued.pop((rnd, int(frm)))
+            assert line + "\n" == trace_verdict(int(t), int(seq), int(frm), v)
+    assert not issued, "every folded verdict has its VERDICT line"
 
 
 @SETTINGS
@@ -374,6 +379,101 @@ def test_lateness_is_fixed_at_send(sc, seed):
         if f[2] in DELIVERY_KINDS:
             cid = int(dict(field.split("=") for field in f[5:])["cid"])
             assert (f[-1] == "late=1") == (int(f[0]) >= (cid + 1) * sc.round_deadline)
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=scenario_from_dict(ZERO_LATENCY[0]), seed=ZERO_LATENCY[1])
+@example(sc=scenario_from_dict(ON_THE_DEADLINE[0]), seed=ON_THE_DEADLINE[1])
+@example(sc=scenario_from_dict(PURGE[0]), seed=PURGE[1])
+def test_verdict_lines_follow_their_last_report_or_precede_the_deadline(sc, seed):
+    """A member's VERDICT line is written where its tally ends: right after
+    the in-time REPORT delivery to it that completes the tally, at that
+    line's tick and seq and with nothing missing, or else at its round's
+    deadline. The deadline's VERDICT lines come in group order just before
+    ROUND_DEADLINE. Each member of a round has one VERDICT line."""
+    _, trace = run_traced(sc, seed=seed)
+    lines = [line.split() for line in trace]
+    members: list[str] = []
+    issuers: list[str] = []  # the round's VERDICT issuers, in trace order
+    at_deadline: list[str] = []  # those written at the deadline
+    for i, f in enumerate(lines):
+        kind = f[2]
+        if kind == "ROUND_START":
+            members = dict(x.split("=") for x in f[5:])["group"].split(",")
+        elif kind == "VERDICT":
+            payload = dict(x.split("=") for x in f[5:])
+            rnd = int(payload["round"])
+            issuers.append(f[3])
+            if f[:2] == [str((rnd + 1) * sc.round_deadline), str(2 * rnd + 1)]:
+                at_deadline.append(f[3])
+                continue
+            report = lines[i - 1]
+            assert report[2] == "REPORT" and report[-1] != "late=1"
+            assert report[:2] == f[:2] and report[4] == f[3]
+            assert payload["missing"] == "0"
+        elif kind == "ROUND_DEADLINE":
+            k = len(at_deadline)
+            assert [g[2:4] for g in lines[i - k : i]] == [["VERDICT", m] for m in at_deadline]
+            assert at_deadline == [m for m in members if m in at_deadline]
+            assert sorted(issuers) == sorted(members)
+            issuers.clear()
+            at_deadline.clear()
+    assert not issuers, "every VERDICT line precedes its round's deadline"
+
+
+TRACE_LONG = {
+    # perfbench's traced workload: one Trojan shielded by an EVADE initiator
+    # and one RANDOM reporter, in groups of 7 of 8 devices for 500 rounds.
+    "population": 8,
+    "group_size": 7,
+    "rounds": 500,
+    "flag_threshold": 501,
+    "adversaries": [
+        {
+            "device": 1,
+            "fault": "TROJAN",
+            "trigger": {"index": 0, "mask": 15, "match": 5},
+            "payload": {"kind": "XOR", "value": 1},
+        },
+        {"device": 2, "initiator_policy": "EVADE", "targets": [1]},
+        {"device": 3, "reporting": "RANDOM", "p": 0.2},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, seed",
+    [pytest.param(TRACE_LONG, 5, id="trace_long"), pytest.param(*PURGE, id="purge")],
+)
+def test_a_traced_round_folds_each_split_once(doc, seed):
+    """A traced round folds each (agree, disagree) split of its VERDICT lines
+    in one DetectionStats.fold call, for all of that split's issuers."""
+    calls: list[tuple[int, tuple[int, int], tuple[int, ...]]] = []
+    fold = DetectionStats.fold
+
+    def counting(stats, v, issuers, profiles):
+        calls.append((v.round, (v.tally.agree, v.tally.disagree), tuple(issuers)))
+        fold(stats, v, issuers, profiles)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DetectionStats, "fold", counting)
+        res, trace = run_traced(scenario_from_dict(doc), seed=seed)
+    lines: dict[tuple[int, tuple[int, int]], list[int]] = {}
+    for f in map(str.split, trace):
+        if f[2] == "VERDICT":
+            p = dict(x.split("=") for x in f[5:])
+            split = int(p["agree"]), int(p["disagree"])
+            lines.setdefault((int(p["round"]), split), []).append(int(f[3]))
+    folded_splits = {(rnd, split): sorted(ids) for rnd, split, ids in calls}
+    assert len(folded_splits) == len(calls), "one call per split and round"
+    assert folded_splits == {key: sorted(ids) for key, ids in lines.items()}
+    if doc is TRACE_LONG:
+        # Lossless: every member hears every report, so each round is one call.
+        assert len(calls) == res.rounds_executed == doc["rounds"]
+    else:
+        # Lossy: some round's members conclude with different tallies.
+        assert len(calls) > res.rounds_executed
 
 
 def test_differential_examples_show_their_case():

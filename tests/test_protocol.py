@@ -25,7 +25,6 @@ from collabtrust.protocol import (
     handle_check_request,
     handle_response,
     on_round_start,
-    on_timeout,
     round_checkee,
     round_initiator,
     settle_round,
@@ -33,7 +32,7 @@ from collabtrust.protocol import (
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, routine_catalog
 from collabtrust.verdict import Outcome, Tally, Verdict, verdict_table
-from reference_impl import handle_report
+from reference_impl import handle_report, on_timeout
 
 GROUP = (0, 1, 2, 3, 4)
 
