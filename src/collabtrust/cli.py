@@ -206,14 +206,22 @@ def _check_distinct_files(args, *options: str) -> None:
     """Raise a UsageError when two of these path options name the same file.
 
     Each output would overwrite the scenario or the other output, so the
-    command is refused before it reads or writes anything.
+    command is refused before it reads or writes anything. Paths that exist
+    are compared by device and inode, which also sees hard links; the rest
+    by their real path.
     """
-    seen: dict[str, str] = {}
+    seen: dict[tuple, str] = {}
     for option in options:
         path = getattr(args, option)
         if path is None:
             continue
-        first = seen.setdefault(os.path.realpath(path), option)
+        try:
+            st = os.stat(path)
+        except OSError:
+            key: tuple = (os.path.realpath(path),)
+        else:
+            key = (st.st_dev, st.st_ino)
+        first = seen.setdefault(key, option)
         if first != option:
             raise UsageError(f"--{first} and --{option} name the same file: {path}")
 

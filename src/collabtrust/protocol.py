@@ -28,10 +28,13 @@ No report is handed to a handler. Traced, the event loop adds each report
 that lands in time to its receiver's two counts, concludes the receiver
 once the tally is complete and the other members at the deadline, and
 split_verdicts gives the round's verdict of each (agree, disagree) split.
-Untraced, at the deadline one settle_round call adds to every member's
-tally the round's reports less the ones it missed, and concludes the whole
-group the same way. The one ordering the handlers handle is a response
-that overtakes its challenge: it is parked until the challenge arrives.
+Untraced, a report triggers nothing, so the event loop keeps only its
+sender, send tick and opinion and sends the round's reports at the
+deadline, in the order they were made, noting who misses each; then one
+settle_round call adds to every member's tally the round's reports less
+the ones it missed, and concludes the whole group the same way. The one
+ordering the handlers handle is a response that overtakes its challenge:
+it is parked until the challenge arrives.
 """
 
 from __future__ import annotations

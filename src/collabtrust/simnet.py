@@ -7,9 +7,11 @@ platform-independent order. All randomness comes from named SplitMix64
 streams derived from the scenario seed by rng.stream: the network stream
 (loss and latency), the grouping stream (ad-hoc membership draws), and one
 stream per RANDOM reporter (reporting noise), derived when it first joins
-a group. Varying one knob never reshuffles the others. The engine's send
-loop decodes each unicast's loss and latency from the network stream's
-words as it sends; no other code reads them.
+a group. Varying a knob never reshuffles another stream's words, but
+within the network stream words are read in send order, so one more drop
+shifts the words of every later unicast. The engine's send loops decode
+each unicast's loss and latency from the network stream's words; no other
+code reads them.
 
 A group is the tuple of its members in draw order, on both paths: the
 checkee of round r is member r mod N, the initiator the member after it,
@@ -24,11 +26,15 @@ each round's trace lines there in one piece at its deadline, and tallies
 each report copy that lands in time itself: a member concludes when its
 tally completes or at the deadline, and the round's verdicts are folded
 at the deadline, one per (agree, disagree) split. Untraced, a report
-triggers no send, so the engine hands none over: it records only who
-misses each one (a receiver whose copy is dropped or lands at or after the
-round's end, and the sender), and at the deadline one
-protocol.settle_round call adds to every member's tally the round's
-reports less its misses and concludes the group, one verdict per split.
+triggers no send, so the engine hands none over and sends the round's
+reports at its deadline, in the order they were made, which draws the
+same words. It records only who misses each one (a receiver whose copy is
+dropped or lands at or after the round's end, and the sender), decodes no
+latency for a fan-out too early to have a late copy, and counts late
+copies of every kind when the next round starts instead of queueing
+them. Then one protocol.settle_round call adds to every member's tally
+the round's reports less its misses and concludes the group, one verdict
+per split.
 Runs with no trace sink whose outcome cannot depend on timing (no loss,
 and 3 * latency_max below the round deadline) skip the engine: a tally-
 level kernel computes each round's verdict directly. Both paths read the
@@ -620,9 +626,9 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     number from 2 * rounds in send order (a drop takes none). Each tick's
     deliveries sit in one list in seq order; a heap holds only the ticks
     that have one. A copy is late exactly when it lands at or after
-    (current_round + 1) * deadline, so dispatch_sends decides it: a late
-    copy's entry carries no message (None), and at delivery it is only
-    counted and charged. A delivery's trace line, ` late=1` included, is
+    (current_round + 1) * deadline, so its sender decides it: traced, a
+    late copy's entry carries no message (None), and at delivery it is
+    only counted and charged. A delivery's trace line, ` late=1` included, is
     fixed when its message is sent, from text built once per fan-out (a
     report's head once per sender and its tail once per round and opinion;
     ` late=1` only for a late copy), and waits in its bucket entry (None
@@ -633,11 +639,23 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     deadline concludes every member still pending, in group order. A
     member concludes by writing its VERDICT line, from its split's text,
     and joining its split's issuers; the deadline takes each split's
-    verdict from split_verdicts. With no trace, a report is tallied by its
-    misses: the sender and each receiver whose copy is dropped or late
-    miss it. A copy that lands in time takes its seq but is not queued, so
-    no report is tallied in the loop. At the deadline settle_round tallies
-    and concludes the whole group, and each member is charged the
+    verdict from split_verdicts. With no trace, the queue holds only
+    challenges and responses that land in time, and it is empty at every
+    deadline. A late copy is held as its entry instead: latency_max is
+    below the deadline, so it lands during the next round, whose start
+    counts it late and charges its reception; the deadline's purge covers
+    held copies too, and those still held when the run ends or halts are
+    in flight. A report triggers no send, so it is only noted as (sender,
+    send tick, AGREE or not). At the deadline the round's reports are sent
+    in that order: a round's challenge fan-out comes first, its one
+    response fan-out second, and then only reports until the next round,
+    so each unicast draws the words it would have drawn at its send tick.
+    A report is tallied by its misses: the sender and each receiver whose
+    copy is dropped or late miss it. A fan-out sent before deadline -
+    latency_max cannot have a late copy, so it decides drops only: each
+    kept copy's latency word is drawn, and redrawn while at or above the
+    rejection limit, but never turned into a tick. settle_round then
+    tallies and concludes the whole group, and each member is charged the
     receptions of the reports it did not miss. On both paths each verdict
     is folded once for all its issuers, and the round's first FLAGGED one
     marks its checkee.
@@ -681,42 +699,24 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     report_heads: dict[int, str] = {}
     report_tails: dict[Opinion, str] = {}
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
-    # Untraced: the round's reports, the AGREE ones, and one entry per miss
-    # naming the member that missed a report, by the report's opinion.
-    reports = agrees = 0
-    agree_misses: list[int] = []
-    disagree_misses: list[int] = []
+    # Untraced: the round's reports as (sender, send tick, AGREE or not),
+    # sent at its deadline, and its late copies, held as queue entries
+    # until the next round starts: each lands during that round.
+    noted: list[tuple[int, int, bool]] = []
+    held: list[tuple[int, None, int, int, None]] = []
+    redraw = span > 1
     group: tuple[int, ...] | None = None
     group_states: tuple[DeviceState, ...] = ()
     current_round = -1
     AGREE = Opinion.AGREE
 
     def dispatch_sends(frm: int, msg: Message, now: int) -> None:
-        nonlocal next_seq, reports, agrees
-        peers = states[frm].peers
-        n = len(peers)
-        # Transmissions are charged even when the channel drops them.
-        counters.sent += n
-        usage[frm].sent += n
-        seq = next_seq
-        # A copy landing at or after the round's end is late: it is queued
-        # without its message, and its trace line already says late=1.
-        late_at = (current_round + 1) * deadline
-        miss = None
-        if emit is None:
-            head = tail = None
-            if type(msg) is ComparisonReport:
-                # Untraced, a report is tallied at the deadline by what each
-                # member missed: dropped, late, or its own. A copy in time
-                # takes its seq but is not queued.
-                reports += 1
-                if msg.opinion is AGREE:
-                    agrees += 1
-                    miss = agree_misses.append
-                else:
-                    miss = disagree_misses.append
-                miss(frm)
-        elif type(msg) is ComparisonReport:
+        nonlocal next_seq
+        if type(msg) is ComparisonReport:
+            if emit is None:
+                # Untraced, a report triggers nothing: it goes out at the deadline.
+                noted.append((frm, now, msg.opinion is AGREE))
+                return
             head = report_heads.get(frm)
             if head is None:
                 head = report_heads[frm] = f" REPORT {frm} "
@@ -725,13 +725,23 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 tail = report_tails[msg.opinion] = (
                     f" cid={msg.round} checkee={msg.checkee} opinion={msg.opinion.value}\n"
                 )
+        elif emit is None:
+            head = tail = None
         else:
             head, tail = _trace_text(msg, frm)
+        peers = states[frm].peers
+        n = len(peers)
+        # Transmissions are charged even when the channel drops them.
+        counters.sent += n
+        usage[frm].sent += n
+        seq = next_seq
+        # A copy landing at or after the round's end is late: traced, it is
+        # queued without its message and its trace line says late=1;
+        # untraced, it is held.
+        late_at = (current_round + 1) * deadline
         soonest = now + lo
         for to in peers:
             if drop_cut and next(words) < drop_cut:
-                if miss:
-                    miss(to)
                 continue
             if span == 1:
                 at = soonest
@@ -739,15 +749,14 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 while (z := next(words)) >= limit:
                     pass
                 at = soonest + z % span
-            if at >= late_at:
-                if miss:
-                    miss(to)
-                body, text = None, tail and tail[:-1] + " late=1\n"
-            elif miss:
+            if at < late_at:
+                body, text = msg, tail
+            elif tail is None:
+                held.append((seq, None, frm, to, None))
                 seq += 1
                 continue
             else:
-                body, text = msg, tail
+                body, text = None, tail[:-1] + " late=1\n"
             bucket = buckets.get(at)
             if bucket is None:
                 bucket = buckets[at] = []
@@ -821,6 +830,11 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     if emit is not None:
                         emit(f"{t} {seq} HALT - - reason={res.halt_reason!r}\n")
                     break
+                # Untraced, the last round's late copies land during this one.
+                counters.late += len(held)
+                for e in held:
+                    usage[e[3]].received += 1
+                held.clear()
                 if new_group is not group:
                     group = new_group
                     for m in group:
@@ -861,6 +875,51 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
 
             # Round r's deadline.
             if emit is None:
+                # The round's reports go out now, in the order they were
+                # made, drawing the words they would have drawn when made.
+                # A fan-out sent before `early` cannot have a late copy, so
+                # it only decides its drops.
+                reports = len(noted)
+                agrees = 0
+                agree_misses: list[int] = []
+                disagree_misses: list[int] = []
+                early = t - network.latency_max
+                held_before = len(held)
+                for frm, now, agree in noted:
+                    peers = states[frm].peers
+                    n = len(peers)
+                    counters.sent += n
+                    usage[frm].sent += n
+                    # The sender misses its own report: handle_response counted it.
+                    if agree:
+                        agrees += 1
+                        miss = agree_misses.append
+                    else:
+                        miss = disagree_misses.append
+                    miss(frm)
+                    if now < early:
+                        for to in peers:
+                            if drop_cut and next(words) < drop_cut:
+                                miss(to)
+                            elif redraw:
+                                while next(words) >= limit:
+                                    pass
+                        continue
+                    soonest = now + lo
+                    for to in peers:
+                        if drop_cut and next(words) < drop_cut:
+                            miss(to)
+                            continue
+                        if span == 1:
+                            at = soonest
+                        else:
+                            while (z := next(words)) >= limit:
+                                pass
+                            at = soonest + z % span
+                        if at >= t:
+                            miss(to)
+                            held.append((0, None, frm, to, None))  # a report takes no seq
+                noted.clear()
                 missed = Counter(agree_misses)
                 missed_agree = missed.copy()
                 missed.update(disagree_misses)
@@ -869,10 +928,10 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 for m in group:
                     if heard := reports - missed.get(m, 0):
                         usage[m].received += heard
-                counters.delivered += reports * len(group) - missed.total()
-                reports = agrees = 0
-                agree_misses.clear()
-                disagree_misses.clear()
+                # A miss is the sender's own copy, a drop or a late copy.
+                misses = missed.total()
+                counters.delivered += reports * len(group) - misses
+                counters.dropped += misses - reports - (len(held) - held_before)
             else:
                 # Every member still pending concludes, in group order.
                 for state in group_states:
@@ -891,12 +950,13 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 update_suspicion(suspicion, flagged)
                 checkee = flagged.checkee
                 if suspicion.is_excluded(checkee):
-                    for at, bucket in buckets.items():
+                    # Untraced, the queue is empty here: only held copies remain.
+                    for bucket in (*buckets.values(), held):
                         keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]
                         purged = len(bucket) - len(keep)
                         counters.late += purged
                         counters.purged += purged
-                        buckets[at] = keep
+                        bucket[:] = keep
             if emit is not None:
                 emit(f"{t} {seq} ROUND_DEADLINE - - round={r}\n")
                 flush()
@@ -906,7 +966,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         if lines:
             flush()
 
-    counters.in_flight = sum(len(b) for b in buckets.values())
+    counters.in_flight = sum(len(b) for b in buckets.values()) + len(held)
 
 
 def run_simulation(

@@ -188,6 +188,28 @@ def test_an_output_naming_the_scenario_exits_1_and_writes_nothing(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json", "sub"]
 
 
+@pytest.mark.parametrize("option", ("--out", "--trace"))
+def test_an_output_hard_linked_to_the_scenario_exits_1_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, option
+):
+    # A hard link has its own real path but is the scenario's file.
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(cli, "run_simulation", no_run)
+    scenario = tmp_path / "scenario.json"
+    original = pathlib.Path(HONEST).read_bytes()
+    scenario.write_bytes(original)
+    link = tmp_path / "link.json"
+    os.link(scenario, link)
+    assert run_cli("run", "--scenario", str(scenario), option, str(link)) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error: ") and "--scenario" in err and option in err
+    assert err.count("\n") == 1 and out == ""
+    assert scenario.read_bytes() == original
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "scenario.json"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

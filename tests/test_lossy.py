@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 from collections import Counter
+from operator import length_hint
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -25,11 +26,12 @@ from collabtrust.adversary import Opinion, apply_fault
 from collabtrust.metrics import DetectionStats, TrafficCounters
 from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
 from collabtrust.report import emit_report
+from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, generate_operands
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
-from reference_impl import trace_delivery, trace_verdict
+from reference_impl import fates, trace_delivery, trace_verdict
 from test_kernel import adversary_docs
 from verdict_log import folded, run_logged, run_traced, trace_lines
 
@@ -235,6 +237,14 @@ HALT_IN_FLIGHT = (_lossy_doc(5, 1, 4, 10, 0.05), 4)
 # Latency 0 to deadline - 1: reports land in time, on the deadline tick and
 # past it, and device 2 is excluded with deliveries to it still queued.
 TIGHT_DEADLINE = (_lossy_doc(7, 0, 4, 5, 0.05), 3)
+# Latency 0 to 2**63, a span of 2**63 + 1: latency words at or above
+# 2**64 - 2**64 % span = 2**63 + 1, about half of them, are redrawn. Each
+# report is sent at most 2 * latency_max after its round starts, so with a
+# deadline above 3 * latency_max every report fan-out decides drops only;
+# with a deadline of 2**63 + 3 the report fan-outs take the full decode.
+WIDE_SPAN = 2**63
+DROPS_ONLY = (_lossy_doc(6, 0, WIDE_SPAN, 3 * WIDE_SPAN + 1, 0.3), 0)
+FULL_DECODE = (_lossy_doc(6, 0, WIDE_SPAN, WIDE_SPAN + 3, 0.3), 0)
 
 
 @SETTINGS
@@ -244,6 +254,8 @@ TIGHT_DEADLINE = (_lossy_doc(7, 0, 4, 5, 0.05), 3)
 @example(sc=scenario_from_dict(PURGE[0]), seed=PURGE[1])
 @example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
 @example(sc=scenario_from_dict(TIGHT_DEADLINE[0]), seed=TIGHT_DEADLINE[1])
+@example(sc=scenario_from_dict(DROPS_ONLY[0]), seed=DROPS_ONLY[1])
+@example(sc=scenario_from_dict(FULL_DECODE[0]), seed=FULL_DECODE[1])
 def test_untraced_engine_equals_traced_engine(sc, seed):
     untraced = run_simulation(sc, seed=seed)
     traced, _ = run_traced(sc, seed=seed)
@@ -476,6 +488,62 @@ def test_a_traced_round_folds_each_split_once(doc, seed):
         assert len(calls) > res.rounds_executed
 
 
+def _report_redraws(case) -> dict[tuple[int, int], int]:
+    """(round, sender) -> the latency words redrawn in that report fan-out
+    of an untraced run.
+
+    The run's network words are recorded, and so is each message a handler
+    makes, in the order made: every one is fanned out to its sender's
+    N-1 peers in that order. reference_impl.fates then replays the words
+    fan-out by fan-out, and a fan-out's redraws are the words it takes past
+    one drop word per unicast and one latency word per kept copy (the
+    document has loss and a latency span above 1)."""
+    doc, seed = case
+    sc = scenario_from_dict(doc)
+    drawn: list[int] = []
+    made: list[Message] = []
+    stream = simnet.stream
+
+    def recording(words):
+        for w in words:
+            drawn.append(w)
+            yield w
+
+    def network(seed, tag, *key):
+        rng = stream(seed, tag, *key)
+        if tag == simnet.NETWORK_STREAM:
+            rng.words = recording(rng.words)
+        return rng
+
+    def making(handler):
+        def wrapped(*args):
+            out = handler(*args)
+            if out is not None:
+                made.append(out)
+            return out
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "stream", network)
+        for name in ("on_round_start", "handle_check_request", "handle_response"):
+            mp.setattr(simnet, name, making(getattr(simnet, name)))
+        run_simulation(sc, seed=seed)
+    net = sc.network
+    span = net.latency_max - net.latency_min + 1
+    n = sc.group_size - 1
+    replay = SplitMix64(0)
+    replay.words = iter(drawn)
+    redraws = {}
+    for msg in made:
+        left = length_hint(replay.words)
+        kept = n - fates(replay, n, net.drop_prob, net.latency_min, span).count(None)
+        if type(msg) is ComparisonReport:
+            redraws[msg.round, msg.reporter] = left - length_hint(replay.words) - n - kept
+    assert length_hint(replay.words) == 0, "every word drawn belongs to a fan-out"
+    return redraws
+
+
 def test_differential_examples_show_their_case():
     def run(case):
         doc, seed = case
@@ -496,12 +564,25 @@ def test_differential_examples_show_their_case():
     tight, trace = run_traced(scenario_from_dict(TIGHT_DEADLINE[0]), seed=TIGHT_DEADLINE[1])
     deadline = TIGHT_DEADLINE[0]["round_deadline"]
     reports = [line.split() for line in trace if line.split()[2] == "REPORT"]
-    fates = Counter(
+    landings = Counter(
         "in time" if f[-1] != "late=1" else "on" if int(f[0]) % deadline == 0 else "past"
         for f in reports
     )
-    assert min(fates["in time"], fates["on"], fates["past"]) > 0
+    assert min(landings["in time"], landings["on"], landings["past"]) > 0
     assert tight.suspicion.excluded_at and tight.counters.purged > 0
+    # A latency word is redrawn in a report fan-out that decides drops only,
+    # and in one with a late copy, which takes the full decode.
+    doc = DROPS_ONLY[0]
+    assert 3 * doc["network"]["latency_max"] < doc["round_deadline"]
+    assert sum(_report_redraws(DROPS_ONLY).values()) > 0
+    _, trace = run_traced(scenario_from_dict(FULL_DECODE[0]), seed=FULL_DECODE[1])
+    late = {
+        (int(f[5].removeprefix("cid=")), int(f[3]))
+        for f in map(str.split, trace)
+        if f[2] == "REPORT" and f[-1] == "late=1"
+    }
+    redraws = _report_redraws(FULL_DECODE)
+    assert any(redraws[key] for key in late)
 
 
 # Device 2 initiates with EVADE for its colluder 3, whose Trojan fires on
