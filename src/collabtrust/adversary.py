@@ -8,11 +8,11 @@ profile, so one device can both compute wrong outputs and lie about others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
 from .errors import ContractError
+from .record import Frozen
 from .routines import RoutineSpec
 from .rng import SplitMix64
 
@@ -52,38 +52,40 @@ class InitiatorKind(Enum):
     EVADE = "EVADE"
 
 
-@dataclass(frozen=True)
-class TrojanModel:
+class TrojanModel(Frozen):
     """Trigger predicate on one operand plus a payload transform of the output.
 
     The trigger fires when the inspected operand's bits under `mask` equal
     `match`; the chance of that under uniform operands is 2^-popcount(mask).
     """
 
-    operand_index: int
-    mask: int
-    match: int
-    payload: PayloadKind
-    payload_value: int = 0
-
-    def __post_init__(self):
-        if self.operand_index < 0:
-            raise ContractError(f"trigger index must be >= 0, got {self.operand_index}")
-        if self.mask < 0 or self.match < 0:
+    def __init__(
+        self,
+        operand_index: int,
+        mask: int,
+        match: int,
+        payload: PayloadKind,
+        payload_value: int = 0,
+    ):
+        if operand_index < 0:
+            raise ContractError(f"trigger index must be >= 0, got {operand_index}")
+        if mask < 0 or match < 0:
             raise ContractError("trigger mask and match must be non-negative")
-        if self.match & ~self.mask:
-            raise ContractError(
-                f"trigger match {self.match:#x} has bits outside mask {self.mask:#x}"
-            )
-        if self.payload in (PayloadKind.XOR, PayloadKind.CONST) and self.payload_value < 0:
+        if match & ~mask:
+            raise ContractError(f"trigger match {match:#x} has bits outside mask {mask:#x}")
+        if payload in (PayloadKind.XOR, PayloadKind.CONST) and payload_value < 0:
             raise ContractError("payload value must be non-negative")
+        self.operand_index = operand_index
+        self.mask = mask
+        self.match = match
+        self.payload = payload
+        self.payload_value = payload_value
 
     def triggers(self, ops: tuple[int, ...]) -> bool:
         return (ops[self.operand_index] & self.mask) == self.match
 
 
-@dataclass(frozen=True)
-class AdversaryProfile:
+class AdversaryProfile(Frozen):
     """What one device is allowed to do wrong.
 
     `targets` is the device's colluder/victim set, shared by whichever of the
@@ -91,20 +93,25 @@ class AdversaryProfile:
     itself (enforced at scenario load, where the owner id is known).
     """
 
-    fault: FaultKind = FaultKind.HONEST
-    trojan: TrojanModel | None = None
-    reporting: ReportingKind = ReportingKind.HONEST
-    targets: frozenset[int] = frozenset()
-    flip_probability: float = 0.0
-    initiator_policy: InitiatorKind = InitiatorKind.HONEST
-
-    def __post_init__(self):
-        if self.fault is FaultKind.TROJAN and self.trojan is None:
+    def __init__(
+        self,
+        fault: FaultKind = FaultKind.HONEST,
+        trojan: TrojanModel | None = None,
+        reporting: ReportingKind = ReportingKind.HONEST,
+        targets: frozenset[int] = frozenset(),
+        flip_probability: float = 0.0,
+        initiator_policy: InitiatorKind = InitiatorKind.HONEST,
+    ):
+        if fault is FaultKind.TROJAN and trojan is None:
             raise ContractError("TROJAN fault needs a TrojanModel")
-        if not 0.0 <= self.flip_probability <= 1.0:
-            raise ContractError(
-                f"flip probability must be in [0, 1], got {self.flip_probability}"
-            )
+        if not 0.0 <= flip_probability <= 1.0:
+            raise ContractError(f"flip probability must be in [0, 1], got {flip_probability}")
+        self.fault = fault
+        self.trojan = trojan
+        self.reporting = reporting
+        self.targets = targets
+        self.flip_probability = flip_probability
+        self.initiator_policy = initiator_policy
 
 
 # The profile of every device a scenario does not list.

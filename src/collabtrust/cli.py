@@ -245,7 +245,13 @@ def _cmd_run(args) -> int:
 
 
 def _set_path(doc: dict, dotted: str, value) -> None:
+    """Set the key at the dotted path `dotted` of `doc` to `value`, making objects on the way.
+
+    A path with an empty key is a UsageError, raised before any value is run.
+    """
     keys = dotted.split(".")
+    if "" in keys:
+        raise UsageError(f"--param {dotted!r}: empty key in the dotted path")
     node = doc
     for key in keys[:-1]:
         nxt = node.setdefault(key, {})

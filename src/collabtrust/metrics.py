@@ -17,31 +17,29 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from .adversary import HONEST_PROFILE, AdversaryProfile, FaultKind, ReportingKind
 from .errors import ContractError
+from .record import Frozen, Record
 from .verdict import Outcome, Verdict
 
 
-@dataclass(frozen=True)
-class EnergyModel:
+class EnergyModel(Frozen):
     """Unit costs; defaults follow the simulator's canonical unit model."""
 
-    e_op: int = 1
-    e_tx: int = 2
-    e_rx: int = 1
-
-    def __post_init__(self):
-        if min(self.e_op, self.e_tx, self.e_rx) < 0:
+    def __init__(self, e_op: int = 1, e_tx: int = 2, e_rx: int = 1):
+        if min(e_op, e_tx, e_rx) < 0:
             raise ContractError("energy costs must be non-negative")
+        self.e_op = e_op
+        self.e_tx = e_tx
+        self.e_rx = e_rx
 
 
-@dataclass
-class DeviceUsage:
-    ops: int = 0
-    sent: int = 0
-    received: int = 0
+class DeviceUsage(Record):
+    def __init__(self, ops: int = 0, sent: int = 0, received: int = 0):
+        self.ops = ops
+        self.sent = sent
+        self.received = received
 
 
 class EnergyLedger:
@@ -66,16 +64,24 @@ class EnergyLedger:
         return sum(self.energy(d) for d in self.usage)
 
 
-@dataclass
-class TrafficCounters:
+class TrafficCounters(Record):
     """Message fate counts for one run; conservation is checked at its end."""
 
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    late: int = 0
-    in_flight: int = 0
-    purged: int = 0  # of the late: dropped from the queue at an exclusion, never received
+    def __init__(
+        self,
+        sent: int = 0,
+        delivered: int = 0,
+        dropped: int = 0,
+        late: int = 0,
+        in_flight: int = 0,
+        purged: int = 0,
+    ):
+        self.sent = sent
+        self.delivered = delivered
+        self.dropped = dropped
+        self.late = late
+        self.in_flight = in_flight
+        self.purged = purged  # of the late: dropped from the queue at an exclusion, never received
 
 
 def lossless_messages_per_round(n: int) -> int:
@@ -92,19 +98,27 @@ def is_stat_honest(profile: AdversaryProfile) -> bool:
     return profile.fault is FaultKind.HONEST and profile.reporting is ReportingKind.HONEST
 
 
-@dataclass
-class DetectionStats:
+class DetectionStats(Record):
     """Detection quality of one run, folded verdict by verdict as it runs.
 
     The outcome counts are plain ints, so a fold tells outcomes apart by
-    identity and hashes no Enum member.
+    identity and hashes no Enum member. `detections` maps each corrupt
+    device to the first round it was flagged in; None makes a new dict.
     """
 
-    detections: dict[int, int] = field(default_factory=dict)  # corrupt device -> first flagged round
-    false_positives: int = 0
-    trusted: int = 0
-    flagged: int = 0
-    inconclusive: int = 0
+    def __init__(
+        self,
+        detections: dict[int, int] | None = None,
+        false_positives: int = 0,
+        trusted: int = 0,
+        flagged: int = 0,
+        inconclusive: int = 0,
+    ):
+        self.detections = {} if detections is None else detections
+        self.false_positives = false_positives
+        self.trusted = trusted
+        self.flagged = flagged
+        self.inconclusive = inconclusive
 
     def fold(
         self, v: Verdict, issuers: Sequence[int], profiles: dict[int, AdversaryProfile]

@@ -7,11 +7,11 @@ second. Composite routines left-fold their steps over the operand list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
 from .errors import ContractError
+from .record import Frozen
 from .rng import GOLDEN_GAMMA, MASK64, MIX_MUL_1, MIX_MUL_2, mix_words
 
 
@@ -26,8 +26,7 @@ ATOMIC_KINDS = (Kind.ADD, Kind.MUL, Kind.CMP)
 VALID_WIDTHS = (8, 16, 32)
 
 
-@dataclass(frozen=True)
-class RoutineSpec:
+class RoutineSpec(Frozen):
     """One routine: an atomic operation or a left-fold of atomic steps.
 
     `arity` and `op_count` are derived once: 2 operands and 1 primitive step
@@ -35,29 +34,25 @@ class RoutineSpec:
     for composites. `op_count` feeds energy accounting.
     """
 
-    id: int
-    kind: Kind
-    width: int = 8
-    steps: tuple[Kind, ...] = ()
-    arity: int = field(init=False, compare=False, repr=False)
-    op_count: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ContractError(f"routine id must be >= 0, got {self.id}")
-        if self.width not in VALID_WIDTHS:
-            raise ContractError(f"width must be one of {VALID_WIDTHS}, got {self.width}")
-        if self.kind is Kind.COMPOSITE:
-            if not self.steps:
+    def __init__(self, id: int, kind: Kind, width: int = 8, steps: tuple[Kind, ...] = ()):
+        if id < 0:
+            raise ContractError(f"routine id must be >= 0, got {id}")
+        if width not in VALID_WIDTHS:
+            raise ContractError(f"width must be one of {VALID_WIDTHS}, got {width}")
+        if kind is Kind.COMPOSITE:
+            if not steps:
                 raise ContractError("COMPOSITE routine needs at least one step")
-            bad = [s for s in self.steps if s not in ATOMIC_KINDS]
+            bad = [s for s in steps if s not in ATOMIC_KINDS]
             if bad:
                 raise ContractError(f"composite steps must be atomic, got {bad[0].value}")
-        elif self.steps:
-            raise ContractError(f"{self.kind.value} routine must not carry steps")
-        op_count = len(self.steps) or 1
-        object.__setattr__(self, "arity", op_count + 1)
-        object.__setattr__(self, "op_count", op_count)
+        elif steps:
+            raise ContractError(f"{kind.value} routine must not carry steps")
+        self.id = id
+        self.kind = kind
+        self.width = width
+        self.steps = steps
+        self.op_count = len(steps) or 1
+        self.arity = self.op_count + 1
 
 
 def execute(spec: RoutineSpec, ops: tuple[int, ...]) -> int:

@@ -1,10 +1,12 @@
 """Scenario documents: the JSON surface that configures a run.
 
 `_build` reads every object in a document: its keys are the parameters of
-what it builds (Scenario, NetworkModel, EnergyModel, RoutineSpec, and
-`_adversary` for an adversaries entry), and a key left out keeps its
-default, so `Scenario()` is the empty document: the five-device vignette,
-population 5, group 5, 25 rounds, lossless network, all devices honest.
+what it builds (the `__init__` of Scenario, NetworkModel, EnergyModel and
+RoutineSpec, and `_adversary`, `_trigger` and `_payload` for an
+adversaries entry and its trigger and payload), read from their code
+objects, and a key left out keeps its default, so `Scenario()` is the
+empty document: the five-device vignette, population 5, group 5, 25
+rounds, lossless network, all devices honest.
 Unknown keys and constraint violations are load-time errors that name the
 offending path; a validated scenario never fails at run time.
 """
@@ -12,9 +14,7 @@ offending path; a validated scenario never fails at run time.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .adversary import (
@@ -27,6 +27,7 @@ from .adversary import (
 )
 from .errors import ContractError, ScenarioError
 from .metrics import EnergyModel
+from .record import Frozen
 from .routines import Kind, RoutineSpec, routine_catalog
 from .simnet import NetworkModel, RunPlan
 from .verdict import default_quorum
@@ -38,31 +39,36 @@ from .verdict import default_quorum
 MAX_POPULATION = 100_000
 
 
-@dataclass(frozen=True)
-class Scenario:
-    population: int = 5
-    group_size: int = 5
-    rounds: int = 25
-    regroup_period: int = 5
-    seed: int = 0
-    quorum: int | None = None  # None: default_quorum(group_size - 1)
-    round_deadline: int = 10
-    repetitions: int = 1
-    flag_threshold: int = 1
-    network: NetworkModel = field(default_factory=NetworkModel)
-    energy: EnergyModel = field(default_factory=EnergyModel)
-    routines: tuple[RoutineSpec, ...] = ()
-    adversaries: tuple[tuple[int, AdversaryProfile], ...] = ()
-    # Derived once from the fields above when the scenario is built: the
-    # resolved document, that is the routine table (the catalog with the
-    # document's routines added or overriding, in id order) and the sparse
-    # adversary map (devices it does not list are honest), and the run plan,
-    # what every run derives from them and no seed changes.
-    routine_order: tuple[RoutineSpec, ...] = field(init=False, compare=False, repr=False)
-    adversary_map: dict[int, AdversaryProfile] = field(init=False, compare=False, repr=False)
-    plan: RunPlan = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
+class Scenario(Frozen):
+    def __init__(
+        self,
+        population: int = 5,
+        group_size: int = 5,
+        rounds: int = 25,
+        regroup_period: int = 5,
+        seed: int = 0,
+        quorum: int | None = None,  # None: default_quorum(group_size - 1)
+        round_deadline: int = 10,
+        repetitions: int = 1,
+        flag_threshold: int = 1,
+        network: NetworkModel = NetworkModel(),
+        energy: EnergyModel = EnergyModel(),
+        routines: tuple[RoutineSpec, ...] = (),
+        adversaries: tuple[tuple[int, AdversaryProfile], ...] = (),
+    ):
+        self.population = population
+        self.group_size = group_size
+        self.rounds = rounds
+        self.regroup_period = regroup_period
+        self.seed = seed
+        self.quorum = default_quorum(group_size - 1) if quorum is None else quorum
+        self.round_deadline = round_deadline
+        self.repetitions = repetitions
+        self.flag_threshold = flag_threshold
+        self.network = network
+        self.energy = energy
+        self.routines = routines
+        self.adversaries = adversaries
         if self.population > MAX_POPULATION:
             raise ScenarioError(
                 f"population: must be at most {MAX_POPULATION}, got {self.population}"
@@ -79,8 +85,6 @@ class Scenario:
             raise ScenarioError(
                 f"regroup_period: must be at least 1, got {self.regroup_period}"
             )
-        if self.quorum is None:
-            object.__setattr__(self, "quorum", default_quorum(self.group_size - 1))
         if not 1 <= self.quorum <= self.group_size - 1:
             raise ScenarioError(
                 f"quorum: must be in [1, {self.group_size - 1}], got {self.quorum}"
@@ -153,9 +157,14 @@ class Scenario:
                     f"{model.payload_value:#x} wider than width {min_width}"
                 )
 
-        object.__setattr__(self, "routine_order", table)
-        object.__setattr__(self, "adversary_map", dict(self.adversaries))
-        object.__setattr__(self, "plan", RunPlan(self))
+        # Derived once from the fields above, so not compared: the resolved
+        # document, that is the routine table (the catalog with the
+        # document's routines added or overriding, in id order) and the
+        # sparse adversary map (devices it does not list are honest), and
+        # the run plan, what every run derives from them and no seed changes.
+        self.routine_order = table
+        self.adversary_map = dict(self.adversaries)
+        self.plan = RunPlan(self)
 
 
 def _int(value, path: str) -> int:
@@ -192,34 +201,52 @@ def _tuple_of(parse):
     return parse_list
 
 
-# One signature takes tens of microseconds, and a document may list thousands of entries.
-_signature = functools.cache(inspect.signature)
+# The default of a parameter that has none.
+_REQUIRED = object()
+
+
+# Memoized, because a document may list thousands of entries of one kind.
+@functools.cache
+def _parameters(make) -> dict:
+    """`make`'s parameters, in order, each mapped to its default or `_REQUIRED`.
+
+    They are read from the code object of `make`, or of its `__init__` for
+    a class (less `self`): its positional parameters, and the defaults of
+    the last of them. `make` takes no keyword-only parameter.
+    """
+    func = make.__init__ if isinstance(make, type) else make
+    code = func.__code__
+    names = code.co_varnames[isinstance(make, type) : code.co_argcount]
+    defaults = func.__defaults__ or ()
+    return dict(zip(names, (_REQUIRED,) * (len(names) - len(defaults)) + defaults))
 
 
 def _build(make, obj, path: str, **parsers):
     """`make(**keys)` from the JSON object `obj` at `path`; its keys are `make`'s parameters.
 
-    A key the object leaves out keeps its parameter's default; a parameter
-    without one is a required key. A present key is read by its parser in
-    `parsers` (called with the value and the key's path), else by its
-    default's type: an Enum member's Enum, a number for a float, an integer
-    otherwise. A ContractError from `make` is reported at `path`.
+    The parameters and their defaults are those `_parameters` reads from
+    `make`'s code. A key the object leaves out keeps its parameter's
+    default; a parameter without one is a required key. A present key is
+    read by its parser in `parsers` (called with the value and the key's
+    path), else by its default's type: an Enum member's Enum, a number for
+    a float, an integer otherwise. A ContractError from `make` is reported
+    at `path`.
     """
     if not isinstance(obj, dict):
         raise ScenarioError(f"{path}: expected an object")
     prefix = f"{path}." if path else ""
-    params = _signature(make).parameters
+    params = _parameters(make)
     for key in obj:
         if key not in params:
             # repr() keeps a key with a line break or control character on one line.
             name = key if isinstance(key, str) and key.isprintable() else repr(key)
             raise ScenarioError(f"{prefix}{name}: unknown key")
-    required = [name for name, param in params.items() if param.default is param.empty]
+    required = [name for name, default in params.items() if default is _REQUIRED]
     if not obj.keys() >= set(required):
         raise ScenarioError(f"{path}: entries need {' and '.join(map(repr, required))}")
     kwargs = {}
     for key, value in obj.items():
-        default = params[key].default
+        default = params[key]
         if key in parsers:
             kwargs[key] = parsers[key](value, prefix + key)
         elif isinstance(default, Enum):

@@ -83,7 +83,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Collection
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from heapq import heappop, heappush
@@ -125,6 +124,7 @@ from .protocol import (
     settle_round,
     split_verdicts,
 )
+from .record import Frozen, Record
 from .rng import MASK64, SplitMix64, float_cut, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import (
@@ -146,21 +146,19 @@ GROUPING_STREAM = 0x67727570  # "grup"
 REPORT_STREAM = 0x72707274  # "rprt"
 
 
-@dataclass(frozen=True)
-class NetworkModel:
+class NetworkModel(Frozen):
     """Per-unicast loss and latency. Latencies are whole ticks in [min, max]."""
 
-    latency_min: int = 1
-    latency_max: int = 3
-    drop_prob: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.latency_min <= self.latency_max:
+    def __init__(self, latency_min: int = 1, latency_max: int = 3, drop_prob: float = 0.0):
+        if not 0 <= latency_min <= latency_max:
             raise ContractError(
-                f"need 0 <= latency_min <= latency_max, got [{self.latency_min}, {self.latency_max}]"
+                f"need 0 <= latency_min <= latency_max, got [{latency_min}, {latency_max}]"
             )
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ContractError(f"drop_prob must be in [0, 1], got {self.drop_prob}")
+        if not 0.0 <= drop_prob <= 1.0:
+            raise ContractError(f"drop_prob must be in [0, 1], got {drop_prob}")
+        self.latency_min = latency_min
+        self.latency_max = latency_max
+        self.drop_prob = drop_prob
 
 
 def draw_group(
@@ -216,17 +214,26 @@ def _nth_eligible(skip: list[int], rank: int) -> int:
     return d
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """Everything a single run produces; report assembly reads from here."""
 
-    seed: int
-    rounds_executed: int
-    halt_reason: str | None
-    stats: DetectionStats
-    counters: TrafficCounters
-    energy: EnergyLedger
-    suspicion: SuspicionLedger
+    def __init__(
+        self,
+        seed: int,
+        rounds_executed: int,
+        halt_reason: str | None,
+        stats: DetectionStats,
+        counters: TrafficCounters,
+        energy: EnergyLedger,
+        suspicion: SuspicionLedger,
+    ):
+        self.seed = seed
+        self.rounds_executed = rounds_executed
+        self.halt_reason = halt_reason
+        self.stats = stats
+        self.counters = counters
+        self.energy = energy
+        self.suspicion = suspicion
 
 
 def _trace_text(msg: Challenge | Response, frm: int) -> tuple[str, str]:

@@ -10,11 +10,11 @@ one. Below the opinion quorum a round is INCONCLUSIVE rather than guessed.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
 from .errors import ContractError
+from .record import Frozen, Record
 
 
 class Outcome(Enum):
@@ -23,22 +23,18 @@ class Outcome(Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class Tally:
+class Tally(Frozen):
     """Opinion counts about one checkee in one round."""
 
-    agree: int
-    disagree: int
-    missing: int
-    n_checkers: int
-
-    def __post_init__(self):
-        if min(self.agree, self.disagree, self.missing) < 0:
+    def __init__(self, agree: int, disagree: int, missing: int, n_checkers: int):
+        if min(agree, disagree, missing) < 0:
             raise ContractError("tally counts must be non-negative")
-        if self.agree + self.disagree + self.missing != self.n_checkers:
-            raise ContractError(
-                f"tally {self.agree}+{self.disagree}+{self.missing} != {self.n_checkers} checkers"
-            )
+        if agree + disagree + missing != n_checkers:
+            raise ContractError(f"tally {agree}+{disagree}+{missing} != {n_checkers} checkers")
+        self.agree = agree
+        self.disagree = disagree
+        self.missing = missing
+        self.n_checkers = n_checkers
 
 
 class Verdict(NamedTuple):
@@ -147,18 +143,25 @@ def decision_table(
             yield agree, disagree, missing, oracle_outcome(agree, disagree, missing, q)
 
 
-@dataclass
-class SuspicionLedger:
-    """Cross-round action state: per-device flag counts and exclusions."""
+class SuspicionLedger(Record):
+    """Cross-round action state: per-device flag counts and exclusions.
 
-    flag_threshold: int = 1
-    flags: dict[int, int] = field(default_factory=dict)
-    excluded_at: dict[int, int] = field(default_factory=dict)
-    first_flagged: dict[int, int] = field(default_factory=dict)
+    Each of the three maps is keyed by device; None makes a new dict.
+    """
 
-    def __post_init__(self):
-        if self.flag_threshold < 1:
-            raise ContractError(f"flag threshold must be >= 1, got {self.flag_threshold}")
+    def __init__(
+        self,
+        flag_threshold: int = 1,
+        flags: dict[int, int] | None = None,
+        excluded_at: dict[int, int] | None = None,
+        first_flagged: dict[int, int] | None = None,
+    ):
+        if flag_threshold < 1:
+            raise ContractError(f"flag threshold must be >= 1, got {flag_threshold}")
+        self.flag_threshold = flag_threshold
+        self.flags = {} if flags is None else flags
+        self.excluded_at = {} if excluded_at is None else excluded_at
+        self.first_flagged = {} if first_flagged is None else first_flagged
 
     def flag_count(self, device: int) -> int:
         return self.flags.get(device, 0)

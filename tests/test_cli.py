@@ -386,6 +386,42 @@ def test_sweep_value_that_is_no_scalar_exits_1_with_one_line(capsys, values):
     assert captured.err == f"scenario error: sweep value {values!r} is not a JSON scalar\n"
 
 
+@pytest.mark.parametrize("param", ("", "network.", ".rounds", "network..drop_prob"))
+def test_a_sweep_param_with_an_empty_key_exits_1_before_any_run(monkeypatch, capsys, param):
+    runs = []
+    monkeypatch.setattr(cli, "_run_repetitions", lambda *args: runs.append(args))
+    assert run_cli("sweep", "--scenario", HONEST, "--param", param, "--values", "1,2") == 1
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert captured.err == f"usage error: --param {param!r}: empty key in the dotted path\n"
+
+
+def test_a_cli_process_imports_neither_dataclasses_nor_inspect(tmp_path):
+    # A short command's run takes well under a millisecond, so start-up is
+    # most of its cost, and building dataclasses and importing dataclasses
+    # and inspect took a large share of it. -S keeps the site hooks of the
+    # interpreter's environment, which may import either, out of the count.
+    code = (
+        "import pathlib, sys\n"
+        "import collabtrust.cli as cli\n"
+        "from collabtrust.scenario import load_scenario\n"
+        "scenarios = sys.argv[1]\n"
+        "for path in sorted(pathlib.Path(scenarios).glob('*.json')):\n"
+        "    load_scenario(str(path))\n"
+        "doc = f'{scenarios}/five_device_trojan.json'\n"
+        "assert cli.main(['run', '--scenario', doc, '--out', sys.argv[2]]) == 0\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+    )
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SCENARIO_DIR), str(out)],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout == "[]\n"
+    assert json.loads(out.read_text())["rounds_executed"] > 0
+
+
 def test_non_utf8_scenario_exits_1_with_one_line(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff\xfe{}")

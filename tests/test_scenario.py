@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pathlib
 import re
 
@@ -37,7 +38,7 @@ def test_empty_document_gives_defaults():
     assert (sc.network.latency_min, sc.network.latency_max) == (1, 3)
     assert (sc.energy.e_op, sc.energy.e_tx, sc.energy.e_rx) == (1, 2, 1)
     assert sc.adversaries == ()
-    # The loader adds no default of its own: the dataclasses hold them all.
+    # The loader adds no default of its own: the constructors hold them all.
     assert sc == Scenario()
 
 
@@ -67,6 +68,61 @@ def test_shipped_trojan_scenario_loads():
 def test_all_shipped_scenarios_load():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         load_scenario(str(path))
+
+
+# Every key the README documents, with its default, by the document it
+# belongs in: (base document, where the key goes, key, default). A key
+# needing context is set in a minimal valid base; the others in `{}`.
+_TROJAN_ENTRY = {"device": 1, "fault": "TROJAN", "trigger": {}, "payload": {"kind": "COMPLEMENT"}}
+_DOCUMENTED_DEFAULTS = (
+    *(({}, (), key, default) for key, default in (
+        ("population", 5),
+        ("group_size", 5),
+        ("rounds", 25),
+        ("regroup_period", 5),
+        ("seed", 0),
+        ("quorum", 3),  # floor((group_size - 1) / 2) + 1
+        ("round_deadline", 10),
+        ("repetitions", 1),
+        ("flag_threshold", 1),
+        ("network", {}),
+        ("energy", {}),
+        ("routines", []),
+        ("adversaries", []),
+    )),
+    *(({}, ("network",), key, default) for key, default in (
+        ("latency_min", 1), ("latency_max", 3), ("drop_prob", 0.0),
+    )),
+    *(({}, ("energy",), key, default) for key, default in (
+        ("e_op", 1), ("e_tx", 2), ("e_rx", 1),
+    )),
+    *(({"routines": [{"id": 5, "kind": "ADD"}]}, ("routines", 0), key, default)
+      for key, default in (("width", 8), ("steps", []))),
+    *(({"adversaries": [{"device": 1}]}, ("adversaries", 0), key, default) for key, default in (
+        ("fault", "HONEST"),
+        ("reporting", "HONEST"),
+        ("targets", []),
+        ("initiator_policy", "HONEST"),
+    )),
+    *(({"adversaries": [_TROJAN_ENTRY]}, ("adversaries", 0, "trigger"), key, 0)
+      for key in ("index", "mask", "match")),
+    # COMPLEMENT takes no value; one given as 0 is the same payload.
+    ({"adversaries": [_TROJAN_ENTRY]}, ("adversaries", 0, "payload"), "value", 0),
+)
+
+
+@pytest.mark.parametrize(
+    "base, where, key, default",
+    _DOCUMENTED_DEFAULTS,
+    ids=[".".join(map(str, (*where, key))) for _, where, key, _ in _DOCUMENTED_DEFAULTS],
+)
+def test_each_documented_key_set_to_its_default_loads_as_if_left_out(base, where, key, default):
+    doc = json.loads(json.dumps(base))
+    node = doc
+    for step in where:
+        node = node.setdefault(step, {}) if isinstance(step, str) else node[step]
+    node[key] = default
+    assert scenario_from_dict(doc) == scenario_from_dict(base)
 
 
 def test_group_larger_than_population_names_path():
