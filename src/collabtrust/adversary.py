@@ -9,13 +9,13 @@ profile, so one device can both compute wrong outputs and lie about others.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
 
 from .errors import ContractError
 from .record import Frozen
 from .routines import RoutineSpec
 from .rng import SplitMix64
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 

@@ -7,15 +7,12 @@ violations (simulator bugs).
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import json
 import os
 import sys
-import threading
 from collections.abc import Iterable
 from itertools import chain
-from typing import BinaryIO, NoReturn, TextIO
 
 from .errors import ProtocolViolation, ScenarioError
 from .report import Report, emit_report
@@ -23,6 +20,10 @@ from .rng import MASK64
 from .scenario import MAX_POPULATION, Scenario, read_scenario_doc, scenario_from_dict
 from .simnet import latency_free, run_simulation
 from .verdict import decision_table, default_quorum
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import BinaryIO, NoReturn, TextIO
 
 
 class OutputError(Exception):
@@ -41,6 +42,15 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+class _Once(argparse.Action):
+    """Stores an option's value, and raises a UsageError when the option is given again."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise UsageError(f"{option_string} given more than once")
+        setattr(namespace, self.dest, values)
 
 
 def _write_output(chunks: Iterable[bytes], out: str | None) -> None:
@@ -111,14 +121,11 @@ def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = 
     """
     reps = scenario.repetitions
     workers = 1
-    if (
-        trace is None
-        and reps > 1
-        and not latency_free(scenario)
-        and hasattr(os, "fork")
-        and threading.active_count() == 1
-    ):
-        workers = min(_usable_cpus(), reps)
+    if trace is None and reps > 1 and not latency_free(scenario) and hasattr(os, "fork"):
+        import threading  # imported here, so that a kernel run never loads it
+
+        if threading.active_count() == 1:
+            workers = min(_usable_cpus(), reps)
     if workers == 1:
         return _fold_runs(scenario, base_seed, range(reps), trace)
     return _fold_forked(scenario, base_seed, workers)
@@ -290,6 +297,8 @@ _SWEEP_COLUMNS = (
 
 
 def _cmd_sweep(args) -> int:
+    import copy  # imported here, as only a sweep copies a document
+
     _check_distinct_files(args, "scenario", "out")
     base_doc = read_scenario_doc(args.scenario)
     values = [_parse_sweep_value(tok) for tok in args.values.split(",")]
@@ -345,8 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="re-run a scenario across parameter values")
     sweep_p.add_argument("--scenario", required=True)
-    sweep_p.add_argument("--param", required=True, help="dotted key, e.g. network.drop_prob")
-    sweep_p.add_argument("--values", required=True, help="comma-separated JSON scalars")
+    # A second --param or --values would replace the first.
+    once = {"required": True, "action": _Once}
+    sweep_p.add_argument("--param", **once, help="dotted key, e.g. network.drop_prob")
+    sweep_p.add_argument("--values", **once, help="comma-separated JSON scalars")
     sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--out", default=None)
     sweep_p.add_argument("--format", choices=("json", "csv"), default="csv")

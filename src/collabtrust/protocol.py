@@ -10,7 +10,7 @@ against its own reference and broadcasts an AGREE/DISAGREE report; every
 device (checkee included) counts the opinions it hears, and the AGREE ones,
 and concludes a verdict when that tally is complete or at the deadline.
 
-Messages and verdicts are NamedTuples: immutable, equal and hashed by
+Messages and verdicts are named tuples: immutable, equal and hashed by
 value, and built positionally on the engine's per-event path.
 
 A group is its members tuple: the checkee of round r is member r mod N,
@@ -39,8 +39,8 @@ it is parked until the challenge arrives.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Mapping, Sequence
-from typing import NamedTuple
 
 from .adversary import (
     AdversaryProfile,
@@ -56,26 +56,12 @@ from .rng import SplitMix64
 from .verdict import Verdict, VerdictTable
 
 
-class Challenge(NamedTuple):
-    round: int
-    initiator: int
-    checkee: int
-    spec: RoutineSpec
-    ops: tuple[int, ...]
-    honest: int  # execute(spec, ops), run once by the initiator; not in the trace
-
-
-class Response(NamedTuple):
-    round: int
-    responder: int
-    output: int
-
-
-class ComparisonReport(NamedTuple):
-    round: int
-    reporter: int
-    checkee: int
-    opinion: Opinion
+# A challenge carries its RoutineSpec, its operand tuple and `honest`,
+# execute(spec, ops), run once by the initiator and not in the trace; a
+# report carries an Opinion.
+Challenge = namedtuple("Challenge", "round initiator checkee spec ops honest")
+Response = namedtuple("Response", "round responder output")
+ComparisonReport = namedtuple("ComparisonReport", "round reporter checkee opinion")
 
 
 Message = Challenge | Response | ComparisonReport

@@ -37,40 +37,20 @@ the round's reports less its misses and concludes the group, one verdict
 per split.
 Runs with no trace sink whose outcome cannot depend on timing (no loss,
 and 3 * latency_max below the round deadline) skip the engine: a tally-
-level kernel computes each round's verdict directly. Both paths read the
-scenario's RunPlan, what every run derives from the scenario and no seed
-changes, built once per scenario and shared by every repetition. The
-kernel walks the rounds group epoch by group epoch, drawing a group only
-at the regroup period or after an exclusion. A run derives a report
-stream only for the RANDOM reporters of the groups it draws.
-
-By the paper's framing bound, up to floor((N-1)/2) dissenting checkers
-cannot flag a checkee whose answer is honest. So each checkee position
-of a group gets one of three classes, found once per special layout
-(where the group's special members and FRAME targets sit) by _classify:
-FULL when the checkee is ALWAYS_WRONG or has more checkers that can
-dissent (a fault, a FRAME reporter targeting it, a RANDOM reporter) than
-the bound; TRIGGER when the checkee is a Trojan, whose round is quiet
-unless the one operand word its trigger reads fires it, even when an
-EVADE initiator shields it; FREE otherwise. A quiet round draws no
-operands and builds no Verdict; it ends TRUSTED, and each epoch's quiet
-rounds are folded in one DetectionStats.fold_quiet call. A group with no
-RANDOM reporter never visits its FREE rounds; with one, each round draws
-one word per RANDOM checker, as the engine does. In a loud round plain
-members take the honest output and their AGREE votes come as one count,
-so only special members go through apply_fault and distort_opinion, and
-the count indexes the verdict table. Messages and energy follow the
-lossless closed form, charged once per membership streak: consecutive
-epochs whose groups each hold every eligible device, with no exclusion
-between them, so they hold one member set (with population ==
-group_size, the whole run up to its end or halt); any other epoch is a
-streak of its own. Every member gets the same sends, receptions and op
-count, from the streak's length, its epochs' summed `whole` initiations
-and the run plan's op-count prefix sums. Per epoch, only the members
-that initiate one round more than the others get n-1 more sends and one
-reception fewer. The run plan caches the classified layouts used last,
-up to MEMO_POSITIONS group positions. The kernel's reports are
-byte-identical to the engine's.
+level kernel, _run_tally, computes each round's verdict directly. Both
+paths read the scenario's RunPlan, what every run derives from the
+scenario and no seed changes, built once per scenario and shared by every
+repetition. The kernel walks the rounds group epoch by group epoch,
+drawing a group only at the regroup period or after an exclusion, and
+looks each group up once in the plan's one cache, keyed by its members'
+markers. By the paper's framing bound, up to floor((N-1)/2) dissenting
+checkers cannot flag a checkee whose answer is honest, so _classify finds
+a group's loud spots: the positions whose rounds take the full tally
+(FULL) or take it when the checkee's trigger word fires (TRIGGER). Every
+other round is quiet: it ends TRUSTED, draws no operands and is folded in
+bulk. Messages and energy follow the lossless closed form. A run derives
+a report stream only for the RANDOM reporters of the groups it draws. The
+kernel's reports are byte-identical to the engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
 the draws of a Fisher-Yates prefix over the list of eligible devices
@@ -83,11 +63,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Collection
-from enum import Enum
 from functools import lru_cache, partial
 from heapq import heappop, heappush
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 from .adversary import (
     HONEST_PROFILE,
@@ -96,7 +74,6 @@ from .adversary import (
     InitiatorKind,
     Opinion,
     ReportingKind,
-    TrojanModel,
     apply_fault,
     choose_adversarial_operands,
     distort_opinion,
@@ -137,7 +114,10 @@ from .verdict import (
     verdict_table,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import TextIO
+
     from .scenario import Scenario
 
 # Stream-name tags for deriving independent substreams from one seed.
@@ -179,7 +159,7 @@ def draw_group(
     That limit is above 2**64 - bound, so it is worked out only for a word
     among the top `bound`.
     """
-    skip = sorted(excluded)
+    skip = sorted(excluded) if excluded else ()
     n = population - len(skip)
     if size > n:
         raise GroupFormationError(f"need {size} devices but only {n} are eligible")
@@ -292,32 +272,12 @@ def _next_group(
     return draw_group(sc.population, excluded, sc.group_size, rng_group)
 
 
-class PositionClass(Enum):
-    """What the tally kernel computes for the rounds at one checkee position."""
+# The trigger of a FREE position: no word to test, and no tally.
+FREE = ()
 
-    FREE = "FREE"  # nothing: the round ends TRUSTED
-    TRIGGER = "TRIGGER"  # the checkee's trigger word; the full tally only if it fires
-    FULL = "FULL"  # the full tally
-
-
-class _Position(NamedTuple):
-    kind: PositionClass
-    trigger: TrojanModel | None  # the checkee's, at a TRIGGER position
-    randoms: tuple[int, ...]  # the RANDOM reporters among the checkers
-
-
-class _GroupClasses(NamedTuple):
-    """The classes of a group's checkee positions, found from its special layout."""
-
-    specials: dict[int, AdversaryProfile]  # the special members, in group order
-    positions: tuple[_Position, ...]
-    loud: tuple[int, ...]  # the positions that are not FREE
-    randoms: tuple[int, ...]  # the RANDOM reporters among the members
-
-
-# How many group positions a run plan may keep classified: a layout's classes
-# hold one per position, so groups of n keep the MEMO_POSITIONS // n layouts
-# used last, and a group wider than this keeps none.
+# How many group positions a run plan may keep classified: a key holds one per
+# position, so groups of n keep the MEMO_POSITIONS // n keys used last, and a
+# group wider than this keeps none.
 MEMO_POSITIONS = 16_384
 
 
@@ -326,7 +286,7 @@ class RunPlan:
 
     Built once with the scenario, as `Scenario.plan`. Only two parts grow:
     the verdict table, by the (agree, disagree) splits runs reach, and the
-    cache of classified layouts, up to MEMO_POSITIONS positions. Neither
+    cache of classified groups, up to MEMO_POSITIONS positions. Neither
     holds a run's streams.
     """
 
@@ -339,6 +299,8 @@ class RunPlan:
         specials = (d for d, p in profiles.items() if is_special(p))
         framed = (p.targets for p in profiles.values() if p.reporting is ReportingKind.FRAME)
         self.layout_devices = frozenset(specials).union(*framed)
+        # A member's marker: itself if in layout_devices, else None.
+        self.marker = {d: d for d in self.layout_devices}.get
         trojans = {d: p.trojan for d, p in profiles.items() if p.trojan is not None}
         self.evader_trojans = {
             d: {t: trojans[t] for t in p.targets if t in trojans}
@@ -349,95 +311,59 @@ class RunPlan:
         # One (Tally, Outcome) per AGREE count, and the framing bound they give.
         self.lossless_verdicts = lossless_verdicts(self.verdicts)
         self.bound = framing_bound(self.lossless_verdicts)
-        # A layout's classes, by its tuple of (position, device) pairs.
+        # A group's classes, by the tuple of its members' markers.
         self.classify = lru_cache(MEMO_POSITIONS // sc.group_size)(partial(_classify, sc))
 
 
-def _classify(sc: "Scenario", layout: tuple[tuple[int, int], ...]) -> _GroupClasses:
-    """Give each checkee position of a group with this layout its class.
+def _classify(
+    sc: "Scenario", key: tuple[int | None, ...]
+) -> tuple[dict[int, AdversaryProfile], dict[int, tuple[int, int, int] | None], tuple[int, ...]]:
+    """A group's special members, its loud spots and its RANDOM reporters.
 
-    `layout` holds the (position, device) pairs of the group's members in
-    the run plan's `layout_devices`: its special members and the devices a
-    FRAME reporter targets. Every other member is plain. While the checkee's
-    answer is honest, a checker can dissent only if its fault is not HONEST,
-    it is a FRAME reporter targeting the checkee, or it is a RANDOM
-    reporter; up to the plan's bound of them cannot change a TRUSTED outcome.
-    A position is FULL when the checkee is ALWAYS_WRONG or when more
-    checkers can dissent than that bound. Past that, a Trojan checkee's
-    answer is honest unless its trigger fires (TRIGGER), and any other
-    checkee's always is (FREE). A Trojan whose EVADE initiator shields it
-    is TRIGGER too: choose_adversarial_operands rewrites the operand its
-    trigger reads so that a masked trigger misses, so the round ends
-    TRUSTED whether or not the honest word fires it, and a mask-0 trigger
-    fires on every word, rewritten or not.
+    `key` holds each member's marker, in group order: the member if it is in
+    the run plan's `layout_devices` (a special device or a FRAME target),
+    else None, a plain member. The special members map to their profiles
+    in group order. While the checkee's answer is honest, a checker can
+    dissent only if its fault is not HONEST, it is a FRAME reporter
+    targeting the checkee, or it is a RANDOM reporter; up to the plan's
+    bound of them cannot change a TRUSTED outcome. So a checkee position is
+    FULL when the checkee is ALWAYS_WRONG or more checkers can dissent than
+    that bound. Past that, a Trojan checkee's answer is honest unless its
+    trigger fires (TRIGGER), and any other checkee's always is (FREE). A
+    Trojan whose EVADE initiator shields it is TRIGGER too:
+    choose_adversarial_operands rewrites the operand its trigger reads so
+    that a masked trigger misses, so the round ends TRUSTED whether or not
+    the honest word fires it, and a mask-0 trigger fires on every word,
+    rewritten or not. The loud spots map each position that is not FREE to
+    its trigger's (operand_index, mask, match), or to None at a FULL one.
     """
-    n = sc.group_size
-    plan = sc.plan
     profiles = sc.adversary_map
-    specials = {d: profiles[d] for _, d in layout if d in profiles and is_special(profiles[d])}
-    positions: list[_Position] = []
-    # Every checkee outside the layout is plain and faces the same checkers,
-    # so their positions share one class, found first at position -1.
-    for pos, checkee in ((-1, -1), *layout):
-        profile = profiles.get(checkee, HONEST_PROFILE)
-        dissenters = 0
-        randoms = []
-        for d, p in specials.items():
-            if d == checkee:
-                continue
-            if p.reporting is ReportingKind.RANDOM:
-                randoms.append(d)
-            if (
+    bound = sc.plan.bound
+    specials = {d: profiles[d] for d in key if d in profiles and is_special(profiles[d])}
+
+    def spot(checkee):
+        dissenters = sum(
+            d != checkee
+            and (
                 p.fault is not FaultKind.HONEST
                 or p.reporting is ReportingKind.RANDOM
                 or (p.reporting is ReportingKind.FRAME and checkee in p.targets)
-            ):
-                dissenters += 1
-        if profile.fault is FaultKind.ALWAYS_WRONG or dissenters > plan.bound:
-            kind = PositionClass.FULL
-        elif profile.fault is FaultKind.TROJAN:
-            kind = PositionClass.TRIGGER
-        else:
-            kind = PositionClass.FREE
-        trigger = profile.trojan if kind is PositionClass.TRIGGER else None
-        if pos < 0:
-            positions = [_Position(kind, trigger, tuple(randoms))] * n
-        else:
-            positions[pos] = _Position(kind, trigger, tuple(randoms))
-    return _GroupClasses(
-        specials=specials,
-        positions=tuple(positions),
-        loud=tuple(i for i, p in enumerate(positions) if p.kind is not PositionClass.FREE),
-        randoms=tuple(d for d, p in specials.items() if p.reporting is ReportingKind.RANDOM),
-    )
+            )
+            for d, p in specials.items()
+        )
+        profile = profiles.get(checkee, HONEST_PROFILE)
+        if profile.fault is FaultKind.ALWAYS_WRONG or dissenters > bound:
+            return None
+        if profile.fault is not FaultKind.TROJAN:
+            return FREE
+        t = profile.trojan
+        return t.operand_index, t.mask, t.match
 
-
-def _quiet_round(
-    position: _Position,
-    seed: int,
-    r: int,
-    checkee: int,
-    spec: RoutineSpec,
-    streams: dict[int, SplitMix64],
-) -> bool:
-    """Whether round r, at a checkee position of this class, ends TRUSTED by the framing bound.
-
-    A TRIGGER round derives the one operand word the checkee's trigger
-    reads. A quiet round draws one word from each RANDOM checker's stream
-    in `streams`, as the full tally would; a loud round draws nothing, for
-    _tally_round to draw.
-    """
-    kind = position.kind
-    if kind is PositionClass.FULL:
-        return False
-    t = position.trigger
-    if kind is PositionClass.TRIGGER and (
-        operand_word(seed, r, checkee, spec, t.operand_index) & t.mask == t.match
-    ):
-        return False
-    for d in position.randoms:
-        streams[d].next_u64()
-    return True
+    # Every plain checkee faces the same checkers, so their positions share one spot.
+    plain = spot(None)
+    spots = {i: s for i, d in enumerate(key) if (s := plain if d is None else spot(d)) != FREE}
+    randoms = tuple(d for d, p in specials.items() if p.reporting is ReportingKind.RANDOM)
+    return specials, spots, randoms
 
 
 def _tally_round(
@@ -501,16 +427,19 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
 def _run_tally(sc: "Scenario", res: RunResult) -> None:
     """Latency-free runs: one tally per loud round, no events, no network draws.
 
-    The scenario's RunPlan gives the devices whose place in a group matters,
-    the lossless verdict entries, the op-count prefix sums and its cache of
-    classified layouts; a run adds only the report streams of the RANDOM
-    reporters in the groups it draws, each made at the first epoch it is
-    drawn in. Rounds are walked group epoch by group epoch: a group is drawn
-    at the regroup period and after an exclusion.
-    A group without a RANDOM reporter visits only the rounds at its
-    positions that are not FREE, each position's rounds a range merged into
-    round order (one position's range alone); with one, every round, to
-    draw its words. Per epoch the quiet rounds are folded in one call and
+    Rounds are walked group epoch by group epoch: a group is drawn at the
+    regroup period and after an exclusion. Each epoch looks its group up
+    once in the run plan's cache of _classify results, keyed by the tuple
+    of its members' markers: its special members, its loud spots and its
+    RANDOM reporters, whose report streams a run makes at the first epoch
+    each is drawn in. A spot at position p recurs every n rounds, so a
+    group without a RANDOM reporter visits only the rounds
+    range(first + (p - first) % n, stop, n) of its spots, merged in round
+    order; one with a RANDOM reporter visits every round, to draw its
+    words. A FULL spot's round takes the full tally, and a TRIGGER spot's
+    takes it only when the operand word its trigger reads fires. Any other
+    round is quiet and draws one word per RANDOM checker, as the full
+    tally would. Per epoch the quiet rounds are folded in one call and
     the members initiating one round more than the others are charged for
     it. The rest of the closed form is charged once per membership streak:
     an epoch whose group holds every eligible device and sees no exclusion
@@ -531,7 +460,7 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     rounds = sc.rounds
     n = sc.group_size
     plan = sc.plan
-    marked = plan.layout_devices
+    marker = plan.marker
     classify = plan.classify
     op_prefix = plan.op_prefix
     streams: dict[int, SplitMix64] = {}
@@ -548,28 +477,36 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
             res.halt_reason = str(exc)
             break
         everyone = len(excluded) == everyone_at
-        layout = tuple([(i, m) for i, m in enumerate(members) if m in marked])
-        classes = classify(layout)
-        for d in classes.randoms:
+        specials, spots, randoms = classify(tuple(map(marker, members)))
+        for d in randoms:
             if d not in streams:
                 streams[d] = report_stream(seed, d)
         first = r
         stop = min(rounds, (first // period + 1) * period)
-        spots = classes.loud
-        if classes.randoms:
+        if randoms:
             visit: range | list[int] = range(first, stop)
         elif len(spots) == 1:
-            visit = range(first + (spots[0] - first) % n, stop, n)
+            (p,) = spots
+            visit = range(first + (p - first) % n, stop, n)
         else:
-            # The rounds at each loud position, merged in round order.
+            # The rounds of each loud spot, merged in round order.
             visit = sorted(chain(*[range(first + (p - first) % n, stop, n) for p in spots]))
         loud = 0
         for r in visit:
             pos = r % n
+            checkee = members[pos]
             spec = routines[r % n_routines]
-            if _quiet_round(classes.positions[pos], seed, r, members[pos], spec, streams):
+            # None: FULL, loud. FREE: quiet. A trigger: quiet unless its word fires.
+            trigger = spots.get(pos, FREE)
+            if trigger is not None and (
+                not trigger
+                or operand_word(seed, r, checkee, spec, trigger[0]) & trigger[1] != trigger[2]
+            ):
+                for d in randoms:
+                    if d != checkee:
+                        streams[d].next_u64()
                 continue
-            v = _tally_round(sc, members, classes.specials, streams, r, spec, seed)
+            v = _tally_round(sc, members, specials, streams, r, spec, seed)
             loud += 1
             # Every member reaches this verdict; devices missing from the
             # sparse `profiles` count as honest.

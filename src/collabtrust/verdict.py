@@ -9,9 +9,9 @@ one. Below the opinion quorum a round is INCONCLUSIVE rather than guessed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import ContractError
 from .record import Frozen, Record
@@ -37,11 +37,8 @@ class Tally(Frozen):
         self.n_checkers = n_checkers
 
 
-class Verdict(NamedTuple):
-    checkee: int
-    round: int
-    outcome: Outcome
-    tally: Tally
+# One device's verdict about a round's checkee: an Outcome and its Tally.
+Verdict = namedtuple("Verdict", "checkee round outcome tally")
 
 
 def default_quorum(n_checkers: int) -> int:

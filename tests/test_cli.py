@@ -396,11 +396,33 @@ def test_a_sweep_param_with_an_empty_key_exits_1_before_any_run(monkeypatch, cap
     assert captured.err == f"usage error: --param {param!r}: empty key in the dotted path\n"
 
 
+@pytest.mark.parametrize(
+    "extra,option",
+    (
+        (["--param", "rounds", "--values", "11"], "--param"),
+        (["--values", "11"], "--values"),
+        (["--param=rounds"], "--param"),
+    ),
+    ids=("pair", "values", "param"),
+)
+def test_a_repeated_sweep_option_exits_1_before_any_run(monkeypatch, capsys, extra, option):
+    # A second --param or --values would silently replace the first.
+    runs = []
+    monkeypatch.setattr(cli, "_run_repetitions", lambda *args: runs.append(args))
+    argv = ["sweep", "--scenario", HONEST, "--param", "repetitions", "--values", "5", *extra]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert runs == [] and captured.out == ""
+    assert captured.err == f"usage error: {option} given more than once\n"
+
+
 def test_a_cli_process_imports_neither_dataclasses_nor_inspect(tmp_path):
     # A short command's run takes well under a millisecond, so start-up is
     # most of its cost, and building dataclasses and importing dataclasses
-    # and inspect took a large share of it. -S keeps the site hooks of the
-    # interpreter's environment, which may import either, out of the count.
+    # and inspect took a large share of it, as typing does. A kernel run
+    # forks no worker, so it needs no threading either. -S keeps the site
+    # hooks of the interpreter's environment, which may import any of them,
+    # out of the count.
     code = (
         "import pathlib, sys\n"
         "import collabtrust.cli as cli\n"
@@ -410,7 +432,7 @@ def test_a_cli_process_imports_neither_dataclasses_nor_inspect(tmp_path):
         "    load_scenario(str(path))\n"
         "doc = f'{scenarios}/five_device_trojan.json'\n"
         "assert cli.main(['run', '--scenario', doc, '--out', sys.argv[2]]) == 0\n"
-        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'threading'} & sys.modules.keys()))\n"
     )
     out = tmp_path / "report.json"
     proc = subprocess.run(

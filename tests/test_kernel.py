@@ -290,6 +290,58 @@ OFF_PHASE_DOC = {
     ],
 }
 OFF_PHASE = scenario_from_dict(OFF_PHASE_DOC)
+# The kernel visits each loud spot every n rounds of an epoch. Each of these
+# has epochs longer than its groups, so a spot recurs within one. A Trojan
+# whose trigger reads operand 2 of routines of 3 operands and more: the
+# built-in ids 0..2 take 2, so they are overridden.
+_THREE_OPERANDS = [
+    {"id": i, "kind": "COMPOSITE", "steps": steps}
+    for i, steps in enumerate((["ADD", "MUL"], ["MUL", "CMP"], ["CMP", "ADD"]))
+]
+OPERAND_2 = scenario_from_dict(
+    {
+        "rounds": 40,
+        "regroup_period": 8,
+        "flag_threshold": 40,
+        "routines": _THREE_OPERANDS,
+        "adversaries": [
+            {
+                "device": 1,
+                "fault": "TROJAN",
+                "trigger": {"index": 2, "mask": 3, "match": 1},
+                "payload": {"kind": "COMPLEMENT"},
+            }
+        ],
+    }
+)
+# Regrouped every 11 rounds, above 2 * 5: a spot recurs twice in an epoch.
+LONG_EPOCH = scenario_from_dict(
+    {"rounds": 44, "regroup_period": 11, "flag_threshold": 44, "adversaries": [_TROJAN_6 | {"device": 1}]}
+)
+# The CI workflow's recurring-spots document: all three shapes at once. Two
+# Trojans and an ALWAYS_WRONG device in a group of 7 make three spots,
+# merged in round order, over epochs of 15 rounds; the ALWAYS_WRONG device
+# is excluded on its third flag.
+RECURRING_SPOTS_DOC = {
+    "population": 8,
+    "group_size": 7,
+    "rounds": 60,
+    "regroup_period": 15,
+    "repetitions": 20,
+    "flag_threshold": 3,
+    "routines": _THREE_OPERANDS,
+    "adversaries": [
+        {
+            "device": 1,
+            "fault": "TROJAN",
+            "trigger": {"index": 2, "mask": 3, "match": 1},
+            "payload": {"kind": "XOR", "value": 1},
+        },
+        {"device": 2, "fault": "ALWAYS_WRONG"},
+        _TROJAN_6 | {"device": 3},
+    ],
+}
+RECURRING_SPOTS = scenario_from_dict(RECURRING_SPOTS_DOC)
 
 
 @settings(
@@ -317,6 +369,9 @@ OFF_PHASE = scenario_from_dict(OFF_PHASE_DOC)
 @example(sc=RANDOM_EVADE, seed=RANDOM_EVADE.seed)
 @example(sc=OFF_PHASE, seed=1)
 @example(sc=OFF_PHASE, seed=2)
+@example(sc=OPERAND_2, seed=1)
+@example(sc=LONG_EPOCH, seed=1)
+@example(sc=RECURRING_SPOTS, seed=1)
 def test_kernel_matches_engine(sc, seed):
     assert latency_free(sc)
     engine, engine_verdicts = run_logged(sc, seed=seed, trace=io.StringIO())
@@ -366,28 +421,28 @@ def test_quiet_rounds_end_in_the_unanimous_verdict(case):
     sc, members, r, seed = case
     n = len(members)
     pos = r % n
+    checkee = members[pos]
     spec = sc.routine_order[r % len(sc.routine_order)]
-    layout = tuple((i, m) for i, m in enumerate(members) if m in sc.plan.layout_devices)
-    classes = simnet._classify(sc, layout)
-    position = classes.positions[pos]
+    specials, spots, randoms = simnet._classify(sc, tuple(map(sc.plan.marker, members)))
+    # The kernel's rule: a FULL spot (None) is loud, a FREE position quiet,
+    # and a TRIGGER spot quiet unless the one word its trigger reads fires.
+    trigger = spots.get(pos, simnet.FREE)
+    quiet = trigger is not None and (
+        not trigger
+        or routines.operand_word(seed, r, checkee, spec, trigger[0]) & trigger[1] != trigger[2]
+    )
     # The group's RANDOM reporters on fresh streams; no other member has one.
-    shortcut = {m: report_stream(seed, m) for m in classes.randoms}
-    full = {m: report_stream(seed, m) for m in classes.randoms}
-    quiet = simnet._quiet_round(position, seed, r, members[pos], spec, shortcut)
-    v = simnet._tally_round(sc, members, classes.specials, full, r, spec, seed)
+    full = {m: report_stream(seed, m) for m in randoms}
+    v = simnet._tally_round(sc, members, specials, full, r, spec, seed)
     if quiet:
-        assert position.kind is not simnet.PositionClass.FULL
         assert v.outcome is Outcome.TRUSTED
-        # Each RANDOM checker's stream is exactly one word on, as the full round left it.
-        for m in classes.randoms:
-            step = report_stream(seed, m)
-            if m in position.randoms:
-                step.next_u64()
-            assert shortcut[m].next_u64() == full[m].next_u64() == step.next_u64()
-    else:
-        # A loud round draws nothing before _tally_round does.
-        for m in classes.randoms:
-            assert shortcut[m].next_u64() == report_stream(seed, m).next_u64()
+    # The full tally draws one word from each RANDOM checker's stream, the
+    # word a quiet round draws, and none from the checkee's.
+    for m in randoms:
+        step = report_stream(seed, m)
+        if m != checkee:
+            step.next_u64()
+        assert full[m].next_u64() == step.next_u64()
 
 
 def _engine_runs(monkeypatch, sc: Scenario, trace: io.StringIO | None) -> int:
@@ -455,8 +510,8 @@ def test_random_reporter_flip_rate_end_to_end():
     over = Scenario(
         rounds=50, flag_threshold=50, adversaries=tuple((d, random) for d in (1, 2, 3, 4))
     )
-    layout = tuple((i, i) for i in (1, 2, 3, 4))
-    assert all(c.kind is simnet.PositionClass.FULL for c in simnet._classify(over, layout).positions)
+    # Every position is a FULL spot (None).
+    assert simnet._classify(over, (None, 1, 2, 3, 4))[1] == dict.fromkeys(range(5))
     for sc, trace, reps in ((within, True, 40), (over, False, 10)):
         flips, chances = _flip_rate(sc, reps, trace)
         sigma = (p * (1 - p) / chances) ** 0.5
@@ -494,12 +549,10 @@ def test_kernel_matches_engine_at_the_framing_bound():
                     }
                 )
                 # Device 0 is honest and every dissenter can dissent about it.
-                layout = tuple((d, d) for d in range(1, k + 1))
-                if kind == "FRAME":
-                    layout = ((0, 0),) + layout  # device 0 is a FRAME target
-                position = simnet._classify(sc, layout).positions[0]
-                expected = simnet.PositionClass.FREE if k == bound else simnet.PositionClass.FULL
-                assert position.kind is expected, (n, kind, k)
+                # Its position is FREE (no spot) at the bound and FULL (None) past it.
+                members = tuple(range(n))
+                spots = simnet._classify(sc, tuple(map(sc.plan.marker, members)))[1]
+                assert spots.get(0, simnet.FREE) == (simnet.FREE if k == bound else None), (n, kind, k)
                 for seed in range(3):
                     engine = run_simulation(sc, seed=seed, trace=io.StringIO())
                     kernel = run_simulation(sc, seed=seed)
@@ -518,7 +571,7 @@ def test_operand_key_memo_stays_bounded():
     "doc",
     [
         # 3,000 FRAME reporters among 100,000 devices, regrouped every round:
-        # thousands of groups hold one, each at its own (position, device) layout.
+        # thousands of groups hold one, each with its own key of markers.
         {
             "population": 100_000,
             "group_size": 5,
@@ -530,7 +583,7 @@ def test_operand_key_memo_stays_bounded():
         },
         # Groups of 5 and 661 routines (5 and 661 are coprime), regrouped every
         # round, give each of the first 3,305 rounds its own epoch shape, and
-        # every group the empty layout.
+        # every group the key of no marked member.
         {
             "population": 5,
             "group_size": 5,
@@ -538,7 +591,7 @@ def test_operand_key_memo_stays_bounded():
             "regroup_period": 1,
             "routines": [{"id": i, "kind": "ADD"} for i in range(5, 661)],
         },
-        # Groups of 400, regrouped every round: each layout (where the one
+        # Groups of 400, regrouped every round: each key (where the one
         # Trojan sits) holds 400 positions.
         {
             "population": 400,
@@ -569,13 +622,13 @@ def test_run_plan_memo_stays_bounded(doc):
     run_simulation(sc, seed=3)
     n = sc.group_size
     info = sc.plan.classify.cache_info()
-    # A classified layout holds n positions. The cache fills up to its
+    # A key holds n positions, one marker each. The cache fills up to its
     # bound and no further; epoch shapes take no room.
     assert info.maxsize == simnet.MEMO_POSITIONS // n
     if sc.plan.layout_devices:
         assert info.currsize == info.maxsize
     else:
-        # Every group has the empty layout, kept if there is room for one.
+        # Every group has the key of no marked member, kept if there is room for one.
         assert info.currsize == min(info.maxsize, 1)
 
 
@@ -586,7 +639,7 @@ def _kernel_reports(doc: dict) -> list[tuple[bytes, bytes]]:
     reports = []
     for seed in (sc.seed, 20261018):
         reports.append(_reports(sc, *(run_simulation(sc, seed=seed + k) for k in range(sc.repetitions))))
-    # The cache holds every layout classified, up to its bound.
+    # The cache holds every key classified, up to its bound.
     info = sc.plan.classify.cache_info()
     assert info.currsize == min(info.maxsize, info.misses)
     return reports
@@ -598,8 +651,8 @@ def _kernel_reports(doc: dict) -> list[tuple[bytes, bytes]]:
     ids=[p.stem for p in sorted(SCENARIOS.glob("*.json"))] + ["off_phase"],
 )
 def test_a_full_memo_changes_no_report_byte(monkeypatch, doc):
-    # With no room every layout is classified anew; with room for one, each
-    # layout other than the last one used evicts it.
+    # With no room every key is classified anew; with room for one, each
+    # key other than the last one used evicts it.
     expected = _kernel_reports(doc)
     for room in (0, scenario_from_dict(doc).group_size):
         monkeypatch.setattr(simnet, "MEMO_POSITIONS", room)
@@ -609,13 +662,13 @@ def test_a_full_memo_changes_no_report_byte(monkeypatch, doc):
 def test_a_layout_used_again_is_classified_once(monkeypatch):
     calls: Counter = Counter()
 
-    def counted(sc, layout, _classify=simnet._classify):
-        calls[layout] += 1
-        return _classify(sc, layout)
+    def counted(sc, key, _classify=simnet._classify):
+        calls[key] += 1
+        return _classify(sc, key)
 
     monkeypatch.setattr(simnet, "_classify", counted)
-    # Room for two layouts. Among 5 devices in groups of 5, the Trojan's
-    # layout is the position it is drawn at, and a one-round run draws one group.
+    # Room for two keys. Among 5 devices in groups of 5, the Trojan's key
+    # marks the position it is drawn at, and a one-round run draws one group.
     monkeypatch.setattr(simnet, "MEMO_POSITIONS", 10)
     sc = scenario_from_dict(
         {
@@ -632,12 +685,12 @@ def test_a_layout_used_again_is_classified_once(monkeypatch):
             ],
         }
     )
-    seeds = {}  # the first seed that draws each layout
+    seeds = {}  # the first seed that draws each key
     for seed in range(50):
         members = simnet.draw_group(5, (), 5, stream(seed, simnet.GROUPING_STREAM))
-        seeds.setdefault(((members.index(0), 0),), seed)
+        seeds.setdefault(tuple(0 if m == 0 else None for m in members), seed)
     (a, b, c, *_) = seeds
-    # Fill the cache with two other layouts, then use one layout three times.
+    # Fill the cache with two other keys, then use one key three times.
     for seed in (seeds[b], seeds[c], seeds[a], seeds[a], seeds[a]):
         run_simulation(sc, seed=seed)
     assert calls == {b: 1, c: 1, a: 1}
