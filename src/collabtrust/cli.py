@@ -247,7 +247,7 @@ def _cmd_run(args) -> int:
                 report = _run_repetitions(scenario, base_seed, trace)
         except OSError as exc:
             raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
-    _write_output((emit_report(report, args.format),), args.out)
+    _write_output(emit_report(report, args.format), args.out)
     return 0
 
 

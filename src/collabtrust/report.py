@@ -1,25 +1,38 @@
-"""Run reports: per-device and global metrics, serialized to JSON or CSV.
+"""Run reports: per-device and global metrics, streamed out as JSON or CSV.
 
 A report is one running total: `Report.fold` adds each completed run into
-it in place, and the run is not kept. Report bytes are a pure function of
-(scenario, seed, format): all values are integers or fixed strings, key
-order is fixed, and no locale-dependent formatting is used anywhere.
+it in place, and the run is not kept. Per device it sums the raw counters,
+ops, sends and receptions, and energy is priced from them only when the
+report is emitted. `emit_report` yields the bytes in chunks of at most
+CHUNK_ROWS device rows, so no report is held whole, however large its
+population. Report bytes are a pure function of (scenario, seed, format):
+all values are integers or fixed strings, key order is fixed, and no
+locale-dependent formatting is used anywhere. The JSON is byte for byte
+what `json.dumps(obj, indent=2)` writes for the report's object, with a
+newline after it: the encoder here writes that fixed shape directly.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Iterator
+from itertools import islice, starmap
 
 from .errors import ContractError
 from .scenario import Scenario
 from .simnet import RunResult
 from .verdict import SuspicionLedger
 
-# A device's report line; the four after `id` are its summed counters.
+# A device's report line; `energy` is priced from the counters a row sums.
 _COLUMNS = ("id", "energy", "sent", "received", "flags", "excluded_round", "detection_round")
-# The counters of a device no run touched.
+# The counters of a device no run touched: ops, sent, received, flags.
 _BLANK = (0, 0, 0, 0)
+# Most device rows one emitted chunk holds.
+CHUNK_ROWS = 1024
+
+# A device's JSON object and CSV line, by its cells in _COLUMNS order.
+_JSON_ROW = "    {{\n" + ",\n".join(f'      "{c}": {{}}' for c in _COLUMNS) + "\n    }}"
+_CSV_ROW = ",".join("{}" for _ in _COLUMNS) + "\n"
 
 
 def _count(counts: dict[int, int], devices) -> None:
@@ -30,9 +43,12 @@ def _count(counts: dict[int, int], devices) -> None:
 class Report:
     """The integer results of a scenario's runs, summed as each run is folded in.
 
-    `devices` holds [energy, sent, received, flags] only for the devices a
+    `devices` holds [ops, sent, received, flags] only for the devices a
     run touched, those that joined a group; every other device of
-    `population` has a zero row, made when the report is emitted.
+    `population` has a zero row, made when the report is emitted. Energy
+    is priced from a row with the scenario's `energy_model` when the row
+    is emitted, as `total_energy` prices the rows' sums: energy is linear
+    in the counters, so the sum of the prices is the price of the sums.
     `detections` and `excluded` count the runs in which a device was
     detected or excluded. The seed shown is the first run's.
 
@@ -45,6 +61,7 @@ class Report:
 
     def __init__(self, scenario: Scenario):
         self.population = scenario.population
+        self.energy_model = scenario.energy
         self.seed = 0
         self.repetitions = 0
         self.rounds_executed = 0
@@ -84,13 +101,13 @@ class Report:
         v["FLAGGED"] += stats.flagged
         v["INCONCLUSIVE"] += stats.inconclusive
         self.false_positives += stats.false_positives
-        rows, energy, flags = self.devices, result.energy.energy, suspicion.flags
+        rows, flags = self.devices, suspicion.flags
         for d, u in result.energy.usage.items():
             row = rows.get(d)
             if row is None:
-                rows[d] = [energy(d), u.sent, u.received, flags.get(d, 0)]
+                rows[d] = [u.ops, u.sent, u.received, flags.get(d, 0)]
             else:
-                row[0] += energy(d)
+                row[0] += u.ops
                 row[1] += u.sent
                 row[2] += u.received
                 row[3] += flags.get(d, 0)
@@ -129,67 +146,96 @@ class Report:
         self.suspicion = other.suspicion
         self.detection_rounds = other.detection_rounds
 
+    def totals(self) -> tuple[int, int, int, int]:
+        """The summed energy, sends, receptions and flags of every device."""
+        ops, sent, received, flags = (sum(c) for c in zip(_BLANK, *self.devices.values()))
+        m = self.energy_model
+        return m.e_op * ops + m.e_tx * sent + m.e_rx * received, sent, received, flags
+
     def total_energy(self) -> int:
-        return sum(row[0] for row in self.devices.values())
+        return self.totals()[0]
 
 
-def _rows(report: Report) -> Iterator[tuple[int | None, ...]]:
-    """Every device's line in id order, a zero line for each one never touched."""
+def _rows(report: Report, none: str) -> Iterator[tuple]:
+    """Every device's cells in id order, a zero row for each one never touched.
+
+    The cells are those of _COLUMNS. A blank round is `none`; only a
+    single run's report has rounds.
+    """
+    m = report.energy_model
+    e_op, e_tx, e_rx = m.e_op, m.e_tx, m.e_rx
     devices = report.devices
-    ids = range(report.population)
-    if report.repetitions != 1:
-        return ((d, *devices.get(d, _BLANK), None, None) for d in ids)
-    excluded, flagged = report.suspicion.excluded_at, report.suspicion.first_flagged
-    return ((d, *devices.get(d, _BLANK), excluded.get(d), flagged.get(d)) for d in ids)
+    if report.repetitions == 1:
+        excluded, flagged = report.suspicion.excluded_at, report.suspicion.first_flagged
+    else:
+        excluded = flagged = {}
+    for d in range(report.population):
+        ops, sent, received, flags = devices.get(d, _BLANK)
+        energy = e_op * ops + e_tx * sent + e_rx * received
+        yield d, energy, sent, received, flags, excluded.get(d, none), flagged.get(d, none)
 
 
-def _by_device(counts: dict[int, int]) -> dict[str, int]:
-    return {str(d): n for d, n in sorted(counts.items())}
+def _chunks(head: str, rows: Iterator[str], sep: str, tail: str) -> Iterator[bytes]:
+    """`head`, the `rows` joined by `sep`, then `tail`, encoded CHUNK_ROWS rows at a time.
+
+    A report has at least one row: a scenario's population is at least 3.
+    """
+    text = head + sep.join(islice(rows, CHUNK_ROWS))
+    while batch := sep.join(islice(rows, CHUNK_ROWS)):
+        yield text.encode()
+        text = sep + batch
+    yield (text + tail).encode()
 
 
-def _to_json(report: Report) -> bytes:
-    obj: dict = {
-        "seed": report.seed,
-        "repetitions": report.repetitions,
-        "rounds_executed": report.rounds_executed,
-    }
+def _json_object(items, indent: str) -> str:
+    """A JSON object of (name, int) pairs, as `json.dumps(indent=2)` writes it at `indent`.
+
+    The names are fixed ASCII names or device ids, which need no escaping.
+    """
+    if not items:
+        return "{}"
+    inner = indent + "  "
+    return "{\n" + ",\n".join(f'{inner}"{k}": {v}' for k, v in items) + f"\n{indent}}}"
+
+
+def _to_json(report: Report) -> Iterator[bytes]:
     single = report.repetitions == 1
     if single:
-        obj["halt_reason"] = report.halt_reason
+        # A halt reason is any text; json.dumps escapes it as the rest expects.
+        outcome = f'"halt_reason": {json.dumps(report.halt_reason)}'
     else:
-        obj["halted_runs"] = report.halted_runs
-    obj["devices"] = [dict(zip(_COLUMNS, row)) for row in _rows(report)]
-    global_obj = {
-        "messages": report.messages,
-        "verdicts": report.verdicts,
-        "false_positives": report.false_positives,
-        "detections": _by_device(report.detection_rounds if single else report.detections),
-        "total_energy": report.total_energy(),
-    }
+        outcome = f'"halted_runs": {report.halted_runs}'
+    head = (
+        f'{{\n  "seed": {report.seed},\n  "repetitions": {report.repetitions},\n'
+        f'  "rounds_executed": {report.rounds_executed},\n  {outcome},\n  "devices": [\n'
+    )
+    ind = "    "
+    detections = sorted((report.detection_rounds if single else report.detections).items())
+    fields = [
+        f'{ind}"messages": {_json_object(report.messages.items(), ind)}',
+        f'{ind}"verdicts": {_json_object(report.verdicts.items(), ind)}',
+        f'{ind}"false_positives": {report.false_positives}',
+        f'{ind}"detections": {_json_object(detections, ind)}',
+        f'{ind}"total_energy": {report.total_energy()}',
+    ]
     if not single:
-        global_obj["excluded"] = _by_device(report.excluded)
-    obj["global"] = global_obj
-    return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
+        fields.append(f'{ind}"excluded": {_json_object(sorted(report.excluded.items()), ind)}')
+    tail = '\n  ],\n  "global": {\n' + ",\n".join(fields) + "\n  }\n}\n"
+    yield from _chunks(head, starmap(_JSON_ROW.format, _rows(report, "null")), ",\n", tail)
 
 
-def _csv_cell(value: int | None) -> str:
-    return "" if value is None else str(value)
+def _to_csv(report: Report) -> Iterator[bytes]:
+    energy, sent, received, flags = report.totals()
+    tail = f"GLOBAL,{energy},{sent},{received},{flags},,\n"
+    rows = starmap(_CSV_ROW.format, _rows(report, ""))
+    yield from _chunks(",".join(_COLUMNS) + "\n", rows, "", tail)
 
 
-def _to_csv(report: Report) -> bytes:
-    lines = [",".join(_COLUMNS)]
-    for d, energy, sent, received, flags, excluded, detected in _rows(report):
-        lines.append(
-            f"{d},{energy},{sent},{received},{flags},{_csv_cell(excluded)},{_csv_cell(detected)}"
-        )
-    # Each counter summed over the rows; with _BLANK, a report of no rows sums to zeros.
-    totals = [sum(column) for column in zip(_BLANK, *report.devices.values())]
-    lines.append(f"GLOBAL,{','.join(map(str, totals))},,")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+def emit_report(report: Report, format: str = "json") -> Iterator[bytes]:
+    """The report's bytes, in chunks. Formats: `json` (stable key order) or `csv`.
 
-
-def emit_report(report: Report, format: str = "json") -> bytes:
-    """Serialize a report. Formats: `json` (stable key order) or `csv`."""
+    An unknown format raises ContractError at the call, before any chunk.
+    """
     if format == "json":
         return _to_json(report)
     if format == "csv":

@@ -9,9 +9,12 @@ SplitMix64 is counter-based: word i (from 0) of the stream at state s is
 of a stream at once: it places the k counters in the 128-bit lanes of one
 Python int, and each finalizer step is then one big-int operation over
 every lane. A stream is a lazy iterator over its words (`words`), chained
-from `block` passes of LANES words each. Every draw, a fan-out's unicast
-fates and a group draw included, is a `next` on that iterator, so every
-drawn word is the one a word-by-word draw would see.
+from `block` passes: a first pass of a size its maker chooses (LANES by
+default), then passes of LANES words each, so a stream whose maker knows
+about how many words it will draw, as a run plan does for the grouping
+stream, computes only those in its first pass. Every draw, a
+fan-out's unicast fates and a group draw included, is a `next` on that
+iterator, so every drawn word is the one a word-by-word draw would see.
 """
 
 from __future__ import annotations
@@ -98,15 +101,16 @@ def block(state: int, k: int) -> tuple[int, ...]:
     return unpack((z ^ z >> 31).to_bytes(size, "little"))
 
 
-def words(state: int) -> Iterator[int]:
-    """The words of the stream at `state`, one `block` pass of LANES words at a time.
+def words(state: int, first: int = LANES) -> Iterator[int]:
+    """The words of the stream at `state`: a `block` pass of `first` words, then LANES at a time.
 
-    Pass j starts at state + j * LANES * GOLDEN_GAMMA, kept to 64 bits.
-    Nothing is computed until the first word is drawn, and then one pass
-    at a time.
+    The pass after the first starts at state + first * GOLDEN_GAMMA, and
+    each later one LANES * GOLDEN_GAMMA on, kept to 64 bits. Nothing is
+    computed until the first word is drawn, and then one pass at a time.
     """
-    starts = map(MASK64.__and__, count(state, LANES * GOLDEN_GAMMA))
-    return chain.from_iterable(map(block, starts, repeat(LANES)))
+    starts = map(MASK64.__and__, count(state + first * GOLDEN_GAMMA, LANES * GOLDEN_GAMMA))
+    sizes = chain((first,), repeat(LANES))
+    return chain.from_iterable(map(block, chain((state & MASK64,), starts), sizes))
 
 
 class SplitMix64:
@@ -115,13 +119,13 @@ class SplitMix64:
     State advances by the golden gamma; each output is the finalized state.
     Matches the published test vectors (seed 0 -> 0xE220A8397B1DCDAF, ...).
     `words` is the stream's word iterator, public for the draws that take
-    many words in one loop with `next`.
+    many words in one loop with `next`; `first` sizes its first pass.
     """
 
     __slots__ = ("words",)
 
-    def __init__(self, seed: int):
-        self.words = words(seed)
+    def __init__(self, seed: int, first: int = LANES):
+        self.words = words(seed, first)
 
     def next_u64(self) -> int:
         return next(self.words)
@@ -136,10 +140,11 @@ def float_cut(p: float) -> int:
     return ceil(p * 2.0**53) << 11
 
 
-def stream(seed: int, tag: int, *words: int) -> SplitMix64:
+def stream(seed: int, tag: int, *words: int, first: int = LANES) -> SplitMix64:
     """The substream named `tag` (and, per device, `words`) of the run at `seed`.
 
     Hashing the seed with the name keeps the streams of distinct names,
-    devices and consecutive seeds independent.
+    devices and consecutive seeds independent. `first` sizes the stream's
+    first `block` pass; it changes no word.
     """
-    return SplitMix64(mix_words(seed, tag, *words))
+    return SplitMix64(mix_words(seed, tag, *words), first)

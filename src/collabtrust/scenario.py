@@ -32,10 +32,11 @@ from .routines import Kind, RoutineSpec, routine_catalog
 from .simnet import NetworkModel, RunPlan
 from .verdict import default_quorum
 
-# A run keeps state only for the devices that join a group, but the emitted
-# report has a row for every device, and json.dumps holds the whole JSON
-# document in memory, so the loader caps the population well below what
-# exhausts memory.
+# A run keeps state only for the devices that join a group, and the report
+# is streamed out a chunk of rows at a time, so memory does not grow with
+# the population; but the report still has a row for every device, about
+# 180 bytes of JSON each, so the loader caps the population to bound what
+# one run writes.
 MAX_POPULATION = 100_000
 
 

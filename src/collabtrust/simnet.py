@@ -102,7 +102,7 @@ from .protocol import (
     split_verdicts,
 )
 from .record import Frozen, Record
-from .rng import MASK64, SplitMix64, float_cut, stream
+from .rng import LANES, MASK64, SplitMix64, float_cut, stream
 from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import (
     Outcome,
@@ -284,14 +284,23 @@ MEMO_POSITIONS = 16_384
 class RunPlan:
     """What every run of a scenario derives from it and no seed changes.
 
-    Built once with the scenario, as `Scenario.plan`. Only two parts grow:
-    the verdict table, by the (agree, disagree) splits runs reach, and the
+    Built once with the scenario, as `Scenario.plan`. `group_words` sizes
+    the grouping stream's first pass. A group draw takes one word per
+    member while more than one device is left to pick from, so a run with
+    no exclusion and no rejected word draws min(group_size, population - 1)
+    words in each of its ceil(rounds / regroup_period) epochs. The first
+    pass holds that many, LANES at most, and a run that draws more reads on
+    in passes of LANES words.
+
+    Only two parts grow: the verdict table, by the (agree, disagree) splits runs reach, and the
     cache of classified groups, up to MEMO_POSITIONS positions. Neither
     holds a run's streams.
     """
 
     def __init__(self, sc: "Scenario"):
         profiles = sc.adversary_map
+        epochs = -(-sc.rounds // sc.regroup_period)
+        self.group_words = min(LANES, epochs * min(sc.group_size, sc.population - 1))
         # op_prefix[i]: the summed op counts of the first i routines of the cycle.
         self.op_prefix = tuple(accumulate((s.op_count for s in sc.routine_order), initial=0))
         # The members whose place in a group the kernel's classes depend on:
@@ -452,7 +461,7 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     stats = res.stats
     suspicion = res.suspicion
     excluded = suspicion.excluded_at
-    rng_group = stream(seed, GROUPING_STREAM)
+    rng_group = stream(seed, GROUPING_STREAM, first=sc.plan.group_words)
     profiles = sc.adversary_map
     routines = sc.routine_order
     n_routines = len(routines)
@@ -614,7 +623,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     # A device's state is made when it first joins a group; devices that
     # never do have none.
     states: dict[int, DeviceState] = {}
-    rng_group = stream(seed, GROUPING_STREAM)
+    rng_group = stream(seed, GROUPING_STREAM, first=sc.plan.group_words)
     network = sc.network
     words = stream(seed, NETWORK_STREAM).words
     drop_cut = float_cut(network.drop_prob)
@@ -641,7 +650,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     issuers: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
     verdict_head = group_text = ""
     report_heads: dict[int, str] = {}
-    report_tails: dict[Opinion, str] = {}
+    report_tails: dict[bool, str] = {}
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
     # Untraced: the round's reports as (sender, send tick, AGREE or not),
     # sent at its deadline, and its late copies, held as queue entries
@@ -664,9 +673,11 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             head = report_heads.get(frm)
             if head is None:
                 head = report_heads[frm] = f" REPORT {frm} "
-            tail = report_tails.get(msg.opinion)
+            # Keyed by a bool: an Opinion's hash runs in Python.
+            agree = msg.opinion is AGREE
+            tail = report_tails.get(agree)
             if tail is None:
-                tail = report_tails[msg.opinion] = (
+                tail = report_tails[agree] = (
                     f" cid={msg.round} checkee={msg.checkee} opinion={msg.opinion.value}\n"
                 )
         elif emit is None:

@@ -24,7 +24,6 @@ from collabtrust.adversary import (
     trigger_probability,
 )
 from collabtrust.metrics import lossless_messages_per_round
-from collabtrust.report import emit_report
 from collabtrust.rng import SplitMix64
 from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, run_simulation
@@ -36,7 +35,7 @@ from collabtrust.verdict import (
     oracle_outcome,
 )
 from reference_impl import detection_stats, next_bits
-from verdict_log import folded, run_logged, run_traced
+from verdict_log import emitted, folded, run_logged, run_traced
 
 TROJAN_16 = TrojanModel(
     operand_index=0, mask=0x0F, match=0x05, payload=PayloadKind.XOR, payload_value=1
@@ -234,8 +233,8 @@ def test_acceptance_7_determinism():
         b, b_trace = run_traced(sc, seed=7)
         _, c_trace = run_traced(sc, seed=8)
         assert a_trace == b_trace
-        assert emit_report(folded(sc, a), "json") == emit_report(folded(sc, b), "json")
-        assert emit_report(folded(sc, a), "csv") == emit_report(folded(sc, b), "csv")
+        assert emitted(folded(sc, a), "json") == emitted(folded(sc, b), "json")
+        assert emitted(folded(sc, a), "csv") == emitted(folded(sc, b), "csv")
         assert a_trace != c_trace
 
 

@@ -34,6 +34,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import collabtrust.rng as rng
 import collabtrust.routines as routines
 import collabtrust.simnet as simnet
 from collabtrust.adversary import (
@@ -43,8 +44,7 @@ from collabtrust.adversary import (
     distort_opinion,
     is_special,
 )
-from collabtrust.report import emit_report
-from collabtrust.rng import stream
+from collabtrust.rng import LANES, stream
 from collabtrust.scenario import Scenario, load_scenario, scenario_from_dict
 from collabtrust.simnet import NetworkModel, latency_free, report_stream, run_simulation
 from collabtrust.verdict import (
@@ -55,13 +55,14 @@ from collabtrust.verdict import (
     verdict_table,
 )
 from reference_impl import detection_stats
-from verdict_log import folded, kernel_view, run_logged
+from verdict_log import emitted, folded, kernel_view, run_logged
 
 MASKS = (0, 1, 3, 0x0F, 0x81)
 
 
 @st.composite
-def adversary_docs(draw, device: int, population: int) -> dict:
+def adversary_docs(draw, device: int, population: int, max_index: int = 1) -> dict:
+    """An adversary entry; a Trojan's trigger reads an operand index up to `max_index`."""
     others = [d for d in range(population) if d != device]
     doc: dict = {"device": device}
     fault = draw(st.sampled_from(("HONEST", "ALWAYS_WRONG", "TROJAN")))
@@ -69,7 +70,7 @@ def adversary_docs(draw, device: int, population: int) -> dict:
     if fault == "TROJAN":
         mask = draw(st.sampled_from(MASKS))
         doc["trigger"] = {
-            "index": draw(st.integers(0, 1)),
+            "index": draw(st.integers(0, max_index)),
             "mask": mask,
             "match": draw(st.integers(0, 255)) & mask,
         }
@@ -112,10 +113,14 @@ def lossless_scenarios(draw, min_adversaries: int = 0) -> Scenario:
     group_size = draw(st.integers(3, 9))
     population = group_size + draw(st.integers(0, 3))
     latency_max = draw(st.integers(0, 4))
-    # Overrides of the built-in ids 0..4 and additions past them. Trigger
-    # masks and payloads fit in 8 bits and every routine takes at least two
-    # operands, so any table passes the load-time trigger checks.
+    # Overrides of the built-in ids 0..4 and additions past them, drawn
+    # first: a trigger reads an operand index up to the narrowest routine's
+    # arity - 1 and its masks and payloads fit in 8 bits, so any table
+    # passes the load-time trigger checks.
     routine_ids = draw(st.lists(st.integers(0, 7), max_size=5, unique=True))
+    routines = [draw(routine_docs(i)) for i in routine_ids]
+    table = scenario_from_dict({"routines": routines}).routine_order
+    max_index = min(spec.arity for spec in table) - 1
     corrupt = draw(
         st.lists(st.integers(0, population - 1), min_size=min_adversaries, max_size=4, unique=True)
     )
@@ -123,7 +128,8 @@ def lossless_scenarios(draw, min_adversaries: int = 0) -> Scenario:
         "population": population,
         "group_size": group_size,
         "rounds": draw(st.integers(1, 30)),
-        "regroup_period": draw(st.integers(1, 8)),
+        # Epochs up to 3n rounds long, in which a loud spot recurs.
+        "regroup_period": draw(st.integers(1, 3 * group_size)),
         "quorum": draw(st.integers(1, group_size - 1)),
         "flag_threshold": draw(st.integers(1, 3)),
         "round_deadline": 3 * latency_max + draw(st.integers(1, 3)),
@@ -132,15 +138,15 @@ def lossless_scenarios(draw, min_adversaries: int = 0) -> Scenario:
             "latency_max": latency_max,
             "drop_prob": 0.0,
         },
-        "routines": [draw(routine_docs(i)) for i in routine_ids],
-        "adversaries": [draw(adversary_docs(d, population)) for d in corrupt],
+        "routines": routines,
+        "adversaries": [draw(adversary_docs(d, population, max_index)) for d in corrupt],
     }
     return scenario_from_dict(doc)
 
 
 def _reports(sc: Scenario, *results) -> tuple[bytes, bytes]:
     report = folded(sc, *results)
-    return emit_report(report, "json"), emit_report(report, "csv")
+    return emitted(report, "json"), emitted(report, "csv")
 
 
 # A Trojan that always fires and writes 1 into CMP routines of every width:
@@ -726,6 +732,34 @@ def test_kernel_charges_equal_the_engines_over_epoch_shapes(n):
                 assert _reports(sc, kernel) == _reports(sc, engine), (period, len(sc.routine_order), seed)
                 cut += (kernel.suspicion.excluded_at.get(0, -1) + 1) % period != 0
     assert cut >= n
+
+
+# A kernel run with no RANDOM reporter draws words from its grouping stream
+# alone. The manifestation Monte-Carlo's shape draws 11 groups of all 5
+# devices, 4 bounded words each, so its plan sizes the first pass to 44
+# words and a run computes that one pass; 3 rounds of 70 of 80 devices
+# regrouped every round draw 207 words, read on past a full first pass.
+@pytest.mark.parametrize(
+    ("doc", "passes"),
+    [
+        ({"population": 5, "group_size": 5, "rounds": 55, "adversaries": [_TROJAN_6 | {"device": 1}]}, [44]),
+        ({"population": 80, "group_size": 70, "rounds": 3, "regroup_period": 1}, [LANES] * 4),
+    ],
+    ids=["trojan_mc", "wide_group"],
+)
+def test_grouping_stream_first_pass_is_sized_by_the_run_plan(monkeypatch, doc, passes):
+    sc = scenario_from_dict(doc)
+    assert sc.plan.group_words == passes[0]
+    computed: list[int] = []
+
+    def counting(state, k, _block=rng.block):
+        computed.append(k)
+        return _block(state, k)
+
+    expected = _reports(sc, run_simulation(sc, seed=1))
+    monkeypatch.setattr(rng, "block", counting)
+    assert _reports(sc, run_simulation(sc, seed=1)) == expected
+    assert computed == passes
 
 
 def _count_report_streams(monkeypatch, sc: Scenario, engine: bool) -> tuple[Counter, set[int]]:

@@ -25,7 +25,6 @@ import collabtrust.simnet as simnet
 from collabtrust.adversary import Opinion, apply_fault
 from collabtrust.metrics import DetectionStats, TrafficCounters
 from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
-from collabtrust.report import emit_report
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, generate_operands
 from collabtrust.scenario import Scenario, scenario_from_dict
@@ -33,7 +32,7 @@ from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
 from reference_impl import fates, trace_delivery, trace_verdict
 from test_kernel import adversary_docs
-from verdict_log import folded, run_logged, run_traced, trace_lines
+from verdict_log import emitted, folded, run_logged, run_traced, trace_lines
 
 DELIVERY_KINDS = ("CHALLENGE", "RESPONSE", "REPORT")
 
@@ -111,7 +110,7 @@ def test_lossy_traced_runs_conserve_and_repeat(sc, seed):
     second, second_trace = run_traced(sc, seed=seed)
     _check_conservation(first, first_trace)
     assert first_trace == second_trace
-    assert emit_report(folded(sc, first), "json") == emit_report(folded(sc, second), "json")
+    assert emitted(folded(sc, first), "json") == emitted(folded(sc, second), "json")
 
 
 @SETTINGS
@@ -509,8 +508,8 @@ def _report_redraws(case) -> dict[tuple[int, int], int]:
             drawn.append(w)
             yield w
 
-    def network(seed, tag, *key):
-        rng = stream(seed, tag, *key)
+    def network(seed, tag, *key, **first):
+        rng = stream(seed, tag, *key, **first)
         if tag == simnet.NETWORK_STREAM:
             rng.words = recording(rng.words)
         return rng

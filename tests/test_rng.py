@@ -125,9 +125,19 @@ def test_block_is_the_next_words_at_the_state(state):
 
 
 # A state just below 2**64 wraps the first counter; a seed outside 64 bits
-# is taken modulo 2**64.
-@pytest.mark.parametrize("state", (0, 1, MASK64, MASK64 - 3, -(2**63)))
-def test_words_are_the_stream_across_every_pass(state, monkeypatch):
+# is taken modulo 2**64. The first pass holds `first` words: one, the 44 a
+# run plan sizes for the manifestation Monte-Carlo's grouping stream (11
+# epochs of 4 draws), or LANES, the default (whose cases keep the state
+# alone as their id).
+@pytest.mark.parametrize(
+    ("state", "first"),
+    [
+        pytest.param(state, first, id=str(state) if first == LANES else f"{state}-first{first}")
+        for first in (1, 44, LANES)
+        for state in (0, 1, MASK64, MASK64 - 3, -(2**63))
+    ],
+)
+def test_words_are_the_stream_across_every_pass(state, first, monkeypatch):
     passes = []
 
     def counting(s, k):
@@ -135,16 +145,18 @@ def test_words_are_the_stream_across_every_pass(state, monkeypatch):
         return block(s, k)
 
     monkeypatch.setattr(rng, "block", counting)
-    stream = SplitMix64(state)
+    stream = SplitMix64(state, first)
     assert passes == []  # a stream never drawn from computes nothing
     assert stream.next_u64() == mix64(state + GOLDEN_GAMMA)
-    assert passes == [LANES]
+    assert passes == [first]
     drawn = [stream.next_u64()] + list(islice(stream.words, 298)) + [stream.next_float()]
-    # Word i of the stream, across the pass boundaries 64, 128, 192 and 256.
+    # Word i of the stream, across the pass boundaries first, first + 64, ...
     assert drawn[:-1] == [mix64(state + (i + 1) * GOLDEN_GAMMA) for i in range(1, 300)]
     assert drawn[-1] == (mix64(state + 301 * GOLDEN_GAMMA) >> 11) * 2.0**-53
-    assert passes == [LANES] * 5
-    assert list(islice(words(state), 300)) == [mix64(state + i * GOLDEN_GAMMA) for i in range(1, 301)]
+    # 301 words: the first pass, then as many LANES passes as the rest needs.
+    assert passes == [first] + [LANES] * -(-(301 - first) // LANES)
+    expected = [mix64(state + i * GOLDEN_GAMMA) for i in range(1, 301)]
+    assert list(islice(words(state, first), 300)) == expected
 
 
 def test_block_computes_at_most_lanes_words_in_one_pass():

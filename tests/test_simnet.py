@@ -33,8 +33,8 @@ def _network_at(state: int, monkeypatch) -> None:
     monkeypatch.setattr(
         simnet,
         "stream",
-        lambda seed, tag, *words: SplitMix64(state) if tag == simnet.NETWORK_STREAM
-        else stream(seed, tag, *words),
+        lambda seed, tag, *words, **first: SplitMix64(state) if tag == simnet.NETWORK_STREAM
+        else stream(seed, tag, *words, **first),
     )
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 import pytest
 
 from collabtrust.metrics import DetectionStats
-from collabtrust.report import Report
+from collabtrust.report import Report, emit_report
 from collabtrust.simnet import RunResult, run_simulation
 from collabtrust.verdict import Outcome, Verdict
 
@@ -95,3 +95,8 @@ def folded(scenario, *results: RunResult) -> Report:
     for res in results:
         total.fold(res)
     return total
+
+
+def emitted(report: Report, format: str) -> bytes:
+    """The bytes `emit_report` streams for `report`, joined."""
+    return b"".join(emit_report(report, format))
