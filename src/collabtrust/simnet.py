@@ -152,33 +152,34 @@ def draw_group(
     The members are those a Fisher-Yates shuffle of the first `size`
     positions of the sorted eligible list picks, in shuffled order (it
     fixes the checkee rotation), from the same draws but without the list:
-    a sparse Fisher-Yates shuffles ranks, keeping only the swapped
-    positions, and each chosen rank maps to its device by bisecting the
-    sorted exclusions. O(size + len(excluded)) times a log, not O(population).
+    a sparse Fisher-Yates shuffles ranks: the positions below `size` are a
+    list, and only the swapped positions at or beyond it are kept, in a
+    dict. Each chosen rank maps to its device by bisecting the sorted
+    exclusions. O(size + len(excluded)) times a log, not O(population).
     Each draw below `bound` rejects a word at or above 2**64 - 2**64 % bound.
-    That limit is above 2**64 - bound, so it is worked out only for a word
-    among the top `bound`.
+    No bound exceeds n, so that limit is above the band 2**64 - n, and it is
+    worked out only for a word in the band.
     """
     skip = sorted(excluded) if excluded else ()
     n = population - len(skip)
     if size > n:
         raise GroupFormationError(f"need {size} devices but only {n} are eligible")
     words = rng.words
-    swapped: dict[int, int] = {}
-    ranks = []
-    for i in range(size):
-        # Position i swaps with i + an unbiased draw below n - i, by
-        # rejection; a bound of 1 draws no word.
+    band = (1 << 64) - n
+    ranks = list(range(size))
+    beyond: dict[int, int] = {}
+    # Position i swaps with i + an unbiased draw below n - i, by rejection;
+    # a bound of 1, at position n - 1, draws no word and swaps nothing.
+    for i in range(min(size, n - 1)):
         bound = n - i
-        if bound < 2:
-            j = i
-        else:
+        z = next(words)
+        while z >= band and z >= (1 << 64) - (1 << 64) % bound:
             z = next(words)
-            while z >= (1 << 64) - bound and z >= (1 << 64) - (1 << 64) % bound:
-                z = next(words)
-            j = i + z % bound
-        ranks.append(swapped.get(j, j))
-        swapped[j] = swapped.get(i, i)
+        j = i + z % bound
+        if j < size:
+            ranks[i], ranks[j] = ranks[j], ranks[i]
+        else:
+            ranks[i], beyond[j] = beyond.get(j, j), ranks[i]
     return tuple(_nth_eligible(skip, rank) for rank in ranks) if skip else tuple(ranks)
 
 
@@ -422,10 +423,12 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
         raise ProtocolViolation(
             f"message conservation: sent {c.sent} != delivered+dropped+late+in_flight {accounted}"
         )
-    charged = sum(u.sent for u in energy.usage.values())
+    charged = received = 0
+    for u in energy.usage.values():
+        charged += u.sent
+        received += u.received
     if charged != c.sent:
         raise ProtocolViolation(f"energy ledger: devices charged {charged} sends, counters say {c.sent}")
-    received = sum(u.received for u in energy.usage.values())
     expected = c.delivered + c.late - c.purged  # purged deliveries are late, never received
     if received != expected:
         raise ProtocolViolation(
@@ -581,10 +584,13 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     that have one. A copy is late exactly when it lands at or after
     (current_round + 1) * deadline, so its sender decides it: traced, a
     late copy's entry carries no message (None), and at delivery it is
-    only counted and charged. A delivery's trace line, ` late=1` included, is
-    fixed when its message is sent, from text built once per fan-out (a
-    report's head once per sender and its tail once per round and opinion;
-    ` late=1` only for a late copy), and waits in its bucket entry (None
+    only counted and charged. A traced fan-out with no loss whose latest
+    copy lands in time tests neither drop nor lateness, and a tick's
+    deliveries are counted once, less its late copies. A delivery's trace
+    line, ` late=1` included, is fixed when its message is sent, from text
+    built once per fan-out (a report's head once per sender and its tail
+    once per round and opinion; ` late=1` only for a late copy), and waits
+    in its bucket entry (None
     when untraced). Trace lines collect in a list that is written in one
     piece at each round's deadline, and at a halt or an error. Traced, a
     report copy that lands in time is tallied in the delivery loop, which
@@ -695,6 +701,23 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         # untraced, it is held.
         late_at = (current_round + 1) * deadline
         soonest = now + lo
+        if tail is not None and not drop_cut and soonest + span <= late_at:
+            # Traced, lossless, and even the latest copy lands in time.
+            for to in peers:
+                if span == 1:
+                    at = soonest
+                else:
+                    while (z := next(words)) >= limit:
+                        pass
+                    at = soonest + z % span
+                bucket = buckets.get(at)
+                if bucket is None:
+                    bucket = buckets[at] = []
+                    heappush(ticks, at)
+                bucket.append((seq, msg, frm, to, f"{at} {seq}{head}{to}{tail}"))
+                seq += 1
+            next_seq = seq
+            return
         for to in peers:
             if drop_cut and next(words) < drop_cut:
                 continue
@@ -750,14 +773,15 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 t = heappop(ticks)
                 # A zero-latency send appends to this very bucket; the loop
                 # reaches it, since list iteration runs to the current end.
-                for seq, msg, frm, to, line in buckets[t]:
+                bucket = buckets[t]
+                late = 0
+                for seq, msg, frm, to, line in bucket:
                     usage[to].received += 1
                     if line is not None:
                         emit(line)
                     if msg is None:
-                        counters.late += 1
+                        late += 1
                         continue
-                    counters.delivered += 1
                     state = states[to]
                     kind = type(msg)
                     if kind is ComparisonReport:
@@ -772,6 +796,8 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                             dispatch_sends(to, out, t)
                     elif (out := handle_response(state, msg)) is not None:
                         dispatch_sends(to, out, t)
+                counters.late += late
+                counters.delivered += len(bucket) - late
                 del buckets[t]
                 continue
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import collabtrust.simnet as simnet
@@ -142,17 +142,36 @@ def test_draw_group_redraws_a_rejected_word_as_form_group_does(population, size,
     assert sparse.next_u64() == listed.next_u64()
 
 
-# Groups of 6 of 6 and 7 of 7, whose first bound rejects the top
-# 2**64 % 6 == 4 and 2**64 % 7 == 2 words: a first word at the limit is
-# redrawn, and the word below it is taken.
-@pytest.mark.parametrize("size", (6, 7))
+# Groups of 6 of 6, 7 of 7 and 5 of 200. The bound at position 0 is the
+# population, at position 1 one less; a bound rejects its top 2**64 % bound
+# words (7 of 7 at position 1: the bound is 6, the limit 2**64 - 4; 5 of
+# 200 at 0: the limit is 2**64 - 16, below the top `size` words). The word
+# at `position` is at the limit and redrawn, or just below it, inside the
+# band 2**64 - population, and taken.
+@pytest.mark.parametrize(
+    "population,size,position",
+    ((6, 6, 0), (7, 7, 0), (6, 6, 1), (7, 7, 1), (200, 5, 0)),
+    ids=("6", "7", "6-at-1", "7-at-1", "5-of-200"),
+)
 @pytest.mark.parametrize("below_limit", (0, 1))
-def test_draw_group_rejects_from_the_limit_on_as_form_group_does(size, below_limit):
-    limit = (1 << 64) - (1 << 64) % size
-    state = state_before(limit - below_limit)
+def test_draw_group_rejects_from_the_limit_on_as_form_group_does(
+    population, size, position, below_limit
+):
+    bound = population - position
+    word = (1 << 64) - (1 << 64) % bound - below_limit
+    assert word >= (1 << 64) - population
+    state = (state_before(word) - position * GOLDEN_GAMMA) & MASK64
+    drawn = SplitMix64(state)
+    words = [drawn.next_u64() for _ in range(size + 2)]
+    assert words[position] == word
     sparse, listed = SplitMix64(state), SplitMix64(state)
-    assert draw_group(size, {}, size, sparse) == form_group(list(range(size)), size, listed)
-    assert sparse.next_u64() == listed.next_u64()
+    assert draw_group(population, {}, size, sparse) == form_group(
+        list(range(population)), size, listed
+    )
+    # One bounded draw per position below population - 1, and one word more
+    # when the one at the limit is redrawn.
+    draws = min(size, population - 1)
+    assert sparse.next_u64() == listed.next_u64() == words[draws + (below_limit == 0)]
 
 
 # Zero-latency sends and a deadline of 2 * latency_max put round timers and
@@ -276,11 +295,11 @@ def test_form_group_inclusion_frequency_hypergeometric():
         assert abs(count - draws * p) <= 3 * sigma, (device, count)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_draw_group_matches_form_group_over_the_eligible_list(data):
-    population = data.draw(st.integers(3, 200), label="population")
-    excluded = data.draw(
+@st.composite
+def group_draws(draw) -> tuple[int, set[int], int, list[int]]:
+    """A population, its excluded devices, a group size and three seeds."""
+    population = draw(st.integers(3, 200), label="population")
+    excluded = draw(
         st.one_of(
             st.sets(st.integers(0, population - 1), max_size=population // 4),
             # Nearly everyone excluded: the complement of a few kept devices.
@@ -291,9 +310,27 @@ def test_draw_group_matches_form_group_over_the_eligible_list(data):
         label="excluded",
     )
     # Sizes past rng.LANES take more than one block pass.
-    size = data.draw(st.integers(3, 8) | st.integers(60, 140), label="size")
+    size = draw(st.integers(3, 8) | st.integers(60, 140), label="size")
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3), label="seeds")
+    return population, excluded, size, seeds
+
+
+SEEDS = [0, 20261018, 2**64 - 1]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=group_draws())
+# Every swap partner inside the group: 5 of 5, and 7 of 8 with device 3 excluded.
+@example(case=(5, set(), 5, SEEDS))
+@example(case=(8, {3}, 7, SEEDS))
+# 70 of 70 draws 69 words, more than one block pass.
+@example(case=(70, set(), 70, SEEDS))
+# 5 of 200 with exclusions: nearly every partner lies beyond the group.
+@example(case=(200, {0, 2, 7, 64, 199}, 5, SEEDS))
+def test_draw_group_matches_form_group_over_the_eligible_list(case):
+    population, excluded, size, seeds = case
     eligible = [d for d in range(population) if d not in excluded]
-    for seed in data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3)):
+    for seed in seeds:
         listed, sparse = SplitMix64(seed), SplitMix64(seed)
         if size > len(eligible):
             with pytest.raises(GroupFormationError) as expected:
