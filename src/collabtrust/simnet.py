@@ -10,8 +10,8 @@ stream per RANDOM reporter (reporting noise), derived when it first joins
 a group. Varying a knob never reshuffles another stream's words, but
 within the network stream words are read in send order, so one more drop
 shifts the words of every later unicast. The engine's send loops decode
-each unicast's loss and latency from the network stream's words; no other
-code reads them.
+each unicast's loss and latency from the network stream's words, and a
+traced kernel run its latency; no other code reads them.
 
 A group is the tuple of its members in draw order, on both paths: the
 checkee of round r is member r mod N, the initiator the member after it,
@@ -21,36 +21,40 @@ end of the round it was sent in, so its fate is fixed at send: groups change
 only at round starts, and a member sends only to its current peers, so a
 copy that lands in time always goes to a member.
 
-A run given a trace stream goes through the event engine, which writes
-each round's trace lines there in one piece at its deadline, and tallies
-each report copy that lands in time itself: a member concludes when its
-tally completes or at the deadline, and the round's verdicts are folded
-at the deadline, one per (agree, disagree) split. Untraced, a report
-triggers no send, so the engine hands none over and sends the round's
-reports at its deadline, in the order they were made, which draws the
-same words. It records only who misses each one (a receiver whose copy is
-dropped or lands at or after the round's end, and the sender), decodes no
-latency for a fan-out too early to have a late copy, and counts late
-copies of every kind when the next round starts instead of queueing
-them. Then one protocol.settle_round call adds to every member's tally
-the round's reports less its misses and concludes the group, one verdict
-per split.
-Runs with no trace sink whose outcome cannot depend on timing (no loss,
-and 3 * latency_max below the round deadline) skip the engine: a tally-
-level kernel, _run_tally, computes each round's verdict directly. Both
-paths read the scenario's RunPlan, what every run derives from the
-scenario and no seed changes, built once per scenario and shared by every
-repetition. The kernel walks the rounds group epoch by group epoch,
-drawing a group only at the regroup period or after an exclusion, and
-looks each group up once in the plan's one cache, keyed by its members'
-markers. By the paper's framing bound, up to floor((N-1)/2) dissenting
-checkers cannot flag a checkee whose answer is honest, so _classify finds
-a group's loud spots: the positions whose rounds take the full tally
-(FULL) or take it when the checkee's trigger word fires (TRIGGER). Every
-other round is quiet: it ends TRUSTED, draws no operands and is folded in
-bulk. Messages and energy follow the lossless closed form. A run derives
-a report stream only for the RANDOM reporters of the groups it draws. The
-kernel's reports are byte-identical to the engine's.
+Latency-free runs take the kernel; a trace sink makes it render every
+round. A run is latency-free when its outcome cannot depend on timing: no
+loss, and 3 * latency_max below the round deadline. Every other run takes
+the event engine, which, given a trace stream, writes each round's trace
+lines there in one piece at its deadline, and tallies each report copy
+that lands in time itself: a member concludes when its tally completes or
+at the deadline, and the round's verdicts are folded at the deadline, one
+per (agree, disagree) split. Untraced, a report triggers no send, so the
+engine hands none over and sends the round's reports at its deadline, in
+the order they were made, which draws the same words. It records only
+who misses each one (a receiver whose copy is dropped or lands at or
+after the round's end, and the sender), decodes no latency for a fan-out
+too early to have a late copy, and counts late copies of every kind when
+the next round starts instead of queueing them. Then one
+protocol.settle_round call adds to every member's tally the round's
+reports less its misses and concludes the group, one verdict per split.
+
+The tally-level kernel, _run_tally, computes each round's verdict
+directly. Both paths read the scenario's RunPlan, what every run derives
+from the scenario and no seed changes, built once per scenario and shared
+by every repetition. The kernel walks the rounds group epoch by group
+epoch, drawing a group only at the regroup period or after an exclusion,
+and looks each group up once in the plan's one cache, keyed by its
+members' markers. By the paper's framing bound, up to floor((N-1)/2)
+dissenting checkers cannot flag a checkee whose answer is honest, so
+_classify finds a group's loud spots: the positions whose rounds take the
+full tally (FULL) or take it when the checkee's trigger word fires
+(TRIGGER). Every other round is quiet: it ends TRUSTED, draws no operands
+and is folded in bulk. Messages and energy follow the lossless closed
+form. A run derives a report stream only for the RANDOM reporters of the
+groups it draws. Traced, the kernel tallies every round and _RoundTrace
+writes its trace from its fan-outs' arrival order, drawing the network
+stream's latency words as the engine would. The kernel's reports and
+traces are byte-identical to the engine's.
 
 Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
 the draws of a Fisher-Yates prefix over the list of eligible devices
@@ -65,7 +69,7 @@ from collections import Counter, defaultdict
 from collections.abc import Collection
 from functools import lru_cache, partial
 from heapq import heappop, heappush
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 
 from .adversary import (
     HONEST_PROFILE,
@@ -107,6 +111,7 @@ from .routines import RoutineSpec, execute, generate_operands, operand_word
 from .verdict import (
     Outcome,
     SuspicionLedger,
+    Tally,
     Verdict,
     framing_bound,
     lossless_verdicts,
@@ -223,8 +228,8 @@ def _trace_text(msg: Challenge | Response, frm: int) -> tuple[str, str]:
     A delivery's line is f"{time} {seq}{head}{to}{tail}": `head` holds the
     kind and sender, `tail` the payload and newline. Both are the same for
     every receiver of a fan-out, so they are built once per fan-out. A
-    report's are built in the engine, once per sender and once per (round,
-    opinion).
+    report's come from _report_head and _report_tail, which the trace
+    writers call once per sender and once per (round, opinion).
     """
     if type(msg) is Challenge:
         ops = ",".join(map(str, msg.ops))
@@ -234,6 +239,39 @@ def _trace_text(msg: Challenge | Response, frm: int) -> tuple[str, str]:
             f" ops={ops} cid={msg.round}\n",
         )
     return f" RESPONSE {frm} ", f" cid={msg.round} output={msg.output}\n"
+
+
+def _report_head(frm: int) -> str:
+    return f" REPORT {frm} "
+
+
+def _report_tail(round_no: int, checkee: int, opinion: Opinion) -> str:
+    return f" cid={round_no} checkee={checkee} opinion={opinion.value}\n"
+
+
+def _verdict_text(round_no: int, checkee: int, tally: Tally, outcome: Outcome) -> str:
+    """What a VERDICT line of round `round_no` ends in, after f"{time} {seq} VERDICT {device}"."""
+    return (
+        f" - round={round_no} checkee={checkee} outcome={outcome.value} agree={tally.agree}"
+        f" disagree={tally.disagree} missing={tally.missing}\n"
+    )
+
+
+def _round_start_line(
+    t: int, r: int, group_text: str, checkee: int, initiator: int, spec: RoutineSpec
+) -> str:
+    return (
+        f"{t} {2 * r} ROUND_START - - round={r} group={group_text}"
+        f" checkee={checkee} initiator={initiator} routine={spec.id}\n"
+    )
+
+
+def _deadline_line(t: int, r: int) -> str:
+    return f"{t} {2 * r + 1} ROUND_DEADLINE - - round={r}\n"
+
+
+def _halt_line(t: int, r: int, reason: str) -> str:
+    return f"{t} {2 * r} HALT - - reason={reason!r}\n"
 
 
 def report_stream(seed: int, device: int) -> SplitMix64:
@@ -384,7 +422,7 @@ def _tally_round(
     r: int,
     spec: RoutineSpec,
     seed: int,
-) -> Verdict:
+) -> tuple[Verdict, tuple[int, ...], int, int, dict[int, Opinion]]:
     """One latency-free round at tally level: the verdict every member reaches.
 
     `specials` maps the group's special members, in group order, to their
@@ -393,6 +431,11 @@ def _tally_round(
     (each RANDOM reporter on its stream in `streams`, as in the event
     engine), and the plain checkers' AGREE votes come as one count, which
     indexes the run plan's lossless verdict entries.
+
+    Returns the verdict with what a trace of the round shows: the
+    challenge's operands, the honest output, the checkee's answer and each
+    special checker's opinion. A plain checker agrees when the answer is
+    the honest output.
     """
     n = len(members)
     checkee = members[r % n]
@@ -406,13 +449,15 @@ def _tally_round(
     answer = outputs.get(checkee, honest)
     plain_checkers = n - len(specials) - (checkee not in outputs)
     agree = plain_checkers if answer == honest else 0
+    opinions: dict[int, Opinion] = {}
     for m, p in specials.items():
         if m != checkee:
             truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
-            if distort_opinion(p, truth, checkee, streams.get(m)) is Opinion.AGREE:
+            opinions[m] = opinion = distort_opinion(p, truth, checkee, streams.get(m))
+            if opinion is Opinion.AGREE:
                 agree += 1
     tally, outcome = sc.plan.lossless_verdicts[agree]
-    return Verdict(checkee, r, outcome, tally)
+    return Verdict(checkee, r, outcome, tally), ops, honest, answer, opinions
 
 
 def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> None:
@@ -436,8 +481,136 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
         )
 
 
-def _run_tally(sc: "Scenario", res: RunResult) -> None:
-    """Latency-free runs: one tally per loud round, no events, no network draws.
+class _RoundTrace:
+    """A latency-free run's trace, written by the tally kernel one round at a time.
+
+    Every round of such a run sends its (n-1)(n+1) unicasts, and each lands
+    before the round's deadline, so the event engine numbers round r's
+    messages from 2 * rounds + r * (n-1)(n+1) in send order and draws each
+    one latency word, redrawn by rejection, in that order. `round` draws
+    the round's latencies in one pass and sends as the engine does: the
+    challenge fan-out at the round's start, the checkee's response fan-out
+    when its challenge lands, then each checker's report fan-out at its
+    trigger, in trigger order. A checker's trigger is the later of its
+    challenge's and response's arrivals, or its response's for the
+    initiator, which holds the challenge from the start. The round's
+    deliveries are sorted by arrival (tick, seq), kept as one int key, and
+    written with the round's other lines in one piece, as the engine
+    writes them at the deadline. A member's VERDICT line follows the report
+    copy that completes its tally; a checker whose own opinion forms after
+    its last incoming report concludes at the deadline timer instead, with
+    every other member still pending, in group order.
+    """
+
+    def __init__(self, sc: "Scenario", seed: int, sink: TextIO):
+        net = sc.network
+        self.write = sink.write
+        self.words = stream(seed, NETWORK_STREAM).words
+        self.lo = net.latency_min
+        self.span = net.latency_max - net.latency_min + 1
+        # Latency words at or above `limit` are redrawn, so z % span is unbiased.
+        self.limit = (1 << 64) - (1 << 64) % self.span
+        self.deadline = sc.round_deadline
+        self.unicasts = lossless_messages_per_round(sc.group_size)
+        self.first_seq = 2 * sc.rounds
+        self.members: tuple[int, ...] = ()
+        self.group_text = ""
+        self.peers: dict[int, tuple[int, ...]] = {}  # each member's, in group order
+        self.report_heads: dict[int, str] = {}
+
+    def halt(self, r: int, reason: str) -> None:
+        self.write(_halt_line(r * self.deadline, r, reason))
+
+    def round(
+        self,
+        members: tuple[int, ...],
+        r: int,
+        spec: RoutineSpec,
+        v: Verdict,
+        ops: tuple[int, ...],
+        honest: int,
+        answer: int,
+        opinions: dict[int, Opinion],
+    ) -> None:
+        """Write round r's trace from what _tally_round decided of it."""
+        if members is not self.members:
+            self.members = members
+            self.group_text = ",".join(map(str, members))
+            self.peers = {m: tuple(p for p in members if p != m) for m in members}
+        peers = self.peers
+        u = self.unicasts
+        lo = self.lo
+        span = self.span
+        # The latency of the round's j-th unicast.
+        if span == 1:
+            delay = [lo] * u
+        else:
+            words = list(islice(self.words, u))
+            limit = self.limit
+            if max(words) >= limit:  # a word to redraw: rare unless span is near 2**63
+                words = [z for z in words if z < limit]
+                words += islice(filter(limit.__gt__, self.words), u - len(words))
+            delay = [lo + z % span for z in words]
+        n = len(members)
+        t = r * self.deadline
+        seq = self.first_seq + r * u
+        checkee = members[r % n]
+        initiator = members[(r + 1) % n]
+        # A delivery's key: its tick less t, times u, plus its seq less `seq`.
+        lines: dict[int, str] = {}
+        j = 0
+        head, tail = _trace_text(Challenge(r, initiator, checkee, spec, ops, honest), initiator)
+        challenged = {}
+        for to in peers[initiator]:
+            d = delay[j]
+            challenged[to] = k = d * u + j
+            lines[k] = f"{t + d} {seq + j}{head}{to}{tail}"
+            j += 1
+        sent = challenged[checkee] // u
+        head, tail = _trace_text(Response(r, checkee, answer), checkee)
+        triggers = {}
+        for to in peers[checkee]:
+            d = sent + delay[j]
+            k = d * u + j
+            lines[k] = f"{t + d} {seq + j}{head}{to}{tail}"
+            c = challenged.get(to, 0)  # 0: the initiator, whose challenge is its own
+            triggers[to] = k if k > c else c
+            j += 1
+        plain = Opinion.AGREE if answer == honest else Opinion.DISAGREE
+        agree_tail = _report_tail(r, checkee, Opinion.AGREE)
+        disagree_tail = _report_tail(r, checkee, Opinion.DISAGREE)
+        heads = self.report_heads
+        last = dict.fromkeys(members, 0)  # each member's last incoming report
+        for frm in sorted(triggers, key=triggers.__getitem__):
+            sent = triggers[frm] // u
+            head = heads.get(frm) or heads.setdefault(frm, _report_head(frm))
+            tail = agree_tail if opinions.get(frm, plain) is Opinion.AGREE else disagree_tail
+            for to in peers[frm]:
+                d = sent + delay[j]
+                k = d * u + j
+                lines[k] = f"{t + d} {seq + j}{head}{to}{tail}"
+                if k > last[to]:
+                    last[to] = k
+                j += 1
+        text = _verdict_text(r, checkee, v.tally, v.outcome)
+        pending = []
+        for m in members:
+            k = last[m]
+            if k < triggers.get(m, 0):
+                pending.append(m)
+            else:
+                d, i = divmod(k, u)
+                lines[k] += f"{t + d} {seq + i} VERDICT {m}{text}"
+        end = t + self.deadline
+        out = [_round_start_line(t, r, self.group_text, checkee, initiator, spec)]
+        out += [lines[k] for k in sorted(lines)]
+        out += [f"{end} {2 * r + 1} VERDICT {m}{text}" for m in pending]
+        out.append(_deadline_line(end, r))
+        self.write("".join(out))
+
+
+def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
+    """Latency-free runs: one tally per loud round, no events; traced, every round is loud.
 
     Rounds are walked group epoch by group epoch: a group is drawn at the
     regroup period and after an exclusion. Each epoch looks its group up
@@ -458,6 +631,11 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     leaves its streak open, since the next group has the same members, and
     any other epoch, or the run's last, charges it. An exclusion precedes
     every halt, so no streak is open at one.
+
+    With a `trace` sink every position of every group is a FULL spot, so
+    each round is tallied, folded and handed to _RoundTrace, which writes
+    it; a halt writes its HALT line. The group walk, halts and closed-form
+    charges are the untraced ones.
     """
     seed = res.seed
     usage = res.energy.usage
@@ -476,6 +654,16 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
     classify = plan.classify
     op_prefix = plan.op_prefix
     streams: dict[int, SplitMix64] = {}
+    tracer = None
+    if trace is not None:
+        # Traced, every position is a FULL spot, so every round is tallied and written.
+        tracer = _RoundTrace(sc, seed, trace)
+        every = dict.fromkeys(range(n))
+
+        def classify(key, _classify=classify):
+            specials, _, randoms = _classify(key)
+            return specials, every, randoms
+
     # A group holds every eligible device when this many are excluded.
     everyone_at = sc.population - n
     # The open membership streak: its first round and its epochs' summed
@@ -487,6 +675,8 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
             members = draw_group(sc.population, excluded, n, rng_group)
         except GroupFormationError as exc:
             res.halt_reason = str(exc)
+            if tracer is not None:
+                tracer.halt(r, res.halt_reason)
             break
         everyone = len(excluded) == everyone_at
         specials, spots, randoms = classify(tuple(map(marker, members)))
@@ -518,7 +708,11 @@ def _run_tally(sc: "Scenario", res: RunResult) -> None:
                     if d != checkee:
                         streams[d].next_u64()
                 continue
-            v = _tally_round(sc, members, specials, streams, r, spec, seed)
+            v, ops, honest, answer, opinions = _tally_round(
+                sc, members, specials, streams, r, spec, seed
+            )
+            if tracer is not None:
+                tracer.round(members, r, spec, v, ops, honest, answer, opinions)
             loud += 1
             # Every member reaches this verdict; devices missing from the
             # sparse `profiles` count as honest.
@@ -584,20 +778,18 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     that have one. A copy is late exactly when it lands at or after
     (current_round + 1) * deadline, so its sender decides it: traced, a
     late copy's entry carries no message (None), and at delivery it is
-    only counted and charged. A traced fan-out with no loss whose latest
-    copy lands in time tests neither drop nor lateness, and a tick's
-    deliveries are counted once, less its late copies. A delivery's trace
-    line, ` late=1` included, is fixed when its message is sent, from text
-    built once per fan-out (a report's head once per sender and its tail
-    once per round and opinion; ` late=1` only for a late copy), and waits
-    in its bucket entry (None
-    when untraced). Trace lines collect in a list that is written in one
+    only counted and charged. A tick's deliveries are counted once, less
+    its late copies. A delivery's trace line, ` late=1` included, is fixed
+    when its message is sent, from text built once per fan-out (a report's
+    head once per sender and its tail once per round and opinion; ` late=1`
+    only for a late copy), and waits in its bucket entry (None when
+    untraced). Trace lines collect in a list that is written in one
     piece at each round's deadline, and at a halt or an error. Traced, a
     report copy that lands in time is tallied in the delivery loop, which
     concludes its receiver once it has heard every checker, and the
     deadline concludes every member still pending, in group order. A
-    member concludes by writing its VERDICT line, from its split's text,
-    and joining its split's issuers; the deadline takes each split's
+    member concludes by writing its VERDICT line, from its split's text
+    for the round, and joining its split's issuers; the deadline takes each split's
     verdict from split_verdicts. With no trace, the queue holds only
     challenges and responses that land in time, and it is empty at every
     deadline. A late copy is held as its entry instead: latency_max is
@@ -649,12 +841,12 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     lines: list[str] | None = None if trace is None else []
     emit = None if lines is None else lines.append
     table = sc.plan.verdicts
-    # Traced runs: the text VERDICT lines end in, by split; the round's
-    # issuers by split; and the text of the group's members, of a sender's
-    # report and of the round's report of each opinion.
+    # Traced runs: the text the round's VERDICT lines end in, by split; the
+    # round's issuers by split; and the text of the group's members, of a
+    # sender's report and of the round's report of each opinion.
     verdict_texts: dict[tuple[int, int], str] = {}
     issuers: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-    verdict_head = group_text = ""
+    group_text = ""
     report_heads: dict[int, str] = {}
     report_tails: dict[bool, str] = {}
     flagged: Verdict | None = None  # the current round's first FLAGGED verdict
@@ -678,14 +870,12 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 return
             head = report_heads.get(frm)
             if head is None:
-                head = report_heads[frm] = f" REPORT {frm} "
+                head = report_heads[frm] = _report_head(frm)
             # Keyed by a bool: an Opinion's hash runs in Python.
             agree = msg.opinion is AGREE
             tail = report_tails.get(agree)
             if tail is None:
-                tail = report_tails[agree] = (
-                    f" cid={msg.round} checkee={msg.checkee} opinion={msg.opinion.value}\n"
-                )
+                tail = report_tails[agree] = _report_tail(msg.round, msg.checkee, msg.opinion)
         elif emit is None:
             head = tail = None
         else:
@@ -701,23 +891,6 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         # untraced, it is held.
         late_at = (current_round + 1) * deadline
         soonest = now + lo
-        if tail is not None and not drop_cut and soonest + span <= late_at:
-            # Traced, lossless, and even the latest copy lands in time.
-            for to in peers:
-                if span == 1:
-                    at = soonest
-                else:
-                    while (z := next(words)) >= limit:
-                        pass
-                    at = soonest + z % span
-                bucket = buckets.get(at)
-                if bucket is None:
-                    bucket = buckets[at] = []
-                    heappush(ticks, at)
-                bucket.append((seq, msg, frm, to, f"{at} {seq}{head}{to}{tail}"))
-                seq += 1
-            next_seq = seq
-            return
         for to in peers:
             if drop_cut and next(words) < drop_cut:
                 continue
@@ -752,12 +925,8 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         split = state.agree, state.heard - state.agree
         text = verdict_texts.get(split)
         if text is None:
-            tally, outcome = table[split]
-            text = verdict_texts[split] = (
-                f" outcome={outcome.value} agree={tally.agree} disagree={tally.disagree}"
-                f" missing={tally.missing}\n"
-            )
-        emit(f"{t} {seq} VERDICT {state.id}{verdict_head}{text}")
+            text = verdict_texts[split] = _verdict_text(state.round, state.checkee, *table[split])
+        emit(f"{t} {seq} VERDICT {state.id}{text}")
         issuers[split].append(state.id)
 
     def flush() -> None:
@@ -809,7 +978,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 except GroupFormationError as exc:
                     res.halt_reason = str(exc)
                     if emit is not None:
-                        emit(f"{t} {seq} HALT - - reason={res.halt_reason!r}\n")
+                        emit(_halt_line(t, r, res.halt_reason))
                     break
                 # Untraced, the last round's late copies land during this one.
                 counters.late += len(held)
@@ -842,11 +1011,8 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 if emit is not None:
                     spec = routine_order[r % len(routine_order)]
                     checkee = round_checkee(group, r)
-                    emit(
-                        f"{t} {seq} ROUND_START - - round={r} group={group_text}"
-                        f" checkee={checkee} initiator={initiator} routine={spec.id}\n"
-                    )
-                    verdict_head = f" - round={r} checkee={checkee}"
+                    emit(_round_start_line(t, r, group_text, checkee, initiator, spec))
+                    verdict_texts.clear()
                     report_tails.clear()
                 ch = on_round_start(states[initiator], r, seed)
                 usage[initiator].ops += ch.spec.op_count
@@ -939,7 +1105,7 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                         counters.purged += purged
                         bucket[:] = keep
             if emit is not None:
-                emit(f"{t} {seq} ROUND_DEADLINE - - round={r}\n")
+                emit(_deadline_line(t, r))
                 flush()
             if r == last_round:
                 break
@@ -955,9 +1121,9 @@ def run_simulation(
 ) -> RunResult:
     """One deterministic run of a validated scenario at `seed` (default: its own).
 
-    With a `trace` text stream the run goes through the event engine, which
-    writes each round's trace lines there at its deadline. Without one, a
-    latency-free run takes the tally kernel and any other the engine.
+    Latency-free runs take the tally kernel; a `trace` text stream makes it
+    render every round. Any other run takes the event engine. Either writes
+    each round's trace lines to `trace`, if given, at the round's deadline.
     """
     seed = (scenario.seed if seed is None else seed) & MASK64
     res = RunResult(
@@ -969,8 +1135,8 @@ def run_simulation(
         energy=EnergyLedger(scenario.energy),
         suspicion=SuspicionLedger(flag_threshold=scenario.flag_threshold),
     )
-    if trace is None and latency_free(scenario):
-        _run_tally(scenario, res)
+    if latency_free(scenario):
+        _run_tally(scenario, res, trace)
     else:
         _run_events(scenario, res, trace)
     _check_run_identities(res.counters, res.energy)

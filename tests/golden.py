@@ -41,8 +41,10 @@ crosses from a single run to aggregates, the other from the kernel to the
 lossy engine.
 
 The JSON and CSV reports are also produced without `--trace` and must hash
-the same: untraced lossless runs take the tally-level kernel instead of the
-event engine, and its reports are byte-identical.
+the same. Latency-free runs take the tally-level kernel, traced or not, and
+every other run the event engine, so this checks that the kernel's
+renderer and the engine's traced path change no report byte. The traces of
+latency-free cases, which the kernel writes, were recorded from the engine.
 
 A digest may change only on purpose, and the change is recorded in
 CHANGES.md. The last such change made the per-device reporting-noise streams

@@ -185,7 +185,7 @@ def _engine_and_kernel(sc: Scenario):
     The closed forms are asserted on the engine, which routes every unicast;
     the kernel charges them by formula, so it must agree with the engine.
     """
-    engine, _ = run_traced(sc)
+    engine, _ = run_traced(sc, engine=True)
     kernel = run_simulation(sc)
     assert kernel.counters == engine.counters
     assert kernel.energy.usage == engine.energy.usage

@@ -287,9 +287,10 @@ def _device_0_received_once(model) -> EnergyLedger:
     return ledger
 
 
-# The honest scenario is lossless, so it takes the tally kernel untraced and
-# the event engine traced; the end-of-run check guards both.
-@pytest.mark.parametrize("traced", (False, True), ids=("kernel", "engine"))
+# The honest scenario is latency-free, so it takes the tally kernel, traced or
+# not, unless simnet.latency_free is patched to force the event engine; the
+# end-of-run check guards every path.
+@pytest.mark.parametrize("path", ("kernel", "traced", "engine"))
 @pytest.mark.parametrize(
     "name,factory,message",
     (
@@ -299,9 +300,11 @@ def _device_0_received_once(model) -> EnergyLedger:
     ),
     ids=("conservation", "ledger", "receptions"),
 )
-def test_broken_run_identity_exits_2(monkeypatch, tmp_path, capsys, traced, name, factory, message):
+def test_broken_run_identity_exits_2(monkeypatch, tmp_path, capsys, path, name, factory, message):
     monkeypatch.setattr(simnet, name, factory)
-    trace = ("--trace", str(tmp_path / "trace.txt")) if traced else ()
+    if path == "engine":
+        monkeypatch.setattr(simnet, "latency_free", lambda scenario: False)
+    trace = ("--trace", str(tmp_path / "trace.txt")) if path != "kernel" else ()
     assert run_cli("run", "--scenario", HONEST, "--out", str(tmp_path / "r.json"), *trace) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"protocol violation: {message}")

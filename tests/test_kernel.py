@@ -1,13 +1,13 @@
 """The tally-level round kernel against the event engine.
 
-Runs with no trace sink, no loss and 3 * latency_max below the round
-deadline take the kernel; a run given a trace stream always takes the event
-engine. The kernel gives each checkee position of a group one of three
-classes: FULL (the full tally), TRIGGER (a Trojan checkee, quiet unless its
-trigger fires) and FREE (quiet). By the paper's framing bound, up to
-floor((N-1)/2) dissenting checkers cannot flag a checkee whose answer is
-honest, so a quiet round ends TRUSTED and is folded in bulk without its
-tally.
+Runs with no loss and 3 * latency_max below the round deadline take the
+kernel, traced or not; the tests force the event engine with
+verdict_log.forced_engine to compare the two. The kernel gives each
+checkee position of a group one of three classes: FULL (the full tally),
+TRIGGER (a Trojan checkee, quiet unless its trigger fires) and FREE
+(quiet). By the paper's framing bound, up to floor((N-1)/2) dissenting
+checkers cannot flag a checkee whose answer is honest, so a quiet round
+ends TRUSTED and is folded in bulk without its tally.
 
 A Hypothesis differential test generates lossless scenarios at the edge of
 the kernel's regime and checks that both paths produce the same report
@@ -15,12 +15,14 @@ bytes and fold the same (issuer, verdict) pairs into their stats: exactly
 for the rounds the kernel tallies, and on (issuer, round, checkee, outcome)
 for its bulk rounds. Fold order legitimately differs: the engine folds
 verdicts as tallies complete, the kernel a round's verdict for all members
-at once and a group epoch's quiet rounds in bulk. A second Hypothesis test
-checks the classes on single rounds: whenever a round is quiet, the full
-tally ends TRUSTED and every RANDOM checker's stream ends one word on,
-where the full tally leaves it. A third differential pins the classifier
-at the bound itself, for each kind of dissenter and N in 3..7, and a fixed
-sweep of epoch shapes checks the kernel's closed-form charges.
+at once and a group epoch's quiet rounds in bulk. Another checks that a
+traced kernel run writes the engine's trace and reports, byte for byte. A
+third Hypothesis test checks the classes on single rounds: whenever a
+round is quiet, the full tally ends TRUSTED and every RANDOM checker's
+stream ends one word on, where the full tally leaves it. A further
+differential pins the classifier at the bound itself, for each kind of
+dissenter and N in 3..7, and a fixed sweep of epoch shapes checks the
+kernel's closed-form charges.
 """
 
 from __future__ import annotations
@@ -28,12 +30,14 @@ from __future__ import annotations
 import io
 import json
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import collabtrust.cli as cli
 import collabtrust.rng as rng
 import collabtrust.routines as routines
 import collabtrust.simnet as simnet
@@ -54,8 +58,9 @@ from collabtrust.verdict import (
     lossless_verdicts,
     verdict_table,
 )
+from golden import INLINE_SCENARIOS
 from reference_impl import detection_stats
-from verdict_log import emitted, folded, kernel_view, run_logged
+from verdict_log import emitted, folded, forced_engine, kernel_view, run_engine, run_logged
 
 MASKS = (0, 1, 3, 0x0F, 0x81)
 
@@ -380,7 +385,7 @@ RECURRING_SPOTS = scenario_from_dict(RECURRING_SPOTS_DOC)
 @example(sc=RECURRING_SPOTS, seed=1)
 def test_kernel_matches_engine(sc, seed):
     assert latency_free(sc)
-    engine, engine_verdicts = run_logged(sc, seed=seed, trace=io.StringIO())
+    engine, engine_verdicts = run_logged(sc, seed=seed, trace=io.StringIO(), engine=True)
     kernel, kernel_verdicts = run_logged(sc, seed=seed)
     assert _reports(sc, kernel) == _reports(sc, engine)
     # Verdicts folded one by one equal the engine's, tally included; bulk
@@ -390,6 +395,98 @@ def test_kernel_matches_engine(sc, seed):
     # The kernel folds each round once for all members; the reference folds per issuer.
     assert kernel.stats == engine.stats == detection_stats(kernel_verdicts, sc.adversary_map)
     assert (kernel.rounds_executed, kernel.halt_reason) == (engine.rounds_executed, engine.halt_reason)
+
+
+# Traces only the kernel's renderer and the forced engine write. Latency
+# 0..3 in groups of 3: a checker whose own opinion forms after the one
+# report it hears concludes at the deadline timer, four times at seed 0.
+DEADLINE_VERDICTS = scenario_from_dict(
+    {
+        "population": 3,
+        "group_size": 3,
+        "rounds": 20,
+        "round_deadline": 10,
+        "network": {"latency_min": 0, "latency_max": 3},
+    }
+)
+# A fixed latency draws no latency word, so every copy of a fan-out lands
+# on one tick; a RANDOM reporter and a Trojan ride along.
+FIXED_LATENCY = scenario_from_dict(
+    {
+        "population": 6,
+        "group_size": 5,
+        "rounds": 15,
+        "network": {"latency_min": 2, "latency_max": 2},
+        "adversaries": [
+            {"device": 1, "reporting": "RANDOM", "p": 0.3},
+            _TROJAN_6 | {"device": 2, "trigger": {"index": 0, "mask": 0, "match": 0}},
+        ],
+    }
+)
+# Every device is in every group, so excluding the ALWAYS_WRONG one halts the run.
+HALTS = scenario_from_dict(
+    {
+        "population": 5,
+        "group_size": 5,
+        "rounds": 20,
+        "flag_threshold": 1,
+        "adversaries": [{"device": 2, "fault": "ALWAYS_WRONG"}],
+    }
+)
+# A latency span of 2**63 + 1 redraws about half the latency words.
+WIDE_SPAN = scenario_from_dict(
+    {
+        "population": 6,
+        "group_size": 5,
+        "rounds": 12,
+        "regroup_period": 3,
+        "round_deadline": 3 * 2**63 + 1,
+        "network": {"latency_min": 0, "latency_max": 2**63},
+        "adversaries": [{"device": 2, "fault": "ALWAYS_WRONG"}],
+    }
+)
+# Three repetitions, so the trace has a REP header before each run.
+REPETITIONS_RANDOM_EVADE = scenario_from_dict(INLINE_SCENARIOS["repetitions_random_evade"])
+
+
+def _traced_run(sc: Scenario, seed: int, engine: bool) -> tuple[str, bytes, bytes]:
+    """What `collabtrust run --trace` writes for all repetitions: trace, JSON and CSV report."""
+    sink = io.StringIO()
+    with forced_engine() if engine else nullcontext():
+        report = cli._fold_runs(sc, seed, range(sc.repetitions), sink)
+    return sink.getvalue(), emitted(report, "json"), emitted(report, "csv")
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(sc=lossless_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=DEADLINE_VERDICTS, seed=0)
+@example(sc=FIXED_LATENCY, seed=1)
+@example(sc=HALTS, seed=1)
+@example(sc=WIDE_SPAN, seed=1)
+@example(sc=REPETITIONS_RANDOM_EVADE, seed=1)
+def test_kernel_trace_matches_engine(sc, seed):
+    assert latency_free(sc)
+    assert _traced_run(sc, seed, engine=False) == _traced_run(sc, seed, engine=True)
+
+
+def test_trace_examples_show_their_case():
+    lines = _traced_run(DEADLINE_VERDICTS, 0, engine=False)[0].splitlines()
+    # A timer's seq is below 2 * rounds, a message's at or above it.
+    at_deadline = [f for f in map(str.split, lines) if f[2] == "VERDICT" and int(f[1]) < 40]
+    assert len(at_deadline) == 4 and all(int(f[1]) % 2 for f in at_deadline)
+    net = FIXED_LATENCY.network
+    assert net.latency_min == net.latency_max
+    assert run_simulation(HALTS, seed=1).halt_reason is not None
+    trace = _traced_run(REPETITIONS_RANDOM_EVADE, 1, engine=False)[0]
+    assert [line for line in trace.splitlines() if line.startswith("REP ")] == [
+        f"REP {k} seed={1 + k}" for k in range(3)
+    ]
 
 
 def _special_devices(sc: Scenario) -> list[int]:
@@ -439,7 +536,7 @@ def test_quiet_rounds_end_in_the_unanimous_verdict(case):
     )
     # The group's RANDOM reporters on fresh streams; no other member has one.
     full = {m: report_stream(seed, m) for m in randoms}
-    v = simnet._tally_round(sc, members, specials, full, r, spec, seed)
+    v = simnet._tally_round(sc, members, specials, full, r, spec, seed)[0]
     if quiet:
         assert v.outcome is Outcome.TRUSTED
     # The full tally draws one word from each RANDOM checker's stream, the
@@ -468,15 +565,16 @@ def _engine_runs(monkeypatch, sc: Scenario, trace: io.StringIO | None) -> int:
     return calls["_run_events"]
 
 
-def test_only_latency_free_untraced_runs_take_the_kernel(monkeypatch):
+def test_latency_free_runs_take_the_kernel_traced_or_not(monkeypatch):
     inside = Scenario(rounds=5, round_deadline=10, network=NetworkModel(latency_max=3))
     assert _engine_runs(monkeypatch, inside, trace=None) == 0
-    assert _engine_runs(monkeypatch, inside, trace=io.StringIO()) == 1
+    assert _engine_runs(monkeypatch, inside, trace=io.StringIO()) == 0
     lossy = Scenario(rounds=5, network=NetworkModel(drop_prob=0.1))
     tight = Scenario(rounds=5, round_deadline=9, network=NetworkModel(latency_max=3))
     for sc in (lossy, tight):
         assert not latency_free(sc)
         assert _engine_runs(monkeypatch, sc, trace=None) == 1
+        assert _engine_runs(monkeypatch, sc, trace=io.StringIO()) == 1
 
 
 def test_report_streams_independent_across_devices_and_seeds():
@@ -488,7 +586,7 @@ def test_report_streams_independent_across_devices_and_seeds():
     assert flips_a != flips_b
 
 
-def _flip_rate(sc: Scenario, reps: int, trace: bool) -> tuple[int, int]:
+def _flip_rate(sc: Scenario, reps: int, engine: bool) -> tuple[int, int]:
     """(flips, chances) over `reps` runs of a scenario whose only deviants are RANDOM reporters.
 
     All hardware is honest, so every DISAGREE in a tally is a flip, and each
@@ -497,7 +595,7 @@ def _flip_rate(sc: Scenario, reps: int, trace: bool) -> tuple[int, int]:
     randoms = set(_special_devices(sc))
     chances = flips = 0
     for rep in range(reps):
-        _, verdicts = run_logged(sc, seed=1000 + rep, trace=io.StringIO() if trace else None)
+        _, verdicts = run_logged(sc, seed=1000 + rep, engine=engine)
         per_round = {v.round: v for issuer, v in verdicts}
         for v in per_round.values():
             chances += len(randoms - {v.checkee})
@@ -508,8 +606,8 @@ def _flip_rate(sc: Scenario, reps: int, trace: bool) -> tuple[int, int]:
 def test_random_reporter_flip_rate_end_to_end():
     p = 0.3
     random = AdversaryProfile(reporting=ReportingKind.RANDOM, flip_probability=p)
-    # One RANDOM reporter is within the framing bound, so the kernel folds
-    # its rounds in bulk without tallies: count on the engine.
+    # One RANDOM reporter is within the framing bound, so the untraced
+    # kernel folds its rounds in bulk without tallies: count on the engine.
     within = Scenario(rounds=50, adversaries=((1, random),))
     # Four of five are over it: every round is FULL and the kernel's
     # tallies are exact.
@@ -518,8 +616,8 @@ def test_random_reporter_flip_rate_end_to_end():
     )
     # Every position is a FULL spot (None).
     assert simnet._classify(over, (None, 1, 2, 3, 4))[1] == dict.fromkeys(range(5))
-    for sc, trace, reps in ((within, True, 40), (over, False, 10)):
-        flips, chances = _flip_rate(sc, reps, trace)
+    for sc, engine, reps in ((within, True, 40), (over, False, 10)):
+        flips, chances = _flip_rate(sc, reps, engine)
         sigma = (p * (1 - p) / chances) ** 0.5
         assert abs(flips / chances - p) <= 3 * sigma, (flips, chances)
 
@@ -560,7 +658,7 @@ def test_kernel_matches_engine_at_the_framing_bound():
                 spots = simnet._classify(sc, tuple(map(sc.plan.marker, members)))[1]
                 assert spots.get(0, simnet.FREE) == (simnet.FREE if k == bound else None), (n, kind, k)
                 for seed in range(3):
-                    engine = run_simulation(sc, seed=seed, trace=io.StringIO())
+                    engine = run_engine(sc, seed=seed, trace=io.StringIO())
                     kernel = run_simulation(sc, seed=seed)
                     assert _reports(sc, kernel) == _reports(sc, engine), (n, kind, k, seed)
 
@@ -728,7 +826,7 @@ def test_kernel_charges_equal_the_engines_over_epoch_shapes(n):
             )
             for seed in range(2):
                 kernel = run_simulation(sc, seed=seed)
-                engine = run_simulation(sc, seed=seed, trace=io.StringIO())
+                engine = run_engine(sc, seed=seed, trace=io.StringIO())
                 assert _reports(sc, kernel) == _reports(sc, engine), (period, len(sc.routine_order), seed)
                 cut += (kernel.suspicion.excluded_at.get(0, -1) + 1) % period != 0
     assert cut >= n
@@ -762,10 +860,10 @@ def test_grouping_stream_first_pass_is_sized_by_the_run_plan(monkeypatch, doc, p
     assert computed == passes
 
 
-def _count_report_streams(monkeypatch, sc: Scenario, engine: bool) -> tuple[Counter, set[int]]:
+def _count_report_streams(monkeypatch, sc: Scenario, path: str) -> tuple[Counter, set[int]]:
     """The report streams one run derives, per device, and the devices of its groups.
 
-    A trace sink sends the run through the event engine; without one it takes the kernel.
+    `path` is "kernel", "traced" (the kernel with a trace sink) or "engine" (forced).
     """
     streams: Counter = Counter()
     drawn: set[int] = set()
@@ -781,13 +879,14 @@ def _count_report_streams(monkeypatch, sc: Scenario, engine: bool) -> tuple[Coun
 
     monkeypatch.setattr(simnet, "report_stream", counted_stream)
     monkeypatch.setattr(simnet, "draw_group", recorded_draw)
-    run_simulation(sc, seed=0, trace=io.StringIO() if engine else None)
+    with forced_engine() if path == "engine" else nullcontext():
+        run_simulation(sc, seed=0, trace=None if path == "kernel" else io.StringIO())
     monkeypatch.undo()
     return streams, drawn
 
 
-@pytest.mark.parametrize("engine", [False, True], ids=["kernel", "engine"])
-def test_no_report_stream_for_frame_reporters(monkeypatch, engine):
+@pytest.mark.parametrize("path", ["kernel", "traced", "engine"])
+def test_no_report_stream_for_frame_reporters(monkeypatch, path):
     # FRAME reporters never draw from a report stream.
     sc = scenario_from_dict(
         {
@@ -799,12 +898,12 @@ def test_no_report_stream_for_frame_reporters(monkeypatch, engine):
             ],
         }
     )
-    streams, _ = _count_report_streams(monkeypatch, sc, engine)
+    streams, _ = _count_report_streams(monkeypatch, sc, path)
     assert sum(streams.values()) == 0
 
 
-@pytest.mark.parametrize("engine", [False, True], ids=["kernel", "engine"])
-def test_one_report_stream_per_random_reporter_drawn(monkeypatch, engine):
+@pytest.mark.parametrize("path", ["kernel", "traced", "engine"])
+def test_one_report_stream_per_random_reporter_drawn(monkeypatch, path):
     # Half the devices are RANDOM reporters that never flip; only those the
     # run's groups hold get a stream, once each however often they return.
     randoms = range(0, 40, 2)
@@ -817,7 +916,7 @@ def test_one_report_stream_per_random_reporter_drawn(monkeypatch, engine):
             "adversaries": [{"device": d, "reporting": "RANDOM", "p": 0.0} for d in randoms],
         }
     )
-    streams, drawn = _count_report_streams(monkeypatch, sc, engine)
+    streams, drawn = _count_report_streams(monkeypatch, sc, path)
     expected = drawn.intersection(randoms)
     assert len(expected) < len(randoms)
     assert streams == Counter(dict.fromkeys(expected, 1))

@@ -5,8 +5,9 @@ table the oracle prints, and however many devices a report has a row for.
 Peak RSS is read with `getrusage(RUSAGE_CHILDREN)`, whose `ru_maxrss` is
 the maximum over all waited-for children. So each measurement runs in a
 fresh measuring process that starts exactly one child: the CLI on the
-scenario, either untraced (the tally kernel) or with `--trace` (the event
-engine, streaming its trace to a file), or `oracle verdict-table`. The
+scenario, a latency-free one that takes the tally kernel, either untraced
+or with `--trace` (streaming each round's trace to a file as it is
+rendered), or `oracle verdict-table`. The
 maximum also covers the CLI's own forked workers, which it waits for.
 """
 

@@ -24,7 +24,7 @@ from collabtrust.verdict import SuspicionLedger
 from reference_impl import build_report, emit, merge
 from test_kernel import lossless_scenarios
 from test_lossy import lossy_scenarios
-from verdict_log import emitted, folded
+from verdict_log import emitted, folded, run_engine
 
 
 def _honest_report(seed=3, rounds=5):
@@ -84,7 +84,7 @@ def test_reports_keep_rows_only_for_devices_that_joined_a_group():
         adversaries=((3, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
     kernel = run_simulation(sc, seed=1)
-    engine = run_simulation(sc, seed=2, trace=io.StringIO())
+    engine = run_engine(sc, seed=2, trace=io.StringIO())
     for res in (kernel, engine):
         assert 5 <= len(res.energy.usage) <= 50
         assert folded(sc, res).devices.keys() == res.energy.usage.keys()
@@ -220,8 +220,8 @@ def test_adding_two_totals_emits_the_running_total_bytes(sc, repetitions, split,
         assert emitted(total, fmt) == emitted(whole, fmt), fmt
 
 
-@pytest.mark.parametrize("traced", (False, True), ids=("kernel", "engine"))
-def test_a_device_flagged_again_keeps_its_first_flag_round(traced):
+@pytest.mark.parametrize("engine", (False, True), ids=("kernel", "engine"))
+def test_a_device_flagged_again_keeps_its_first_flag_round(engine):
     # ALWAYS_WRONG device 1 is flagged in every round it is checked, first
     # in round 4; with threshold 3 it is excluded at its third flag, in
     # round 13. detection_round is the round of its first flag, not its last.
@@ -234,7 +234,7 @@ def test_a_device_flagged_again_keeps_its_first_flag_round(traced):
             "adversaries": [{"device": 1, "fault": "ALWAYS_WRONG"}],
         }
     )
-    res = run_simulation(sc, trace=io.StringIO() if traced else None)
+    res = run_engine(sc, trace=io.StringIO()) if engine else run_simulation(sc)
     rows = {row[0]: row for row in csv.reader(io.StringIO(emitted(folded(sc, res), "csv").decode()))}
     assert rows["id"][-2:] == ["excluded_round", "detection_round"]
     assert rows["1"][-2:] == ["13", "4"]

@@ -16,7 +16,7 @@ from collabtrust.scenario import Scenario
 from collabtrust.simnet import NetworkModel, draw_group, run_simulation
 from collabtrust.verdict import Outcome
 from reference_impl import detection_stats, fates, form_group, state_before
-from verdict_log import kernel_view, run_logged, run_traced, trace_lines
+from verdict_log import kernel_view, run_engine, run_logged, run_traced, trace_lines
 
 
 # The word 2**64 - 1 is rejected by every draw whose bound is not a power of
@@ -348,7 +348,7 @@ def test_draw_group_matches_form_group_over_the_eligible_list(case):
 
 def test_honest_run_all_trusted():
     sc = Scenario(rounds=5)
-    res, verdicts = run_logged(sc, seed=1, trace=io.StringIO())
+    res, verdicts = run_logged(sc, seed=1, trace=io.StringIO(), engine=True)
     assert len(verdicts) == 25  # 5 devices x 5 rounds
     assert all(v.outcome is Outcome.TRUSTED for _, v in verdicts)
     assert res.halt_reason is None
@@ -360,7 +360,7 @@ def test_always_wrong_flagged_in_first_checkee_round():
         population=10,
         adversaries=((2, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),),
     )
-    res, verdicts = run_logged(sc, seed=5, trace=io.StringIO())
+    res, verdicts = run_logged(sc, seed=5, trace=io.StringIO(), engine=True)
     first_checkee_round = min(v.round for _, v in verdicts if v.checkee == 2)
     assert res.suspicion.first_flagged[2] == first_checkee_round
     flagged = [v for _, v in verdicts if v.outcome is Outcome.FLAGGED]
@@ -374,10 +374,10 @@ def test_lossless_verdicts_identical_across_devices_each_round():
         Scenario(rounds=10),
         Scenario(rounds=10, adversaries=((1, AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)),), population=8),
     )
-    # Asserted on the event engine (traced), where each device tallies the
+    # Asserted on the event engine (forced, traced), where each device tallies the
     # reports it received; the untraced tally kernel must match it.
     for sc in scenarios:
-        res, verdicts = run_logged(sc, seed=12, trace=io.StringIO())
+        res, verdicts = run_logged(sc, seed=12, trace=io.StringIO(), engine=True)
         by_round: dict[int, set] = {}
         issuers: dict[int, int] = {}
         for _, v in verdicts:
@@ -521,7 +521,7 @@ def test_engine_makes_state_only_for_devices_that_join_a_group(monkeypatch):
 
     monkeypatch.setattr(simnet, "DeviceState", CountingState)
     sc = Scenario(population=1000, group_size=5, rounds=10, regroup_period=1)
-    _, trace = run_traced(sc, seed=4)
+    _, trace = run_traced(sc, seed=4, engine=True)
     joined = {
         int(m)
         for line in trace

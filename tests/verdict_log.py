@@ -5,32 +5,57 @@ A run keeps no verdict log: both execution paths fold each verdict into
 a group epoch's quiet rounds in bulk through `DetectionStats.fold_quiet`. Tests
 that check individual verdicts wrap both methods and read the (issuer,
 verdict) pairs back.
-A run keeps no trace either: the event engine writes each line to the
+A run keeps no trace either: either path writes each round's lines to the
 stream it is given, so tests hand it an `io.StringIO`.
+A latency-free run takes the tally kernel, traced or not. Tests that mean
+the event engine say so: `forced_engine` patches `simnet.latency_free` to
+read False while it is open, and `run_engine`, `run_logged(engine=True)`
+and `run_traced(engine=True)` run inside it. The package itself has no
+such switch.
 """
 
 from __future__ import annotations
 
 import io
 from collections import Counter
+from collections.abc import Iterator
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
+import collabtrust.simnet as simnet
 from collabtrust.metrics import DetectionStats
 from collabtrust.report import Report, emit_report
 from collabtrust.simnet import RunResult, run_simulation
 from collabtrust.verdict import Outcome, Verdict
 
 
-def run_logged(scenario, seed=None, trace=None) -> tuple[RunResult, list[tuple[int, Verdict]]]:
+@contextmanager
+def forced_engine() -> Iterator[None]:
+    """While open, every run takes the event engine: `simnet.latency_free` reads False."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "latency_free", lambda scenario: False)
+        yield
+
+
+def run_engine(scenario, seed=None, trace=None) -> RunResult:
+    """`run_simulation` through the event engine, latency-free or not."""
+    with forced_engine():
+        return run_simulation(scenario, seed=seed, trace=trace)
+
+
+def run_logged(
+    scenario, seed=None, trace=None, engine=False
+) -> tuple[RunResult, list[tuple[int, Verdict]]]:
     """`run_simulation` plus every (issuer, verdict) pair the run folded, in fold order.
 
     The kernel folds a round's verdict once for all members, listed here in
     group order, and a group epoch's quiet rounds in one bulk call, expanded
     here round by round into the TRUSTED verdict of each member in group
     order. The kernel never knows a bulk round's tally, so those verdicts
-    carry `tally=None`. The engine folds each verdict as its issuer reaches
-    it.
+    carry `tally=None`; traced, the kernel folds every round one by one.
+    The engine, which `engine=True` forces, folds each verdict as its
+    issuer reaches it.
     """
     log: list[tuple[int, Verdict]] = []
     folded: set[int] = set()  # rounds folded one by one
@@ -51,7 +76,7 @@ def run_logged(scenario, seed=None, trace=None) -> tuple[RunResult, list[tuple[i
             log.extend((m, v) for m in members)
         fold_quiet(stats, members, epoch, loud)
 
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, forced_engine() if engine else nullcontext():
         mp.setattr(DetectionStats, "fold", recording)
         mp.setattr(DetectionStats, "fold_quiet", recording_quiet)
         res = run_simulation(scenario, seed=seed, trace=trace)
@@ -82,10 +107,14 @@ def trace_lines(sink: io.StringIO) -> list[str]:
     return lines
 
 
-def run_traced(scenario, seed=None) -> tuple[RunResult, list[str]]:
-    """`run_simulation` through the event engine, plus its trace lines."""
+def run_traced(scenario, seed=None, engine=False) -> tuple[RunResult, list[str]]:
+    """`run_simulation` with a trace sink, plus its trace lines.
+
+    A latency-free run takes the tally kernel unless `engine` forces the event engine.
+    """
     sink = io.StringIO()
-    res = run_simulation(scenario, seed=seed, trace=sink)
+    with forced_engine() if engine else nullcontext():
+        res = run_simulation(scenario, seed=seed, trace=sink)
     return res, trace_lines(sink)
 
 
