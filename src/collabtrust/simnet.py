@@ -334,6 +334,11 @@ class RunPlan:
     Only two parts grow: the verdict table, by the (agree, disagree) splits runs reach, and the
     cache of classified groups, up to MEMO_POSITIONS positions. Neither
     holds a run's streams.
+
+    It holds no reference to its scenario, nor the cache one to the plan:
+    the scenario holds the plan, so a cycle back would keep a dropped
+    scenario, its plan and classified groups alive until a full garbage
+    collection. The cache wraps _classify over the adversary map and bound.
     """
 
     def __init__(self, sc: "Scenario"):
@@ -360,24 +365,26 @@ class RunPlan:
         self.lossless_verdicts = lossless_verdicts(self.verdicts)
         self.bound = framing_bound(self.lossless_verdicts)
         # A group's classes, by the tuple of its members' markers.
-        self.classify = lru_cache(MEMO_POSITIONS // sc.group_size)(partial(_classify, sc))
+        classify = partial(_classify, profiles, self.bound)
+        self.classify = lru_cache(MEMO_POSITIONS // sc.group_size)(classify)
 
 
 def _classify(
-    sc: "Scenario", key: tuple[int | None, ...]
+    profiles: dict[int, AdversaryProfile], bound: int, key: tuple[int | None, ...]
 ) -> tuple[dict[int, AdversaryProfile], dict[int, tuple[int, int, int] | None], tuple[int, ...]]:
     """A group's special members, its loud spots and its RANDOM reporters.
 
-    `key` holds each member's marker, in group order: the member if it is in
-    the run plan's `layout_devices` (a special device or a FRAME target),
-    else None, a plain member. The special members map to their profiles
-    in group order. While the checkee's answer is honest, a checker can
-    dissent only if its fault is not HONEST, it is a FRAME reporter
-    targeting the checkee, or it is a RANDOM reporter; up to the plan's
-    bound of them cannot change a TRUSTED outcome. So a checkee position is
-    FULL when the checkee is ALWAYS_WRONG or more checkers can dissent than
-    that bound. Past that, a Trojan checkee's answer is honest unless its
-    trigger fires (TRIGGER), and any other checkee's always is (FREE). A
+    `profiles` is the scenario's adversary map and `bound` its run plan's
+    framing bound. `key` holds each member's marker, in group order: the
+    member if it is in the run plan's `layout_devices` (a special device or
+    a FRAME target), else None, a plain member. The special members map to
+    their profiles in group order. While the checkee's answer is honest, a
+    checker can dissent only if its fault is not HONEST, it is a FRAME
+    reporter targeting the checkee, or it is a RANDOM reporter; up to
+    `bound` of them cannot change a TRUSTED outcome. So a checkee position
+    is FULL when the checkee is ALWAYS_WRONG or more checkers can dissent
+    than that bound. Past that, a Trojan checkee's answer is honest unless
+    its trigger fires (TRIGGER), and any other checkee's always is (FREE). A
     Trojan whose EVADE initiator shields it is TRIGGER too:
     choose_adversarial_operands rewrites the operand its trigger reads so
     that a masked trigger misses, so the round ends TRUSTED whether or not
@@ -385,8 +392,6 @@ def _classify(
     rewritten or not. The loud spots map each position that is not FREE to
     its trigger's (operand_index, mask, match), or to None at a FULL one.
     """
-    profiles = sc.adversary_map
-    bound = sc.plan.bound
     specials = {d: profiles[d] for d in key if d in profiles and is_special(profiles[d])}
 
     def spot(checkee):

@@ -526,7 +526,8 @@ def test_quiet_rounds_end_in_the_unanimous_verdict(case):
     pos = r % n
     checkee = members[pos]
     spec = sc.routine_order[r % len(sc.routine_order)]
-    specials, spots, randoms = simnet._classify(sc, tuple(map(sc.plan.marker, members)))
+    key = tuple(map(sc.plan.marker, members))
+    specials, spots, randoms = simnet._classify(sc.adversary_map, sc.plan.bound, key)
     # The kernel's rule: a FULL spot (None) is loud, a FREE position quiet,
     # and a TRIGGER spot quiet unless the one word its trigger reads fires.
     trigger = spots.get(pos, simnet.FREE)
@@ -615,7 +616,8 @@ def test_random_reporter_flip_rate_end_to_end():
         rounds=50, flag_threshold=50, adversaries=tuple((d, random) for d in (1, 2, 3, 4))
     )
     # Every position is a FULL spot (None).
-    assert simnet._classify(over, (None, 1, 2, 3, 4))[1] == dict.fromkeys(range(5))
+    spots = simnet._classify(over.adversary_map, over.plan.bound, (None, 1, 2, 3, 4))[1]
+    assert spots == dict.fromkeys(range(5))
     for sc, engine, reps in ((within, True, 40), (over, False, 10)):
         flips, chances = _flip_rate(sc, reps, engine)
         sigma = (p * (1 - p) / chances) ** 0.5
@@ -655,7 +657,8 @@ def test_kernel_matches_engine_at_the_framing_bound():
                 # Device 0 is honest and every dissenter can dissent about it.
                 # Its position is FREE (no spot) at the bound and FULL (None) past it.
                 members = tuple(range(n))
-                spots = simnet._classify(sc, tuple(map(sc.plan.marker, members)))[1]
+                key = tuple(map(sc.plan.marker, members))
+                spots = simnet._classify(sc.adversary_map, sc.plan.bound, key)[1]
                 assert spots.get(0, simnet.FREE) == (simnet.FREE if k == bound else None), (n, kind, k)
                 for seed in range(3):
                     engine = run_engine(sc, seed=seed, trace=io.StringIO())
@@ -766,9 +769,9 @@ def test_a_full_memo_changes_no_report_byte(monkeypatch, doc):
 def test_a_layout_used_again_is_classified_once(monkeypatch):
     calls: Counter = Counter()
 
-    def counted(sc, key, _classify=simnet._classify):
+    def counted(profiles, bound, key, _classify=simnet._classify):
         calls[key] += 1
-        return _classify(sc, key)
+        return _classify(profiles, bound, key)
 
     monkeypatch.setattr(simnet, "_classify", counted)
     # Room for two keys. Among 5 devices in groups of 5, the Trojan's key

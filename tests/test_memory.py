@@ -9,17 +9,30 @@ scenario, a latency-free one that takes the tally kernel, either untraced
 or with `--trace` (streaming each round's trace to a file as it is
 rendered), or `oracle verdict-table`. The
 maximum also covers the CLI's own forked workers, which it waits for.
+
+A command also leaves no cyclic garbage: what it builds (the scenario, its
+run plan and classified groups, the run results) is freed by reference
+counting when it returns, not at the next full garbage collection.
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
+from collections import Counter
 
 import pytest
+
+import collabtrust.cli as cli
+from collabtrust.scenario import scenario_from_dict
+from collabtrust.simnet import run_simulation
+from test_lossy import TRACE_LONG
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -143,3 +156,97 @@ def test_report_peak_rss_does_not_grow_with_population(tmp_path, fmt):
         peaks.append(_cli_peak_mib("run", "--scenario", str(path), "--format", fmt))
     small, large = peaks
     assert large - small <= POPULATION_BOUND_MIB, (small, large)
+
+
+# A lossy document: it takes the event engine, and untraced its 4
+# repetitions are split over forked workers when more than one CPU is usable.
+LOSSY = {
+    "population": 9,
+    "group_size": 7,
+    "rounds": 20,
+    "regroup_period": 4,
+    "flag_threshold": 2,
+    "repetitions": 4,
+    "network": {"latency_min": 1, "latency_max": 3, "drop_prob": 0.1},
+    "adversaries": [{"device": 2, "fault": "ALWAYS_WRONG"}],
+}
+
+TROJAN = str(ROOT / "scenarios" / "five_device_trojan.json")
+
+
+@pytest.mark.parametrize(
+    "argv, cpus",
+    [
+        pytest.param(["run", "--scenario", TROJAN], None, id="kernel_json"),
+        pytest.param(["run", "--scenario", TROJAN, "--format", "csv"], None, id="kernel_csv"),
+        pytest.param(
+            ["run", "--scenario", "{tmp}/trace_long.json", "--trace", "{tmp}/trace.txt"],
+            None,
+            id="kernel_traced",
+        ),
+        pytest.param(["run", "--scenario", "{tmp}/lossy.json"], 1, id="engine_serial"),
+        pytest.param(["run", "--scenario", "{tmp}/lossy.json"], 2, id="engine_forked"),
+        pytest.param(
+            ["run", "--scenario", "{tmp}/lossy.json", "--trace", "{tmp}/trace.txt"],
+            None,
+            id="engine_traced",
+        ),
+        pytest.param(
+            ["sweep", "--scenario", TROJAN, "--param", "group_size", "--values", "3,4,5"],
+            None,
+            id="sweep",
+        ),
+    ],
+)
+def test_a_command_leaves_no_cyclic_garbage(monkeypatch, tmp_path, argv, cpus):
+    for name, doc in (("trace_long", TRACE_LONG), ("lossy", LOSSY)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
+    forks = []
+    if cpus is not None:
+        if not hasattr(os, "fork"):
+            pytest.skip("workers are forked")
+        real_fork = os.fork
+
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    # The first command fills the module caches (the parser, the operand-key
+    # memo, rng's pass plans); the second must leave nothing for gc to find.
+    assert cli.main(argv) == 0
+    gc.collect()
+    flags = gc.get_debug()
+    saved = len(gc.garbage)
+    gc.disable()
+    try:
+        assert cli.main(argv) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        garbage = Counter(type(o).__name__ for o in gc.garbage[saved:])
+    finally:
+        del gc.garbage[saved:]
+        gc.set_debug(flags)
+        gc.enable()
+    assert found == 0, garbage.most_common()
+    if cpus is not None:
+        assert bool(forks) == (cpus > 1), forks
+
+
+def test_a_dropped_scenario_frees_its_run_plan():
+    # A traced run of the trace_long shape fills the plan's cache of classified groups.
+    sc = scenario_from_dict(TRACE_LONG)
+    run_simulation(sc, seed=5, trace=io.StringIO())
+    assert sc.plan.classify.cache_info().currsize > 0
+    scenario, plan = weakref.ref(sc), weakref.ref(sc.plan)
+    gc.disable()
+    try:
+        del sc
+        assert scenario() is None
+        assert plan() is None
+    finally:
+        gc.enable()
