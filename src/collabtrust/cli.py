@@ -111,7 +111,7 @@ def _usable_cpus() -> int:
 def _run_repetitions(scenario: Scenario, base_seed: int, trace: TextIO | None = None) -> Report:
     """Run every repetition of the scenario into one running total.
 
-    An untraced event-engine run of several repetitions splits them into
+    An untraced round-walk run of several repetitions splits them into
     contiguous shares, one per usable CPU at most, each folded by its own
     forked worker (see `_fold_forked`). Everything else runs in this
     process: traced runs, single runs, tally-kernel runs (a kernel

@@ -4,13 +4,12 @@ Energy is charged in abstract integer units and is exact: a device's total
 is always e_op * ops + e_tx * sent + e_rx * received. Transmissions are
 charged even when the channel drops the message (the radio still spent the
 energy); receptions are charged for every delivery that reaches a device,
-including late ones, which the event loop never hands to the protocol. Only
-the simulator charges a device, by incrementing its `DeviceUsage` counters
-directly: the event engine as each op, send and reception happens (an
-untraced run's in-time report receptions at their round's deadline), the
-tally kernel once per membership streak (consecutive group epochs that
-each hold every eligible device, or else one epoch), plus each epoch's
-extra initiations. The ledger makes them on first use.
+including late ones, which reach no device's tally. Only the simulator
+charges a device, by incrementing its `DeviceUsage` counters directly: the
+round walk as it plays each round (a late copy's reception when the next
+round starts), the tally kernel once per membership streak (consecutive
+group epochs that each hold every eligible device, or else one epoch),
+plus each epoch's extra initiations. The ledger makes them on first use.
 """
 
 from __future__ import annotations

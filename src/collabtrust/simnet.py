@@ -1,74 +1,40 @@
-"""Deterministic discrete-event engine: lossy delivery, round timers, groups.
+"""Deterministic runs: groups, the tally kernel and the round walk.
 
-Virtual time is integer ticks; events are totally ordered by (time, seq):
-round r's timers hold seqs 2r and 2r + 1, and messages number from
-2 * rounds in send order, so equal-time events resolve in a fixed,
-platform-independent order. All randomness comes from named SplitMix64
-streams derived from the scenario seed by rng.stream: the network stream
-(loss and latency), the grouping stream (ad-hoc membership draws), and one
-stream per RANDOM reporter (reporting noise), derived when it first joins
-a group. Varying a knob never reshuffles another stream's words, but
-within the network stream words are read in send order, so one more drop
-shifts the words of every later unicast. The engine's send loops decode
-each unicast's loss and latency from the network stream's words, and a
-traced kernel run its latency; no other code reads them.
+Virtual time is an integer tick count. Round r runs from r * deadline to
+(r + 1) * deadline; its ROUND_START (or HALT) line has seq 2r and its
+ROUND_DEADLINE line seq 2r + 1, and deliveries number from 2 * rounds in
+send order. All
+randomness comes from named SplitMix64 streams derived from the scenario
+seed by rng.stream: the network stream (loss and latency), the grouping
+stream (ad-hoc membership draws), and one stream per RANDOM reporter
+(reporting noise), derived when it first joins a group. Varying a knob
+never reshuffles another stream's words, but within the network stream
+words are read in send order, so one more drop shifts the words of every
+later unicast.
 
 A group is the tuple of its members in draw order, on both paths: the
 checkee of round r is member r mod N, the initiator the member after it,
-and every verdict is looked up in the scenario's verdict table. Each
-message names its round once. A copy is late when it lands at or after the
-end of the round it was sent in, so its fate is fixed at send: groups change
-only at round starts, and a member sends only to its current peers, so a
-copy that lands in time always goes to a member.
+and every verdict is looked up in the scenario's verdict table. A copy is
+late when it lands at or after the end of the round it was sent in.
 
-Latency-free runs take the kernel; a trace sink makes it render every
-round. A run is latency-free when its outcome cannot depend on timing: no
-loss, and 3 * latency_max below the round deadline. Every other run takes
-the event engine, which, given a trace stream, writes each round's trace
-lines there in one piece at its deadline, and tallies each report copy
-that lands in time itself: a member concludes when its tally completes or
-at the deadline, and the round's verdicts are folded at the deadline, one
-per (agree, disagree) split. Untraced, a report triggers no send, so the
-engine hands none over and sends the round's reports at its deadline, in
-the order they were made, which draws the same words. It records only
-who misses each one (a receiver whose copy is dropped or lands at or
-after the round's end, and the sender), decodes no latency for a fan-out
-too early to have a late copy, and counts late copies of every kind when
-the next round starts instead of queueing them. Then one
-protocol.settle_round call adds to every member's tally the round's
-reports less its misses and concludes the group, one verdict per split.
-
-The tally-level kernel, _run_tally, computes each round's verdict
-directly. Both paths read the scenario's RunPlan, what every run derives
-from the scenario and no seed changes, built once per scenario and shared
-by every repetition. The kernel walks the rounds group epoch by group
-epoch, drawing a group only at the regroup period or after an exclusion,
-and looks each group up once in the plan's one cache, keyed by its
-members' markers. By the paper's framing bound, up to floor((N-1)/2)
-dissenting checkers cannot flag a checkee whose answer is honest, so
-_classify finds a group's loud spots: the positions whose rounds take the
-full tally (FULL) or take it when the checkee's trigger word fires
-(TRIGGER). Every other round is quiet: it ends TRUSTED, draws no operands
-and is folded in bulk. Messages and energy follow the lossless closed
-form. A run derives a report stream only for the RANDOM reporters of the
-groups it draws. Traced, the kernel tallies every round and _RoundTrace
-writes its trace from its fan-outs' arrival order, drawing the network
-stream's latency words as the engine would. The kernel's reports and
-traces are byte-identical to the engine's.
-
-Both paths draw groups with draw_group, a sparse Fisher-Yates that makes
-the draws of a Fisher-Yates prefix over the list of eligible devices
-without listing them, drawing each word with `next` on the grouping
-stream's word iterator; both return the members tuple.
+run_simulation picks the path. A latency-free run (no loss, and 3 *
+latency_max below the round deadline) takes the tally kernel, _run_tally,
+which computes each loud round's verdict directly from the run plan's
+classified groups (RunPlan, _classify) and folds quiet rounds in bulk;
+traced, it tallies every round and _RoundTrace renders it. Every other run
+takes the round walk, _run_rounds, which plays each round in one call,
+tallies it and, traced, renders it with _RoundTrace too. Both paths draw
+groups with draw_group, and form a round's outputs and opinions through
+protocol.answers and protocol.opinion. Their reports and traces are
+byte-identical wherever both apply.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Collection
 from functools import lru_cache, partial
-from heapq import heappop, heappush
 from itertools import accumulate, chain, islice
 
 from .adversary import (
@@ -78,9 +44,6 @@ from .adversary import (
     InitiatorKind,
     Opinion,
     ReportingKind,
-    apply_fault,
-    choose_adversarial_operands,
-    distort_opinion,
     is_special,
 )
 from .errors import ContractError, GroupFormationError, ProtocolViolation
@@ -90,24 +53,10 @@ from .metrics import (
     TrafficCounters,
     lossless_messages_per_round,
 )
-from .protocol import (
-    Challenge,
-    ComparisonReport,
-    DeviceState,
-    Message,
-    Response,
-    begin_round,
-    handle_check_request,
-    handle_response,
-    on_round_start,
-    round_checkee,
-    round_initiator,
-    settle_round,
-    split_verdicts,
-)
+from .protocol import answers, opinion
 from .record import Frozen, Record
 from .rng import LANES, MASK64, SplitMix64, float_cut, stream
-from .routines import RoutineSpec, execute, generate_operands, operand_word
+from .routines import RoutineSpec, operand_word
 from .verdict import (
     Outcome,
     SuspicionLedger,
@@ -132,7 +81,7 @@ REPORT_STREAM = 0x72707274  # "rprt"
 
 
 class NetworkModel(Frozen):
-    """Per-unicast loss and latency. Latencies are whole ticks in [min, max]."""
+    """Per-unicast loss and latency. A latency is a whole tick count in [min, max]."""
 
     def __init__(self, latency_min: int = 1, latency_max: int = 3, drop_prob: float = 0.0):
         if not 0 <= latency_min <= latency_max:
@@ -222,23 +171,25 @@ class RunResult(Record):
         self.suspicion = suspicion
 
 
-def _trace_text(msg: Challenge | Response, frm: int) -> tuple[str, str]:
-    """The text of a delivery line of a challenge or response from `frm`, around its receiver.
+def _challenge_text(
+    frm: int, r: int, checkee: int, spec: RoutineSpec, ops: tuple[int, ...]
+) -> tuple[str, str]:
+    """The text of a challenge's delivery lines, around its receiver.
 
     A delivery's line is f"{time} {seq}{head}{to}{tail}": `head` holds the
     kind and sender, `tail` the payload and newline. Both are the same for
-    every receiver of a fan-out, so they are built once per fan-out. A
-    report's come from _report_head and _report_tail, which the trace
-    writers call once per sender and once per (round, opinion).
+    every receiver of a fan-out, so they are built once per fan-out; a
+    report's come from _report_head, once per sender, and _report_tail,
+    once per (round, opinion).
     """
-    if type(msg) is Challenge:
-        ops = ",".join(map(str, msg.ops))
-        return (
-            f" CHALLENGE {frm} ",
-            f" round={msg.round} checkee={msg.checkee} spec={msg.spec.id}"
-            f" ops={ops} cid={msg.round}\n",
-        )
-    return f" RESPONSE {frm} ", f" cid={msg.round} output={msg.output}\n"
+    return (
+        f" CHALLENGE {frm} ",
+        f" round={r} checkee={checkee} spec={spec.id} ops={','.join(map(str, ops))} cid={r}\n",
+    )
+
+
+def _response_text(frm: int, r: int, output: int) -> tuple[str, str]:
+    return f" RESPONSE {frm} ", f" cid={r} output={output}\n"
 
 
 def _report_head(frm: int) -> str:
@@ -432,9 +383,9 @@ def _tally_round(
 
     `specials` maps the group's special members, in group order, to their
     profiles; every other member is plain. Plain members yield the honest
-    output, so only special ones go through apply_fault and distort_opinion
-    (each RANDOM reporter on its stream in `streams`, as in the event
-    engine), and the plain checkers' AGREE votes come as one count, which
+    output, so only special ones go through protocol.answers and
+    protocol.opinion (each RANDOM reporter on its stream in `streams`, as in
+    the round walk), and the plain checkers' AGREE votes come as one count, which
     indexes the run plan's lossless verdict entries.
 
     Returns the verdict with what a trace of the round shows: the
@@ -444,22 +395,15 @@ def _tally_round(
     """
     n = len(members)
     checkee = members[r % n]
-    ops = generate_operands(seed, r, checkee, spec)
-    initiator = members[(r + 1) % n]
-    if initiator in specials:
-        colluders = sc.plan.evader_trojans.get(initiator, {})
-        ops = choose_adversarial_operands(specials[initiator], ops, colluders, checkee)
-    honest = execute(spec, ops)
-    outputs = {m: apply_fault(p, spec, ops, honest) for m, p in specials.items()}
+    ops, honest, outputs = answers(sc.plan, members, specials, r, spec, seed)
     answer = outputs.get(checkee, honest)
     plain_checkers = n - len(specials) - (checkee not in outputs)
     agree = plain_checkers if answer == honest else 0
     opinions: dict[int, Opinion] = {}
     for m, p in specials.items():
         if m != checkee:
-            truth = Opinion.AGREE if outputs[m] == answer else Opinion.DISAGREE
-            opinions[m] = opinion = distort_opinion(p, truth, checkee, streams.get(m))
-            if opinion is Opinion.AGREE:
+            opinions[m] = o = opinion(p, outputs[m], answer, checkee, streams.get(m))
+            if o is Opinion.AGREE:
                 agree += 1
     tally, outcome = sc.plan.lossless_verdicts[agree]
     return Verdict(checkee, r, outcome, tally), ops, honest, answer, opinions
@@ -487,24 +431,27 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
 
 
 class _RoundTrace:
-    """A latency-free run's trace, written by the tally kernel one round at a time.
+    """A run's trace, written one round at a time, each round in one piece at its deadline.
 
-    Every round of such a run sends its (n-1)(n+1) unicasts, and each lands
-    before the round's deadline, so the event engine numbers round r's
-    messages from 2 * rounds + r * (n-1)(n+1) in send order and draws each
-    one latency word, redrawn by rejection, in that order. `round` draws
-    the round's latencies in one pass and sends as the engine does: the
-    challenge fan-out at the round's start, the checkee's response fan-out
-    when its challenge lands, then each checker's report fan-out at its
-    trigger, in trigger order. A checker's trigger is the later of its
-    challenge's and response's arrivals, or its response's for the
-    initiator, which holds the challenge from the start. The round's
-    deliveries are sorted by arrival (tick, seq), kept as one int key, and
-    written with the round's other lines in one piece, as the engine
-    writes them at the deadline. A member's VERDICT line follows the report
-    copy that completes its tally; a checker whose own opinion forms after
-    its last incoming report concludes at the deadline timer instead, with
-    every other member still pending, in group order.
+    A round's delivery lines sit in a dict keyed by one int per delivery,
+    d * u + j: d is its tick less the round's start, and j its place in the
+    round's send order, so sorting the keys sorts the deliveries by (tick,
+    seq). A member's VERDICT line follows the report copy that completes
+    its tally, and the members still pending conclude at the deadline timer,
+    in group order. `round` renders a latency-free round of the tally
+    kernel; _run_rounds renders every other run's rounds with `write_round`.
+
+    Every latency-free round sends its (n-1)(n+1) unicasts, and each lands
+    before the round's deadline, so round r's messages take the seqs from
+    2 * rounds + r * (n-1)(n+1) on, one latency word each, redrawn by
+    rejection, in send order, and `round` draws them in one pass. It sends
+    as _run_rounds does: the challenge fan-out at the round's start, the
+    checkee's response fan-out when its challenge lands, then each
+    checker's report fan-out at its trigger, in trigger order. A checker's
+    trigger is the later of its challenge's and response's arrivals, or its
+    response's for the initiator, which holds the challenge from the start.
+    A checker whose own opinion forms after its last incoming report
+    concludes at the deadline.
     """
 
     def __init__(self, sc: "Scenario", seed: int, sink: TextIO):
@@ -526,6 +473,36 @@ class _RoundTrace:
     def halt(self, r: int, reason: str) -> None:
         self.write(_halt_line(r * self.deadline, r, reason))
 
+    def join(self, members: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+        """Each member's peers, in group order, and the group's text, made once per group."""
+        if members is not self.members:
+            self.members = members
+            self.group_text = ",".join(map(str, members))
+            self.peers = {m: tuple(p for p in members if p != m) for m in members}
+        return self.peers
+
+    def report_head(self, frm: int) -> str:
+        heads = self.report_heads
+        return heads.get(frm) or heads.setdefault(frm, _report_head(frm))
+
+    def write_round(
+        self,
+        r: int,
+        spec: RoutineSpec,
+        lines: dict[int, str],
+        pending: list[str],
+    ) -> None:
+        """Write round r: its start, its deliveries by key, the `pending` VERDICT
+        lines and its deadline."""
+        members = self.members
+        n = len(members)
+        t = r * self.deadline
+        out = [_round_start_line(t, r, self.group_text, members[r % n], members[(r + 1) % n], spec)]
+        out += [lines[k] for k in sorted(lines)]
+        out += pending
+        out.append(_deadline_line(t + self.deadline, r))
+        self.write("".join(out))
+
     def round(
         self,
         members: tuple[int, ...],
@@ -537,12 +514,8 @@ class _RoundTrace:
         answer: int,
         opinions: dict[int, Opinion],
     ) -> None:
-        """Write round r's trace from what _tally_round decided of it."""
-        if members is not self.members:
-            self.members = members
-            self.group_text = ",".join(map(str, members))
-            self.peers = {m: tuple(p for p in members if p != m) for m in members}
-        peers = self.peers
+        """Write latency-free round r's trace from what _tally_round decided of it."""
+        peers = self.join(members)
         u = self.unicasts
         lo = self.lo
         span = self.span
@@ -561,10 +534,9 @@ class _RoundTrace:
         seq = self.first_seq + r * u
         checkee = members[r % n]
         initiator = members[(r + 1) % n]
-        # A delivery's key: its tick less t, times u, plus its seq less `seq`.
         lines: dict[int, str] = {}
         j = 0
-        head, tail = _trace_text(Challenge(r, initiator, checkee, spec, ops, honest), initiator)
+        head, tail = _challenge_text(initiator, r, checkee, spec, ops)
         challenged = {}
         for to in peers[initiator]:
             d = delay[j]
@@ -572,7 +544,7 @@ class _RoundTrace:
             lines[k] = f"{t + d} {seq + j}{head}{to}{tail}"
             j += 1
         sent = challenged[checkee] // u
-        head, tail = _trace_text(Response(r, checkee, answer), checkee)
+        head, tail = _response_text(checkee, r, answer)
         triggers = {}
         for to in peers[checkee]:
             d = sent + delay[j]
@@ -598,20 +570,16 @@ class _RoundTrace:
                     last[to] = k
                 j += 1
         text = _verdict_text(r, checkee, v.tally, v.outcome)
+        end = t + self.deadline
         pending = []
         for m in members:
             k = last[m]
             if k < triggers.get(m, 0):
-                pending.append(m)
+                pending.append(f"{end} {2 * r + 1} VERDICT {m}{text}")
             else:
                 d, i = divmod(k, u)
                 lines[k] += f"{t + d} {seq + i} VERDICT {m}{text}"
-        end = t + self.deadline
-        out = [_round_start_line(t, r, self.group_text, checkee, initiator, spec)]
-        out += [lines[k] for k in sorted(lines)]
-        out += [f"{end} {2 * r + 1} VERDICT {m}{text}" for m in pending]
-        out.append(_deadline_line(end, r))
-        self.write("".join(out))
+        self.write_round(r, spec, lines, pending)
 
 
 def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
@@ -766,55 +734,45 @@ def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     res.counters.delivered += messages
 
 
-def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
-    """Every unicast through per-tick delivery buckets, with loss, latency and trace.
+def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
+    """Every run that is not latency-free: a walk over the rounds, one call of `play` each.
 
-    A handler returns at most one message; dispatch_sends sends it to each
-    of the sender's peers, drawing each unicast's fate from the network
-    stream's words as it goes: a drop word unless drop_prob is 0, then,
-    unless dropped, a latency word redrawn by rejection unless the latency
-    is fixed. This loop charges every op, send and reception: a challenge's
-    ops as it is built and as it is handled on time. Events run in (tick,
-    seq) order. Round timers are computed, not queued: round r starts at
-    r * deadline with seq 2r and ends at (r + 1) * deadline with seq
-    2r + 1, so at any tick the timers fire before its deliveries, which
-    number from 2 * rounds in send order (a drop takes none). Each tick's
-    deliveries sit in one list in seq order; a heap holds only the ticks
-    that have one. A copy is late exactly when it lands at or after
-    (current_round + 1) * deadline, so its sender decides it: traced, a
-    late copy's entry carries no message (None), and at delivery it is
-    only counted and charged. A tick's deliveries are counted once, less
-    its late copies. A delivery's trace line, ` late=1` included, is fixed
-    when its message is sent, from text built once per fan-out (a report's
-    head once per sender and its tail once per round and opinion; ` late=1`
-    only for a late copy), and waits in its bucket entry (None when
-    untraced). Trace lines collect in a list that is written in one
-    piece at each round's deadline, and at a halt or an error. Traced, a
-    report copy that lands in time is tallied in the delivery loop, which
-    concludes its receiver once it has heard every checker, and the
-    deadline concludes every member still pending, in group order. A
-    member concludes by writing its VERDICT line, from its split's text
-    for the round, and joining its split's issuers; the deadline takes each split's
-    verdict from split_verdicts. With no trace, the queue holds only
-    challenges and responses that land in time, and it is empty at every
-    deadline. A late copy is held as its entry instead: latency_max is
-    below the deadline, so it lands during the next round, whose start
-    counts it late and charges its reception; the deadline's purge covers
-    held copies too, and those still held when the run ends or halts are
-    in flight. A report triggers no send, so it is only noted as (sender,
-    send tick, AGREE or not). At the deadline the round's reports are sent
-    in that order: a round's challenge fan-out comes first, its one
-    response fan-out second, and then only reports until the next round,
-    so each unicast draws the words it would have drawn at its send tick.
-    A report is tallied by its misses: the sender and each receiver whose
-    copy is dropped or late miss it. A fan-out sent before deadline -
-    latency_max cannot have a late copy, so it decides drops only: each
-    kept copy's latency word is drawn, and redrawn while at or above the
-    rejection limit, but never turned into a tick. settle_round then
-    tallies and concludes the whole group, and each member is charged the
-    receptions of the reports it did not miss. On both paths each verdict
-    is folded once for all its issuers, and the round's first FLAGGED one
-    marks its checkee.
+    A round's sends have a fixed shape, so no event queue is needed. The
+    initiator's challenge fan-out goes out at the round's start; the
+    checkee's response fan-out when its challenge copy lands in time (none
+    if it drops); and each checker's report fan-out at its trigger, the
+    later of its challenge's and its response's arrivals (the response's
+    for the initiator), in trigger order. Each fan-out goes to the sender's
+    peers in group order, and each unicast draws from the network stream's
+    words as it is sent: a drop word unless drop_prob is 0, then, unless
+    dropped, a latency word redrawn while at or above the rejection limit,
+    unless the latency is fixed. A copy is late when it lands at or after
+    the round's end: it reaches no one, and it is carried into the next
+    round, whose start counts it late and charges its reception (it lands
+    during that round, since latency_max is below the deadline). Copies
+    still carried when the run ends or halts are in flight.
+
+    A delivery's key is d * u + j, its tick less the round's start times u
+    plus its place j in send order; the previous round's carried copies
+    take the first places. Sorting keys sorts deliveries by (tick, seq), so
+    triggers are ordered by their keys. Kept copies take seqs from 2 *
+    rounds on, in send order; a drop takes none.
+
+    A member's tally is its own opinion, if it formed one, and every report
+    copy that reaches it in time: the round's reports less those it missed,
+    dropped or late. Each (agree, disagree) split's verdict is folded once
+    for all its members, in group order, and the round's first FLAGGED one
+    marks the checkee. An exclusion purges the round's late copies to or
+    from the checkee, counting them late and purged.
+
+    Untraced, a report fan-out sent before deadline - latency_max cannot
+    have a late copy, so it decides drops only: each kept copy's latency
+    word is drawn, with its redraws, but never turned into a tick. Traced,
+    each delivery's line is fixed at send (` late=1` on a late copy), and
+    _RoundTrace writes the round with the previous round's carried lines: a
+    member's VERDICT line follows the report copy that completes its tally
+    after its own opinion formed, and the rest come at the deadline, in
+    group order.
     """
     seed = res.seed
     counters = res.counters
@@ -822,303 +780,244 @@ def _run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     stats = res.stats
     suspicion = res.suspicion
     profiles = sc.adversary_map
-    routine_order = sc.routine_order
-    # A device's state is made when it first joins a group; devices that
-    # never do have none.
-    states: dict[int, DeviceState] = {}
-    rng_group = stream(seed, GROUPING_STREAM, first=sc.plan.group_words)
+    plan = sc.plan
+    table = plan.verdicts
+    routines = sc.routine_order
+    rng_group = stream(seed, GROUPING_STREAM, first=plan.group_words)
     network = sc.network
     words = stream(seed, NETWORK_STREAM).words
     drop_cut = float_cut(network.drop_prob)
     lo = network.latency_min
     span = network.latency_max - lo + 1
+    redraw = span > 1
     # Latency words at or above `limit` are redrawn, so z % span is unbiased.
     limit = (1 << 64) - (1 << 64) % span
     deadline = sc.round_deadline
-    last_round = sc.rounds - 1
-    # tick -> its deliveries as (seq, message or None if late, sender,
-    # receiver, trace line or None)
-    buckets: dict[int, list[tuple[int, Message | None, int, int, str | None]]] = {}
-    ticks: list[int] = []
+    n = sc.group_size
+    # Key stride: a round's copies and the previous round's carried ones.
+    u = 2 * lossless_messages_per_round(n)
+    tracer = None if trace is None else _RoundTrace(sc, seed, trace)
+    streams: dict[int, SplitMix64] = {}
+    AGREE = Opinion.AGREE
+    group: tuple[int, ...] | None = None
+    specials: dict[int, AdversaryProfile] = {}
+    peers: dict[int, tuple[int, ...]] = {}
+    # Late copies as (tick, seq, sender, receiver, trace line or None).
+    Late = list[tuple[int, int, int, int, str | None]]
+    carried: Late = []
     next_seq = 2 * sc.rounds
 
-    # Traced runs: the current round's trace lines, written at its deadline.
-    lines: list[str] | None = None if trace is None else []
-    emit = None if lines is None else lines.append
-    table = sc.plan.verdicts
-    # Traced runs: the text the round's VERDICT lines end in, by split; the
-    # round's issuers by split; and the text of the group's members, of a
-    # sender's report and of the round's report of each opinion.
-    verdict_texts: dict[tuple[int, int], str] = {}
-    issuers: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
-    group_text = ""
-    report_heads: dict[int, str] = {}
-    report_tails: dict[bool, str] = {}
-    flagged: Verdict | None = None  # the current round's first FLAGGED verdict
-    # Untraced: the round's reports as (sender, send tick, AGREE or not),
-    # sent at its deadline, and its late copies, held as queue entries
-    # until the next round starts: each lands during that round.
-    noted: list[tuple[int, int, bool]] = []
-    held: list[tuple[int, None, int, int, None]] = []
-    redraw = span > 1
-    group: tuple[int, ...] | None = None
-    group_states: tuple[DeviceState, ...] = ()
-    current_round = -1
-    AGREE = Opinion.AGREE
-
-    def dispatch_sends(frm: int, msg: Message, now: int) -> None:
-        nonlocal next_seq
-        if type(msg) is ComparisonReport:
-            if emit is None:
-                # Untraced, a report triggers nothing: it goes out at the deadline.
-                noted.append((frm, now, msg.opinion is AGREE))
-                return
-            head = report_heads.get(frm)
-            if head is None:
-                head = report_heads[frm] = _report_head(frm)
-            # Keyed by a bool: an Opinion's hash runs in Python.
-            agree = msg.opinion is AGREE
-            tail = report_tails.get(agree)
-            if tail is None:
-                tail = report_tails[agree] = _report_tail(msg.round, msg.checkee, msg.opinion)
-        elif emit is None:
-            head = tail = None
-        else:
-            head, tail = _trace_text(msg, frm)
-        peers = states[frm].peers
-        n = len(peers)
-        # Transmissions are charged even when the channel drops them.
-        counters.sent += n
-        usage[frm].sent += n
-        seq = next_seq
-        # A copy landing at or after the round's end is late: traced, it is
-        # queued without its message and its trace line says late=1;
-        # untraced, it is held.
-        late_at = (current_round + 1) * deadline
-        soonest = now + lo
-        for to in peers:
-            if drop_cut and next(words) < drop_cut:
-                continue
-            if span == 1:
-                at = soonest
-            else:
+    def fan_out(count: int) -> list[int | None]:
+        """The latencies of `count` unicasts in send order, None for a dropped one."""
+        if not drop_cut:
+            if not redraw:
+                return [lo] * count
+            drawn = list(islice(words, count))
+            if max(drawn) >= limit:
+                drawn = [z for z in drawn if z < limit]
+                drawn += islice(filter(limit.__gt__, words), count - len(drawn))
+            return [lo + z % span for z in drawn]
+        out: list[int | None] = []
+        for _ in range(count):
+            if next(words) < drop_cut:
+                out.append(None)
+            elif redraw:
                 while (z := next(words)) >= limit:
                     pass
-                at = soonest + z % span
-            if at < late_at:
-                body, text = msg, tail
-            elif tail is None:
-                held.append((seq, None, frm, to, None))
-                seq += 1
-                continue
+                out.append(lo + z % span)
             else:
-                body, text = None, tail[:-1] + " late=1\n"
-            bucket = buckets.get(at)
-            if bucket is None:
-                bucket = buckets[at] = []
-                heappush(ticks, at)
-            line = None if text is None else f"{at} {seq}{head}{to}{text}"
-            bucket.append((seq, body, frm, to, line))
-            seq += 1
-        counters.dropped += n - (seq - next_seq)  # a drop takes no seq
-        next_seq = seq
+                out.append(lo)
+        return out
 
-    def conclude(state: DeviceState, t: int, seq: int) -> None:
-        # Traced runs: the member concludes from its tally as it stands. Its
-        # VERDICT line is written now, and its split folded at the deadline.
-        state.verdict_emitted = True
-        split = state.agree, state.heard - state.agree
-        text = verdict_texts.get(split)
-        if text is None:
-            text = verdict_texts[split] = _verdict_text(state.round, state.checkee, *table[split])
-        emit(f"{t} {seq} VERDICT {state.id}{text}")
-        issuers[split].append(state.id)
+    def play(r: int) -> tuple[Late, dict[tuple[int, int], list[int]]]:
+        """Round r: its sends and charges, and its trace if traced. Returns the
+        round's late copies and its members by (agree, disagree) split, in
+        group order."""
+        nonlocal next_seq
+        t = r * deadline
+        spec = routines[r % len(routines)]
+        checkee = group[r % n]
+        initiator = group[(r + 1) % n]
+        ops, honest, outputs = answers(plan, group, specials, r, spec, seed)
+        answer = outputs.get(checkee, honest)
+        op_count = spec.op_count
+        usage[initiator].ops += op_count
+        late: Late = []
+        lines: dict[int, str] | None = None
+        if tracer is not None:
+            lines = {(at - t) * u + i: line for i, (at, _, _, _, line) in enumerate(carried)}
+        seq = next_seq
+        j = len(carried)
+        base = seq - j  # the seq of the copy at place i is base + i
+        delivered = dropped = 0
 
-    def flush() -> None:
-        text = "".join(lines)
-        lines.clear()
-        trace.write(text)
-
-    timer = 0  # seq of the next round timer
-    try:
-        while True:
-            timer_at = ((timer + 1) >> 1) * deadline
-            if ticks and ticks[0] < timer_at:
-                t = heappop(ticks)
-                # A zero-latency send appends to this very bucket; the loop
-                # reaches it, since list iteration runs to the current end.
-                bucket = buckets[t]
-                late = 0
-                for seq, msg, frm, to, line in bucket:
+        def send(frm: int, sent: int, head: str | None, tail: str | None) -> dict[int, int]:
+            # A challenge or response fan-out at tick t + sent: each in-time copy's key by receiver.
+            nonlocal seq, j, delivered, dropped
+            keys = {}
+            counters.sent += n - 1
+            usage[frm].sent += n - 1
+            for to, d in zip(peers[frm], fan_out(n - 1)):
+                if d is None:
+                    dropped += 1
+                    continue
+                d += sent
+                k = d * u + j
+                line = None if tail is None else f"{t + d} {seq}{head}{to}{tail}"
+                if d < deadline:
+                    keys[to] = k
                     usage[to].received += 1
+                    delivered += 1
                     if line is not None:
-                        emit(line)
-                    if msg is None:
-                        late += 1
-                        continue
-                    state = states[to]
-                    kind = type(msg)
-                    if kind is ComparisonReport:
-                        # Only traced runs queue a report copy that lands in time.
-                        state.heard += 1
-                        state.agree += msg.opinion is AGREE
-                        if state.heard == state.n_checkers:
-                            conclude(state, t, seq)
-                    elif kind is Challenge:
-                        usage[to].ops += msg.spec.op_count
-                        if (out := handle_check_request(state, msg)) is not None:
-                            dispatch_sends(to, out, t)
-                    elif (out := handle_response(state, msg)) is not None:
-                        dispatch_sends(to, out, t)
-                counters.late += late
-                counters.delivered += len(bucket) - late
-                del buckets[t]
-                continue
+                        lines[k] = line
+                else:
+                    late.append((t + d, seq, frm, to, line and line[:-1] + " late=1\n"))
+                j += 1
+                seq += 1
+            return keys
 
-            t, seq, r = timer_at, timer, timer >> 1
-            timer += 1
-            if not seq & 1:  # round r starts
-                try:
-                    new_group = _next_group(group, r, sc, suspicion, rng_group)
-                except GroupFormationError as exc:
-                    res.halt_reason = str(exc)
-                    if emit is not None:
-                        emit(_halt_line(t, r, res.halt_reason))
-                    break
-                # Untraced, the last round's late copies land during this one.
-                counters.late += len(held)
-                for e in held:
-                    usage[e[3]].received += 1
-                held.clear()
-                if new_group is not group:
-                    group = new_group
-                    for m in group:
-                        state = states.get(m)
-                        if state is None:
-                            profile = profiles.get(m, HONEST_PROFILE)
-                            random = profile.reporting is ReportingKind.RANDOM
-                            state = states[m] = DeviceState(
-                                device_id=m,
-                                profile=profile,
-                                routine_order=routine_order,
-                                rng=report_stream(seed, m) if random else None,
-                                verdicts=sc.plan.verdicts,
-                                colluder_trojans=sc.plan.evader_trojans.get(m),
-                            )
-                        state.join(group)
-                    group_states = tuple(states[m] for m in group)
-                    if emit is not None:
-                        group_text = ",".join(map(str, group))
-                current_round = r
-                flagged = None
-                begin_round(group_states, r)
-                initiator = round_initiator(group, r)
-                if emit is not None:
-                    spec = routine_order[r % len(routine_order)]
-                    checkee = round_checkee(group, r)
-                    emit(_round_start_line(t, r, group_text, checkee, initiator, spec))
-                    verdict_texts.clear()
-                    report_tails.clear()
-                ch = on_round_start(states[initiator], r, seed)
-                usage[initiator].ops += ch.spec.op_count
-                dispatch_sends(initiator, ch, t)
-                res.rounds_executed = r + 1
-                continue
-
-            # Round r's deadline.
-            if emit is None:
-                # The round's reports go out now, in the order they were
-                # made, drawing the words they would have drawn when made.
-                # A fan-out sent before `early` cannot have a late copy, so
-                # it only decides its drops.
-                reports = len(noted)
-                agrees = 0
-                agree_misses: list[int] = []
-                disagree_misses: list[int] = []
-                early = t - network.latency_max
-                held_before = len(held)
-                for frm, now, agree in noted:
-                    peers = states[frm].peers
-                    n = len(peers)
-                    counters.sent += n
-                    usage[frm].sent += n
-                    # The sender misses its own report: handle_response counted it.
-                    if agree:
-                        agrees += 1
-                        miss = agree_misses.append
-                    else:
-                        miss = disagree_misses.append
-                    miss(frm)
-                    if now < early:
-                        for to in peers:
-                            if drop_cut and next(words) < drop_cut:
-                                miss(to)
-                            elif redraw:
-                                while next(words) >= limit:
-                                    pass
-                        continue
-                    soonest = now + lo
-                    for to in peers:
-                        if drop_cut and next(words) < drop_cut:
-                            miss(to)
-                            continue
-                        if span == 1:
-                            at = soonest
-                        else:
-                            while (z := next(words)) >= limit:
-                                pass
-                            at = soonest + z % span
-                        if at >= t:
-                            miss(to)
-                            held.append((0, None, frm, to, None))  # a report takes no seq
-                noted.clear()
-                missed = Counter(agree_misses)
-                missed_agree = missed.copy()
-                missed.update(disagree_misses)
-                settled = settle_round(group_states, r, reports, agrees, missed, missed_agree)
-                # Each member received in time every report it did not miss.
-                for m in group:
-                    if heard := reports - missed.get(m, 0):
-                        usage[m].received += heard
-                # A miss is the sender's own copy, a drop or a late copy.
-                misses = missed.total()
-                counters.delivered += reports * len(group) - misses
-                counters.dropped += misses - reports - (len(held) - held_before)
+        texts = lines is not None
+        text = _challenge_text(initiator, r, checkee, spec, ops) if texts else (None, None)
+        challenged = send(initiator, 0, *text)
+        for to in challenged:
+            usage[to].ops += op_count
+        triggers: dict[int, int] = {}
+        if checkee in challenged:
+            text = _response_text(checkee, r, answer) if texts else (None, None)
+            responded = send(checkee, challenged[checkee] // u, *text)
+            challenged[initiator] = 0  # the initiator holds the challenge from the start
+            for to, k in responded.items():
+                c = challenged.get(to)
+                if c is not None:
+                    triggers[to] = k if k > c else c
+        plain = AGREE if answer == honest else Opinion.DISAGREE
+        tails = {}
+        if texts:
+            tails = {o: _report_tail(r, checkee, o) for o in Opinion}
+        early = deadline - network.latency_max
+        agree_misses: list[int] = []
+        disagree_misses: list[int] = []
+        last = dict.fromkeys(group, 0)  # traced: each member's last incoming report
+        reports = agrees = reports_late = 0
+        for frm in sorted(triggers, key=triggers.__getitem__):
+            sent = triggers[frm] // u
+            p = specials.get(frm)
+            o = plain if p is None else opinion(p, outputs[frm], answer, checkee, streams.get(frm))
+            reports += 1
+            counters.sent += n - 1
+            usage[frm].sent += n - 1
+            if o is AGREE:
+                agrees += 1
+                miss = agree_misses.append
             else:
-                # Every member still pending concludes, in group order.
-                for state in group_states:
-                    if not state.verdict_emitted:
-                        conclude(state, t, seq)
-                settled = split_verdicts(group_states[0], issuers)
-                issuers.clear()
-            # Each split's verdict is folded once for all its issuers.
-            for v, ids in settled:
-                stats.fold(v, ids, profiles)
-                if flagged is None and v.outcome is Outcome.FLAGGED:
-                    flagged = v
-            if flagged is not None:
-                # One suspicion update per round: any device's FLAGGED
-                # verdict marks the round against the checkee.
-                update_suspicion(suspicion, flagged)
-                checkee = flagged.checkee
-                if suspicion.is_excluded(checkee):
-                    # Untraced, the queue is empty here: only held copies remain.
-                    for bucket in (*buckets.values(), held):
-                        keep = [e for e in bucket if e[2] != checkee and e[3] != checkee]
-                        purged = len(bucket) - len(keep)
-                        counters.late += purged
-                        counters.purged += purged
-                        bucket[:] = keep
-            if emit is not None:
-                emit(_deadline_line(t, r))
-                flush()
-            if r == last_round:
-                break
-    finally:
-        if lines:
-            flush()
+                miss = disagree_misses.append
+            if not texts and sent < early:
+                for to in peers[frm]:
+                    if drop_cut and next(words) < drop_cut:
+                        miss(to)
+                    elif redraw:
+                        while next(words) >= limit:
+                            pass
+                continue
+            if texts:
+                head = tracer.report_head(frm)
+                tail = tails[o]
+            for to in peers[frm]:
+                if drop_cut and next(words) < drop_cut:
+                    miss(to)
+                    continue
+                if redraw:
+                    while (z := next(words)) >= limit:
+                        pass
+                    d = sent + lo + z % span
+                else:
+                    d = sent + lo
+                line = None
+                if texts:
+                    k = d * u + j
+                    line = f"{t + d} {seq}{head}{to}{tail}"
+                j += 1
+                seq += 1
+                if d < deadline:
+                    if texts:
+                        lines[k] = line
+                        if k > last[to]:
+                            last[to] = k
+                else:
+                    miss(to)
+                    reports_late += 1
+                    late.append((t + d, seq - 1, frm, to, line and line[:-1] + " late=1\n"))
+        next_seq = seq
+        missed = Counter(agree_misses)
+        missed_agree = missed.copy()
+        missed.update(disagree_misses)
+        # A report's copy is missed when it drops or is late.
+        misses = missed.total()
+        counters.dropped += dropped + misses - reports_late
+        counters.delivered += delivered + reports * (n - 1) - misses
+        splits: dict[tuple[int, int], list[int]] = {}
+        for m in group:
+            heard = reports - missed[m]
+            usage[m].received += heard - (m in triggers)
+            a = agrees - missed_agree[m]
+            splits.setdefault((a, heard - a), []).append(m)
+        if texts:
+            end = t + deadline
+            pending = []
+            verdict_texts = {split: _verdict_text(r, checkee, *table[split]) for split in splits}
+            for m in group:
+                heard = reports - missed[m]
+                a = agrees - missed_agree[m]
+                k = last[m]
+                text = verdict_texts[a, heard - a]
+                if heard == n - 1 and k > triggers.get(m, 0):
+                    d, i = divmod(k, u)
+                    lines[k] += f"{t + d} {base + i} VERDICT {m}{text}"
+                else:
+                    pending.append(f"{end} {2 * r + 1} VERDICT {m}{text}")
+            tracer.join(group)
+            tracer.write_round(r, spec, lines, pending)
+        return late, splits
 
-    counters.in_flight = sum(len(b) for b in buckets.values()) + len(held)
+    for r in range(sc.rounds):
+        try:
+            new_group = _next_group(group, r, sc, suspicion, rng_group)
+        except GroupFormationError as exc:
+            res.halt_reason = str(exc)
+            if tracer is not None:
+                tracer.halt(r, res.halt_reason)
+            break
+        # The last round's late copies land during this one.
+        counters.late += len(carried)
+        for c in carried:
+            usage[c[3]].received += 1
+        if new_group is not group:
+            group = new_group
+            specials, _, randoms = plan.classify(tuple(map(plan.marker, group)))
+            for d in randoms:
+                if d not in streams:
+                    streams[d] = report_stream(seed, d)
+            peers = {m: tuple(p for p in group if p != m) for m in group}
+        res.rounds_executed = r + 1
+        late, splits = play(r)
+        carried = late
+        # Each split's verdict is folded once for all its members.
+        checkee = group[r % n]
+        flagged = None
+        for split, ids in splits.items():
+            tally, outcome = table[split]
+            v = Verdict(checkee, r, outcome, tally)
+            stats.fold(v, ids, profiles)
+            if flagged is None and outcome is Outcome.FLAGGED:
+                flagged = v
+        if flagged is not None:
+            update_suspicion(suspicion, flagged)
+            if suspicion.is_excluded(checkee):
+                carried = [c for c in late if c[2] != checkee and c[3] != checkee]
+                purged = len(late) - len(carried)
+                counters.late += purged
+                counters.purged += purged
+    counters.in_flight = len(carried)
 
 
 def run_simulation(
@@ -1127,7 +1026,7 @@ def run_simulation(
     """One deterministic run of a validated scenario at `seed` (default: its own).
 
     Latency-free runs take the tally kernel; a `trace` text stream makes it
-    render every round. Any other run takes the event engine. Either writes
+    render every round. Any other run takes the round walk. Either writes
     each round's trace lines to `trace`, if given, at the round's deadline.
     """
     seed = (scenario.seed if seed is None else seed) & MASK64
@@ -1143,6 +1042,6 @@ def run_simulation(
     if latency_free(scenario):
         _run_tally(scenario, res, trace)
     else:
-        _run_events(scenario, res, trace)
+        _run_rounds(scenario, res, trace)
     _check_run_identities(res.counters, res.energy)
     return res

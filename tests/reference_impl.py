@@ -41,7 +41,7 @@ from typing import NamedTuple
 from collabtrust.adversary import AdversaryProfile, Opinion
 from collabtrust.errors import ContractError, GroupFormationError, ProtocolViolation
 from collabtrust.metrics import DetectionStats
-from collabtrust.protocol import (
+from event_engine import (
     Challenge,
     ComparisonReport,
     DeviceState,

@@ -423,7 +423,8 @@ def test_a_cli_process_imports_neither_dataclasses_nor_inspect(tmp_path):
     # A short command's run takes well under a millisecond, so start-up is
     # most of its cost, and building dataclasses and importing dataclasses
     # and inspect took a large share of it, as typing does. A kernel run
-    # forks no worker, so it needs no threading either. -S keeps the site
+    # forks no worker, so it needs no threading either, and no module of the
+    # simulator queues events, so none imports heapq. -S keeps the site
     # hooks of the interpreter's environment, which may import any of them,
     # out of the count.
     code = (
@@ -435,7 +436,7 @@ def test_a_cli_process_imports_neither_dataclasses_nor_inspect(tmp_path):
         "    load_scenario(str(path))\n"
         "doc = f'{scenarios}/five_device_trojan.json'\n"
         "assert cli.main(['run', '--scenario', doc, '--out', sys.argv[2]]) == 0\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing', 'threading'} & sys.modules.keys()))\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'threading', 'heapq'} & sys.modules.keys()))\n"
     )
     out = tmp_path / "report.json"
     proc = subprocess.run(

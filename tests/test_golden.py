@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import pytest
 
-import collabtrust.simnet as simnet
 from collabtrust.scenario import scenario_from_dict
 from golden import (
     INLINE_SCENARIOS,
@@ -24,6 +23,7 @@ from golden import (
     table_ids,
     untraced_digests,
 )
+from verdict_log import run_traced
 
 
 def test_table_covers_every_case():
@@ -44,26 +44,26 @@ def test_untraced_reports_match_golden_digests(name, seed, tmp_path):
 
 
 def test_inline_cases_show_their_case():
-    """Across the seeds, each lossy inline case parks responses that overtake
-    their challenge, drops and delivers late, and purges queued deliveries,
-    so its digests guard those paths."""
-    handle_response = simnet.handle_response
-    parked = 0
-
-    def parking(state, r):
-        nonlocal parked
-        parked += state.challenge is None
-        return handle_response(state, r)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "handle_response", parking)
-        for name in ("lossy_adversarial", "same_tick_halt"):
-            sc = scenario_from_dict(INLINE_SCENARIOS[name])
-            parked = dropped = late = purged = 0
-            for seed in SEEDS:
-                c = simnet.run_simulation(sc, seed=seed).counters
-                dropped, late, purged = dropped + c.dropped, late + c.late, purged + c.purged
-            assert parked and dropped and late and purged, (name, parked, dropped, late, purged)
+    """Across the seeds, each lossy inline case has responses that overtake
+    their challenge (a receiver's in-time RESPONSE line comes before its
+    in-time CHALLENGE line of the round), drops and delivers late, and purges
+    queued deliveries, so its digests guard those paths."""
+    for name in ("lossy_adversarial", "same_tick_halt"):
+        sc = scenario_from_dict(INLINE_SCENARIOS[name])
+        overtaken = dropped = late = purged = 0
+        for seed in SEEDS:
+            res, trace = run_traced(sc, seed=seed)
+            c = res.counters
+            dropped, late, purged = dropped + c.dropped, late + c.late, purged + c.purged
+            challenged = set()  # the round's receivers of an in-time challenge, and its initiator
+            for f in map(str.split, trace):
+                if f[2] == "ROUND_START":
+                    challenged = {dict(x.split("=") for x in f[5:])["initiator"]}
+                elif f[2] == "CHALLENGE" and f[-1] != "late=1":
+                    challenged.add(f[4])
+                elif f[2] == "RESPONSE" and f[-1] != "late=1":
+                    overtaken += f[4] not in challenged
+        assert overtaken and dropped and late and purged, (name, overtaken, dropped, late, purged)
 
 
 @pytest.mark.parametrize("param,values", SWEEPS, ids=[sweep_id(p, v) for p, v in SWEEPS])

@@ -552,7 +552,7 @@ def test_quiet_rounds_end_in_the_unanimous_verdict(case):
 def _engine_runs(monkeypatch, sc: Scenario, trace: io.StringIO | None) -> int:
     """How many times one run enters the event engine (asserting it took one path)."""
     calls = Counter()
-    for name in ("_run_events", "_run_tally"):
+    for name in ("_run_rounds", "_run_tally"):
         path = getattr(simnet, name)
 
         def counted(*args, _path=path, _name=name):
@@ -562,8 +562,8 @@ def _engine_runs(monkeypatch, sc: Scenario, trace: io.StringIO | None) -> int:
         monkeypatch.setattr(simnet, name, counted)
     run_simulation(sc, seed=3, trace=trace)
     monkeypatch.undo()
-    assert calls["_run_events"] + calls["_run_tally"] == 1
-    return calls["_run_events"]
+    assert calls["_run_rounds"] + calls["_run_tally"] == 1
+    return calls["_run_rounds"]
 
 
 def test_latency_free_runs_take_the_kernel_traced_or_not(monkeypatch):

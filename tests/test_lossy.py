@@ -1,13 +1,14 @@
-"""Hypothesis properties of the event engine over lossy, tight-deadline runs.
+"""Hypothesis properties of the round walk over lossy, tight-deadline runs.
 
 These runs never take the tally kernel: every one has loss, and many have a
 deadline the challenge -> response -> report chain can overrun, so reports go
 missing, arrive late or are still in flight when the run ends. Scenarios
-reuse the adversary strategy of `test_kernel.py`. Untraced, the engine hands
-over no report: it records which members miss each one (dropped, landing at
-or past the round's end, or their own) and tallies the rest at the deadline,
-in one settle_round call per round. Traced, every delivery is its own event.
-Both must end the same, down to each member's verdict and tally.
+reuse the adversary strategy of `test_kernel.py`. Each round is one call:
+untraced, it tallies each member's reports by the ones it missed; traced, it
+also renders the round's lines. Both must end the same, down to each
+member's verdict and tally, and both must write the bytes of the reference
+engine in `event_engine.py`, the former event engine that handed each
+delivery to a per-device state machine.
 """
 
 from __future__ import annotations
@@ -22,15 +23,16 @@ from hypothesis import strategies as st
 
 import collabtrust.protocol as protocol
 import collabtrust.simnet as simnet
-from collabtrust.adversary import Opinion, apply_fault
+import event_engine
+from collabtrust.adversary import HONEST_PROFILE, Opinion, apply_fault
 from collabtrust.metrics import DetectionStats, TrafficCounters
-from collabtrust.protocol import Challenge, ComparisonReport, Message, Response
 from collabtrust.rng import SplitMix64
 from collabtrust.routines import execute, generate_operands
 from collabtrust.scenario import Scenario, scenario_from_dict
 from collabtrust.simnet import latency_free, run_simulation
 from collabtrust.verdict import Outcome
 from reference_impl import fates, trace_delivery, trace_verdict
+from event_engine import Challenge, ComparisonReport, Message, Response
 from test_kernel import adversary_docs
 from verdict_log import emitted, folded, run_logged, run_traced, trace_lines
 
@@ -125,8 +127,9 @@ def test_lossy_minority_of_adversaries_frames_no_one(sc, seed):
 @SETTINGS
 @given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
 def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
-    """The event loop owns message fate: whatever reaches a handler is for the
-    current round, between current group members, and not a duplicate.
+    """The reference engine's loop owns message fate: whatever reaches a
+    handler is for the current round, between current group members, and
+    not a duplicate. The differential below holds the round walk to its bytes.
 
     A tally is two counts, so duplicates are caught here with a set of the
     (round, receiver, reporter) opinions tallied, the own one included. No
@@ -147,13 +150,25 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
             opinions[out.round, state.id] = out.opinion is Opinion.AGREE
         return out
 
+    # The handlers call each other (on_round_start hands the initiator its own
+    # challenge, and a parked response is replayed): only the loop's calls count.
+    nested = []
+
     def on_challenge(state, ch):
+        if ch.initiator == state.id:  # on_round_start's: the initiator's own copy
+            return challenge_handler(state, ch)
         assert ch.round == state.round and state.challenge is None
         assert state.id in state.members and state.id != ch.initiator
         calls["challenge"] += 1
-        return own_opinion(state, challenge_handler(state, ch))
+        nested.append(ch)
+        try:
+            return own_opinion(state, challenge_handler(state, ch))
+        finally:
+            nested.pop()
 
     def on_response(state, r):
+        if nested:  # a parked response, replayed by on_challenge
+            return response_handler(state, r)
         assert r.round == state.round
         assert r.responder == state.checkee != state.id
         assert (r.round, state.id, state.id) not in tallied
@@ -173,17 +188,17 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
         assert all(state.heard <= state.n_checkers for state in states)
         return concluded
 
-    challenge_handler = simnet.handle_check_request
-    response_handler = simnet.handle_response
-    settle_handler = simnet.settle_round
+    challenge_handler = event_engine.handle_check_request
+    response_handler = event_engine.handle_response
+    settle_handler = event_engine.settle_round
     for trace in (None, io.StringIO()):
         calls.clear()
         tallied.clear()
         opinions.clear()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simnet, "handle_check_request", on_challenge)
-            mp.setattr(simnet, "handle_response", on_response)
-            mp.setattr(simnet, "settle_round", on_settle)
+        with pytest.MonkeyPatch.context() as mp, event_engine.installed():
+            mp.setattr(event_engine, "handle_check_request", on_challenge)
+            mp.setattr(event_engine, "handle_response", on_response)
+            mp.setattr(event_engine, "settle_round", on_settle)
             res = run_simulation(sc, seed=seed, trace=trace)
         if trace is not None:
             reports = [f for f in map(str.split, trace_lines(trace)) if f[2] == "REPORT"]
@@ -195,10 +210,10 @@ def test_engine_hands_handlers_only_on_round_member_messages(sc, seed):
 @SETTINGS
 @given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
 def test_untraced_runs_hand_over_no_report(sc, seed):
-    """Untraced, no report is handed over: its copies that land in time are
-    not queued, and settle_round tallies them at the deadline. So up to the
-    deadline a member's tally holds at most its own opinion, and no member
-    has concluded."""
+    """Untraced, the reference engine hands over no report: its copies that
+    land in time are not queued, and settle_round tallies them at the
+    deadline. So up to the deadline a member's tally holds at most its own
+    opinion, and no member has concluded."""
 
     def on_settle(states, round_no, *counts):
         for state in states:
@@ -207,9 +222,9 @@ def test_untraced_runs_hand_over_no_report(sc, seed):
             assert state.agree <= state.heard
         return settle_handler(states, round_no, *counts)
 
-    settle_handler = simnet.settle_round
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "settle_round", on_settle)
+    settle_handler = event_engine.settle_round
+    with pytest.MonkeyPatch.context() as mp, event_engine.installed():
+        mp.setattr(event_engine, "settle_round", on_settle)
         run_simulation(sc, seed=seed)
 
 
@@ -333,7 +348,8 @@ def test_trace_lines_equal_the_reference_formatter(sc, seed):
     line of the verdict folded for its round and issuer, and each folded
     (issuer, verdict) has exactly one VERDICT line. A round's verdicts are
     folded once per split, so they are matched by (round, issuer), not by
-    their order."""
+    their order. The messages are logged from the reference engine's
+    handlers, whose trace the differential holds the round walk to."""
     sent: dict[tuple[str, int, int], Message] = {}  # (kind, round, sender) -> message
 
     def logging(handler):
@@ -347,9 +363,9 @@ def test_trace_lines_equal_the_reference_formatter(sc, seed):
         return wrapped
 
     sink = io.StringIO()
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, event_engine.installed():
         for name in ("on_round_start", "handle_check_request", "handle_response"):
-            mp.setattr(simnet, name, logging(getattr(simnet, name)))
+            mp.setattr(event_engine, name, logging(getattr(event_engine, name)))
         _, verdicts = run_logged(sc, seed=seed, trace=sink)
     issued = {}  # (round, issuer) -> the verdict folded
     for issuer, v in verdicts:
@@ -489,7 +505,8 @@ def test_a_traced_round_folds_each_split_once(doc, seed):
 
 def _report_redraws(case) -> dict[tuple[int, int], int]:
     """(round, sender) -> the latency words redrawn in that report fan-out
-    of an untraced run.
+    of an untraced run of the reference engine, whose words the round walk
+    draws too (the differential checks their bytes).
 
     The run's network words are recorded, and so is each message a handler
     makes, in the order made: every one is fanned out to its sender's
@@ -514,19 +531,25 @@ def _report_redraws(case) -> dict[tuple[int, int], int]:
             rng.words = recording(rng.words)
         return rng
 
+    nested = []  # the handlers call each other; only the loop's calls make a message
+
     def making(handler):
         def wrapped(*args):
-            out = handler(*args)
-            if out is not None:
+            nested.append(handler)
+            try:
+                out = handler(*args)
+            finally:
+                nested.pop()
+            if out is not None and not nested:
                 made.append(out)
             return out
 
         return wrapped
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "stream", network)
+    with pytest.MonkeyPatch.context() as mp, event_engine.installed():
+        mp.setattr(event_engine, "stream", network)
         for name in ("on_round_start", "handle_check_request", "handle_response"):
-            mp.setattr(simnet, name, making(getattr(simnet, name)))
+            mp.setattr(event_engine, name, making(getattr(event_engine, name)))
         run_simulation(sc, seed=seed)
     net = sc.network
     span = net.latency_max - net.latency_min + 1
@@ -612,40 +635,31 @@ EVADE_TROJAN = (
 def _check_challenges(sc, seed) -> int:
     """Run `sc` untraced and check every challenge against the routine layer.
 
-    Each challenge built must carry `honest == execute(spec, ops)` on its
-    final operands, and each device that handles one must keep as its
-    reference that output passed through its own fault model. Returns how
-    many challenges an initiator rewrote to operands with another honest
-    output than the drawn ones.
+    Each round's `protocol.answers` must give `honest == execute(spec,
+    ops)` on the final operands, and each special member's output must be
+    that output passed through its own fault model (a plain member keeps
+    the honest output). Returns how many challenges an initiator rewrote to
+    operands with another honest output than the drawn ones.
     """
-    built: list[Challenge] = []
-    make_challenge = protocol.make_challenge
-    handle_check_request = protocol.handle_check_request
+    built = []
+    answers = simnet.answers
 
-    def making(state, round_no, shared_seed):
-        ch = make_challenge(state, round_no, shared_seed)
-        built.append(ch)
-        return ch
-
-    def handling(state, ch):
-        out = handle_check_request(state, ch)
-        spec, ops = ch.spec, ch.ops
-        assert state.reference == apply_fault(state.profile, spec, ops, execute(spec, ops))
-        return out
+    def answering(plan, members, specials, r, spec, shared_seed):
+        ops, honest, outputs = answers(plan, members, specials, r, spec, shared_seed)
+        built.append((r, members[r % len(members)], spec, ops, honest))
+        for m, out in outputs.items():
+            assert out == apply_fault(sc.adversary_map.get(m, HONEST_PROFILE), spec, ops, honest)
+        return ops, honest, outputs
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "make_challenge", making)
-        # The initiator handles its own copy in on_round_start; the engine
-        # hands over every delivered one.
-        mp.setattr(protocol, "handle_check_request", handling)
-        mp.setattr(simnet, "handle_check_request", handling)
+        mp.setattr(simnet, "answers", answering)
         res = run_simulation(sc, seed=seed)
     assert len(built) == res.rounds_executed
     rewritten = 0
-    for ch in built:
-        assert ch.honest == execute(ch.spec, ch.ops)
-        drawn = generate_operands(res.seed, ch.round, ch.checkee, ch.spec)
-        rewritten += execute(ch.spec, drawn) != ch.honest
+    for r, checkee, spec, ops, honest in built:
+        assert honest == execute(spec, ops)
+        drawn = generate_operands(res.seed, r, checkee, spec)
+        rewritten += execute(spec, drawn) != honest
     return rewritten
 
 
@@ -670,8 +684,9 @@ def test_challenge_examples_show_their_case():
     ],
 )
 def test_the_engine_runs_each_challenges_routine_once(doc, seed, traced):
-    """The routine is pure, so the initiator runs it once per challenge and
-    every receiver passes that output through its own fault model."""
+    """The routine is pure, so each round runs it once, in
+    `protocol.answers`, and every special member passes that output through
+    its own fault model."""
     calls = Counter()
 
     def counting(name, fn):
@@ -683,7 +698,110 @@ def test_the_engine_runs_each_challenges_routine_once(doc, seed, traced):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(protocol, "execute", counting("execute", protocol.execute))
-        mp.setattr(protocol, "make_challenge", counting("built", protocol.make_challenge))
+        mp.setattr(simnet, "answers", counting("built", simnet.answers))
         trace = io.StringIO() if traced else None
         res = run_simulation(scenario_from_dict(doc), seed=seed, trace=trace)
     assert calls["execute"] == calls["built"] == res.rounds_executed > 0
+
+
+def _outputs(sc, seed, trace: bool) -> tuple[bytes, bytes, str]:
+    """A run's JSON and CSV report bytes, and its trace text if `trace`."""
+    sink = io.StringIO() if trace else None
+    report = folded(sc, run_simulation(sc, seed=seed, trace=sink))
+    return emitted(report, "json"), emitted(report, "csv"), sink.getvalue() if trace else ""
+
+
+# The cases the reference differential must cover, each with a seed that
+# shows it (test_reference_examples_show_their_case checks that they do).
+# Latency 0..3 against a deadline of 6: some response lands before the
+# challenge copy of its receiver.
+OVERTAKING = (_lossy_doc(6, 0, 3, 6, 0.1), 0)
+# Latency 0..3 and a deadline of 2 * latency_max: reports land on the deadline tick.
+DEADLINE_TICK = (_lossy_doc(6, 0, 3, 6, 0.1), 1)
+# test_simnet's purge: device 5 is excluded with a copy from it still in flight.
+PURGE_FROM = (
+    {
+        "population": 8,
+        "group_size": 5,
+        "rounds": 30,
+        "round_deadline": 5,
+        "network": {"latency_min": 0, "latency_max": 4},
+        "adversaries": [{"device": 5, "fault": "ALWAYS_WRONG"}],
+    },
+    2,
+)
+# Latency 3..3, a span of 1: no latency word, only a drop word per unicast.
+SPAN_ONE = (_lossy_doc(6, 3, 3, 5, 0.2), 0)
+REFERENCE_CASES = {
+    "overtaking": OVERTAKING,
+    "deadline_tick": DEADLINE_TICK,
+    "purge_from": PURGE_FROM,
+    "halt_in_flight": HALT_IN_FLIGHT,
+    "span_one": SPAN_ONE,
+    "wide_span": FULL_DECODE,
+    "wide_span_drops_only": DROPS_ONLY,
+}
+
+
+@SETTINGS
+@given(sc=lossy_scenarios(), seed=st.integers(0, 2**64 - 1))
+@example(sc=scenario_from_dict(OVERTAKING[0]), seed=OVERTAKING[1])
+@example(sc=scenario_from_dict(DEADLINE_TICK[0]), seed=DEADLINE_TICK[1])
+@example(sc=scenario_from_dict(PURGE_FROM[0]), seed=PURGE_FROM[1])
+@example(sc=scenario_from_dict(HALT_IN_FLIGHT[0]), seed=HALT_IN_FLIGHT[1])
+@example(sc=scenario_from_dict(SPAN_ONE[0]), seed=SPAN_ONE[1])
+@example(sc=scenario_from_dict(FULL_DECODE[0]), seed=FULL_DECODE[1])
+@example(sc=scenario_from_dict(DROPS_ONLY[0]), seed=DROPS_ONLY[1])
+def test_round_walk_writes_the_reference_engines_bytes(sc, seed):
+    """Trace bytes, and JSON and CSV report bytes traced and untraced, equal
+    those of the reference event engine in `event_engine.py`."""
+    with event_engine.installed():
+        expected = _outputs(sc, seed, False), _outputs(sc, seed, True)
+    assert (_outputs(sc, seed, False), _outputs(sc, seed, True)) == expected
+
+
+def test_reference_examples_show_their_case():
+    def traced(case):
+        doc, seed = case
+        return run_traced(scenario_from_dict(doc), seed=seed)
+
+    def rounds(trace):
+        """Each round's in-time deliveries, as (kind, receiver) in trace order."""
+        out, current = [], None
+        for f in map(str.split, trace):
+            if f[2] == "ROUND_START":
+                current = {"initiator": dict(x.split("=") for x in f[5:])["initiator"], "lines": []}
+                out.append(current)
+            elif f[2] in DELIVERY_KINDS and f[-1] != "late=1":
+                current["lines"].append((f[2], f[4]))
+        return out
+
+    _, trace = traced(OVERTAKING)
+    assert any(
+        ("RESPONSE", to) in rnd["lines"]
+        and to != rnd["initiator"]
+        and ("CHALLENGE", to) not in rnd["lines"][: rnd["lines"].index(("RESPONSE", to))]
+        for rnd in rounds(trace)
+        for kind, to in rnd["lines"]
+        if kind == "RESPONSE"
+    )
+    doc, _ = DEADLINE_TICK
+    net = doc["network"]
+    assert doc["round_deadline"] == 2 * net["latency_max"] and net["latency_min"] == 0
+    _, trace = traced(DEADLINE_TICK)
+    assert any(
+        f[2] == "REPORT" and int(f[0]) % doc["round_deadline"] == 0 and f[-1] == "late=1"
+        for f in map(str.split, trace)
+    )
+    res, _ = traced(PURGE_FROM)
+    assert res.suspicion.is_excluded(5) and res.counters.purged == 3
+    res, trace = traced(HALT_IN_FLIGHT)
+    assert res.halt_reason is not None and res.counters.in_flight > 0
+    assert any(line.endswith("late=1") for line in trace)
+    net = SPAN_ONE[0]["network"]
+    assert net["latency_min"] == net["latency_max"] and net["drop_prob"] > 0
+    assert traced(SPAN_ONE)[0].counters.dropped > 0
+    for case in (FULL_DECODE, DROPS_ONLY):
+        net = case[0]["network"]
+        assert net["latency_max"] - net["latency_min"] + 1 == 2**63 + 1
+        assert sum(_report_redraws(case).values()) > 0

@@ -1,4 +1,9 @@
-"""Protocol state-machine tests, driving the per-device handlers directly."""
+"""The reference engine's per-device handlers, driven directly.
+
+`tests/event_engine.py` keeps the state machine that lossy runs took before
+the round walk; the differential in `test_lossy.py` holds the round walk to
+its bytes, so these rules hold for both.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from collabtrust.adversary import (
     TrojanModel,
 )
 from collabtrust.errors import ProtocolViolation
-from collabtrust.protocol import (
+from event_engine import (
     Challenge,
     ComparisonReport,
     DeviceState,

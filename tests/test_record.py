@@ -15,7 +15,7 @@ from collabtrust.adversary import (
     TrojanModel,
 )
 from collabtrust.metrics import DetectionStats, DeviceUsage, EnergyModel, TrafficCounters
-from collabtrust.protocol import Challenge
+from event_engine import Challenge
 from collabtrust.report import Report
 from collabtrust.routines import Kind, RoutineSpec
 from collabtrust.scenario import Scenario

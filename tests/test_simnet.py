@@ -513,14 +513,16 @@ def test_regroup_period_redraws_membership():
 
 def test_engine_makes_state_only_for_devices_that_join_a_group(monkeypatch):
     made = []
+    report_stream = simnet.report_stream
 
-    class CountingState(simnet.DeviceState):
-        def __init__(self, device_id, *args, **kwargs):
-            made.append(device_id)
-            super().__init__(device_id, *args, **kwargs)
+    def counting(seed, device):
+        made.append(device)
+        return report_stream(seed, device)
 
-    monkeypatch.setattr(simnet, "DeviceState", CountingState)
-    sc = Scenario(population=1000, group_size=5, rounds=10, regroup_period=1)
+    monkeypatch.setattr(simnet, "report_stream", counting)
+    random = AdversaryProfile(reporting=ReportingKind.RANDOM, flip_probability=0.2)
+    sc = Scenario(population=1000, group_size=5, rounds=10, regroup_period=1,
+                  adversaries=tuple((d, random) for d in range(0, 1000, 2)))
     _, trace = run_traced(sc, seed=4, engine=True)
     joined = {
         int(m)
@@ -528,8 +530,8 @@ def test_engine_makes_state_only_for_devices_that_join_a_group(monkeypatch):
         if line.split()[2] == "ROUND_START"
         for m in line.split()[6].removeprefix("group=").split(",")
     }
-    # Each device that joined is made once; no other device is made.
-    assert sorted(made) == sorted(joined)
+    # Each RANDOM reporter that joined gets its stream once; no other device gets one.
+    assert made and sorted(made) == sorted(d for d in joined if d % 2 == 0)
 
 
 def test_high_latency_runs_stay_conserved():
