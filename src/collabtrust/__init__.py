@@ -3,8 +3,8 @@
 A group of devices cross-checks each other's test-routine outputs; a device
 whose output a strict majority of its checkers disputes is flagged and
 excluded. The package models the routines, the adversaries (Trojan-style
-functional faults, lying reporters, evading initiators), the per-device
-protocol, the majority verdict rule, a seeded discrete-event network, and
+functional faults, lying reporters, evading initiators), the majority
+verdict rule, a seeded lossy network walked round by round, and
 energy/detection accounting, all bit-reproducible from a single seed.
 """
 

@@ -1,15 +1,9 @@
-"""Energy/traffic accounting and detection-quality statistics.
+"""Energy and traffic accounting, and detection statistics, of one run.
 
-Energy is charged in abstract integer units and is exact: a device's total
-is always e_op * ops + e_tx * sent + e_rx * received. Transmissions are
-charged even when the channel drops the message (the radio still spent the
-energy); receptions are charged for every delivery that reaches a device,
-including late ones, which reach no device's tally. Only the simulator
-charges a device, by incrementing its `DeviceUsage` counters directly: the
-round walk as it plays each round (a late copy's reception when the next
-round starts), the tally kernel once per membership streak (consecutive
-group epochs that each hold every eligible device, or else one epoch),
-plus each epoch's extra initiations. The ledger makes them on first use.
+EnergyLedger prices a device's DeviceUsage counters; the simulator charges
+them directly, the round walk as it plays each round (simnet._run_rounds)
+and the tally kernel in closed form (simnet._run_tally). TrafficCounters
+counts message fates and DetectionStats folds verdicts.
 """
 
 from __future__ import annotations
@@ -80,7 +74,7 @@ class TrafficCounters(Record):
         self.dropped = dropped
         self.late = late
         self.in_flight = in_flight
-        self.purged = purged  # of the late: dropped from the queue at an exclusion, never received
+        self.purged = purged  # of the late: to or from a checkee excluded in their round, never received
 
 
 def lossless_messages_per_round(n: int) -> int:

@@ -1,19 +1,9 @@
-"""One checking round's challenge, answers and opinions, on both execution paths.
+"""One round's challenge, answers and opinions, on both execution paths.
 
-A round has one checkee and one challenge. The initiator derives operands
-from the shared seed (an EVADE initiator rewrites them for a colluding
-Trojan), runs the routine on them once and sends the challenge, with that
-honest output, to the rest of the group. The routine is pure, so its honest
-output is the same for every receiver; each receiver passes it through its
-own fault model. The checkee answers with its output; a checker compares
-that answer with its own output and reports AGREE or DISAGREE, through its
-reporting policy. Plain members, with no fault and no policy, give the
-honest output and the plain comparison, so only the special members of a
-group go through these functions.
-
-Both `simnet._tally_round` (the kernel's full tally) and `simnet._run_rounds`
-(the round walk of every other run, which decides which checkers hear
-enough to form an opinion) form a round's outputs and opinions here.
+`answers` gives the challenge and each special member's output, `opinion`
+a special checker's report. Plain members, with no fault and no policy,
+give the honest output and the plain comparison, so only special members
+go through here: from simnet._tally_round and simnet._run_rounds.
 """
 
 from __future__ import annotations
@@ -44,7 +34,10 @@ def answers(
     """Round r's challenge operands, its honest output and each special member's output.
 
     The checkee is member r mod n and the initiator the member after it;
-    `specials` maps the group's special members to their profiles.
+    `specials` maps the group's special members to their profiles. The
+    initiator derives the operands from the seed (an EVADE initiator then
+    rewrites them for its colluders) and runs the routine once: it is pure,
+    so each member passes that honest output through its own fault model.
     """
     n = len(members)
     checkee = members[r % n]

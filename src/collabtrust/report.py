@@ -1,15 +1,9 @@
-"""Run reports: per-device and global metrics, streamed out as JSON or CSV.
+"""Run reports: `Report` sums runs as they end, and `emit_report` streams it as JSON or CSV.
 
-A report is one running total: `Report.fold` adds each completed run into
-it in place, and the run is not kept. Per device it sums the raw counters,
-ops, sends and receptions, and energy is priced from them only when the
-report is emitted. `emit_report` yields the bytes in chunks of at most
-CHUNK_ROWS device rows, so no report is held whole, however large its
-population. Report bytes are a pure function of (scenario, seed, format):
-all values are integers or fixed strings, key order is fixed, and no
-locale-dependent formatting is used anywhere. The JSON is byte for byte
-what `json.dumps(obj, indent=2)` writes for the report's object, with a
-newline after it: the encoder here writes that fixed shape directly.
+Report bytes are a pure function of (scenario, seed, format): every value
+is an integer or a fixed string, key order is fixed, and nothing is
+formatted by locale. The JSON is byte for byte what
+`json.dumps(obj, indent=2)` writes for the report's object, plus a newline.
 """
 
 from __future__ import annotations

@@ -1,20 +1,9 @@
 """Bit-exact SplitMix64 randomness for all simulation streams.
 
-Every random draw in the simulator comes from one of these streams, so two
-runs with the same seed produce identical results on any platform. Python's
-own `random` module is deliberately not used anywhere in the package.
-
-SplitMix64 is counter-based: word i (from 0) of the stream at state s is
-`mix64(s + (i + 1) * GOLDEN_GAMMA)`. So `block` computes the next k words
-of a stream at once: it places the k counters in the 128-bit lanes of one
-Python int, and each finalizer step is then one big-int operation over
-every lane. A stream is a lazy iterator over its words (`words`), chained
-from `block` passes: a first pass of a size its maker chooses (LANES by
-default), then passes of LANES words each, so a stream whose maker knows
-about how many words it will draw, as a run plan does for the grouping
-stream, computes only those in its first pass. Every draw, a
-fan-out's unicast fates and a group draw included, is a `next` on that
-iterator, so every drawn word is the one a word-by-word draw would see.
+Every random draw in the simulator comes from a stream made by `stream`,
+so two runs with the same seed produce identical results on any platform;
+Python's own `random` module is not used. A stream's words come from
+`words`, which chains `block` passes.
 """
 
 from __future__ import annotations
@@ -88,7 +77,11 @@ def _plan(k: int) -> tuple:
 def block(state: int, k: int) -> tuple[int, ...]:
     """The next `k` words (at most LANES) of the stream at `state`.
 
-    Word for word what k `next_u64` calls from that state return.
+    SplitMix64 is counter-based: word i (from 0) at state s is
+    mix64(s + (i + 1) * GOLDEN_GAMMA). So the k counters sit in the 128-bit
+    lanes of one Python int (_plan), and each finalizer step is one big-int
+    operation over every lane: word for word what k `next_u64` calls from
+    that state return.
     """
     try:
         lanes, counters, mask, unpack, size = _PLANS[k]
@@ -106,7 +99,9 @@ def words(state: int, first: int = LANES) -> Iterator[int]:
 
     The pass after the first starts at state + first * GOLDEN_GAMMA, and
     each later one LANES * GOLDEN_GAMMA on, kept to 64 bits. Nothing is
-    computed until the first word is drawn, and then one pass at a time.
+    computed until the first word is drawn, and then one pass at a time, so
+    a maker that knows about how many words it will draw, as a run plan
+    does for the grouping stream, sizes `first` to compute only those.
     """
     starts = map(MASK64.__and__, count(state + first * GOLDEN_GAMMA, LANES * GOLDEN_GAMMA))
     sizes = chain((first,), repeat(LANES))

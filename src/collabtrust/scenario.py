@@ -1,14 +1,9 @@
 """Scenario documents: the JSON surface that configures a run.
 
-`_build` reads every object in a document: its keys are the parameters of
-what it builds (the `__init__` of Scenario, NetworkModel, EnergyModel and
-RoutineSpec, and `_adversary`, `_trigger` and `_payload` for an
-adversaries entry and its trigger and payload), read from their code
-objects, and a key left out keeps its default, so `Scenario()` is the
-empty document: the five-device vignette, population 5, group 5, 25
-rounds, lossless network, all devices honest.
-Unknown keys and constraint violations are load-time errors that name the
-offending path; a validated scenario never fails at run time.
+`_build` reads each object of a document into the record it builds, so the
+empty document is `Scenario()`: the five-device vignette, all devices
+honest. Unknown keys and constraint violations are load-time errors that
+name the offending path; a validated scenario never fails at run time.
 """
 
 from __future__ import annotations

@@ -1,39 +1,17 @@
 """Deterministic runs: groups, the tally kernel and the round walk.
 
-Virtual time is an integer tick count. Round r runs from r * deadline to
-(r + 1) * deadline; its ROUND_START (or HALT) line has seq 2r and its
-ROUND_DEADLINE line seq 2r + 1, and deliveries number from 2 * rounds in
-send order. All
-randomness comes from named SplitMix64 streams derived from the scenario
-seed by rng.stream: the network stream (loss and latency), the grouping
-stream (ad-hoc membership draws), and one stream per RANDOM reporter
-(reporting noise), derived when it first joins a group. Varying a knob
-never reshuffles another stream's words, but within the network stream
-words are read in send order, so one more drop shifts the words of every
-later unicast.
-
-A group is the tuple of its members in draw order, on both paths: the
-checkee of round r is member r mod N, the initiator the member after it,
-and every verdict is looked up in the scenario's verdict table. A copy is
-late when it lands at or after the end of the round it was sent in.
-
-run_simulation picks the path. A latency-free run (no loss, and 3 *
-latency_max below the round deadline) takes the tally kernel, _run_tally,
-which computes each loud round's verdict directly from the run plan's
-classified groups (RunPlan, _classify) and folds quiet rounds in bulk;
-traced, it tallies every round and _RoundTrace renders it. Every other run
-takes the round walk, _run_rounds, which plays each round in one call,
-tallies it and, traced, renders it with _RoundTrace too. Both paths draw
-groups with draw_group, and form a round's outputs and opinions through
-protocol.answers and protocol.opinion. Their reports and traces are
-byte-identical wherever both apply.
+run_simulation picks the path: a latency_free run takes the tally kernel,
+_run_tally, which tallies the loud rounds of each group (RunPlan,
+_classify, _tally_round), and every other run the round walk, _run_rounds.
+Both draw groups with draw_group, and _RoundTrace writes a traced run.
+Streams come from rng.stream: the network, grouping and report streams.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from functools import lru_cache, partial
 from itertools import accumulate, chain, islice
 
@@ -103,16 +81,15 @@ def draw_group(
 ) -> tuple[int, ...]:
     """An ad-hoc group of `size` devices of range(population) not in `excluded`.
 
-    The members are those a Fisher-Yates shuffle of the first `size`
-    positions of the sorted eligible list picks, in shuffled order (it
-    fixes the checkee rotation), from the same draws but without the list:
-    a sparse Fisher-Yates shuffles ranks: the positions below `size` are a
-    list, and only the swapped positions at or beyond it are kept, in a
-    dict. Each chosen rank maps to its device by bisecting the sorted
-    exclusions. O(size + len(excluded)) times a log, not O(population).
-    Each draw below `bound` rejects a word at or above 2**64 - 2**64 % bound.
-    No bound exceeds n, so that limit is above the band 2**64 - n, and it is
-    worked out only for a word in the band.
+    The members, in shuffled order, are those a Fisher-Yates shuffle of the
+    first `size` positions of the sorted eligible list picks, from the same
+    draws but without the list: a sparse shuffle of ranks keeps the
+    positions below `size` in a list and only the swapped positions beyond
+    it in a dict, and each chosen rank maps to its device by bisecting the
+    sorted exclusions, so the cost does not grow with `population`. A draw
+    below `bound` rejects a word at or above 2**64 - 2**64 % bound; no
+    bound exceeds n, so only a word in the band 2**64 - n can be rejected,
+    and the limit is worked out only for such a word.
     """
     skip = sorted(excluded) if excluded else ()
     n = population - len(skip)
@@ -430,28 +407,31 @@ def _check_run_identities(counters: TrafficCounters, energy: EnergyLedger) -> No
         )
 
 
+def _latencies(words: Iterator[int], count: int, lo: int, span: int, limit: int) -> list[int]:
+    """The latencies of `count` unicasts none of which drops, in send order.
+
+    Each takes one word, redrawn while at or above `limit`, and a span of 1
+    draws none. The words are drawn in one pass and the rejected ones, rare
+    unless span is near 2**63, replaced from the words after them: the
+    words a draw unicast by unicast would take.
+    """
+    if span == 1:
+        return [lo] * count
+    drawn = list(islice(words, count))
+    if max(drawn) >= limit:
+        drawn = [z for z in drawn if z < limit]
+        drawn += islice(filter(limit.__gt__, words), count - len(drawn))
+    return [lo + z % span for z in drawn]
+
+
 class _RoundTrace:
     """A run's trace, written one round at a time, each round in one piece at its deadline.
 
     A round's delivery lines sit in a dict keyed by one int per delivery,
     d * u + j: d is its tick less the round's start, and j its place in the
     round's send order, so sorting the keys sorts the deliveries by (tick,
-    seq). A member's VERDICT line follows the report copy that completes
-    its tally, and the members still pending conclude at the deadline timer,
-    in group order. `round` renders a latency-free round of the tally
-    kernel; _run_rounds renders every other run's rounds with `write_round`.
-
-    Every latency-free round sends its (n-1)(n+1) unicasts, and each lands
-    before the round's deadline, so round r's messages take the seqs from
-    2 * rounds + r * (n-1)(n+1) on, one latency word each, redrawn by
-    rejection, in send order, and `round` draws them in one pass. It sends
-    as _run_rounds does: the challenge fan-out at the round's start, the
-    checkee's response fan-out when its challenge lands, then each
-    checker's report fan-out at its trigger, in trigger order. A checker's
-    trigger is the later of its challenge's and response's arrivals, or its
-    response's for the initiator, which holds the challenge from the start.
-    A checker whose own opinion forms after its last incoming report
-    concludes at the deadline.
+    seq). _run_rounds fills that dict for its rounds and `round` for a
+    latency-free round of the tally kernel; `write_round` writes it.
     """
 
     def __init__(self, sc: "Scenario", seed: int, sink: TextIO):
@@ -514,21 +494,18 @@ class _RoundTrace:
         answer: int,
         opinions: dict[int, Opinion],
     ) -> None:
-        """Write latency-free round r's trace from what _tally_round decided of it."""
+        """Write latency-free round r's trace from what _tally_round decided of it.
+
+        Its (n-1)(n+1) unicasts, sent as _run_rounds sends them, all land
+        before the deadline, so they take the seqs from 2 * rounds +
+        r * (n-1)(n+1) on and one latency word each (_latencies). A checker
+        whose own opinion forms after its last incoming report concludes at
+        the deadline.
+        """
         peers = self.join(members)
         u = self.unicasts
-        lo = self.lo
-        span = self.span
         # The latency of the round's j-th unicast.
-        if span == 1:
-            delay = [lo] * u
-        else:
-            words = list(islice(self.words, u))
-            limit = self.limit
-            if max(words) >= limit:  # a word to redraw: rare unless span is near 2**63
-                words = [z for z in words if z < limit]
-                words += islice(filter(limit.__gt__, self.words), u - len(words))
-            delay = [lo + z % span for z in words]
+        delay = _latencies(self.words, u, self.lo, self.span, self.limit)
         n = len(members)
         t = r * self.deadline
         seq = self.first_seq + r * u
@@ -583,32 +560,28 @@ class _RoundTrace:
 
 
 def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
-    """Latency-free runs: one tally per loud round, no events; traced, every round is loud.
+    """Latency-free runs: one tally per loud round; traced, every round is loud.
 
     Rounds are walked group epoch by group epoch: a group is drawn at the
     regroup period and after an exclusion. Each epoch looks its group up
-    once in the run plan's cache of _classify results, keyed by the tuple
-    of its members' markers: its special members, its loud spots and its
-    RANDOM reporters, whose report streams a run makes at the first epoch
-    each is drawn in. A spot at position p recurs every n rounds, so a
+    once in the run plan's cache of _classify results, keyed by its
+    members' markers; a RANDOM reporter's stream is made at the first
+    epoch it is drawn in. A spot at position p recurs every n rounds, so a
     group without a RANDOM reporter visits only the rounds
     range(first + (p - first) % n, stop, n) of its spots, merged in round
-    order; one with a RANDOM reporter visits every round, to draw its
-    words. A FULL spot's round takes the full tally, and a TRIGGER spot's
-    takes it only when the operand word its trigger reads fires. Any other
-    round is quiet and draws one word per RANDOM checker, as the full
-    tally would. Per epoch the quiet rounds are folded in one call and
-    the members initiating one round more than the others are charged for
-    it. The rest of the closed form is charged once per membership streak:
-    an epoch whose group holds every eligible device and sees no exclusion
-    leaves its streak open, since the next group has the same members, and
-    any other epoch, or the run's last, charges it. An exclusion precedes
-    every halt, so no streak is open at one.
+    order; one with a RANDOM reporter visits every round, and a quiet round
+    draws one word per RANDOM checker, as the full tally would. Per epoch
+    the quiet rounds are folded in one call and the members initiating one
+    round more than the others are charged for it. The rest of the closed
+    form is charged once per membership streak: an epoch whose group holds
+    every eligible device and sees no exclusion leaves its streak open,
+    since the next group has the same members, and any other epoch, or the
+    run's last, charges it. An exclusion precedes every halt, so no streak
+    is open at one.
 
-    With a `trace` sink every position of every group is a FULL spot, so
-    each round is tallied, folded and handed to _RoundTrace, which writes
-    it; a halt writes its HALT line. The group walk, halts and closed-form
-    charges are the untraced ones.
+    With a `trace` sink every position is a FULL spot, so each round is
+    tallied and handed to _RoundTrace; the group walk, halts and charges
+    are the untraced ones.
     """
     seed = res.seed
     usage = res.energy.usage
@@ -737,42 +710,31 @@ def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
 def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     """Every run that is not latency-free: a walk over the rounds, one call of `play` each.
 
-    A round's sends have a fixed shape, so no event queue is needed. The
-    initiator's challenge fan-out goes out at the round's start; the
-    checkee's response fan-out when its challenge copy lands in time (none
-    if it drops); and each checker's report fan-out at its trigger, the
-    later of its challenge's and its response's arrivals (the response's
-    for the initiator), in trigger order. Each fan-out goes to the sender's
-    peers in group order, and each unicast draws from the network stream's
-    words as it is sent: a drop word unless drop_prob is 0, then, unless
-    dropped, a latency word redrawn while at or above the rejection limit,
-    unless the latency is fixed. A copy is late when it lands at or after
-    the round's end: it reaches no one, and it is carried into the next
-    round, whose start counts it late and charges its reception (it lands
-    during that round, since latency_max is below the deadline). Copies
-    still carried when the run ends or halts are in flight.
+    A round's sends have a fixed shape: the initiator's challenge fan-out
+    at the round's start, the checkee's response fan-out when its challenge
+    copy lands in time (none if it drops), and each checker's report
+    fan-out at its trigger, the later of its challenge's and its response's
+    arrivals (the response's for the initiator), in trigger order. Each
+    fan-out goes to the sender's peers in group order, and each unicast
+    draws from the network stream's words as it is sent: a drop word unless
+    drop_prob is 0, then, unless dropped, a latency word redrawn while at or
+    above the rejection limit, unless the latency is fixed. Kept copies
+    take seqs from 2 * rounds on, in send order, and keys as in _RoundTrace,
+    the previous round's carried copies taking the first places; triggers
+    are ordered by their keys.
 
-    A delivery's key is d * u + j, its tick less the round's start times u
-    plus its place j in send order; the previous round's carried copies
-    take the first places. Sorting keys sorts deliveries by (tick, seq), so
-    triggers are ordered by their keys. Kept copies take seqs from 2 *
-    rounds on, in send order; a drop takes none.
-
-    A member's tally is its own opinion, if it formed one, and every report
-    copy that reaches it in time: the round's reports less those it missed,
-    dropped or late. Each (agree, disagree) split's verdict is folded once
-    for all its members, in group order, and the round's first FLAGGED one
-    marks the checkee. An exclusion purges the round's late copies to or
-    from the checkee, counting them late and purged.
+    A copy that lands at or after the round's end is late: it reaches no
+    one and is carried into the next round, whose start counts it late and
+    charges its reception. An exclusion purges the round's late copies to
+    or from the checkee, counting them late and purged; copies still
+    carried when the run ends or halts are in flight. A member's tally is
+    its own opinion, if it formed one, and every report copy that reaches
+    it in time. Each (agree, disagree) split's verdict is folded once for
+    all its members, and the round's first FLAGGED one marks the checkee.
 
     Untraced, a report fan-out sent before deadline - latency_max cannot
     have a late copy, so it decides drops only: each kept copy's latency
-    word is drawn, with its redraws, but never turned into a tick. Traced,
-    each delivery's line is fixed at send (` late=1` on a late copy), and
-    _RoundTrace writes the round with the previous round's carried lines: a
-    member's VERDICT line follows the report copy that completes its tally
-    after its own opinion formed, and the rest come at the deadline, in
-    group order.
+    word is drawn, with its redraws, but never turned into a tick.
     """
     seed = res.seed
     counters = res.counters
@@ -802,21 +764,15 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     group: tuple[int, ...] | None = None
     specials: dict[int, AdversaryProfile] = {}
     peers: dict[int, tuple[int, ...]] = {}
-    # Late copies as (tick, seq, sender, receiver, trace line or None).
-    Late = list[tuple[int, int, int, int, str | None]]
+    # Late copies as (tick, sender, receiver, trace line or None).
+    Late = list[tuple[int, int, int, str | None]]
     carried: Late = []
     next_seq = 2 * sc.rounds
 
     def fan_out(count: int) -> list[int | None]:
         """The latencies of `count` unicasts in send order, None for a dropped one."""
         if not drop_cut:
-            if not redraw:
-                return [lo] * count
-            drawn = list(islice(words, count))
-            if max(drawn) >= limit:
-                drawn = [z for z in drawn if z < limit]
-                drawn += islice(filter(limit.__gt__, words), count - len(drawn))
-            return [lo + z % span for z in drawn]
+            return _latencies(words, count, lo, span, limit)
         out: list[int | None] = []
         for _ in range(count):
             if next(words) < drop_cut:
@@ -845,15 +801,14 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         late: Late = []
         lines: dict[int, str] | None = None
         if tracer is not None:
-            lines = {(at - t) * u + i: line for i, (at, _, _, _, line) in enumerate(carried)}
-        seq = next_seq
+            lines = {(at - t) * u + i: line for i, (at, _, _, line) in enumerate(carried)}
         j = len(carried)
-        base = seq - j  # the seq of the copy at place i is base + i
+        base = next_seq - j  # the seq of the copy at place j is base + j
         delivered = dropped = 0
 
         def send(frm: int, sent: int, head: str | None, tail: str | None) -> dict[int, int]:
             # A challenge or response fan-out at tick t + sent: each in-time copy's key by receiver.
-            nonlocal seq, j, delivered, dropped
+            nonlocal j, delivered, dropped
             keys = {}
             counters.sent += n - 1
             usage[frm].sent += n - 1
@@ -863,7 +818,7 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     continue
                 d += sent
                 k = d * u + j
-                line = None if tail is None else f"{t + d} {seq}{head}{to}{tail}"
+                line = None if tail is None else f"{t + d} {base + j}{head}{to}{tail}"
                 if d < deadline:
                     keys[to] = k
                     usage[to].received += 1
@@ -871,9 +826,8 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                     if line is not None:
                         lines[k] = line
                 else:
-                    late.append((t + d, seq, frm, to, line and line[:-1] + " late=1\n"))
+                    late.append((t + d, frm, to, line and line[:-1] + " late=1\n"))
                 j += 1
-                seq += 1
             return keys
 
         texts = lines is not None
@@ -891,9 +845,9 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 if c is not None:
                     triggers[to] = k if k > c else c
         plain = AGREE if answer == honest else Opinion.DISAGREE
-        tails = {}
         if texts:
-            tails = {o: _report_tail(r, checkee, o) for o in Opinion}
+            agree_tail = _report_tail(r, checkee, AGREE)
+            disagree_tail = _report_tail(r, checkee, Opinion.DISAGREE)
         early = deadline - network.latency_max
         agree_misses: list[int] = []
         disagree_misses: list[int] = []
@@ -921,7 +875,7 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 continue
             if texts:
                 head = tracer.report_head(frm)
-                tail = tails[o]
+                tail = agree_tail if o is AGREE else disagree_tail
             for to in peers[frm]:
                 if drop_cut and next(words) < drop_cut:
                     miss(to)
@@ -935,9 +889,8 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 line = None
                 if texts:
                     k = d * u + j
-                    line = f"{t + d} {seq}{head}{to}{tail}"
+                    line = f"{t + d} {base + j}{head}{to}{tail}"
                 j += 1
-                seq += 1
                 if d < deadline:
                     if texts:
                         lines[k] = line
@@ -946,8 +899,8 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 else:
                     miss(to)
                     reports_late += 1
-                    late.append((t + d, seq - 1, frm, to, line and line[:-1] + " late=1\n"))
-        next_seq = seq
+                    late.append((t + d, frm, to, line and line[:-1] + " late=1\n"))
+        next_seq = base + j
         missed = Counter(agree_misses)
         missed_agree = missed.copy()
         missed.update(disagree_misses)
@@ -956,25 +909,27 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         counters.dropped += dropped + misses - reports_late
         counters.delivered += delivered + reports * (n - 1) - misses
         splits: dict[tuple[int, int], list[int]] = {}
+        verdict_texts: dict[tuple[int, int], str] = {}
+        end = t + deadline
+        pending = []
         for m in group:
             heard = reports - missed[m]
             usage[m].received += heard - (m in triggers)
             a = agrees - missed_agree[m]
-            splits.setdefault((a, heard - a), []).append(m)
-        if texts:
-            end = t + deadline
-            pending = []
-            verdict_texts = {split: _verdict_text(r, checkee, *table[split]) for split in splits}
-            for m in group:
-                heard = reports - missed[m]
-                a = agrees - missed_agree[m]
+            split = a, heard - a
+            splits.setdefault(split, []).append(m)
+            if texts:
+                text = verdict_texts.get(split) or verdict_texts.setdefault(
+                    split, _verdict_text(r, checkee, *table[split])
+                )
                 k = last[m]
-                text = verdict_texts[a, heard - a]
+                # At the report copy that completes its tally, after its own opinion formed.
                 if heard == n - 1 and k > triggers.get(m, 0):
                     d, i = divmod(k, u)
                     lines[k] += f"{t + d} {base + i} VERDICT {m}{text}"
                 else:
                     pending.append(f"{end} {2 * r + 1} VERDICT {m}{text}")
+        if texts:
             tracer.join(group)
             tracer.write_round(r, spec, lines, pending)
         return late, splits
@@ -990,7 +945,7 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         # The last round's late copies land during this one.
         counters.late += len(carried)
         for c in carried:
-            usage[c[3]].received += 1
+            usage[c[2]].received += 1
         if new_group is not group:
             group = new_group
             specials, _, randoms = plan.classify(tuple(map(plan.marker, group)))
@@ -1013,7 +968,7 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
         if flagged is not None:
             update_suspicion(suspicion, flagged)
             if suspicion.is_excluded(checkee):
-                carried = [c for c in late if c[2] != checkee and c[3] != checkee]
+                carried = [c for c in late if c[1] != checkee and c[2] != checkee]
                 purged = len(late) - len(carried)
                 counters.late += purged
                 counters.purged += purged

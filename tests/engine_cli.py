@@ -1,9 +1,9 @@
-"""`python -m collabtrust` with every run forced through the event engine.
+"""`python -m collabtrust` with every run forced through the round walk.
 
 A latency-free run takes the tally kernel, traced or not, and the package has
 no switch to send it elsewhere. This driver patches
 `collabtrust.simnet.latency_free` to read False and then runs the CLI, so the
-kernel's reports and traces can be compared with the engine's byte for byte:
+kernel's reports and traces can be compared with the round walk's byte for byte:
 
     PYTHONPATH=src python tests/engine_cli.py run --scenario S --trace T > engine.json
 

@@ -42,8 +42,8 @@ lossy engine.
 
 The JSON and CSV reports are also produced without `--trace` and must hash
 the same. Latency-free runs take the tally-level kernel, traced or not, and
-every other run the event engine, so this checks that the kernel's
-renderer and the engine's traced path change no report byte. The traces of
+every other run the round walk, so this checks that the kernel's
+renderer and the round walk's traced path change no report byte. The traces of
 latency-free cases, which the kernel writes, were recorded from the engine.
 
 A digest may change only on purpose, and the change is recorded in

@@ -12,15 +12,15 @@ None of this runs in the simulator:
   pair by pair, which a run folds as it goes.
 - `next_bits`: one SplitMix64 word masked to its low bits.
 - `below`: one unbiased draw in [0, n), word by word by rejection, as the
-  event engine's send loop and `simnet.draw_group` draw from a stream's
+  round walk's send loop and `simnet.draw_group` draw from a stream's
   word iterator.
 - `fates`: a fan-out's unicast fates drawn word by word with `next_float`
-  and `below`, which the event engine decodes inline as it sends.
+  and `below`, which the round walk decodes inline as it sends.
 - `unmix64`: the inverse of `rng.mix64`, to build a stream state whose next
   word is any chosen word.
 - `trace_delivery` and `trace_verdict`: a delivery's and a verdict's trace
-  line, formatted whole for each line, as the engine once did at each
-  delivery. The engine now builds a message's text once per fan-out and
+  line, formatted whole for each line, as the former event engine did
+  at each delivery. The round walk builds a message's text once per fan-out and
   fixes each delivery's line when it is sent; the lines must not change.
 - `handle_report`, `conclude` and `on_timeout`: a peer's report handed to a
   device's tally, concluding once every expected opinion is in, and a

@@ -180,10 +180,10 @@ def test_acceptance_4_evasion_corollary():
 
 
 def _engine_and_kernel(sc: Scenario):
-    """Both paths of one lossless run: the event engine (traced) and the tally kernel.
+    """Both paths of one lossless run: the round walk (traced) and the tally kernel.
 
-    The closed forms are asserted on the engine, which routes every unicast;
-    the kernel charges them by formula, so it must agree with the engine.
+    The closed forms are asserted on the round walk, which routes every
+    unicast; the kernel charges them by formula, so it must agree with it.
     """
     engine, _ = run_traced(sc, engine=True)
     kernel = run_simulation(sc)

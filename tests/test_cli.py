@@ -288,7 +288,7 @@ def _device_0_received_once(model) -> EnergyLedger:
 
 
 # The honest scenario is latency-free, so it takes the tally kernel, traced or
-# not, unless simnet.latency_free is patched to force the event engine; the
+# not, unless simnet.latency_free is patched to force the round walk; the
 # end-of-run check guards every path.
 @pytest.mark.parametrize("path", ("kernel", "traced", "engine"))
 @pytest.mark.parametrize(

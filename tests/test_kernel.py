@@ -1,7 +1,7 @@
-"""The tally-level round kernel against the event engine.
+"""The tally-level round kernel against the round walk (the "engine").
 
 Runs with no loss and 3 * latency_max below the round deadline take the
-kernel, traced or not; the tests force the event engine with
+kernel, traced or not; the tests force the round walk with
 verdict_log.forced_engine to compare the two. The kernel gives each
 checkee position of a group one of three classes: FULL (the full tally),
 TRIGGER (a Trojan checkee, quiet unless its trigger fires) and FREE

@@ -8,7 +8,7 @@ verdict) pairs back.
 A run keeps no trace either: either path writes each round's lines to the
 stream it is given, so tests hand it an `io.StringIO`.
 A latency-free run takes the tally kernel, traced or not. Tests that mean
-the event engine say so: `forced_engine` patches `simnet.latency_free` to
+the round walk, which they call the engine, say so: `forced_engine` patches `simnet.latency_free` to
 read False while it is open, and `run_engine`, `run_logged(engine=True)`
 and `run_traced(engine=True)` run inside it. The package itself has no
 such switch.
@@ -32,14 +32,14 @@ from collabtrust.verdict import Outcome, Verdict
 
 @contextmanager
 def forced_engine() -> Iterator[None]:
-    """While open, every run takes the event engine: `simnet.latency_free` reads False."""
+    """While open, every run takes the round walk: `simnet.latency_free` reads False."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simnet, "latency_free", lambda scenario: False)
         yield
 
 
 def run_engine(scenario, seed=None, trace=None) -> RunResult:
-    """`run_simulation` through the event engine, latency-free or not."""
+    """`run_simulation` through the round walk, latency-free or not."""
     with forced_engine():
         return run_simulation(scenario, seed=seed, trace=trace)
 
