@@ -18,7 +18,7 @@ class GroupFormationError(Exception):
 
 
 class ProtocolViolation(RuntimeError):
-    """A device handler was driven outside its legal state machine.
+    """A run ended with one of its identities broken: message conservation or an energy ledger.
 
     This indicates a simulator bug, not a scenario problem; runs abort.
     """

@@ -3,7 +3,7 @@
 run_simulation picks the path: a latency_free run takes the tally kernel,
 _run_tally, which tallies the loud rounds of each group (RunPlan,
 _classify, _tally_round), and every other run the round walk, _run_rounds.
-Both draw groups with draw_group, and _RoundTrace writes a traced run.
+Both walk a run's groups with _epochs, and _RoundTrace writes a traced run.
 Streams come from rng.stream: the network, grouping and report streams.
 """
 
@@ -222,23 +222,6 @@ def latency_free(scenario: "Scenario") -> bool:
     return net.drop_prob == 0.0 and 3 * net.latency_max < scenario.round_deadline
 
 
-def _next_group(
-    group: tuple[int, ...] | None,
-    r: int,
-    sc: "Scenario",
-    suspicion: SuspicionLedger,
-    rng_group: SplitMix64,
-) -> tuple[int, ...]:
-    """Round r's group: redrawn on the regroup period or after an exclusion.
-
-    Raises GroupFormationError when too few devices remain eligible.
-    """
-    excluded = suspicion.excluded_at
-    if group is not None and r % sc.regroup_period != 0 and excluded.keys().isdisjoint(group):
-        return group
-    return draw_group(sc.population, excluded, sc.group_size, rng_group)
-
-
 # The trigger of a FREE position: no word to test, and no tally.
 FREE = ()
 
@@ -297,9 +280,15 @@ class RunPlan:
         self.classify = lru_cache(MEMO_POSITIONS // sc.group_size)(classify)
 
 
+# A group's classes: its special members, loud spots and RANDOM reporters.
+Classes = tuple[
+    dict[int, AdversaryProfile], dict[int, tuple[int, int, int] | None], tuple[int, ...]
+]
+
+
 def _classify(
     profiles: dict[int, AdversaryProfile], bound: int, key: tuple[int | None, ...]
-) -> tuple[dict[int, AdversaryProfile], dict[int, tuple[int, int, int] | None], tuple[int, ...]]:
+) -> Classes:
     """A group's special members, its loud spots and its RANDOM reporters.
 
     `profiles` is the scenario's adversary map and `bound` its run plan's
@@ -424,6 +413,11 @@ def _latencies(words: Iterator[int], count: int, lo: int, span: int, limit: int)
     return [lo + z % span for z in drawn]
 
 
+def _peers(members: tuple[int, ...]) -> dict[int, tuple[int, ...]]:
+    """Each member's peers, in group order."""
+    return {m: tuple(p for p in members if p != m) for m in members}
+
+
 class _RoundTrace:
     """A run's trace, written one round at a time, each round in one piece at its deadline.
 
@@ -447,7 +441,7 @@ class _RoundTrace:
         self.first_seq = 2 * sc.rounds
         self.members: tuple[int, ...] = ()
         self.group_text = ""
-        self.peers: dict[int, tuple[int, ...]] = {}  # each member's, in group order
+        self.peers: dict[int, tuple[int, ...]] = {}
         self.report_heads: dict[int, str] = {}
 
     def halt(self, r: int, reason: str) -> None:
@@ -458,7 +452,7 @@ class _RoundTrace:
         if members is not self.members:
             self.members = members
             self.group_text = ",".join(map(str, members))
-            self.peers = {m: tuple(p for p in members if p != m) for m in members}
+            self.peers = _peers(members)
         return self.peers
 
     def report_head(self, frm: int) -> str:
@@ -559,78 +553,88 @@ class _RoundTrace:
         self.write_round(r, spec, lines, pending)
 
 
+def _epochs(
+    sc: "Scenario", res: RunResult, tracer: _RoundTrace | None
+) -> Iterator[tuple[tuple[int, ...], Classes, dict[int, SplitMix64], int, int]]:
+    """A run's group epochs in round order, as (members, classes, streams, first, stop).
+
+    A group is drawn with draw_group from the grouping stream at round 0, at
+    each multiple of the regroup period, and in the round after one of its
+    members is excluded. Its epoch runs from round `first` to `stop`, the
+    next multiple or the run's end; a walk that ends it at an exclusion
+    leaves res.rounds_executed at the round after, where the next group is
+    drawn. When too few devices are eligible, the run halts: res.halt_reason
+    is set, a `tracer` writes HALT, and no epoch follows.
+
+    A group's classes are the run plan's cached _classify result for its
+    members' markers. `streams` holds the run's report streams: a RANDOM
+    reporter's is made at the first epoch it is drawn in.
+    """
+    seed = res.seed
+    plan = sc.plan
+    excluded = res.suspicion.excluded_at
+    rng_group = stream(seed, GROUPING_STREAM, first=plan.group_words)
+    streams: dict[int, SplitMix64] = {}
+    period = sc.regroup_period
+    rounds = sc.rounds
+    r = 0
+    while r < rounds:
+        try:
+            members = draw_group(sc.population, excluded, sc.group_size, rng_group)
+        except GroupFormationError as exc:
+            res.halt_reason = str(exc)
+            if tracer is not None:
+                tracer.halt(r, res.halt_reason)
+            return
+        classes = plan.classify(tuple(map(plan.marker, members)))
+        for d in classes[2]:
+            if d not in streams:
+                streams[d] = report_stream(seed, d)
+        yield members, classes, streams, r, min(rounds, (r // period + 1) * period)
+        r = res.rounds_executed
+
+
 def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     """Latency-free runs: one tally per loud round; traced, every round is loud.
 
-    Rounds are walked group epoch by group epoch: a group is drawn at the
-    regroup period and after an exclusion. Each epoch looks its group up
-    once in the run plan's cache of _classify results, keyed by its
-    members' markers; a RANDOM reporter's stream is made at the first
-    epoch it is drawn in. A spot at position p recurs every n rounds, so a
-    group without a RANDOM reporter visits only the rounds
-    range(first + (p - first) % n, stop, n) of its spots, merged in round
-    order; one with a RANDOM reporter visits every round, and a quiet round
-    draws one word per RANDOM checker, as the full tally would. Per epoch
-    the quiet rounds are folded in one call and the members initiating one
-    round more than the others are charged for it. The rest of the closed
-    form is charged once per membership streak: an epoch whose group holds
-    every eligible device and sees no exclusion leaves its streak open,
-    since the next group has the same members, and any other epoch, or the
-    run's last, charges it. An exclusion precedes every halt, so no streak
-    is open at one.
+    A spot at position p recurs every n rounds, so an epoch without a
+    RANDOM reporter visits only the rounds range(first + (p - first) % n,
+    stop, n) of its spots, merged in round order; one with a RANDOM
+    reporter visits every round, and a quiet round draws one word per
+    RANDOM checker, as the full tally would. Per epoch the quiet rounds are
+    folded in one call and the members initiating one round more than the
+    others are charged for it. The rest of the closed form is charged once
+    per membership streak: an epoch whose group holds every eligible device
+    and sees no exclusion leaves its streak open, since the next group has
+    the same members, and any other epoch, or the run's last, charges it.
+    An exclusion precedes every halt, so no streak is open at one.
 
     With a `trace` sink every position is a FULL spot, so each round is
-    tallied and handed to _RoundTrace; the group walk, halts and charges
-    are the untraced ones.
+    tallied and handed to _RoundTrace; the charges are the untraced ones.
     """
     seed = res.seed
     usage = res.energy.usage
     stats = res.stats
     suspicion = res.suspicion
     excluded = suspicion.excluded_at
-    rng_group = stream(seed, GROUPING_STREAM, first=sc.plan.group_words)
     profiles = sc.adversary_map
     routines = sc.routine_order
     n_routines = len(routines)
-    period = sc.regroup_period
-    rounds = sc.rounds
     n = sc.group_size
-    plan = sc.plan
-    marker = plan.marker
-    classify = plan.classify
-    op_prefix = plan.op_prefix
-    streams: dict[int, SplitMix64] = {}
+    op_prefix = sc.plan.op_prefix
     tracer = None
     if trace is not None:
-        # Traced, every position is a FULL spot, so every round is tallied and written.
         tracer = _RoundTrace(sc, seed, trace)
         every = dict.fromkeys(range(n))
-
-        def classify(key, _classify=classify):
-            specials, _, randoms = _classify(key)
-            return specials, every, randoms
-
     # A group holds every eligible device when this many are excluded.
     everyone_at = sc.population - n
     # The open membership streak: its first round and its epochs' summed
     # `whole` initiations.
     streak_first = streak_whole = 0
-    r = 0
-    while r < rounds:
-        try:
-            members = draw_group(sc.population, excluded, n, rng_group)
-        except GroupFormationError as exc:
-            res.halt_reason = str(exc)
-            if tracer is not None:
-                tracer.halt(r, res.halt_reason)
-            break
+    for members, (specials, spots, randoms), streams, first, stop in _epochs(sc, res, tracer):
         everyone = len(excluded) == everyone_at
-        specials, spots, randoms = classify(tuple(map(marker, members)))
-        for d in randoms:
-            if d not in streams:
-                streams[d] = report_stream(seed, d)
-        first = r
-        stop = min(rounds, (first // period + 1) * period)
+        if tracer is not None:
+            spots = every
         if randoms:
             visit: range | list[int] = range(first, stop)
         elif len(spots) == 1:
@@ -668,6 +672,7 @@ def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 if v.checkee in excluded:
                     stop = r + 1  # the group is redrawn without it
                     break
+        res.rounds_executed = stop
         stats.fold_quiet(members, range(first, stop), loud)
         # The epoch's lossless closed form. Each member initiates `whole`
         # rounds, charged with the streak, and the `part` members from the
@@ -680,16 +685,15 @@ def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 u = usage[members[i % n]]
                 u.sent += n - 1
                 u.received -= 1
-        r = stop
         # A group that holds every eligible device, none of them excluded
         # since its draw, is drawn again with the same members.
-        if everyone and r < rounds and len(excluded) == everyone_at:
+        if everyone and stop < sc.rounds and len(excluded) == everyone_at:
             continue
         # The streak ends here and is charged its closed form. Per round
         # each member runs the round's routine, sends n-1 responses or
         # reports and receives n-1 of them; every member but the initiator
         # receives one challenge, and the initiator sends the n-1 challenges.
-        length = r - streak_first
+        length = stop - streak_first
         phase = streak_first % n_routines
         cycles, rest = divmod(phase + length, n_routines)
         ops = cycles * op_prefix[-1] + op_prefix[rest] - op_prefix[phase]
@@ -700,9 +704,8 @@ def _run_tally(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             u.ops += ops
             u.sent += sent
             u.received += received
-        streak_first, streak_whole = r, 0
-    res.rounds_executed = r
-    messages = lossless_messages_per_round(n) * r
+        streak_first, streak_whole = stop, 0
+    messages = lossless_messages_per_round(n) * res.rounds_executed
     res.counters.sent += messages
     res.counters.delivered += messages
 
@@ -745,7 +748,6 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     plan = sc.plan
     table = plan.verdicts
     routines = sc.routine_order
-    rng_group = stream(seed, GROUPING_STREAM, first=plan.group_words)
     network = sc.network
     words = stream(seed, NETWORK_STREAM).words
     drop_cut = float_cut(network.drop_prob)
@@ -759,11 +761,7 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
     # Key stride: a round's copies and the previous round's carried ones.
     u = 2 * lossless_messages_per_round(n)
     tracer = None if trace is None else _RoundTrace(sc, seed, trace)
-    streams: dict[int, SplitMix64] = {}
     AGREE = Opinion.AGREE
-    group: tuple[int, ...] | None = None
-    specials: dict[int, AdversaryProfile] = {}
-    peers: dict[int, tuple[int, ...]] = {}
     # Late copies as (tick, sender, receiver, trace line or None).
     Late = list[tuple[int, int, int, str | None]]
     carried: Late = []
@@ -930,48 +928,36 @@ def _run_rounds(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
                 else:
                     pending.append(f"{end} {2 * r + 1} VERDICT {m}{text}")
         if texts:
-            tracer.join(group)
             tracer.write_round(r, spec, lines, pending)
         return late, splits
 
-    for r in range(sc.rounds):
-        try:
-            new_group = _next_group(group, r, sc, suspicion, rng_group)
-        except GroupFormationError as exc:
-            res.halt_reason = str(exc)
-            if tracer is not None:
-                tracer.halt(r, res.halt_reason)
-            break
-        # The last round's late copies land during this one.
-        counters.late += len(carried)
-        for c in carried:
-            usage[c[2]].received += 1
-        if new_group is not group:
-            group = new_group
-            specials, _, randoms = plan.classify(tuple(map(plan.marker, group)))
-            for d in randoms:
-                if d not in streams:
-                    streams[d] = report_stream(seed, d)
-            peers = {m: tuple(p for p in group if p != m) for m in group}
-        res.rounds_executed = r + 1
-        late, splits = play(r)
-        carried = late
-        # Each split's verdict is folded once for all its members.
-        checkee = group[r % n]
-        flagged = None
-        for split, ids in splits.items():
-            tally, outcome = table[split]
-            v = Verdict(checkee, r, outcome, tally)
-            stats.fold(v, ids, profiles)
-            if flagged is None and outcome is Outcome.FLAGGED:
-                flagged = v
-        if flagged is not None:
-            update_suspicion(suspicion, flagged)
-            if suspicion.is_excluded(checkee):
-                carried = [c for c in late if c[1] != checkee and c[2] != checkee]
-                purged = len(late) - len(carried)
-                counters.late += purged
-                counters.purged += purged
+    for group, (specials, _, _), streams, first, stop in _epochs(sc, res, tracer):
+        peers = _peers(group) if tracer is None else tracer.join(group)
+        for r in range(first, stop):
+            # The last round's late copies land during this one.
+            counters.late += len(carried)
+            for c in carried:
+                usage[c[2]].received += 1
+            res.rounds_executed = r + 1
+            late, splits = play(r)
+            carried = late
+            # Each split's verdict is folded once for all its members.
+            checkee = group[r % n]
+            flagged = None
+            for split, ids in splits.items():
+                tally, outcome = table[split]
+                v = Verdict(checkee, r, outcome, tally)
+                stats.fold(v, ids, profiles)
+                if flagged is None and outcome is Outcome.FLAGGED:
+                    flagged = v
+            if flagged is not None:
+                update_suspicion(suspicion, flagged)
+                if suspicion.is_excluded(checkee):
+                    carried = [c for c in late if c[1] != checkee and c[2] != checkee]
+                    purged = len(late) - len(carried)
+                    counters.late += purged
+                    counters.purged += purged
+                    break  # the group is redrawn without it
     counters.in_flight = len(carried)
 
 

@@ -39,11 +39,11 @@ from collabtrust.simnet import (
     NETWORK_STREAM,
     _deadline_line,
     _halt_line,
-    _next_group,
     _report_head,
     _report_tail,
     _round_start_line,
     _verdict_text,
+    draw_group,
     report_stream,
     stream,
 )
@@ -117,6 +117,15 @@ class DeviceState:
         else:
             self.peers = members[:i] + members[i + 1 :]
         self.n_checkers = len(members) - 1
+
+
+def regroups(
+    group: tuple[int, ...] | None, round_no: int, period: int, excluded: Mapping[int, int]
+) -> bool:
+    """Whether round `round_no` draws a new group, by the README's rule: a
+    group is drawn at round 0, every `period` rounds, and in the round after
+    one of its members is excluded."""
+    return round_no % period == 0 or any(m in excluded for m in group)
 
 
 def round_checkee(members: tuple[int, ...], round_no: int) -> int:
@@ -497,13 +506,17 @@ def run_events(sc: "Scenario", res: RunResult, trace: TextIO | None) -> None:
             t, seq, r = timer_at, timer, timer >> 1
             timer += 1
             if not seq & 1:  # round r starts
-                try:
-                    new_group = _next_group(group, r, sc, suspicion, rng_group)
-                except GroupFormationError as exc:
-                    res.halt_reason = str(exc)
-                    if emit is not None:
-                        emit(_halt_line(t, r, res.halt_reason))
-                    break
+                new_group = group
+                if regroups(group, r, sc.regroup_period, suspicion.excluded_at):
+                    try:
+                        new_group = draw_group(
+                            sc.population, suspicion.excluded_at, sc.group_size, rng_group
+                        )
+                    except GroupFormationError as exc:
+                        res.halt_reason = str(exc)
+                        if emit is not None:
+                            emit(_halt_line(t, r, res.halt_reason))
+                        break
                 # Untraced, the last round's late copies land during this one.
                 counters.late += len(held)
                 for e in held:

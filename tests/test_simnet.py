@@ -501,14 +501,51 @@ def test_exclusion_halts_when_population_exhausted():
     assert res.rounds_executed < sc.rounds
 
 
-def test_regroup_period_redraws_membership():
-    sc = Scenario(population=20, rounds=10, regroup_period=5)
-    _, trace = run_traced(sc, seed=3)
-    starts = [line for line in trace if line.split()[2] == "ROUND_START"]
-    groups = {line.split()[6] for line in starts}
-    # one membership for rounds 0-4, one for 5-9 (identical draws are
-    # astronomically unlikely with population 20)
-    assert len(groups) == 2
+def test_regroup_period_redraws_membership(monkeypatch):
+    # A group is drawn at round 0, every regroup_period rounds, and in the
+    # round after one of its members is excluded. ALWAYS_WRONG devices 1 and
+    # 2 are each excluded at their first round as checkee: at seed 2 in
+    # rounds 2 and 6, at seed 7 in rounds 0 and 11, and the second exclusion
+    # leaves 4 eligible devices, so the draw after it halts the run.
+    wrong = AdversaryProfile(fault=FaultKind.ALWAYS_WRONG)
+    period = 4
+    sc = Scenario(population=6, group_size=5, rounds=20, regroup_period=period,
+                  flag_threshold=1, adversaries=((1, wrong), (2, wrong)))
+    calls: list[tuple[int, ...] | None] = []
+
+    def recorded_draw(*args, _draw=simnet.draw_group):
+        try:
+            members = _draw(*args)
+        except GroupFormationError:
+            calls.append(None)
+            raise
+        calls.append(members)
+        return members
+
+    monkeypatch.setattr(simnet, "draw_group", recorded_draw)
+    for seed in (2, 7):
+        draws = {}
+        for engine in (False, True):
+            calls.clear()
+            res, trace = run_traced(sc, seed=seed, engine=engine)
+            executed = res.rounds_executed
+            exclusions = sorted(res.suspicion.excluded_at.values())
+            assert res.halt_reason is not None and len(exclusions) == 2
+            assert any((x + 1) % period for x in exclusions)  # one mid-period
+            redrawn = set(range(0, executed, period))
+            redrawn.update(x + 1 for x in exclusions if x + 1 < executed)
+            groups = [
+                tuple(map(int, line.split()[6].removeprefix("group=").split(",")))
+                for line in trace
+                if line.split()[2] == "ROUND_START"
+            ]
+            assert len(groups) == executed
+            # One draw per redrawn round, then the one that halts; every
+            # round plays its epoch's group.
+            assert calls == [groups[r] for r in sorted(redrawn)] + [None]
+            assert groups == [groups[max(e for e in redrawn if e <= r)] for r in range(executed)]
+            draws[engine] = list(calls)
+        assert draws[False] == draws[True]
 
 
 def test_engine_makes_state_only_for_devices_that_join_a_group(monkeypatch):
